@@ -4,12 +4,15 @@ import (
 	"context"
 
 	"pathdump/internal/query"
+	"pathdump/internal/tib"
 	"pathdump/internal/types"
 )
 
-// view materialises the host's queryable state: the TIB store plus the
+// agentView is the host's queryable state: the TIB store plus the
 // per-path flow records still in the trajectory memory (the paper's IPC
-// lookup that lets queries see data not yet exported, §3.2).
+// lookup that lets queries see data not yet exported, §3.2). It is a
+// record scanner and the TCP monitor, nothing else — query.Execute
+// derives every op from ScanRecords.
 //
 // ctx, when non-nil, makes the evaluation loop cancellation-aware: scans
 // over the sharded TIB poll the context every query.CancelCheckEvery
@@ -17,8 +20,12 @@ import (
 // so a caller that hung up (or a controller deadline that fired) does not
 // pin this host on a full scan.
 type agentView struct {
-	a    *Agent
-	live []types.Record
+	a *Agent
+	// live is the trajectory memory as of the view's creation — before
+	// any store scan, so a record exported mid-query is seen at most
+	// twice, never missed. Headers are resolved to paths only for the
+	// entries a scan's predicate admits.
+	live []tib.MemEntry
 	ctx  context.Context
 }
 
@@ -28,35 +35,18 @@ func (v agentView) WithContext(ctx context.Context) query.View {
 	return v
 }
 
-// cancelled reports whether the view's context (if any) is done.
-func (v agentView) cancelled() bool {
-	return v.ctx != nil && v.ctx.Err() != nil
-}
-
 func (a *Agent) view() query.View {
-	v := agentView{a: a}
-	for _, e := range a.Mem.Live() {
-		p, err := a.construct(e.Flow.SrcIP, e.Hdr)
-		if err != nil {
-			continue // counted on export; live queries skip bad headers
-		}
-		v.live = append(v.live, types.Record{
-			Flow: e.Flow, Path: p,
-			STime: e.STime, ETime: e.ETime,
-			Bytes: e.Bytes, Pkts: e.Pkts,
-		})
-	}
-	return v
+	return agentView{a: a, live: a.Mem.Live()}
 }
 
 // ScanRecords implements query.View over store + live records: the
 // predicate — including its arrival-sequence window, the incremental
 // trigger path — is pushed down into the segmented store (whole-segment
 // time and watermark pruning, index postings), and the handful of
-// not-yet-exported live records are filtered by Predicate.Match (they
-// carry no sequence and count as in-window — by construction new). With
-// a context attached, the TIB scan aborts between merged shard records
-// once the context is cancelled.
+// not-yet-exported live records follow, filtered by Predicate.Match
+// (they carry no sequence and count as in-window — by construction new).
+// With a context attached, the TIB scan aborts between merged shard
+// records once the context is cancelled.
 func (v agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 	visit := func(rec *types.Record) bool {
 		fn(rec)
@@ -70,60 +60,33 @@ func (v agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 	// counted in the store's ColdStats (see tib.Store.Flows for the
 	// contract).
 	_ = v.a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, visit)
-	if v.cancelled() {
+	if v.ctx != nil && v.ctx.Err() != nil {
 		return
 	}
+	// The flow and time terms need no path, so they are tested before
+	// the header is resolved; Match then applies the link term.
+	var rec *types.Record // one per scan, made when the first entry gets this far
 	for i := range v.live {
-		rec := &v.live[i]
+		e := &v.live[i]
+		if (p.Flow != nil && e.Flow != *p.Flow) || !p.Range.Overlaps(e.STime, e.ETime) {
+			continue
+		}
+		path, err := v.a.construct(e.Flow.SrcIP, e.Hdr)
+		if err != nil {
+			continue // counted on export; live queries skip bad headers
+		}
+		if rec == nil {
+			rec = new(types.Record)
+		}
+		*rec = types.Record{
+			Flow: e.Flow, Path: path,
+			STime: e.STime, ETime: e.ETime,
+			Bytes: e.Bytes, Pkts: e.Pkts,
+		}
 		if p.Match(rec) {
 			fn(rec)
 		}
 	}
-}
-
-// scanView adapts this view into the generic scanner-derived View: the
-// Table-1 derivations (flow/path dedup, totals, time spans) live in
-// query.ScanView, shared with the incremental trigger evaluation.
-func (v agentView) scanView() query.ScanView {
-	return query.ScanView{Scan: v.ScanRecords, Poor: v.a.PoorTCPFlows}
-}
-
-// Flows implements query.View (getFlows). A scan cut off by cancellation
-// returns nil, not a partial list — the caller's result is discarded by
-// ExecuteContext, so truncated output must not feed downstream per-flow
-// loops.
-func (v agentView) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
-	out := v.scanView().Flows(link, tr)
-	if v.cancelled() {
-		return nil
-	}
-	return out
-}
-
-// Paths implements query.View (getPaths). The cancellation pre-check
-// bounds a cancelled caller's cost at one map allocation; per-flow scans
-// touch a single shard's posting list anyway.
-func (v agentView) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path {
-	if v.cancelled() {
-		return nil
-	}
-	return v.scanView().Paths(f, link, tr)
-}
-
-// Count implements query.View (getCount).
-func (v agentView) Count(f types.Flow, tr types.TimeRange) (bytes, pkts uint64) {
-	if v.cancelled() {
-		return 0, 0
-	}
-	return v.scanView().Count(f, tr)
-}
-
-// Duration implements query.View (getDuration).
-func (v agentView) Duration(f types.Flow, tr types.TimeRange) types.Time {
-	if v.cancelled() {
-		return 0
-	}
-	return v.scanView().Duration(f, tr)
 }
 
 // PoorTCPFlows implements query.View.
@@ -135,47 +98,6 @@ func (v agentView) PoorTCPFlows(threshold int) []types.FlowID {
 // queries.
 type recordView struct {
 	rec *types.Record
-}
-
-// Flows implements query.View.
-func (v recordView) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
-	if !v.rec.Overlaps(tr) {
-		return nil
-	}
-	if link != types.AnyLink && !v.rec.Path.ContainsLink(link) {
-		return nil
-	}
-	return []types.Flow{{ID: v.rec.Flow, Path: v.rec.Path}}
-}
-
-// Paths implements query.View.
-func (v recordView) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path {
-	if v.rec.Flow != f {
-		return nil
-	}
-	for _, fl := range v.Flows(link, tr) {
-		return []types.Path{fl.Path}
-	}
-	return nil
-}
-
-// Count implements query.View.
-func (v recordView) Count(f types.Flow, tr types.TimeRange) (uint64, uint64) {
-	if v.rec.Flow != f.ID || !v.rec.Overlaps(tr) {
-		return 0, 0
-	}
-	if f.Path != nil && !v.rec.Path.Equal(f.Path) {
-		return 0, 0
-	}
-	return v.rec.Bytes, v.rec.Pkts
-}
-
-// Duration implements query.View.
-func (v recordView) Duration(f types.Flow, tr types.TimeRange) types.Time {
-	if v.rec.Flow != f.ID || !v.rec.Overlaps(tr) {
-		return 0
-	}
-	return v.rec.Duration()
 }
 
 // PoorTCPFlows implements query.View.

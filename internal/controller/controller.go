@@ -894,16 +894,19 @@ func (c *Controller) runNode(n *treeNode, q query.Query, qWire int64, fo *fanout
 			continue
 		}
 		go func(i int, ch *treeNode) {
-			csp := sp
-			if len(ch.children) > 0 {
+			if len(ch.children) == 0 {
+				// Leaves hang their rpc span directly off the parent.
+				outs[i] = c.runNode(ch, q, qWire, fo, sp)
+			} else {
 				// Interior aggregation nodes get their own span so the
-				// tree shape survives into the trace; leaves hang their
-				// rpc span directly off the parent.
-				csp = sp.StartChild("node")
+				// tree shape survives into the trace. It is finished
+				// before done is signalled: the parent may hand the span
+				// tree to its caller the moment its last child reports.
+				csp := sp.StartChild("node")
 				csp.SetAttr("host", fmt.Sprintf("%v", ch.host))
-				defer csp.Finish()
+				outs[i] = c.runNode(ch, q, qWire, fo, csp)
+				csp.Finish()
 			}
-			outs[i] = c.runNode(ch, q, qWire, fo, csp)
 			done <- i
 		}(i, ch)
 	}
@@ -1044,14 +1047,19 @@ func (c *Controller) runNode(n *treeNode, q query.Query, qWire int64, fo *fanout
 // budgets the whole round: the round trip is the per-host unit here, and
 // a round that exhausts it drops every host it carried.
 func (c *Controller) runBatch(bt BatchTransport, n *treeNode, q query.Query, batchIdx []int, outs []childOut, fo *fanout, done chan<- int, sp *obs.Span) {
-	bsp := sp.StartChild("batch")
-	bsp.SetInt("hosts", int64(len(batchIdx)))
-	defer bsp.Finish()
+	// Deferred calls run last-in first-out: the done signals are
+	// registered first so that they go out last, after the batch span
+	// (and the rpc spans under it) has been finished. The parent may hand
+	// the span tree to its caller the moment its last child reports, and
+	// a span finished after that is a write racing the caller's reads.
 	defer func() {
 		for _, i := range batchIdx {
 			done <- i
 		}
 	}()
+	bsp := sp.StartChild("batch")
+	bsp.SetInt("hosts", int64(len(batchIdx)))
+	defer bsp.Finish()
 	hosts := make([]types.HostID, len(batchIdx))
 	for j, i := range batchIdx {
 		hosts[j] = n.children[i].host

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"pathdump/internal/netsim"
 	"pathdump/internal/obs"
 	"pathdump/internal/query"
+	"pathdump/internal/topology"
 )
 
 // TestExecutionTrace: every execution returns a span tree rooted at
@@ -96,5 +98,58 @@ func TestControllerMetricsAndSlowLog(t *testing.T) {
 	}
 	if e.Trace != e.Span.Attr("trace") {
 		t.Fatalf("slow entry trace %q does not match span attr %q", e.Trace, e.Span.Attr("trace"))
+	}
+}
+
+// walkSpans reads every field of every span in the tree without taking
+// the spans' locks — what a caller holding a finished execution's
+// ExecStats.Trace is entitled to do (marshal it, diff it, keep it).
+func walkSpans(s *obs.Span, visit func(*obs.Span)) {
+	visit(s)
+	for _, c := range s.Children {
+		walkSpans(c, visit)
+	}
+}
+
+// TestBatchedExecutionTraceIsComplete is the regression test for spans
+// finished after the execution had returned: runBatch used to signal its
+// children done before its deferred batch-span Finish ran (and interior
+// nodes likewise), so the caller could be reading the returned tree
+// while a controller goroutine was still writing Dur into it. Under
+// -race the walk below reports that write; without -race it still
+// demands that every span of a returned tree is finished.
+func TestBatchedExecutionTraceIsComplete(t *testing.T) {
+	topo, _ := topology.FatTree(4)
+	hosts := hostRange(32)
+	q := query.Query{Op: query.OpTopK, K: 32}
+	for _, fanouts := range [][]int{nil, {4, 2}} {
+		ctrl := New(topo, &batchTransport{slowTransport: slowTransport{delay: 100 * time.Microsecond}}, nil)
+		for round := 0; round < 20; round++ {
+			var stats ExecStats
+			var err error
+			if fanouts == nil {
+				_, stats, err = ctrl.ExecuteContext(context.Background(), hosts, q)
+			} else {
+				_, stats, err = ctrl.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := 0
+			walkSpans(stats.Trace, func(s *obs.Span) {
+				if s.Name == "batch" {
+					batches++
+				}
+				// The spans that wait on a transport round cannot have
+				// lasted zero time; the others are not worth a flaky test
+				// on a coarse clock.
+				if s.Dur == 0 && (s.Name == "query" || s.Name == "batch" || s.Name == "node") {
+					t.Fatalf("fanouts %v: span %q of a returned trace is unfinished", fanouts, s.Name)
+				}
+			})
+			if batches == 0 {
+				t.Fatalf("fanouts %v: no batch span in the trace — the batched path did not run", fanouts)
+			}
+		}
 	}
 }

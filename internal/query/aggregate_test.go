@@ -1,0 +1,131 @@
+package query
+
+// Benchmarks and allocation guards for the one-scan-per-op evaluators
+// and the stateful merger: the numbers the PR 13 ledger's query-scan
+// and query-fanout workloads are made of, pinned where `go test` can see
+// them rot.
+
+import (
+	"math/rand"
+	"testing"
+
+	"pathdump/internal/testutil"
+	"pathdump/internal/tib"
+	"pathdump/internal/types"
+)
+
+// aggStore builds a 4-shard store of n records over the given number of
+// flows, sealed into segments of 256 (so a scan merges many cursors) —
+// the shape of a query-scan host.
+func aggStore(n, flows int) *tib.Store {
+	rng := rand.New(rand.NewSource(9))
+	s := tib.NewStoreConfig(tib.Config{Shards: 4, SegmentRecords: 256})
+	for i := 0; i < n; i++ {
+		f := rng.Intn(flows)
+		s.Add(types.Record{
+			Flow:  types.FlowID{SrcIP: types.IP(f), DstIP: 9, SrcPort: uint16(f), DstPort: 80, Proto: types.ProtoTCP},
+			Path:  types.Path{types.SwitchID(f % 8), types.SwitchID(8 + rng.Intn(4)), 20},
+			STime: types.Time(i), ETime: types.Time(i + 50),
+			Bytes: uint64(rng.Intn(100_000)), Pkts: 3,
+		})
+	}
+	return s
+}
+
+// BenchmarkExecuteAggregate measures the host side of the aggregate ops
+// over a segmented 20k-record store: one predicate-pushed scan each
+// (fsd: one per link), where the composed evaluators paid a rescan and a
+// key string per flow.
+func BenchmarkExecuteAggregate(b *testing.B) {
+	v := StoreView{S: aggStore(20_000, 2000)}
+	for _, q := range []Query{
+		{Op: OpTopK, K: 100},
+		{Op: OpFSD, Links: []types.LinkID{{A: 3, B: 9}, {A: 5, B: 11}}, BinBytes: 10_000},
+		{Op: OpConformance, Avoid: []types.SwitchID{10}},
+		{Op: OpFlows, Link: types.LinkID{A: types.WildcardSwitch, B: 20}},
+	} {
+		b.Run(string(q.Op), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := Execute(q, v); res.Op != q.Op {
+					b.Fatal("wrong result")
+				}
+			}
+		})
+	}
+}
+
+// TestTopKAllocsAreConstant: once the pools are warm, a top-k evaluation
+// allocates its answer, its scan closures and nothing that grows with
+// the records scanned or the flows ranked — 4× the records and 8× the
+// flows cost not one allocation more.
+func TestTopKAllocsAreConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	q := Query{Op: OpTopK, K: 100}
+	measure := func(n, flows int) float64 {
+		v := StoreView{S: aggStore(n, flows)}
+		Execute(q, v) // warm: pooled eval grows its map and slice once
+		return testing.AllocsPerRun(20, func() {
+			if got := len(Execute(q, v).Top); got != 100 {
+				t.Fatalf("top-k returned %d entries", got)
+			}
+		})
+	}
+	small, big := measure(5_000, 500), measure(20_000, 4000)
+	if big > 8 {
+		t.Errorf("top-k over 20k records / 4000 flows: %v allocations, want a small constant (<= 8)", big)
+	}
+	if big > small+1 {
+		t.Errorf("top-k allocations grow with the store: %v at 5k records, %v at 20k", small, big)
+	}
+}
+
+// sprayChildren builds n children that all report the same `flows`
+// flows — every fold collides with everything merged so far, the case
+// in which a merge that rebuilds its state per child costs
+// children × output.
+func sprayChildren(n, flows int, op Op) []Result {
+	out := make([]Result, n)
+	for i := range out {
+		out[i].Op = op
+		for j := 0; j < flows; j++ {
+			f := types.FlowID{SrcIP: types.IP(j), DstIP: 1, SrcPort: uint16(j), DstPort: 80, Proto: types.ProtoTCP}
+			switch op {
+			case OpFlows:
+				out[i].Flows = append(out[i].Flows, types.Flow{ID: f, Path: types.Path{types.SwitchID(j % 5), 9}})
+			case OpTopK:
+				out[i].Top = append(out[i].Top, FlowBytes{Flow: f, Bytes: uint64(1000 + j), Pkts: 1})
+			}
+		}
+	}
+	return out
+}
+
+// TestMergeAllocsLinearInOutput: folding 128 children allocates what
+// folding 8 does — the merged answer and one set of fold state — not 16
+// times as much: the dedup set / accumulator survives from child to
+// child instead of being rebuilt from the whole result for each.
+func TestMergeAllocsLinearInOutput(t *testing.T) {
+	for _, op := range []Op{OpTopK, OpFlows} {
+		q := Query{Op: op, K: 100}
+		measure := func(n int) float64 {
+			kids := sprayChildren(n, 100, op)
+			return testing.AllocsPerRun(20, func() {
+				var dst Result
+				m := NewStreamMerger(q, &dst, n)
+				for i := range kids {
+					m.Add(i, &kids[i])
+				}
+				if len(dst.Top)+len(dst.Flows) != 100 {
+					t.Fatalf("%s: merged %d entries, want 100", op, len(dst.Top)+len(dst.Flows))
+				}
+			})
+		}
+		few, many := measure(8), measure(128)
+		if many > few+2 {
+			t.Errorf("%s merge: %v allocations for 8 children, %v for 128 — state is being rebuilt per child", op, few, many)
+		}
+	}
+}

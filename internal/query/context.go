@@ -56,17 +56,15 @@ func (v StoreView) WithContext(ctx context.Context) View {
 	return ctxStoreView{StoreView: v, ctx: ctx}
 }
 
-// ctxStoreView is a StoreView whose record scans poll cancellation. The
-// full-store scans (ScanRecords, and Flows built on it) abort between
-// records of the cross-shard merge; per-flow lookups (Paths, Count,
-// Duration) touch one shard's posting lists and just check on entry.
+// ctxStoreView is a StoreView whose scans poll cancellation between
+// records.
 type ctxStoreView struct {
 	StoreView
 	ctx context.Context
 }
 
 // PollCancel adapts a record visitor into an early-stopping one for
-// tib.Store.ForEachWhile: the returned callback polls ctx every
+// tib.Store.ScanSince: the returned callback polls ctx every
 // CancelCheckEvery records and stops the scan once it is cancelled. It
 // is the one shared definition of the in-scan poll policy — every
 // context-aware view (the bare-store view here, the agent's live view)
@@ -84,59 +82,10 @@ func PollCancel(ctx context.Context, fn func(*types.Record)) func(*types.Record)
 }
 
 // ScanRecords implements View with periodic cancellation checks: the
-// predicate is pushed down into the store's scan, and the visitor polls
-// the context between records of the cross-shard merge. As with every
+// predicate is pushed down into the store's scan exactly as StoreView
+// does, and the visitor polls the context between records. As with every
 // error-less View scan, a cold-tier read fault leaves the answer
 // partial and counted in the store's ColdStats.
 func (v ctxStoreView) ScanRecords(p Predicate, fn func(*types.Record)) {
-	_ = v.S.ScanWhile(p.Flow, p.Link, p.Range, PollCancel(v.ctx, fn))
-}
-
-// Flows implements View over the cancellable scan (same dedup as the
-// store's own Flows). A scan cut off by cancellation returns nil, not a
-// partial list: ExecuteContext discards the result anyway, and handing a
-// truncated flow set to downstream per-flow loops (top-k's count phase)
-// would only buy pointless post-processing.
-func (v ctxStoreView) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
-	type key struct {
-		f types.FlowID
-		p string
-	}
-	seen := make(map[key]bool)
-	var out []types.Flow
-	v.ScanRecords(Predicate{Link: link, Range: tr}, func(rec *types.Record) {
-		k := key{rec.Flow, rec.Path.Key()}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, types.Flow{ID: rec.Flow, Path: rec.Path})
-		}
-	})
-	if v.ctx.Err() != nil {
-		return nil
-	}
-	return out
-}
-
-// Paths implements View (entry check; single-flow lookups are cheap).
-func (v ctxStoreView) Paths(f types.FlowID, l types.LinkID, tr types.TimeRange) []types.Path {
-	if v.ctx.Err() != nil {
-		return nil
-	}
-	return v.StoreView.Paths(f, l, tr)
-}
-
-// Count implements View (entry check).
-func (v ctxStoreView) Count(f types.Flow, tr types.TimeRange) (uint64, uint64) {
-	if v.ctx.Err() != nil {
-		return 0, 0
-	}
-	return v.StoreView.Count(f, tr)
-}
-
-// Duration implements View (entry check).
-func (v ctxStoreView) Duration(f types.Flow, tr types.TimeRange) types.Time {
-	if v.ctx.Err() != nil {
-		return 0
-	}
-	return v.StoreView.Duration(f, tr)
+	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, PollCancel(v.ctx, fn))
 }

@@ -1,44 +1,27 @@
 package query
 
 import (
+	"slices"
+
 	"pathdump/internal/types"
 )
 
 // Merge folds another host's partial result into r. It implements the
 // aggregation step of both the controller's direct query (fold at the
 // root) and the multi-level aggregation tree (fold at interior nodes),
-// inspired by Dremel/iMR (§3.2). Merging is associative and commutative,
-// so any tree shape yields the same final result.
+// inspired by Dremel/iMR (§3.2). It is the two-operand entry point of
+// StreamMerger; a caller folding many children should keep one merger,
+// whose dedup state then survives from child to child.
+//
+// Every op but one merges associatively and commutatively, so any tree
+// shape yields the same final result. The exception is top-k: each fold
+// sums entries of the same flow and then trims to k, so a flow whose
+// entries are split across children can be trimmed away before its parts
+// meet. The answer is independent of order and tree shape only when the
+// children's flows are disjoint — which holds for host results (a flow's
+// records live on one host), not for arbitrary inputs.
 func (r *Result) Merge(o *Result, q Query) {
-	switch q.Op {
-	case OpFlows:
-		r.Flows = mergeFlows(r.Flows, o.Flows)
-	case OpPaths:
-		r.Paths = mergePaths(r.Paths, o.Paths)
-	case OpCount:
-		r.Bytes += o.Bytes
-		r.Pkts += o.Pkts
-	case OpDuration:
-		if o.Duration > r.Duration {
-			r.Duration = o.Duration
-		}
-	case OpPoorTCP:
-		r.FlowIDs = mergeFlowIDs(r.FlowIDs, o.FlowIDs)
-	case OpFSD:
-		r.Hists = mergeHists(r.Hists, o.Hists)
-	case OpTopK:
-		k := q.K
-		if k <= 0 {
-			k = 1000
-		}
-		r.Top = mergeTop(r.Top, o.Top, k)
-	case OpConformance:
-		r.Violations = mergeViolations(r.Violations, o.Violations)
-	case OpMatrix:
-		r.Matrix = mergeMatrix(r.Matrix, o.Matrix)
-	case OpRecords:
-		r.Records = append(r.Records, o.Records...)
-	}
+	NewStreamMerger(q, r, 1).Add(0, o)
 }
 
 // Partial is one child's indexed contribution to a streaming merge. A
@@ -58,6 +41,14 @@ type Partial struct {
 // sequential index-order merge no matter the arrival order — the
 // determinism the controller's partial-result accounting relies on.
 //
+// The merger keeps its op's dedup set or accumulator across Add calls,
+// so folding child i costs O(|child i|), not O(|everything merged so
+// far|). It never aliases or mutates a child's slices — transports may
+// hand children out of shared or pooled memory, and the controller
+// recycles every child after the merge — whereas dst, base contents
+// included, is the caller's: the merger appends to it and updates it in
+// place, and the merged result belongs to the caller alone.
+//
 // A StreamMerger is single-consumer: feed Add from one goroutine,
 // typically the one draining a completion channel (see MergeStream).
 type StreamMerger struct {
@@ -67,6 +58,23 @@ type StreamMerger struct {
 	arrived []bool
 	next    int
 	merged  int
+
+	// Per-op fold state, seeded from dst's base by the first fold.
+	seeded  bool
+	pairs   types.FlowSet             // flows, paths, conformance
+	flowIDs map[types.FlowID]struct{} // poor_tcp
+	hists   map[types.LinkID]int      // fsd: link → index in dst.Hists
+	cells   map[[2]types.SwitchID]int // matrix: ToR pair → index in dst.Matrix
+	totals  flowTotals                // topk: the current top ≤k, by flow
+	ownTop  bool                      // dst.Top's array is the merger's, not the base's
+	// parts are the folded children's record slices, in index order. A
+	// records merge is a concatenation, and children that trickle in one
+	// by one would regrow (and recopy) the merged slice once each, so the
+	// copy waits until every slot is consumed: dst.Records then grows
+	// once, to its exact final size. Until Done, a records merger
+	// therefore still reads its children — the one op for which they
+	// must outlive Add.
+	parts [][]types.Record
 }
 
 // NewStreamMerger prepares a streaming merge of n children into dst
@@ -88,11 +96,22 @@ func (m *StreamMerger) Add(i int, r *Result) {
 	m.pending[i] = r
 	for m.next < len(m.arrived) && m.arrived[m.next] {
 		if r := m.pending[m.next]; r != nil {
-			m.dst.Merge(r, m.q)
+			m.fold(r)
 			m.merged++
 		}
 		m.pending[m.next] = nil
 		m.next++
+	}
+	if m.Done() && len(m.parts) > 0 {
+		n := 0
+		for _, part := range m.parts {
+			n += len(part)
+		}
+		m.dst.Records = slices.Grow(m.dst.Records, n)
+		for _, part := range m.parts {
+			m.dst.Records = append(m.dst.Records, part...)
+		}
+		m.parts = nil
 	}
 }
 
@@ -115,124 +134,154 @@ func MergeStream(q Query, dst *Result, n int, ch <-chan Partial) int {
 	return m.merged
 }
 
-func mergeFlows(a, b []types.Flow) []types.Flow {
-	seen := make(map[string]bool, len(a))
-	for _, f := range a {
-		seen[f.ID.String()+f.Path.Key()] = true
-	}
-	for _, f := range b {
-		k := f.ID.String() + f.Path.Key()
-		if !seen[k] {
-			seen[k] = true
-			a = append(a, f)
+// seed loads the op's fold state from dst's base contents.
+func (m *StreamMerger) seed() {
+	m.seeded = true
+	d := m.dst
+	switch m.q.Op {
+	case OpFlows:
+		for _, f := range d.Flows {
+			m.pairs.Add(f.ID, f.Path)
+		}
+	case OpPaths:
+		for _, p := range d.Paths {
+			m.pairs.Add(types.FlowID{}, p)
+		}
+	case OpConformance:
+		for _, v := range d.Violations {
+			m.pairs.Add(v.Flow, v.Path)
+		}
+	case OpPoorTCP:
+		m.flowIDs = make(map[types.FlowID]struct{}, len(d.FlowIDs))
+		for _, f := range d.FlowIDs {
+			m.flowIDs[f] = struct{}{}
+		}
+	case OpFSD:
+		m.hists = make(map[types.LinkID]int, len(d.Hists))
+		for i, h := range d.Hists {
+			m.hists[h.Link] = i
+		}
+	case OpMatrix:
+		m.cells = make(map[[2]types.SwitchID]int, len(d.Matrix))
+		for i, c := range d.Matrix {
+			m.cells[[2]types.SwitchID{c.SrcToR, c.DstToR}] = i
 		}
 	}
-	return a
 }
 
-func mergePaths(a, b []types.Path) []types.Path {
-	seen := make(map[string]bool, len(a))
-	for _, p := range a {
-		seen[p.Key()] = true
+// fold merges one child into dst.
+func (m *StreamMerger) fold(o *Result) {
+	if !m.seeded {
+		m.seed()
 	}
-	for _, p := range b {
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
-			a = append(a, p)
+	d := m.dst
+	switch m.q.Op {
+	case OpFlows:
+		for _, f := range o.Flows {
+			if _, fresh := m.pairs.Add(f.ID, f.Path); fresh {
+				d.Flows = append(d.Flows, f)
+			}
 		}
+	case OpPaths:
+		for _, p := range o.Paths {
+			if _, fresh := m.pairs.Add(types.FlowID{}, p); fresh {
+				d.Paths = append(d.Paths, p)
+			}
+		}
+	case OpCount:
+		d.Bytes += o.Bytes
+		d.Pkts += o.Pkts
+	case OpDuration:
+		d.Duration = max(d.Duration, o.Duration)
+	case OpPoorTCP:
+		for _, f := range o.FlowIDs {
+			if _, ok := m.flowIDs[f]; !ok {
+				m.flowIDs[f] = struct{}{}
+				d.FlowIDs = append(d.FlowIDs, f)
+			}
+		}
+	case OpFSD:
+		for _, h := range o.Hists {
+			i, ok := m.hists[h.Link]
+			if !ok {
+				m.hists[h.Link] = len(d.Hists)
+				d.Hists = append(d.Hists, LinkHist{Link: h.Link, BinBytes: h.BinBytes, Bins: append([]uint64(nil), h.Bins...)})
+				continue
+			}
+			bins := d.Hists[i].Bins
+			for len(bins) < len(h.Bins) {
+				bins = append(bins, 0)
+			}
+			for j, v := range h.Bins {
+				bins[j] += v
+			}
+			d.Hists[i].Bins = bins
+		}
+	case OpTopK:
+		m.foldTop(o.Top)
+	case OpConformance:
+		for _, v := range o.Violations {
+			if _, fresh := m.pairs.Add(v.Flow, v.Path); fresh {
+				d.Violations = append(d.Violations, v)
+			}
+		}
+	case OpMatrix:
+		for _, c := range o.Matrix {
+			k := [2]types.SwitchID{c.SrcToR, c.DstToR}
+			if i, ok := m.cells[k]; ok {
+				d.Matrix[i].Bytes += c.Bytes
+			} else {
+				m.cells[k] = len(d.Matrix)
+				d.Matrix = append(d.Matrix, c)
+			}
+		}
+	case OpRecords:
+		// Concatenated when the last slot is consumed (see parts).
+		if m.parts == nil {
+			m.parts = make([][]types.Record, 0, len(m.arrived))
+		}
+		m.parts = append(m.parts, o.Records)
 	}
-	return a
 }
 
-func mergeFlowIDs(a, b []types.FlowID) []types.FlowID {
-	seen := make(map[types.FlowID]bool, len(a))
-	for _, f := range a {
-		seen[f] = true
+// foldTop combines the current ranked list with a child's and keeps the
+// global top k. Entries for the same flow are summed first (a flow's
+// records live on a single host, but spray subflows can surface the same
+// flow twice during intermediate aggregation), then the list is ranked
+// and trimmed — per fold, exactly as a pairwise merge would. The totals
+// map and slice are the merger's own and are reused from child to child;
+// dst.Top gets a copy in an array the merger allocated, never the base's.
+func (m *StreamMerger) foldTop(child []FlowBytes) {
+	k := m.q.K
+	if k <= 0 {
+		k = 1000
 	}
-	for _, f := range b {
-		if !seen[f] {
-			seen[f] = true
-			a = append(a, f)
+	t := &m.totals
+	if t.idx == nil {
+		// First fold: room for the base and this child at once. A
+		// two-operand Merge makes a merger per call and would otherwise
+		// grow both from nothing every time.
+		n := len(m.dst.Top) + len(child)
+		t.idx, t.list = make(map[types.FlowID]int32, n), make([]FlowBytes, 0, n)
+		for _, fb := range m.dst.Top {
+			t.add(fb.Flow, fb.Bytes, fb.Pkts)
 		}
 	}
-	return a
-}
-
-func mergeHists(a, b []LinkHist) []LinkHist {
-	idx := make(map[types.LinkID]int, len(a))
-	for i, h := range a {
-		idx[h.Link] = i
+	for _, fb := range child {
+		t.add(fb.Flow, fb.Bytes, fb.Pkts)
 	}
-	for _, h := range b {
-		i, ok := idx[h.Link]
-		if !ok {
-			idx[h.Link] = len(a)
-			a = append(a, LinkHist{Link: h.Link, BinBytes: h.BinBytes, Bins: append([]uint64(nil), h.Bins...)})
-			continue
+	sortFlowBytes(t.list)
+	if len(t.list) > k {
+		for _, fb := range t.list[k:] {
+			delete(t.idx, fb.Flow)
 		}
-		for len(a[i].Bins) < len(h.Bins) {
-			a[i].Bins = append(a[i].Bins, 0)
-		}
-		for j, v := range h.Bins {
-			a[i].Bins[j] += v
-		}
+		t.list = t.list[:k]
 	}
-	return a
-}
-
-// mergeTop combines two ranked lists and keeps the global top k. Entries
-// for the same flow are summed first (a flow's records live on a single
-// host, but spray subflows can surface the same flow twice during
-// intermediate aggregation).
-func mergeTop(a, b []FlowBytes, k int) []FlowBytes {
-	sum := make(map[types.FlowID]FlowBytes, len(a)+len(b))
-	for _, fb := range append(append([]FlowBytes(nil), a...), b...) {
-		cur := sum[fb.Flow]
-		cur.Flow = fb.Flow
-		cur.Bytes += fb.Bytes
-		cur.Pkts += fb.Pkts
-		sum[fb.Flow] = cur
+	for i := range t.list {
+		t.idx[t.list[i].Flow] = int32(i)
 	}
-	out := make([]FlowBytes, 0, len(sum))
-	for _, fb := range sum {
-		out = append(out, fb)
+	if !m.ownTop {
+		m.dst.Top, m.ownTop = make([]FlowBytes, 0, len(t.list)), true
 	}
-	sortFlowBytes(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-func mergeViolations(a, b []Violation) []Violation {
-	seen := make(map[string]bool, len(a))
-	for _, v := range a {
-		seen[v.Flow.String()+v.Path.Key()] = true
-	}
-	for _, v := range b {
-		k := v.Flow.String() + v.Path.Key()
-		if !seen[k] {
-			seen[k] = true
-			a = append(a, v)
-		}
-	}
-	return a
-}
-
-func mergeMatrix(a, b []MatrixCell) []MatrixCell {
-	type key struct{ s, d types.SwitchID }
-	idx := make(map[key]int, len(a))
-	for i, c := range a {
-		idx[key{c.SrcToR, c.DstToR}] = i
-	}
-	for _, c := range b {
-		k := key{c.SrcToR, c.DstToR}
-		if i, ok := idx[k]; ok {
-			a[i].Bytes += c.Bytes
-		} else {
-			idx[k] = len(a)
-			a = append(a, c)
-		}
-	}
-	return a
+	m.dst.Top = append(m.dst.Top[:0], t.list...)
 }

@@ -1,15 +1,19 @@
 // Package query defines the serialisable query language PathDump's
 // controller sends to host agents, plus result merging for distributed
-// (multi-level aggregation tree) execution. Each query op corresponds to a
-// composition over the Table-1 host API; results are mergeable so partial
-// results can be aggregated bottom-up through the tree (§3.2).
+// (multi-level aggregation tree) execution. Each query op answers what a
+// composition over the Table-1 host API would, from one scan of the
+// host's view; results are mergeable so partial results can be aggregated
+// bottom-up through the tree (§3.2).
 package query
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"pathdump/internal/tib"
 	"pathdump/internal/types"
@@ -135,24 +139,21 @@ func (r *Result) WireSize() int {
 	return len(b)
 }
 
-// View is the data a host agent exposes to query execution: its TIB (plus
-// not-yet-exported trajectory memory) and the active TCP monitor.
+// View is the data a host agent exposes to query execution: a record
+// scanner over its TIB (plus not-yet-exported trajectory memory) and the
+// active TCP monitor. Every op except poor_tcp is derived by Execute from
+// one pass (fsd: one per link) of ScanRecords; views hold no copy of the
+// Table-1 derivations.
 type View interface {
-	// Flows is getFlows: distinct ⟨flowID, path⟩ pairs through a link.
-	Flows(link types.LinkID, tr types.TimeRange) []types.Flow
-	// Paths is getPaths: distinct paths of one flow through a link.
-	Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path
-	// Count is getCount over a ⟨flowID, path⟩ pair (nil path = all).
-	Count(f types.Flow, tr types.TimeRange) (bytes, pkts uint64)
-	// Duration is getDuration over a ⟨flowID, path⟩ pair.
-	Duration(f types.Flow, tr types.TimeRange) types.Time
+	// ScanRecords visits the records matching the predicate in insertion
+	// order. Views over an indexed store push the predicate down —
+	// segment pruning plus index postings — instead of filtering a full
+	// scan. fn must not retain the record pointer. A view carrying a
+	// context (ContextView) may stop the scan early once it is cancelled;
+	// ExecuteContext then discards whatever the truncated scan produced.
+	ScanRecords(p Predicate, fn func(*types.Record))
 	// PoorTCPFlows is getPoorTCPFlows from the active monitor.
 	PoorTCPFlows(threshold int) []types.FlowID
-	// ScanRecords visits raw records matching the predicate in insertion
-	// order (for matrix/records ops and everything built on raw scans).
-	// Views over an indexed store push the predicate down — segment
-	// pruning plus index postings — instead of filtering a full scan.
-	ScanRecords(p Predicate, fn func(*types.Record))
 }
 
 // OpSupport is an optional View extension: views that cannot serve some
@@ -169,20 +170,6 @@ type OpSupport interface {
 // OpPoorTCP (there is no monitor behind a snapshot); ExecuteE surfaces
 // that as ErrUnsupported instead of a silently empty result.
 type StoreView struct{ S *tib.Store }
-
-// Flows implements View.
-func (v StoreView) Flows(l types.LinkID, tr types.TimeRange) []types.Flow { return v.S.Flows(l, tr) }
-
-// Paths implements View.
-func (v StoreView) Paths(f types.FlowID, l types.LinkID, tr types.TimeRange) []types.Path {
-	return v.S.Paths(f, l, tr)
-}
-
-// Count implements View.
-func (v StoreView) Count(f types.Flow, tr types.TimeRange) (uint64, uint64) { return v.S.Count(f, tr) }
-
-// Duration implements View.
-func (v StoreView) Duration(f types.Flow, tr types.TimeRange) types.Time { return v.S.Duration(f, tr) }
 
 // PoorTCPFlows implements View. A bare store has no TCP monitor; use
 // ExecuteE (which consults Supports) to get an explicit ErrUnsupported
@@ -224,49 +211,134 @@ func ExecuteE(q Query, v View) (Result, error) {
 // Execute runs a query against a host's view and returns its local result.
 // Ops the view cannot serve come back empty; use ExecuteE to tell those
 // apart from genuinely empty answers.
+//
+// Every op costs one predicate-pushed scan (fsd: one per requested link),
+// folded in the visitor: nothing is composed from getFlows + per-flow
+// getCount calls that would each rescan and re-key the store.
 func Execute(q Query, v View) Result {
+	e := evals.Get().(*eval)
+	e.res.Op, e.flow = q.Op, q.Flow
 	tr := q.normalRange()
-	res := Result{Op: q.Op}
 	switch q.Op {
 	case OpFlows:
-		res.Flows = v.Flows(q.Link, tr)
+		e.flows(v, Predicate{Link: q.Link, Range: tr})
 	case OpPaths:
-		res.Paths = v.Paths(q.Flow, q.Link, tr)
+		e.paths(v, Predicate{Flow: &e.flow, Link: q.Link, Range: tr})
 	case OpCount:
-		res.Bytes, res.Pkts = v.Count(types.Flow{ID: q.Flow, Path: q.Path}, tr)
+		e.count(v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
 	case OpDuration:
-		res.Duration = v.Duration(types.Flow{ID: q.Flow, Path: q.Path}, tr)
+		e.duration(v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
 	case OpPoorTCP:
-		res.FlowIDs = v.PoorTCPFlows(q.Threshold)
+		e.res.FlowIDs = v.PoorTCPFlows(q.Threshold)
 	case OpFSD:
-		res.Hists = executeFSD(q, v, tr)
+		e.fsd(v, q, tr)
 	case OpTopK:
-		res.Top = executeTopK(q, v, tr)
+		e.topK(v, Predicate{Link: types.AnyLink, Range: tr}, q.K)
 	case OpConformance:
-		res.Violations = executeConformance(q, v, tr)
+		e.conformance(v, Predicate{Flow: e.optFlow(), Link: types.AnyLink, Range: tr},
+			policy{q.MaxPathLen, q.Avoid, q.Waypoints})
 	case OpMatrix:
-		res.Matrix = executeMatrix(q, v, tr)
+		e.matrix(v, Predicate{Link: types.AnyLink, Range: tr})
 	case OpRecords:
-		// Reply buffers come from the pool: the rpc servers hand them back
-		// after encoding, so fan-out traffic recycles capacity. A reply
-		// with no matches returns its buffer immediately and stays nil
-		// (the JSON omitempty / wire section-presence contract).
-		recs := GetRecordBuf()
-		v.ScanRecords(PredicateOf(q), func(rec *types.Record) {
-			recs = append(recs, *rec)
-		})
-		if len(recs) == 0 {
-			PutRecordBuf(recs)
-		} else {
-			res.Records = recs
-		}
+		e.records(v, Predicate{Flow: e.optFlow(), Link: q.Link, Range: tr})
 	}
+	res := e.res
+	e.release()
 	return res
 }
 
-// executeFSD builds one histogram per requested link: the §2.3
-// load-imbalance query (getFlows + getCount per flow, binned).
-func executeFSD(q Query, v View, tr types.TimeRange) []LinkHist {
+// eval is one evaluation's working memory: the result under construction,
+// the ⟨flow, path⟩ set behind flows/paths/conformance/fsd, and the
+// per-flow totals behind top-k. Scan visitors capture nothing but the
+// eval, so an evaluation's fixed cost is one closure; the sets' maps and
+// slices are recycled through a sync.Pool, so in steady state a query
+// allocates its answer and little else. The result's slices are handed
+// to the caller, never retained.
+type eval struct {
+	res    Result
+	flow   types.FlowID // the query's flow: predicates point here, not at a heap copy
+	pairs  types.FlowSet
+	sums   []uint64 // fsd: bytes per pair, by FlowSet ordinal
+	totals flowTotals
+	lo, hi types.Time // duration: active span so far (lo < 0 = none)
+}
+
+// optFlow is the flow term of a predicate that filters by the query's
+// flow only when it names one (PredicateOf's rule).
+func (e *eval) optFlow() *types.FlowID {
+	if e.flow == (types.FlowID{}) {
+		return nil
+	}
+	return &e.flow
+}
+
+var evals = sync.Pool{New: func() any { return new(eval) }}
+
+// release resets the eval and returns it to the pool. Like record
+// buffers, working sets a monster query grew are dropped, not retained.
+func (e *eval) release() {
+	if e.pairs.Len() > maxPooledRecords || len(e.totals.list) > maxPooledRecords {
+		return
+	}
+	e.res = Result{}
+	e.pairs.Reset()
+	e.sums = e.sums[:0]
+	e.totals.reset()
+	evals.Put(e)
+}
+
+// flows is getFlows: the distinct ⟨flowID, path⟩ pairs among the matching
+// records, in first-appearance order.
+func (e *eval) flows(v View, p Predicate) {
+	v.ScanRecords(p, func(rec *types.Record) {
+		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
+			e.res.Flows = append(e.res.Flows, types.Flow{ID: rec.Flow, Path: rec.Path})
+		}
+	})
+}
+
+// paths is getPaths: the distinct paths of the predicate's flow.
+func (e *eval) paths(v View, p Predicate) {
+	v.ScanRecords(p, func(rec *types.Record) {
+		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
+			e.res.Paths = append(e.res.Paths, rec.Path)
+		}
+	})
+}
+
+// count is getCount over a ⟨flowID, path⟩ pair (nil path = all paths).
+func (e *eval) count(v View, p Predicate, path types.Path) {
+	v.ScanRecords(p, func(rec *types.Record) {
+		if path == nil || rec.Path.Equal(path) {
+			e.res.Bytes += rec.Bytes
+			e.res.Pkts += rec.Pkts
+		}
+	})
+}
+
+// duration is getDuration over a ⟨flowID, path⟩ pair.
+func (e *eval) duration(v View, p Predicate, path types.Path) {
+	e.lo, e.hi = -1, -1
+	v.ScanRecords(p, func(rec *types.Record) {
+		if path != nil && !rec.Path.Equal(path) {
+			return
+		}
+		if e.lo < 0 || rec.STime < e.lo {
+			e.lo = rec.STime
+		}
+		if rec.ETime > e.hi {
+			e.hi = rec.ETime
+		}
+	})
+	if e.lo >= 0 {
+		e.res.Duration = e.hi - e.lo
+	}
+}
+
+// fsd builds one histogram per requested link — the §2.3 load-imbalance
+// query: per link, one scan sums bytes per ⟨flow, path⟩ through it, and
+// each pair's total lands in a bin.
+func (e *eval) fsd(v View, q Query, tr types.TimeRange) {
 	bin := q.BinBytes
 	if bin == 0 {
 		bin = 10000 // the paper's example binsize
@@ -275,79 +347,62 @@ func executeFSD(q Query, v View, tr types.TimeRange) []LinkHist {
 	if len(links) == 0 {
 		links = []types.LinkID{q.Link}
 	}
-	out := make([]LinkHist, 0, len(links))
+	e.res.Hists = make([]LinkHist, 0, len(links))
 	for _, l := range links {
+		e.pairs.Reset()
+		e.sums = e.sums[:0]
+		v.ScanRecords(Predicate{Link: l, Range: tr}, func(rec *types.Record) {
+			i, fresh := e.pairs.Add(rec.Flow, rec.Path)
+			if fresh {
+				e.sums = append(e.sums, 0)
+			}
+			e.sums[i] += rec.Bytes
+		})
 		h := LinkHist{Link: l, BinBytes: bin}
-		for _, fl := range v.Flows(l, tr) {
-			bytes, _ := v.Count(fl, tr)
+		for _, bytes := range e.sums {
 			idx := int(bytes / bin)
 			for len(h.Bins) <= idx {
 				h.Bins = append(h.Bins, 0)
 			}
 			h.Bins[idx]++
 		}
-		out = append(out, h)
+		e.res.Hists = append(e.res.Hists, h)
 	}
-	return out
 }
 
-// executeTopK is the §2.3 top-k query: all local flows ranked by bytes.
-func executeTopK(q Query, v View, tr types.TimeRange) []FlowBytes {
-	k := q.K
+// topK is the §2.3 top-k query: all local flows ranked by bytes. One
+// scan accumulates every flow's totals; only the k survivors are copied
+// out of the pooled accumulator.
+func (e *eval) topK(v View, p Predicate, k int) {
 	if k <= 0 {
 		k = 1000 // the paper's example
 	}
-	totals := make(map[types.FlowID]*FlowBytes)
-	for _, fl := range v.Flows(types.AnyLink, tr) {
-		if _, seen := totals[fl.ID]; seen {
-			continue // Count aggregates across paths already
-		}
-		b, p := v.Count(types.Flow{ID: fl.ID}, tr)
-		totals[fl.ID] = &FlowBytes{Flow: fl.ID, Bytes: b, Pkts: p}
-	}
-	all := make([]FlowBytes, 0, len(totals))
-	for _, fb := range totals {
-		all = append(all, *fb)
-	}
-	sortFlowBytes(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	v.ScanRecords(p, func(rec *types.Record) {
+		e.totals.add(rec.Flow, rec.Bytes, rec.Pkts)
+	})
+	sortFlowBytes(e.totals.list)
+	e.res.Top = make([]FlowBytes, min(k, len(e.totals.list)))
+	copy(e.res.Top, e.totals.list)
 }
 
-// executeConformance is the §2.3 path-conformance check over local flows.
-func executeConformance(q Query, v View, tr types.TimeRange) []Violation {
-	var out []Violation
-	check := func(f types.FlowID, p types.Path) {
-		if violates(q, p) {
-			out = append(out, Violation{Flow: f, Path: p})
-		}
-	}
-	zero := types.FlowID{}
-	if q.Flow != zero {
-		for _, p := range v.Paths(q.Flow, types.AnyLink, tr) {
-			check(q.Flow, p)
-		}
-		return out
-	}
-	for _, fl := range v.Flows(types.AnyLink, tr) {
-		check(fl.ID, fl.Path)
-	}
-	return out
+// policy is the conformance part of a Query.
+type policy struct {
+	maxPathLen int
+	avoid      []types.SwitchID
+	waypoints  []types.SwitchID
 }
 
 // violates applies the conformance policy to one path.
-func violates(q Query, p types.Path) bool {
-	if q.MaxPathLen > 0 && len(p) >= q.MaxPathLen {
+func (pol policy) violates(p types.Path) bool {
+	if pol.maxPathLen > 0 && len(p) >= pol.maxPathLen {
 		return true
 	}
-	for _, s := range q.Avoid {
+	for _, s := range pol.avoid {
 		if p.Contains(s) {
 			return true
 		}
 	}
-	for _, w := range q.Waypoints {
+	for _, w := range pol.waypoints {
 		if !p.Contains(w) {
 			return true
 		}
@@ -355,20 +410,27 @@ func violates(q Query, p types.Path) bool {
 	return false
 }
 
-// executeMatrix aggregates bytes between path endpoints (ToR pairs).
-func executeMatrix(q Query, v View, tr types.TimeRange) []MatrixCell {
-	type key struct{ s, d types.SwitchID }
-	cells := make(map[key]uint64)
-	v.ScanRecords(Predicate{Link: types.AnyLink, Range: tr}, func(rec *types.Record) {
-		if len(rec.Path) == 0 {
-			return
+// conformance is the §2.3 path-conformance check: each distinct
+// ⟨flow, path⟩ among the matching records is tested once.
+func (e *eval) conformance(v View, p Predicate, pol policy) {
+	v.ScanRecords(p, func(rec *types.Record) {
+		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh && pol.violates(rec.Path) {
+			e.res.Violations = append(e.res.Violations, Violation{Flow: rec.Flow, Path: rec.Path})
 		}
-		k := key{rec.Path[0], rec.Path[len(rec.Path)-1]}
-		cells[k] += rec.Bytes
+	})
+}
+
+// matrix aggregates bytes between path endpoints (ToR pairs).
+func (e *eval) matrix(v View, p Predicate) {
+	cells := make(map[[2]types.SwitchID]uint64) // ⟨source ToR, destination ToR⟩ → bytes
+	v.ScanRecords(p, func(rec *types.Record) {
+		if len(rec.Path) > 0 {
+			cells[[2]types.SwitchID{rec.Path[0], rec.Path[len(rec.Path)-1]}] += rec.Bytes
+		}
 	})
 	out := make([]MatrixCell, 0, len(cells))
 	for k, b := range cells {
-		out = append(out, MatrixCell{SrcToR: k.s, DstToR: k.d, Bytes: b})
+		out = append(out, MatrixCell{SrcToR: k[0], DstToR: k[1], Bytes: b})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].SrcToR != out[j].SrcToR {
@@ -376,34 +438,72 @@ func executeMatrix(q Query, v View, tr types.TimeRange) []MatrixCell {
 		}
 		return out[i].DstToR < out[j].DstToR
 	})
-	return out
+	e.res.Matrix = out
+}
+
+// records dumps the matching records. The reply buffer comes from the
+// pool: the rpc servers hand it back after encoding, so fan-out traffic
+// recycles capacity. A reply with no matches returns its buffer
+// immediately and stays nil (the JSON omitempty / wire section-presence
+// contract).
+func (e *eval) records(v View, p Predicate) {
+	e.res.Records = GetRecordBuf()
+	v.ScanRecords(p, func(rec *types.Record) {
+		e.res.Records = append(e.res.Records, *rec)
+	})
+	if len(e.res.Records) == 0 {
+		PutRecordBuf(e.res.Records)
+		e.res.Records = nil
+	}
+}
+
+// flowTotals accumulates per-flow byte/packet totals — top-k's working
+// set on the host and at the merge: an index map into a dense slice, so
+// adding to a known flow chases no pointer and the ranked list is the
+// slice itself, sorted in place.
+type flowTotals struct {
+	idx  map[types.FlowID]int32
+	list []FlowBytes
+}
+
+func (t *flowTotals) add(f types.FlowID, bytes, pkts uint64) {
+	i, ok := t.idx[f]
+	if !ok {
+		if t.idx == nil {
+			t.idx = make(map[types.FlowID]int32)
+		}
+		i = int32(len(t.list))
+		t.idx[f] = i
+		t.list = append(t.list, FlowBytes{Flow: f})
+	}
+	t.list[i].Bytes += bytes
+	t.list[i].Pkts += pkts
+}
+
+func (t *flowTotals) reset() {
+	clear(t.idx)
+	t.list = t.list[:0]
 }
 
 func sortFlowBytes(s []FlowBytes) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Bytes != s[j].Bytes {
-			return s[i].Bytes > s[j].Bytes
+	slices.SortFunc(s, func(a, b FlowBytes) int {
+		if a.Bytes != b.Bytes {
+			return cmp.Compare(b.Bytes, a.Bytes)
 		}
-		return flowLess(s[i].Flow, s[j].Flow)
+		return flowCompare(a.Flow, b.Flow)
 	})
 }
 
-// flowLess is the deterministic tie-break order for equal byte counts:
+// flowCompare is the deterministic tie-break order for equal byte counts:
 // field-wise over the 5-tuple, never formatting strings per comparison
 // (ties are common in degenerate inputs, and the tie-break must not
 // dominate the sort).
-func flowLess(a, b types.FlowID) bool {
-	if a.SrcIP != b.SrcIP {
-		return a.SrcIP < b.SrcIP
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstIP != b.DstIP {
-		return a.DstIP < b.DstIP
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
+func flowCompare(a, b types.FlowID) int {
+	return cmp.Or(
+		cmp.Compare(a.SrcIP, b.SrcIP),
+		cmp.Compare(a.SrcPort, b.SrcPort),
+		cmp.Compare(a.DstIP, b.DstIP),
+		cmp.Compare(a.DstPort, b.DstPort),
+		cmp.Compare(a.Proto, b.Proto),
+	)
 }

@@ -1,5 +1,5 @@
-// ScanView: a full query View derived from nothing but a raw record
-// scanner. The agent's incremental trigger evaluation builds one per
+// ScanView: a query View built from nothing but a raw record scanner.
+// The agent's incremental trigger evaluation builds one per
 // installed-query run, windowed to the records that arrived since the
 // last run (Predicate.MinSeq/MaxSeq), so every op the query language
 // supports — getFlows, getCount, conformance sweeps, top-k — evaluates
@@ -10,7 +10,7 @@ import "pathdump/internal/types"
 
 // ScanView adapts a record scanner into a View. Scan is required;
 // Window's MinSeq/MaxSeq sequence bounds are folded into every
-// predicate the derived ops build (intersected with the op's own
+// predicate Execute builds (intersected with the predicate's own
 // bounds; Window's other fields are ignored — record selection beyond
 // the sequence window belongs to the op); Poor, when non-nil, serves
 // getPoorTCPFlows (the TCP monitor is already incremental — PoorFlows
@@ -21,8 +21,8 @@ type ScanView struct {
 	Poor   func(threshold int) []types.FlowID
 }
 
-// scan runs the scanner with the view's window folded into p.
-func (v ScanView) scan(p Predicate, fn func(*types.Record)) {
+// ScanRecords implements View: the scanner, with the window folded in.
+func (v ScanView) ScanRecords(p Predicate, fn func(*types.Record)) {
 	if v.Window.MinSeq > p.MinSeq {
 		p.MinSeq = v.Window.MinSeq
 	}
@@ -30,73 +30,6 @@ func (v ScanView) scan(p Predicate, fn func(*types.Record)) {
 		p.MaxSeq = v.Window.MaxSeq
 	}
 	v.Scan(p, fn)
-}
-
-// ScanRecords implements View.
-func (v ScanView) ScanRecords(p Predicate, fn func(*types.Record)) { v.scan(p, fn) }
-
-// Flows implements View (getFlows over the window).
-func (v ScanView) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
-	type key struct {
-		f types.FlowID
-		p string
-	}
-	seen := make(map[key]bool)
-	var out []types.Flow
-	v.scan(Predicate{Link: link, Range: tr}, func(rec *types.Record) {
-		k := key{rec.Flow, rec.Path.Key()}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, types.Flow{ID: rec.Flow, Path: rec.Path})
-		}
-	})
-	return out
-}
-
-// Paths implements View (getPaths over the window).
-func (v ScanView) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path {
-	seen := make(map[string]bool)
-	var out []types.Path
-	v.scan(Predicate{Flow: &f, Link: link, Range: tr}, func(rec *types.Record) {
-		k := rec.Path.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, rec.Path)
-		}
-	})
-	return out
-}
-
-// Count implements View (getCount over the window).
-func (v ScanView) Count(f types.Flow, tr types.TimeRange) (bytes, pkts uint64) {
-	v.scan(Predicate{Flow: &f.ID, Link: types.AnyLink, Range: tr}, func(rec *types.Record) {
-		if f.Path != nil && !rec.Path.Equal(f.Path) {
-			return
-		}
-		bytes += rec.Bytes
-		pkts += rec.Pkts
-	})
-	return bytes, pkts
-}
-
-// Duration implements View (getDuration over the window).
-func (v ScanView) Duration(f types.Flow, tr types.TimeRange) types.Time {
-	var lo, hi types.Time = -1, -1
-	v.scan(Predicate{Flow: &f.ID, Link: types.AnyLink, Range: tr}, func(rec *types.Record) {
-		if f.Path != nil && !rec.Path.Equal(f.Path) {
-			return
-		}
-		if lo < 0 || rec.STime < lo {
-			lo = rec.STime
-		}
-		if rec.ETime > hi {
-			hi = rec.ETime
-		}
-	})
-	if lo < 0 {
-		return 0
-	}
-	return hi - lo
 }
 
 // PoorTCPFlows implements View.

@@ -73,10 +73,10 @@ func TestScanViewWindow(t *testing.T) {
 	}
 
 	// Duration/Paths honour the window too.
-	if d := delta.Duration(types.Flow{ID: in}, types.AllTime); d != types.Millisecond {
+	if d := Execute(Query{Op: OpDuration, Flow: in}, delta).Duration; d != types.Millisecond {
 		t.Fatalf("in-window duration = %v, want 1ms", d)
 	}
-	if p := delta.Paths(out, types.AnyLink, types.AllTime); p != nil {
+	if p := Execute(Query{Op: OpPaths, Flow: out, Link: types.AnyLink}, delta).Paths; p != nil {
 		t.Fatalf("out-of-window paths = %v, want none", p)
 	}
 

@@ -715,10 +715,10 @@ func (e *UnexpectedContentTypeError) Error() string {
 // Query implements controller.Transport. The response body streams
 // through whichever decoder its Content-Type selects — the binary wire
 // codec when the daemon took the offer, JSON otherwise. Wire replies
-// decode chunk by chunk into a pooled record buffer, so decode work
-// overlaps a streaming daemon's scan and arrival on the network instead
-// of waiting for the frame's last byte; the controller recycles the
-// buffer once the merge has folded it in.
+// decode chunk by chunk, in place, into one buffer from the record pool,
+// so decode work overlaps a streaming daemon's scan and arrival on the
+// network instead of waiting for the frame's last byte; the controller
+// recycles the buffer once the merge has folded it in.
 func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, controller.QueryMeta, error) {
 	base, ok := t.URLs[host]
 	if !ok {
@@ -730,18 +730,9 @@ func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Qu
 	}
 	defer closeBody(httpResp)
 	if wire.IsWire(httpResp.Header.Get("Content-Type")) {
-		recs := query.GetRecordBuf()
-		m, res, err := wire.ReadQueryChunks(httpResp.Body, func(chunk []types.Record) {
-			recs = append(recs, chunk...)
-		})
+		m, res, err := wire.ReadQuery(httpResp.Body)
 		if err != nil {
-			query.PutRecordBuf(recs)
 			return query.Result{}, controller.QueryMeta{}, err
-		}
-		if len(recs) > 0 {
-			res.Records = recs
-		} else {
-			query.PutRecordBuf(recs)
 		}
 		return *res, controller.QueryMeta{
 			RecordsScanned:  m.RecordsScanned,

@@ -971,16 +971,10 @@ func (s *Store) ForFlow(f types.FlowID, link types.LinkID, tr types.TimeRange, f
 // failing scan aborts); ColdStats counts such faults, and callers that
 // must distinguish partial answers use the Scan methods directly.
 func (s *Store) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
-	type key struct {
-		f types.FlowID
-		p string
-	}
-	seen := make(map[key]bool)
+	var seen types.FlowSet
 	var out []types.Flow
 	s.ForEach(link, tr, func(rec *types.Record) {
-		k := key{rec.Flow, rec.Path.Key()}
-		if !seen[k] {
-			seen[k] = true
+		if _, fresh := seen.Add(rec.Flow, rec.Path); fresh {
 			out = append(out, types.Flow{ID: rec.Flow, Path: rec.Path})
 		}
 	})
@@ -990,12 +984,10 @@ func (s *Store) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
 // Paths returns the distinct paths flowID took through the link pattern
 // during the range — the getPaths host API.
 func (s *Store) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path {
-	seen := make(map[string]bool)
+	var seen types.FlowSet
 	var out []types.Path
 	s.ForFlow(f, link, tr, func(rec *types.Record) {
-		k := rec.Path.Key()
-		if !seen[k] {
-			seen[k] = true
+		if _, fresh := seen.Add(f, rec.Path); fresh {
 			out = append(out, rec.Path)
 		}
 	})

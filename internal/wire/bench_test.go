@@ -95,6 +95,26 @@ func BenchmarkStreamEncode(b *testing.B) {
 		}
 	})
 
+	// small: the common case — a reply of a hundred records. Its cost is
+	// the writer's fixed part, which pooling the chunk buffer removed.
+	b.Run("small", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sw, err := NewQueryStreamWriter(io.Discard, Meta{RecordsScanned: len(recs)}, query.OpRecords, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j := range recs[:100] {
+				if err := sw.Append(&recs[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := sw.Close(0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	b.Run("buffered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -111,9 +131,9 @@ func BenchmarkStreamEncode(b *testing.B) {
 }
 
 // BenchmarkStreamDecode measures consuming that same 100k-record frame:
-// `sink` hands each chunk to a callback over a reused scratch slice (the
-// transport's merge-as-it-arrives path), `materialized` decodes the whole
-// records section into one slice.
+// `sink` hands each chunk to a callback over a reused scratch slice,
+// `materialized` decodes the whole records section into one slice (the
+// transport's path).
 func BenchmarkStreamDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	res := randBenchResult(rng, 100_000)
@@ -149,6 +169,29 @@ func BenchmarkStreamDecode(b *testing.B) {
 			if len(got.Records) != 100_000 {
 				b.Fatalf("decoded %d records", len(got.Records))
 			}
+		}
+	})
+
+	// small: a hundred-record reply decoded as the transport does it —
+	// into a pooled buffer the caller recycles — so what is left per
+	// reply is the paths and the frame reader.
+	var smallFrame bytes.Buffer
+	small := &query.Result{Op: query.OpRecords, Records: res.Records[:100]}
+	if err := WriteQuery(&smallFrame, Meta{RecordsScanned: 100}, small, false); err != nil {
+		b.Fatal(err)
+	}
+	smallRaw := smallFrame.Bytes()
+	b.Run("small", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, got, err := ReadQuery(bytes.NewReader(smallRaw))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got.Records) != 100 {
+				b.Fatalf("decoded %d records", len(got.Records))
+			}
+			query.PutRecordBuf(got.Records)
 		}
 	})
 }

@@ -27,7 +27,9 @@ var ErrStreamClosed = errors.New("wire: stream writer closed")
 // exactly what query.Execute produces for that op. Records buffer until a
 // chunk fills, then the chunk is encoded and flushed to the destination
 // (through flate when compression is on), so server-side memory stays
-// O(chunk) however large the reply. Close completes the frame; a writer
+// O(chunk) however large the reply; the chunk buffer is drawn from the
+// query package's record pool and handed back by Close or Abort, so a
+// reply of a few hundred records does not pay for a full chunk. Close completes the frame; a writer
 // abandoned without Close leaves a truncated frame, which decoders reject
 // — that truncation is the error signal once the HTTP status line is
 // already committed.
@@ -72,7 +74,7 @@ func NewQueryStreamWriter(dst io.Writer, m Meta, op query.Op, compress bool) (*Q
 	s.fbw.Reset(out)
 	s.w = &writer{bw: s.fbw}
 	s.fd, s.pd = getFlowDict(), getPathDict()
-	s.chunk = make([]types.Record, 0, DefaultChunkRecords)
+	s.chunk = query.GetRecordBuf()
 
 	writeMeta(s.w, m)
 	s.w.str(string(op))
@@ -189,6 +191,7 @@ func (s *QueryStreamWriter) release() {
 	s.fd.release()
 	s.pd.release()
 	s.fd, s.pd = nil, nil
+	query.PutRecordBuf(s.chunk)
 	s.chunk = nil
 	s.fw = nil
 }
@@ -207,7 +210,7 @@ func ReadQueryChunks(r io.Reader, fn func([]types.Record)) (Meta, *query.Result,
 	var res query.Result
 	err := readFrame(r, kindQuery, func(br *reader) {
 		m = readMeta(br)
-		readResult(br, &res, &m, fn)
+		readResult(br, &res, &m, query.GetRecordBuf, fn)
 	})
 	if err != nil {
 		return Meta{}, nil, err

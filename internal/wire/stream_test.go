@@ -8,8 +8,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pathdump/internal/query"
+	"pathdump/internal/testutil"
 	"pathdump/internal/types"
 )
 
@@ -329,5 +331,47 @@ func TestRequestKindMismatch(t *testing.T) {
 		if _, _, err := ReadQueryRequest(bytes.NewReader(frame[:cut])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(frame))
 		}
+	}
+}
+
+// TestStreamReplyAllocsAreNotPerChunk is the allocation guard for the
+// writer's fixed cost: a hundred-record reply streamed through
+// NewQueryStreamWriter → Close draws its chunk buffer, dictionaries and
+// frame writer from pools, so nothing it allocates is sized by
+// DefaultChunkRecords (a fresh chunk alone would be ~295 KB).
+func TestStreamReplyAllocsAreNotPerChunk(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	recs := randResult(rand.New(rand.NewSource(21)), 100).Records
+	reply := func() {
+		sw, err := NewQueryStreamWriter(io.Discard, Meta{}, query.OpRecords, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			if err := sw.Append(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Close(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply() // warm the pools
+	var before, after runtime.MemStats
+	const rounds = 200
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		reply()
+	}
+	runtime.ReadMemStats(&after)
+	perReply := (after.TotalAlloc - before.TotalAlloc) / rounds
+	chunkBytes := uint64(DefaultChunkRecords) * uint64(unsafe.Sizeof(types.Record{}))
+	if perReply > chunkBytes/16 {
+		t.Errorf("a 100-record streamed reply allocates %d B; a chunk is %d B — the fixed cost is back", perReply, chunkBytes)
+	}
+	if n := testing.AllocsPerRun(100, reply); n > 8 {
+		t.Errorf("a 100-record streamed reply makes %v allocations, want <= 8", n)
 	}
 }

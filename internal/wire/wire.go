@@ -117,13 +117,15 @@ func WriteQuery(w io.Writer, m Meta, res *query.Result, compress bool) error {
 	})
 }
 
-// ReadQuery decodes one query response frame from r.
+// ReadQuery decodes one query response frame from r. A records section
+// is decoded into a buffer from the query package's record pool; the
+// caller owns Result.Records and may hand it to query.PutRecordBuf.
 func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 	var m Meta
 	var res query.Result
 	err := readFrame(r, kindQuery, func(br *reader) {
 		m = readMeta(br)
-		readResult(br, &res, &m, nil)
+		readResult(br, &res, &m, query.GetRecordBuf, nil)
 	})
 	if err != nil {
 		return Meta{}, nil, err
@@ -156,7 +158,7 @@ func ReadBatch(r io.Reader) ([]BatchReply, error) {
 			rep.Host = types.HostID(br.uvarint())
 			rep.Error = br.str(maxOpLen * 4)
 			rep.Meta = readMeta(br)
-			readResult(br, &rep.Result, &rep.Meta, nil)
+			readResult(br, &rep.Result, &rep.Meta, nil, nil)
 			replies = append(replies, rep)
 		}
 	})
@@ -377,8 +379,9 @@ func writeResult(w *writer, res *query.Result) {
 // readResult decodes one result. The records section's end marker can
 // patch segment-scan telemetry into m (streamed frames learn the counts
 // only after the scan finishes); a non-nil sink receives each decoded
-// record chunk instead of the chunks accumulating into res.Records.
-func readResult(r *reader, res *query.Result, m *Meta, sink func([]types.Record)) {
+// record chunk instead of the chunks accumulating into res.Records, and
+// getBuf says where the records buffer comes from (see readRecords).
+func readResult(r *reader, res *query.Result, m *Meta, getBuf func() []types.Record, sink func([]types.Record)) {
 	res.Op = query.Op(r.str(maxOpLen))
 	res.Bytes = r.uvarint()
 	res.Pkts = r.uvarint()
@@ -460,7 +463,7 @@ func readResult(r *reader, res *query.Result, m *Meta, sink func([]types.Record)
 		}
 	}
 	if present&secRecords != 0 {
-		res.Records = readRecords(r, m, sink)
+		res.Records = readRecords(r, m, getBuf, sink)
 	}
 }
 
@@ -584,25 +587,38 @@ func writeRecordsEnd(w *writer, segScanned, segPruned int) {
 }
 
 // readRecords decodes a chunked records section. With a nil sink the
-// chunks accumulate into the returned slice; with a sink each chunk is
-// decoded into a scratch slice handed to the sink (which must not retain
-// it) and the return value is nil. The end marker's deltas are added to
-// m.
-func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
-	var fd []types.FlowID
-	var pd []types.Path
-	var recs, scratch []types.Record
+// chunks accumulate, each decoded in place at the tail of one buffer,
+// and that buffer is the return value. With a sink each chunk is decoded
+// into the same buffer, reused from chunk to chunk, and handed to the
+// sink (which must not retain it); the return value is nil.
+//
+// getBuf supplies the buffer at the first non-empty chunk. A frame that
+// carries one reply passes query.GetRecordBuf: its caller owns the
+// returned slice and may hand it to query.PutRecordBuf when done. A
+// batch frame passes nil and gets slices grown to fit: it carries many
+// replies, mostly small, and a pooled buffer apiece would cost a caller
+// that does not recycle them a thousand records of capacity per host.
+// On any error the buffer goes to the pool and nothing is returned. The
+// end marker's deltas are added to m.
+func readRecords(r *reader, m *Meta, getBuf func() []types.Record, sink func([]types.Record)) []types.Record {
+	dict := decodeDicts.Get().(*decodeDict)
+	defer dict.release()
+	var recs []types.Record
 	var prev int64
 	total := 0
 	for r.err == nil {
 		n := r.count("record chunk", maxChunk)
 		if r.err != nil {
-			return nil
+			break
 		}
 		if n == 0 {
 			m.SegmentsScanned += int(r.uvarint())
 			m.SegmentsPruned += int(r.uvarint())
 			if r.err != nil {
+				break
+			}
+			if sink != nil {
+				query.PutRecordBuf(recs)
 				return nil
 			}
 			return recs
@@ -610,39 +626,33 @@ func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 		total += n
 		if total > maxElems {
 			r.fail(fmt.Errorf("wire: corrupt frame: records total %d exceeds cap %d", total, maxElems))
-			return nil
+			break
 		}
-		fd = readFlowDictDelta(r, fd)
-		pd = readPathDictDelta(r, pd)
-		var dst []types.Record
-		if sink == nil {
-			start := len(recs)
-			recs = slices.Grow(recs, n)[:start+n]
-			dst = recs[start:]
-		} else {
-			if cap(scratch) < n {
-				scratch = make([]types.Record, n)
-			}
-			scratch = scratch[:n]
-			dst = scratch
+		dict.flows = readFlowDictDelta(r, dict.flows)
+		dict.paths = readPathDictDelta(r, dict.paths)
+		fd, pd := dict.flows, dict.paths
+		if recs == nil && getBuf != nil {
+			recs = getBuf()
 		}
+		start := len(recs)
+		if sink != nil {
+			start = 0
+		}
+		recs = slices.Grow(recs[:start], n)[:start+n]
+		dst := recs[start:]
 		// Indices are resolved inline against the dictionaries instead of
 		// materialising column slices — this loop runs once per chunk per
 		// host reply, and two index-column allocations per chunk is what
 		// the fan-out profile showed as the decode path's top cost.
-		for i := 0; i < n; i++ {
-			v := readDictIndex(r, len(fd), "flow")
-			if r.err != nil {
-				return nil
+		for i := 0; i < n && r.err == nil; i++ {
+			if v := readDictIndex(r, len(fd), "flow"); r.err == nil {
+				dst[i] = types.Record{Flow: fd[v]}
 			}
-			dst[i] = types.Record{Flow: fd[v]}
 		}
-		for i := 0; i < n; i++ {
-			v := readDictIndex(r, len(pd), "path")
-			if r.err != nil {
-				return nil
+		for i := 0; i < n && r.err == nil; i++ {
+			if v := readDictIndex(r, len(pd), "path"); r.err == nil {
+				dst[i].Path = pd[v]
 			}
-			dst[i].Path = pd[v]
 		}
 		for i := 0; i < n && r.err == nil; i++ {
 			prev += r.svarint()
@@ -657,14 +667,37 @@ func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 		for i := 0; i < n && r.err == nil; i++ {
 			dst[i].Pkts = r.uvarint()
 		}
-		if r.err != nil {
-			return nil
-		}
-		if sink != nil {
+		if r.err == nil && sink != nil {
 			sink(dst)
 		}
 	}
+	query.PutRecordBuf(recs)
 	return nil
+}
+
+// decodeDict is one records section's cumulative decode dictionaries.
+// Like the encoder's, they are recycled: every reply used to grow a
+// fresh pair, which at a few hundred records per reply cost more than
+// the records themselves. release drops the path references (decoded
+// records keep their own) and keeps capacity, unless a monster reply
+// grew it past what is worth pinning.
+type decodeDict struct {
+	flows []types.FlowID
+	paths []types.Path
+}
+
+var decodeDicts = sync.Pool{New: func() any { return new(decodeDict) }}
+
+// maxPooledDict caps the capacity a recycled decode dictionary may keep.
+const maxPooledDict = 1 << 16
+
+func (d *decodeDict) release() {
+	if cap(d.flows) > maxPooledDict || cap(d.paths) > maxPooledDict {
+		return
+	}
+	clear(d.paths)
+	d.flows, d.paths = d.flows[:0], d.paths[:0]
+	decodeDicts.Put(d)
 }
 
 // readFlowDictDelta appends one chunk's new flow-dictionary entries to the
@@ -744,7 +777,7 @@ type flowDict struct {
 // keeps capacity.
 var (
 	flowDicts = sync.Pool{New: func() any { return &flowDict{idx: make(map[types.FlowID]int, 64)} }}
-	pathDicts = sync.Pool{New: func() any { return &pathDict{idx: make(map[string]int, 16)} }}
+	pathDicts = sync.Pool{New: func() any { return new(pathDict) }}
 )
 
 func getFlowDict() *flowDict { return flowDicts.Get().(*flowDict) }
@@ -781,43 +814,31 @@ func readFlowDictEntries(r *reader) []types.FlowID {
 	return list
 }
 
-// pathDict assigns dense indices to paths in first-appearance order,
-// keyed by the path's compact byte key. The key is assembled in a scratch
-// buffer reused across records: looked up via the compiler's alloc-free
-// map[string(bytes)] form, and only materialised as a string on first
-// appearance — index() is called once per record, and a per-call
-// Path.Key() allocation was the hottest object count in the fan-out
-// bench's profile.
+// pathDict assigns dense indices to paths in first-appearance order. The
+// interner looks a path up by its compact byte key without materialising
+// the key as a string except on first appearance — index() is called
+// once per record, and a per-call Path.Key() allocation was the hottest
+// object count in the fan-out bench's profile.
 type pathDict struct {
-	idx  map[string]int
+	ids  types.PathInterner
 	list []types.Path
-	key  []byte // lookup scratch, reused across index calls
 }
 
 func getPathDict() *pathDict { return pathDicts.Get().(*pathDict) }
 
 func (d *pathDict) release() {
-	clear(d.idx)
-	for i := range d.list {
-		d.list[i] = nil
-	}
+	d.ids.Reset()
+	clear(d.list)
 	d.list = d.list[:0]
 	pathDicts.Put(d)
 }
 
 func (d *pathDict) index(p types.Path) int {
-	k := d.key[:0]
-	for _, s := range p {
-		k = append(k, byte(s>>8), byte(s))
+	i, fresh := d.ids.Intern(p)
+	if fresh {
+		d.list = append(d.list, p)
 	}
-	d.key = k
-	if i, ok := d.idx[string(k)]; ok {
-		return i
-	}
-	i := len(d.list)
-	d.idx[string(k)] = i
-	d.list = append(d.list, p)
-	return i
+	return int(i)
 }
 
 func (d *pathDict) write(w *writer) {
