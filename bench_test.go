@@ -203,8 +203,8 @@ func benchName(kind string, size int) string {
 	return kind + "-1500B"
 }
 
-// BenchmarkStorageSnapshot covers the §5.3 storage measurement: gob
-// serialisation of a (reduced) TIB.
+// BenchmarkStorageSnapshot covers the §5.3 storage measurement: building
+// and snapshotting a (reduced) TIB.
 func BenchmarkStorageSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Storage(experiments.StorageConfig{Records: 20_000})

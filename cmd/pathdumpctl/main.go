@@ -47,7 +47,7 @@ func main() {
 	retries := flag.Int("retries", 0, "re-issue a request up to this many extra times on real transport errors (connection refused/reset), with jittered backoff; ignored when -hedge-after is set (the hedge race owns the slow/failed path then)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff before the first retry (default 50ms; doubles per attempt, jittered)")
 	pullSnapshot := flag.String("pull-snapshot", "", "capture the agent's TIB snapshot (GET /snapshot) into this file and exit; requires exactly one -agents entry. Serve it offline with pathdumpd -tib")
-	snapSince := flag.Uint64("snapshot-since", 0, "with -pull-snapshot: pull only the records past this arrival sequence (GET /snapshot?since_seq=N) — an incremental delta in the Version-3 framing, or a full stream when the agent has evicted past the watermark (0 = full snapshot)")
+	snapSince := flag.Uint64("snapshot-since", 0, "with -pull-snapshot: pull only the records past this arrival sequence (GET /snapshot?since_seq=N) — an incremental delta, or a full stream when the agent has evicted past the watermark (0 = full snapshot)")
 	wireMode := flag.String("wire", "binary", "wire encoding policy: binary (columnar requests and responses, JSON fallback for old daemons), json-req (JSON request bodies, binary responses) or json (JSON both directions, never offer binary)")
 	traceOut := flag.Bool("trace", false, "print the execution's span tree after the stats line: per-host rpc and TIB-scan timings, merge waves, with hedged/retried/dropped requests labelled")
 	fanouts := flag.String("fanouts", "", "comma-separated per-level widths for hierarchical (tree) aggregation, e.g. '4,2': agents are grouped under interior aggregation nodes instead of one flat fan-out (empty = flat)")

@@ -11,7 +11,7 @@
 //	pathdumpd -hosts 0,1,2,3 -listen :8400 -demo
 //
 //	# serve a TIB snapshot produced elsewhere
-//	pathdumpd -host 3 -listen :8403 -tib host3.gob
+//	pathdumpd -host 3 -listen :8403 -tib host3.tib
 //
 // Query it with pathdumpctl or plain curl:
 //
@@ -57,7 +57,7 @@ func main() {
 		arity    = flag.Int("k", 4, "fat-tree arity of the ground-truth topology")
 		parallel = flag.Int("parallel", 0, "max concurrent per-host executions of a /batchquery (0 = unlimited)")
 		timeout  = flag.Duration("timeout", 0, "per-request deadline (0 = none): the request context is cancelled at the deadline, aborting TIB scans and batch fan-outs mid-flight")
-		tibPath  = flag.String("tib", "", "TIB snapshot to load (v2 segment-wise or legacy v1 gob; single-host mode only)")
+		tibPath  = flag.String("tib", "", "TIB snapshot to load (a full Store.Snapshot stream; single-host mode only)")
 		segSpan  = flag.Duration("segment-span", 0, "seal a TIB segment once it covers this much virtual time (0 = seal by record count; default retention/8 when -retention is set)")
 		retain   = flag.Duration("retention", 0, "TIB retention: whole sealed segments older than this (virtual time) are evicted as records arrive — the paper's fixed per-host storage budget (0 = keep everything)")
 		retainB  = flag.Int64("retention-bytes", 0, "TIB byte budget: once the store's estimated footprint exceeds this, the oldest sealed segments are evicted until it fits — §5.3's fixed MB-per-host budget (0 = no byte budget)")

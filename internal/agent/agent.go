@@ -564,15 +564,15 @@ func (a *Agent) SegmentStats() (scanned, pruned uint64) { return a.Store.Segment
 // attribute the demand loads they trigger.
 func (a *Agent) ColdStats() tib.ColdStats { return a.Store.ColdStats() }
 
-// WriteSnapshot streams the host's TIB in the segment-wise v2 snapshot
+// WriteSnapshot streams the host's TIB in the block-framed snapshot
 // format — the /snapshot endpoint and offline analysis both read it. The
 // capture is consistent and momentary; ingest continues while the
 // snapshot streams.
 func (a *Agent) WriteSnapshot(w io.Writer) error { return a.Store.Snapshot(w) }
 
 // WriteSnapshotSince streams an incremental snapshot: only the records
-// with arrival sequence greater than since, in the Version-3 delta
-// framing — or a full snapshot when the watermark cannot be served (see
+// with arrival sequence greater than since (the header's Since says so)
+// — or a full snapshot when the watermark cannot be served (see
 // tib.SnapshotSince). The /snapshot?since_seq=N endpoint calls this; a
 // standby applies the stream with tib.ApplyIncremental.
 func (a *Agent) WriteSnapshotSince(w io.Writer, since uint64) error {

@@ -43,6 +43,8 @@ func (a *Agent) RegisterMetrics(r *obs.Registry, mu sync.Locker) {
 
 	r.GaugeFunc("pathdump_tib_records", "Records resident in the TIB store.",
 		func() float64 { return float64(a.Store.Len()) }, hl)
+	r.GaugeFunc("pathdump_tib_resident_bytes", "Bytes the TIB store's records occupy in memory: sealed blocks, active-segment buffers, cold blooms.",
+		func() float64 { return float64(a.Store.ResidentBytes()) }, hl)
 	r.GaugeFunc("pathdump_tib_segments", "Segments in the TIB store (active + sealed + cold).",
 		func() float64 { return float64(a.Store.Segments()) }, hl)
 	r.GaugeFunc("pathdump_tib_seals", "Segments sealed since the store was built (cumulative).",

@@ -78,7 +78,7 @@ type Snapshotter interface {
 
 // IncrementalSnapshotter is an optional Target extension for backends
 // that can serve delta snapshots: only the records with arrival
-// sequence greater than since, in the Version-3 framing (or a full
+// sequence greater than since, Since set in the stream header (or a full
 // snapshot when the watermark cannot be served — the receiver detects
 // which from the stream header). Servers expose it as GET
 // /snapshot?since_seq=N; a standby catches up by applying the stream
@@ -845,8 +845,8 @@ func (t *HTTPTransport) PullSnapshot(ctx context.Context, host types.HostID, w i
 }
 
 // PullSnapshotSince captures an incremental snapshot for one host: GET
-// /snapshot?since_seq=N, streamed into w. The stream is a Version-3
-// delta of everything past the watermark — or a full snapshot when the
+// /snapshot?since_seq=N, streamed into w. The stream is a delta of
+// everything past the watermark — or a full snapshot when the
 // daemon could not serve the delta (watermark evicted); the receiver
 // tells them apart by applying the stream with tib.ApplyIncremental,
 // which handles both. Byte count written is returned; a non-200 answer

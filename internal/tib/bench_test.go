@@ -2,7 +2,6 @@ package tib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"runtime"
 	"sync"
 	"testing"
@@ -48,18 +47,31 @@ func buildTimeRangeStores() {
 // BenchmarkTimeRangeScan: a 1% time window over a 1M-record store. The
 // segmented store prunes whole partitions by bound intersection before a
 // record is touched; the single-segment store reproduces the pre-refactor
-// path — filter all 1M records against the range. Gated in CI: the
-// pruned/fullscan gap is the storage engine's reason to exist.
+// path — filter all 1M records against the range, from unsealed active
+// segments. "sealed" is fullscan's store restored from a snapshot, so
+// the same one-segment-per-shard chains are sealed blocks and every
+// record is materialised from its columns: the price of the block decode
+// next to fullscan's pointer walk. Gated in CI: the pruned/fullscan gap
+// is the storage engine's reason to exist.
 func BenchmarkTimeRangeScan(b *testing.B) {
 	trsOnce.Do(buildTimeRangeStores)
 	// The store spans 1000 s of virtual time; scan 10 s from the middle.
 	window := types.TimeRange{From: 500 * types.Second, To: 510 * types.Second}
+	sealed := NewStoreConfig(Config{SegmentRecords: -1})
+	var snap bytes.Buffer
+	if err := trsFlat.Snapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	if err := sealed.LoadSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name  string
 		store *Store
 	}{
 		{"pruned", trsSeg},
 		{"fullscan", trsFlat},
+		{"sealed", sealed},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -112,7 +124,7 @@ func BenchmarkIncrementalTrigger(b *testing.B) {
 // arriving forever, retention evicting the old edge, and compaction
 // (when enabled) merging the fragment fleet retention leaves behind,
 // while a scanner keeps reading the full window. "compacted" runs the
-// v2 engine (CompactBelow set, MaybeCompact on the ingest path, exactly
+// full engine (CompactBelow set, MaybeCompact on the ingest path, exactly
 // as the agent drives it) and pays the merge work inline — its payoff
 // is scan-side segment counts, not ingest speed; "fragmented" is the
 // same churn with compaction off. Gated in CI so neither shape of the
@@ -159,27 +171,23 @@ func BenchmarkChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore: restoring a large sharded store. v2 adopts
-// sealed segments with their indexes intact; v1 decodes a bare record
-// log and rebuilds segment indexes in parallel; readd-loop reproduces
-// the pre-refactor restore (one Add per record through the full ingest
-// path) as the baseline the ISSUE's acceptance compares against.
+// BenchmarkSnapshotRestore: restoring a large sharded store. "blocks" is
+// LoadSnapshot — sealed segments are adopted as the bytes they arrived
+// in, only each shard's active segment is re-encoded to gain postings;
+// readd-loop replays the same records through Add (the full ingest path,
+// seals included) as the baseline restore has to beat.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const records = 200_000
 	src := NewStore()
 	for i := 0; i < records; i++ {
 		src.Add(benchRecord(i))
 	}
-	var v2 bytes.Buffer
-	if err := src.Snapshot(&v2); err != nil {
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
 		b.Fatal(err)
 	}
 	recs := make([]types.Record, 0, records)
 	src.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) { recs = append(recs, *r) })
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
-		b.Fatal(err)
-	}
 
 	// Each iteration materialises a fresh ~200 K-record store; collect
 	// between iterations so one restore's garbage is not billed to the
@@ -189,11 +197,11 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		runtime.GC()
 		b.StartTimer()
 	}
-	b.Run("v2-segments", func(b *testing.B) {
+	b.Run("blocks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gcBetween(b)
 			s := NewStore()
-			if err := s.LoadSnapshot(bytes.NewReader(v2.Bytes())); err != nil {
+			if err := s.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 			if s.Len() != records {
@@ -201,27 +209,11 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 		}
 	})
-	b.Run("v1-parallel-rebuild", func(b *testing.B) {
+	b.Run("readd-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gcBetween(b)
 			s := NewStore()
-			if err := s.LoadSnapshot(bytes.NewReader(v1.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			if s.Len() != records {
-				b.Fatal("short restore")
-			}
-		}
-	})
-	b.Run("v1-readd-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gcBetween(b)
-			var decoded []types.Record
-			if err := gob.NewDecoder(bytes.NewReader(v1.Bytes())).Decode(&decoded); err != nil {
-				b.Fatal(err)
-			}
-			s := NewStore()
-			for _, rec := range decoded {
+			for _, rec := range recs {
 				s.Add(rec)
 			}
 			if s.Len() != records {
@@ -229,4 +221,26 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkColdThaw: one demand-load of a spilled default-size segment —
+// read the file, validate the block, materialise its path table. With
+// -benchmem it pins the thaw's allocation at O(1) objects per block.
+func BenchmarkColdThaw(b *testing.B) {
+	s := NewStoreConfig(Config{Shards: 1, ColdDir: b.TempDir()})
+	for i := 0; i <= DefaultSegmentRecords; i++ { // one past the seal threshold
+		s.Add(benchRecord(i))
+	}
+	if segs, recs, err := s.SpillBefore(types.TimeEnd); err != nil || segs != 1 || recs != DefaultSegmentRecords {
+		b.Fatalf("spilled %d segments / %d records (err %v), want 1 / %d", segs, recs, err, DefaultSegmentRecords)
+	}
+	stub := s.shards[0].segs[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := s.thaw(stub)
+		if err != nil || blk.n != DefaultSegmentRecords {
+			b.Fatalf("thaw: %v", err)
+		}
+	}
 }

@@ -1,34 +1,26 @@
-// Cold tier: sealed segments spilled to disk in the v2 snapshot framing
-// and demand-loaded on scan.
+// Cold tier: sealed segments spilled to disk and demand-loaded on scan.
 //
 // The paper fixes each host's TIB to an in-memory budget; the cold tier
 // extends lookback past that budget without growing the resident set.
 // SpillBefore moves sealed segments whose newest record is older than
 // the caller's cutoff out to one file each under Config.ColdDir. The
 // in-RAM segment stub keeps everything scans need to *prune* — time
-// bounds, sequence bounds, the flow bloom — while the entries and
-// posting maps (the actual footprint) leave RAM.
+// bounds, sequence bounds, the flow bloom — while the block (the actual
+// footprint) leaves RAM.
 //
-// Each cold file is a complete, self-describing v2 snapshot (magic,
-// header, one wireSegment, terminator): `pathdumpd -tib` can serve one
-// directly, and thaw reuses the snapshot validator so a truncated or
+// A cold file is the segment's block, byte for byte: spill writes it,
+// thaw reads it back through openBlock's validator, so a truncated or
 // corrupt file surfaces as a typed *ColdReadError instead of a panic or
-// a silently short scan.
-//
-// Reads are transient: a scan that survives pruning thaws the segment
-// into a private copy (entries + postings decoded from disk, bloom from
-// the stub), merges it like any resident segment, and drops it when the
-// scan's pooled buffers are released. The store itself is never mutated
-// by a read, so a thaw failure leaves it exactly as it was.
+// a silently short scan. Reads are transient: the thawed block lives as
+// long as the scan's pooled buffers and the store is never mutated by a
+// read, so a thaw failure leaves it exactly as it was.
 package tib
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"pathdump/internal/types"
 )
@@ -42,8 +34,8 @@ import (
 type ColdReadError struct {
 	// Path is the cold file that failed.
 	Path string
-	// Err is the underlying cause (an *os.PathError, a gob decode
-	// error, or a validation failure).
+	// Err is the underlying cause (an *os.PathError or a block
+	// validation failure).
 	Err error
 }
 
@@ -80,7 +72,7 @@ func (s *Store) ColdStats() ColdStats {
 		for _, seg := range sh.segs {
 			if seg.cold {
 				st.Segments++
-				st.Records += seg.coldRecs
+				st.Records += seg.n
 				st.Bytes += seg.coldBytes
 			}
 		}
@@ -105,167 +97,98 @@ func coldFileName(dir string, lo, hi uint64) string {
 // one returns without touching a lock, so the agent can call it per
 // exported record.
 //
-// File writes happen outside the shard locks — sealed entries are
-// immutable, so they are encoded from a reference captured under a
-// momentary read lock, and the in-RAM stub flips to cold under the
-// write lock only after its file is durably written. A segment evicted
+// File writes happen outside the shard locks — a block is immutable, so
+// it is written from a reference captured under a momentary read lock,
+// and the in-RAM stub flips to cold under the write lock only after its
+// file is durably written. A segment evicted
 // between capture and flip keeps its file from being adopted (the
 // orphan file is removed).
 func (s *Store) SpillBefore(cutoff types.Time) (segments, records int, err error) {
-	if s.coldDir == "" || cutoff <= 0 {
+	if s.coldDir == "" || !s.advance(&s.spillFloor, cutoff) {
 		return 0, 0, nil
 	}
-	floor := s.spillFloor.Load()
-	step := s.segSpan
-	if step == 0 {
-		step = s.retention / 4
-	}
-	if floor > 0 && cutoff < floor+step {
-		return 0, 0, nil
-	}
-	s.spillFloor.Store(cutoff)
 
-	// Phase 1: capture spill candidates under momentary read locks.
-	var victims []*segment
+	// Capture spill candidates under momentary read locks.
+	type victim struct {
+		seg *segment
+		blk *block
+	}
+	var victims []victim
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, seg := range sh.segs {
-			if seg.sealed && !seg.cold && len(seg.entries) > 0 && seg.maxTime < cutoff {
-				victims = append(victims, seg)
+			if seg.blk != nil && seg.maxTime < cutoff {
+				victims = append(victims, victim{seg, seg.blk})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	for _, seg := range victims {
-		if err := s.spillOne(seg); err != nil {
+	for _, v := range victims {
+		spilled, err := s.spillOne(v.seg, v.blk)
+		if err != nil {
 			return segments, records, err
 		}
-		if seg.cold { // flip happened (segment was not evicted meanwhile)
+		if spilled { // the segment was not evicted meanwhile
 			segments++
-			records += seg.coldRecs
+			records += v.blk.n
 		}
 	}
 	return segments, records, nil
 }
 
-// spillOne writes one sealed segment's cold file and flips the in-RAM
-// stub. The entries slice and posting maps of a sealed segment are
-// immutable, so encoding needs no lock; only the flip does.
-func (s *Store) spillOne(seg *segment) error {
-	lo, hi := seg.entries[0].seq, seg.entries[len(seg.entries)-1].seq
-	path := coldFileName(s.coldDir, lo, hi)
-	if err := s.writeColdFile(path, seg); err != nil {
-		return err
-	}
-	// Flip under the shard write lock of whichever shard holds the
-	// segment. All entries of a segment share one shard (assignment is
-	// by flow hash and the chain never migrates), so any entry's flow
-	// finds it.
-	sh := s.shardFor(seg.entries[0].rec.Flow)
-	sh.mu.Lock()
-	present := false
-	for _, cur := range sh.segs {
-		if cur == seg {
-			present = true
-			break
-		}
-	}
-	if !present {
-		// Evicted between capture and flip: the file is an orphan.
-		sh.mu.Unlock()
-		os.Remove(path)
-		return nil
-	}
-	seg.cold = true
-	seg.coldPath = path
-	seg.coldRecs = len(seg.entries)
-	seg.coldBytes = seg.bytes
-	seg.seqLo, seg.seqHi = lo, hi
-	seg.entries = nil
-	seg.byFlow, seg.byLink = nil, nil
-	freed := seg.bytes
-	seg.bytes = 0
-	sh.mu.Unlock()
-	s.bytesTotal.Add(-freed)
-	s.coldBytesTotal.Add(freed)
-	return nil
-}
-
-// writeColdFile encodes one sealed segment as a self-contained v2
-// snapshot (postings included — sealed maps are immutable) and renames
-// it into place so readers never observe a half-written file.
-func (s *Store) writeColdFile(path string, seg *segment) error {
+// spillOne writes one sealed segment's cold file — tmp, fsync, rename, so
+// readers never observe a half-written file — and flips the in-RAM stub
+// under the shard write lock, keeping a copy of the bloom. It reports
+// whether the segment went cold; one evicted, compacted or spilled
+// between capture and flip does not (the orphan file is removed).
+func (s *Store) spillOne(seg *segment, blk *block) (bool, error) {
+	path := coldFileName(s.coldDir, blk.seqLo, blk.seqHi)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return false, err
 	}
-	bw := bufio.NewWriter(f)
-	werr := func() error {
-		if _, err := bw.WriteString(snapshotMagic); err != nil {
-			return err
-		}
-		enc := gob.NewEncoder(bw)
-		hdr := snapshotHeader{Version: 2, Shards: len(s.shards), Seq: seg.entries[len(seg.entries)-1].seq, Indexed: s.indexed}
-		if err := enc.Encode(hdr); err != nil {
-			return err
-		}
-		ws := wireSegment{
-			Shard:   s.shardIndexFor(seg.entries[0].rec.Flow),
-			Seqs:    make([]uint64, len(seg.entries)),
-			Recs:    make([]types.Record, len(seg.entries)),
-			ByFlow:  seg.byFlow,
-			ByLink:  seg.byLink,
-			MinTime: seg.minTime,
-			MaxTime: seg.maxTime,
-		}
-		for i := range seg.entries {
-			ws.Seqs[i] = seg.entries[i].seq
-			ws.Recs[i] = seg.entries[i].rec
-		}
-		if err := enc.Encode(ws); err != nil {
-			return err
-		}
-		if err := enc.Encode(wireSegment{Shard: -1}); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}()
+	_, werr := f.Write(blk.b)
 	if werr == nil {
 		werr = f.Sync()
 	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
+	}
 	if werr != nil {
 		os.Remove(tmp)
-		return werr
+		return false, werr
 	}
-	return os.Rename(tmp, path)
+	sh := &s.shards[blk.shard]
+	sh.mu.Lock()
+	if !slices.Contains(sh.segs, seg) || seg.blk != blk {
+		sh.mu.Unlock()
+		os.Remove(path)
+		return false, nil
+	}
+	seg.cold, seg.coldPath, seg.coldBytes = true, path, seg.bytes
+	seg.blk, seg.filter, seg.bytes = nil, slices.Clone(blk.filter), 0
+	sh.mu.Unlock()
+	s.bytesTotal.Add(-seg.coldBytes)
+	s.coldBytesTotal.Add(seg.coldBytes)
+	return true, nil
 }
 
-// shardIndexFor returns the stripe index a flow hashes to (shardFor
-// returns the shard itself; the cold writer records the index so a cold
-// file doubles as a loadable snapshot).
-func (s *Store) shardIndexFor(f types.FlowID) int {
-	sh := s.shardFor(f)
-	for i := range s.shards {
-		if &s.shards[i] == sh {
-			return i
-		}
+// thaw loads a cold segment's block back from disk. The store is not
+// mutated: the block lives only as long as the scan (or snapshot) that
+// requested it. A nil block with a nil error means the segment was
+// evicted concurrently (its data is gone exactly as if the eviction had
+// won the race before the scan started) — callers skip it.
+func (s *Store) thaw(seg *segment) (*block, error) {
+	blk, err := readColdFile(seg.coldPath)
+	if err == nil && (blk.n != seg.n || blk.seqLo != seg.seqLo || blk.seqHi != seg.seqHi) {
+		err = fmt.Errorf("cold file does not match segment metadata (%d recs, seq %d..%d; want %d recs, seq %d..%d)",
+			blk.n, blk.seqLo, blk.seqHi, seg.n, seg.seqLo, seg.seqHi)
 	}
-	return 0
-}
-
-// thaw loads a cold segment's contents back from disk into a private,
-// fully indexed segment. The store is not mutated: the copy lives only
-// as long as the scan (or snapshot encode) that requested it. A nil
-// segment with a nil error means the segment was evicted concurrently
-// (its data is gone exactly as if the eviction had won the race before
-// the scan started) — callers skip it.
-func (s *Store) thaw(seg *segment) (*segment, error) {
-	th, err := readColdFile(seg.coldPath, seg, s.indexed)
 	if err != nil {
 		if seg.dropped.Load() {
 			// Evicted under the scan: the file was legitimately
@@ -276,68 +199,15 @@ func (s *Store) thaw(seg *segment) (*segment, error) {
 		return nil, &ColdReadError{Path: seg.coldPath, Err: err}
 	}
 	s.coldLoads.Add(1)
-	return th, nil
+	return blk, nil
 }
 
-// readColdFile decodes and validates one cold file against the stub's
-// frozen metadata.
-func readColdFile(path string, stub *segment, indexed bool) (*segment, error) {
-	f, err := os.Open(path)
+// readColdFile reads and validates one cold file. The block aliases the
+// bytes read: no column is copied.
+func readColdFile(path string) (*block, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(len(snapshotMagic))
-	if err != nil || !bytes.Equal(magic, []byte(snapshotMagic)) {
-		return nil, fmt.Errorf("bad magic (truncated or not a cold file)")
-	}
-	if _, err := br.Discard(len(snapshotMagic)); err != nil {
-		return nil, err
-	}
-	dec := gob.NewDecoder(br)
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if hdr.Version != 2 {
-		return nil, fmt.Errorf("unsupported cold file version %d", hdr.Version)
-	}
-	var ws wireSegment
-	if err := dec.Decode(&ws); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	if ws.Shard == -1 {
-		return nil, fmt.Errorf("cold file holds no segment")
-	}
-	if err := validateSegment(&ws, hdr.Shards); err != nil {
-		return nil, err
-	}
-	var term wireSegment
-	if err := dec.Decode(&term); err != nil || term.Shard != -1 {
-		return nil, fmt.Errorf("cold file cut off mid-stream")
-	}
-	if len(ws.Recs) != stub.coldRecs || ws.Seqs[0] != stub.seqLo || ws.Seqs[len(ws.Seqs)-1] != stub.seqHi {
-		return nil, fmt.Errorf("cold file does not match segment metadata (%d recs, seq %d..%d; want %d recs, seq %d..%d)",
-			len(ws.Recs), ws.Seqs[0], ws.Seqs[len(ws.Seqs)-1], stub.coldRecs, stub.seqLo, stub.seqHi)
-	}
-	th := &segment{
-		sealed:  true,
-		entries: make([]entry, len(ws.Recs)),
-		byFlow:  ws.ByFlow,
-		byLink:  ws.ByLink,
-		filter:  stub.filter,
-		minTime: ws.MinTime,
-		maxTime: ws.MaxTime,
-	}
-	for i := range ws.Recs {
-		th.entries[i] = entry{seq: ws.Seqs[i], rec: ws.Recs[i]}
-	}
-	if indexed && th.byFlow == nil {
-		// A cold file missing postings (written while the writer could
-		// not capture them immutably) rebuilds them transiently so
-		// indexed scans still walk posting lists.
-		th.rebuildIndex()
-	}
-	return th, nil
+	return openBlock(b, true)
 }

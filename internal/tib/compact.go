@@ -1,22 +1,22 @@
 // Background compaction: merging runs of small sealed segments.
 //
-// Retention churn fragments shard chains — byte-budget evictions, v1
-// snapshot loads and low-rate shards all leave fleets of tiny sealed
-// segments, and every one of them costs a cursor, a bloom probe and a
-// posting-map lookup on every scan that cannot prune it. Compaction
+// Retention churn fragments shard chains — byte-budget evictions,
+// span-sealed trickles and low-rate shards all leave fleets of tiny
+// sealed segments, and every one of them costs a cursor, a bloom probe
+// and a posting lookup on every scan that cannot prune it. Compaction
 // merges adjacent runs of small sealed segments back up toward the
-// configured seal size, rebuilding postings and the bloom for the
-// merged segment.
+// configured seal size: the victims' blocks are staged column-wise and
+// encoded into one block, postings and bloom included.
 //
 // Correctness rests on two facts. Shard chains are sequence-monotonic
 // and compaction only ever merges *adjacent* segments of one chain, so
-// the merged entries (a concatenation in chain order) are already in
+// the merged records (a concatenation in chain order) are already in
 // global arrival order — scans through a compacted store return exactly
 // the records, in exactly the order, the uncompacted store returned.
-// And sealed segments are immutable, so the expensive work (entry
-// concatenation, index rebuild, bloom build) runs outside the shard
-// lock on captured references; only the final splice takes the write
-// lock, and it re-verifies that every victim still sits where the plan
+// And blocks are immutable, so the expensive work (staging, the flow
+// sort, the encode) runs outside the shard lock on captured references;
+// only the final splice takes the write lock, and it re-verifies that
+// every victim still sits where the plan
 // found it — a run disturbed by a concurrent eviction or cold-tier
 // spill is simply abandoned and retried by a later pass.
 package tib
@@ -32,6 +32,10 @@ const compactMinSeals = 8
 type compactRun struct {
 	shard int
 	segs  []*segment
+	// blks and bytes are segs' blocks and summed budget charge, captured
+	// with segs under the read lock (a concurrent spill rewrites both).
+	blks  []*block
+	bytes int64
 }
 
 // Compactions returns how many segment merges have completed since the
@@ -114,28 +118,28 @@ func (s *Store) planShard(shard, target int) []compactRun {
 	spanCap := s.retention / 2
 	sh := &s.shards[shard]
 	var runs []compactRun
-	var cur []*segment
+	cur := compactRun{shard: shard}
 	size := 0
 	flush := func() {
-		if len(cur) >= 2 {
-			runs = append(runs, compactRun{shard: shard, segs: cur})
+		if len(cur.segs) >= 2 {
+			runs = append(runs, cur)
 		}
-		cur, size = nil, 0
+		cur, size = compactRun{shard: shard}, 0
 	}
 	sh.mu.RLock()
 	for _, seg := range sh.segs[:len(sh.segs)-1] { // last is the active segment
-		n := len(seg.entries)
-		if !seg.sealed || seg.cold || n == 0 || n >= s.compactBelow {
+		n := seg.n
+		if seg.blk == nil || n >= s.compactBelow {
 			flush()
 			continue
 		}
 		if size+n > target {
 			flush()
 		}
-		if len(cur) > 0 && spanCap > 0 && seg.maxTime-cur[0].minTime > spanCap {
+		if len(cur.segs) > 0 && spanCap > 0 && seg.maxTime-cur.segs[0].minTime > spanCap {
 			flush()
 		}
-		cur = append(cur, seg)
+		cur.segs, cur.blks, cur.bytes = append(cur.segs, seg), append(cur.blks, seg.blk), cur.bytes+seg.bytes
 		size += n
 	}
 	flush()
@@ -143,31 +147,18 @@ func (s *Store) planShard(shard, target int) []compactRun {
 	return runs
 }
 
-// buildMerged concatenates a run's entries in chain order (already
-// ascending in global sequence) and rebuilds the merged segment's
-// postings and bloom. Runs lock-free on the immutable victims.
+// buildMerged stages a run's blocks in chain order (already ascending in
+// global sequence) and encodes the merged block: columns re-based to the
+// union's range, paths re-interned, the flow permutation re-sorted and
+// the link index rebuilt, all in pooled scratch. Runs lock-free on the
+// immutable victims.
 func (s *Store) buildMerged(run compactRun) *segment {
-	total := 0
-	for _, seg := range run.segs {
-		total += len(seg.entries)
+	st := getStaging()
+	defer st.release()
+	for _, blk := range run.blks {
+		st.addBlock(blk, 0)
 	}
-	m := &segment{entries: make([]entry, 0, total)}
-	m.minTime, m.maxTime = run.segs[0].minTime, run.segs[0].maxTime
-	for _, seg := range run.segs {
-		m.entries = append(m.entries, seg.entries...)
-		m.bytes += seg.bytes
-		if seg.minTime < m.minTime {
-			m.minTime = seg.minTime
-		}
-		if seg.maxTime > m.maxTime {
-			m.maxTime = seg.maxTime
-		}
-	}
-	if s.indexed {
-		m.rebuildIndex()
-	}
-	m.seal()
-	return m
+	return sealedSegment(mustOpen(st.encode(run.shard, s.indexed)), run.bytes)
 }
 
 // commitRun splices the merged segment over its victims under the shard

@@ -2,7 +2,6 @@ package tib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -18,14 +17,12 @@ func addBatch(s *Store, from, n int) {
 	}
 }
 
-// snapshotVersion decodes just the header of a snapshot stream.
-func snapshotVersion(t *testing.T, raw []byte) snapshotHeader {
+// headerOf reads a snapshot stream (validating it whole) and returns its
+// header: Since 0 marks a full snapshot, anything else a delta.
+func headerOf(t *testing.T, raw []byte) snapshotHeader {
 	t.Helper()
-	if !bytes.HasPrefix(raw, []byte(snapshotMagic)) {
-		t.Fatal("stream missing snapshot magic")
-	}
-	var hdr snapshotHeader
-	if err := gob.NewDecoder(bytes.NewReader(raw[len(snapshotMagic):])).Decode(&hdr); err != nil {
+	hdr, _, err := readSnapshot(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return hdr
@@ -44,8 +41,8 @@ func TestIncrementalCatchUpRounds(t *testing.T) {
 	if err := src.SnapshotSince(&full, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotVersion(t, full.Bytes()); v.Version != 2 {
-		t.Fatalf("since 0 produced version %d, want a full snapshot", v.Version)
+	if hdr := headerOf(t, full.Bytes()); hdr.Since != 0 {
+		t.Fatalf("since 0 produced a delta (since %d), want a full snapshot", hdr.Since)
 	}
 	if err := dst.ApplyIncremental(&full); err != nil {
 		t.Fatal(err)
@@ -59,9 +56,8 @@ func TestIncrementalCatchUpRounds(t *testing.T) {
 		if err := src.SnapshotSince(&delta, watermark); err != nil {
 			t.Fatal(err)
 		}
-		hdr := snapshotVersion(t, delta.Bytes())
-		if hdr.Version != 3 || hdr.Since != watermark {
-			t.Fatalf("round %d: header %+v, want version 3 since %d", round, hdr, watermark)
+		if hdr := headerOf(t, delta.Bytes()); hdr.Since != watermark {
+			t.Fatalf("round %d: header %+v, want a delta since %d", round, hdr, watermark)
 		}
 		if err := dst.ApplyIncremental(&delta); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -78,7 +74,7 @@ func TestIncrementalCatchUpRounds(t *testing.T) {
 
 // TestIncrementalFallsBackPastRetention: a watermark at or below the
 // eviction horizon cannot be served as a delta (those records are
-// gone), so the writer must ship a full Version-2 snapshot — and the
+// gone), so the writer must ship a full snapshot — and the
 // receiver, applying it through the same ApplyIncremental entry point,
 // converges anyway.
 func TestIncrementalFallsBackPastRetention(t *testing.T) {
@@ -99,8 +95,8 @@ func TestIncrementalFallsBackPastRetention(t *testing.T) {
 	if err := src.SnapshotSince(&out, watermark); err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotVersion(t, out.Bytes()); v.Version != 2 {
-		t.Fatalf("stale watermark produced version %d, want full fallback", v.Version)
+	if hdr := headerOf(t, out.Bytes()); hdr.Since != 0 {
+		t.Fatalf("stale watermark produced a delta (since %d), want full fallback", hdr.Since)
 	}
 	if err := dst.ApplyIncremental(&out); err != nil {
 		t.Fatal(err)
@@ -147,7 +143,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestDeltaRejections: a v2-only loader refuses a delta stream loudly,
+// TestDeltaRejections: LoadSnapshot refuses a delta stream loudly,
 // and a delta refuses a store it cannot be reconciled with.
 func TestDeltaRejections(t *testing.T) {
 	src := NewStoreConfig(Config{Shards: 4, SegmentSpan: 20 * types.Millisecond})

@@ -10,7 +10,8 @@
 //     API queries slice and dice.
 //
 // The paper builds the TIB on MongoDB; here it is a native in-memory store
-// with flow, link and switch indexes plus gob snapshot persistence, which
+// with flow and link indexes whose sealed segments are immutable columnar
+// blocks — the same bytes in RAM, in a cold file and in a snapshot — which
 // preserves every queried behaviour while keeping the module dependency-free.
 package tib
 

@@ -1,62 +1,62 @@
 package tib
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"pathdump/internal/types"
 )
 
-// segment is one time partition of a shard's record log: a slice of
-// sequence-stamped entries plus that partition's flow and directed-link
-// indexes, bracketed by the min/max record times it covers. The last
-// segment of a shard is the active append target; once sealed (by record
-// count or time span — see Store.shouldSeal) a segment is immutable:
-// entries, postings and bounds never change again, so readers and the
-// snapshot writer may hold references without locks.
+// segment is one time partition of a shard's record log, bracketed by the
+// min/max record times it covers. The last segment of a shard is the
+// active append target: a slice of sequence-stamped entries plus flow and
+// directed-link posting maps. Sealing (by record count or time span — see
+// Store.shouldSeal) encodes it into a block, immutable by construction:
+// nothing is left to mutate but the resident → cold transition, so
+// readers and the snapshot writer hold block references without locks.
 type segment struct {
-	sealed  bool
+	// Active state, nil once sealed. Entries are append-only and posting
+	// slices only grow, so a scan that captured their headers under the
+	// shard read lock keeps reading them after the lock is gone — even
+	// after seal, which drops these references but never recycles them.
 	entries []entry
-	byFlow  map[types.FlowID][]int
-	byLink  map[types.LinkID][]int
-	// filter is the sealed segment's flow bloom (nil on active segments
-	// and until seal): single-flow scans probe it before the posting map
-	// and prune the segment whole on a miss. Immutable once set, and
-	// retained in RAM when the segment spills cold so flow scans still
-	// prune spilled segments without touching disk.
-	filter *flowFilter
-	// minTime/maxTime bracket [STime, ETime] over all entries; scans
+	byFlow  map[types.FlowID][]uint32
+	byLink  map[types.LinkID][]uint32
+
+	// blk is the sealed segment's block; nil while active and again once
+	// the segment is spilled cold.
+	blk *block
+	// n, seqLo, seqHi and filter are frozen at seal and stay resident when
+	// the block spills, so scans prune cold segments without touching disk.
+	n            int
+	seqLo, seqHi uint64
+	filter       flowFilter
+	// minTime/maxTime bracket [STime, ETime] over all records; scans
 	// prune the whole segment when the query range misses the bracket.
 	minTime, maxTime types.Time
-	// bytes is the segment's estimated resident footprint (recSize per
-	// entry) — the unit of the byte-budget retention accounting. Spilling
-	// a segment cold moves this to coldBytes (a cold segment costs its
-	// metadata stub, not its records).
+	// bytes is the segment's logical footprint (recSize per record) — the
+	// unit of the byte-budget retention accounting. Spilling a segment
+	// cold moves this to coldBytes.
 	bytes int64
 
-	// Cold-tier state (see cold.go). A cold segment keeps only its
-	// pruning metadata resident: entries and postings are nil and the
-	// record data lives at coldPath in the v2 snapshot framing, loaded
-	// transiently per scan by thaw. All transitions happen under the
-	// shard write lock.
+	// Cold-tier state (see cold.go): the block lives at coldPath and is
+	// loaded transiently per scan by thaw. All transitions happen under
+	// the shard write lock.
 	cold      bool
 	coldPath  string
-	coldRecs  int   // record count while entries are spilled
-	coldBytes int64 // estimated resident footprint if thawed
-	// seqLo/seqHi are the arrival-sequence bounds, frozen at spill time
-	// so watermark pruning works without the entries.
-	seqLo, seqHi uint64
+	coldBytes int64 // logical footprint if thawed
 	// dropped flips (before the cold file is unlinked) when eviction
 	// removes the segment, so a scan that captured the segment moments
 	// earlier can tell "evicted under me" from "file corrupt".
 	dropped atomic.Bool
 }
 
-// recs returns the segment's record count whether its entries are
-// resident or spilled cold.
+// sealed reports whether the segment has been encoded into a block.
+func (seg *segment) sealed() bool { return seg.blk != nil || seg.cold }
+
+// recs returns the segment's record count in any state.
 func (seg *segment) recs() int {
-	if seg.cold {
-		return seg.coldRecs
+	if seg.sealed() {
+		return seg.n
 	}
 	return len(seg.entries)
 }
@@ -65,18 +65,17 @@ func (seg *segment) recs() int {
 // Sequence numbers are assigned under the shard write lock, so within a
 // shard's chain both are monotone across segments and entries — watermark
 // scans skip a whole segment when lastSeq() is at or below the watermark.
-// Caller holds (at least) the shard read lock for the active segment;
-// sealed segments are immutable. Cold segments answer from the bounds
-// frozen at spill time.
+// Caller holds (at least) the shard read lock for the active segment and
+// guarantees the segment is non-empty.
 func (seg *segment) firstSeq() uint64 {
-	if seg.cold {
+	if seg.sealed() {
 		return seg.seqLo
 	}
 	return seg.entries[0].seq
 }
 
 func (seg *segment) lastSeq() uint64 {
-	if seg.cold {
+	if seg.sealed() {
 		return seg.seqHi
 	}
 	return seg.entries[len(seg.entries)-1].seq
@@ -89,95 +88,76 @@ func (seg *segment) seqOutside(since, until uint64) bool {
 	return (since > 0 && seg.lastSeq() <= since) || (until > 0 && seg.firstSeq() > until)
 }
 
-// seqStart returns the index of the first entry past the since
-// watermark: 0 when every entry qualifies, a binary-search position
-// inside the one segment that straddles the watermark. Caller has
-// already excluded segments wholly outside the window.
-func (seg *segment) seqStart(since uint64) int {
-	if since == 0 || seg.firstSeq() > since {
-		return 0
-	}
-	return sort.Search(len(seg.entries), func(k int) bool { return seg.entries[k].seq > since })
-}
-
-func newSegment(indexed bool) *segment {
-	seg := &segment{}
-	if indexed {
-		seg.byFlow = make(map[types.FlowID][]int)
-		seg.byLink = make(map[types.LinkID][]int)
-	}
-	return seg
-}
-
 // add appends one entry to the (active) segment, updating bounds and
-// postings. Caller holds the shard write lock.
+// postings. The posting maps appear with the first record: most shards of
+// a small store never see one. A record is posted at most once per link —
+// a looped path traverses a link twice but is still one record on it.
+// Caller holds the shard write lock.
 func (seg *segment) add(e entry, indexed bool) {
-	idx := len(seg.entries)
+	idx := uint32(len(seg.entries))
 	if idx == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime
 	} else {
-		if e.rec.STime < seg.minTime {
-			seg.minTime = e.rec.STime
-		}
-		if e.rec.ETime > seg.maxTime {
-			seg.maxTime = e.rec.ETime
-		}
+		seg.minTime = min(seg.minTime, e.rec.STime)
+		seg.maxTime = max(seg.maxTime, e.rec.ETime)
 	}
 	seg.entries = append(seg.entries, e)
 	seg.bytes += recSize(&e.rec)
-	if indexed {
-		seg.byFlow[e.rec.Flow] = append(seg.byFlow[e.rec.Flow], idx)
-		for _, l := range e.rec.Path.Links() {
-			seg.byLink[l] = append(seg.byLink[l], idx)
+	if !indexed {
+		return
+	}
+	if seg.byFlow == nil {
+		seg.byFlow = make(map[types.FlowID][]uint32)
+		seg.byLink = make(map[types.LinkID][]uint32)
+	}
+	seg.byFlow[e.rec.Flow] = append(seg.byFlow[e.rec.Flow], idx)
+	for p, i := e.rec.Path, 0; i+1 < len(p); i++ {
+		l := types.LinkID{A: p[i], B: p[i+1]}
+		if post := seg.byLink[l]; len(post) == 0 || post[len(post)-1] != idx {
+			seg.byLink[l] = append(post, idx)
 		}
 	}
 }
 
-// seal freezes the segment — entries, postings and bounds immutable from
-// here on — and builds its flow bloom filter. Caller holds the shard
-// write lock (or owns the segment exclusively, as the load paths do).
-func (seg *segment) seal() {
-	seg.sealed = true
-	seg.buildFilter()
+// sealedSegment wraps a block as a sealed, resident segment charged
+// bytes against the byte budget.
+func sealedSegment(blk *block, bytes int64) *segment {
+	seg := &segment{bytes: bytes}
+	seg.freeze(blk)
+	return seg
 }
 
-// buildFilter (re)computes the segment's flow bloom from its entries —
-// always the ground truth, even on load paths where the posting maps are
-// stale or still pending a rebuild. The map only informs sizing when it
-// is populated; otherwise the entry count stands in (an overestimate —
-// distinct flows ≤ entries — which only makes the filter sparser).
-func (seg *segment) buildFilter() {
-	distinct := len(seg.byFlow)
-	if distinct == 0 {
-		distinct = len(seg.entries)
-	}
-	f := newFlowFilter(distinct)
+// freeze installs blk as the segment's sealed form and lets go of the
+// active buffers (scans that captured them keep them alive).
+func (seg *segment) freeze(blk *block) {
+	seg.blk, seg.n, seg.filter = blk, blk.n, blk.filter
+	seg.seqLo, seg.seqHi, seg.minTime, seg.maxTime = blk.seqLo, blk.seqHi, blk.minTime, blk.maxTime
+	seg.entries, seg.byFlow, seg.byLink = nil, nil, nil
+}
+
+// seal encodes the active segment into its block for the given stripe.
+// Caller holds the shard write lock.
+func (seg *segment) seal(shard int, indexed bool) {
+	st := getStaging()
 	for i := range seg.entries {
-		f.add(flowHash64(seg.entries[i].rec.Flow))
+		st.add(seg.entries[i].seq, &seg.entries[i].rec)
 	}
-	seg.filter = f
+	seg.freeze(mustOpen(st.encode(shard, indexed)))
+	st.release()
+}
+
+// mustOpen opens a block this process just encoded; a failure is a bug.
+func mustOpen(b []byte) *block {
+	blk, err := openBlock(b, false)
+	if err != nil {
+		panic(err)
+	}
+	return blk
 }
 
 // overlaps reports whether any record in the segment can intersect tr.
 // Empty segments overlap nothing. Cold segments answer from their
 // retained bounds.
 func (seg *segment) overlaps(tr types.TimeRange) bool {
-	if seg.recs() == 0 {
-		return false
-	}
-	return tr.Overlaps(seg.minTime, seg.maxTime)
-}
-
-// rebuildIndex recomputes the segment's postings from its entries — the
-// legacy-snapshot load path runs this per segment, in parallel.
-func (seg *segment) rebuildIndex() {
-	seg.byFlow = make(map[types.FlowID][]int, len(seg.entries))
-	seg.byLink = make(map[types.LinkID][]int)
-	for i := range seg.entries {
-		rec := &seg.entries[i].rec
-		seg.byFlow[rec.Flow] = append(seg.byFlow[rec.Flow], i)
-		for _, l := range rec.Path.Links() {
-			seg.byLink[l] = append(seg.byLink[l], i)
-		}
-	}
+	return seg.recs() > 0 && tr.Overlaps(seg.minTime, seg.maxTime)
 }

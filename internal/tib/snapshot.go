@@ -1,40 +1,31 @@
 // Snapshot/restore of the segmented TIB (the stand-in for the paper's
 // MongoDB persistence).
 //
-// Two wire formats coexist:
+// A snapshot is a 40-byte preamble (magic, format version, the writer's
+// stripe count, sequence counter and index flag, and the watermark of an
+// incremental stream), then the store's blocks back to back — each
+// carries its own magic, length, checksum and stripe — then a terminator
+// holding the block count, so a stream cut off anywhere never loads as
+// complete. Sealed and cold segments ship their block verbatim; each
+// shard's active segment, and the unseen suffix of a segment straddling
+// an incremental watermark, is encoded on the way out as a block without
+// postings, which the loader indexes. docs/storage.md has the bytes.
 //
-//   - v2 (written by Snapshot): a raw 8-byte magic prefix, then a gob
-//     stream of a header followed by one record per segment — entries
-//     with their original sequence stamps, time bounds, and (for sealed
-//     segments) the flow/link postings verbatim. Restore adopts segments
-//     wholesale: no per-record re-Add, and index rebuild only for the
-//     few segments written without postings (each shard's active
-//     segment, whose maps may be mutated mid-snapshot by concurrent
-//     ingest and are therefore not captured).
-//
-//   - v1 (legacy, no magic): a gob []types.Record in global insertion
-//     order. LoadSnapshot still accepts it, distributing records into
-//     segments and rebuilding every index — in parallel, one goroutine
-//     per segment, instead of the old single re-Add loop.
-//
-// Either way LoadSnapshot is atomic: the incoming stream is fully
-// decoded and validated into a staged store first, and only then swapped
-// in under every shard lock at once. A mid-stream decode error leaves
+// LoadSnapshot and ApplyIncremental are atomic: the incoming stream is
+// fully read and validated into staged segments first, and only then
+// swapped in under every shard lock at once. A mid-stream error leaves
 // the prior contents untouched, and concurrent readers see either the
 // old store or the new one — never a half-cleared mix.
 package tib
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"pathdump/internal/types"
 )
@@ -45,88 +36,60 @@ import (
 // (rpc.StandbyReplica does this automatically).
 var ErrIncompatibleDelta = errors.New("tib: incremental snapshot incompatible with local store")
 
-// snapshotMagic prefixes v2 snapshots; v1 blobs are bare gob streams and
-// cannot begin with these bytes (gob's first byte is a length, and a
-// stream this short is not a valid v1 blob anyway).
-const snapshotMagic = "PDTIBv2\n"
+const (
+	snapshotMagic   = "PDTIBSN\n"
+	snapshotVersion = 4 // after gob records (1), gob segments (2) and gob deltas (3)
+	snapshotEnd     = "PDBE"
+	// A block is read in doubling steps from this size up to its declared
+	// length, so a corrupt length field cannot make the loader allocate
+	// what the stream does not hold.
+	readStep = 4 << 10
+)
 
-// snapshotHeader opens the v2 gob stream. Incremental streams reuse the
-// same magic and header shape with Version 3 and a non-zero Since, so a
-// v2-only loader rejects them loudly ("unsupported snapshot version 3")
-// instead of silently adopting a delta as a whole store.
+// snapshotHeader follows the magic: five little-endian fields in 32 bytes.
 type snapshotHeader struct {
-	Version int
+	// Version is snapshotVersion; anything else is refused loudly.
+	Version uint32
 	// Shards is the writing store's stripe count: a reader with the same
-	// count adopts segments directly, anything else redistributes by flow
+	// count adopts blocks directly, anything else redistributes by flow
 	// hash (the mapping depends on the stripe count).
 	Shards int
 	// Seq is the writer's global sequence counter at capture time, so
 	// appends after a restore extend the original arrival order.
 	Seq uint64
+	// Since is the watermark an incremental stream was cut at: only
+	// records with sequence > Since follow. Zero on full snapshots.
+	Since uint64
 	// Indexed records whether the writer maintained flow/link postings.
 	Indexed bool
-	// Since is the watermark an incremental stream (Version 3) was cut
-	// at: only segments holding records with sequence > Since follow.
-	// Zero on full snapshots.
-	Since uint64
 }
 
-// wireSegment is one segment on the wire. A Shard of -1 terminates the
-// stream (distinguishing a complete snapshot from one cut off mid-write).
-type wireSegment struct {
-	Shard int
-	Seqs  []uint64
-	Recs  []types.Record
-	// ByFlow/ByLink are the segment's postings, nil when the writer could
-	// not capture them immutably (the active segment); the loader rebuilds
-	// those.
-	ByFlow           map[types.FlowID][]int
-	ByLink           map[types.LinkID][]int
-	MinTime, MaxTime types.Time
-}
-
-// segView is one segment's immutable capture for the writer. A cold
-// segment is captured by stub reference (cold non-nil) and its contents
-// demand-loaded at encode time, outside the shard locks.
+// segView is one segment's immutable capture for the writer: a sealed
+// segment's block, a cold segment's stub (thawed at encode time, outside
+// the shard locks) or the active segment's append-only entries.
 type segView struct {
-	entries          []entry
-	byFlow           map[types.FlowID][]int
-	byLink           map[types.LinkID][]int
-	minTime, maxTime types.Time
-	seqHi            uint64
-	cold             *segment
-	// trimAfter, when non-zero, tells the encoder to ship only the
-	// entries with seq > trimAfter — set for segments straddling an
-	// incremental snapshot's watermark, so a delta never re-ships records
-	// the receiver already holds.
-	trimAfter uint64
+	blk          *block
+	cold         *segment
+	ents         []entry
+	seqLo, seqHi uint64
 }
 
 // captureSegments snapshots every shard's segment chain under all shard
 // read-locks at once (a consistent, downward-closed prefix of the global
-// arrival order, like every scan). Sealed segments are captured by
-// reference — they are immutable. The active segment's entries slice is
-// append-only so its header is safe too, but its posting maps mutate in
-// place under the shard lock, so they are left nil and rebuilt on load.
-// Cold segments are captured as stub references for the encoder to thaw.
+// arrival order, like every scan).
 func (s *Store) captureSegments() (views [][]segView, seq uint64) {
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
 	}
 	views = make([][]segView, len(s.shards))
 	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, seg := range sh.segs {
+		for _, seg := range s.shards[i].segs {
 			if seg.recs() == 0 {
 				continue
 			}
+			v := segView{blk: seg.blk, ents: seg.entries, seqLo: seg.firstSeq(), seqHi: seg.lastSeq()}
 			if seg.cold {
-				views[i] = append(views[i], segView{cold: seg, minTime: seg.minTime, maxTime: seg.maxTime, seqHi: seg.seqHi})
-				continue
-			}
-			v := segView{entries: seg.entries, minTime: seg.minTime, maxTime: seg.maxTime, seqHi: seg.entries[len(seg.entries)-1].seq}
-			if seg.sealed {
-				v.byFlow, v.byLink = seg.byFlow, seg.byLink
+				v.cold = seg
 			}
 			views[i] = append(views[i], v)
 		}
@@ -138,150 +101,174 @@ func (s *Store) captureSegments() (views [][]segView, seq uint64) {
 	return views, seq
 }
 
-// Snapshot serialises the store in the v2 segment-wise format. The
-// capture is a momentary all-shard lock hold (header copies only);
-// encoding streams outside the locks, so concurrent ingest proceeds
-// while a large snapshot is written. Cold segments are demand-loaded
-// one at a time during the encode — a snapshot always carries the whole
-// store, however it is tiered — and a cold file that cannot be read
-// back fails the snapshot with a *ColdReadError.
-func (s *Store) Snapshot(w io.Writer) error {
-	views, seq := s.captureSegments()
-	return s.encodeSnapshot(w, views, snapshotHeader{Version: 2, Shards: len(s.shards), Seq: seq, Indexed: s.indexed})
-}
+// Snapshot serialises the whole store, however it is tiered. The capture
+// is a momentary all-shard lock hold (header copies only); writing
+// streams outside the locks, so concurrent ingest proceeds while a large
+// snapshot is written. Cold segments are read back one at a time — a
+// cold file that fails validation fails the snapshot with a
+// *ColdReadError.
+func (s *Store) Snapshot(w io.Writer) error { return s.SnapshotSince(w, 0) }
 
-// SnapshotSince serialises an incremental snapshot: only segments
-// holding records with arrival sequence greater than since, in the
-// Version-3 framing (same magic, Since set in the header). A standby
-// that applied a full snapshot at watermark N catches up by applying a
-// SnapshotSince(N) stream — see ApplyIncremental.
+// SnapshotSince serialises an incremental snapshot: only records with
+// arrival sequence greater than since, with Since set in the header. A
+// standby that applied a full snapshot at watermark N catches up by
+// applying a SnapshotSince(N) stream — see ApplyIncremental.
 //
-// When the delta cannot be honest, the full Version-2 snapshot is
-// written instead and the receiver detects the difference from the
-// header: since 0 (no watermark), since beyond the writer's own
-// sequence counter (the watermark is from a different store lineage),
-// or since at or below evictedThroughSeq (eviction has destroyed part
-// of the requested range — the fallback the "watermark older than
-// retention" case exercises).
+// When the delta cannot be honest, the full snapshot is written instead
+// and the receiver detects the difference from the header: since 0 (no
+// watermark), since beyond the writer's own sequence counter (the
+// watermark is from a different store lineage), or since at or below
+// evictedThroughSeq (eviction has destroyed part of the requested range
+// — the fallback the "watermark older than retention" case exercises).
 func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 	views, seq := s.captureSegments()
 	// The eviction watermark is checked after capture: eviction takes
 	// every shard write lock, so it either completed before the capture
 	// (and is visible here) or starts after it (and the captured
 	// references keep their data alive regardless).
-	if since == 0 || since > seq || since <= s.evictedThroughSeq.Load() {
-		return s.encodeSnapshot(w, views, snapshotHeader{Version: 2, Shards: len(s.shards), Seq: seq, Indexed: s.indexed})
+	if since > seq || since <= s.evictedThroughSeq.Load() {
+		since = 0
 	}
-	delta := make([][]segView, len(views))
-	for i, segs := range views {
+	bw := bufio.NewWriter(w)
+	var pre [len(snapshotMagic) + 32]byte
+	h := pre[copy(pre[:], snapshotMagic):]
+	le.PutUint32(h, snapshotVersion)
+	le.PutUint32(h[4:], uint32(len(s.shards)))
+	le.PutUint64(h[8:], seq)
+	le.PutUint64(h[16:], since)
+	if s.indexed {
+		h[24] = 1
+	}
+	bw.Write(pre[:]) // a bufio.Writer's error is sticky: Flush reports it
+	blocks := 0
+	for si, segs := range views {
 		for _, v := range segs {
 			if v.seqHi <= since {
 				continue
 			}
-			// A segment straddling the watermark — typically each shard's
-			// active segment — is shipped trimmed to its unseen suffix, so
-			// the delta's cost tracks the new data, not the segment size.
-			lo := uint64(0)
+			blk := v.blk
 			if v.cold != nil {
-				lo = v.cold.seqLo
-			} else if len(v.entries) > 0 {
-				lo = v.entries[0].seq
-			}
-			if lo <= since {
-				v.trimAfter = since
-			}
-			delta[i] = append(delta[i], v)
-		}
-	}
-	return s.encodeSnapshot(w, delta, snapshotHeader{Version: 3, Shards: len(s.shards), Seq: seq, Indexed: s.indexed, Since: since})
-}
-
-// encodeSnapshot streams captured views in the magic+header+segments
-// framing shared by full and incremental snapshots, thawing cold
-// captures one at a time.
-func (s *Store) encodeSnapshot(w io.Writer, views [][]segView, hdr snapshotHeader) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
-		return err
-	}
-	for si, segs := range views {
-		for _, v := range segs {
-			if v.cold != nil {
-				th, err := s.thaw(v.cold)
-				if err != nil {
+				var err error
+				if blk, err = s.thaw(v.cold); err != nil {
 					return err
 				}
-				if th == nil {
+				if blk == nil {
 					continue // evicted while encoding: it is gone either way
 				}
-				v.entries, v.byFlow, v.byLink = th.entries, th.byFlow, th.byLink
 			}
-			if v.trimAfter > 0 {
-				// Keep only the suffix with seq > trimAfter. Entries are
-				// sequence-ascending, postings index the whole segment
-				// (ship nil, the receiver rebuilds) and the time bracket
-				// is recomputed over the survivors.
-				cut := sort.Search(len(v.entries), func(k int) bool {
-					return v.entries[k].seq > v.trimAfter
-				})
-				v.entries = v.entries[cut:]
-				if len(v.entries) == 0 {
-					continue
-				}
-				v.byFlow, v.byLink = nil, nil
-				v.minTime, v.maxTime = v.entries[0].rec.STime, v.entries[0].rec.ETime
-				for k := range v.entries {
-					if st := v.entries[k].rec.STime; st < v.minTime {
-						v.minTime = st
-					}
-					if et := v.entries[k].rec.ETime; et > v.maxTime {
-						v.maxTime = et
+			out := []byte(nil)
+			if blk != nil && v.seqLo > since {
+				out = blk.b // verbatim
+			} else {
+				// The active segment, or one straddling the watermark
+				// (shipped trimmed to its unseen suffix, so a delta's cost
+				// tracks the new data): encode without postings.
+				st := getStaging()
+				if blk != nil {
+					st.addBlock(blk, sort.Search(blk.n, func(k int) bool { return blk.seqAt(k) > since }))
+				} else {
+					for k := sort.Search(len(v.ents), func(k int) bool { return v.ents[k].seq > since }); k < len(v.ents); k++ {
+						st.add(v.ents[k].seq, &v.ents[k].rec)
 					}
 				}
+				out = st.encode(si, false)
+				st.release()
 			}
-			ws := wireSegment{
-				Shard:   si,
-				Seqs:    make([]uint64, len(v.entries)),
-				Recs:    make([]types.Record, len(v.entries)),
-				ByFlow:  v.byFlow,
-				ByLink:  v.byLink,
-				MinTime: v.minTime,
-				MaxTime: v.maxTime,
-			}
-			for i := range v.entries {
-				ws.Seqs[i] = v.entries[i].seq
-				ws.Recs[i] = v.entries[i].rec
-			}
-			if err := enc.Encode(ws); err != nil {
-				return err
-			}
+			bw.Write(out)
+			blocks++
 		}
 	}
-	if err := enc.Encode(wireSegment{Shard: -1}); err != nil {
-		return err
-	}
+	var end [8]byte
+	copy(end[:], snapshotEnd)
+	le.PutUint32(end[4:], uint32(blocks))
+	bw.Write(end[:])
 	return bw.Flush()
 }
 
-// LoadSnapshot replaces the store contents from a snapshot in either
-// format (v2 by magic prefix, bare gob = legacy v1). The replacement is
-// atomic — see the package comment at the top of this file.
-func (s *Store) LoadSnapshot(r io.Reader) error {
+// readSnapshot reads and validates a whole stream: the header, then every
+// block — each through openBlock's validator, named stripe in range, each
+// stripe's blocks in sequence order — up to a terminator that counts them.
+func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) {
 	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(snapshotMagic))
-	if err == nil && bytes.Equal(magic, []byte(snapshotMagic)) {
-		if _, err := br.Discard(len(snapshotMagic)); err != nil {
-			return err
-		}
-		return s.loadV2(br)
+	var pre [len(snapshotMagic) + 32]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || string(pre[:len(snapshotMagic)]) != snapshotMagic {
+		return hdr, nil, fmt.Errorf("tib: not a snapshot (bad magic or shorter than a header)")
 	}
-	// Too short for the magic, or a different prefix: let the v1 decoder
-	// produce the authoritative result (or error) from the full stream.
-	return s.loadV1(br)
+	h := pre[len(snapshotMagic):]
+	hdr = snapshotHeader{Version: le.Uint32(h), Shards: int(le.Uint32(h[4:])), Seq: le.Uint64(h[8:]), Since: le.Uint64(h[16:]), Indexed: h[24] == 1}
+	if hdr.Version != snapshotVersion {
+		return hdr, nil, fmt.Errorf("tib: unsupported snapshot version %d", hdr.Version)
+	}
+	if hdr.Shards < 1 {
+		return hdr, nil, fmt.Errorf("tib: snapshot declares %d shards", hdr.Shards)
+	}
+	lastSeq := map[int]uint64{} // per stripe, the newest sequence read so far
+	for {
+		var head [8]byte
+		if _, err := io.ReadFull(br, head[:]); err != nil {
+			return hdr, nil, fmt.Errorf("tib: snapshot cut off mid-stream: %w", err)
+		}
+		n := int(le.Uint32(head[4:]))
+		if string(head[:4]) == snapshotEnd {
+			if n != len(blocks) {
+				return hdr, nil, fmt.Errorf("tib: snapshot terminator counts %d blocks, stream held %d", n, len(blocks))
+			}
+			return hdr, blocks, nil
+		}
+		if n < blockHeaderLen {
+			return hdr, nil, fmt.Errorf("tib: snapshot block declares %d bytes", n)
+		}
+		b := make([]byte, min(n, readStep))
+		have := copy(b, head[:])
+		for have < n {
+			if have == len(b) { // exact sizes: the last buffer is the block, no slack
+				b = append(make([]byte, 0, min(n, 2*have)), b...)[:min(n, 2*have)]
+			}
+			if _, err := io.ReadFull(br, b[have:]); err != nil {
+				return hdr, nil, fmt.Errorf("tib: snapshot cut off mid-stream: %w", err)
+			}
+			have = len(b)
+		}
+		blk, err := openBlock(b, true)
+		if err != nil {
+			return hdr, nil, err
+		}
+		if blk.shard >= hdr.Shards {
+			return hdr, nil, fmt.Errorf("tib: snapshot block names shard %d of %d", blk.shard, hdr.Shards)
+		}
+		if blk.seqLo <= lastSeq[blk.shard] {
+			return hdr, nil, fmt.Errorf("tib: snapshot shard %d blocks out of sequence order", blk.shard)
+		}
+		lastSeq[blk.shard] = blk.seqHi
+		blocks = append(blocks, blk)
+	}
+}
+
+// adopt turns a validated incoming block into a sealed segment of this
+// store, indexing it first when the store wants postings and the block
+// (a writer's active segment or trimmed suffix) has none.
+func (s *Store) adopt(blk *block) *segment {
+	if s.indexed && !blk.indexed {
+		st := getStaging()
+		st.addBlock(blk, 0)
+		blk = mustOpen(st.encode(blk.shard, true))
+		st.release()
+	}
+	return sealedSegment(blk, blk.charge())
+}
+
+// LoadSnapshot replaces the store contents from a full snapshot. The
+// replacement is atomic — see the comment at the top of this file.
+func (s *Store) LoadSnapshot(r io.Reader) error {
+	hdr, blocks, err := readSnapshot(r)
+	if err != nil {
+		return err
+	}
+	if hdr.Since != 0 {
+		return fmt.Errorf("tib: stream is an incremental snapshot (since %d); LoadSnapshot needs a full one — use ApplyIncremental", hdr.Since)
+	}
+	s.loadFull(hdr, blocks)
+	return nil
 }
 
 // emptyClone builds an empty store with this store's configuration.
@@ -296,234 +283,33 @@ func (s *Store) emptyClone() *Store {
 	})
 }
 
-// loadV2 decodes the segment-wise stream into a staged store and swaps it
-// in. Segments from a writer with the same stripe count are adopted
-// wholesale (postings intact where present); a different stripe count
-// forces redistribution, because the flow→shard mapping changes.
-func (s *Store) loadV2(r io.Reader) error {
-	dec := gob.NewDecoder(r)
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("tib: snapshot header: %w", err)
-	}
-	if hdr.Version == 3 {
-		return fmt.Errorf("tib: stream is an incremental snapshot (since %d); LoadSnapshot needs a full one — use ApplyIncremental", hdr.Since)
-	}
-	if hdr.Version != 2 {
-		return fmt.Errorf("tib: unsupported snapshot version %d", hdr.Version)
-	}
-	return s.loadV2Body(dec, hdr)
-}
-
-// loadV2Body stages and swaps in a full Version-2 segment stream whose
-// header has already been read.
-func (s *Store) loadV2Body(dec *gob.Decoder, hdr snapshotHeader) error {
-	if hdr.Shards < 1 {
-		return fmt.Errorf("tib: snapshot declares %d shards", hdr.Shards)
-	}
+// loadFull stages a full snapshot's blocks and swaps them in. A writer
+// with the same stripe count has its blocks adopted as they are; any
+// other count changes the flow→shard mapping, so the records are replayed
+// in arrival order, original sequence stamps kept, through add.
+func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 	staged := s.emptyClone()
-	sameShape := hdr.Shards == len(staged.shards)
-	var (
-		total   int64
-		rebuild []*segment
-		flat    []entry // only for the reshape path
-	)
-	for {
-		var ws wireSegment
-		if err := dec.Decode(&ws); err != nil {
-			return fmt.Errorf("tib: snapshot cut off mid-stream: %w", err)
-		}
-		if ws.Shard == -1 {
-			break // terminator: the writer finished
-		}
-		if err := validateSegment(&ws, hdr.Shards); err != nil {
-			return err
-		}
-		total += int64(len(ws.Recs))
-		if !sameShape {
-			for i := range ws.Recs {
-				flat = append(flat, entry{seq: ws.Seqs[i], rec: ws.Recs[i]})
-			}
-			continue
-		}
-		seg := &segment{
-			sealed:  true,
-			entries: make([]entry, len(ws.Recs)),
-			byFlow:  ws.ByFlow,
-			byLink:  ws.ByLink,
-			minTime: ws.MinTime,
-			maxTime: ws.MaxTime,
-		}
-		for i := range ws.Recs {
-			seg.entries[i] = entry{seq: ws.Seqs[i], rec: ws.Recs[i]}
-			seg.bytes += recSize(&ws.Recs[i])
-		}
-		// Blooms are not persisted; adopted sealed segments rebuild theirs
-		// from the freshly populated entries.
-		seg.buildFilter()
-		sh := &staged.shards[ws.Shard]
-		// Insert before the (empty) active segment, keeping the chain
-		// sequence-monotonic — the writer emitted each shard's segments in
-		// chain order.
-		if prev := sh.segs[:len(sh.segs)-1]; len(prev) > 0 {
-			if last := prev[len(prev)-1]; last.entries[len(last.entries)-1].seq >= seg.entries[0].seq {
-				return fmt.Errorf("tib: snapshot shard %d segments out of sequence order", ws.Shard)
-			}
-		}
-		sh.segs = append(sh.segs[:len(sh.segs)-1], seg, sh.segs[len(sh.segs)-1])
-		if staged.indexed && seg.byFlow == nil {
-			rebuild = append(rebuild, seg)
-		}
-		if !staged.indexed {
-			seg.byFlow, seg.byLink = nil, nil
-		}
+	source := staged // where the blocks are chained up
+	if hdr.Shards != len(staged.shards) {
+		source = NewStoreConfig(Config{Shards: hdr.Shards, Unindexed: true})
 	}
-	if !sameShape {
-		sort.Slice(flat, func(i, j int) bool { return flat[i].seq < flat[j].seq })
-		var err error
-		if staged, err = s.buildFrom(flat); err != nil {
-			return err
-		}
-	} else {
-		rebuildIndexes(rebuild)
+	seq, total := hdr.Seq, 0
+	for _, blk := range blocks {
+		// Insert before the (empty) active segment; readSnapshot checked
+		// that each stripe's blocks arrive in chain order.
+		sh := &source.shards[blk.shard]
+		sh.segs = slices.Insert(sh.segs, len(sh.segs)-1, source.adopt(blk))
+		seq, total = max(seq, blk.seqHi), total+blk.n // never reuse live sequence space
 	}
-	seq := hdr.Seq
-	if seq < uint64(total) {
-		seq = uint64(total) // corrupt-tolerant: never reuse live sequence space
+	if source != staged {
+		_ = source.scan(&selector{link: types.AnyLink, tr: types.AllTime}, func(seq uint64, rec *types.Record) bool {
+			staged.add(seq, *rec)
+			return true
+		}) // nothing in source is cold: the scan cannot fail
 	}
 	staged.seq.Store(seq)
-	staged.count.Store(total)
+	staged.count.Store(int64(total))
 	s.swapFrom(staged)
-	return nil
-}
-
-// validateSegment bounds-checks one wire segment so corrupt input fails
-// with an error instead of an out-of-range panic — or, worse, silently
-// wrong pruning — at query time.
-func validateSegment(ws *wireSegment, shards int) error {
-	if ws.Shard < 0 || ws.Shard >= shards {
-		return fmt.Errorf("tib: snapshot segment names shard %d of %d", ws.Shard, shards)
-	}
-	if len(ws.Seqs) != len(ws.Recs) {
-		return fmt.Errorf("tib: snapshot segment has %d seqs for %d records", len(ws.Seqs), len(ws.Recs))
-	}
-	if len(ws.Recs) == 0 {
-		return fmt.Errorf("tib: snapshot contains an empty segment")
-	}
-	for i := 1; i < len(ws.Seqs); i++ {
-		if ws.Seqs[i] <= ws.Seqs[i-1] {
-			return fmt.Errorf("tib: snapshot segment sequence numbers not ascending")
-		}
-	}
-	for i := range ws.Recs {
-		// Declared time bounds must bracket every record: bounds
-		// narrower than the data would make scans prune records that
-		// exist — silent wrong answers, the worst failure mode.
-		if ws.Recs[i].STime < ws.MinTime || ws.Recs[i].ETime > ws.MaxTime {
-			return fmt.Errorf("tib: snapshot segment bounds [%v,%v] exclude record %d (%v..%v)",
-				ws.MinTime, ws.MaxTime, i, ws.Recs[i].STime, ws.Recs[i].ETime)
-		}
-	}
-	for _, idxs := range ws.ByFlow {
-		for _, i := range idxs {
-			if i < 0 || i >= len(ws.Recs) {
-				return fmt.Errorf("tib: snapshot flow posting out of range")
-			}
-		}
-	}
-	for _, idxs := range ws.ByLink {
-		for _, i := range idxs {
-			if i < 0 || i >= len(ws.Recs) {
-				return fmt.Errorf("tib: snapshot link posting out of range")
-			}
-		}
-	}
-	return nil
-}
-
-// loadV1 decodes a legacy []types.Record blob and rebuilds the segmented
-// store from it.
-func (s *Store) loadV1(r io.Reader) error {
-	var recs []types.Record
-	if err := gob.NewDecoder(r).Decode(&recs); err != nil {
-		return err
-	}
-	entries := make([]entry, len(recs))
-	for i, rec := range recs {
-		// v1 wrote global insertion order; reassigning 1..n preserves it.
-		entries[i] = entry{seq: uint64(i + 1), rec: rec}
-	}
-	staged, err := s.buildFrom(entries)
-	if err != nil {
-		return err
-	}
-	staged.seq.Store(uint64(len(entries)))
-	staged.count.Store(int64(len(entries)))
-	s.swapFrom(staged)
-	return nil
-}
-
-// buildFrom distributes entries (ascending global sequence order) into a
-// fresh staged store — flow-hashed onto shards, sealed into segments by
-// the store's own seal policy — and then rebuilds every segment's index
-// in parallel, one goroutine per segment up to GOMAXPROCS. This replaces
-// the old single-threaded re-Add loop: distribution is a cheap
-// sequential pass, and the expensive part (posting-map construction) is
-// what parallelises.
-func (s *Store) buildFrom(entries []entry) (*Store, error) {
-	staged := s.emptyClone()
-	for i := range entries {
-		if i > 0 && entries[i].seq <= entries[i-1].seq {
-			return nil, fmt.Errorf("tib: snapshot records out of sequence order")
-		}
-		sh := staged.shardFor(entries[i].rec.Flow)
-		seg := sh.active()
-		if staged.shouldSeal(seg, &entries[i].rec) {
-			seg.seal() // postings are nil here, so the bloom builds from entries
-			seg = newSegment(false)
-			sh.segs = append(sh.segs, seg)
-		}
-		seg.add(entries[i], false) // postings rebuilt below, in parallel
-	}
-	if staged.indexed {
-		var segs []*segment
-		for i := range staged.shards {
-			for _, seg := range staged.shards[i].segs {
-				if len(seg.entries) > 0 {
-					segs = append(segs, seg)
-				}
-			}
-		}
-		rebuildIndexes(segs)
-	}
-	return staged, nil
-}
-
-// rebuildIndexes recomputes postings for the given segments in parallel.
-func rebuildIndexes(segs []*segment) {
-	if len(segs) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	work := make(chan *segment)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seg := range work {
-				seg.rebuildIndex()
-			}
-		}()
-	}
-	for _, seg := range segs {
-		work <- seg
-	}
-	close(work)
-	wg.Wait()
 }
 
 // swapFrom installs the staged store's contents under every shard lock at
@@ -544,8 +330,8 @@ func (s *Store) swapFrom(staged *Store) {
 	for i := range staged.shards {
 		for _, seg := range staged.shards[i].segs {
 			bytes += seg.bytes
-			if len(seg.entries) > 0 && seg.entries[0].seq-1 < minSeq {
-				minSeq = seg.entries[0].seq - 1
+			if seg.recs() > 0 {
+				minSeq = min(minSeq, seg.firstSeq()-1)
 			}
 		}
 	}
@@ -578,88 +364,37 @@ func (s *Store) swapFrom(staged *Store) {
 }
 
 // ApplyIncremental advances this store from a SnapshotSince stream. The
-// stream may turn out to be a full Version-2 snapshot — the writer
-// falls back to full when the requested watermark is unserveable — in
-// which case the store is replaced wholesale, exactly as LoadSnapshot
-// would. A Version-3 delta is reconciled per shard: local segments that
-// the delta re-ships grown or re-cut (same starting sequence or later)
-// are dropped and replaced; strictly older local segments are kept, so
-// a standby may retain more lookback than the agent it mirrors.
+// stream may turn out to be a full snapshot — the writer falls back to
+// full when the requested watermark is unserveable — in which case the
+// store is replaced wholesale, exactly as LoadSnapshot would. A delta is
+// reconciled per shard: local segments that the delta re-ships grown or
+// re-cut (same starting sequence or later) are dropped and replaced;
+// strictly older local segments are kept, so a standby may retain more
+// lookback than the agent it mirrors.
 //
-// Like LoadSnapshot, application is atomic: the delta is fully decoded
-// and validated first, and installed under every shard lock at once. A
+// Like LoadSnapshot, application is atomic: the delta is fully read and
+// validated first, and installed under every shard lock at once. A
 // reconciliation that cannot be proven consistent (stripe mismatch,
 // overlapping sequence ranges) fails with ErrIncompatibleDelta and
 // leaves the store untouched — the caller re-pulls a full snapshot.
 func (s *Store) ApplyIncremental(r io.Reader) error {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(snapshotMagic))
-	if err != nil || !bytes.Equal(magic, []byte(snapshotMagic)) {
-		return fmt.Errorf("tib: incremental snapshot missing v2 magic")
-	}
-	if _, err := br.Discard(len(snapshotMagic)); err != nil {
+	hdr, blocks, err := readSnapshot(r)
+	if err != nil {
 		return err
 	}
-	dec := gob.NewDecoder(br)
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("tib: snapshot header: %w", err)
+	if hdr.Since == 0 {
+		s.loadFull(hdr, blocks) // writer fell back to full
+		return nil
 	}
-	switch hdr.Version {
-	case 2:
-		return s.loadV2Body(dec, hdr) // writer fell back to full
-	case 3:
-		return s.applyDelta(dec, hdr)
-	default:
-		return fmt.Errorf("tib: unsupported snapshot version %d", hdr.Version)
-	}
-}
-
-// applyDelta decodes, validates and installs a Version-3 delta stream.
-func (s *Store) applyDelta(dec *gob.Decoder, hdr snapshotHeader) error {
 	if hdr.Shards != len(s.shards) {
 		return fmt.Errorf("%w: delta written for %d shards, store has %d", ErrIncompatibleDelta, hdr.Shards, len(s.shards))
 	}
-	// Stage: decode every wire segment into a ready segment, grouped by
-	// shard, before any lock is taken.
+	// Stage: every block becomes a ready segment, grouped by shard,
+	// before any lock is taken.
 	incoming := make([][]*segment, len(s.shards))
-	var rebuild []*segment
-	for {
-		var ws wireSegment
-		if err := dec.Decode(&ws); err != nil {
-			return fmt.Errorf("tib: incremental snapshot cut off mid-stream: %w", err)
-		}
-		if ws.Shard == -1 {
-			break
-		}
-		if err := validateSegment(&ws, hdr.Shards); err != nil {
-			return err
-		}
-		seg := &segment{
-			sealed:  true,
-			entries: make([]entry, len(ws.Recs)),
-			byFlow:  ws.ByFlow,
-			byLink:  ws.ByLink,
-			minTime: ws.MinTime,
-			maxTime: ws.MaxTime,
-		}
-		for i := range ws.Recs {
-			seg.entries[i] = entry{seq: ws.Seqs[i], rec: ws.Recs[i]}
-			seg.bytes += recSize(&ws.Recs[i])
-		}
-		seg.buildFilter()
-		if prev := incoming[ws.Shard]; len(prev) > 0 && prev[len(prev)-1].lastSeq() >= seg.firstSeq() {
-			return fmt.Errorf("tib: incremental snapshot shard %d segments out of sequence order", ws.Shard)
-		}
-		incoming[ws.Shard] = append(incoming[ws.Shard], seg)
-		if s.indexed && seg.byFlow == nil {
-			rebuild = append(rebuild, seg)
-		}
-		if !s.indexed {
-			seg.byFlow, seg.byLink = nil, nil
-		}
+	for _, blk := range blocks {
+		incoming[blk.shard] = append(incoming[blk.shard], s.adopt(blk))
 	}
-	rebuildIndexes(rebuild)
 
 	// Install under every shard lock at once, like swapFrom, so readers
 	// see the store before or after the delta — never mid-application.
@@ -721,18 +456,18 @@ func (s *Store) applyDelta(dec *gob.Decoder, hdr snapshotHeader) error {
 			}
 		}
 		kept := sh.segs[:cuts[i]:cuts[i]]
-		if n := len(kept); n > 0 && !kept[n-1].sealed {
-			// The old active segment survives the cut whole: freeze it
-			// so the chain invariant (only the last segment unsealed)
-			// holds once the delta's segments follow it.
-			kept[n-1].seal()
+		if n := len(kept); n > 0 && !kept[n-1].sealed() {
+			// The old active segment survives the cut whole: seal it so
+			// the chain invariant (only the last segment unsealed) holds
+			// once the delta's segments follow it.
+			kept[n-1].seal(i, s.indexed)
 			s.sealCount.Add(1)
 		}
 		for _, seg := range ins {
-			addedRecs += int64(len(seg.entries))
+			addedRecs += int64(seg.n)
 			addedBytes += seg.bytes
 		}
-		sh.segs = append(append(kept, ins...), newSegment(s.indexed))
+		sh.segs = append(append(kept, ins...), &segment{})
 	}
 	if hdr.Seq > s.seq.Load() {
 		s.seq.Store(hdr.Seq)

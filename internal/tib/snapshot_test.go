@@ -2,7 +2,7 @@ package tib
 
 import (
 	"bytes"
-	"encoding/gob"
+	"hash/crc32"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,8 +31,8 @@ func sameRecords(t *testing.T, got, want []types.Record, what string) {
 }
 
 // TestSnapshotV2SegmentRoundTrip: a multi-segment store round-trips
-// through the v2 format with order, indexes and segment bounds intact —
-// the restored store still prunes.
+// through a snapshot with order, indexes and segment bounds intact — the
+// restored store still prunes.
 func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 	s := NewStoreConfig(Config{SegmentSpan: types.Second})
 	for i := 0; i < 5000; i++ {
@@ -44,13 +44,13 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte(snapshotMagic)) {
-		t.Fatal("v2 snapshot lacks the magic prefix")
+		t.Fatal("snapshot lacks the magic prefix")
 	}
 	restored := NewStoreConfig(Config{SegmentSpan: types.Second})
 	if err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	sameRecords(t, scanAll(restored), scanAll(s), "v2 round trip")
+	sameRecords(t, scanAll(restored), scanAll(s), "round trip")
 	if restored.Segments() < s.Segments() {
 		t.Errorf("restore collapsed segments: %d, writer had %d", restored.Segments(), s.Segments())
 	}
@@ -74,8 +74,7 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 }
 
 // TestLoadSnapshotAtomic (regression): a mid-stream decode error must
-// leave the prior contents fully intact — never a half-cleared store —
-// in both formats.
+// leave the prior contents fully intact — never a half-cleared store.
 func TestLoadSnapshotAtomic(t *testing.T) {
 	prior := NewStoreConfig(Config{SegmentRecords: 32})
 	for i := 0; i < 500; i++ {
@@ -87,28 +86,21 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		donor.Add(mkRecord(flowN(i), types.Path{4, 5, 6}, types.Time(i), types.Time(i+1), 1, 1))
 	}
-	var v2 bytes.Buffer
-	if err := donor.Snapshot(&v2); err != nil {
+	var snap bytes.Buffer
+	if err := donor.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
+	flipped := bytes.Clone(snap.Bytes())
+	flipped[len(flipped)/2] ^= 0x10
 
 	cases := map[string][]byte{
-		"v2 truncated mid-stream": v2.Bytes()[:v2.Len()/2],
-		"v2 missing terminator":   v2.Bytes()[:v2.Len()-3],
-		"v1 garbage":              []byte("garbage"),
-		"empty":                   nil,
+		"truncated mid-stream": snap.Bytes()[:snap.Len()/2],
+		"missing terminator":   snap.Bytes()[:snap.Len()-3],
+		"bit flipped":          flipped,
+		"garbage":              []byte("garbage"),
+		"magic only":           []byte(snapshotMagic),
+		"empty":                nil,
 	}
-	// A v1 blob cut off mid-record must also fail cleanly.
-	var v1 bytes.Buffer
-	recs := make([]types.Record, 100)
-	for i := range recs {
-		recs[i] = mkRecord(flowN(i), types.Path{1, 2}, 0, 1, 1, 1)
-	}
-	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
-		t.Fatal(err)
-	}
-	cases["v1 truncated"] = v1.Bytes()[:v1.Len()/2]
-
 	for name, blob := range cases {
 		if err := prior.LoadSnapshot(bytes.NewReader(blob)); err == nil {
 			t.Fatalf("%s: LoadSnapshot accepted a broken snapshot", name)
@@ -127,46 +119,60 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRejectsCorruptSegments: hand-built v2 streams with
+// reseal recomputes a hand-mutated block's checksum, so the mutation —
+// not the CRC — is what the validator must catch.
+func reseal(b []byte) { le.PutUint32(b[hCRC:], crc32.Checksum(b[hFlags:], crcTable)) }
+
+// TestLoadSnapshotRejectsCorruptSegments: hand-mutated streams with
 // lying metadata must be rejected before the swap — bounds narrower than
-// the records would cause silent wrong pruning, and a negative shard
-// other than the -1 terminator must not truncate the load quietly.
+// the records would cause silent wrong pruning, a posting past the end
+// would panic a scan, and a terminator that miscounts must not truncate
+// the load quietly. Every mutation is re-checksummed: the structural
+// validator has to catch it on its own.
 func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
-	build := func(mutate func(*wireSegment)) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(snapshotMagic)
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(snapshotHeader{Version: 2, Shards: 16, Seq: 2, Indexed: true}); err != nil {
-			t.Fatal(err)
-		}
-		ws := wireSegment{
-			Shard: 0,
-			Seqs:  []uint64{1, 2},
-			Recs: []types.Record{
-				mkRecord(flowN(1), types.Path{1, 2}, 10, 20, 1, 1),
-				mkRecord(flowN(2), types.Path{1, 2}, 15, 30, 2, 1),
-			},
-			MinTime: 10, MaxTime: 30,
-		}
-		mutate(&ws)
-		if err := enc.Encode(ws); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(wireSegment{Shard: -1}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	// One sealed two-record block (stripe of flowN(1) in a 1-shard
+	// store), framed as a snapshot.
+	src := NewStoreConfig(Config{Shards: 1, SegmentRecords: 2})
+	src.Add(mkRecord(flowN(1), types.Path{1, 2}, 10, 20, 1, 1))
+	src.Add(mkRecord(flowN(2), types.Path{1, 2}, 15, 30, 2, 1))
+	src.Add(mkRecord(flowN(3), types.Path{1, 2}, 40, 50, 3, 1)) // seals the first two
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
-	cases := map[string]func(*wireSegment){
-		"bounds exclude a record": func(ws *wireSegment) { ws.MaxTime = 25 },
-		"min bound too high":      func(ws *wireSegment) { ws.MinTime = 12 },
-		"negative non-terminator": func(ws *wireSegment) { ws.Shard = -3 },
-		"shard out of range":      func(ws *wireSegment) { ws.Shard = 16 },
-		"seqs not ascending":      func(ws *wireSegment) { ws.Seqs = []uint64{2, 2} },
-		"posting out of range":    func(ws *wireSegment) { ws.ByFlow = map[types.FlowID][]int{flowN(1): {5}} },
+	const pre = len(snapshotMagic) + 32
+	build := func(mutate func(blk, stream []byte)) []byte {
+		stream := bytes.Clone(buf.Bytes())
+		blk := stream[pre : pre+int(le.Uint32(stream[pre+hLen:]))]
+		mutate(blk, stream)
+		reseal(blk)
+		return stream
+	}
+	opened, err := openBlock(build(func(_, _ []byte) {})[pre:][:le.Uint32(buf.Bytes()[pre+hLen:])], true)
+	if err != nil || opened.n != 2 || !opened.indexed {
+		t.Fatalf("harness: first block is not the sealed pair: %v", err)
+	}
+	off := (&layout{n: 2, paths: 1, hops: 2, links: 1, posts: 2, bloom: 8, w: [numCols]uint8{1, 1, 1, 1, 1, 1}, indexed: true}).offsets()
+	cases := map[string]func(blk, stream []byte){
+		"bounds exclude a record": func(blk, _ []byte) { le.PutUint64(blk[hMaxTime:], 25) },
+		"min bound too high":      func(blk, _ []byte) { le.PutUint64(blk[hMinTime:], 22) },
+		"shard out of range":      func(blk, _ []byte) { le.PutUint32(blk[hShard:], 1) },
+		"seqs not ascending":      func(blk, _ []byte) { blk[off[secSeq]+1] = 0 },
+		"seq bounds lie":          func(blk, _ []byte) { le.PutUint64(blk[hSeqHi:], 9) },
+		"path id out of range":    func(blk, _ []byte) { blk[off[secPath]] = 1 },
+		"flow posting past end":   func(blk, _ []byte) { blk[off[secPerm]] = 5 },
+		"flow perm unsorted":      func(blk, _ []byte) { blk[off[secPerm]], blk[off[secPerm]+1] = 1, 0 },
+		"link posting past end":   func(blk, _ []byte) { blk[off[secLinkPost]+1] = 7 },
+		"link offsets overrun":    func(blk, _ []byte) { le.PutUint32(blk[off[secLinkOff]+4:], 3) },
+		"path offsets overrun":    func(blk, _ []byte) { le.PutUint32(blk[off[secPathOff]+4:], 9) },
+		"column width 3":          func(blk, _ []byte) { blk[hWidths+colBytes] = 3 },
+		"length field lies":       func(blk, _ []byte) { le.PutUint32(blk[hLen:], uint32(len(blk)-1)) },
+		"terminator miscounts":    func(_, stream []byte) { le.PutUint32(stream[len(stream)-4:], 1) },
+		"version from the future": func(_, stream []byte) { stream[len(snapshotMagic)] = 9 },
+		"zero shards":             func(_, stream []byte) { le.PutUint32(stream[len(snapshotMagic)+4:], 0) },
 	}
 	for name, mutate := range cases {
-		s := NewStore()
+		s := NewStoreConfig(Config{Shards: 1})
 		s.Add(mkRecord(flowN(9), types.Path{1, 2}, 0, 1, 9, 9))
 		if err := s.LoadSnapshot(bytes.NewReader(build(mutate))); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
@@ -175,39 +181,20 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 			t.Errorf("%s: prior contents disturbed (Len=%d)", name, s.Len())
 		}
 	}
+	// A flipped bit that is not re-checksummed fails on the CRC alone.
+	stream := bytes.Clone(buf.Bytes())
+	stream[pre+off[secBytes]] ^= 1
+	if err := NewStore().LoadSnapshot(bytes.NewReader(stream)); err == nil {
+		t.Error("checksum mismatch accepted")
+	}
 	// The untouched stream is valid — the cases above fail for the
 	// mutation, not the harness.
-	s := NewStore()
-	if err := s.LoadSnapshot(bytes.NewReader(build(func(*wireSegment) {}))); err != nil {
+	s := NewStoreConfig(Config{Shards: 1})
+	if err := s.LoadSnapshot(bytes.NewReader(build(func(_, _ []byte) {}))); err != nil {
 		t.Fatalf("control stream rejected: %v", err)
 	}
-	if s.Len() != 2 {
+	if s.Len() != 3 {
 		t.Fatalf("control stream loaded %d records", s.Len())
-	}
-}
-
-// TestSnapshotV1Compat: legacy blobs (bare gob []Record) still load, with
-// order preserved and indexes rebuilt.
-func TestSnapshotV1Compat(t *testing.T) {
-	recs := make([]types.Record, 3000)
-	for i := range recs {
-		recs[i] = mkRecord(flowN(i%100), types.Path{1, types.SwitchID(50 + i%3), 2},
-			types.Time(i), types.Time(i+5), uint64(i), 1)
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(recs); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore()
-	if err := s.LoadSnapshot(&v1); err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, scanAll(s), recs, "v1 load")
-	if got := s.Flows(types.LinkID{A: 1, B: 51}, types.AllTime); len(got) == 0 {
-		t.Error("v1 load did not rebuild the link index")
-	}
-	if b, _ := s.Count(types.Flow{ID: flowN(7)}, types.AllTime); b == 0 {
-		t.Error("v1 load did not rebuild the flow index")
 	}
 }
 
@@ -310,8 +297,7 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 		t.Fatalf("final restore = %d records, want %d", restored.Len(), writers*perWriter)
 	}
 
-	// Goroutine-leak cleanliness: snapshot/restore spin up only the
-	// bounded index-rebuild workers, which must all have exited.
+	// Goroutine-leak cleanliness: snapshot/restore start no goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline+2 {
 		if time.Now().After(deadline) {

@@ -53,12 +53,13 @@ type Config struct {
 	// segment and the active segment is never evicted.
 	RetentionBytes int64
 	// Unindexed disables the per-segment flow/link indexes (the index
-	// ablation benchmark's baseline).
+	// ablation benchmark's baseline): active segments keep no posting
+	// maps and sealed blocks carry no postings.
 	Unindexed bool
 	// ColdDir enables the cold tier: SpillBefore moves sealed segments
-	// older than its cutoff into one file each under this directory (v2
-	// snapshot framing) and scans demand-load them transiently. Empty
-	// disables spilling. See cold.go.
+	// older than its cutoff into one file each under this directory (the
+	// segment's block, byte for byte) and scans demand-load them
+	// transiently. Empty disables spilling. See cold.go.
 	ColdDir string
 	// CompactBelow enables background compaction: sealed, resident
 	// segments holding fewer records than this are candidates for
@@ -101,9 +102,9 @@ type Store struct {
 	retention      types.Time
 	retentionBytes int64
 
-	// bytesTotal is the store's estimated resident footprint (recSize per
+	// bytesTotal is the store's logical resident footprint (recSize per
 	// record), maintained on Add/eviction/restore; EvictOverBytes keeps it
-	// under RetentionBytes.
+	// under RetentionBytes. ResidentBytes reports the true one.
 	bytesTotal atomic.Int64
 	// evictMu serialises byte-budget evictions so concurrent ingest does
 	// not stampede the oldest-segment search.
@@ -215,7 +216,7 @@ func NewStoreConfig(cfg Config) *Store {
 		compactBelow:   cfg.CompactBelow,
 	}
 	for i := range s.shards {
-		s.shards[i].segs = []*segment{newSegment(s.indexed)}
+		s.shards[i].segs = []*segment{{}}
 	}
 	return s
 }
@@ -227,26 +228,57 @@ func (s *Store) Retention() types.Time { return s.retention }
 // RetentionBytes returns the configured byte budget (0 = unbounded).
 func (s *Store) RetentionBytes() int64 { return s.retentionBytes }
 
-// SizeBytes returns the store's estimated resident footprint — the
-// quantity EvictOverBytes holds under the byte budget. It is an estimate
-// (recSize per record), not an exact heap measurement.
+// SizeBytes returns the store's logical resident footprint — the
+// quantity EvictOverBytes holds under the byte budget. It is a per-record
+// charge (recSize), not a measurement; see ResidentBytes for that.
 func (s *Store) SizeBytes() int64 { return s.bytesTotal.Load() }
+
+// ResidentBytes returns what the store's records actually occupy in
+// memory: the length of every resident block, the buffers of the active
+// segments (entries, path arrays, postings) and the blooms cold segments
+// keep.
+func (s *Store) ResidentBytes() int64 {
+	const entrySize = 80 // unsafe.Sizeof(entry{})
+	var n int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, seg := range sh.segs {
+			switch {
+			case seg.blk != nil:
+				n += int64(len(seg.blk.b))
+			case seg.cold:
+				n += int64(len(seg.filter))
+			default:
+				// bytes − 96·records is recSize's 2·len(path) share; each
+				// record also holds one 4-byte flow posting.
+				n += int64(cap(seg.entries))*entrySize + seg.bytes - 92*int64(len(seg.entries))
+				for _, post := range seg.byLink {
+					n += 4 * int64(len(post))
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
 
 // LastSeq returns the newest global arrival sequence number handed out
 // (0 for an empty store). Continuous monitors capture it before an
 // incremental scan and use it as the next run's watermark.
 func (s *Store) LastSeq() uint64 { return s.seq.Load() }
 
-// recSize estimates one record's resident footprint: the entry struct,
-// the record's path backing array, and a share of index-posting overhead.
-// It only needs to be consistent — the byte budget trades precision for
-// an O(1) accounting update on the ingest path.
+// recSize is one record's charge against the byte budget. It was sized
+// for the pre-block store and is roughly twice what a sealed record
+// costs now; it stays because retention, the benchmark's warm-up and
+// every committed number are calibrated to it. It only needs to be
+// consistent: an O(1) accounting update on the ingest path.
 func recSize(rec *types.Record) int64 {
 	return 96 + 2*int64(len(rec.Path))
 }
 
-// shardFor hashes a flow onto its stripe (FNV-1a over the 5-tuple).
-func (s *Store) shardFor(f types.FlowID) *storeShard {
+// shardIndex hashes a flow onto its stripe (FNV-1a over the 5-tuple).
+func (s *Store) shardIndex(f types.FlowID) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -266,29 +298,36 @@ func (s *Store) shardFor(f types.FlowID) *storeShard {
 	mix(uint32(f.DstIP))
 	mix(uint32(f.SrcPort)<<16 | uint32(f.DstPort))
 	mix(uint32(f.Proto))
-	return &s.shards[h&s.mask]
+	return int(h & s.mask)
 }
 
 // Add appends one TIB record. Only the record's shard is locked, so
 // concurrent ingest of distinct flows proceeds in parallel. When the
 // shard's active segment is full (by record count) or the record would
-// stretch its time span past SegmentSpan, the segment is sealed — bounds
-// frozen, contents immutable from then on — and a fresh active segment
-// starts.
-func (s *Store) Add(rec types.Record) {
-	sh := s.shardFor(rec.Flow)
+// stretch its time span past SegmentSpan, the segment is sealed — encoded
+// into its immutable block — and a fresh active segment starts.
+func (s *Store) Add(rec types.Record) { s.add(0, rec) }
+
+// add is Add with an explicit arrival sequence (0 = assign the next one);
+// the snapshot reshape path replays records under their original stamps.
+func (s *Store) add(seq uint64, rec types.Record) {
+	si := s.shardIndex(rec.Flow)
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	seg := sh.active()
 	if s.shouldSeal(seg, &rec) {
-		seg.seal()
-		seg = newSegment(s.indexed)
+		seg.seal(si, s.indexed)
+		seg = &segment{}
 		sh.segs = append(sh.segs, seg)
 		s.sealCount.Add(1)
 	}
 	// The sequence number is assigned under the shard lock so each
 	// shard's segment chain is sequence-monotonic, which the merge in
 	// ScanWhile relies on.
-	seg.add(entry{seq: s.seq.Add(1), rec: rec}, s.indexed)
+	if seq == 0 {
+		seq = s.seq.Add(1)
+	}
+	seg.add(entry{seq: seq, rec: rec}, s.indexed)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.bytesTotal.Add(recSize(&rec))
@@ -346,7 +385,7 @@ func (s *Store) SealedSegments() int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, seg := range sh.segs {
-			if seg.sealed && !seg.cold && len(seg.entries) > 0 {
+			if seg.blk != nil {
 				n++
 			}
 		}
@@ -374,20 +413,9 @@ func (s *Store) SegmentStats() (scanned, pruned uint64) {
 // quarter of Retention — past the last effective one) return without
 // touching a lock.
 func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
-	if cutoff <= 0 {
-		// Virtual time starts at 0: nothing can predate a non-positive
-		// cutoff, so the whole first retention window is lock-free here.
+	if !s.advance(&s.evictFloor, cutoff) {
 		return 0, 0
 	}
-	floor := s.evictFloor.Load()
-	step := s.segSpan
-	if step == 0 {
-		step = s.retention / 4
-	}
-	if floor > 0 && cutoff < floor+step {
-		return 0, 0
-	}
-	s.evictFloor.Store(cutoff)
 	var freed, coldFreed int64
 	var coldFiles []string
 	for i := range s.shards {
@@ -395,7 +423,7 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 		sh.mu.Lock()
 		keep := sh.segs[:0]
 		for _, seg := range sh.segs {
-			if seg.sealed && seg.recs() > 0 && seg.maxTime < cutoff {
+			if seg.sealed() && seg.maxTime < cutoff {
 				segments++
 				records += seg.recs()
 				freed += seg.bytes
@@ -431,6 +459,23 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 	return segments, records
 }
 
+// advance reports whether cutoff has moved far enough past the last
+// effective one — a full SegmentSpan or, spanless, a quarter of Retention
+// — to possibly free (or spill) a new segment, and records it if so.
+// Virtual time starts at 0: nothing can predate a non-positive cutoff,
+// so the whole first retention window is lock-free here.
+func (s *Store) advance(floor *atomicTime, cutoff types.Time) bool {
+	step := s.segSpan
+	if step == 0 {
+		step = s.retention / 4
+	}
+	if last := floor.Load(); cutoff <= 0 || (last > 0 && cutoff < last+step) {
+		return false
+	}
+	floor.Store(cutoff)
+	return true
+}
+
 // noteEvictedSeq advances the evicted-through watermark to seq (see the
 // evictedThroughSeq field). Lock-free monotonic max.
 func (s *Store) noteEvictedSeq(seq uint64) {
@@ -464,7 +509,7 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 			sh := &s.shards[i]
 			sh.mu.RLock()
 			for _, seg := range sh.segs {
-				if seg.sealed && len(seg.entries) > 0 && (victim == nil || seg.maxTime < victim.maxTime) {
+				if seg.blk != nil && (victim == nil || seg.maxTime < victim.maxTime) {
 					victim, victimShard = seg, i
 				}
 			}
@@ -479,8 +524,8 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 			if seg == victim {
 				sh.segs = append(sh.segs[:j], sh.segs[j+1:]...)
 				segments++
-				records += len(seg.entries)
-				s.count.Add(int64(-len(seg.entries)))
+				records += seg.n
+				s.count.Add(int64(-seg.n))
 				s.bytesTotal.Add(-seg.bytes)
 				s.noteEvictedSeq(seg.lastSeq())
 				break
@@ -491,17 +536,14 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 	return segments, records
 }
 
-// scanBuf holds one scan's reusable cursor machinery. Every ScanWhile
-// used to allocate a []cursor plus one []segCursor per surviving shard
-// (and the flow path its own []segCursor) — per-query garbage that
-// scales with shard and segment count and shows up directly in fan-out
-// latency. Scans now borrow a scanBuf from a sync.Pool and return it
-// when the merge finishes; release clears every segCursor up to
-// capacity so a pooled buffer never pins evicted segments' entry or
-// posting arrays.
+// scanBuf holds one scan's reusable cursor machinery: the per-shard
+// cursor list with its per-segment chains, and the one Record sealed
+// blocks are materialised through. Scans borrow one from a sync.Pool;
+// release clears every segCursor up to capacity so a pooled buffer never
+// pins evicted segments' blocks, entries or posting arrays.
 type scanBuf struct {
 	cursors []cursor
-	flat    []segCursor // the single-shard flow path's cursor chain
+	rec     types.Record
 }
 
 var scanBufs = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -534,220 +576,246 @@ func (b *scanBuf) drop() { b.cursors = b.cursors[:len(b.cursors)-1] }
 func (b *scanBuf) release() {
 	for i := range b.cursors {
 		c := &b.cursors[i]
-		segs := c.segs[:cap(c.segs)]
-		for j := range segs {
-			segs[j] = segCursor{}
-		}
+		clear(c.segs[:cap(c.segs)])
 		c.segs, c.si = c.segs[:0], 0
 	}
-	b.cursors = b.cursors[:0]
-	flat := b.flat[:cap(b.flat)]
-	for j := range flat {
-		flat[j] = segCursor{}
-	}
-	b.flat = b.flat[:0]
+	b.cursors, b.rec = b.cursors[:0], types.Record{}
 	scanBufs.Put(b)
 }
 
-// cursor walks one shard's matching entries in sequence order during a
+// selector is one scan's predicate: the (since, until] arrival-sequence
+// window, the time range, and the flow and link terms.
+type selector struct {
+	since, until uint64
+	flow         *types.FlowID
+	link         types.LinkID
+	tr           types.TimeRange
+	// listed is set when the store is indexed and there is a flow or a
+	// concrete link to look up: cursors then walk that posting list (the
+	// flow's when both are given) instead of every record.
+	listed bool
+	fh     uint64 // flowHash64(*flow): single-flow scans probe segment blooms
+}
+
+// cursor walks one shard's matching records in sequence order during a
 // cross-shard merge: a chain of per-segment sub-cursors, consumed in
-// chain order (the chain is sequence-monotonic). Entry and posting slices
-// are append-only and sealed segments immutable, so the headers captured
-// under the shard RLock stay valid (and their elements immutable) after
-// the lock is released.
+// chain order (the chain is sequence-monotonic). The head's sequence
+// number is cached, so the merge compares shards by seq alone and
+// materialises only the winner.
 type cursor struct {
 	segs []segCursor
 	si   int
+	seq  uint64 // the head's arrival sequence; seqDone once exhausted
+	idx  int    // the head's record index within segs[si]
 }
 
-// segCursor walks one segment's entries (or one posting list into them).
-// A non-zero until caps the walk by arrival sequence: entries past it are
-// never visited (entry and posting sequences are ascending, so the first
-// over-bound head exhausts the cursor). A cursor captured over a cold
-// segment carries only the segment reference; thawCursors fills entries
-// and post from disk after the shard locks are released, before the
-// merge starts.
+const seqDone = ^uint64(0)
+
+// segCursor walks one segment: a sealed (or thawed) block in place, or
+// the active segment's buffers as captured under the shard read lock —
+// entry and posting slices are append-only, so those headers stay valid
+// (and their elements immutable) after the lock is released. Positions
+// i..n index the records themselves or, when listed, a posting list into
+// them. A cursor captured over a sealed segment carries only its block
+// (or, cold, the segment to thaw); resolve aims it after the shard locks
+// are released, before the merge starts.
 type segCursor struct {
-	entries []entry
-	post    []int // posting list into entries; nil means "every entry"
-	i       int
-	until   uint64   // inclusive sequence bound; 0 = none
-	cold    *segment // unresolved cold segment; nil once thawed
+	blk    *block
+	bpost  column   // listed block cursor: a run of the block's postings
+	ents   []entry  // active segment
+	post   []uint32 // listed active cursor: the posting slice
+	listed bool
+	i, n   int
+	cold   *segment // cold segment still to thaw; nil once resolved
 }
 
-func (c *segCursor) head() *entry {
-	var e *entry
-	if c.post != nil {
-		if c.i >= len(c.post) {
-			return nil
-		}
-		e = &c.entries[c.post[c.i]]
-	} else {
-		if c.i >= len(c.entries) {
-			return nil
-		}
-		e = &c.entries[c.i]
+// head maps a cursor position to its record's index and arrival
+// sequence.
+func (c *segCursor) head(k int) (idx int, seq uint64) {
+	switch {
+	case !c.listed:
+	case c.blk != nil:
+		k = int(c.bpost.at(k))
+	default:
+		k = int(c.post[k])
 	}
-	if c.until > 0 && e.seq > c.until {
-		return nil
+	if c.blk != nil {
+		return k, c.blk.seqAt(k)
 	}
-	return e
+	return k, c.ents[k].seq
 }
 
-func (c *cursor) head() *entry {
-	for c.si < len(c.segs) {
-		if e := c.segs[c.si].head(); e != nil {
-			return e
+// aim points the cursor at blk — or, when blk is nil, at the active
+// segment's buffers (caller holds the shard read lock) — through the
+// posting list sel names, and skips the positions at or below the since
+// watermark: sequences ascend along records and postings alike, so the
+// cut is a binary search. It reports whether anything is left to visit.
+func (c *segCursor) aim(sel *selector, blk *block, active *segment) bool {
+	c.blk, c.listed = blk, sel.listed
+	switch {
+	case blk == nil:
+		c.ents, c.n = active.entries, len(active.entries)
+		if sel.listed {
+			if sel.flow != nil {
+				c.post = active.byFlow[*sel.flow]
+			} else {
+				c.post = active.byLink[sel.link]
+			}
+			c.n = len(c.post)
 		}
-		c.si++
+	case !sel.listed:
+		c.n = blk.n
+	case sel.flow != nil:
+		c.bpost = blk.flowPostings(*sel.flow)
+		c.n = c.bpost.len()
+	default:
+		c.bpost = blk.linkPostings(sel.link)
+		c.n = c.bpost.len()
 	}
-	return nil
+	past := func(k int) bool { _, seq := c.head(k); return seq > sel.since }
+	if sel.since > 0 && c.n > 0 && !past(0) {
+		c.i = sort.Search(c.n, past)
+	}
+	return c.i < c.n
 }
 
-func (c *cursor) advance() { c.segs[c.si].i++ }
+// settle moves the cursor to its next head at or below until (0 = no
+// bound) and caches that head's sequence and record index. The chain is
+// sequence-monotonic, so the first head past the bound exhausts it.
+func (c *cursor) settle(until uint64) {
+	for ; c.si < len(c.segs); c.si++ {
+		sc := &c.segs[c.si]
+		if sc.i == sc.n {
+			continue
+		}
+		if c.idx, c.seq = sc.head(sc.i); until > 0 && c.seq > until {
+			break
+		}
+		return
+	}
+	c.seq = seqDone
+}
 
-// mergeWhile visits every cursor's entries in ascending global sequence
-// order, with early termination: iteration stops as soon as
-// fn returns false. Cancellation-aware scans (a query whose caller hung
-// up mid-evaluation) use this to bail out between records of the
-// cross-shard merge instead of finishing a pointless full scan.
-func mergeWhile(cursors []cursor, fn func(*types.Record) bool) {
+// merge visits every cursor's records in ascending global sequence
+// order, applying the selector's per-record terms, until fn returns
+// false. Cancellation-aware scans (a query whose caller hung up
+// mid-evaluation) use the early exit to bail out between records instead
+// of finishing a pointless full scan. A sealed record is materialised
+// into the buffer's one Record, valid only until fn returns; an active
+// one is visited where it lies.
+func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
+	cursors := b.cursors
+	for i := range cursors {
+		cursors[i].settle(sel.until)
+	}
+	checkFlow := sel.flow != nil && !sel.listed // unindexed: filter the shard's other flows
+	checkLink := sel.link != types.AnyLink && (sel.flow != nil || !sel.listed)
 	for {
-		var best *entry
-		bi := -1
+		best, bi := seqDone, -1
 		for i := range cursors {
-			if e := cursors[i].head(); e != nil && (best == nil || e.seq < best.seq) {
-				best, bi = e, i
+			if cursors[i].seq < best {
+				best, bi = cursors[i].seq, i
 			}
 		}
-		if best == nil {
+		if bi < 0 {
 			return
 		}
-		cursors[bi].advance()
-		if !fn(&best.rec) {
+		c := &cursors[bi]
+		sc := &c.segs[c.si]
+		rec := &b.rec
+		if sc.blk != nil {
+			sc.blk.record(c.idx, rec)
+		} else {
+			rec = &sc.ents[c.idx].rec
+		}
+		sc.i++
+		c.settle(sel.until)
+		if !rec.Overlaps(sel.tr) || (checkFlow && rec.Flow != *sel.flow) || (checkLink && !rec.Path.ContainsLink(sel.link)) {
+			continue
+		}
+		if !fn(best, rec) {
 			return
 		}
 	}
 }
 
-// snapshotCursors captures a consistent read view of every shard: per
-// surviving segment, the committed prefix of its entries slice plus
-// (optionally) one posting list. Segments whose time bounds do not
-// intersect tr — or whose sequence bounds fall wholly outside
-// (since, until] — are pruned: skipped whole, before any record is
-// touched. Shard chains are sequence-monotonic, so the watermark check is
-// a single comparison per sealed segment; inside the one segment
-// straddling the watermark the start position is found by binary search.
-// All shard read-locks are held simultaneously while the slice headers
-// are captured — sequence numbers are assigned under the shard write
-// lock, so a moment with every lock held observes a downward-closed
-// prefix of the global arrival order, exactly like the old single-lock
-// store. Capture is just header copies, so writers are stalled only
-// momentarily. The cursor list and its per-shard chains live in the
-// caller's pooled scanBuf.
-func (s *Store) snapshotCursors(buf *scanBuf, since, until uint64, link *types.LinkID, tr types.TimeRange) []cursor {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
+// capture takes a consistent read view of the given shards: per surviving
+// segment, a reference to its block (sealed segments are immutable, and a
+// cold one is a file) or, for the active segment, a cursor aimed at the
+// committed prefix of its buffers. Segments whose time bounds do not
+// intersect the range, whose sequence bounds fall wholly outside
+// (since, until], or — on single-flow scans — whose bloom rules the flow
+// out are pruned: skipped whole, before any record is touched. All the
+// shards' read locks are held at once while the views are captured —
+// sequence numbers are assigned under the shard write lock, so a moment
+// with every lock held observes a downward-closed prefix of the global
+// arrival order. Only the active segment's posting maps need the lock:
+// writers are stalled for a few comparisons and a pointer copy per segment.
+func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
+	for i := range shards {
+		shards[i].mu.RLock()
 	}
 	var scanned, pruned uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for i := range shards {
 		c := buf.next()
-		for _, seg := range sh.segs {
+		for _, seg := range shards[i].segs {
 			if seg.recs() == 0 {
 				continue
 			}
-			if seg.seqOutside(since, until) {
-				pruned++ // wholly outside the watermark window
-				continue
-			}
-			if !seg.overlaps(tr) {
+			if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
+				(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
 				pruned++
 				continue
 			}
-			if seg.cold {
-				// Entries (and postings, for the link path) live on
-				// disk; capture the reference now, demand-load after
-				// the locks drop.
-				scanned++
-				c.segs = append(c.segs, segCursor{cold: seg, until: until})
-				continue
-			}
-			sc := segCursor{entries: seg.entries, until: until}
-			if link != nil {
-				sc.post = trimPostings(seg.entries, seg.byLink[*link], since)
-				if len(sc.post) == 0 {
-					scanned++ // bound check passed; the index answered "none"
-					continue
+			scanned++ // even when the index then answers "none"
+			switch {
+			case seg.cold:
+				c.segs = append(c.segs, segCursor{cold: seg})
+			case seg.blk != nil:
+				c.segs = append(c.segs, segCursor{blk: seg.blk})
+			default:
+				var sc segCursor
+				if sc.aim(sel, nil, seg) {
+					c.segs = append(c.segs, sc)
 				}
-			} else {
-				sc.i = seg.seqStart(since)
 			}
-			scanned++
-			c.segs = append(c.segs, sc)
 		}
 		if len(c.segs) == 0 {
 			buf.drop()
 		}
 	}
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
+	for i := range shards {
+		shards[i].mu.RUnlock()
 	}
 	s.segScanned.Add(scanned)
 	s.segPruned.Add(pruned)
-	return buf.cursors
 }
 
-// thawCursors resolves every cold segment captured by snapshotCursors:
-// the segment's contents are demand-loaded from disk into a private
-// copy (the store is untouched) and the cursor is pointed at it, with
-// the same posting/watermark trimming a resident segment gets at
-// capture time. Runs after the shard locks are released — disk reads
-// must not stall writers. A segment evicted between capture and thaw
+// resolve finishes what capture deferred until the shard locks were
+// released: every cold segment's block is demand-loaded from disk (the
+// store is untouched — disk reads must not stall writers) and every
+// block cursor is aimed. A segment evicted between capture and thaw
 // resolves to an empty cursor (its data is gone exactly as if eviction
 // had won the race outright); any other failure aborts the scan with a
 // *ColdReadError.
-func (s *Store) thawCursors(buf *scanBuf, link *types.LinkID, since uint64) error {
+func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 	for ci := range buf.cursors {
-		c := &buf.cursors[ci]
-		for si := range c.segs {
-			sc := &c.segs[si]
-			if sc.cold == nil {
-				continue
-			}
-			th, err := s.thaw(sc.cold)
-			sc.cold = nil
-			if err != nil {
-				return err
-			}
-			if th == nil {
-				continue // evicted under the scan: nothing to visit
-			}
-			if link != nil {
-				sc.post = trimPostings(th.entries, th.byLink[*link], since)
-				if len(sc.post) == 0 {
-					continue
+		for si := range buf.cursors[ci].segs {
+			sc := &buf.cursors[ci].segs[si]
+			blk := sc.blk
+			if sc.cold != nil {
+				var err error
+				if blk, err = s.thaw(sc.cold); err != nil {
+					return err
 				}
-			} else {
-				sc.i = th.seqStart(since)
+				sc.cold = nil
 			}
-			sc.entries = th.entries
+			if blk != nil { // nil: an active segment, or one evicted under the scan
+				sc.aim(sel, blk, nil)
+			}
 		}
 	}
 	return nil
-}
-
-// trimPostings drops the prefix of a posting list at or below the
-// sequence watermark. Posting indexes ascend, and entry sequences ascend
-// with them, so the cut point is a binary search.
-func trimPostings(entries []entry, post []int, since uint64) []int {
-	if since == 0 || len(post) == 0 {
-		return post
-	}
-	cut := sort.Search(len(post), func(j int) bool {
-		return entries[post[j]].seq > since
-	})
-	return post[cut:]
 }
 
 // Scan visits every record matching the predicate triple in global
@@ -765,16 +833,22 @@ func (s *Store) Scan(flow *types.FlowID, link types.LinkID, tr types.TimeRange, 
 // ScanWhile is Scan with early termination: the scan stops as soon as fn
 // returns false. The predicate triple picks the cheapest access path —
 //
-//   - flow != nil: the flow's single shard, walking that flow's posting
-//     list inside each segment surviving time pruning;
+//   - flow != nil: the flow's single shard (all records of one flow live
+//     in one), walking that flow's posting list inside each segment
+//     surviving time and bloom pruning — a negative bloom probe prunes a
+//     sealed segment before its postings are consulted, which dominates
+//     on long-lived stores where a flow touches a handful of the shard's
+//     many segments;
 //   - concrete link: the link's posting lists inside surviving segments
 //     of every shard, merged by sequence;
 //   - otherwise: a full merge over surviving segments.
 //
 // In every case whole segments whose [min,max] time bounds miss tr are
 // skipped before a record is touched, and surviving records are filtered
-// by the remaining predicate terms. The error is nil unless a needed
-// cold segment failed to demand-load (*ColdReadError).
+// by the remaining predicate terms. The *Record handed to fn is valid
+// only until fn returns (copy it to keep it); its Path may be retained
+// — path arrays are immutable. The error is nil unless a needed cold
+// segment failed to demand-load (*ColdReadError).
 func (s *Store) ScanWhile(flow *types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record) bool) error {
 	return s.ScanSince(0, 0, flow, link, tr, fn)
 }
@@ -795,146 +869,26 @@ func (s *Store) ScanWhile(flow *types.FlowID, link types.LinkID, tr types.TimeRa
 // rather than return silently partial results, and the store's resident
 // contents are unaffected.
 func (s *Store) ScanSince(since, until uint64, flow *types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record) bool) error {
-	if flow != nil {
-		return s.scanFlowWhile(since, until, *flow, link, tr, fn)
-	}
-	buf := getScanBuf()
-	defer buf.release()
-	if s.indexed && !link.IsWildcard() {
-		cursors := s.snapshotCursors(buf, since, until, &link, tr)
-		if err := s.thawCursors(buf, &link, since); err != nil {
-			return err
-		}
-		mergeWhile(cursors, func(rec *types.Record) bool {
-			if rec.Overlaps(tr) {
-				return fn(rec)
-			}
-			return true
-		})
-		return nil
-	}
-	all := link == types.AnyLink
-	cursors := s.snapshotCursors(buf, since, until, nil, tr)
-	if err := s.thawCursors(buf, nil, since); err != nil {
-		return err
-	}
-	mergeWhile(cursors, func(rec *types.Record) bool {
-		if !rec.Overlaps(tr) {
-			return true
-		}
-		if all || rec.Path.ContainsLink(link) {
-			return fn(rec)
-		}
-		return true
-	})
-	return nil
+	sel := selector{since: since, until: until, flow: flow, link: link, tr: tr}
+	return s.scan(&sel, func(_ uint64, rec *types.Record) bool { return fn(rec) })
 }
 
-// scanFlowWhile is the single-shard flow path: all records of one flow
-// live in one shard, and inside it the flow's per-segment posting lists
-// (already in insertion order) are walked directly, bounded below and
-// above by the (since, until] sequence window. Sealed segments carry a
-// flow bloom filter: a negative probe prunes the segment before its
-// posting map is even consulted, which dominates on long-lived stores
-// where a flow touches a handful of the shard's many segments.
-func (s *Store) scanFlowWhile(since, until uint64, f types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record) bool) error {
-	sh := s.shardFor(f)
-	fh := flowHash64(f)
+// scan runs one selector over the store, handing fn each record with its
+// arrival sequence.
+func (s *Store) scan(sel *selector, fn func(uint64, *types.Record) bool) error {
+	shards := s.shards
+	if sel.flow != nil {
+		si := s.shardIndex(*sel.flow)
+		shards, sel.fh = s.shards[si:si+1], flowHash64(*sel.flow)
+	}
+	sel.listed = s.indexed && (sel.flow != nil || !sel.link.IsWildcard())
 	buf := getScanBuf()
 	defer buf.release()
-	sh.mu.RLock()
-	var scanned, pruned uint64
-	segs := buf.flat
-	for _, seg := range sh.segs {
-		if seg.recs() == 0 {
-			continue
-		}
-		if seg.seqOutside(since, until) {
-			pruned++
-			continue
-		}
-		if !seg.overlaps(tr) {
-			pruned++
-			continue
-		}
-		if seg.filter != nil && !seg.filter.mayContain(fh) {
-			pruned++ // the flow provably never hit this segment
-			continue
-		}
-		scanned++
-		if seg.cold {
-			// The bloom (retained resident) already said "maybe";
-			// demand-load after the lock drops.
-			segs = append(segs, segCursor{cold: seg, until: until})
-			continue
-		}
-		sc := segCursor{entries: seg.entries, until: until}
-		if s.indexed {
-			sc.post = trimPostings(seg.entries, seg.byFlow[f], since)
-			if len(sc.post) == 0 {
-				continue
-			}
-		} else {
-			sc.i = seg.seqStart(since)
-		}
-		segs = append(segs, sc)
+	s.capture(buf, shards, sel)
+	if err := s.resolve(buf, sel); err != nil {
+		return err
 	}
-	buf.flat = segs
-	sh.mu.RUnlock()
-	s.segScanned.Add(scanned)
-	s.segPruned.Add(pruned)
-
-	// Resolve cold captures outside the lock, trimming by the flow's
-	// posting list just as resident segments were at capture time.
-	for si := range segs {
-		sc := &segs[si]
-		if sc.cold == nil {
-			continue
-		}
-		th, err := s.thaw(sc.cold)
-		sc.cold = nil
-		if err != nil {
-			return err
-		}
-		if th == nil {
-			continue // evicted under the scan
-		}
-		if s.indexed {
-			sc.post = trimPostings(th.entries, th.byFlow[f], since)
-			if len(sc.post) == 0 {
-				continue
-			}
-		} else {
-			sc.i = th.seqStart(since)
-		}
-		sc.entries = th.entries
-	}
-
-	visit := func(rec *types.Record) bool {
-		if !rec.Overlaps(tr) {
-			return true
-		}
-		if link != types.AnyLink && !rec.Path.ContainsLink(link) {
-			return true
-		}
-		return fn(rec)
-	}
-	for si := range segs {
-		sc := &segs[si]
-		for {
-			e := sc.head()
-			if e == nil {
-				break
-			}
-			sc.i++
-			if sc.post == nil && e.rec.Flow != f {
-				continue // unindexed store: filter the shard's other flows
-			}
-			if !visit(&e.rec) {
-				return nil
-			}
-		}
-	}
+	buf.merge(sel, fn)
 	return nil
 }
 
