@@ -48,7 +48,6 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff before the first retry (default 50ms; doubles per attempt, jittered)")
 	pullSnapshot := flag.String("pull-snapshot", "", "capture the agent's TIB snapshot (GET /snapshot) into this file and exit; requires exactly one -agents entry. Serve it offline with pathdumpd -tib")
 	snapSince := flag.Uint64("snapshot-since", 0, "with -pull-snapshot: pull only the records past this arrival sequence (GET /snapshot?since_seq=N) — an incremental delta, or a full stream when the agent has evicted past the watermark (0 = full snapshot)")
-	wireMode := flag.String("wire", "binary", "wire encoding policy: binary (columnar requests and responses, JSON fallback for old daemons), json-req (JSON request bodies, binary responses) or json (JSON both directions, never offer binary)")
 	traceOut := flag.Bool("trace", false, "print the execution's span tree after the stats line: per-host rpc and TIB-scan timings, merge waves, with hedged/retried/dropped requests labelled")
 	fanouts := flag.String("fanouts", "", "comma-separated per-level widths for hierarchical (tree) aggregation, e.g. '4,2': agents are grouped under interior aggregation nodes instead of one flat fan-out (empty = flat)")
 	ctrlURL := flag.String("controller", "", "controller URL (pathdumpc) for the alarm-plane modes -alarms and -watch")
@@ -81,16 +80,6 @@ func main() {
 		log.Fatal(err)
 	}
 	transport := &rpc.HTTPTransport{URLs: urls}
-	switch *wireMode {
-	case "binary":
-		// default: columnar both directions, per-daemon fallback
-	case "json-req":
-		transport.JSONRequests = true
-	case "json":
-		transport.JSONOnly = true
-	default:
-		log.Fatalf("bad -wire %q (want binary, json-req or json)", *wireMode)
-	}
 	ctrl := controller.New(topo, transport, nil)
 	ctrl.Parallelism = *parallel
 	ctrl.PartialOnDeadline = *partial
@@ -118,12 +107,7 @@ func main() {
 		}
 		f, err := os.Create(*pullSnapshot)
 		check(err)
-		var n int64
-		if *snapSince > 0 {
-			n, err = transport.PullSnapshotSince(ctx, hosts[0], *snapSince, f)
-		} else {
-			n, err = transport.PullSnapshot(ctx, hosts[0], f)
-		}
+		n, err := transport.PullSnapshotSince(ctx, hosts[0], *snapSince, f)
 		if err != nil {
 			os.Remove(*pullSnapshot)
 			check(err)

@@ -1,7 +1,9 @@
-// Command pathdumpd runs one PathDump host agent as an HTTP daemon — the
+// Command pathdumpd runs PathDump host agents as an HTTP daemon — the
 // real-deployment analogue of the paper's Flask server stack. It serves
-// the host API (query/install/uninstall) for one host's TIB, either
-// loaded from a snapshot or populated by an embedded demo workload.
+// the host API (query/install/uninstall) for the TIBs of one or more
+// hosts, loaded from a snapshot or populated by an embedded demo
+// workload. Every mode serves the same endpoints: a single host is a
+// multi-host daemon of one.
 //
 //	# serve host 12 of a 4-ary fat-tree with demo traffic, on :8412
 //	pathdumpd -host 12 -listen :8412 -demo
@@ -22,7 +24,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -72,7 +73,6 @@ func main() {
 		slowOnce = flag.Bool("slow-first-only", false, "only the first query at -slow-host stalls; later ones (e.g. a hedged retry) answer at full speed")
 		impair   = flag.String("impair", "", "fault injection: semicolon-separated link impairments applied before the demo workload runs, each 'A-B:knob[,knob...]' with directed switch IDs and tc-style knobs loss=P (drop probability), rate=BPS (throttle; 0 kills the link's bandwidth), delay=DUR (added one-way latency), down (administratively down) — e.g. '0-8:loss=1;0-9:loss=1'")
 		poorFlow = flag.Bool("inject-poor-flow", false, "fault injection: register one wedged TCP flow at the lowest served host so an installed poor_tcp monitor deterministically raises POOR_PERF every period (e2e alarm-path testing)")
-		jsonOnly = flag.Bool("json-only", false, "speak JSON only: answer every query in JSON even when the client offers the binary wire encoding, and reject wire-encoded request bodies with 415 (clients retry those as JSON) — stands in for a daemon predating the wire protocol in mixed-version testing")
 		wireComp = flag.Bool("wire-compress", false, "flate-compress binary wire responses (trades CPU for bytes on slow links)")
 		maxBody  = flag.Int64("max-body", 0, "per-request body cap in bytes; oversized requests answer 413 (0 = the 16 MiB default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints stay off by default)")
@@ -179,6 +179,20 @@ func main() {
 		log.Printf("pathdumpd: forwarding alarms to %s", *alarmURL)
 	}
 
+	// Every mode ends here: one server type, keyed by the host IDs the
+	// daemon already knows.
+	serveTargets := func(targets map[types.HostID]rpc.Target) {
+		h := newHandler(&rpc.MultiAgentServer{
+			Targets: targets, Parallelism: *parallel,
+			MaxBodyBytes: *maxBody, WireCompress: *wireComp, Obs: srvObs,
+		}, *slowHost, *slowDly, *slowOnce)
+		log.Printf("pathdumpd: %d hosts serving on %s", len(targets), *listen)
+		fmt.Println("endpoints: POST /query /batchquery /install /uninstall, GET /stats /snapshot?host=N /healthz /metrics")
+		if err := serve(ctx, *listen, h, *timeout); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	switch {
 	case *tibPath != "":
 		if len(served) != 1 || *hostIDs != "" {
@@ -199,13 +213,9 @@ func main() {
 		srvObs.Health = func() rpc.HealthStatus {
 			return rpc.HealthStatus{Status: "ok", Hosts: 1, Records: store.Len(), Snapshot: "restored"}
 		}
-		srv := &rpc.AgentServer{T: rpc.SnapshotTarget{Store: store}, MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}
-		log.Printf("pathdumpd: snapshot %s serving on %s, %d TIB records in %d segments",
-			*tibPath, *listen, store.Len(), store.Segments())
-		fmt.Println("endpoints: POST /query /install /uninstall, GET /stats /snapshot /healthz /metrics")
-		if err := serve(ctx, *listen, srv.Handler(), *timeout); err != nil {
-			log.Fatal(err)
-		}
+		log.Printf("pathdumpd: snapshot %s loaded, %d TIB records in %d segments",
+			*tibPath, store.Len(), store.Segments())
+		serveTargets(map[types.HostID]rpc.Target{types.HostID(*hostID): rpc.SnapshotTarget{Store: store}})
 		return
 	case *demo:
 		hosts := c.HostIDs()
@@ -305,39 +315,11 @@ func main() {
 		}()
 	}
 
-	// The slow-host wrapper goes outside the lock wrapper: an injected
-	// stall must hold the straggling request's goroutine, never simMu —
-	// otherwise one wedged query would freeze the trigger pump and every
-	// install for the stall's duration.
-	target := func(id types.HostID, a *agent.Agent) rpc.Target {
-		var t fullTarget = lockedTarget{t: a, mu: &simMu}
-		if *slowHost >= 0 && types.HostID(*slowHost) == id {
-			log.Printf("pathdumpd: host %v injected slow (%v, first-only=%v)", id, *slowDly, *slowOnce)
-			t = &slowTarget{fullTarget: t, delay: *slowDly, once: *slowOnce}
-		}
-		return t
+	targets := make(map[types.HostID]rpc.Target, len(served))
+	for id, a := range served {
+		targets[id] = lockedTarget{Target: a, mu: &simMu}
 	}
-
-	var handler http.Handler
-	if len(served) == 1 && *hostIDs == "" {
-		for id, a := range served {
-			handler = (&rpc.AgentServer{T: target(id, a), MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}).Handler()
-			log.Printf("pathdumpd: host %v (%v) serving on %s, %d TIB records in %d segments",
-				a.Host.ID, a.Host.IP, *listen, a.Store.Len(), a.Store.Segments())
-		}
-		fmt.Println("endpoints: POST /query /install /uninstall, GET /stats /snapshot /healthz /metrics")
-	} else {
-		targets := make(map[types.HostID]rpc.Target, len(served))
-		for id, a := range served {
-			targets[id] = target(id, a)
-		}
-		handler = (&rpc.MultiAgentServer{Targets: targets, Parallelism: *parallel, MaxBodyBytes: *maxBody, DisableWire: *jsonOnly, WireCompress: *wireComp, Obs: srvObs}).Handler()
-		log.Printf("pathdumpd: %d hosts serving on %s", len(served), *listen)
-		fmt.Println("endpoints: POST /query /batchquery /install /uninstall, GET /stats /snapshot?host=N /healthz /metrics")
-	}
-	if err := serve(ctx, *listen, handler, *timeout); err != nil {
-		log.Fatal(err)
-	}
+	serveTargets(targets)
 }
 
 // applyImpairments parses and installs a -impair spec: semicolon-
@@ -405,15 +387,18 @@ func applyImpairments(c *pathdump.Cluster, spec string) (int, error) {
 	return n, nil
 }
 
-// fullTarget is the agent-backed surface the daemon serves: the base
-// Target plus every optional extension *agent.Agent provides.
-type fullTarget interface {
-	rpc.Target
-	rpc.ContextTarget
-	rpc.SegmentStatser
-	rpc.ColdStatser
-	rpc.Snapshotter
-	rpc.IncrementalSnapshotter
+// newHandler builds the daemon's one serving surface from srv, however
+// many targets it holds, after wrapping the injected-slow host (none when
+// slowHost < 0). That wrapper goes outermost: an injected stall must hold
+// the straggling request's goroutine, never the sim lock — otherwise one
+// wedged query would freeze the trigger pump and every install for the
+// stall's duration.
+func newHandler(srv *rpc.MultiAgentServer, slowHost int, slowDelay time.Duration, slowOnce bool) http.Handler {
+	if id := types.HostID(slowHost); slowHost >= 0 && srv.Targets[id] != nil {
+		log.Printf("pathdumpd: host %v injected slow (%v, first-only=%v)", id, slowDelay, slowOnce)
+		srv.Targets[id] = &slowTarget{Target: srv.Targets[id], delay: slowDelay, once: slowOnce}
+	}
+	return srv.Handler()
 }
 
 // lockedTarget serialises against the trigger pump's sim.Run everything
@@ -421,52 +406,40 @@ type fullTarget interface {
 // (install/uninstall register and cancel timers on the shared
 // simulator) and poor_tcp queries (the TCP stack has no lock of its
 // own, and PoorFlows advances per-sender scan state that the pump's
-// installed monitor also advances). TIB/trajectory-memory queries pass
-// straight through — those structures are safe for concurrent readers
-// while the pump's events append.
+// installed monitor also advances). Everything else — TIB and
+// trajectory-memory scans, streamed ones included — is the embedded
+// target's: those structures are safe for concurrent readers while the
+// pump's events append.
 type lockedTarget struct {
-	t  fullTarget
+	rpc.Target
 	mu *sync.Mutex
 }
 
-func (l lockedTarget) Execute(q query.Query) query.Result {
-	if q.Op == query.OpPoorTCP {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-	}
-	return l.t.Execute(q)
-}
 func (l lockedTarget) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
 	if q.Op == query.OpPoorTCP {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 	}
-	return l.t.ExecuteContext(ctx, q)
+	return l.Target.ExecuteContext(ctx, q)
 }
 func (l lockedTarget) Install(q query.Query, period types.Time) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.t.Install(q, period)
+	return l.Target.Install(q, period)
 }
 func (l lockedTarget) Uninstall(id int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.t.Uninstall(id)
-}
-func (l lockedTarget) TIBSize() int                    { return l.t.TIBSize() }
-func (l lockedTarget) SegmentStats() (uint64, uint64)  { return l.t.SegmentStats() }
-func (l lockedTarget) ColdStats() tib.ColdStats        { return l.t.ColdStats() }
-func (l lockedTarget) WriteSnapshot(w io.Writer) error { return l.t.WriteSnapshot(w) }
-func (l lockedTarget) WriteSnapshotSince(w io.Writer, since uint64) error {
-	return l.t.WriteSnapshotSince(w, since)
+	return l.Target.Uninstall(id)
 }
 
-// slowTarget injects a stall into one served host's query path so e2e
-// runs can exercise hedging and partial results against real binaries.
-// The stall honours the request context: a hung-up or deadline-expired
-// caller releases the handler immediately.
+// slowTarget injects a stall into one served host's query paths — the
+// materialised and the streamed one — so e2e runs can exercise hedging
+// and partial results against real binaries. The stall honours the
+// request context: a hung-up or deadline-expired caller releases the
+// handler immediately.
 type slowTarget struct {
-	fullTarget
+	rpc.Target
 	delay time.Duration
 	once  bool
 	hit   atomic.Bool
@@ -486,13 +459,18 @@ func (s *slowTarget) stall(ctx context.Context) error {
 	}
 }
 
-// ExecuteContext implements rpc.ContextTarget — the path the servers
-// prefer — so the stall is both injected and cancellable.
 func (s *slowTarget) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
 	if err := s.stall(ctx); err != nil {
 		return query.Result{}, err
 	}
-	return s.fullTarget.ExecuteContext(ctx, q)
+	return s.Target.ExecuteContext(ctx, q)
+}
+
+func (s *slowTarget) StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error {
+	if err := s.stall(ctx); err != nil {
+		return err
+	}
+	return s.Target.StreamRecords(ctx, q, fn)
 }
 
 // serve runs the daemon with per-request deadlines and a graceful

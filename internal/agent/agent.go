@@ -369,18 +369,14 @@ func (a *Agent) ExecuteContext(ctx context.Context, q query.Query) (query.Result
 
 // StreamRecords hands every record matching q's predicate to fn as the
 // scan visits it, never materialising the reply — the rpc servers use it
-// (via their RecordStreamer extension) to stream records-op responses
-// chunk by chunk. The scan polls ctx like ExecuteContext does; a caller
-// that hung up gets the context's error and a truncated stream.
+// to stream records-op responses chunk by chunk. The scan polls ctx like
+// ExecuteContext does; a caller that hung up gets the context's error and
+// a truncated stream.
 func (a *Agent) StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	v := a.view()
-	if cv, ok := v.(query.ContextView); ok {
-		v = cv.WithContext(ctx)
-	}
-	v.ScanRecords(query.PredicateOf(q), fn)
+	a.view().WithContext(ctx).ScanRecords(query.PredicateOf(q), fn)
 	return ctx.Err()
 }
 
@@ -564,17 +560,13 @@ func (a *Agent) SegmentStats() (scanned, pruned uint64) { return a.Store.Segment
 // attribute the demand loads they trigger.
 func (a *Agent) ColdStats() tib.ColdStats { return a.Store.ColdStats() }
 
-// WriteSnapshot streams the host's TIB in the block-framed snapshot
-// format — the /snapshot endpoint and offline analysis both read it. The
-// capture is consistent and momentary; ingest continues while the
-// snapshot streams.
-func (a *Agent) WriteSnapshot(w io.Writer) error { return a.Store.Snapshot(w) }
-
-// WriteSnapshotSince streams an incremental snapshot: only the records
-// with arrival sequence greater than since (the header's Since says so)
-// — or a full snapshot when the watermark cannot be served (see
-// tib.SnapshotSince). The /snapshot?since_seq=N endpoint calls this; a
-// standby applies the stream with tib.ApplyIncremental.
+// WriteSnapshotSince streams the host's TIB in the block-framed snapshot
+// format — the /snapshot endpoint and offline analysis both read it:
+// only the records with arrival sequence greater than since (the
+// header's Since says so), or everything when since is 0 or the
+// watermark cannot be served (see tib.SnapshotSince); a standby applies
+// the stream with tib.ApplyIncremental. The capture is consistent and
+// momentary; ingest continues while the snapshot streams.
 func (a *Agent) WriteSnapshotSince(w io.Writer, since uint64) error {
 	return a.Store.SnapshotSince(w, since)
 }

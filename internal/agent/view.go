@@ -35,7 +35,7 @@ func (v agentView) WithContext(ctx context.Context) query.View {
 	return v
 }
 
-func (a *Agent) view() query.View {
+func (a *Agent) view() agentView {
 	return agentView{a: a, live: a.Mem.Live()}
 }
 

@@ -53,14 +53,8 @@ func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
 
 // WithContext implements ContextView for bare-store views.
 func (v StoreView) WithContext(ctx context.Context) View {
-	return ctxStoreView{StoreView: v, ctx: ctx}
-}
-
-// ctxStoreView is a StoreView whose scans poll cancellation between
-// records.
-type ctxStoreView struct {
-	StoreView
-	ctx context.Context
+	v.ctx = ctx
+	return v
 }
 
 // PollCancel adapts a record visitor into an early-stopping one for
@@ -79,13 +73,4 @@ func PollCancel(ctx context.Context, fn func(*types.Record)) func(*types.Record)
 		fn(rec)
 		return true
 	}
-}
-
-// ScanRecords implements View with periodic cancellation checks: the
-// predicate is pushed down into the store's scan exactly as StoreView
-// does, and the visitor polls the context between records. As with every
-// error-less View scan, a cold-tier read fault leaves the answer
-// partial and counted in the store's ColdStats.
-func (v ctxStoreView) ScanRecords(p Predicate, fn func(*types.Record)) {
-	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, PollCancel(v.ctx, fn))
 }

@@ -111,6 +111,30 @@ func TestExecuteContextUnsupportedOp(t *testing.T) {
 	}
 }
 
+// TestStoreViewWithContextAbortsMidScan: the context rides the StoreView
+// itself — a view that was given one stops its scan at the first poll
+// that reports cancellation, and the same view without one runs to the
+// end.
+func TestStoreViewWithContextAbortsMidScan(t *testing.T) {
+	records := 6 * CancelCheckEvery
+	v := StoreView{S: bigStore(records)}
+	var polls atomic.Int64
+	ctx := &pollCancelCtx{Context: context.Background(), cancelAt: 0, pollsTotal: &polls}
+	visited := 0
+	v.WithContext(ctx).ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
+	if visited != CancelCheckEvery-1 {
+		t.Errorf("cancelled scan visited %d records, want %d (stop at the first poll)", visited, CancelCheckEvery-1)
+	}
+	if polls.Load() != 1 {
+		t.Errorf("context polled %d times, want 1", polls.Load())
+	}
+	visited = 0
+	v.ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
+	if visited != records {
+		t.Errorf("context-less scan visited %d records, want %d", visited, records)
+	}
+}
+
 // TestExecuteContextWallClock: a real context.WithCancel fired from
 // another goroutine cuts a large top-k short well before a full scan
 // would finish — the wall-clock shape of the mid-scan abort.

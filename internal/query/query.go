@@ -8,6 +8,7 @@ package query
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -169,7 +170,11 @@ type OpSupport interface {
 // used by tests and offline analysis of snapshots. It cannot serve
 // OpPoorTCP (there is no monitor behind a snapshot); ExecuteE surfaces
 // that as ErrUnsupported instead of a silently empty result.
-type StoreView struct{ S *tib.Store }
+type StoreView struct {
+	S *tib.Store
+	// ctx, set by WithContext, makes scans poll cancellation.
+	ctx context.Context
+}
 
 // PoorTCPFlows implements View. A bare store has no TCP monitor; use
 // ExecuteE (which consults Supports) to get an explicit ErrUnsupported
@@ -189,12 +194,17 @@ func (v StoreView) Supports(op Op) error {
 // and — when the predicate carries a sequence window — whole-segment
 // watermark skipping via ScanSince). The View contract has no error
 // channel; a cold-tier read fault leaves the answer partial and counted
-// in the store's ColdStats (see tib.Store.Flows).
+// in the store's ColdStats (see tib.Store.Flows). With a context
+// attached the visitor polls it between records and stops early.
 func (v StoreView) ScanRecords(p Predicate, fn func(*types.Record)) {
-	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, func(rec *types.Record) bool {
+	visit := func(rec *types.Record) bool {
 		fn(rec)
 		return true
-	})
+	}
+	if v.ctx != nil {
+		visit = PollCancel(v.ctx, fn)
+	}
+	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, visit)
 }
 
 // ExecuteE runs a query against a host's view, reporting ErrUnsupported

@@ -10,11 +10,11 @@ package rpc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"strconv"
+	"slices"
 	"sync"
 
 	"pathdump/internal/controller"
@@ -23,12 +23,14 @@ import (
 	"pathdump/internal/wire"
 )
 
-// MultiAgentServer serves the host API for several co-located agents. All
-// per-host endpoints (/query, /install, /uninstall) require the request's
-// Host field; /batchquery executes one query across many hosts
-// server-side, fanning out concurrently. Install/uninstall handlers are
-// serialised across all hosts: co-located agents share one simulator,
-// whose timer heap is not safe for concurrent mutation.
+// MultiAgentServer serves the host API for several co-located agents.
+// The per-host endpoints (/query, /install, /uninstall, /snapshot) pick
+// their agent by the request's host field, which may be omitted only
+// when exactly one agent is served; /batchquery executes one query
+// across many hosts server-side, fanning out concurrently.
+// Install/uninstall handlers are serialised across all hosts: co-located
+// agents share one simulator, whose timer heap is not safe for
+// concurrent mutation.
 type MultiAgentServer struct {
 	Targets map[types.HostID]Target
 	// Parallelism bounds the server-side batch fan-out (<= 0 unlimited).
@@ -37,10 +39,6 @@ type MultiAgentServer struct {
 	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody); batch
 	// installs across many hosts may need it raised.
 	MaxBodyBytes int64
-	// DisableWire forces JSON responses even for clients that offer the
-	// binary wire encoding, and rejects wire-encoded request bodies with
-	// 415 so clients fall back to JSON (mixed-version testing).
-	DisableWire bool
 	// WireCompress flate-compresses wire-encoded responses.
 	WireCompress bool
 	// Obs mounts the server's observability surface — /metrics,
@@ -54,6 +52,11 @@ type MultiAgentServer struct {
 // target resolves one request's agent.
 func (s *MultiAgentServer) target(h *types.HostID) (Target, error) {
 	if h == nil {
+		if len(s.Targets) == 1 {
+			for _, t := range s.Targets {
+				return t, nil
+			}
+		}
 		return nil, errors.New("rpc: multi-agent server requires a host field")
 	}
 	t, ok := s.Targets[*h]
@@ -63,36 +66,21 @@ func (s *MultiAgentServer) target(h *types.HostID) (Target, error) {
 	return t, nil
 }
 
-// Handler returns the daemon's HTTP mux.
+// Handler returns the daemon's HTTP mux: the shared host API plus
+// /batchquery.
 func (s *MultiAgentServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.Obs.wrap("query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		if streamQueryResponse(w, r, t, req.Query, s.DisableWire, s.WireCompress) {
-			return
-		}
-		span, cold0 := traceScan(r, t)
-		res, sc, sp, err := executeMeta(r.Context(), t, req.Query)
-		if err != nil {
-			writeExecuteError(w, err)
-			return
-		}
-		finishScan(span, t, sc, sp, cold0)
-		writeQueryResponse(w, r, s.DisableWire, s.WireCompress,
-			QueryResponse{Result: res, RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
-		query.PutRecordBuf(res.Records)
-	}))
+	api := hostAPI{
+		resolve:  s.target,
+		targets:  slices.Collect(maps.Values(s.Targets)),
+		maxBody:  s.MaxBodyBytes,
+		compress: s.WireCompress,
+		obs:      s.Obs,
+		instMu:   &s.instMu,
+	}
+	mux := api.mux()
 	mux.HandleFunc("/batchquery", s.Obs.wrap("batchquery", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchQueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
 			return
 		}
 		replies, err := s.runBatch(r.Context(), req)
@@ -100,71 +88,11 @@ func (s *MultiAgentServer) Handler() http.Handler {
 			writeExecuteError(w, err)
 			return
 		}
-		writeBatchResponse(w, r, s.DisableWire, s.WireCompress, replies)
+		writeBatchResponse(w, r, s.WireCompress, replies)
 		for i := range replies {
 			query.PutRecordBuf(replies[i].Result.Records)
 		}
 	}))
-	mux.HandleFunc("/snapshot", s.Obs.wrap("snapshot", snapshotHandler(func(r *http.Request) (Target, error) {
-		n, err := strconv.Atoi(r.URL.Query().Get("host"))
-		if err != nil {
-			return nil, fmt.Errorf("rpc: /snapshot needs a numeric ?host parameter: %w", err)
-		}
-		h := types.HostID(n)
-		return s.target(&h)
-	})))
-	mux.HandleFunc("/install", s.Obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
-		var req InstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		s.instMu.Lock()
-		id, err := install(t, req.Query, req.Period)
-		s.instMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotImplemented)
-			return
-		}
-		encode(w, InstallResponse{ID: id})
-	}))
-	mux.HandleFunc("/uninstall", s.Obs.wrap("uninstall", func(w http.ResponseWriter, r *http.Request) {
-		var req UninstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
-			return
-		}
-		t, err := s.target(req.Host)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		s.instMu.Lock()
-		err = t.Uninstall(req.ID)
-		s.instMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		encode(w, struct{}{})
-	}))
-	mux.HandleFunc("/stats", s.Obs.wrap("stats", func(w http.ResponseWriter, r *http.Request) {
-		total := 0
-		for _, t := range s.Targets {
-			total += t.TIBSize()
-		}
-		encode(w, map[string]int{"records": total, "hosts": len(s.Targets)})
-	}))
-	mountObs(mux, s.Obs, func() HealthStatus {
-		total := 0
-		for _, t := range s.Targets {
-			total += t.TIBSize()
-		}
-		return HealthStatus{Status: "ok", Hosts: len(s.Targets), Records: total}
-	})
 	return mux
 }
 
@@ -189,7 +117,7 @@ func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) 
 	var wg sync.WaitGroup
 	for i, h := range req.Hosts {
 		wg.Add(1)
-		go func(i int, h types.HostID) {
+		go func() {
 			defer wg.Done()
 			if sem != nil {
 				select {
@@ -216,7 +144,7 @@ func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) 
 			replies[i].RecordsScanned = t.TIBSize()
 			replies[i].SegmentsScanned = sc
 			replies[i].SegmentsPruned = sp
-		}(i, h)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -321,26 +249,33 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 		// return that one agent's records once per requested host
 		// (silently duplicated data), so fail loudly instead.
 		err = fmt.Errorf("rpc: %s serves a single agent (no /batchquery) but %d hosts map to it — run a multi-host daemon (pathdumpd -hosts) or give each host its own URL", url, len(idx))
-		for _, i := range idx {
-			replies[i].Err = err
-		}
-		return
 	}
-	if err == nil && len(resp.Replies) != len(idx) {
-		err = fmt.Errorf("rpc: %s/batchquery returned %d replies for %d hosts", url, len(resp.Replies), len(idx))
+	if err == nil && len(resp) != len(idx) {
+		err = fmt.Errorf("rpc: %s/batchquery returned %d replies for %d hosts", url, len(resp), len(idx))
+	}
+	// Reply j must be host j's: merging a section under the requested
+	// label without looking at the one it carries would file one host's
+	// records under another's name.
+	for j := 0; err == nil && j < len(resp); j++ {
+		if resp[j].Host != batch[j] {
+			err = fmt.Errorf("rpc: %s/batchquery reply %d is for host %v, asked for %v", url, j, resp[j].Host, batch[j])
+		}
 	}
 	if err != nil {
+		for j := range resp {
+			query.PutRecordBuf(resp[j].Result.Records)
+		}
 		for _, i := range idx {
 			replies[i].Err = err
 		}
 		return
 	}
 	for j, i := range idx {
-		rep := resp.Replies[j]
+		rep := &resp[j]
 		out := controller.BatchReply{Host: hosts[i], Result: rep.Result, Meta: controller.QueryMeta{
-			RecordsScanned:  rep.RecordsScanned,
-			SegmentsScanned: rep.SegmentsScanned,
-			SegmentsPruned:  rep.SegmentsPruned,
+			RecordsScanned:  rep.Meta.RecordsScanned,
+			SegmentsScanned: rep.Meta.SegmentsScanned,
+			SegmentsPruned:  rep.Meta.SegmentsPruned,
 		}}
 		if rep.Error != "" {
 			out.Err = fmt.Errorf("rpc: host %v: %s", hosts[i], rep.Error)
@@ -349,44 +284,31 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 	}
 }
 
-// postBatch issues one /batchquery round trip, holding a sem slot for the
-// request and the response decode, and follows the response Content-Type:
-// binary wire frames when the daemon took the negotiation offer, JSON from
-// older daemons. The HTTP status is reported so the caller can recognise
+// postBatch issues one /batchquery round trip, holding a sem slot (nil =
+// unlimited; the wait ends with ctx) for the request and the response
+// decode. The HTTP status is reported so the caller can recognise
 // single-agent daemons (404/405).
-func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQueryRequest, sem chan struct{}) (BatchQueryResponse, int, error) {
-	var out BatchQueryResponse
-	release, err := acquire(ctx, sem)
-	if err != nil {
-		return out, 0, err
+func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQueryRequest, sem chan struct{}) ([]wire.BatchReply, int, error) {
+	if sem != nil {
+		select {
+		case sem <- struct{}{}:
+			defer func() { <-sem }()
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		}
 	}
-	defer release()
-	resp, err := t.doPost(ctx, base, "/batchquery", req, !t.JSONOnly)
+	resp, err := t.doPost(ctx, base, "/batchquery", req, true)
 	if err != nil {
 		status := 0
 		if resp != nil {
 			status = resp.StatusCode
 		}
-		return out, status, err
+		return nil, status, err
 	}
 	defer closeBody(resp)
-	if wire.IsWire(resp.Header.Get("Content-Type")) {
-		wireReplies, err := wire.ReadBatch(resp.Body)
-		if err != nil {
-			return out, resp.StatusCode, err
-		}
-		out.Replies = make([]BatchQueryReply, len(wireReplies))
-		for i := range wireReplies {
-			out.Replies[i] = BatchQueryReply{
-				Host:            wireReplies[i].Host,
-				Result:          wireReplies[i].Result,
-				RecordsScanned:  wireReplies[i].Meta.RecordsScanned,
-				SegmentsScanned: wireReplies[i].Meta.SegmentsScanned,
-				SegmentsPruned:  wireReplies[i].Meta.SegmentsPruned,
-				Error:           wireReplies[i].Error,
-			}
-		}
-		return out, resp.StatusCode, nil
+	if ct := resp.Header.Get("Content-Type"); !wire.IsWire(ct) {
+		return nil, resp.StatusCode, &UnexpectedContentTypeError{URL: base + "/batchquery", ContentType: ct}
 	}
-	return out, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&out)
+	replies, err := wire.ReadBatch(resp.Body)
+	return replies, resp.StatusCode, err
 }

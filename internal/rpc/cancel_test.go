@@ -13,16 +13,23 @@ import (
 
 	"pathdump/internal/controller"
 	"pathdump/internal/query"
+	"pathdump/internal/tib"
 	"pathdump/internal/topology"
 	"pathdump/internal/types"
 )
 
-// slowTarget is an agent stand-in whose query evaluation takes a real
-// delay and honours cancellation, counting how many executions started —
-// the observable for "the server-side fan-out stopped".
+// slowTarget is a target whose query evaluation takes a real delay and
+// honours cancellation, counting how many executions started — the
+// observable for "the server-side fan-out stopped". Everything else is
+// the embedded target's.
 type slowTarget struct {
+	Target
 	delay    time.Duration
 	executed atomic.Int32
+}
+
+func newSlowTarget(delay time.Duration) *slowTarget {
+	return &slowTarget{Target: SnapshotTarget{Store: tib.NewStore()}, delay: delay}
 }
 
 func (t *slowTarget) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
@@ -37,14 +44,6 @@ func (t *slowTarget) ExecuteContext(ctx context.Context, q query.Query) (query.R
 	return query.Result{Op: q.Op}, nil
 }
 
-func (t *slowTarget) Execute(q query.Query) query.Result {
-	res, _ := t.ExecuteContext(context.Background(), q)
-	return res
-}
-func (t *slowTarget) Install(query.Query, types.Time) int { return 1 }
-func (t *slowTarget) Uninstall(int) error                 { return nil }
-func (t *slowTarget) TIBSize() int                        { return 100 }
-
 // TestBatchQueryClientDisconnect: a client that hangs up mid-/batchquery
 // must stop the daemon's server-side fan-out — hosts not yet started are
 // never executed, and the in-flight one aborts its scan.
@@ -57,7 +56,7 @@ func TestBatchQueryClientDisconnect(t *testing.T) {
 	slow := make([]*slowTarget, hosts)
 	ids := make([]types.HostID, hosts)
 	for i := range slow {
-		slow[i] = &slowTarget{delay: delay}
+		slow[i] = newSlowTarget(delay)
 		targets[types.HostID(i)] = slow[i]
 		ids[i] = types.HostID(i)
 	}
@@ -125,7 +124,7 @@ func TestControllerTimeoutOverHTTP(t *testing.T) {
 	urls := make(map[types.HostID]string, hosts)
 	hostIDs := make([]types.HostID, hosts)
 	for i := 0; i < hosts; i++ {
-		targets[types.HostID(i)] = &slowTarget{delay: delay}
+		targets[types.HostID(i)] = newSlowTarget(delay)
 		hostIDs[i] = types.HostID(i)
 	}
 	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, Parallelism: 1}).Handler())
@@ -156,7 +155,7 @@ func TestControllerTimeoutOverHTTP(t *testing.T) {
 // outlives the per-request deadline (http.TimeoutHandler, pathdumpd's
 // -timeout flag) answers 503 and aborts the evaluation.
 func TestAgentServerQueryTimeout(t *testing.T) {
-	slow := &slowTarget{delay: 300 * time.Millisecond}
+	slow := newSlowTarget(300 * time.Millisecond)
 	h := http.TimeoutHandler((&AgentServer{T: slow}).Handler(), 50*time.Millisecond, "deadline exceeded")
 	srv := httptest.NewServer(h)
 	defer srv.Close()

@@ -44,10 +44,9 @@ func benchFleet(b *testing.B, ndaemons, perDaemon, nrec int, reg *obs.Registry) 
 // 32 records per host over real loopback HTTP, at parallelism 1 versus
 // 8. This is the successor of the simulated-transport bench of the same
 // name (now BenchmarkParallelFanoutSim in internal/controller): it
-// measures what that one modelled — request encode, content-negotiated
-// response encode/decode, and connection reuse — so codec and transport
-// regressions land here. The -json sub-bench keeps the fallback path
-// honest and quantifies what the columnar encoding buys.
+// measures what that one modelled — request encode, response
+// encode/decode, and connection reuse — so codec and transport
+// regressions land here.
 func BenchmarkParallelFanout(b *testing.B) {
 	const (
 		daemons   = 8
@@ -75,7 +74,6 @@ func BenchmarkParallelFanout(b *testing.B) {
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallelism-%d", p), run(&HTTPTransport{URLs: urls}, p))
 	}
-	b.Run("parallelism-8-json", run(&HTTPTransport{URLs: urls, JSONOnly: true}, 8))
 }
 
 // BenchmarkTracedFanout is BenchmarkParallelFanout with the
@@ -110,5 +108,4 @@ func BenchmarkTracedFanout(b *testing.B) {
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallelism-%d", p), run(&HTTPTransport{URLs: urls}, p))
 	}
-	b.Run("parallelism-8-json", run(&HTTPTransport{URLs: urls, JSONOnly: true}, 8))
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pathdump/internal/obs"
-	"pathdump/internal/tib"
 	"pathdump/internal/wire"
 )
 
@@ -111,6 +110,16 @@ func (so *ServerObs) wrap(op string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// snapshotErrors registers the counter of /snapshot streams that failed
+// after their status line was committed. With no registry it returns a
+// nil counter, which no-ops.
+func (so *ServerObs) snapshotErrors() *obs.Counter {
+	if so == nil || so.Registry == nil {
+		return nil
+	}
+	return so.Registry.Counter("pathdump_rpc_snapshot_errors_total", "Snapshot streams that failed mid-body (the puller saw a truncated stream).")
+}
+
 // obsWriter captures status and body bytes as they pass through; it
 // forwards Flush so streaming handlers (SSE, snapshots) keep working.
 type obsWriter struct {
@@ -185,16 +194,9 @@ func mountObs(mux *http.ServeMux, so *ServerObs, defaultHealth func() HealthStat
 	}
 }
 
-// ColdStatser is an optional Target extension reporting the backing
-// store's cold-tier telemetry; traced scans report the demand loads
-// they caused.
-type ColdStatser interface {
-	ColdStats() tib.ColdStats
-}
-
 // traceScan starts the agent-side scan span when the request carries a
 // controller-minted trace ID, returning the span and the target's
-// cold-load watermark for delta attribution (0 when untracked).
+// cold-load watermark for delta attribution.
 func traceScan(r *http.Request, t Target) (*obs.Span, uint64) {
 	tid := r.Header.Get(TraceHeader)
 	if tid == "" {
@@ -202,11 +204,7 @@ func traceScan(r *http.Request, t Target) (*obs.Span, uint64) {
 	}
 	sp := obs.NewSpan("scan")
 	sp.SetAttr("trace", tid)
-	var cold uint64
-	if cs, ok := t.(ColdStatser); ok {
-		cold = cs.ColdStats().Loads
-	}
-	return sp, cold
+	return sp, t.ColdStats().Loads
 }
 
 // finishScan annotates the scan span with the execution's telemetry
@@ -219,9 +217,7 @@ func finishScan(sp *obs.Span, t Target, segScanned, segPruned int, cold0 uint64)
 	sp.SetInt("records", int64(t.TIBSize()))
 	sp.SetInt("segments_scanned", int64(segScanned))
 	sp.SetInt("segments_pruned", int64(segPruned))
-	if cs, ok := t.(ColdStatser); ok {
-		sp.SetInt("cold_loads", int64(cs.ColdStats().Loads-cold0))
-	}
+	sp.SetInt("cold_loads", int64(t.ColdStats().Loads-cold0))
 	sp.Finish()
 }
 

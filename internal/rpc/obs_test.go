@@ -155,31 +155,43 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// TestTraceSpanRoundTrip: a traced context stamps the TraceHeader on
-// the request, and the agent's scan span rides back — in the body for
-// JSON replies, in the SpanHeader for buffered wire replies — landing
-// in QueryMeta.Span either way. Untraced requests carry no span.
+// TestTraceSpanRoundTrip: a traced request gets the agent's scan span
+// back in whichever slot its reply encoding has — the SpanHeader for the
+// transport's buffered wire replies (landing in QueryMeta.Span), the
+// body for a JSON reply to a curl-style request. Untraced requests carry
+// no span.
 func TestTraceSpanRoundTrip(t *testing.T) {
 	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 50)}}).Handler())
 	defer srv.Close()
-	urls := map[types.HostID]string{7: srv.URL}
+	tr := &HTTPTransport{URLs: map[types.HostID]string{7: srv.URL}}
 	q := query.Query{Op: query.OpTopK, K: 3}
 
 	for _, tc := range []struct {
 		name string
-		tr   *HTTPTransport
+		// span runs q, traced with tid when it is non-empty, and returns
+		// the scan span the reply carried.
+		span func(t *testing.T, tid string) *obs.Span
 	}{
-		{"wire", &HTTPTransport{URLs: urls}},
-		{"json", &HTTPTransport{URLs: urls, JSONOnly: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tid := obs.NewTraceID()
-			ctx := obs.ContextWithTrace(context.Background(), tid)
-			_, meta, err := tc.tr.Query(ctx, 7, q)
+		{"wire", func(t *testing.T, tid string) *obs.Span {
+			_, meta, err := tr.Query(obs.ContextWithTrace(context.Background(), tid), 7, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp := meta.Span
+			return meta.Span
+		}},
+		{"json", func(t *testing.T, tid string) *obs.Span {
+			var resp QueryResponse
+			hdr := http.Header{}
+			if tid != "" {
+				hdr.Set(TraceHeader, tid)
+			}
+			postJSON(t, srv.URL+"/query", hdr, QueryRequest{Query: q}, &resp)
+			return resp.Span
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tid := obs.NewTraceID()
+			sp := tc.span(t, tid)
 			if sp == nil {
 				t.Fatal("traced query returned no span")
 			}
@@ -189,13 +201,8 @@ func TestTraceSpanRoundTrip(t *testing.T) {
 			if sp.Attr("records") == "" || sp.Attr("segments_scanned") == "" {
 				t.Fatalf("span missing scan telemetry: %s", sp.Render())
 			}
-
-			_, meta, err = tc.tr.Query(context.Background(), 7, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meta.Span != nil {
-				t.Fatalf("untraced query carried a span: %s", meta.Span.Render())
+			if sp := tc.span(t, ""); sp != nil {
+				t.Fatalf("untraced query carried a span: %s", sp.Render())
 			}
 		})
 	}

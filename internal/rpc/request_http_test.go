@@ -1,20 +1,21 @@
-// Tests for the request side of the wire negotiation: binary request
-// bodies against modern daemons, the transparent JSON fallback against
-// daemons that reject them (415 from -json-only, 400 from pre-wire
-// JSON decoders), the per-URL fallback memory, and the no-double-install
-// guarantee the decode-before-side-effect ordering provides.
+// Tests for the request side: the transport sends one encoding per
+// request type and sends it once — binary frames for query, batch and
+// install bodies, accepted by the daemons; a daemon that rejects a frame
+// is a *StatusError after exactly one request, never retried as JSON and
+// never remembered — while the servers still follow whatever encoding a
+// request body arrives in.
 package rpc
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,109 +52,94 @@ func (c *ctCounter) counts() (wireReqs, jsonReqs int) {
 	return c.wireReqs, c.jsonReqs
 }
 
-// legacyDaemon emulates a daemon that predates wire-encoded requests
-// entirely: its JSON decoder chokes on a frame body and answers 400,
-// exactly like the old decode() fed frame bytes.
-func legacyDaemon(h http.Handler) http.Handler {
+// rejectWire makes h answer code to every wire-encoded request body
+// before it reaches a handler: 415 is a server that will not take
+// frames, 400 one whose JSON decoder choked on them.
+func rejectWire(h http.Handler, code int) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if wire.IsWire(r.Header.Get("Content-Type")) {
-			http.Error(w, "bad request: invalid character 'P' looking for beginning of value", http.StatusBadRequest)
+			http.Error(w, "bad request: invalid character 'P' looking for beginning of value", code)
 			return
 		}
 		h.ServeHTTP(w, r)
 	})
 }
 
-// TestRequestSideFallbackMatrix runs the same queries through every
-// request-side pairing — binary requests against a modern daemon, a
-// -json-only daemon (415), and a pre-wire daemon (400), plus the
-// JSONRequests client mode — and requires identical results everywhere,
-// while asserting which encoding each pairing actually sent and that a
-// rejecting daemon is remembered after one probe.
+// TestRequestSideFallbackMatrix pins that there is no request-side
+// fallback. Against a daemon that takes frames every request body is a
+// frame; against one that rejects them — 415 or 400, answered before any
+// handler runs — each call is exactly one request and a *StatusError,
+// on the first call and on the tenth alike (nothing is retried as JSON,
+// nothing is remembered per daemon). The servers' half survives: a JSON
+// request body that offers wire in Accept gets the same records back in
+// a frame.
 func TestRequestSideFallbackMatrix(t *testing.T) {
 	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
-	newDaemon := func(disableWire bool, legacy bool) (*ctCounter, map[types.HostID]string, []types.HostID) {
+	newDaemon := func(t *testing.T, reject int) (*ctCounter, string, *HTTPTransport, []types.HostID) {
 		targets := make(map[types.HostID]Target)
+		urls := make(map[types.HostID]string)
 		var hosts []types.HostID
 		for i := 0; i < 3; i++ {
 			h := types.HostID(90 + i)
 			targets[h] = SnapshotTarget{Store: seedStore(90+i, 40)}
 			hosts = append(hosts, h)
 		}
-		var h http.Handler = (&MultiAgentServer{Targets: targets, DisableWire: disableWire}).Handler()
-		if legacy {
-			h = legacyDaemon(h)
+		var h http.Handler = (&MultiAgentServer{Targets: targets}).Handler()
+		if reject != 0 {
+			h = rejectWire(h, reject)
 		}
 		cc := &ctCounter{h: h}
 		srv := httptest.NewServer(cc)
 		t.Cleanup(srv.Close)
-		urls := make(map[types.HostID]string)
 		for _, hh := range hosts {
 			urls[hh] = srv.URL
 		}
-		return cc, urls, hosts
+		return cc, srv.URL, &HTTPTransport{URLs: urls}, hosts
 	}
 
-	type pairing struct {
-		name         string
-		disableWire  bool
-		legacy       bool
-		jsonRequests bool
-		// wantWire is how many wire-encoded request bodies the daemon
-		// should see across both rounds: all of them against a modern
-		// daemon, exactly one probe against a rejecting one, none from a
-		// JSONRequests client.
-		wantWire func(wireReqs, jsonReqs int) error
-	}
-	pairings := []pairing{
-		{name: "wire-req-modern-daemon", wantWire: func(w, j int) error {
-			if w == 0 || j != 0 {
-				return fmt.Errorf("modern daemon saw %d wire / %d json request bodies, want all wire", w, j)
+	t.Run("wire-req-modern-daemon", func(t *testing.T) {
+		cc, _, tr, hosts := newDaemon(t, 0)
+		for round := 0; round < 2; round++ {
+			res, meta, err := tr.Query(context.Background(), hosts[0], q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}},
-		{name: "wire-req-415-daemon", disableWire: true, wantWire: func(w, j int) error {
-			if w != 1 || j == 0 {
-				return fmt.Errorf("415 daemon saw %d wire / %d json request bodies, want exactly one probe", w, j)
+			if meta.RecordsScanned != 40 || len(res.Records) != 40 {
+				t.Fatalf("round %d: %d records, meta %+v", round, len(res.Records), meta)
 			}
-			return nil
-		}},
-		{name: "wire-req-legacy-400-daemon", legacy: true, wantWire: func(w, j int) error {
-			if w != 1 || j == 0 {
-				return fmt.Errorf("legacy daemon saw %d wire / %d json request bodies, want exactly one probe", w, j)
+		}
+		replies, err := tr.QueryMany(context.Background(), hosts, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range replies {
+			if rep.Err != nil || len(rep.Result.Records) != 40 {
+				t.Fatalf("batch host %v: %d records, err %v", rep.Host, len(rep.Result.Records), rep.Err)
 			}
-			return nil
-		}},
-		{name: "json-req-client-modern-daemon", jsonRequests: true, wantWire: func(w, j int) error {
-			if w != 0 || j == 0 {
-				return fmt.Errorf("JSONRequests client sent %d wire / %d json request bodies, want none wire", w, j)
-			}
-			return nil
-		}},
-	}
+		}
+		if w, j := cc.counts(); w != 3 || j != 0 {
+			t.Fatalf("daemon saw %d wire / %d json request bodies, want 3 / 0", w, j)
+		}
+	})
 
-	var want []types.Record
-	for _, p := range pairings {
-		t.Run(p.name, func(t *testing.T) {
-			cc, urls, hosts := newDaemon(p.disableWire, p.legacy)
-			tr := &HTTPTransport{URLs: urls, JSONRequests: p.jsonRequests}
-
-			// Two rounds of per-host queries plus a batch: the second
-			// round against a rejecting daemon must go straight to JSON
-			// (fallback remembered), keeping the wire-probe count at one.
-			var first []types.Record
-			for round := 0; round < 2; round++ {
-				res, meta, err := tr.Query(context.Background(), hosts[0], q)
-				if err != nil {
-					t.Fatal(err)
+	for name, code := range map[string]int{
+		"wire-req-415-daemon":        http.StatusUnsupportedMediaType,
+		"wire-req-legacy-400-daemon": http.StatusBadRequest,
+	} {
+		t.Run(name, func(t *testing.T) {
+			cc, _, tr, hosts := newDaemon(t, code)
+			wantStatus := func(call string, err error) {
+				t.Helper()
+				var se *StatusError
+				if !errors.As(err, &se) || se.Code != code {
+					t.Fatalf("%s: err = %v, want *StatusError %d", call, err, code)
 				}
-				if meta.RecordsScanned != 40 || len(res.Records) != 40 {
-					t.Fatalf("round %d: %d records, meta %+v", round, len(res.Records), meta)
-				}
-				if first == nil {
-					first = res.Records
-				} else if !reflect.DeepEqual(first, res.Records) {
-					t.Fatalf("round %d diverged from round 0", round)
+			}
+			for call := 1; call <= 10; call++ {
+				_, _, err := tr.Query(context.Background(), hosts[0], q)
+				wantStatus("Query", err)
+				if w, j := cc.counts(); w != call || j != 0 {
+					t.Fatalf("after %d calls the daemon saw %d wire / %d json request bodies, want one wire request per call", call, w, j)
 				}
 			}
 			replies, err := tr.QueryMany(context.Background(), hosts, q, 2)
@@ -161,40 +147,57 @@ func TestRequestSideFallbackMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rep := range replies {
-				if rep.Err != nil {
-					t.Fatal(rep.Err)
-				}
-				if len(rep.Result.Records) != 40 {
-					t.Fatalf("batch host %v: %d records", rep.Host, len(rep.Result.Records))
-				}
+				wantStatus("QueryMany slot", rep.Err)
 			}
-			if err := p.wantWire(cc.counts()); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = first
-			} else if !reflect.DeepEqual(want, first) {
-				t.Fatalf("pairing %s returned different records than the baseline pairing", p.name)
+			if w, j := cc.counts(); w != 11 || j != 0 {
+				t.Fatalf("the batch cost %d wire / %d json request bodies beyond the ten queries, want 1 / 0", w-10, j)
 			}
 		})
 	}
+
+	t.Run("json-body-client-modern-daemon", func(t *testing.T) {
+		cc, url, tr, hosts := newDaemon(t, 0)
+		want, _, err := tr.Query(context.Background(), hosts[0], q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(QueryRequest{Host: &hosts[0], Query: q})
+		req, _ := http.NewRequest(http.MethodPost, url+"/query", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", wire.ContentType)
+		resp, err := DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !wire.IsWire(ct) {
+			t.Fatalf("a JSON request offering wire was answered %q", ct)
+		}
+		_, got, err := wire.ReadQuery(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon(t, *got) != canon(t, want) {
+			t.Fatal("JSON-request and wire-request paths disagree on the same query")
+		}
+		if w, j := cc.counts(); w != 1 || j != 1 {
+			t.Fatalf("daemon saw %d wire / %d json request bodies, want 1 / 1", w, j)
+		}
+	})
 }
 
-// installCounter is a Target that counts Install invocations, proving
-// the wire→JSON request retry can never double-install: the rejection
-// happens in decode, before the handler touches the target.
+// installCounter is a Target that counts Install invocations.
 type installCounter struct {
 	SnapshotTarget
 	mu       sync.Mutex
 	installs int
 }
 
-func (t *installCounter) InstallE(q query.Query, period types.Time) (int, error) {
+func (t *installCounter) Install(q query.Query, period types.Time) int {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.installs++
-	n := t.installs
-	t.mu.Unlock()
-	return n, nil
+	return t.installs
 }
 
 func (t *installCounter) count() int {
@@ -203,34 +206,51 @@ func (t *installCounter) count() int {
 	return t.installs
 }
 
+// TestInstallFallbackNoDoubleExecute: an install has no fallback either.
+// A daemon that rejects the frame does so in decode, before the handler
+// touches the target, and the transport does not try again in JSON — so
+// the caller gets the *StatusError, the daemon saw one request, and
+// nothing was installed. Against a daemon that takes the frame the
+// install runs exactly once.
 func TestInstallFallbackNoDoubleExecute(t *testing.T) {
-	for _, daemon := range []string{"415", "legacy-400"} {
-		t.Run(daemon, func(t *testing.T) {
-			target := &installCounter{SnapshotTarget: SnapshotTarget{Store: tib.NewStore()}}
-			var h http.Handler = (&AgentServer{T: target, DisableWire: daemon == "415"}).Handler()
-			if daemon == "legacy-400" {
-				h = legacyDaemon(h)
+	install := func(t *testing.T, reject int) (*installCounter, *ctCounter, int, error) {
+		target := &installCounter{SnapshotTarget: SnapshotTarget{Store: tib.NewStore()}}
+		var h http.Handler = (&AgentServer{T: target}).Handler()
+		if reject != 0 {
+			h = rejectWire(h, reject)
+		}
+		cc := &ctCounter{h: h}
+		srv := httptest.NewServer(cc)
+		defer srv.Close()
+		tr := &HTTPTransport{URLs: map[types.HostID]string{5: srv.URL}}
+		id, err := tr.Install(context.Background(), 5, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
+		return target, cc, id, err
+	}
+	for name, code := range map[string]int{"415": http.StatusUnsupportedMediaType, "legacy-400": http.StatusBadRequest} {
+		t.Run(name, func(t *testing.T) {
+			target, cc, _, err := install(t, code)
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != code {
+				t.Fatalf("install err = %v, want *StatusError %d", err, code)
 			}
-			srv := httptest.NewServer(h)
-			defer srv.Close()
-
-			host := types.HostID(5)
-			tr := &HTTPTransport{URLs: map[types.HostID]string{host: srv.URL}}
-			id, err := tr.Install(context.Background(), host, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
-			if err != nil {
-				t.Fatal(err)
+			if w, j := cc.counts(); w != 1 || j != 0 {
+				t.Fatalf("daemon saw %d wire / %d json request bodies, want exactly one wire request", w, j)
 			}
-			if id != 1 || target.count() != 1 {
-				t.Fatalf("install ran %d times (id %d), want exactly once", target.count(), id)
+			if target.count() != 0 {
+				t.Fatalf("a rejected install ran %d times", target.count())
 			}
 		})
 	}
+	target, _, id, err := install(t, 0)
+	if err != nil || id != 1 || target.count() != 1 {
+		t.Fatalf("accepted install ran %d times (id %d, err %v), want exactly once", target.count(), id, err)
+	}
 }
 
-// TestWireRequestRoundTrip pins the binary request path end to end
-// against a modern daemon: the daemon must actually receive a
-// wire-encoded body (not silently fall back) and decode every field the
-// JSON body used to carry.
+// TestWireRequestRoundTrip pins the binary request path end to end: the
+// daemon receives a wire-encoded body and decodes every field the JSON
+// spelling of the same request carries, so a time-bounded query answers
+// the same through both.
 func TestWireRequestRoundTrip(t *testing.T) {
 	targets := map[types.HostID]Target{7: SnapshotTarget{Store: seedStore(7, 25)}}
 	cc := &ctCounter{h: (&MultiAgentServer{Targets: targets}).Handler()}
@@ -243,19 +263,111 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) == 0 {
-		t.Fatal("no records through the wire request path")
+	if len(res.Records) == 0 || len(res.Records) == 25 {
+		t.Fatalf("%d records through the wire request path, want the time-bounded subset", len(res.Records))
 	}
-	jsonTr := &HTTPTransport{URLs: map[types.HostID]string{7: srv.URL}, JSONOnly: true}
-	jres, _, err := jsonTr.Query(context.Background(), 7, q)
+	host := types.HostID(7)
+	var jres QueryResponse
+	postJSON(t, srv.URL+"/query", nil, QueryRequest{Host: &host, Query: q}, &jres)
+	if canon(t, res) != canon(t, jres.Result) {
+		t.Fatal("wire-request and JSON-request paths disagree on the same time-bounded query")
+	}
+	if w, j := cc.counts(); w != 1 || j != 1 {
+		t.Fatalf("daemon saw %d wire / %d json request bodies, want 1 / 1", w, j)
+	}
+}
+
+// TestUnexpectedReplyEncoding: a reply in an encoding the call does not
+// decode is named as such and never fed to the other decoder — a JSON
+// body answering /query or /batchquery, a frame answering /install.
+func TestUnexpectedReplyEncoding(t *testing.T) {
+	jsonSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		encode(w, QueryResponse{})
+	}))
+	defer jsonSrv.Close()
+	wireSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", wire.ContentType)
+		wire.WriteQuery(w, wire.Meta{}, &query.Result{}, false)
+	}))
+	defer wireSrv.Close()
+
+	want := func(call string, err error, ct string) {
+		t.Helper()
+		var uct *UnexpectedContentTypeError
+		if !errors.As(err, &uct) || uct.ContentType != ct {
+			t.Errorf("%s: err = %v, want *UnexpectedContentTypeError naming %q", call, err, ct)
+		}
+	}
+	tr := &HTTPTransport{URLs: map[types.HostID]string{1: jsonSrv.URL, 2: jsonSrv.URL, 3: wireSrv.URL}}
+	_, _, err := tr.Query(context.Background(), 1, query.Query{Op: query.OpTopK, K: 1})
+	want("Query", err, "application/json")
+	replies, err := tr.QueryMany(context.Background(), []types.HostID{1, 2}, query.Query{Op: query.OpTopK, K: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Records, jres.Records) {
-		t.Fatal("wire-request and JSON-request paths disagree on the same time-bounded query")
+	for _, rep := range replies {
+		want("QueryMany slot", rep.Err, "application/json")
 	}
-	if w, _ := cc.counts(); w != 1 {
-		t.Fatalf("daemon saw %d wire request bodies, want 1", w)
+	_, err = tr.Install(context.Background(), 3, query.Query{Op: query.OpPoorTCP}, types.Second)
+	want("Install", err, wire.ContentType)
+}
+
+// TestBatchReplyMisaligned: reply j must carry host j. A daemon that
+// answers a batch with two sections swapped is rejected as a group —
+// every slot errs — instead of one host's records being merged under
+// the other's name.
+func TestBatchReplyMisaligned(t *testing.T) {
+	srv, hosts := multiDaemon(t, 20, 3, 10, false)
+	swapper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hs, q, parallel, err := wire.ReadBatchRequest(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var buf bytes.Buffer
+		if err := wire.WriteBatchRequest(&buf, hs, &q, parallel); err != nil {
+			t.Error(err)
+			return
+		}
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+r.URL.Path, &buf)
+		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set("Accept", wire.ContentType)
+		resp, err := DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		replies, err := wire.ReadBatch(resp.Body)
+		if err != nil || len(replies) != 3 {
+			t.Errorf("upstream batch: %d replies, err %v", len(replies), err)
+			return
+		}
+		replies[0], replies[2] = replies[2], replies[0]
+		w.Header().Set("Content-Type", wire.ContentType)
+		wire.WriteBatch(w, replies, false)
+	}))
+	defer swapper.Close()
+
+	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
+	urls := make(map[types.HostID]string)
+	for _, h := range hosts {
+		urls[h] = swapper.URL
+	}
+	replies, err := (&HTTPTransport{URLs: urls}).QueryMany(context.Background(), hosts, q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "/batchquery reply 0 is for host " + hosts[2].String() + ", asked for " + hosts[0].String()
+	for i, rep := range replies {
+		if rep.Err == nil || !strings.Contains(rep.Err.Error(), want) {
+			t.Errorf("slot %d: err = %v, want one naming %q", i, rep.Err, want)
+		}
+		if rep.Host != hosts[i] || len(rep.Result.Records) != 0 {
+			t.Errorf("slot %d carries host %v with %d records, want the requested host and no data", i, rep.Host, len(rep.Result.Records))
+		}
 	}
 }
 

@@ -1,17 +1,25 @@
-// Package rpc is the HTTP/JSON transport between the PathDump controller
-// and host agents — the stand-in for the paper's Flask RESTful service
-// (§3). An AgentServer exposes one agent's query/install/uninstall
-// endpoints; HTTPTransport implements controller.Transport against a set
-// of agent base URLs; ControllerServer accepts agent alarms.
+// Package rpc is the HTTP transport between the PathDump controller and
+// host agents — the stand-in for the paper's Flask RESTful service (§3).
+// AgentServer and MultiAgentServer expose the host API (one agent, or
+// several co-located ones) from one shared handler set; HTTPTransport
+// implements controller.Transport against a set of daemon base URLs;
+// ControllerServer accepts agent alarms.
 //
-// Endpoints (all JSON over POST unless noted):
+// The client speaks one encoding per request type: /query, /batchquery
+// and /install bodies are PDW1 frames (internal/wire) and query replies
+// come back as PDW1 frames; everything else is JSON. Servers follow the
+// request — a JSON body decodes as JSON, a reply is JSON unless Accept
+// offers the wire type — which is what curl and the docs' examples use.
 //
-//	agent:      /query      {query}          → {result, records_scanned, segments_*}
-//	            /install    {query, period}  → {id}
-//	            /uninstall  {id}             → {}
-//	            /stats      (GET)            → {records, packets, invalid}
-//	            /snapshot   (GET, ?host=N)   → segment-wise TIB snapshot stream
-//	controller: /alarm      {alarm}          → {}
+// Endpoints (POST unless noted; {…} shows the JSON spelling):
+//
+//	agent:      /query      {host?, query}            → {result, records_scanned, segments_*}
+//	            /batchquery {hosts, query, parallel?} → {replies} (multi-agent daemons only)
+//	            /install    {host?, query, period}    → {id}
+//	            /uninstall  {host?, id}               → {}
+//	            /stats      (GET)                     → {hosts, records}
+//	            /snapshot   (GET, ?host=N&since_seq=N) → block-framed TIB snapshot stream
+//	controller: /alarm      {alarm}                   → {}
 package rpc
 
 import (
@@ -21,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -35,97 +44,60 @@ import (
 	"pathdump/internal/wire"
 )
 
-// Target is the agent-side surface the server exposes; *agent.Agent
-// satisfies it.
+// Target is the host-side surface the servers expose: the paper's
+// execute/install/uninstall (Table 1) plus what a daemon reports about
+// the store behind them. *agent.Agent and SnapshotTarget satisfy it.
+// Every method is required — the servers never probe for a capability —
+// so a wrapper embeds a Target and overrides only the methods it
+// changes; the rest (streaming included) cannot be lost on the way.
 type Target interface {
-	Execute(q query.Query) query.Result
-	Install(q query.Query, period types.Time) int
-	Uninstall(id int) error
-	TIBSize() int
-}
-
-// TargetE is an optional Target extension for backends that cannot serve
-// every op (a snapshot-backed store has no TCP monitor): ExecuteE
-// distinguishes "unsupported here" from "no matching data", and servers
-// answer 501 Not Implemented instead of a silently empty result.
-type TargetE interface {
-	ExecuteE(q query.Query) (query.Result, error)
-}
-
-// ContextTarget is an optional Target extension for backends whose query
-// evaluation can abort mid-scan (*agent.Agent polls cancellation between
-// merged TIB shard records). Servers prefer it, passing the request
-// context, so a disconnected client or expired deadline releases the
-// host promptly instead of finishing a pointless scan.
-type ContextTarget interface {
+	// ExecuteContext evaluates q under the request context: a
+	// disconnected client or expired deadline aborts the scan and
+	// surfaces as the context's error. An op this target can never
+	// serve is an error wrapping query.ErrUnsupported (answered 501),
+	// not an empty result.
 	ExecuteContext(ctx context.Context, q query.Query) (query.Result, error)
-}
-
-// InstallerE is an optional Target extension for backends without an
-// installed-query engine: servers answer 501 instead of fabricating an
-// installation ID.
-type InstallerE interface {
-	InstallE(q query.Query, period types.Time) (int, error)
-}
-
-// Snapshotter is an optional Target extension for backends that can
-// stream their TIB in the segment-wise snapshot format; servers expose it
-// as GET /snapshot, and pathdumpctl -pull-snapshot captures it from a
-// live daemon for offline analysis.
-type Snapshotter interface {
-	WriteSnapshot(w io.Writer) error
-}
-
-// IncrementalSnapshotter is an optional Target extension for backends
-// that can serve delta snapshots: only the records with arrival
-// sequence greater than since, Since set in the stream header (or a full
-// snapshot when the watermark cannot be served — the receiver detects
-// which from the stream header). Servers expose it as GET
-// /snapshot?since_seq=N; a standby catches up by applying the stream
-// with tib.ApplyIncremental.
-type IncrementalSnapshotter interface {
+	// StreamRecords hands every record matching q to fn as the scan
+	// visits it, without materialising the reply. fn must not retain
+	// the pointer. The scan polls ctx and returns its error.
+	StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error
+	// Install registers q to run every period (0 = per exported record)
+	// and returns its ID. IDs start at 1; a target with no
+	// installed-query engine returns 0 and the servers answer 501.
+	Install(q query.Query, period types.Time) int
+	// Uninstall removes an installed query.
+	Uninstall(id int) error
+	// TIBSize is the number of queryable records.
+	TIBSize() int
+	// SegmentStats is the store's cumulative count of segments scanned
+	// versus pruned by time bounds; servers attribute per-query deltas
+	// onto the wire for the controller's ExecStats and cost model.
+	SegmentStats() (scanned, pruned uint64)
+	// ColdStats is the store's cold-tier telemetry; traced scans report
+	// the demand loads they caused.
+	ColdStats() tib.ColdStats
+	// WriteSnapshotSince streams the TIB in the block-framed snapshot
+	// format: the records with arrival sequence greater than since, or
+	// everything when since is 0 or the watermark cannot be served (the
+	// stream header says which; see tib.Store.SnapshotSince).
 	WriteSnapshotSince(w io.Writer, since uint64) error
 }
 
-// SegmentStatser is an optional Target extension reporting the backing
-// store's cumulative segment telemetry (partitions scanned versus pruned
-// by time bounds); servers attribute per-query deltas onto the wire for
-// the controller's ExecStats and cost model.
-type SegmentStatser interface {
-	SegmentStats() (scanned, pruned uint64)
-}
-
-// executeMeta runs a query like execute and additionally attributes the
-// target's segment telemetry to it by delta. Queries racing on one
-// target may swap shares — the counts feed modelled stats, not
-// correctness.
+// executeMeta runs a query on a target under the request context and
+// attributes the target's segment telemetry to it by delta. Queries
+// racing on one target may swap shares — the counts feed modelled
+// stats, not correctness.
 func executeMeta(ctx context.Context, t Target, q query.Query) (res query.Result, segScanned, segPruned int, err error) {
-	ss, ok := t.(SegmentStatser)
-	var sc0, sp0 uint64
-	if ok {
-		sc0, sp0 = ss.SegmentStats()
+	if err = ctx.Err(); err != nil {
+		return
 	}
-	res, err = execute(ctx, t, q)
-	if err == nil && ok {
-		sc1, sp1 := ss.SegmentStats()
+	sc0, sp0 := t.SegmentStats()
+	res, err = t.ExecuteContext(ctx, q)
+	if err == nil {
+		sc1, sp1 := t.SegmentStats()
 		segScanned, segPruned = int(sc1-sc0), int(sp1-sp0)
 	}
 	return res, segScanned, segPruned, err
-}
-
-// execute runs a query on a target under the request context, using the
-// most capable path the target provides.
-func execute(ctx context.Context, t Target, q query.Query) (query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return query.Result{}, err
-	}
-	if tc, ok := t.(ContextTarget); ok {
-		return tc.ExecuteContext(ctx, q)
-	}
-	if te, ok := t.(TargetE); ok {
-		return te.ExecuteE(q)
-	}
-	return t.Execute(q), nil
 }
 
 // writeExecuteError maps a query-execution failure onto the right HTTP
@@ -143,14 +115,9 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 	}
 }
 
-// install registers a query on a target, using the explicit-error path
-// when the target provides one.
-func install(t Target, q query.Query, period types.Time) (int, error) {
-	if te, ok := t.(InstallerE); ok {
-		return te.InstallE(q, period)
-	}
-	return t.Install(q, period), nil
-}
+// errNoInstallEngine is what install and uninstall answer at a target
+// that has no installed-query engine.
+var errNoInstallEngine = errors.New("rpc: snapshot target has no installed-query engine")
 
 // SnapshotTarget serves a bare TIB — a store loaded from a snapshot with
 // no live agent behind it. Ops needing the agent's runtime (the active
@@ -158,61 +125,38 @@ func install(t Target, q query.Query, period types.Time) (int, error) {
 // there is no installed-query engine.
 type SnapshotTarget struct{ Store *tib.Store }
 
-func (t SnapshotTarget) view() query.StoreView { return query.StoreView{S: t.Store} }
-
-// Execute implements Target (unsupported ops yield empty results; the
-// servers prefer ExecuteE).
-func (t SnapshotTarget) Execute(q query.Query) query.Result { return query.Execute(q, t.view()) }
-
-// ExecuteE implements TargetE.
-func (t SnapshotTarget) ExecuteE(q query.Query) (query.Result, error) {
-	return query.ExecuteE(q, t.view())
-}
-
-// ExecuteContext implements ContextTarget: snapshot scans poll the
-// request context and abort once the caller is gone.
+// ExecuteContext implements Target: snapshot scans poll the request
+// context and abort once the caller is gone.
 func (t SnapshotTarget) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
-	return query.ExecuteContext(ctx, q, t.view())
+	return query.ExecuteContext(ctx, q, query.StoreView{S: t.Store})
 }
 
 // Install implements Target; snapshots accept no installed queries, so
-// the returned ID is never valid for Uninstall. Servers use InstallE and
-// answer 501 instead.
-func (t SnapshotTarget) Install(query.Query, types.Time) int { return -1 }
-
-// InstallE implements InstallerE.
-func (t SnapshotTarget) InstallE(query.Query, types.Time) (int, error) {
-	return 0, errors.New("rpc: snapshot target has no installed-query engine")
-}
+// it returns the no-engine ID 0.
+func (t SnapshotTarget) Install(query.Query, types.Time) int { return 0 }
 
 // Uninstall implements Target.
-func (t SnapshotTarget) Uninstall(int) error {
-	return errors.New("rpc: snapshot target has no installed-query engine")
-}
+func (t SnapshotTarget) Uninstall(int) error { return errNoInstallEngine }
 
 // TIBSize implements Target.
 func (t SnapshotTarget) TIBSize() int { return t.Store.Len() }
 
-// SegmentStats implements SegmentStatser.
+// SegmentStats implements Target.
 func (t SnapshotTarget) SegmentStats() (scanned, pruned uint64) { return t.Store.SegmentStats() }
 
-// ColdStats implements ColdStatser: traced scans attribute the cold-tier
-// demand loads they trigger.
+// ColdStats implements Target.
 func (t SnapshotTarget) ColdStats() tib.ColdStats { return t.Store.ColdStats() }
 
-// WriteSnapshot implements Snapshotter: a restored store can be
-// re-snapshotted and served onward.
-func (t SnapshotTarget) WriteSnapshot(w io.Writer) error { return t.Store.Snapshot(w) }
-
-// WriteSnapshotSince implements IncrementalSnapshotter: a restored
-// store can serve deltas onward (snapshot relays, warm standbys).
+// WriteSnapshotSince implements Target: a restored store can be
+// re-snapshotted and serve deltas onward (snapshot relays, warm
+// standbys).
 func (t SnapshotTarget) WriteSnapshotSince(w io.Writer, since uint64) error {
 	return t.Store.SnapshotSince(w, since)
 }
 
-// QueryRequest is the /query body. Host is required by multi-host
-// daemons (MultiAgentServer) to pick the agent; single-agent servers
-// ignore it.
+// QueryRequest is the /query body. Host picks the agent at a
+// MultiAgentServer (optional there only when it serves exactly one);
+// an AgentServer ignores it.
 type QueryRequest struct {
 	Host  *types.HostID `json:"host,omitempty"`
 	Query query.Query   `json:"query"`
@@ -281,18 +225,16 @@ type AlarmRequest struct {
 	Alarm types.Alarm `json:"alarm"`
 }
 
-// AgentServer serves one agent's host API. Install/uninstall handlers
-// are serialised: agent installs register timers on the agent's
-// simulator, whose event heap is not safe for concurrent mutation.
+// AgentServer serves one agent's host API. It answers for T whatever
+// host a request names — it cannot tell hosts apart — and so mounts no
+// /batchquery. Install/uninstall handlers are serialised: agent installs
+// register timers on the agent's simulator, whose event heap is not safe
+// for concurrent mutation.
 type AgentServer struct {
 	T Target
 
 	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody).
 	MaxBodyBytes int64
-	// DisableWire forces JSON responses even for clients that offer the
-	// binary wire encoding, and rejects wire-encoded request bodies with
-	// 415 so clients fall back to JSON (mixed-version testing).
-	DisableWire bool
 	// WireCompress flate-compresses wire-encoded responses.
 	WireCompress bool
 	// Obs mounts the server's observability surface — /metrics,
@@ -305,60 +247,117 @@ type AgentServer struct {
 
 // Handler returns the agent's HTTP mux.
 func (s *AgentServer) Handler() http.Handler {
+	api := hostAPI{
+		resolve:  func(*types.HostID) (Target, error) { return s.T, nil },
+		targets:  []Target{s.T},
+		maxBody:  s.MaxBodyBytes,
+		compress: s.WireCompress,
+		obs:      s.Obs,
+		instMu:   &s.instMu,
+	}
+	return api.mux()
+}
+
+// hostAPI is the one handler set behind both server types: they differ
+// only in how a request's host field finds its target.
+type hostAPI struct {
+	// resolve maps a request's host field (nil = absent) to the target
+	// that serves it; an error is answered 404.
+	resolve func(*types.HostID) (Target, error)
+	// targets is every served target (for /stats and /healthz).
+	targets  []Target
+	maxBody  int64
+	compress bool
+	obs      *ServerObs
+	// instMu serialises install/uninstall across the server's targets.
+	instMu *sync.Mutex
+	// snapErrs counts snapshot streams that failed mid-body.
+	snapErrs *obs.Counter
+}
+
+// records totals the served targets' resident records.
+func (a *hostAPI) records() (n int) {
+	for _, t := range a.targets {
+		n += t.TIBSize()
+	}
+	return n
+}
+
+// mux registers /query, /install, /uninstall, /snapshot, /stats and the
+// observability endpoints. Every body is fully decoded before its
+// handler has any side effect.
+func (a *hostAPI) mux() *http.ServeMux {
+	a.snapErrs = a.obs.snapshotErrors()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.Obs.wrap("query", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/query", a.obs.wrap("query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, a.maxBody) {
 			return
 		}
-		if streamQueryResponse(w, r, s.T, req.Query, s.DisableWire, s.WireCompress) {
+		t, err := a.resolve(req.Host)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		span, cold0 := traceScan(r, s.T)
-		res, sc, sp, err := executeMeta(r.Context(), s.T, req.Query)
+		if req.Query.Op == query.OpRecords && wire.Accepted(r.Header.Get("Accept")) {
+			streamQueryResponse(w, r, t, req.Query, a.compress)
+			return
+		}
+		span, cold0 := traceScan(r, t)
+		res, sc, sp, err := executeMeta(r.Context(), t, req.Query)
 		if err != nil {
 			writeExecuteError(w, err)
 			return
 		}
-		finishScan(span, s.T, sc, sp, cold0)
-		writeQueryResponse(w, r, s.DisableWire, s.WireCompress,
-			QueryResponse{Result: res, RecordsScanned: s.T.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
+		finishScan(span, t, sc, sp, cold0)
+		writeQueryResponse(w, r, a.compress,
+			QueryResponse{Result: res, RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
 		query.PutRecordBuf(res.Records)
 	}))
-	mux.HandleFunc("/snapshot", s.Obs.wrap("snapshot", snapshotHandler(func(*http.Request) (Target, error) { return s.T, nil })))
-	mux.HandleFunc("/install", s.Obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/install", a.obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
 		var req InstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, a.maxBody) {
 			return
 		}
-		s.instMu.Lock()
-		id, err := install(s.T, req.Query, req.Period)
-		s.instMu.Unlock()
+		t, err := a.resolve(req.Host)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotImplemented)
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		a.instMu.Lock()
+		id := t.Install(req.Query, req.Period)
+		a.instMu.Unlock()
+		if id == 0 {
+			http.Error(w, errNoInstallEngine.Error(), http.StatusNotImplemented)
 			return
 		}
 		encode(w, InstallResponse{ID: id})
 	}))
-	mux.HandleFunc("/uninstall", s.Obs.wrap("uninstall", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/uninstall", a.obs.wrap("uninstall", func(w http.ResponseWriter, r *http.Request) {
 		var req UninstallRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, s.DisableWire) {
+		if !decode(w, r, &req, a.maxBody) {
 			return
 		}
-		s.instMu.Lock()
-		err := s.T.Uninstall(req.ID)
-		s.instMu.Unlock()
+		t, err := a.resolve(req.Host)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		a.instMu.Lock()
+		err = t.Uninstall(req.ID)
+		a.instMu.Unlock()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		encode(w, struct{}{})
 	}))
-	mux.HandleFunc("/stats", s.Obs.wrap("stats", func(w http.ResponseWriter, r *http.Request) {
-		encode(w, map[string]int{"records": s.T.TIBSize()})
+	mux.HandleFunc("/snapshot", a.obs.wrap("snapshot", a.snapshot))
+	mux.HandleFunc("/stats", a.obs.wrap("stats", func(w http.ResponseWriter, r *http.Request) {
+		encode(w, map[string]int{"records": a.records(), "hosts": len(a.targets)})
 	}))
-	mountObs(mux, s.Obs, func() HealthStatus {
-		return HealthStatus{Status: "ok", Hosts: 1, Records: s.T.TIBSize()}
+	mountObs(mux, a.obs, func() HealthStatus {
+		return HealthStatus{Status: "ok", Hosts: len(a.targets), Records: a.records()}
 	})
 	return mux
 }
@@ -386,7 +385,7 @@ func (s *ControllerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/alarm", s.Obs.wrap("alarm", func(w http.ResponseWriter, r *http.Request) {
 		var req AlarmRequest
-		if !decode(w, r, &req, s.MaxBodyBytes, false) {
+		if !decode(w, r, &req, s.MaxBodyBytes) {
 			return
 		}
 		s.C.RaiseAlarmContext(r.Context(), req.Alarm)
@@ -482,29 +481,15 @@ func (c *AlarmClient) client() *http.Client {
 }
 
 // HTTPTransport implements controller.Transport over per-host agent URLs.
-// Both directions are negotiated: unless JSONOnly is set, requests offer
-// the binary wire encoding (internal/wire) in Accept and the decoder
-// follows the response Content-Type, so daemons that predate the wire
-// format keep answering JSON and everything still works. Query, batch and
-// install request bodies travel wire-encoded too; a daemon that rejects
-// one (415 from a daemon with wire requests disabled, 400 from one that
-// predates them and choked JSON-parsing the frame) gets that request
-// retried as JSON — safe, servers decode before any side effect — and is
-// remembered, so later requests to that base URL go straight to JSON.
+// Each request type has exactly one encoding, chosen by the type alone:
+// query, batch and install bodies are PDW1 frames (internal/wire), query
+// and batch replies are PDW1 frames, everything else is JSON. Nothing is
+// probed, retried in another encoding, or remembered per daemon: a daemon
+// that rejects a frame is a *StatusError after one request, and a query
+// reply in the wrong encoding is an *UnexpectedContentTypeError.
 type HTTPTransport struct {
 	URLs   map[types.HostID]string
 	Client *http.Client
-	// JSONOnly suppresses the wire format in both directions: JSON
-	// request bodies and no wire Accept offer (mixed-version testing,
-	// debugging with readable bodies).
-	JSONOnly bool
-	// JSONRequests forces JSON request bodies while still accepting
-	// wire-encoded responses (request-side mixed-version testing).
-	JSONRequests bool
-
-	// jsonReq remembers base URLs whose daemons rejected a wire-encoded
-	// request body; keys are base URLs, values are unused.
-	jsonReq sync.Map
 }
 
 func (t *HTTPTransport) client() *http.Client {
@@ -514,27 +499,25 @@ func (t *HTTPTransport) client() *http.Client {
 	return DefaultClient
 }
 
+// post sends a control-plane request (install, uninstall) to host's
+// daemon and decodes the JSON reply into out.
 func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string, in, out interface{}) error {
 	base, ok := t.URLs[host]
 	if !ok {
 		return fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	_, err := t.postStatus(ctx, base, path, in, out, nil)
-	return err
-}
-
-// acquire takes one slot of sem (nil = unlimited), abandoning the wait if
-// ctx ends first. The returned release must be called once.
-func acquire(ctx context.Context, sem chan struct{}) (release func(), err error) {
-	if sem == nil {
-		return func() {}, nil
+	resp, err := t.doPost(ctx, base, path, in, false)
+	if err != nil {
+		return err
 	}
-	select {
-	case sem <- struct{}{}:
-		return func() { <-sem }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	defer closeBody(resp)
+	// No wire reply was offered, so one means the server ignored the
+	// negotiation; name the mismatch instead of feeding frame bytes to
+	// the JSON decoder, whose "invalid character" noise would hide it.
+	if ct := resp.Header.Get("Content-Type"); wire.IsWire(ct) {
+		return &UnexpectedContentTypeError{URL: base + path, ContentType: ct}
 	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // reqBufs pools request-encode buffers: every POST borrows one for its
@@ -553,83 +536,34 @@ func putReqBuf(buf *bytes.Buffer) {
 	reqBufs.Put(buf)
 }
 
-// doPost issues one POST and returns the raw 200 response, body unread,
-// so callers pick the decoder the response Content-Type calls for. With
-// acceptWire the request offers the binary wire encoding for the
-// response. The request body itself is wire-encoded when the request
-// type has a frame and the transport (and the daemon, per the fallback
-// cache) allows it; a daemon that rejects the frame gets one transparent
-// JSON retry and is remembered. A non-200 answer closes the body and
-// surfaces as *StatusError (the response is still returned for its
-// status code).
-func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}, acceptWire bool) (*http.Response, error) {
-	if t.wireRequestEligible(base, in) {
-		resp, err := t.doPostOnce(ctx, base, path, in, acceptWire, true)
-		if !wireRequestRejected(err) {
-			return resp, err
-		}
-		// The daemon spoke, authoritatively, before any side effect: it
-		// cannot (415) or will not (400, a pre-wire daemon JSON-parsing
-		// the frame) decode wire requests. Remember and retry as JSON.
-		t.jsonReq.Store(base, struct{}{})
-	}
-	return t.doPostOnce(ctx, base, path, in, acceptWire, false)
-}
-
-// wireRequestEligible reports whether this request should be sent
-// wire-encoded: the transport allows it, the request type has a frame,
-// and the daemon has not previously rejected one.
-func (t *HTTPTransport) wireRequestEligible(base string, in interface{}) bool {
-	if t.JSONOnly || t.JSONRequests {
-		return false
-	}
-	switch in.(type) {
-	case QueryRequest, BatchQueryRequest, InstallRequest:
-	default:
-		return false
-	}
-	_, marked := t.jsonReq.Load(base)
-	return !marked
-}
-
-// wireRequestRejected recognises a server's authoritative refusal of a
-// wire-encoded request body: 415 from a daemon with wire requests
-// disabled, 400 from a pre-wire daemon whose JSON decoder choked on the
-// frame. Both fail in decode, before any handler side effect, so the
-// JSON retry cannot double-execute anything.
-func wireRequestRejected(err error) bool {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.Code == http.StatusUnsupportedMediaType || se.Code == http.StatusBadRequest
-}
-
-// encodeWireRequest writes in's binary request frame into buf.
-func encodeWireRequest(buf *bytes.Buffer, in interface{}) error {
+// encodeRequest writes in's body into buf in the one encoding its type
+// has — a PDW1 frame for the requests that have one, JSON for the rest —
+// and returns the matching Content-Type.
+func encodeRequest(buf *bytes.Buffer, in interface{}) (contentType string, err error) {
 	switch req := in.(type) {
 	case QueryRequest:
-		return wire.WriteQueryRequest(buf, req.Host, &req.Query)
+		return wire.ContentType, wire.WriteQueryRequest(buf, req.Host, &req.Query)
 	case BatchQueryRequest:
-		return wire.WriteBatchRequest(buf, req.Hosts, &req.Query, req.Parallel)
+		return wire.ContentType, wire.WriteBatchRequest(buf, req.Hosts, &req.Query, req.Parallel)
 	case InstallRequest:
-		return wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
+		return wire.ContentType, wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
 	default:
-		return fmt.Errorf("rpc: no wire request frame for %T", in)
+		return "application/json", json.NewEncoder(buf).Encode(in)
 	}
 }
 
-func (t *HTTPTransport) doPostOnce(ctx context.Context, base, path string, in interface{}, acceptWire, wireReq bool) (*http.Response, error) {
+// doPost issues one POST — exactly one: there is no retry in another
+// encoding — and returns the raw 200 response, body unread. With
+// acceptWire the request offers the binary wire encoding for the
+// response. The request carries ctx (http.NewRequestWithContext), so
+// cancelling it aborts the dial, the in-flight request, and the response
+// read. A non-200 answer closes the body and surfaces as *StatusError
+// (the response is still returned for its status code).
+func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}, acceptWire bool) (*http.Response, error) {
 	buf := reqBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	contentType := "application/json"
-	if wireReq {
-		if err := encodeWireRequest(buf, in); err != nil {
-			putReqBuf(buf)
-			return nil, err
-		}
-		contentType = wire.ContentType
-	} else if err := json.NewEncoder(buf).Encode(in); err != nil {
+	contentType, err := encodeRequest(buf, in)
+	if err != nil {
 		putReqBuf(buf)
 		return nil, err
 	}
@@ -647,7 +581,7 @@ func (t *HTTPTransport) doPostOnce(ctx context.Context, base, path string, in in
 	}
 	resp, err := t.client().Do(req)
 	// Do has fully consumed (or abandoned) the body by the time it
-	// returns, retries included, so the buffer is recyclable here.
+	// returns, so the buffer is recyclable here.
 	putReqBuf(buf)
 	if err != nil {
 		return nil, err
@@ -667,41 +601,11 @@ func closeBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// postStatus posts to an explicit base URL, optionally throttled by sem,
-// decodes the JSON response into out, and reports the HTTP status so
-// callers can detect missing endpoints. The request carries ctx
-// (http.NewRequestWithContext), so cancelling it aborts the dial, the
-// in-flight request, and the response read; waiting on a semaphore slot
-// is interruptible too. postStatus never offers the wire encoding, so a
-// wire-typed reply means the server ignored the negotiation; it is
-// reported as *UnexpectedContentTypeError instead of being fed to the
-// JSON decoder, whose "invalid character" noise would hide the real
-// mismatch.
-func (t *HTTPTransport) postStatus(ctx context.Context, base, path string, in, out interface{}, sem chan struct{}) (int, error) {
-	release, err := acquire(ctx, sem)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	resp, err := t.doPost(ctx, base, path, in, false)
-	if err != nil {
-		if resp != nil {
-			return resp.StatusCode, err
-		}
-		return 0, err
-	}
-	defer closeBody(resp)
-	if ct := resp.Header.Get("Content-Type"); wire.IsWire(ct) {
-		return resp.StatusCode, &UnexpectedContentTypeError{URL: base + path, ContentType: ct}
-	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-}
-
-// UnexpectedContentTypeError reports a reply whose Content-Type the
-// client never offered to accept — a daemon answering the binary wire
-// encoding to a request that only asked for JSON. It names the encoding
-// so the mismatch is diagnosable, where JSON-decoding the frame bytes
-// would fail with a garbled syntax error.
+// UnexpectedContentTypeError reports a reply in an encoding the call
+// does not decode: a wire frame answering an install or uninstall, or
+// anything but a wire frame answering a query or batch. It names the
+// encoding so the mismatch is diagnosable, where feeding the bytes to the
+// other decoder would fail with a garbled syntax error.
 type UnexpectedContentTypeError struct {
 	URL         string
 	ContentType string
@@ -709,47 +613,36 @@ type UnexpectedContentTypeError struct {
 
 // Error implements error.
 func (e *UnexpectedContentTypeError) Error() string {
-	return fmt.Sprintf("rpc: %s answered unrequested content type %q", e.URL, e.ContentType)
+	return fmt.Sprintf("rpc: %s answered unexpected content type %q", e.URL, e.ContentType)
 }
 
-// Query implements controller.Transport. The response body streams
-// through whichever decoder its Content-Type selects — the binary wire
-// codec when the daemon took the offer, JSON otherwise. Wire replies
-// decode chunk by chunk, in place, into one buffer from the record pool,
-// so decode work overlaps a streaming daemon's scan and arrival on the
-// network instead of waiting for the frame's last byte; the controller
-// recycles the buffer once the merge has folded it in.
+// Query implements controller.Transport. The reply decodes chunk by
+// chunk, in place, into one buffer from the record pool, so decode work
+// overlaps a streaming daemon's scan and arrival on the network instead
+// of waiting for the frame's last byte; the controller recycles the
+// buffer once the merge has folded it in.
 func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, controller.QueryMeta, error) {
 	base, ok := t.URLs[host]
 	if !ok {
 		return query.Result{}, controller.QueryMeta{}, fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	httpResp, err := t.doPost(ctx, base, "/query", QueryRequest{Host: &host, Query: q}, !t.JSONOnly)
+	httpResp, err := t.doPost(ctx, base, "/query", QueryRequest{Host: &host, Query: q}, true)
 	if err != nil {
 		return query.Result{}, controller.QueryMeta{}, err
 	}
 	defer closeBody(httpResp)
-	if wire.IsWire(httpResp.Header.Get("Content-Type")) {
-		m, res, err := wire.ReadQuery(httpResp.Body)
-		if err != nil {
-			return query.Result{}, controller.QueryMeta{}, err
-		}
-		return *res, controller.QueryMeta{
-			RecordsScanned:  m.RecordsScanned,
-			SegmentsScanned: m.SegmentsScanned,
-			SegmentsPruned:  m.SegmentsPruned,
-			Span:            decodeSpanHeader(httpResp.Header),
-		}, nil
+	if ct := httpResp.Header.Get("Content-Type"); !wire.IsWire(ct) {
+		return query.Result{}, controller.QueryMeta{}, &UnexpectedContentTypeError{URL: base + "/query", ContentType: ct}
 	}
-	var resp QueryResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	m, res, err := wire.ReadQuery(httpResp.Body)
+	if err != nil {
 		return query.Result{}, controller.QueryMeta{}, err
 	}
-	return resp.Result, controller.QueryMeta{
-		RecordsScanned:  resp.RecordsScanned,
-		SegmentsScanned: resp.SegmentsScanned,
-		SegmentsPruned:  resp.SegmentsPruned,
-		Span:            resp.Span,
+	return *res, controller.QueryMeta{
+		RecordsScanned:  m.RecordsScanned,
+		SegmentsScanned: m.SegmentsScanned,
+		SegmentsPruned:  m.SegmentsPruned,
+		Span:            decodeSpanHeader(httpResp.Header),
 	}, nil
 }
 
@@ -768,95 +661,67 @@ func (t *HTTPTransport) Uninstall(ctx context.Context, host types.HostID, id int
 	return t.post(ctx, host, "/uninstall", UninstallRequest{Host: &host, ID: id}, &out)
 }
 
-// snapshotHandler builds the GET /snapshot handler over a target
-// resolver (single-agent servers always answer with their one target;
-// multi-agent daemons pick by the ?host query parameter). The snapshot
-// streams straight from the store's consistent capture to the socket —
-// ingest continues while it is written. With ?since_seq=N the target
-// serves an incremental stream instead (see IncrementalSnapshotter).
-// Targets without the needed support answer 501.
-func snapshotHandler(resolve func(*http.Request) (Target, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		t, err := resolve(r)
+// snapshot is the GET /snapshot handler: ?host=N names the target (as
+// the host field does on the POST endpoints) and ?since_seq=N asks for
+// the delta past that arrival sequence instead of everything. The
+// snapshot streams straight from the store's consistent capture to the
+// socket — ingest continues while it is written.
+func (a *hostAPI) snapshot(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
+	params := r.URL.Query()
+	var host *types.HostID
+	if raw := params.Get("host"); raw != "" {
+		n, err := strconv.Atoi(raw)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			http.Error(w, "rpc: /snapshot ?host must be a host ID", http.StatusBadRequest)
 			return
 		}
-		var since uint64
-		if raw := r.URL.Query().Get("since_seq"); raw != "" {
-			since, err = strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				http.Error(w, "rpc: since_seq must be an unsigned integer", http.StatusBadRequest)
-				return
-			}
-		}
-		// The status line is already committed once bytes flow; a
-		// mid-stream failure surfaces to the puller as a truncated body,
-		// which the loader rejects (no terminator) without touching the
-		// store it would have replaced.
-		if since > 0 {
-			isn, ok := t.(IncrementalSnapshotter)
-			if !ok {
-				http.Error(w, "rpc: target cannot stream incremental snapshots", http.StatusNotImplemented)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_ = isn.WriteSnapshotSince(w, since)
+		h := types.HostID(n)
+		host = &h
+	}
+	t, err := a.resolve(host)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	var since uint64
+	if raw := params.Get("since_seq"); raw != "" {
+		since, err = strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			http.Error(w, "rpc: since_seq must be an unsigned integer", http.StatusBadRequest)
 			return
 		}
-		sn, ok := t.(Snapshotter)
-		if !ok {
-			http.Error(w, "rpc: target cannot stream snapshots", http.StatusNotImplemented)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = sn.WriteSnapshot(w)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := t.WriteSnapshotSince(w, since); err != nil {
+		// The status line is committed once bytes flow, so the puller
+		// sees only a truncated body — which its loader rejects (no
+		// terminator) without touching the store it would have replaced.
+		// Make the failure visible on this side too.
+		a.snapErrs.Inc()
+		log.Printf("rpc: /snapshot host=%q since_seq=%d failed mid-stream: %v", params.Get("host"), since, err)
 	}
 }
 
-// PullSnapshot captures a live daemon's TIB snapshot for one host: GET
-// /snapshot, streamed into w. The byte count written is returned; a
-// non-200 answer surfaces as a *StatusError (501 = the target cannot
-// snapshot).
-func (t *HTTPTransport) PullSnapshot(ctx context.Context, host types.HostID, w io.Writer) (int64, error) {
-	base, ok := t.URLs[host]
-	if !ok {
-		return 0, fmt.Errorf("rpc: no URL for host %v", host)
-	}
-	url := fmt.Sprintf("%s/snapshot?host=%d", base, uint32(host))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &StatusError{Code: resp.StatusCode, URL: base + "/snapshot", Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
-	}
-	return io.Copy(w, resp.Body)
-}
-
-// PullSnapshotSince captures an incremental snapshot for one host: GET
-// /snapshot?since_seq=N, streamed into w. The stream is a delta of
-// everything past the watermark — or a full snapshot when the
-// daemon could not serve the delta (watermark evicted); the receiver
-// tells them apart by applying the stream with tib.ApplyIncremental,
-// which handles both. Byte count written is returned; a non-200 answer
-// surfaces as a *StatusError (501 = the target cannot serve deltas).
+// PullSnapshotSince captures one host's TIB from a live daemon: GET
+// /snapshot, streamed into w. With since 0 the stream is a full
+// snapshot; otherwise it is the delta of everything past that arrival
+// sequence — or a full snapshot when the daemon could not serve the
+// delta (watermark evicted); tib.ApplyIncremental tells them apart and
+// handles both. The byte count written is returned; a non-200 answer
+// surfaces as a *StatusError.
 func (t *HTTPTransport) PullSnapshotSince(ctx context.Context, host types.HostID, since uint64, w io.Writer) (int64, error) {
 	base, ok := t.URLs[host]
 	if !ok {
 		return 0, fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	url := fmt.Sprintf("%s/snapshot?host=%d&since_seq=%d", base, uint32(host), since)
+	url := fmt.Sprintf("%s/snapshot?host=%d", base, uint32(host))
+	if since > 0 {
+		url += fmt.Sprintf("&since_seq=%d", since)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
@@ -900,13 +765,12 @@ func (e *StatusError) HTTPStatus() int { return e.Code }
 const DefaultMaxBody = 16 << 20
 
 // decode parses a request body capped at limit bytes (<= 0 means
-// DefaultMaxBody): a body marked with the wire Content-Type decodes
-// through the binary request frames (unless disableWire emulates an old
-// daemon, answering 415 so the client falls back to JSON), anything else
+// DefaultMaxBody), following the request: a body marked with the wire
+// Content-Type decodes through the binary request frames, anything else
 // decodes as JSON. An over-limit body answers 413 with an explicit
 // message; it used to surface as a baffling 400 "unexpected EOF" when the
 // cap was a bare io.LimitReader silently truncating the stream.
-func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, disableWire bool) bool {
+func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
@@ -915,18 +779,13 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, 
 		limit = DefaultMaxBody
 	}
 	body := http.MaxBytesReader(w, r.Body, limit)
+	var err error
 	if wire.IsWire(r.Header.Get("Content-Type")) {
-		if disableWire {
-			http.Error(w, "rpc: wire-encoded requests disabled here", http.StatusUnsupportedMediaType)
-			return false
-		}
-		if err := decodeWireRequest(body, v); err != nil {
-			writeDecodeError(w, err)
-			return false
-		}
-		return true
+		err = decodeWireRequest(body, v)
+	} else {
+		err = json.NewDecoder(body).Decode(v)
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	if err != nil {
 		writeDecodeError(w, err)
 		return false
 	}
@@ -934,13 +793,11 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64, 
 }
 
 // errWireEndpoint marks a wire-encoded body posted to an endpoint that
-// has no binary request frame (alarms, uninstalls); decode answers 415 so
-// the client retries as JSON.
+// has no binary request frame (alarms, uninstalls); decode answers 415.
 var errWireEndpoint = errors.New("rpc: endpoint does not accept wire-encoded requests")
 
 // decodeWireRequest maps the handler's request struct onto its wire frame
-// decoder. Decoding fails before any handler side effect, so a client may
-// safely retry the same request as JSON.
+// decoder. Decoding fails before any handler side effect.
 func decodeWireRequest(body io.Reader, v interface{}) error {
 	switch req := v.(type) {
 	case *QueryRequest:
@@ -998,14 +855,14 @@ func encode(w http.ResponseWriter, v interface{}) {
 }
 
 // writeQueryResponse answers /query in whichever encoding the request
-// negotiated: the binary wire format when the client offered it (and the
-// server hasn't disabled it), JSON otherwise. The wire path streams
+// negotiated: the binary wire format when the client offered it, JSON
+// otherwise. The wire path streams
 // columns straight to the socket instead of buffering the whole reply.
 // Once the first body byte is out the status line is committed, so a
 // mid-stream write failure just truncates the frame — the client-side
 // decoder rejects truncated frames explicitly.
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, disableWire, compress bool, resp QueryResponse) {
-	if disableWire || !wire.Accepted(r.Header.Get("Accept")) {
+func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, resp QueryResponse) {
+	if !wire.Accepted(r.Header.Get("Accept")) {
 		encode(w, resp)
 		return
 	}
@@ -1024,8 +881,8 @@ func writeQueryResponse(w http.ResponseWriter, r *http.Request, disableWire, com
 }
 
 // writeBatchResponse is writeQueryResponse for /batchquery.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, disableWire, compress bool, replies []BatchQueryReply) {
-	if disableWire || !wire.Accepted(r.Header.Get("Accept")) {
+func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, replies []BatchQueryReply) {
+	if !wire.Accepted(r.Header.Get("Accept")) {
 		encode(w, BatchQueryResponse{Replies: replies})
 		return
 	}

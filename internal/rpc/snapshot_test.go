@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pathdump/internal/obs"
 	"pathdump/internal/query"
 	"pathdump/internal/tib"
 	"pathdump/internal/types"
@@ -98,9 +103,9 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 	} {
 		tr := &HTTPTransport{URLs: map[types.HostID]string{tc.host: tc.url}}
 		var buf bytes.Buffer
-		n, err := tr.PullSnapshot(context.Background(), tc.host, &buf)
+		n, err := tr.PullSnapshotSince(context.Background(), tc.host, 0, &buf)
 		if err != nil {
-			t.Fatalf("%s: PullSnapshot: %v", name, err)
+			t.Fatalf("%s: PullSnapshotSince: %v", name, err)
 		}
 		if n == 0 || int64(buf.Len()) != n {
 			t.Fatalf("%s: pulled %d bytes, buffered %d", name, n, buf.Len())
@@ -127,28 +132,65 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 	}
 
 	// A multi-agent daemon rejects snapshot pulls for hosts it does not
-	// serve, and a target without snapshot support answers 501.
+	// serve, with a typed status error.
 	trBad := &HTTPTransport{URLs: map[types.HostID]string{9: ms.URL}}
-	if _, err := trBad.PullSnapshot(context.Background(), 9, &bytes.Buffer{}); err == nil {
-		t.Error("snapshot pull for an unserved host did not error")
-	}
-	plain := httptest.NewServer((&AgentServer{T: noSnapshotTarget{}}).Handler())
-	defer plain.Close()
-	trPlain := &HTTPTransport{URLs: map[types.HostID]string{1: plain.URL}}
-	_, err := trPlain.PullSnapshot(context.Background(), 1, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "501") {
-		t.Errorf("snapshot pull from a non-snapshotting target = %v, want 501", err)
-	}
+	_, err := trBad.PullSnapshotSince(context.Background(), 9, 0, &bytes.Buffer{})
 	var se *StatusError
-	if !errors.As(err, &se) || se.HTTPStatus() != 501 {
-		t.Errorf("want a typed *StatusError(501), got %T", err)
+	if !errors.As(err, &se) || se.HTTPStatus() != 404 {
+		t.Errorf("snapshot pull for an unserved host = %v, want a typed *StatusError(404)", err)
 	}
 }
 
-// noSnapshotTarget serves queries but cannot snapshot.
-type noSnapshotTarget struct{}
+// TestSnapshotMidBodyFailureIsVisible: a snapshot that dies after its
+// status line is committed — here a cold-tier file truncated on disk —
+// reaches the puller as a stream its loader rejects, and on the daemon's
+// side is counted on /metrics and logged with the host and watermark,
+// instead of living only in ColdStats.Faults.
+func TestSnapshotMidBodyFailureIsVisible(t *testing.T) {
+	coldDir := t.TempDir()
+	store := tib.NewStoreConfig(tib.Config{SegmentRecords: 64, ColdDir: coldDir})
+	for i := 0; i < 1000; i++ {
+		store.Add(standbyRecord(i))
+	}
+	if segs, _, err := store.SpillBefore(500 * types.Millisecond); err != nil || segs == 0 {
+		t.Fatalf("spilled %d segments (err %v)", segs, err)
+	}
+	files, err := filepath.Glob(filepath.Join(coldDir, "*.cold"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no cold files (err %v)", err)
+	}
+	fi, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(files[0], fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
 
-func (noSnapshotTarget) Execute(q query.Query) query.Result  { return query.Result{Op: q.Op} }
-func (noSnapshotTarget) Install(query.Query, types.Time) int { return 0 }
-func (noSnapshotTarget) Uninstall(int) error                 { return nil }
-func (noSnapshotTarget) TIBSize() int                        { return 0 }
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	reg := obs.NewRegistry()
+	for name, h := range map[string]http.Handler{
+		"instrumented": (&MultiAgentServer{Targets: map[types.HostID]Target{3: SnapshotTarget{Store: store}}, Obs: &ServerObs{Registry: reg}}).Handler(),
+		"nil-obs":      (&AgentServer{T: SnapshotTarget{Store: store}}).Handler(),
+	} {
+		srv := httptest.NewServer(h)
+		tr := &HTTPTransport{URLs: map[types.HostID]string{3: srv.URL}}
+		var buf bytes.Buffer
+		_, pullErr := tr.PullSnapshotSince(context.Background(), 3, 7, &buf)
+		srv.Close()
+		if pullErr == nil {
+			if err := tib.NewStore().LoadSnapshot(&buf); err == nil {
+				t.Fatalf("%s: a snapshot over a truncated cold file pulled and loaded cleanly", name)
+			}
+		}
+	}
+	if got := reg.Expose(); !strings.Contains(got, "pathdump_rpc_snapshot_errors_total 1") {
+		t.Errorf("snapshot failure not counted:\n%s", got)
+	}
+	lines := strings.Count(logged.String(), "failed mid-stream")
+	if lines != 2 || !strings.Contains(logged.String(), `host="3" since_seq=7`) {
+		t.Errorf("want one log line per failed snapshot naming host and since_seq, got %d:\n%s", lines, logged.String())
+	}
+}

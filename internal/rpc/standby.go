@@ -22,7 +22,6 @@ import (
 // SnapshotPuller is the transport surface StandbyReplica needs;
 // *HTTPTransport provides it.
 type SnapshotPuller interface {
-	PullSnapshot(ctx context.Context, host types.HostID, w io.Writer) (int64, error)
 	PullSnapshotSince(ctx context.Context, host types.HostID, since uint64, w io.Writer) (int64, error)
 }
 
@@ -76,7 +75,7 @@ func (s *StandbyReplica) Sync(ctx context.Context) error {
 func (s *StandbyReplica) fullSync(ctx context.Context) error {
 	s.fullPulls++
 	var buf bytes.Buffer
-	if _, err := s.tr.PullSnapshot(ctx, s.Host, &buf); err != nil {
+	if _, err := s.tr.PullSnapshotSince(ctx, s.Host, 0, &buf); err != nil {
 		return err
 	}
 	return s.Store.LoadSnapshot(&buf)

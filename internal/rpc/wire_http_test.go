@@ -1,5 +1,5 @@
-// Tests for the binary wire data plane: content negotiation and the
-// mixed-version fallback matrix, body-size limits, well-formed error
+// Tests for the binary wire data plane: content negotiation and what is
+// left of the encoding matrix, body-size limits, well-formed error
 // responses, alarm drop accounting, and racy fan-out over the pooled
 // transport.
 package rpc
@@ -13,18 +13,32 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"pathdump/internal/controller"
+	"pathdump/internal/agent"
 	"pathdump/internal/query"
 	"pathdump/internal/tib"
 	"pathdump/internal/types"
 	"pathdump/internal/wire"
+)
+
+// What must satisfy Target, checked at compile time: the live agent, the
+// snapshot target, and the wrapper shape the rule prescribes — embed a
+// Target, override only what changes (here Install and Uninstall, the
+// pair bench/live.go's lockedAgent overrides).
+type installOverride struct{ *agent.Agent }
+
+func (installOverride) Install(query.Query, types.Time) int { return 1 }
+func (installOverride) Uninstall(int) error                 { return nil }
+
+var (
+	_ Target = (*agent.Agent)(nil)
+	_ Target = SnapshotTarget{}
+	_ Target = installOverride{}
 )
 
 // seedStore fills a store with records for a deterministic host-specific
@@ -33,13 +47,7 @@ func seedStore(host int, nrec int) *tib.Store {
 	st := tib.NewStore()
 	for i := 0; i < nrec; i++ {
 		st.Add(types.Record{
-			Flow: types.FlowID{
-				SrcIP:   types.IP(host<<16 | i%17),
-				DstIP:   types.IP(host + 1),
-				SrcPort: uint16(1000 + i%29),
-				DstPort: 80,
-				Proto:   types.ProtoTCP,
-			},
+			Flow:  seedFlow(host, i),
 			Path:  types.Path{types.SwitchID(host), types.SwitchID(host + 100), types.SwitchID(i % 7)},
 			STime: types.Time(i) * types.Millisecond,
 			ETime: types.Time(i+3) * types.Millisecond,
@@ -50,9 +58,20 @@ func seedStore(host int, nrec int) *tib.Store {
 	return st
 }
 
+// seedFlow is the flow of seedStore's i-th record at host.
+func seedFlow(host, i int) types.FlowID {
+	return types.FlowID{
+		SrcIP:   types.IP(host<<16 | i%17),
+		DstIP:   types.IP(host + 1),
+		SrcPort: uint16(1000 + i%29),
+		DstPort: 80,
+		Proto:   types.ProtoTCP,
+	}
+}
+
 // multiDaemon starts one MultiAgentServer over nhosts snapshot targets
 // starting at host ID base.
-func multiDaemon(t *testing.T, base, nhosts, nrec int, disableWire, compress bool) (*httptest.Server, []types.HostID) {
+func multiDaemon(t *testing.T, base, nhosts, nrec int, compress bool) (*httptest.Server, []types.HostID) {
 	t.Helper()
 	targets := make(map[types.HostID]Target)
 	var hosts []types.HostID
@@ -61,75 +80,163 @@ func multiDaemon(t *testing.T, base, nhosts, nrec int, disableWire, compress boo
 		targets[h] = SnapshotTarget{Store: seedStore(base+i, nrec)}
 		hosts = append(hosts, h)
 	}
-	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, DisableWire: disableWire, WireCompress: compress}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, WireCompress: compress}).Handler())
 	t.Cleanup(srv.Close)
 	return srv, hosts
 }
 
-// TestWireFallbackMatrix runs the same query across every client/server
-// version pairing — wire-speaking and JSON-only on both ends, plus a
-// compressing server — and requires identical results from all of them,
-// through both the per-host and the batched paths.
+// postJSON is curl: a raw JSON POST with no Accept header (plus any
+// extra headers). The reply must be a 200 in JSON; it is decoded into
+// out.
+func postJSON(t *testing.T, url string, hdr http.Header, in, out interface{}) {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	resp, err := DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s = %d %q: %s", url, resp.StatusCode, ct, msg)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// canon renders a result in its JSON spelling, which erases the one
+// difference the two decoders are allowed: nil versus empty slices.
+func canon(t *testing.T, res query.Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// matrixQueries is one query per op a snapshot target serves (poor_tcp
+// needs a live agent: TestSnapshotTargetUnsupportedOp), aimed at
+// seedStore's population for host.
+func matrixQueries(host int) []query.Query {
+	link := types.LinkID{A: types.SwitchID(host), B: types.SwitchID(host + 100)}
+	return []query.Query{
+		{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime},
+		{Op: query.OpFlows, Link: link},
+		{Op: query.OpPaths, Flow: seedFlow(host, 3), Link: types.AnyLink},
+		{Op: query.OpCount, Flow: seedFlow(host, 3)},
+		{Op: query.OpDuration, Flow: seedFlow(host, 3)},
+		{Op: query.OpFSD, Links: []types.LinkID{link}, BinBytes: 100},
+		{Op: query.OpTopK, K: 5},
+		{Op: query.OpConformance, Avoid: []types.SwitchID{types.SwitchID(host + 100)}},
+		{Op: query.OpMatrix},
+	}
+}
+
+// TestWireFallbackMatrix is the encoding matrix that still exists. The
+// transport has one encoding, so the client axis is the transport versus
+// curl — a raw JSON POST offering nothing in Accept, which the servers
+// answer in JSON because they follow the request — and the server axis
+// is a plain versus a compressing daemon. For every op, on a one-host and
+// a three-host daemon, through /query and /batchquery, every pairing must
+// return the same result.
 func TestWireFallbackMatrix(t *testing.T) {
-	type mode struct {
-		name        string
-		jsonClient  bool
-		disableWire bool
-		compress    bool
+	const base, nrec = 10, 50
+	type daemon struct {
+		url   string
+		hosts []types.HostID
+		tr    *HTTPTransport
 	}
-	modes := []mode{
-		{name: "binary-client-wire-server"},
-		{name: "binary-client-json-server", disableWire: true},
-		{name: "json-client-wire-server", jsonClient: true},
-		{name: "json-client-json-server", jsonClient: true, disableWire: true},
-		{name: "binary-client-compressing-server", compress: true},
-	}
-	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
-	var want []controller.BatchReply
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			srv, hosts := multiDaemon(t, 10, 4, 50, m.disableWire, m.compress)
+	fleet := func(t *testing.T, compress bool) []daemon {
+		var ds []daemon
+		for _, nhosts := range []int{1, 3} {
+			srv, hosts := multiDaemon(t, base, nhosts, nrec, compress)
 			urls := make(map[types.HostID]string)
 			for _, h := range hosts {
 				urls[h] = srv.URL
 			}
-			tr := &HTTPTransport{URLs: urls, JSONOnly: m.jsonClient}
+			ds = append(ds, daemon{srv.URL, hosts, &HTTPTransport{URLs: urls}})
+		}
+		return ds
+	}
+	// viaTransport answers q through the wire client: per-host /query for
+	// every host, and QueryMany (one /batchquery on the three-host daemon).
+	viaTransport := func(t *testing.T, d daemon, q query.Query) (perHost, batched []string) {
+		for _, h := range d.hosts {
+			res, meta, err := d.tr.Query(context.Background(), h, q)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", q.Op, h, err)
+			}
+			if meta.RecordsScanned != nrec {
+				t.Fatalf("%s at %v: meta.RecordsScanned = %d, want %d", q.Op, h, meta.RecordsScanned, nrec)
+			}
+			perHost = append(perHost, canon(t, res))
+		}
+		replies, err := d.tr.QueryMany(context.Background(), d.hosts, q, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range replies {
+			if rep.Err != nil {
+				t.Fatalf("%s at %v: %v", q.Op, rep.Host, rep.Err)
+			}
+			batched = append(batched, canon(t, rep.Result))
+		}
+		return perHost, batched
+	}
+	// viaCurl answers q the way the docs' examples do.
+	viaCurl := func(t *testing.T, d daemon, q query.Query) (perHost, batched []string) {
+		for i := range d.hosts {
+			var resp QueryResponse
+			postJSON(t, d.url+"/query", nil, QueryRequest{Host: &d.hosts[i], Query: q}, &resp)
+			if resp.RecordsScanned != nrec {
+				t.Fatalf("%s at %v: records_scanned = %d, want %d", q.Op, d.hosts[i], resp.RecordsScanned, nrec)
+			}
+			perHost = append(perHost, canon(t, resp.Result))
+		}
+		var resp BatchQueryResponse
+		postJSON(t, d.url+"/batchquery", nil, BatchQueryRequest{Hosts: d.hosts, Query: q}, &resp)
+		for i, rep := range resp.Replies {
+			if rep.Error != "" || rep.Host != d.hosts[i] {
+				t.Fatalf("%s: batch reply %d = host %v, error %q", q.Op, i, rep.Host, rep.Error)
+			}
+			batched = append(batched, canon(t, rep.Result))
+		}
+		return perHost, batched
+	}
 
-			// Batched path.
-			replies, err := tr.QueryMany(context.Background(), hosts, q, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range replies {
-				if replies[i].Err != nil {
-					t.Fatalf("host %v: %v", replies[i].Host, replies[i].Err)
-				}
-				if len(replies[i].Result.Records) != 50 {
-					t.Fatalf("host %v: %d records, want 50", replies[i].Host, len(replies[i].Result.Records))
-				}
-			}
-			// Per-host path must agree with the batch.
-			res, meta, err := tr.Query(context.Background(), hosts[0], q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res.Records, replies[0].Result.Records) {
-				t.Fatal("per-host /query and /batchquery disagree")
-			}
-			if meta.RecordsScanned != 50 {
-				t.Fatalf("meta.RecordsScanned = %d, want 50", meta.RecordsScanned)
-			}
-			if want == nil {
-				want = replies
-			} else {
-				for i := range replies {
-					if !reflect.DeepEqual(replies[i].Result.Records, want[i].Result.Records) {
-						t.Fatalf("mode %s host %v differs from baseline mode", m.name, replies[i].Host)
+	// The oracle is the evaluator itself, run in-process over the same
+	// population; every pairing, through both endpoints, must reproduce it.
+	check := func(t *testing.T, compress bool, answer func(*testing.T, daemon, query.Query) ([]string, []string)) {
+		for _, d := range fleet(t, compress) {
+			for _, q := range matrixQueries(base) {
+				perHost, batched := answer(t, d, q)
+				for i, h := range d.hosts {
+					want := canon(t, query.Execute(q, query.StoreView{S: seedStore(int(h), nrec)}))
+					if perHost[i] != want {
+						t.Errorf("%d-host daemon, %s at %v: /query differs from local evaluation\n got %s\nwant %s", len(d.hosts), q.Op, h, perHost[i], want)
+					}
+					if batched[i] != want {
+						t.Errorf("%d-host daemon, %s at %v: /batchquery differs from local evaluation\n got %s\nwant %s", len(d.hosts), q.Op, h, batched[i], want)
 					}
 				}
 			}
-		})
+		}
 	}
+	t.Run("binary-client-wire-server", func(t *testing.T) { check(t, false, viaTransport) })
+	t.Run("binary-client-compressing-server", func(t *testing.T) { check(t, true, viaTransport) })
+	t.Run("json-client-wire-server", func(t *testing.T) { check(t, false, viaCurl) })
 }
 
 // TestNegotiationHeaders checks the raw HTTP contract: the response
@@ -269,7 +376,7 @@ func TestAlarmClientDropped(t *testing.T) {
 // goroutines (run under -race in CI) and then checks that no goroutines
 // outlive the storm once idle connections are dropped.
 func TestPooledFanoutNoLeak(t *testing.T) {
-	srv, hosts := multiDaemon(t, 40, 8, 30, false, false)
+	srv, hosts := multiDaemon(t, 40, 8, 30, false)
 	urls := make(map[types.HostID]string)
 	for _, h := range hosts {
 		urls[h] = srv.URL
@@ -324,9 +431,10 @@ func TestPooledFanoutNoLeak(t *testing.T) {
 }
 
 // TestQueryManyMetaOverWire makes sure per-host telemetry survives the
-// binary batch path byte-for-byte against the JSON path.
+// binary batch path value-for-value against the JSON reply a curl-style
+// client gets.
 func TestQueryManyMetaOverWire(t *testing.T) {
-	srv, hosts := multiDaemon(t, 70, 3, 40, false, false)
+	srv, hosts := multiDaemon(t, 70, 3, 40, false)
 	urls := make(map[types.HostID]string)
 	for _, h := range hosts {
 		urls[h] = srv.URL
@@ -336,15 +444,14 @@ func TestQueryManyMetaOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonR, err := (&HTTPTransport{URLs: urls, JSONOnly: true}).QueryMany(context.Background(), hosts, q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var jsonR BatchQueryResponse
+	postJSON(t, srv.URL+"/batchquery", nil, BatchQueryRequest{Hosts: hosts, Query: q}, &jsonR)
 	for i := range binary {
-		if binary[i].Meta != jsonR[i].Meta {
-			t.Fatalf("host %v meta differs: wire %+v json %+v", hosts[i], binary[i].Meta, jsonR[i].Meta)
+		got, want := binary[i].Meta, jsonR.Replies[i]
+		if got.RecordsScanned != want.RecordsScanned || got.SegmentsScanned != want.SegmentsScanned || got.SegmentsPruned != want.SegmentsPruned {
+			t.Fatalf("host %v meta differs: wire %+v json %+v", hosts[i], got, want)
 		}
-		if binary[i].Meta.RecordsScanned == 0 {
+		if got.RecordsScanned == 0 {
 			t.Fatalf("host %v: telemetry lost", hosts[i])
 		}
 	}

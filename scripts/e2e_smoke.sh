@@ -4,7 +4,9 @@
 # host), run real queries over HTTP and assert on the output.
 #
 # Covered scenarios:
-#   1. healthy batched query — every host answers, stats line says so;
+#   1. healthy batched query — every host answers, stats line says so —
+#      plus a raw records query against a live daemon, whose reply must
+#      be a streamed binary frame;
 #   2. hedged query — a host whose *first* request stalls is rescued by
 #      the duplicate request issued after -hedge-after, so the query still
 #      returns every host's data (and reports the hedge);
@@ -19,14 +21,9 @@
 #      wedged flow fires every period but the controller's suppression
 #      window dedups the repeats, so pathdumpctl -watch sees exactly one
 #      POOR_PERF alarm (with the fold count on the entry);
-#   7. mixed-version wire fallback — a binary-offering client against a
-#      -json-only daemon (stand-in for one predating the wire protocol)
-#      and a -wire json client against a wire-enabled daemon both return
-#      byte-identical output to the binary/binary pairing; the same
-#      matrix covers the request side: the default client's binary
-#      request bodies are 415-rejected by the -json-only daemon and
-#      transparently retried as JSON, and a -wire json-req client keeps
-#      JSON request bodies while still accepting binary replies;
+#   7. curl equivalence — a plain JSON POST with no Accept header (what
+#      the docs' examples send) gets a JSON reply carrying the same top-k
+#      rows pathdumpctl prints from its binary exchange;
 #   8. impairment to alarm — a daemon boots with -impair wedging both
 #      uplinks of the demo workload's first rack at 100% loss, a TCP
 #      monitor is installed over HTTP, and the controller's history shows
@@ -50,7 +47,6 @@ PORT_C="${E2E_PORT_C:-8473}"   # host 5 stalls on its first query only
 PORT_D="${E2E_PORT_D:-8474}"   # offline daemon serving the pulled snapshot
 PORT_E="${E2E_PORT_E:-8475}"   # pathdumpc controller daemon (alarm plane)
 PORT_F="${E2E_PORT_F:-8476}"   # monitored daemon, hosts 6,7 (+ wedged flow)
-PORT_G="${E2E_PORT_G:-8477}"   # -json-only daemon serving the pulled snapshot
 PORT_H="${E2E_PORT_H:-8478}"   # pathdumpc controller for the impairment scenario
 PORT_I="${E2E_PORT_I:-8479}"   # impaired daemon, hosts 0,1 behind lossy uplinks
 BIN="$(mktemp -d)"
@@ -121,6 +117,17 @@ echo "$out"
 grep -q "^#1 " <<<"$out" || { echo "FAIL: no top-k rows"; exit 1; }
 grep -q "(3 hosts answered, 0 skipped, 0 hedged, partial=false" <<<"$out" \
   || { echo "FAIL: healthy query stats line wrong"; exit 1; }
+# A records query against the live daemon, offering the wire encoding:
+# the reply streams off the agent's scan as a binary frame ("PDW1").
+REC="$LOGS/records.bin"
+ctype="$(curl -fs -o "$REC" -w '%{content_type}' \
+  -H 'Accept: application/x-pathdump-wire' "$A/query" \
+  -d '{"host":0,"query":{"op":"records","link":{"A":65535,"B":65535}}}')"
+[ "$ctype" = "application/x-pathdump-wire" ] \
+  || { echo "FAIL: records query answered '$ctype', want a wire frame"; exit 1; }
+[ "$(head -c 4 "$REC")" = "PDW1" ] && [ "$(wc -c <"$REC")" -gt 100 ] \
+  || { echo "FAIL: records reply is not a populated PDW1 frame"; exit 1; }
+echo "records query streamed a $(wc -c <"$REC")-byte wire frame"
 
 echo
 echo "== 2. hedged query beats the slow-first-only host (hosts 4,5) =="
@@ -239,33 +246,21 @@ count="$(grep -c "POOR_PERF" <<<"$out" || true)"
 [ "$count" -eq 1 ] || { echo "FAIL: -watch saw $count POOR_PERF alarms, want exactly 1"; exit 1; }
 
 echo
-echo "== 7. mixed-version wire fallback: binary client vs -json-only daemon =="
-# PORT_D (scenario 5) speaks the binary wire protocol; PORT_G serves the
-# same snapshot but answers JSON only, standing in for a daemon that
-# predates the wire protocol. The matrix now covers both directions of
-# the negotiation: bin_json sends binary *request* bodies at the
-# -json-only daemon (415-rejected, transparently retried as JSON) and
-# accepts only JSON replies back; -wire json-req keeps request bodies
-# JSON while still negotiating binary replies; -wire json disables both
-# directions. Every pairing must produce byte-identical output.
-boot_daemon g pathdumpd -host 0 -listen "127.0.0.1:$PORT_G" -tib "$SNAP" -json-only
-wait_ready "http://127.0.0.1:$PORT_G"
-
+echo "== 7. curl equivalence: a plain JSON POST sees what pathdumpctl prints =="
+# PORT_D (scenario 5) serves the pulled snapshot. pathdumpctl speaks the
+# binary wire protocol to it; curl sends a JSON body with no Accept
+# header and is answered in JSON — same rows, same order. The request
+# names no host: a daemon of one resolves it to its only agent.
 D="http://127.0.0.1:$PORT_D"
-G="http://127.0.0.1:$PORT_G"
-bin_bin="$("$BIN/pathdumpctl" -agents "0=$D" -timeout 10s topk -k 5)"
-bin_json="$("$BIN/pathdumpctl" -agents "0=$G" -timeout 10s topk -k 5)"
-json_bin="$("$BIN/pathdumpctl" -agents "0=$D" -wire json -timeout 10s topk -k 5)"
-json_json="$("$BIN/pathdumpctl" -agents "0=$G" -wire json -timeout 10s topk -k 5)"
-jsonreq_bin="$("$BIN/pathdumpctl" -agents "0=$D" -wire json-req -timeout 10s topk -k 5)"
-jsonreq_json="$("$BIN/pathdumpctl" -agents "0=$G" -wire json-req -timeout 10s topk -k 5)"
-echo "$bin_bin"
-grep -q "^#1 " <<<"$bin_bin" || { echo "FAIL: wire query returned no rows"; exit 1; }
-for pair in bin_json json_bin json_json jsonreq_bin jsonreq_json; do
-  [ "$bin_bin" = "${!pair}" ] \
-    || { echo "FAIL: $pair output differs from binary/binary:"; echo "${!pair}"; exit 1; }
-done
-echo "all six client/daemon encoding pairings agree"
+ctl="$("$BIN/pathdumpctl" -agents "0=$D" -timeout 10s topk -k 5)"
+echo "$ctl"
+grep -q "^#1 " <<<"$ctl" || { echo "FAIL: wire query returned no rows"; exit 1; }
+raw="$(curl -fs "$D/query" -d '{"query":{"op":"topk","k":5}}')"
+ctl_bytes="$(grep '^#' <<<"$ctl" | awk '{print $(NF-1)}' | xargs)"
+raw_bytes="$(grep -o '"bytes":[0-9]*' <<<"$raw" | cut -d: -f2 | xargs)"
+[ -n "$raw_bytes" ] && [ "$ctl_bytes" = "$raw_bytes" ] \
+  || { echo "FAIL: curl JSON top-k '$raw_bytes' differs from pathdumpctl '$ctl_bytes'"; exit 1; }
+echo "curl JSON reply carries the same top-k rows"
 
 echo
 echo "== 8. impairment to alarm: -impair wedges a rack, monitor raises POOR_PERF =="
