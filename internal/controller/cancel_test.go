@@ -337,3 +337,128 @@ func TestInstallRollbackOnPartialFailure(t *testing.T) {
 		}
 	})
 }
+
+// serialScript is a SerialControl transport that logs every control call
+// in order and plays a per-host script: failing installs and uninstalls,
+// and a host whose call cancels the caller's context.
+type serialScript struct {
+	slowTransport
+	installErr   map[types.HostID]error
+	uninstallErr map[types.HostID]error
+	cancelAt     types.HostID // this host's call cancels the context...
+	cancel       context.CancelFunc
+
+	calls    []string // "i3", "u3": install / uninstall at host 3
+	deadCtxs int      // calls that arrived on an already-cancelled context
+}
+
+func (*serialScript) SerialControl() {}
+
+func (s *serialScript) record(ctx context.Context, kind string, h types.HostID) {
+	if ctx.Err() != nil {
+		s.deadCtxs++
+	}
+	s.calls = append(s.calls, fmt.Sprintf("%s%d", kind, h))
+	if s.cancel != nil && h == s.cancelAt {
+		s.cancel()
+	}
+}
+
+func (s *serialScript) Install(ctx context.Context, h types.HostID, _ query.Query, _ types.Time) (int, error) {
+	s.record(ctx, "i", h)
+	return int(h) + 100, s.installErr[h]
+}
+
+func (s *serialScript) Uninstall(ctx context.Context, h types.HostID, id int) error {
+	s.record(ctx, "u", h)
+	if id != int(h)+100 {
+		return fmt.Errorf("uninstall host %v with id %d", h, id)
+	}
+	return s.uninstallErr[h]
+}
+
+// TestSerialControlFanout pins the in-order mode of the control-plane
+// fan-out (SerialControl transports, e.g. Local, whose installs register
+// timers on a single-threaded simulator): calls happen strictly in host
+// order on the calling goroutine — serialScript is unsynchronised, so
+// -race fails otherwise — Install stops at the first failure and rolls
+// back on a context detached from the caller's, Uninstall attempts every
+// host and reports the first real error in host order, and a cancelled
+// context is noticed before every host.
+func TestSerialControlFanout(t *testing.T) {
+	topo, _ := topology.FatTree(4)
+	hosts := hostRange(6)
+	q := query.Query{Op: query.OpPoorTCP, Threshold: 3}
+	trace := func(s *serialScript) string { return fmt.Sprint(s.calls) }
+
+	t.Run("order", func(t *testing.T) {
+		tr := &serialScript{}
+		ctrl := New(topo, tr, nil)
+		ids, err := ctrl.Install(hosts, q, types.Second)
+		if err != nil || len(ids) != len(hosts) {
+			t.Fatalf("install: %v, %d ids", err, len(ids))
+		}
+		if err := ctrl.Uninstall(ids); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := trace(tr), "[i0 i1 i2 i3 i4 i5 u0 u1 u2 u3 u4 u5]"; got != want {
+			t.Errorf("calls = %s, want %s", got, want)
+		}
+	})
+
+	t.Run("install-stops-and-rolls-back-detached", func(t *testing.T) {
+		// Host 3 fails and, for good measure, kills the caller's context
+		// on the way: hosts 4 and 5 are never attempted, and the rollback
+		// of 0..2 still runs — on a live context.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tr := &serialScript{installErr: map[types.HostID]error{3: errBoom}, cancelAt: 3, cancel: cancel}
+		ctrl := New(topo, tr, nil)
+		ids, err := ctrl.InstallContext(ctx, hosts, q, types.Second)
+		if !errors.Is(err, errBoom) || ids != nil {
+			t.Fatalf("install = %v, %v; want errBoom and no ids", ids, err)
+		}
+		if got, want := trace(tr), "[i0 i1 i2 i3 u0 u1 u2]"; got != want {
+			t.Errorf("calls = %s, want %s", got, want)
+		}
+		if tr.deadCtxs != 0 {
+			t.Errorf("%d rollback calls ran on the cancelled context", tr.deadCtxs)
+		}
+	})
+
+	t.Run("uninstall-attempts-all-first-real-error", func(t *testing.T) {
+		// Host 1's failure is only a cancellation echo; host 2's and host
+		// 4's are real. Everyone is attempted; host 2's error is reported.
+		errLater := errors.New("later")
+		tr := &serialScript{uninstallErr: map[types.HostID]error{
+			1: fmt.Errorf("host 1: %w", context.Canceled), 2: errBoom, 4: errLater}}
+		ctrl := New(topo, tr, nil)
+		ids := make(map[types.HostID]int)
+		for _, h := range hosts {
+			ids[h] = int(h) + 100
+		}
+		if err := ctrl.Uninstall(ids); !errors.Is(err, errBoom) {
+			t.Errorf("err = %v, want host 2's errBoom", err)
+		}
+		if got, want := trace(tr), "[u0 u1 u2 u3 u4 u5]"; got != want {
+			t.Errorf("calls = %s, want %s", got, want)
+		}
+	})
+
+	t.Run("cancel-checked-before-every-host", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		tr := &serialScript{cancelAt: 2, cancel: cancel}
+		ctrl := New(topo, tr, nil)
+		ids := make(map[types.HostID]int)
+		for _, h := range hosts {
+			ids[h] = int(h) + 100
+		}
+		if err := ctrl.UninstallContext(ctx, ids); !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled: hosts 3..5 were never attempted", err)
+		}
+		if got, want := trace(tr), "[u0 u1 u2]"; got != want {
+			t.Errorf("calls = %s, want %s", got, want)
+		}
+	})
+}

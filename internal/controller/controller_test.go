@@ -344,3 +344,52 @@ func TestBuildLevelsShape(t *testing.T) {
 		t.Errorf("fanout larger than hosts: %d nodes", len(got))
 	}
 }
+
+// TestRecordsRepliesAreCharged: a records reply is the largest thing the
+// management network carries, so the model must charge it — sized as the
+// parent folds it in, before the pooled record buffers are recycled. The
+// modelled traffic covers at least what the hosts' replies serialise to,
+// and the response time grows with the number of records returned.
+func TestRecordsRepliesAreCharged(t *testing.T) {
+	r := newRig(t, 4, netsim.Config{Seed: 7})
+	r.seedTraffic(128)
+	// Scans cost the same whatever they match, so only the replies differ.
+	r.ctrl.Cost.ExecPerRecord = 0
+
+	all := query.Query{Op: query.OpRecords, Link: types.AnyLink}
+	var replyBytes int64
+	var one types.FlowID
+	for _, h := range r.hosts {
+		res, err := r.ctrl.QueryHost(h, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(&res)
+		replyBytes += int64(len(b))
+		if len(res.Records) > 0 {
+			one = res.Records[0].Flow
+		}
+	}
+	few := query.Query{Op: query.OpRecords, Link: types.AnyLink, Flow: one}
+
+	for _, fanouts := range [][]int{nil, {4, 2}} {
+		resAll, stAll, err := r.ctrl.ExecuteTree(r.hosts, all, fanouts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resFew, stFew, err := r.ctrl.ExecuteTree(r.hosts, few, fanouts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resFew.Records) == 0 || len(resFew.Records) >= len(resAll.Records) {
+			t.Fatalf("fanouts %v: %d vs %d records, want a strict non-empty subset", fanouts, len(resFew.Records), len(resAll.Records))
+		}
+		if stAll.WireBytes < replyBytes {
+			t.Errorf("fanouts %v: WireBytes = %d, below the %d bytes the hosts' own replies serialise to", fanouts, stAll.WireBytes, replyBytes)
+		}
+		if stAll.ResponseTime <= stFew.ResponseTime {
+			t.Errorf("fanouts %v: %d records modelled at %v, %d records at %v — response time must grow with the reply",
+				fanouts, len(resAll.Records), stAll.ResponseTime, len(resFew.Records), stFew.ResponseTime)
+		}
+	}
+}

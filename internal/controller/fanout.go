@@ -134,6 +134,33 @@ func (fo *fanout) tryAcquire() bool {
 	}
 }
 
+// attempt runs one request unit — a host's query or a batched round —
+// under the per-host budget, re-issuing it on real transport errors
+// (never on context expiry, aborts, or authoritative HTTP answers) up to
+// retryAttempts times with backoff. The unit keeps its pool slot across
+// the backoff: it is still outstanding work. Retries are tallied on sp.
+func (fo *fanout) attempt(sp *obs.Span, call func(ctx context.Context) error) error {
+	ctx := fo.ctx
+	if fo.perHostTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(fo.ctx, fo.perHostTimeout)
+		defer cancel()
+	}
+	err := call(ctx)
+	retries := 0
+	for ; retries < fo.retryAttempts && retryableTransportError(err); retries++ {
+		if !sleepCtx(ctx, fo.retryDelay(retries)) || fo.err() != nil {
+			break
+		}
+		fo.retried.Add(1)
+		err = call(ctx)
+	}
+	if retries > 0 {
+		sp.SetInt("retried", int64(retries))
+	}
+	return err
+}
+
 // retryableTransportError classifies a per-host failure for the retry
 // policy: only real transport errors — the dial failed, the connection
 // reset, the stream cut off — are worth re-asking, so the check is a

@@ -393,3 +393,64 @@ func TestPerHostTimeoutModelCap(t *testing.T) {
 		t.Errorf("uncapped model %v not above capped %v", full.ResponseTime, stats.ResponseTime)
 	}
 }
+
+// budgetTransport answers like cannedTransport except that host `late`
+// reports its per-host budget as exhausted — immediately, so the test
+// needs no real waiting. batchBudgetTransport serves the same answers
+// through QueryMany, where the late host's failure rides in its reply.
+type budgetTransport struct {
+	cannedTransport
+	late types.HostID
+}
+
+func (b budgetTransport) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, QueryMeta, error) {
+	if host == b.late {
+		return query.Result{}, QueryMeta{}, context.DeadlineExceeded
+	}
+	return b.cannedTransport.Query(ctx, host, q)
+}
+
+type batchBudgetTransport struct{ budgetTransport }
+
+func (b batchBudgetTransport) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, _ int) ([]BatchReply, error) {
+	out := make([]BatchReply, len(hosts))
+	for i, h := range hosts {
+		res, meta, err := b.Query(ctx, h, q)
+		out[i] = BatchReply{Host: h, Result: res, Meta: meta, Err: err}
+	}
+	return out, nil
+}
+
+// TestDroppedHostChargedAlikeOnBothPaths: what a dropped straggler costs
+// in the model is one rule, not a property of the code path that dropped
+// it — the same host dropped from a batched round and from a per-host
+// request yields identical ExecStats (it sent nothing back, so it is
+// charged the query going down, the budget, and no reply bytes).
+func TestDroppedHostChargedAlikeOnBothPaths(t *testing.T) {
+	topo, _ := topology.FatTree(4)
+	// Host 6 is a leaf either way: one of 32 under the root, or — in the
+	// [4,2] tree — one of three batched under aggregation host 4.
+	hosts := hostRange(32)
+	q := query.Query{Op: query.OpTopK, K: 10}
+	base := budgetTransport{cannedTransport: cannedTransport{k: 10, records: 10_000}, late: 6}
+
+	for _, fanouts := range [][]int{nil, {4, 2}} {
+		var got [2]ExecStats
+		for i, tr := range []Transport{base, batchBudgetTransport{base}} {
+			ctrl := New(topo, tr, nil)
+			ctrl.PerHostTimeout = time.Second
+			_, stats, err := ctrl.ExecuteTree(hosts, q, fanouts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Hosts != 31 || stats.Skipped != 1 || !stats.Partial {
+				t.Fatalf("fanouts %v: stats = %+v, want exactly host 6 dropped", fanouts, stats)
+			}
+			stats.Trace = nil
+			got[i] = stats
+		}
+		if got[0] != got[1] {
+			t.Errorf("fanouts %v: per-host drop %+v, batched drop %+v — want identical stats", fanouts, got[0], got[1])
+		}
+	}
+}

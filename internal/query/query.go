@@ -9,7 +9,6 @@ package query
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -128,16 +127,6 @@ type Result struct {
 	Violations []Violation    `json:"violations,omitempty"`
 	Matrix     []MatrixCell   `json:"matrix,omitempty"`
 	Records    []types.Record `json:"records,omitempty"`
-}
-
-// WireSize returns the serialised size in bytes — the unit of the query
-// traffic-volume measurements (Figs. 11b, 12b).
-func (r *Result) WireSize() int {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return 0
-	}
-	return len(b)
 }
 
 // View is the data a host agent exposes to query execution: a record
