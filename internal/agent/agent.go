@@ -355,7 +355,7 @@ func (a *Agent) raise(al types.Alarm) {
 // Execute runs a query against this host's view (TIB plus live trajectory
 // memory plus the TCP monitor) — the host side of the controller API.
 func (a *Agent) Execute(q query.Query) query.Result {
-	return query.Execute(q, a.view())
+	return query.Execute(q, a.view(nil))
 }
 
 // ExecuteContext is Execute under a caller context: the evaluation loop
@@ -364,7 +364,7 @@ func (a *Agent) Execute(q query.Query) query.Result {
 // servers call with the request context, so a disconnected client or an
 // expired controller deadline releases the host promptly.
 func (a *Agent) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
-	return query.ExecuteContext(ctx, q, a.view())
+	return query.ExecuteContext(ctx, q, a.view(ctx))
 }
 
 // StreamRecords hands every record matching q's predicate to fn as the
@@ -376,7 +376,7 @@ func (a *Agent) StreamRecords(ctx context.Context, q query.Query, fn func(*types
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	a.view().WithContext(ctx).ScanRecords(query.PredicateOf(q), fn)
+	a.view(ctx).ScanRecords(query.PredicateOf(q), fn)
 	return ctx.Err()
 }
 

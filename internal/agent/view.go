@@ -25,18 +25,15 @@ type agentView struct {
 	// any store scan, so a record exported mid-query is seen at most
 	// twice, never missed. Headers are resolved to paths only for the
 	// entries a scan's predicate admits.
-	live []tib.MemEntry
-	ctx  context.Context
+	live   []tib.MemEntry
+	ctx    context.Context
+	polled int // records visited, for the cancellation poll
 }
 
-// WithContext implements query.ContextView.
-func (v agentView) WithContext(ctx context.Context) query.View {
-	v.ctx = ctx
-	return v
-}
-
-func (a *Agent) view() agentView {
-	return agentView{a: a, live: a.Mem.Live()}
+// view binds the agent's queryable state to ctx (nil: never cancelled),
+// once: the view goes to query.Execute as it is.
+func (a *Agent) view(ctx context.Context) *agentView {
+	return &agentView{a: a, live: a.Mem.Live(), ctx: ctx}
 }
 
 // ScanRecords implements query.View over store + live records: the
@@ -47,19 +44,12 @@ func (a *Agent) view() agentView {
 // (they carry no sequence and count as in-window — by construction new).
 // With a context attached, the TIB scan aborts between merged shard
 // records once the context is cancelled.
-func (v agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
-	visit := func(rec *types.Record) bool {
-		fn(rec)
-		return true
-	}
-	if v.ctx != nil {
-		visit = query.PollCancel(v.ctx, fn)
-	}
+func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 	// The query.View contract has no error channel: a cold-tier read
 	// fault yields the resident portion of the answer, with the fault
 	// counted in the store's ColdStats (see tib.Store.Flows for the
 	// contract).
-	_ = v.a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, visit)
+	_ = v.a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, query.PollCancel(v.ctx, &v.polled, fn))
 	if v.ctx != nil && v.ctx.Err() != nil {
 		return
 	}
@@ -90,7 +80,7 @@ func (v agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 }
 
 // PoorTCPFlows implements query.View.
-func (v agentView) PoorTCPFlows(threshold int) []types.FlowID {
+func (v *agentView) PoorTCPFlows(threshold int) []types.FlowID {
 	return v.a.PoorTCPFlows(threshold)
 }
 

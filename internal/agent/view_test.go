@@ -95,7 +95,7 @@ func TestViewScanMatchesEagerLive(t *testing.T) {
 		}
 		sawLive = sawLive || len(want) > fromStore
 		var got []types.Record
-		a.view().ScanRecords(p, func(rec *types.Record) { got = append(got, *rec) })
+		a.view(nil).ScanRecords(p, func(rec *types.Record) { got = append(got, *rec) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("predicate %+v:\n got %v\nwant %v", p, got, want)
 		}

@@ -28,10 +28,16 @@ type treeNode struct {
 	items    int       // wire bytes and merge items (0: nothing came back)
 }
 
+func (n *treeNode) isLeaf() bool { return n.isHost && len(n.children) == 0 }
+
+// leafNodes carves one level's nodes from a single slice (as buildLevels
+// does): a tree costs two allocations per level, not one per host.
 func leafNodes(hosts []types.HostID) []*treeNode {
+	nodes := make([]treeNode, len(hosts))
 	out := make([]*treeNode, len(hosts))
 	for i, h := range hosts {
-		out[i] = &treeNode{host: h, isHost: true}
+		nodes[i] = treeNode{host: h, isHost: true}
+		out[i] = &nodes[i]
 	}
 	return out
 }
@@ -50,6 +56,7 @@ func buildLevels(hosts []types.HostID, fanouts []int) []*treeNode {
 	if n <= 0 || n > len(hosts) {
 		n = len(hosts)
 	}
+	nodes := make([]treeNode, n)
 	out := make([]*treeNode, 0, n)
 	for g := 0; g < n; g++ {
 		lo := g * len(hosts) / n
@@ -58,8 +65,8 @@ func buildLevels(hosts []types.HostID, fanouts []int) []*treeNode {
 		if len(group) == 0 {
 			continue
 		}
-		node := &treeNode{host: group[0], isHost: true}
-		node.children = buildLevels(group[1:], fanouts[1:])
+		node := &nodes[len(out)]
+		*node = treeNode{host: group[0], isHost: true, children: buildLevels(group[1:], fanouts[1:])}
 		out = append(out, node)
 	}
 	return out
@@ -186,15 +193,17 @@ func (c *Controller) run(ctx context.Context, n *treeNode, q query.Query) (query
 	if stats.Partial {
 		m.partial.Inc()
 	}
-	return out.res, stats, nil
+	return *out.res, stats, nil
 }
 
 // childOut is one child subtree's outcome, slotted by child index so the
 // merge remains deterministic regardless of goroutine completion order.
-// err==nil with !ok marks a dropped straggler (or a subtree whose every
-// host was dropped): nothing arrived to fold.
+// res points at the result where it landed — a batch reply's slot, the
+// child node's own merge base — and stays valid until the parent's merge
+// is done with it. err==nil with !ok marks a dropped straggler (or a
+// subtree whose every host was dropped): nothing arrived to fold.
 type childOut struct {
-	res query.Result
+	res *query.Result
 	ok  bool
 	err error
 }
@@ -210,8 +219,9 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 	// request, not a whole daemon's round.
 	var batchIdx []int
 	if bt, ok := c.T.(BatchTransport); ok && fo.hedgeAfter <= 0 {
+		batchIdx = make([]int, 0, nc)
 		for i, ch := range n.children {
-			if ch.isHost && len(ch.children) == 0 {
+			if ch.isLeaf() {
 				batchIdx = append(batchIdx, i)
 			}
 		}
@@ -221,13 +231,9 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 			batchIdx = nil
 		}
 	}
-	inBatch := make([]bool, nc)
-	for _, i := range batchIdx {
-		inBatch[i] = true
-	}
 	for i, ch := range n.children {
-		if inBatch[i] {
-			continue
+		if batchIdx != nil && ch.isLeaf() {
+			continue // rides the batch
 		}
 		go func(i int, ch *treeNode) {
 			if len(ch.children) == 0 {
@@ -239,7 +245,7 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 				// before done is signalled: the parent may hand the span
 				// tree to its caller the moment its last child reports.
 				csp := sp.StartChild("node")
-				csp.SetAttr("host", fmt.Sprintf("%v", ch.host))
+				csp.SetHost("host", ch.host)
 				outs[i] = c.runNode(ch, q, fo, csp)
 				csp.Finish()
 			}
@@ -250,14 +256,13 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 	// The node's own host executes on this goroutine, concurrently with
 	// its children (an aggregation host scans its TIB while waiting); its
 	// result is the merge base.
-	var out childOut
-	out.res.Op = q.Op
+	out := childOut{res: &query.Result{Op: q.Op}}
 	errs := make([]error, 1, nc+1)
 	if n.isHost {
 		r, meta, err := c.queryHost(n.host, q, fo, sp)
 		switch {
 		case err == nil:
-			out.res, out.ok = r, true
+			*out.res, out.ok = r, true
 			out.res.Op = q.Op
 			n.answered, n.meta = true, meta
 		case c.dropHost(fo, err):
@@ -276,7 +281,7 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 		msp = sp.StartChild("merge")
 		msp.SetInt("children", int64(nc))
 	}
-	sm := query.NewStreamMerger(q, &out.res, nc)
+	sm := query.NewStreamMerger(q, out.res, nc)
 	for drained := 0; drained < nc; drained++ {
 		i := <-done
 		switch o := &outs[i]; {
@@ -288,17 +293,19 @@ func (c *Controller) runNode(n *treeNode, q query.Query, fo *fanout, sp *obs.Spa
 			sm.Add(i, nil)
 		default:
 			// Sized as it is folded in, while its buffers are still live.
-			n.children[i].size, n.children[i].items = measure(&o.res)
+			n.children[i].size, n.children[i].items = measure(o.res)
 			out.ok = true
-			sm.Add(i, &o.res)
+			sm.Add(i, o.res)
 		}
 	}
 	if q.Op == query.OpRecords {
 		// Each child's record slice was copied into the merged result;
 		// recycle the pooled buffers the transports drew them from.
-		for i := range outs {
-			query.PutRecordBuf(outs[i].res.Records)
-			outs[i].res.Records = nil
+		for _, o := range outs {
+			if o.res != nil {
+				query.PutRecordBuf(o.res.Records)
+				o.res.Records = nil
+			}
 		}
 	}
 	msp.Finish()
@@ -373,14 +380,14 @@ func (c *Controller) runBatch(bt BatchTransport, n *treeNode, q query.Query, bat
 			}
 			continue
 		}
-		rep := replies[j]
+		rep := &replies[j]
 		fo.queried.Add(1)
 		hsp := bsp.StartChild("rpc")
-		hsp.SetAttr("host", fmt.Sprintf("%v", rep.Host))
+		hsp.SetHost("host", rep.Host)
 		attachScan(hsp, rep.Meta)
 		hsp.Finish()
 		n.children[i].answered, n.children[i].meta = true, rep.Meta
-		outs[i] = childOut{res: rep.Result, ok: true}
+		outs[i] = childOut{res: &rep.Result, ok: true}
 	}
 }
 
@@ -396,7 +403,7 @@ func (c *Controller) queryHost(host types.HostID, q query.Query, fo *fanout, sp 
 	}
 	defer fo.release()
 	rpc := sp.StartChild("rpc")
-	rpc.SetAttr("host", fmt.Sprintf("%v", host))
+	rpc.SetHost("host", host)
 	defer rpc.Finish()
 
 	err = fo.attempt(rpc, func(ctx context.Context) (err error) {
@@ -464,7 +471,7 @@ func (c *Controller) queryHedged(hostCtx context.Context, host types.HostID, q q
 			}
 			fo.hedged.Add(1)
 			hsp := rpc.StartChild("hedge")
-			hsp.SetAttr("host", fmt.Sprintf("%v", host))
+			hsp.SetHost("host", host)
 			if !ownSlot {
 				// The pool was exhausted: the duplicate replaced the
 				// cancelled primary on its slot instead of racing it.

@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"encoding/json"
-
 	"pathdump/internal/query"
 	"pathdump/internal/types"
 )
@@ -205,8 +203,7 @@ func measure(r *query.Result) (size int64, items int) {
 		items = 1 // scalar results still cost one update
 	}
 	if r.Op != query.OpRecords {
-		b, _ := json.Marshal(r) // a Result always marshals; a failure would size as 0
-		return int64(len(b)), items
+		return jsonLen(r), items // a Result always marshals; a failure would size as 0
 	}
 	size = int64(len(`{"op":"records"}`))
 	if len(r.Records) > 0 {

@@ -3,10 +3,13 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pathdump/internal/types"
 )
 
 func TestNewTraceID(t *testing.T) {
@@ -83,11 +86,12 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Name != "scan" || back.Attr("segments") != "4" || len(back.Children) != 1 {
+	kids := back.snapshot().Children
+	if back.Name != "scan" || back.Attr("segments") != "4" || len(kids) != 1 {
 		t.Fatalf("round trip lost data: %+v", &back)
 	}
-	if back.Children[0].Name != "cold-load" {
-		t.Fatalf("child lost: %+v", back.Children[0])
+	if kids[0].Name != "cold-load" {
+		t.Fatalf("child lost: %+v", kids[0])
 	}
 }
 
@@ -111,9 +115,139 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	}
 	wg.Wait()
 	root.Finish()
-	if len(root.Children) != 16 {
-		t.Fatalf("children = %d, want 16", len(root.Children))
+	if n := len(root.snapshot().Children); n != 16 {
+		t.Fatalf("children = %d, want 16", n)
 	}
+}
+
+// TestSpanStress is the -race guard for one trace mutated from many
+// goroutines, as hedges and sibling subtrees do: 64 of them start,
+// annotate, finish and attach spans under one root while another renders
+// and marshals the tree. Every span must be there afterwards, with every
+// annotation.
+func TestSpanStress(t *testing.T) {
+	const workers, rounds = 64, 20
+	root := NewSpan("query")
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = root.Render()
+			if _, err := json.Marshal(root); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			node := root.StartChild("node")
+			node.SetHost("host", types.HostID(w))
+			for r := 0; r < rounds; r++ {
+				rpc := node.StartChild("rpc")
+				rpc.SetHost("host", types.HostID(r))
+				rpc.SetInt("round", int64(r))
+				rpc.SetAttr("a", "1")
+				rpc.SetAttr("overflow", "the fourth attribute leaves the inline array")
+				scan := NewSpan("scan") // a foreign trace, as one decoded from a reply
+				scan.SetInt("records", int64(r))
+				scan.Finish()
+				rpc.AddChild(scan)
+				rpc.Finish()
+			}
+			node.Finish()
+		}(w)
+	}
+	wg.Wait()
+	root.Finish()
+	close(stop)
+	reader.Wait()
+
+	nodes := root.snapshot().Children
+	if len(nodes) != workers {
+		t.Fatalf("root has %d children, want %d", len(nodes), workers)
+	}
+	for _, node := range nodes {
+		rpcs := node.snapshot().Children
+		if len(rpcs) != rounds {
+			t.Fatalf("node %s has %d rpc spans, want %d", node.Attr("host"), len(rpcs), rounds)
+		}
+		for r, rpc := range rpcs {
+			want := types.HostID(r).String()
+			if rpc.Attr("host") != want || rpc.Attr("round") != want[1:] || rpc.Attr("overflow") == "" || rpc.Dur == 0 {
+				t.Fatalf("rpc span %d of node %s came out as %s", r, node.Attr("host"), rpc.Render())
+			}
+			if kids := rpc.snapshot().Children; len(kids) != 1 || kids[0].Attr("records") != want[1:] {
+				t.Fatalf("rpc span %d lost its attached scan span: %s", r, rpc.Render())
+			}
+		}
+	}
+}
+
+// TestSpanAllocsPerHostQuery pins what the always-on trace costs a
+// fan-out: the spans the controller records per answered host — an rpc
+// span carrying the host, and the scan span synthesized from the reply's
+// three counters — come out of the trace's chunks, typed, unformatted.
+// (They cost 11 allocations per host before the arena.)
+func TestSpanAllocsPerHostQuery(t *testing.T) {
+	const hosts = 128
+	perHost := testing.AllocsPerRun(20, func() { spanTree(hosts) }) / hosts
+	if perHost > 0.5 {
+		t.Errorf("%.2f allocations per host-query for its spans, want <= 0.5", perHost)
+	}
+}
+
+// spanTree records what one batched direct query over hosts hosts leaves
+// in its trace, line for line as the controller does.
+func spanTree(hosts int) *Span {
+	root := NewSpan("query")
+	root.SetAttr("trace", "00c0ffee00c0ffee")
+	root.SetAttr("op", "topk")
+	root.SetInt("hosts", int64(hosts))
+	batch := root.StartChild("batch")
+	batch.SetInt("hosts", int64(hosts))
+	for h := 0; h < hosts; h++ {
+		rpc := batch.StartChild("rpc")
+		rpc.SetHost("host", types.HostID(h))
+		scan := rpc.StartChild("scan")
+		scan.SetInt("records", 4)
+		scan.SetInt("segments_scanned", 354)
+		scan.SetInt("segments_pruned", 0)
+		scan.Finish()
+		rpc.Finish()
+	}
+	batch.Finish()
+	merge := root.StartChild("merge")
+	merge.SetInt("children", int64(hosts))
+	merge.Finish()
+	root.Finish()
+	return root
+}
+
+// BenchmarkSpanTree is the trace's share of a fan-out, gated in CI by its
+// allocs/host.
+func BenchmarkSpanTree(b *testing.B) {
+	const hosts = 128
+	b.Run("128-hosts", func(b *testing.B) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			spanTree(hosts)
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/hosts, "allocs/host")
+	})
 }
 
 func TestSlowLogRing(t *testing.T) {

@@ -129,3 +129,21 @@ func TestMergeAllocsLinearInOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordBufAllocs: handing a reply's records back to the pool is
+// free when there are none — every host-query of an op that carries no
+// records does exactly that — and costs at most the pool's one pointer
+// box when there are. PutRecordBuf used to take the address of its own
+// parameter, which moved the slice header to the heap at function entry,
+// on the nil path too.
+func TestRecordBufAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { PutRecordBuf(nil) }); got != 0 {
+		t.Errorf("PutRecordBuf(nil) allocates %.0f times, want 0", got)
+	}
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	if got := testing.AllocsPerRun(100, func() { PutRecordBuf(append(GetRecordBuf(), types.Record{Bytes: 1})) }); got > 1 {
+		t.Errorf("a Get/Put cycle on a pooled buffer allocates %.0f times, want <= 1", got)
+	}
+}

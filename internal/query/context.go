@@ -62,12 +62,13 @@ func (v StoreView) WithContext(ctx context.Context) View {
 // CancelCheckEvery records and stops the scan once it is cancelled. It
 // is the one shared definition of the in-scan poll policy — every
 // context-aware view (the bare-store view here, the agent's live view)
-// wraps its scans with it.
-func PollCancel(ctx context.Context, fn func(*types.Record)) func(*types.Record) bool {
-	n := 0
+// wraps its scans with it. The record count lives in the caller's *n, so
+// a view that already sits on the heap pays for the closure and nothing
+// else; a nil ctx never stops the scan.
+func PollCancel(ctx context.Context, n *int, fn func(*types.Record)) func(*types.Record) bool {
 	return func(rec *types.Record) bool {
-		n++
-		if n%CancelCheckEvery == 0 && ctx.Err() != nil {
+		*n++
+		if *n%CancelCheckEvery == 0 && ctx != nil && ctx.Err() != nil {
 			return false
 		}
 		fn(rec)

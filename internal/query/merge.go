@@ -24,15 +24,6 @@ func (r *Result) Merge(o *Result, q Query) {
 	NewStreamMerger(q, r, 1).Add(0, o)
 }
 
-// Partial is one child's indexed contribution to a streaming merge. A
-// nil Res marks a child that contributes nothing — a dropped straggler, a
-// host cut off by the query deadline — so the merge can advance past its
-// slot without waiting.
-type Partial struct {
-	Index int
-	Res   *Result
-}
-
 // StreamMerger folds per-child partial results into a single result
 // incrementally: child i is merged the moment children 0..i-1 have been
 // merged and child i has arrived, so merge work overlaps waiting on
@@ -50,7 +41,9 @@ type Partial struct {
 // place, and the merged result belongs to the caller alone.
 //
 // A StreamMerger is single-consumer: feed Add from one goroutine,
-// typically the one draining a completion channel (see MergeStream).
+// typically the one draining a completion channel. A nil child marks a
+// slot that contributes nothing — a dropped straggler, a host cut off by
+// the query deadline — so the merge can advance past it without waiting.
 type StreamMerger struct {
 	q       Query
 	dst     *Result
@@ -120,19 +113,6 @@ func (m *StreamMerger) Merged() int { return m.merged }
 
 // Done reports whether every child slot has been consumed.
 func (m *StreamMerger) Done() bool { return m.next == len(m.arrived) }
-
-// MergeStream is the channel-fed streaming merge: it drains exactly n
-// indexed contributions from ch into dst, merging each one as soon as the
-// index order allows, and returns how many were non-nil. Producers send
-// each child's Partial once, from any goroutine, as results land.
-func MergeStream(q Query, dst *Result, n int, ch <-chan Partial) int {
-	m := NewStreamMerger(q, dst, n)
-	for i := 0; i < n; i++ {
-		p := <-ch
-		m.Add(p.Index, p.Res)
-	}
-	return m.merged
-}
 
 // seed loads the op's fold state from dst's base contents.
 func (m *StreamMerger) seed() {
@@ -258,10 +238,13 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 	}
 	t := &m.totals
 	if t.idx == nil {
-		// First fold: room for the base and this child at once. A
-		// two-operand Merge makes a merger per call and would otherwise
-		// grow both from nothing every time.
-		n := len(m.dst.Top) + len(child)
+		// First fold: sized once, for the most a fold ever holds —
+		// everything, if the base and children like this one stay under
+		// k, and otherwise the k survivors plus the child being added.
+		n := len(m.dst.Top) + len(child)*(len(m.arrived)-m.next)
+		if n > k {
+			n = k + len(child)
+		}
 		t.idx, t.list = make(map[types.FlowID]int32, n), make([]FlowBytes, 0, n)
 		for _, fb := range m.dst.Top {
 			t.add(fb.Flow, fb.Bytes, fb.Pkts)

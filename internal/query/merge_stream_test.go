@@ -114,24 +114,43 @@ func TestStreamMergerNilContributions(t *testing.T) {
 	}
 }
 
-// TestMergeStreamChannelFed: the channel-fed entry point drains exactly n
-// contributions sent concurrently and produces the deterministic merge.
-func TestMergeStreamChannelFed(t *testing.T) {
+// arrival is one child's indexed contribution on its way to the merger's
+// single consumer; a nil res is a child that contributes nothing.
+type arrival struct {
+	index int
+	res   *Result
+}
+
+// drain feeds exactly n arrivals from ch to a merger over dst, as the
+// controller's completion loop does, and returns how many were non-nil.
+func drain(q Query, dst *Result, n int, ch <-chan arrival) int {
+	m := NewStreamMerger(q, dst, n)
+	for i := 0; i < n; i++ {
+		a := <-ch
+		m.Add(a.index, a.res)
+	}
+	return m.Merged()
+}
+
+// TestStreamMergerConcurrentArrivals: children produced concurrently and
+// handed to the single consumer over a channel, in whatever order they
+// land, still produce the deterministic merge.
+func TestStreamMergerConcurrentArrivals(t *testing.T) {
 	const n = 16
 	q := Query{Op: OpFlows}
 	results := childResults(n, 25, OpFlows)
 	want := sequentialMerge(q, results, nil)
 
 	for trial := 0; trial < 10; trial++ {
-		ch := make(chan Partial, n)
+		ch := make(chan arrival, n)
 		for i := 0; i < n; i++ {
 			go func(i int) {
 				time.Sleep(time.Duration(rand.Intn(3)) * time.Millisecond)
-				ch <- Partial{Index: i, Res: &results[i]}
+				ch <- arrival{i, &results[i]}
 			}(i)
 		}
 		var got Result
-		if merged := MergeStream(q, &got, n, ch); merged != n {
+		if merged := drain(q, &got, n, ch); merged != n {
 			t.Fatalf("merged %d of %d", merged, n)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -159,12 +178,12 @@ func BenchmarkStreamingMerge(b *testing.B) {
 	q := Query{Op: OpTopK, K: perChild}
 	results := childResults(children, perChild, OpTopK)
 
-	feed := func() <-chan Partial {
-		ch := make(chan Partial, children)
+	feed := func() <-chan arrival {
+		ch := make(chan arrival, children)
 		for i := 0; i < children; i++ {
 			go func(i int) {
 				time.Sleep(time.Duration(i) * stagger)
-				ch <- Partial{Index: i, Res: &results[i]}
+				ch <- arrival{i, &results[i]}
 			}(i)
 		}
 		return ch
@@ -176,7 +195,7 @@ func BenchmarkStreamingMerge(b *testing.B) {
 			buf := make([]*Result, children)
 			for j := 0; j < children; j++ {
 				p := <-ch
-				buf[p.Index] = p.Res
+				buf[p.index] = p.res
 			}
 			var dst Result
 			dst.Op = q.Op
@@ -191,7 +210,7 @@ func BenchmarkStreamingMerge(b *testing.B) {
 	b.Run(fmt.Sprintf("streaming-%dx%d", children, perChild), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var dst Result
-			if MergeStream(q, &dst, children, feed()) != children {
+			if drain(q, &dst, children, feed()) != children {
 				b.Fatal("missing contributions")
 			}
 			if len(dst.Top) != perChild {

@@ -37,8 +37,9 @@ func PutRecordBuf(recs []types.Record) {
 	if recs == nil || cap(recs) > maxPooledRecords {
 		return
 	}
-	full := recs[:cap(recs)]
-	clear(full)
-	recs = recs[:0]
-	recordBufs.Put(&recs)
+	clear(recs[:cap(recs)])
+	// The pool holds pointers; taking the parameter's address would move
+	// it to the heap at function entry, on the early return too.
+	buf := recs[:0]
+	recordBufs.Put(&buf)
 }

@@ -186,14 +186,8 @@ func (v StoreView) Supports(op Op) error {
 // in the store's ColdStats (see tib.Store.Flows). With a context
 // attached the visitor polls it between records and stops early.
 func (v StoreView) ScanRecords(p Predicate, fn func(*types.Record)) {
-	visit := func(rec *types.Record) bool {
-		fn(rec)
-		return true
-	}
-	if v.ctx != nil {
-		visit = PollCancel(v.ctx, fn)
-	}
-	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, visit)
+	var n int
+	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, PollCancel(v.ctx, &n, fn))
 }
 
 // ExecuteE runs a query against a host's view, reporting ErrUnsupported

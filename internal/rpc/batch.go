@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"pathdump/internal/controller"
 	"pathdump/internal/query"
@@ -83,7 +84,7 @@ func (s *MultiAgentServer) Handler() http.Handler {
 		if !decode(w, r, &req, s.MaxBodyBytes) {
 			return
 		}
-		replies, err := s.runBatch(r.Context(), req)
+		replies, err := s.runBatch(r.Context(), &req)
 		if err != nil {
 			writeExecuteError(w, err)
 			return
@@ -96,61 +97,66 @@ func (s *MultiAgentServer) Handler() http.Handler {
 	return mux
 }
 
-// runBatch executes one query at every requested host concurrently and
-// returns replies aligned with the request order. The effective bound is
-// the tighter of the daemon's own Parallelism and the one the request
-// carries from the controller. A cancelled request context (the
-// controller hung up, or its deadline fired mid-batch) stops the fan-out:
-// hosts not yet started are skipped, in-flight evaluations abort at their
-// next shard-merge poll, and the context error is returned so the handler
-// drops the connection instead of fabricating a complete-looking reply.
-func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) ([]BatchQueryReply, error) {
-	replies := make([]BatchQueryReply, len(req.Hosts))
-	bound := s.Parallelism
-	if req.Parallel > 0 && (bound <= 0 || req.Parallel < bound) {
-		bound = req.Parallel
+// runBatch executes one query at every requested host and returns replies
+// aligned with the request order. min(bound, n) workers — the handler's
+// own goroutine is the first — pull host indices from one counter; the
+// bound is the tighter of the daemon's own Parallelism and the one the
+// request carries from the controller (none: a worker per host). A
+// cancelled request context (the controller hung up, or its deadline
+// fired mid-batch) stops the fan-out: hosts not yet started are skipped,
+// in-flight evaluations abort at their next shard-merge poll, and the
+// context error is returned so the handler drops the connection instead
+// of fabricating a complete-looking reply.
+func (s *MultiAgentServer) runBatch(ctx context.Context, req *BatchQueryRequest) ([]wire.BatchReply, error) {
+	replies := make([]wire.BatchReply, len(req.Hosts))
+	workers := s.Parallelism
+	if req.Parallel > 0 && (workers <= 0 || req.Parallel < workers) {
+		workers = req.Parallel
 	}
-	var sem chan struct{}
-	if bound > 0 {
-		sem = make(chan struct{}, bound)
+	if workers <= 0 || workers > len(replies) {
+		workers = len(replies)
+	}
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(replies) {
+				return
+			}
+			s.runHost(ctx, req.Hosts[i], req.Query, &replies[i])
+		}
 	}
 	var wg sync.WaitGroup
-	for i, h := range req.Hosts {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if sem != nil {
-				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
-				case <-ctx.Done():
-					replies[i].Host = h
-					replies[i].Error = ctx.Err().Error()
-					return
-				}
-			}
-			replies[i].Host = h
-			t, ok := s.Targets[h]
-			if !ok {
-				replies[i].Error = fmt.Sprintf("rpc: host %v not served here", h)
-				return
-			}
-			res, sc, sp, err := executeMeta(ctx, t, req.Query)
-			if err != nil {
-				replies[i].Error = err.Error()
-				return
-			}
-			replies[i].Result = res
-			replies[i].RecordsScanned = t.TIBSize()
-			replies[i].SegmentsScanned = sc
-			replies[i].SegmentsPruned = sp
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return replies, nil
+}
+
+// runHost fills one host's slot of a batch reply.
+func (s *MultiAgentServer) runHost(ctx context.Context, h types.HostID, q query.Query, rep *wire.BatchReply) {
+	rep.Host = h
+	t, ok := s.Targets[h]
+	if !ok {
+		rep.Error = fmt.Sprintf("rpc: host %v not served here", h)
+		return
+	}
+	res, sc, sp, err := executeMeta(ctx, t, q)
+	if err != nil {
+		rep.Error = err.Error()
+		return
+	}
+	rep.Result = res
+	rep.Meta = wire.Meta{RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp}
 }
 
 // QueryMany implements controller.BatchTransport: hosts sharing a daemon
@@ -163,12 +169,20 @@ func (s *MultiAgentServer) runBatch(ctx context.Context, req BatchQueryRequest) 
 // round trips and the daemons' server-side fan-outs with them.
 func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, parallel int) ([]controller.BatchReply, error) {
 	replies := make([]controller.BatchReply, len(hosts))
+	// Group the hosts by daemon in one pass. order lists host indices
+	// group by group, and the newest group's idx is its tail: hosts that
+	// arrive daemon by daemon (a tree's leaves, a fleet in ID order) only
+	// ever extend it. A host of an earlier daemon finds its group through
+	// a map made when the second daemon shows up; that group's idx, cut
+	// off at its length, then grows on its own.
 	type group struct {
 		url string
+		lo  int // where idx starts in order
 		idx []int
 	}
-	byURL := make(map[string]int)
 	var groups []group
+	var byURL map[string]int
+	order := make([]int, 0, len(hosts))
 	for i, h := range hosts {
 		replies[i].Host = h
 		base, ok := t.URLs[h]
@@ -176,13 +190,25 @@ func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q q
 			replies[i].Err = fmt.Errorf("rpc: no URL for host %v", h)
 			continue
 		}
-		gi, seen := byURL[base]
-		if !seen {
-			gi = len(groups)
-			byURL[base] = gi
-			groups = append(groups, group{url: base})
+		gi := len(groups) - 1
+		if gi < 0 || groups[gi].url != base {
+			var seen bool
+			if gi, seen = byURL[base]; !seen {
+				if gi = len(groups); gi == 1 {
+					byURL = map[string]int{groups[0].url: 0}
+				}
+				if gi > 0 {
+					byURL[base] = gi
+				}
+				groups = append(groups, group{url: base, lo: len(order)})
+			}
 		}
-		groups[gi].idx = append(groups[gi].idx, i)
+		if g := &groups[gi]; gi == len(groups)-1 {
+			order = append(order, i)
+			g.idx = order[g.lo:len(order):len(order)]
+		} else {
+			g.idx = append(g.idx, i)
+		}
 	}
 	if len(groups) == 0 {
 		// Every requested host lacked a URL; the per-slot errors above
@@ -199,19 +225,17 @@ func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q q
 	var sem chan struct{}
 	if parallel > 0 {
 		sem = make(chan struct{}, parallel)
-		share = parallel / len(groups)
-		if share < 1 {
-			share = 1
-		}
+		share = max(parallel/len(groups), 1)
 	}
 	var wg sync.WaitGroup
-	for gi := range groups {
+	for _, g := range groups[1:] {
 		wg.Add(1)
-		go func(g *group) {
+		go func() {
 			defer wg.Done()
 			t.queryGroup(ctx, g.url, hosts, g.idx, q, replies, sem, share)
-		}(&groups[gi])
+		}()
 	}
+	t.queryGroup(ctx, groups[0].url, hosts, groups[0].idx, q, replies, sem, share)
 	wg.Wait()
 	return replies, nil
 }
@@ -220,29 +244,29 @@ func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q q
 // share is this group's slice of the caller's parallelism bound (0 =
 // unlimited), forwarded to the daemon's server-side fan-out.
 func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []types.HostID, idx []int, q query.Query, replies []controller.BatchReply, sem chan struct{}, share int) {
-	single := func(i int) {
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				replies[i] = controller.BatchReply{Host: hosts[i], Err: ctx.Err()}
-				return
+	if sem != nil {
+		select {
+		case sem <- struct{}{}:
+			defer func() { <-sem }()
+		case <-ctx.Done():
+			for _, i := range idx {
+				replies[i].Err = ctx.Err()
 			}
+			return
 		}
-		r, meta, err := t.Query(ctx, hosts[i], q)
-		replies[i] = controller.BatchReply{Host: hosts[i], Result: r, Meta: meta, Err: err}
 	}
 	if len(idx) == 1 {
-		single(idx[0])
+		i := idx[0]
+		r, meta, err := t.Query(ctx, hosts[i], q)
+		replies[i] = controller.BatchReply{Host: hosts[i], Result: r, Meta: meta, Err: err}
 		return
 	}
 	batch := make([]types.HostID, len(idx))
 	for j, i := range idx {
 		batch[j] = hosts[i]
 	}
-	resp, status, err := t.postBatch(ctx, url, BatchQueryRequest{Hosts: batch, Query: q, Parallel: share}, sem)
-	if status == http.StatusNotFound || status == http.StatusMethodNotAllowed {
+	resp, err := t.doPost(ctx, url, "/batchquery", BatchQueryRequest{Hosts: batch, Query: q, Parallel: share}, true)
+	if resp != nil && (resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed) {
 		// Only single-agent daemons lack /batchquery, and a single-agent
 		// daemon answers /query for whichever one agent it wraps — it
 		// cannot tell hosts apart. Falling back per-host here would
@@ -250,65 +274,50 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 		// (silently duplicated data), so fail loudly instead.
 		err = fmt.Errorf("rpc: %s serves a single agent (no /batchquery) but %d hosts map to it — run a multi-host daemon (pathdumpd -hosts) or give each host its own URL", url, len(idx))
 	}
-	if err == nil && len(resp) != len(idx) {
-		err = fmt.Errorf("rpc: %s/batchquery returned %d replies for %d hosts", url, len(resp), len(idx))
-	}
-	// Reply j must be host j's: merging a section under the requested
-	// label without looking at the one it carries would file one host's
-	// records under another's name.
-	for j := 0; err == nil && j < len(resp); j++ {
-		if resp[j].Host != batch[j] {
-			err = fmt.Errorf("rpc: %s/batchquery reply %d is for host %v, asked for %v", url, j, resp[j].Host, batch[j])
-		}
+	if err == nil {
+		err = t.readBatch(resp, url, batch, idx, replies)
 	}
 	if err != nil {
-		for j := range resp {
-			query.PutRecordBuf(resp[j].Result.Records)
-		}
+		// A batch fails whole: the sections already in their slots go
+		// back to the record pool with the rest.
 		for _, i := range idx {
-			replies[i].Err = err
+			query.PutRecordBuf(replies[i].Result.Records)
+			replies[i] = controller.BatchReply{Host: hosts[i], Err: err}
 		}
-		return
-	}
-	for j, i := range idx {
-		rep := &resp[j]
-		out := controller.BatchReply{Host: hosts[i], Result: rep.Result, Meta: controller.QueryMeta{
-			RecordsScanned:  rep.Meta.RecordsScanned,
-			SegmentsScanned: rep.Meta.SegmentsScanned,
-			SegmentsPruned:  rep.Meta.SegmentsPruned,
-		}}
-		if rep.Error != "" {
-			out.Err = fmt.Errorf("rpc: host %v: %s", hosts[i], rep.Error)
-		}
-		replies[i] = out
 	}
 }
 
-// postBatch issues one /batchquery round trip, holding a sem slot (nil =
-// unlimited; the wait ends with ctx) for the request and the response
-// decode. The HTTP status is reported so the caller can recognise
-// single-agent daemons (404/405).
-func (t *HTTPTransport) postBatch(ctx context.Context, base string, req BatchQueryRequest, sem chan struct{}) ([]wire.BatchReply, int, error) {
-	if sem != nil {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		case <-ctx.Done():
-			return nil, 0, ctx.Err()
-		}
-	}
-	resp, err := t.doPost(ctx, base, "/batchquery", req, true)
-	if err != nil {
-		status := 0
-		if resp != nil {
-			status = resp.StatusCode
-		}
-		return nil, status, err
-	}
+// readBatch decodes one /batchquery reply, each section once, into the
+// slot of the host it was asked for, where it stays. Reply j must be host
+// j's: merging a section under the requested label without looking at the
+// one it carries would file one host's records under another's name.
+func (t *HTTPTransport) readBatch(resp *http.Response, url string, batch []types.HostID, idx []int, replies []controller.BatchReply) error {
 	defer closeBody(resp)
 	if ct := resp.Header.Get("Content-Type"); !wire.IsWire(ct) {
-		return nil, resp.StatusCode, &UnexpectedContentTypeError{URL: base + "/batchquery", ContentType: ct}
+		return &UnexpectedContentTypeError{URL: url + "/batchquery", ContentType: ct}
 	}
-	replies, err := wire.ReadBatch(resp.Body)
-	return replies, resp.StatusCode, err
+	got := 0
+	err := wire.ReadBatchEach(resp.Body, func(j, n int, sec *wire.BatchReply) error {
+		if got = n; n != len(idx) {
+			return nil // nowhere to put it; reported below, once
+		}
+		rep := &replies[idx[j]]
+		rep.Result = sec.Result // stored first: a failed batch returns what its slots hold
+		if sec.Host != batch[j] {
+			return fmt.Errorf("rpc: %s/batchquery reply %d is for host %v, asked for %v", url, j, sec.Host, batch[j])
+		}
+		rep.Meta = controller.QueryMeta{
+			RecordsScanned:  sec.Meta.RecordsScanned,
+			SegmentsScanned: sec.Meta.SegmentsScanned,
+			SegmentsPruned:  sec.Meta.SegmentsPruned,
+		}
+		if sec.Error != "" {
+			rep.Err = fmt.Errorf("rpc: host %v: %s", batch[j], sec.Error)
+		}
+		return nil
+	})
+	if err == nil && got != len(idx) {
+		err = fmt.Errorf("rpc: %s/batchquery returned %d replies for %d hosts", url, got, len(idx))
+	}
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"pathdump/internal/obs"
@@ -60,6 +61,8 @@ func BenchmarkParallelFanout(b *testing.B) {
 	run := func(tr *HTTPTransport, parallel int) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				replies, err := tr.QueryMany(ctx, hosts, q, parallel)
 				if err != nil {
@@ -69,6 +72,10 @@ func BenchmarkParallelFanout(b *testing.B) {
 					b.Fatalf("%d replies for %d hosts", len(replies), len(hosts))
 				}
 			}
+			// Both ends of the loopback run in this process: a host's
+			// share covers the daemon's side of its query too.
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(len(hosts)), "allocs/host")
 		}
 	}
 	for _, p := range []int{1, 8} {

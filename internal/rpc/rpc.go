@@ -880,25 +880,26 @@ func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, r
 	}, &resp.Result, compress)
 }
 
-// writeBatchResponse is writeQueryResponse for /batchquery.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, replies []BatchQueryReply) {
-	if !wire.Accepted(r.Header.Get("Accept")) {
-		encode(w, BatchQueryResponse{Replies: replies})
+// writeBatchResponse is writeQueryResponse for /batchquery. The replies
+// go out as the frame they already are; the JSON spelling is derived
+// only for a client that did not offer the wire encoding (curl).
+func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, replies []wire.BatchReply) {
+	if wire.Accepted(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", wire.ContentType)
+		_ = wire.WriteBatch(w, replies, compress)
 		return
 	}
-	out := make([]wire.BatchReply, len(replies))
+	out := make([]BatchQueryReply, len(replies))
 	for i := range replies {
-		out[i] = wire.BatchReply{
-			Host: replies[i].Host,
-			Meta: wire.Meta{
-				RecordsScanned:  replies[i].RecordsScanned,
-				SegmentsScanned: replies[i].SegmentsScanned,
-				SegmentsPruned:  replies[i].SegmentsPruned,
-			},
-			Result: replies[i].Result,
-			Error:  replies[i].Error,
+		rep := &replies[i]
+		out[i] = BatchQueryReply{
+			Host:            rep.Host,
+			Result:          rep.Result,
+			RecordsScanned:  rep.Meta.RecordsScanned,
+			SegmentsScanned: rep.Meta.SegmentsScanned,
+			SegmentsPruned:  rep.Meta.SegmentsPruned,
+			Error:           rep.Error,
 		}
 	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	_ = wire.WriteBatch(w, out, compress)
+	encode(w, BatchQueryResponse{Replies: out})
 }

@@ -81,6 +81,7 @@ const (
 	maxElems   = 1 << 26 // entries in any one section or dictionary
 	maxPathLen = 1 << 16 // switches in one path
 	maxOpLen   = 1 << 10 // bytes in an op name
+	maxErrLen  = 4 << 10 // bytes in a batch reply's per-host error
 	maxReplies = 1 << 20 // per-host replies in a batch frame
 	maxChunk   = 1 << 16 // records in one chunk of a records section
 )
@@ -133,34 +134,53 @@ func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 	return m, &res, nil
 }
 
-// WriteBatch encodes a batch response frame to w.
+// WriteBatch encodes a batch response frame to w. A per-host error longer
+// than the decoder accepts is cut to fit: one verbose host must not cost
+// every other host in the frame its answer.
 func WriteBatch(w io.Writer, replies []BatchReply, compress bool) error {
 	return writeFrame(w, kindBatch, compress, func(bw *writer) {
 		bw.uvarint(uint64(len(replies)))
 		for i := range replies {
 			rep := &replies[i]
 			bw.uvarint(uint64(rep.Host))
-			bw.str(rep.Error)
+			bw.str(rep.Error[:min(len(rep.Error), maxErrLen)])
 			writeMeta(bw, rep.Meta)
 			writeResult(bw, &rep.Result)
 		}
 	})
 }
 
-// ReadBatch decodes a batch response frame from r.
+// ReadBatchEach decodes a batch response frame from r one host section at
+// a time, handing fn section i of n as soon as it is off the socket. rep
+// itself is only valid during the call, but every slice it holds was
+// decoded for this section alone and is the consumer's to keep: copying
+// rep.Result moves the section without copying its contents. An error
+// from fn stops the decode and is returned. A frame can fail after some
+// of its sections were delivered (truncation shows at the end), so a
+// consumer must treat an error as the whole frame's.
+func ReadBatchEach(r io.Reader, fn func(i, n int, rep *BatchReply) error) error {
+	return readFrame(r, kindBatch, func(br *reader) {
+		n := br.count("batch replies", maxReplies)
+		var rep BatchReply
+		for i := 0; i < n && br.err == nil; i++ {
+			rep = BatchReply{Host: types.HostID(br.uvarint()), Error: br.str(maxErrLen), Meta: readMeta(br)}
+			readResult(br, &rep.Result, &rep.Meta, nil, nil)
+			if br.err == nil {
+				br.err = fn(i, n, &rep)
+			}
+		}
+	})
+}
+
+// ReadBatch decodes a batch response frame from r into one slice.
 func ReadBatch(r io.Reader) ([]BatchReply, error) {
 	var replies []BatchReply
-	err := readFrame(r, kindBatch, func(br *reader) {
-		n := br.count("batch replies", maxReplies)
-		replies = make([]BatchReply, 0, min(n, 4096))
-		for i := 0; i < n && br.err == nil; i++ {
-			var rep BatchReply
-			rep.Host = types.HostID(br.uvarint())
-			rep.Error = br.str(maxOpLen * 4)
-			rep.Meta = readMeta(br)
-			readResult(br, &rep.Result, &rep.Meta, nil, nil)
-			replies = append(replies, rep)
+	err := ReadBatchEach(r, func(i, n int, rep *BatchReply) error {
+		if replies == nil {
+			replies = make([]BatchReply, 0, min(n, 4096))
 		}
+		replies = append(replies, *rep)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -382,7 +402,7 @@ func writeResult(w *writer, res *query.Result) {
 // record chunk instead of the chunks accumulating into res.Records, and
 // getBuf says where the records buffer comes from (see readRecords).
 func readResult(r *reader, res *query.Result, m *Meta, getBuf func() []types.Record, sink func([]types.Record)) {
-	res.Op = query.Op(r.str(maxOpLen))
+	res.Op = r.op()
 	res.Bytes = r.uvarint()
 	res.Pkts = r.uvarint()
 	res.Duration = types.Time(r.svarint())
@@ -976,6 +996,35 @@ func (r *reader) count(what string, max int) int {
 		return 0
 	}
 	return int(v)
+}
+
+// knownOps are the op names a result section can carry without the
+// decoder allocating one: op() hands back the constant.
+var knownOps = [...]query.Op{query.OpFlows, query.OpPaths, query.OpCount, query.OpDuration, query.OpPoorTCP,
+	query.OpFSD, query.OpTopK, query.OpConformance, query.OpMatrix, query.OpRecords}
+
+// op reads a result's op name. A name this build does not know still
+// round-trips, as a fresh string.
+func (r *reader) op() query.Op {
+	n := r.count("string", maxOpLen)
+	if r.err != nil || n == 0 {
+		return ""
+	}
+	b, err := r.br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a partial read
+		}
+		r.fail(fmt.Errorf("wire: truncated frame: %w", err))
+		return ""
+	}
+	r.br.Discard(n)
+	for _, op := range knownOps {
+		if string(op) == string(b) {
+			return op
+		}
+	}
+	return query.Op(b)
 }
 
 // str reads a length-prefixed string capped at max bytes.

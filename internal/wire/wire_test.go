@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -181,6 +183,113 @@ func TestRoundTripBatch(t *testing.T) {
 				t.Fatalf("reply %d mismatch:\ngot  %+v\nwant %+v", i, got[i], replies[i])
 			}
 		}
+	}
+}
+
+// TestBatchLongHostErrorIsCut: one host answering with an error longer
+// than the decoder's cap used to make ReadBatch reject the whole frame,
+// every other host's answer with it. The writer cuts the error to the
+// cap (the two share one constant), so the frame decodes: the others
+// intact, the long error shortened.
+func TestBatchLongHostErrorIsCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	long := strings.Repeat("scan failed: cold segment 000123 unreadable; ", 10<<10/45+1)
+	if len(long) < 10<<10 {
+		t.Fatalf("the long error is only %d bytes", len(long))
+	}
+	replies := []BatchReply{
+		{Host: 1, Meta: Meta{RecordsScanned: 5}, Result: *randResult(rng, 20)},
+		{Host: 2, Error: long},
+		{Host: 3, Result: *fullResult(rng)},
+		{Host: 4, Error: long[:maxErrLen]}, // exactly at the cap: untouched
+	}
+	var buf bytes.Buffer
+	if err := WriteBatch(&buf, replies, false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBatch(&buf)
+	if err != nil {
+		t.Fatalf("a batch with one %d-byte host error does not decode: %v", len(long), err)
+	}
+	if len(got) != len(replies) {
+		t.Fatalf("got %d replies, want %d", len(got), len(replies))
+	}
+	for _, i := range []int{0, 2} {
+		normalize(&got[i].Result)
+		normalize(&replies[i].Result)
+		if !reflect.DeepEqual(got[i], replies[i]) {
+			t.Errorf("reply %d did not survive its neighbour's long error", i)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if got[i].Host != replies[i].Host || got[i].Error != long[:maxErrLen] {
+			t.Errorf("reply %d: host %v with a %d-byte error, want host %v and the first %d bytes",
+				i, got[i].Host, len(got[i].Error), replies[i].Host, maxErrLen)
+		}
+	}
+}
+
+// TestReadBatchEach: sections arrive one at a time, in order, each told
+// its index and the frame's count; what a section holds stays intact
+// after later sections are decoded (no scratch is reused); an error from
+// the consumer stops the decode and comes back as is; and a known op
+// name costs the decoder no allocation while an unknown one still
+// round-trips.
+func TestReadBatchEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	replies := []BatchReply{
+		{Host: 7, Meta: Meta{RecordsScanned: 5, SegmentsScanned: 2}, Result: *randResult(rng, 30)},
+		{Host: 8, Error: "deadline exceeded"},
+		{Host: 9, Result: query.Result{Op: "an-op-from-the-future", Bytes: 1}},
+		{Host: 10, Result: *fullResult(rng)},
+	}
+	var frame bytes.Buffer
+	if err := WriteBatch(&frame, replies, false); err != nil {
+		t.Fatal(err)
+	}
+	var kept []BatchReply
+	err := ReadBatchEach(bytes.NewReader(frame.Bytes()), func(i, n int, rep *BatchReply) error {
+		if i != len(kept) || n != len(replies) {
+			t.Errorf("section %d of %d announced as %d of %d", len(kept), len(replies), i, n)
+		}
+		kept = append(kept, *rep)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range replies {
+		normalize(&kept[i].Result)
+		normalize(&replies[i].Result)
+		if !reflect.DeepEqual(kept[i], replies[i]) {
+			t.Errorf("section %d changed after it was handed over:\ngot  %+v\nwant %+v", i, kept[i], replies[i])
+		}
+	}
+
+	stop := errors.New("not my host")
+	seen := 0
+	err = ReadBatchEach(bytes.NewReader(frame.Bytes()), func(i, n int, rep *BatchReply) error {
+		if seen++; i == 1 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || seen != 2 {
+		t.Errorf("consumer error: ReadBatchEach returned %v after %d sections, want the consumer's error after 2", err, seen)
+	}
+
+	name := []byte("\x04topk")
+	src := bytes.NewReader(name)
+	br := bufio.NewReader(src)
+	var op query.Op
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(name)
+		br.Reset(src)
+		r := reader{br: br}
+		op = r.op()
+	})
+	if op != query.OpTopK || allocs != 0 {
+		t.Errorf("decoding the op name %q cost %.0f allocations, want topk and none", op, allocs)
 	}
 }
 
