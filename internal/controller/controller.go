@@ -18,11 +18,12 @@
 // that exhausts its own budget so the rest of the fleet's data still
 // comes back (ExecStats.Partial), and PartialOnDeadline turns a
 // whole-query deadline expiry into a merged partial result instead of an
-// error. Interior aggregation nodes merge child results as they land
-// (query.StreamMerger) rather than barriering on the slowest child.
+// error. An execution fetches every host's answer through one flat fan-out
+// and folds them along the tree (query.StreamMerger) as they land, rather
+// than barriering on the slowest host.
 //
 // The §5.2 numbers (ExecStats.ResponseTime, WireBytes) are modelled after
-// the fact: exec.go runs the tree and records each node's outcome on it,
+// the fact: the fetch and the fold record each node's outcome on the tree,
 // CostModel.account (model.go) computes them from that record. A reply is
 // charged its exact JSON length, except a records reply (sized from the
 // JSON field layout, within 10 %) and a dropped host (nothing came back:
@@ -82,9 +83,11 @@ type ExecStats struct {
 	// except a records reply (sized from the JSON layout, within 10 %)
 	// and a dropped host (0 reply bytes; the query still went down).
 	WireBytes int64
-	// Trace is the finished span tree for this execution: the root
-	// query span with per-host rpc spans (hedges, retries and drops
-	// labelled), agent scan spans, and interior merge spans under it.
+	// Trace is the finished span tree for this execution: under the root
+	// query span first the fetch — an rpc span per host (hedges, retries
+	// and drops labelled) over the agent's scan span, inside one batch
+	// span when the transport batched — then the fold: the root's merge
+	// span over a node span per aggregation host, nested as the tree is.
 	// Always populated; render with Trace.Render (pathdumpctl -trace).
 	Trace *obs.Span
 }
@@ -108,7 +111,9 @@ type Controller struct {
 	// execution and the result is marked partial (0 = wait indefinitely,
 	// subject to the whole-query context). Wall-clock; captured once per
 	// execution. Setting it is the opt-in: a query with a per-host budget
-	// prefers partial data over waiting on a dead host.
+	// prefers partial data over waiting on a dead host. On a BatchTransport
+	// the round is the budgeted unit, for trees as for direct queries:
+	// what the transport had not received when it expired is dropped.
 	PerHostTimeout time.Duration
 
 	// HedgeAfter issues a duplicate request to a host whose primary has
@@ -118,8 +123,8 @@ type Controller struct {
 	// on the slot the host already holds (so hedging cannot starve when
 	// stalled primaries hold the whole pool). The first response wins and
 	// the loser's context is cancelled. One hedge per host per execution.
-	// Hedging is per-host by nature, so when it is enabled leaf fan-out
-	// skips the batched transport path.
+	// Hedging is per-host by nature, so when it is enabled the fetch skips
+	// the batched transport path.
 	HedgeAfter time.Duration
 
 	// PartialOnDeadline makes ExecuteContext/ExecuteTreeContext return
@@ -218,13 +223,14 @@ func (c *Controller) Execute(hosts []types.HostID, q query.Query) (query.Result,
 // transport, and the returned ExecStats reports how many hosts were
 // skipped. The error is the context's.
 func (c *Controller) ExecuteContext(ctx context.Context, hosts []types.HostID, q query.Query) (query.Result, ExecStats, error) {
-	root := &treeNode{children: leafNodes(hosts)}
-	return c.run(ctx, root, q)
+	return c.run(ctx, hosts, nil, q)
 }
 
 // ExecuteTree runs a query through a multi-level aggregation tree with the
 // given per-level fan-outs (e.g. [7,4,4] builds the paper's 4-level tree
-// over 112 hosts). Hosts double as interior aggregation nodes.
+// over 112 hosts). Hosts double as interior aggregation nodes: the tree
+// orders the merge and shapes the modelled cost, but routes no request —
+// every host is asked straight from the controller.
 func (c *Controller) ExecuteTree(hosts []types.HostID, q query.Query, fanouts []int) (query.Result, ExecStats, error) {
 	return c.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
 }
@@ -232,11 +238,7 @@ func (c *Controller) ExecuteTree(hosts []types.HostID, q query.Query, fanouts []
 // ExecuteTreeContext is ExecuteTree with a caller-supplied context (see
 // ExecuteContext for cancellation semantics).
 func (c *Controller) ExecuteTreeContext(ctx context.Context, hosts []types.HostID, q query.Query, fanouts []int) (query.Result, ExecStats, error) {
-	if len(fanouts) == 0 {
-		return c.ExecuteContext(ctx, hosts, q)
-	}
-	root := &treeNode{children: buildLevels(hosts, fanouts)}
-	return c.run(ctx, root, q)
+	return c.run(ctx, hosts, fanouts, q)
 }
 
 // Install installs a query at each listed host (§2.1 controller API).

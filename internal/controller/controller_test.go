@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"pathdump/internal/agent"
@@ -316,9 +317,19 @@ func TestBuildLevelsShape(t *testing.T) {
 	for i := range hosts {
 		hosts[i] = types.HostID(i)
 	}
-	nodes := buildLevels(hosts, []int{7, 4, 4})
+	nodes, dfs := buildLevels(hosts, []int{7, 4, 4})
 	if len(nodes) != 7 {
 		t.Fatalf("level-1 fanout = %d", len(nodes))
+	}
+	// Groups are contiguous and led by their first host, so the DFS order
+	// the fetch and the fold share is the caller's host order.
+	if len(dfs) != len(hosts) || nodes[1] != &dfs[16] {
+		t.Fatalf("%d nodes in DFS order, second top-level node at %v; want 112 and position 16", len(dfs), nodes[1].host)
+	}
+	for j := range dfs {
+		if dfs[j].host != hosts[j] {
+			t.Fatalf("DFS position %d holds host %v, want %v", j, dfs[j].host, hosts[j])
+		}
 	}
 	total := 0
 	var count func(n *treeNode)
@@ -337,10 +348,10 @@ func TestBuildLevelsShape(t *testing.T) {
 		t.Errorf("tree covers %d hosts, want 112", total)
 	}
 	// Degenerate cases.
-	if got := buildLevels(nil, []int{4}); got != nil {
+	if got, _ := buildLevels(nil, []int{4}); got != nil {
 		t.Error("empty hosts should yield nil")
 	}
-	if got := buildLevels(hosts[:3], []int{7}); len(got) != 3 {
+	if got, _ := buildLevels(hosts[:3], []int{7}); len(got) != 3 {
 		t.Errorf("fanout larger than hosts: %d nodes", len(got))
 	}
 }
@@ -390,6 +401,68 @@ func TestRecordsRepliesAreCharged(t *testing.T) {
 		if stAll.ResponseTime <= stFew.ResponseTime {
 			t.Errorf("fanouts %v: %d records modelled at %v, %d records at %v — response time must grow with the reply",
 				fanouts, len(resAll.Records), stAll.ResponseTime, len(resFew.Records), stFew.ResponseTime)
+		}
+	}
+}
+
+// pooledRecords answers a records query with three records per host in a
+// slice drawn from the record pool — as the rpc transports' replies are —
+// one host at a time or all in one QueryMany.
+type pooledRecords struct{ cannedTransport }
+
+func hostRecords(h types.HostID) []types.Record {
+	recs := genRecords(3, 4)
+	for i := range recs {
+		recs[i].Flow.SrcIP = types.IP(h)
+	}
+	return recs
+}
+
+func (pooledRecords) Query(_ context.Context, h types.HostID, q query.Query) (query.Result, QueryMeta, error) {
+	return query.Result{Op: q.Op, Records: append(query.GetRecordBuf(), hostRecords(h)...)}, QueryMeta{RecordsScanned: 3}, nil
+}
+
+type pooledRecordsBatch struct{ pooledRecords }
+
+func (p pooledRecordsBatch) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, _ int) ([]BatchReply, error) {
+	out := make([]BatchReply, len(hosts))
+	for i, h := range hosts {
+		out[i].Host = h
+		out[i].Result, out[i].Meta, out[i].Err = p.Query(ctx, h, q)
+	}
+	return out, nil
+}
+
+// TestTreeRecordsEqualDirect: a records query through a tree returns
+// exactly the direct query's records, in host order, on the per-host and
+// on the batched path. It is the guard on when reply buffers go back to
+// the record pool: a records merger reads its children until its last
+// slot is consumed, so a buffer recycled as it is handed to Add — cleared,
+// or already refilled by the next reply — silently empties or scrambles
+// the answer. Every shape runs twice, the second time over the buffers the
+// first one returned.
+func TestTreeRecordsEqualDirect(t *testing.T) {
+	topo, _ := topology.FatTree(4)
+	hosts := hostRange(24)
+	var want []types.Record
+	for _, h := range hosts {
+		want = append(want, hostRecords(h)...)
+	}
+	q := query.Query{Op: query.OpRecords, Link: types.AnyLink}
+	for name, tr := range map[string]Transport{"per-host": pooledRecords{}, "batched": pooledRecordsBatch{}} {
+		for _, fanouts := range [][]int{nil, {4, 2}, {2, 2, 2}} {
+			ctrl := New(topo, tr, nil)
+			ctrl.Parallelism = 3
+			for round := 0; round < 2; round++ {
+				res, stats, err := ctrl.ExecuteTree(hosts, q, fanouts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Hosts != len(hosts) || !reflect.DeepEqual(res.Records, want) {
+					t.Fatalf("%s, fanouts %v, round %d: %d hosts answered with %d records that differ from the direct query's %d",
+						name, fanouts, round, stats.Hosts, len(res.Records), len(want))
+				}
+			}
 		}
 	}
 }

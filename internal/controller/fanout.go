@@ -21,11 +21,10 @@ var errAborted = errors.New("controller: fan-out aborted after earlier error")
 
 // fanout tracks one distributed execution: a bounded slot pool over
 // outstanding transport requests plus a first-failure latch and the
-// execution's context. The pool is acquired only for the duration of a
-// transport call — never while waiting on children — so recursive tree
-// fan-out cannot deadlock and the bound applies to total outstanding
-// requests across all tree levels. Cancelling the context latches the
-// abort too: pending acquires fail fast with the context's error, and
+// execution's context. A slot is held only for the duration of a
+// transport call, so the bound applies to total outstanding requests —
+// hosts, hedges and batched rounds alike. Cancelling the context latches
+// the abort too: pending acquires fail fast with the context's error, and
 // in-flight transport calls observe it through the ctx they were handed.
 type fanout struct {
 	// parallelism is the bound captured once at execution start, so the
@@ -118,9 +117,9 @@ func (fo *fanout) release() {
 	}
 }
 
-// tryAcquire grabs a slot only if one is free right now. Batched rounds
-// use it to widen beyond their one guaranteed slot without risking the
-// deadlock of several batches blocking on partially acquired slot sets.
+// tryAcquire grabs a slot only if one is free right now: a batched round
+// widens beyond its one guaranteed slot with it, and a hedge races its
+// primary only when it gets one.
 func (fo *fanout) tryAcquire() bool {
 	if fo.sem == nil || fo.err() != nil {
 		return false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,9 +244,10 @@ func (b *batchTransport) QueryMany(ctx context.Context, hosts []types.HostID, q 
 	return out, nil
 }
 
-// TestBatchTransportCollapsesLeafFanout: a direct query over a
-// BatchTransport must issue one QueryMany for all leaves and produce the
-// same merged result as per-host queries.
+// TestBatchTransportCollapsesLeafFanout: a query over a BatchTransport
+// must issue one QueryMany for every host position — leaves and
+// aggregation hosts, direct query or tree — and produce the same merged
+// result as per-host queries.
 func TestBatchTransportCollapsesLeafFanout(t *testing.T) {
 	topo, _ := topology.FatTree(4)
 	hosts := hostRange(32)
@@ -285,19 +287,19 @@ func TestBatchTransportCollapsesLeafFanout(t *testing.T) {
 		t.Errorf("modelled stats diverge: batch=%+v plain=%+v", bstats, pstats)
 	}
 
-	// In a tree, interior nodes still query per-host; only leaf layers
-	// batch. Every host must be covered exactly once either way.
+	// The tree shapes the fold, not the requests: its 12 aggregation hosts
+	// ride the same single round as its 20 leaves.
 	bt2 := &batchTransport{slowTransport: slowTransport{delay: time.Millisecond}}
 	ctrlTree := New(topo, bt2, nil)
-	_, tstats, err := ctrlTree.ExecuteTree(hosts, q, []int{4, 2})
+	viaTree, tstats, err := ctrlTree.ExecuteTree(hosts, q, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tstats.Hosts != 32 {
-		t.Errorf("tree over batch transport covered %d hosts", tstats.Hosts)
+	if tstats.Hosts != 32 || !reflect.DeepEqual(viaTree, viaBatch) {
+		t.Errorf("tree over batch transport covered %d hosts, merged %d entries; want the direct query's answer", tstats.Hosts, len(viaTree.Top))
 	}
-	if total := bt2.batched.Load() + bt2.calls.Load(); total != 32 {
-		t.Errorf("tree queried %d hosts total, want 32", total)
+	if calls, batched, perHost := bt2.batchCalls.Load(), bt2.batched.Load(), bt2.calls.Load(); calls != 1 || batched != 32 || perHost != 0 {
+		t.Errorf("tree issued %d QueryMany carrying %d hosts and %d per-host queries, want 1, 32 and 0", calls, batched, perHost)
 	}
 }
 

@@ -142,8 +142,9 @@ func TestBatchedExecutionTraceIsComplete(t *testing.T) {
 				}
 				// The spans that wait on a transport round cannot have
 				// lasted zero time; the others are not worth a flaky test
-				// on a coarse clock.
-				if s.Dur == 0 && (s.Name == "query" || s.Name == "batch" || s.Name == "node") {
+				// on a coarse clock — a node span among them, now that
+				// the round is over before the fold opens it.
+				if s.Dur == 0 && (s.Name == "query" || s.Name == "batch") {
 					t.Fatalf("fanouts %v: span %q of a returned trace is unfinished", fanouts, s.Name)
 				}
 			})

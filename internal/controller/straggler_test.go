@@ -454,3 +454,78 @@ func TestDroppedHostChargedAlikeOnBothPaths(t *testing.T) {
 		}
 	}
 }
+
+// lateDaemonTransport is a BatchTransport shaped like a fleet of daemons
+// serving perDaemon hosts each: QueryMany answers every daemon's hosts at
+// once except daemon late's, whose replies wait for the round's context to
+// end and carry its error — what rpc.HTTPTransport.QueryMany hands back
+// when one /batchquery outlives the budget and the others do not.
+type lateDaemonTransport struct {
+	cannedTransport
+	perDaemon, late int
+}
+
+func (l lateDaemonTransport) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, _ int) ([]BatchReply, error) {
+	out := make([]BatchReply, len(hosts))
+	for i, h := range hosts {
+		if int(h)/l.perDaemon == l.late {
+			<-ctx.Done()
+			out[i] = BatchReply{Host: h, Err: ctx.Err()}
+			continue
+		}
+		res, meta, err := l.Query(ctx, h, q)
+		out[i] = BatchReply{Host: h, Result: res, Meta: meta, Err: err}
+	}
+	return out, nil
+}
+
+// TestBatchedTreeDropsOnlyTheLateDaemon pins the budget semantics a tree
+// inherits from the flat round: on a batching transport the round, not the
+// host, is the budgeted unit, so when PerHostTimeout — or the query's own
+// deadline under PartialOnDeadline — expires mid-round, the daemons that
+// had answered are kept and only the late one's hosts are dropped. A
+// dropped aggregation host still merges its children, without its own data.
+func TestBatchedTreeDropsOnlyTheLateDaemon(t *testing.T) {
+	topo, _ := topology.FatTree(4)
+	hosts := hostRange(32)
+	q := query.Query{Op: query.OpTopK, K: 32}
+	// [4,2] over 32 hosts: 0, 8, 16 and 24 aggregate eight hosts each, and
+	// under 8, hosts 9 and 12 aggregate 10–11 and 13–15. With daemons of
+	// four, the late one serves 8–11: aggregation host 8 is dropped with
+	// one of its subtrees, while the other answered from the next daemon.
+	tr := lateDaemonTransport{cannedTransport: cannedTransport{k: 1, records: 1000}, perDaemon: 4, late: 2}
+	for _, partial := range []bool{false, true} {
+		name := "host-timeout"
+		if partial {
+			name = "partial-deadline"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctrl := New(topo, tr, nil)
+			ctx := context.Background()
+			if partial {
+				ctrl.PartialOnDeadline = true
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 30*time.Millisecond)
+				defer cancel()
+			} else {
+				ctrl.PerHostTimeout = 30 * time.Millisecond
+			}
+			res, stats, err := ctrl.ExecuteTreeContext(ctx, hosts, q, []int{4, 2})
+			if err != nil {
+				t.Fatalf("a late daemon must be dropped, not fail the query: %v", err)
+			}
+			if stats.Hosts != 28 || stats.Skipped != 4 || !stats.Partial {
+				t.Errorf("stats = %+v, want 28 answered / 4 skipped / partial", stats)
+			}
+			answered := make(map[types.HostID]bool)
+			for _, fb := range res.Top {
+				answered[types.HostID(fb.Flow.SrcIP>>16)] = true
+			}
+			for _, h := range hosts {
+				if late := h >= 8 && h < 12; answered[h] == late {
+					t.Errorf("host %v: in the merged answer = %v, late = %v", h, answered[h], late)
+				}
+			}
+		})
+	}
+}

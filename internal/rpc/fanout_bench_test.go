@@ -7,37 +7,41 @@ import (
 	"runtime"
 	"testing"
 
+	"pathdump/internal/controller"
 	"pathdump/internal/obs"
 	"pathdump/internal/query"
+	"pathdump/internal/topology"
 	"pathdump/internal/types"
 )
 
-// benchFleet boots ndaemons MultiAgentServer daemons, each serving
+// loopbackFleet boots ndaemons MultiAgentServer daemons, each serving
 // perDaemon hosts whose stores hold nrec records — the e2e shape of a
-// controller fan-out, over real loopback HTTP. A non-nil registry
-// instruments every daemon (the shape of a production deployment).
-func benchFleet(b *testing.B, ndaemons, perDaemon, nrec int, reg *obs.Registry) (map[types.HostID]string, []types.HostID) {
-	b.Helper()
+// controller fan-out, over real loopback HTTP. reg, when non-nil, supplies
+// daemon d's metrics registry (the shape of a production deployment).
+func loopbackFleet(tb testing.TB, ndaemons, perDaemon, nrec int, reg func(d int) *obs.Registry) (map[types.HostID]string, []types.HostID, map[types.HostID]Target) {
+	tb.Helper()
 	urls := make(map[types.HostID]string)
+	all := make(map[types.HostID]Target)
 	var hosts []types.HostID
 	for d := 0; d < ndaemons; d++ {
 		targets := make(map[types.HostID]Target)
 		for i := 0; i < perDaemon; i++ {
 			h := types.HostID(d*perDaemon + i)
 			targets[h] = SnapshotTarget{Store: seedStore(int(h), nrec)}
+			all[h] = targets[h]
 			hosts = append(hosts, h)
 		}
 		ms := &MultiAgentServer{Targets: targets}
 		if reg != nil {
-			ms.Obs = &ServerObs{Registry: reg}
+			ms.Obs = &ServerObs{Registry: reg(d)}
 		}
 		srv := httptest.NewServer(ms.Handler())
-		b.Cleanup(srv.Close)
+		tb.Cleanup(srv.Close)
 		for h := range targets {
 			urls[h] = srv.URL
 		}
 	}
-	return urls, hosts
+	return urls, hosts, all
 }
 
 // BenchmarkParallelFanout is the acceptance benchmark for the data
@@ -54,7 +58,7 @@ func BenchmarkParallelFanout(b *testing.B) {
 		perDaemon = 16
 		records   = 32
 	)
-	urls, hosts := benchFleet(b, daemons, perDaemon, records, nil)
+	urls, hosts, _ := loopbackFleet(b, daemons, perDaemon, records, nil)
 	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
 	ctx := context.Background()
 
@@ -94,7 +98,8 @@ func BenchmarkTracedFanout(b *testing.B) {
 		perDaemon = 16
 		records   = 32
 	)
-	urls, hosts := benchFleet(b, daemons, perDaemon, records, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	urls, hosts, _ := loopbackFleet(b, daemons, perDaemon, records, func(int) *obs.Registry { return reg })
 	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
 	ctx := obs.ContextWithTrace(context.Background(), obs.NewTraceID())
 
@@ -115,4 +120,32 @@ func BenchmarkTracedFanout(b *testing.B) {
 	for _, p := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallelism-%d", p), run(&HTTPTransport{URLs: urls}, p))
 	}
+}
+
+// BenchmarkTreeFanout is the controller's side of the same fleet: one
+// top-k through the [4,4,8] aggregation tree over 128 hosts — fetch (one
+// /batchquery per daemon), fold along the tree, trace and accounting
+// included. allocs/host covers both ends of the loopback, as above.
+func BenchmarkTreeFanout(b *testing.B) {
+	urls, hosts, _ := loopbackFleet(b, 8, 16, 4, nil)
+	topo, err := topology.FatTree(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl := controller.New(topo, &HTTPTransport{URLs: urls}, nil)
+	ctrl.Parallelism = 8
+	q := query.Query{Op: query.OpTopK, K: 100, Link: types.AnyLink}
+	b.Run("128-hosts", func(b *testing.B) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			_, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, []int{4, 4, 8})
+			if err != nil || stats.Hosts != len(hosts) {
+				b.Fatalf("%d of %d hosts answered, err %v", stats.Hosts, len(hosts), err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(len(hosts)), "allocs/host")
+	})
 }

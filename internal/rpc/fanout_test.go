@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pathdump/internal/controller"
+	"pathdump/internal/obs"
 	"pathdump/internal/query"
 	"pathdump/internal/testutil"
 	"pathdump/internal/topology"
@@ -194,57 +195,45 @@ func (m memBatch) QueryMany(ctx context.Context, hosts []types.HostID, q query.Q
 	return out, nil
 }
 
-// TestFanoutAllocsPerHostQuery pins what one more host costs a direct
-// top-k, in allocations, on the two paths a fan-out takes: the controller
-// alone (tree, trace, batch bookkeeping, merge, accounting) over an
-// in-memory batch transport, and end to end over loopback HTTP through
-// 8 MultiAgentServer daemons. Ceilings sit ~15 % above what the code
-// measured when they were set (4.36 and 12.8, of which the host's own
-// evaluation is about 4; the commit before: 15.6 and 28.7), and the cost
-// must stay linear in hosts: the 128-host query may not cost more per
+// TestFanoutAllocsPerHostQuery pins what one more host costs a top-k, in
+// allocations, on the two paths a fan-out takes: the controller alone
+// (tree, trace, batch bookkeeping, merge, accounting) over an in-memory
+// batch transport, and end to end over loopback HTTP through 8
+// MultiAgentServer daemons — there also through the [4,4,8] tree, which is
+// the direct query's fetch plus 20 more merges and so fits under the
+// direct query's ceiling (when a tree still cost a round trip per
+// aggregation host and leaf group it read 48.6). Ceilings sit ~15 % above
+// what the direct queries measured when they were set (4.36 and 12.8, of
+// which the host's own evaluation is about 4; the tree: 14.4), and the
+// cost must stay linear in hosts: the 128-host query may not cost more per
 // host than the 16-host one, whose fixed costs are spread eight times
 // thinner.
 func TestFanoutAllocsPerHostQuery(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation ceilings over pooled memory measure the race detector, not the code")
 	}
-	const daemons, perDaemon = 8, 16
 	topo, err := topology.FatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := make(map[types.HostID]Target)
-	urls := make(map[types.HostID]string)
-	var hosts []types.HostID
-	for d := 0; d < daemons; d++ {
-		served := make(map[types.HostID]Target)
-		for i := 0; i < perDaemon; i++ {
-			h := types.HostID(d*perDaemon + i)
-			served[h] = SnapshotTarget{Store: seedStore(int(h), 4)}
-			targets[h] = served[h]
-			hosts = append(hosts, h)
-		}
-		srv := httptest.NewServer((&MultiAgentServer{Targets: served}).Handler())
-		t.Cleanup(srv.Close)
-		for h := range served {
-			urls[h] = srv.URL
-		}
-	}
+	urls, hosts, targets := loopbackFleet(t, 8, 16, 4, nil)
 	q := query.Query{Op: query.OpTopK, K: 100, Link: types.AnyLink}
 	for _, tc := range []struct {
 		name    string
 		tr      controller.Transport
+		fanouts []int
 		ceiling float64
 	}{
-		{"in-memory", memBatch{targets: targets}, 5.0},
-		{"loopback", &HTTPTransport{URLs: urls}, 14.7},
+		{"in-memory", memBatch{targets: targets}, nil, 5.0},
+		{"loopback", &HTTPTransport{URLs: urls}, nil, 14.7},
+		{"loopback-tree", &HTTPTransport{URLs: urls}, []int{4, 4, 8}, 14.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctrl := controller.New(topo, tc.tr, nil)
 			ctrl.Parallelism = 2
 			perHost := func(n int) float64 {
 				return testing.AllocsPerRun(30, func() {
-					res, stats, err := ctrl.ExecuteContext(context.Background(), hosts[:n], q)
+					res, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts[:n], q, tc.fanouts)
 					if err != nil || stats.Hosts != n || len(res.Top) == 0 {
 						t.Fatalf("%d hosts: %d answered, %d top flows, err %v", n, stats.Hosts, len(res.Top), err)
 					}
@@ -259,5 +248,77 @@ func TestFanoutAllocsPerHostQuery(t *testing.T) {
 				t.Errorf("per-host cost grows with the fan-out: %.2f at 128 hosts, %.2f at 16", large, small)
 			}
 		})
+	}
+}
+
+// TestTreeRoundTripCensus counts an aggregation-tree query's round trips
+// where they are served: [4,4,8] over 128 hosts on 8 daemons costs each
+// daemon exactly one /batchquery and no /query per execution, by the
+// daemons' own pathdump_rpc_requests_total — the tree's 20 aggregation
+// hosts and 16 leaf groups ride the same 8 requests a direct query makes.
+func TestTreeRoundTripCensus(t *testing.T) {
+	topo, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := make([]*obs.Registry, 8)
+	urls, hosts, _ := loopbackFleet(t, len(regs), 16, 4, func(d int) *obs.Registry {
+		regs[d] = obs.NewRegistry()
+		return regs[d]
+	})
+	served := func(d int, op string) (n uint64) {
+		for _, enc := range []string{"json", "wire"} {
+			n += regs[d].Counter("pathdump_rpc_requests_total", "", obs.L("op", op), obs.L("enc", enc)).Value()
+		}
+		return n
+	}
+	ctrl := controller.New(topo, &HTTPTransport{URLs: urls}, nil)
+	ctrl.Parallelism = 2
+	q := query.Query{Op: query.OpTopK, K: 100, Link: types.AnyLink}
+	for round := uint64(1); round <= 3; round++ {
+		_, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, []int{4, 4, 8})
+		if err != nil || stats.Hosts != len(hosts) {
+			t.Fatalf("execution %d: %d of %d hosts answered, err %v", round, stats.Hosts, len(hosts), err)
+		}
+		for d := range regs {
+			if batches, queries := served(d, "batchquery"), served(d, "query"); batches != round || queries != 0 {
+				t.Fatalf("after %d executions daemon %d has served %d /batchquery and %d /query, want %d and 0", round, d, batches, queries, round)
+			}
+		}
+	}
+}
+
+// TestTreeRecordsOverLoopback: a records query through a tree over real
+// daemons returns exactly the direct query's records — the end-to-end
+// half of the controller's record-pool guard (TestTreeRecordsEqualDirect),
+// with buffers drawn by the batch decoder and recycled by the fold. Each
+// shape runs twice, the second time over the buffers the first returned.
+func TestTreeRecordsOverLoopback(t *testing.T) {
+	topo, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, hosts, _ := loopbackFleet(t, 4, 8, 20, nil)
+	ctrl := controller.New(topo, &HTTPTransport{URLs: urls}, nil)
+	ctrl.Parallelism = 2
+	q := query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}
+	direct, _, err := ctrl.ExecuteContext(context.Background(), hosts, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Records) != len(hosts)*20 {
+		t.Fatalf("direct query returned %d records, want %d", len(direct.Records), len(hosts)*20)
+	}
+	want := canon(t, direct)
+	for _, fanouts := range [][]int{{4, 2}, {2, 2, 2}} {
+		for round := 0; round < 2; round++ {
+			res, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
+			if err != nil || stats.Hosts != len(hosts) {
+				t.Fatalf("fanouts %v: %d of %d hosts answered, err %v", fanouts, stats.Hosts, len(hosts), err)
+			}
+			if canon(t, res) != want {
+				t.Errorf("fanouts %v, round %d: %d records that differ from the direct query's %d", fanouts, round, len(res.Records), len(direct.Records))
+			}
+		}
 	}
 }
