@@ -166,9 +166,13 @@ type Agent struct {
 	// controller fans installs out concurrently on non-serial transports.
 	instMu    sync.Mutex
 	installed map[int]*Installed
+	// triggered is the event-triggered subset of installed: a
+	// snapshot rebuilt at Install/Uninstall, never written in place.
+	triggered []*Installed
 	nextID    int
 	sweeping  bool
 	plog      *packetRing
+	evicted   []tib.MemEntry // Receive's eviction buffer, reused FIN after FIN
 
 	// Counters exposed for the overhead experiments (§5.3).
 	PacketsSeen    uint64
@@ -226,12 +230,16 @@ func (a *Agent) Receive(pkt *netsim.Packet) {
 	a.BytesSeen += uint64(pkt.Size)
 	now := a.sim.Now()
 	if a.plog != nil {
-		a.plog.add(packetEntry{flow: pkt.Flow, hdr: hdr, at: now, size: pkt.Size})
+		a.plog.add(packetEntry{flow: pkt.Flow, hdr: hdr.Pack(), at: now, size: pkt.Size})
 	}
 	a.Mem.Update(now, pkt.Flow, hdr, pkt.Size, pkt.Fin)
 	if pkt.Fin {
-		for _, e := range a.Mem.EvictFlow(pkt.Flow) {
+		a.evicted = a.Mem.AppendEvictFlow(a.evicted[:0], pkt.Flow)
+		for _, e := range a.evicted {
 			a.export(e)
+		}
+		if a.Mem.Len() == 0 {
+			a.evicted = nil // idle: hold no buffer, as the memory holds no slab
 		}
 	}
 	a.ensureSweep()
@@ -262,20 +270,19 @@ func (a *Agent) sweep() {
 }
 
 // construct resolves a header to an end-to-end path via the trajectory
-// cache, falling back to a topology walk.
-func (a *Agent) construct(src types.IP, hdr cherrypick.Header) (types.Path, error) {
-	key := hdr.Key()
+// cache, falling back to a topology walk over the unpacked header.
+func (a *Agent) construct(src types.IP, hdr cherrypick.Packed) (types.Path, error) {
 	if !a.cfg.DisableCache {
-		if p, ok := a.Cache.Get(src, key); ok {
+		if p, ok := a.Cache.Get(src, hdr); ok {
 			return p, nil
 		}
 	}
-	p, err := a.scheme.Reconstruct(src, a.Host.IP, hdr)
+	p, err := a.scheme.Reconstruct(src, a.Host.IP, hdr.Header())
 	if err != nil {
 		return nil, err
 	}
 	if !a.cfg.DisableCache {
-		a.Cache.Put(src, key, p)
+		a.Cache.Put(src, hdr, p)
 	}
 	return p, nil
 }
@@ -283,7 +290,7 @@ func (a *Agent) construct(src types.IP, hdr cherrypick.Header) (types.Path, erro
 // export turns one evicted per-path flow record into a TIB record. A
 // header inconsistent with the ground-truth topology raises an
 // INVALID_TRAJECTORY alarm (§2.4) instead.
-func (a *Agent) export(e *tib.MemEntry) {
+func (a *Agent) export(e tib.MemEntry) {
 	p, err := a.construct(e.Flow.SrcIP, e.Hdr)
 	if err != nil {
 		a.InvalidTraj++
@@ -326,19 +333,26 @@ func (a *Agent) export(e *tib.MemEntry) {
 		// pass worthwhile.
 		a.Store.MaybeCompact()
 	}
-	// Event-triggered installed queries run as new records appear. The
-	// matching set is captured under the lock; execution (which may
-	// raise alarms) happens outside it.
+	// Event-triggered installed queries run as new records appear, outside
+	// the lock (they may raise alarms); only for them is rec copied to the heap.
 	a.instMu.Lock()
-	var triggered []*Installed
-	for _, inst := range a.installed {
-		if inst.Period == 0 {
-			triggered = append(triggered, inst)
+	triggered := a.triggered
+	a.instMu.Unlock()
+	if len(triggered) > 0 {
+		exported := rec
+		for _, inst := range triggered {
+			a.runInstalled(inst, &exported)
 		}
 	}
-	a.instMu.Unlock()
-	for _, inst := range triggered {
-		a.runInstalled(inst, &rec)
+}
+
+// retrigger rebuilds the event-triggered snapshot (instMu held).
+func (a *Agent) retrigger() {
+	a.triggered = nil
+	for _, inst := range a.installed {
+		if inst.Period == 0 {
+			a.triggered = append(a.triggered, inst)
+		}
 	}
 }
 
@@ -391,6 +405,7 @@ func (a *Agent) Install(q query.Query, period types.Time) int {
 	a.nextID++
 	inst := &Installed{ID: a.nextID, Query: q, Period: period}
 	a.installed[inst.ID] = inst
+	a.retrigger()
 	gen := inst.gen
 	a.instMu.Unlock()
 	if period > 0 {
@@ -409,6 +424,7 @@ func (a *Agent) Uninstall(id int) error {
 	}
 	inst.gen++
 	delete(a.installed, id)
+	a.retrigger()
 	return nil
 }
 

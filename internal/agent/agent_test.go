@@ -136,7 +136,7 @@ func TestTrajectoryCacheIsUsed(t *testing.T) {
 		r.sim.Send(src.ID, &netsim.Packet{Flow: f, Size: 100, Fin: true})
 	}
 	r.sim.RunAll()
-	if a.Cache.Hits == 0 {
+	if hits, _ := a.Cache.Stats(); hits == 0 {
 		t.Error("trajectory cache never hit")
 	}
 	if a.Cache.HitRate() < 0.5 {

@@ -16,9 +16,9 @@ import (
 // (PacketsSeen, RecordsStored, …) are plain fields written on the
 // simulation goroutine, so every scrape-time read takes mu — pass the
 // same lock the caller holds while stepping the simulation (pathdumpd's
-// simulation mutex). Store and trigger telemetry carry their own
-// synchronisation and bypass it. All series are gauges computed at
-// scrape time; the cumulative ones never decrease.
+// simulation mutex). Trajectory memory, cache, store and trigger
+// telemetry carry their own synchronisation and bypass it. All series
+// are gauges computed at scrape time; the cumulative ones never decrease.
 func (a *Agent) RegisterMetrics(r *obs.Registry, mu sync.Locker) {
 	hl := obs.L("host", fmt.Sprintf("%d", uint32(a.Host.ID)))
 	locked := func(f func() float64) func() float64 {
@@ -40,6 +40,13 @@ func (a *Agent) RegisterMetrics(r *obs.Registry, mu sync.Locker) {
 		locked(func() float64 { return float64(a.InvalidTraj) }), hl)
 	r.GaugeFunc("pathdump_agent_spill_errors", "Failed cold-tier spill attempts (cumulative).",
 		locked(func() float64 { return float64(a.SpillErrors) }), hl)
+
+	r.GaugeFunc("pathdump_agent_memory_entries", "Per-path flow records open in the trajectory memory.",
+		func() float64 { return float64(a.Mem.Len()) }, hl)
+	r.GaugeFunc("pathdump_agent_cache_hits", "Header-to-path lookups the trajectory cache served (cumulative).",
+		func() float64 { hits, _ := a.Cache.Stats(); return float64(hits) }, hl)
+	r.GaugeFunc("pathdump_agent_cache_misses", "Header-to-path lookups that walked the topology (cumulative).",
+		func() float64 { _, misses := a.Cache.Stats(); return float64(misses) }, hl)
 
 	r.GaugeFunc("pathdump_tib_records", "Records resident in the TIB store.",
 		func() float64 { return float64(a.Store.Len()) }, hl)

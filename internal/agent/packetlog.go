@@ -30,7 +30,7 @@ type packetRing struct {
 
 type packetEntry struct {
 	flow types.FlowID
-	hdr  cherrypick.Header
+	hdr  cherrypick.Packed
 	at   types.Time
 	size int
 }

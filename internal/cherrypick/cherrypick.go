@@ -46,19 +46,57 @@ import (
 
 // Header is the trajectory information carried in a packet header: the
 // DSCP field (0 = unused, as the VL2 scheme checks) and the stacked VLAN
-// tags in push order.
+// tags in push order. It is the wire form — what switches push onto and
+// Reconstruct reads; anything that stores or keys a header holds it
+// Packed.
 type Header struct {
 	DSCP  uint8
 	VLANs []uint16
 }
 
-// Clone deep-copies the header.
-func (h Header) Clone() Header {
-	c := Header{DSCP: h.DSCP}
-	if len(h.VLANs) > 0 {
-		c.VLANs = append([]uint16(nil), h.VLANs...)
+// Packed is a Header in comparable, fixed-size form: the trajectory
+// memory keeps one per open record and the trajectory cache and the
+// packet log key on it as it is, so the datapath neither copies a tag
+// slice nor builds a string per packet. The first three VLAN tags sit
+// inline — a third tag already punts the packet to the controller, so
+// that is every header the fabric can deliver, packed without an
+// allocation. A longer tag list (a direct Receive, a DisableTagging rig)
+// spills its remainder, two big-endian bytes per tag, into more: packing
+// then allocates, and two headers are equal exactly when their DSCP and
+// full tag lists are.
+type Packed struct {
+	DSCP uint8
+	n    uint8 // tags held inline
+	tags [3]uint16
+	more string
+}
+
+// Pack converts the header to its comparable form.
+func (h Header) Pack() Packed {
+	p := Packed{DSCP: h.DSCP}
+	p.n = uint8(copy(p.tags[:], h.VLANs))
+	if rest := h.VLANs[p.n:]; len(rest) > 0 {
+		b := make([]byte, 2*len(rest))
+		for i, v := range rest {
+			b[2*i], b[2*i+1] = byte(v>>8), byte(v)
+		}
+		p.more = string(b)
 	}
-	return c
+	return p
+}
+
+// Header converts back to the wire form; the tag slice is the result's
+// own.
+func (p Packed) Header() Header {
+	h := Header{DSCP: p.DSCP}
+	if p.n > 0 {
+		h.VLANs = make([]uint16, p.n, int(p.n)+len(p.more)/2)
+		copy(h.VLANs, p.tags[:])
+		for i := 0; i+1 < len(p.more); i += 2 {
+			h.VLANs = append(h.VLANs, uint16(p.more[i])<<8|uint16(p.more[i+1]))
+		}
+	}
+	return h
 }
 
 // Tags converts the header to the generic tag list (DSCP first).
@@ -71,18 +109,6 @@ func (h Header) Tags() []types.Tag {
 		out = append(out, types.Tag{Kind: types.TagVLAN, Value: v})
 	}
 	return out
-}
-
-// Key returns a compact map key for the header (used by the trajectory
-// memory and trajectory cache).
-func (h Header) Key() string {
-	b := make([]byte, 1+2*len(h.VLANs))
-	b[0] = h.DSCP
-	for i, v := range h.VLANs {
-		b[1+2*i] = byte(v >> 8)
-		b[2+2*i] = byte(v)
-	}
-	return string(b)
 }
 
 // Overflow reports whether the header exceeds the commodity-ASIC parse

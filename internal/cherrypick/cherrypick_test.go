@@ -2,6 +2,7 @@ package cherrypick
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pathdump/internal/topology"
@@ -223,7 +224,7 @@ func TestReconstructDetectsWrongSwitchID(t *testing.T) {
 	if len(hdr.VLANs) != 1 {
 		t.Fatalf("unexpected tag count %d", len(hdr.VLANs))
 	}
-	tampered := hdr.Clone()
+	tampered := hdr.Pack().Header()
 	tampered.VLANs[0] = 4090 // outside all classes for k=4
 	if _, err := s.Reconstruct(src.IP, dst.IP, tampered); err == nil {
 		t.Error("tampered tag accepted")
@@ -278,17 +279,20 @@ func TestVL2DetourTrapsAndErrors(t *testing.T) {
 
 func TestHeaderHelpers(t *testing.T) {
 	h := Header{DSCP: 3, VLANs: []uint16{7, 9}}
-	c := h.Clone()
+	c := h.Pack().Header()
+	if !reflect.DeepEqual(c, h) {
+		t.Errorf("Pack().Header() = %+v, want %+v", c, h)
+	}
 	c.VLANs[0] = 99
 	if h.VLANs[0] != 7 {
-		t.Error("Clone aliases VLANs")
+		t.Error("Pack().Header() aliases VLANs")
 	}
 	tags := h.Tags()
 	if len(tags) != 3 || tags[0].Kind != types.TagDSCP || tags[1].Value != 7 {
 		t.Errorf("Tags = %v", tags)
 	}
-	if h.Key() == c.Key() {
-		t.Error("distinct headers share a key")
+	if h.Pack() == c.Pack() {
+		t.Error("distinct headers pack alike")
 	}
 	if (Header{VLANs: []uint16{1, 2}}).Overflow() {
 		t.Error("2 tags must not overflow")

@@ -165,4 +165,11 @@ func TestStorage(t *testing.T) {
 	if r.MemEntries != 500 || r.CacheEntries != 500 {
 		t.Errorf("hot state: mem=%d cache=%d", r.MemEntries, r.CacheEntries)
 	}
+	// By layout: a 96-byte slab cell + a 21-byte flow-index entry per open
+	// record; a 56-byte value, a 40-byte list element, a 41-byte map entry
+	// and five 2-byte hops per cached path. A layout change moves this
+	// number (and docs/storage.md's) on purpose.
+	if want := 500*117 + 500*(137+10); r.ApproxRAMBytes != want {
+		t.Errorf("hot state = %d bytes for 500 records + 500 paths, want %d", r.ApproxRAMBytes, want)
+	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"unsafe"
 
 	"pathdump/internal/cherrypick"
 	"pathdump/internal/tib"
@@ -37,8 +38,11 @@ type StorageResult struct {
 	Records        int
 	SnapshotBytes  int     // serialised TIB size
 	BytesPerRecord float64 // snapshot bytes / record
-	// ApproxRAMBytes estimates the resident footprint of the hot state:
-	// trajectory memory + trajectory cache entries.
+	// ApproxRAMBytes is the resident footprint of the hot state —
+	// trajectory memory + trajectory cache at MemEntries/CacheEntries —
+	// from the sizes of the structures that hold them (tib.MemEntryBytes,
+	// tib.CacheEntryBytes and each path's hops), allocator and growth
+	// slack excluded.
 	MemEntries     int
 	CacheEntries   int
 	ApproxRAMBytes int
@@ -64,19 +68,19 @@ func Storage(cfg StorageConfig) *StorageResult {
 	}
 
 	// Hot-state footprint: populate a trajectory memory and cache at the
-	// paper's load point and estimate per-entry sizes structurally.
+	// paper's load point and price each entry by its layout.
 	mem := tib.NewMemory(0)
 	cache := tib.NewCache(cfg.CacheSize)
+	path := types.Path{0, 8, 16, 10, 2}
 	for i := 0; i < cfg.MemEntries; i++ {
 		f := types.FlowID{SrcIP: types.IP(i), DstIP: 1, SrcPort: uint16(i), DstPort: 80, Proto: 6}
 		hdr := cherrypick.Header{VLANs: []uint16{uint16(i % 4096)}}
 		mem.Update(types.Time(i), f, hdr, 1000, false)
-		cache.Put(f.SrcIP, hdr.Key(), types.Path{0, 8, 16, 10, 2})
+		cache.Put(f.SrcIP, hdr.Pack(), path)
 	}
 	res.MemEntries = mem.Len()
 	res.CacheEntries = cache.Len()
-	const memEntryBytes = 96    // MemEntry + map overhead, measured structurally
-	const cacheEntryBytes = 120 // list element + path + key
-	res.ApproxRAMBytes = res.MemEntries*memEntryBytes + res.CacheEntries*cacheEntryBytes
+	pathBytes := len(path) * int(unsafe.Sizeof(path[0]))
+	res.ApproxRAMBytes = res.MemEntries*tib.MemEntryBytes + res.CacheEntries*(tib.CacheEntryBytes+pathBytes)
 	return res
 }

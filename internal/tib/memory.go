@@ -1,10 +1,10 @@
 // Package tib implements PathDump's per-host storage engine (§3.2):
 //
 //   - the trajectory memory, which aggregates the packet stream into
-//     per-path flow records (one record per ⟨flow, link-ID set⟩) and evicts
-//     them on FIN/RST or after an idle timeout, like NetFlow;
-//   - the trajectory cache, which memoises ⟨srcIP, link IDs⟩ → path so the
-//     construction module rarely re-walks the topology;
+//     per-path flow records (one per ⟨flow, link-ID set⟩, in a slab indexed
+//     by flow) and evicts them on FIN/RST or after an idle timeout;
+//   - the trajectory cache, which memoises ⟨srcIP, packed link IDs⟩ → path
+//     so the construction module rarely re-walks the topology;
 //   - the Trajectory Information Base (TIB) itself: the indexed store of
 //     ⟨flow ID, path, stime, etime, #bytes, #pkts⟩ records that the host
 //     API queries slice and dice.
@@ -17,6 +17,7 @@ package tib
 
 import (
 	"sync"
+	"unsafe"
 
 	"pathdump/internal/cherrypick"
 	"pathdump/internal/types"
@@ -27,10 +28,11 @@ import (
 const DefaultIdleTimeout = 5 * types.Second
 
 // MemEntry is one per-path flow record still being accumulated: statistics
-// on packets of the same flow that carried the same sampled link IDs.
+// on packets of the same flow that carried the same sampled link IDs. The
+// header is held packed, so a copy of an entry owns everything it shows.
 type MemEntry struct {
 	Flow  types.FlowID
-	Hdr   cherrypick.Header
+	Hdr   cherrypick.Packed
 	STime types.Time
 	ETime types.Time
 	Bytes uint64
@@ -38,43 +40,35 @@ type MemEntry struct {
 	Fin   bool
 }
 
-// hdrKey packs the trajectory header into a comparable, allocation-free
-// key: the datapath updates the trajectory memory for every packet, so
-// this path must not allocate. Three slots cover every header that can
-// reach a host (a third VLAN tag punts the packet to the controller
-// before delivery); longer headers truncate, which only merges records of
-// unreachable header shapes.
-type hdrKey struct {
-	dscp uint8
-	n    uint8
-	v    [3]uint16
+// slot is one slab cell: an entry and its links, which are slab indexes
+// (the slab moves when it grows). Index 0 is no record: slab[0] is the
+// sentinel that closes the insertion-order ring.
+type slot struct {
+	MemEntry
+	chain      int32 // next record of the same flow, in arrival order
+	prev, next int32 // insertion-order ring; a free slot's next is the free list
 }
 
-func makeHdrKey(hdr cherrypick.Header) hdrKey {
-	k := hdrKey{dscp: hdr.DSCP, n: uint8(len(hdr.VLANs))}
-	for i, val := range hdr.VLANs {
-		if i == len(k.v) {
-			break
-		}
-		k.v[i] = val
-	}
-	return k
-}
-
-type memKey struct {
-	flow types.FlowID
-	hdr  hdrKey
-}
+// MemEntryBytes is what one open record occupies: its slab cell and its
+// flow's index entry (key, slot index, the map's control byte). The slab's
+// and the map's growth slack comes on top.
+const MemEntryBytes = int(unsafe.Sizeof(slot{})+unsafe.Sizeof(types.FlowID{})) + 4 + 1
 
 // Memory is the trajectory memory: the OVS-side aggregation stage of
-// Figure 2. It is sized by active flows, not by packets. Methods are safe
-// for concurrent use so queries (Live) can run while the datapath updates.
+// Figure 2. It is sized by active flows, not by packets, and a packet or
+// a FIN costs one map probe: records live by value in a slab with a free
+// list, flows maps a flow to its first record (its records are chained in
+// arrival order — nearly always a chain of one), and a ring threads all
+// records in insertion order, the order sweeps and Live hand them out in.
+// A memory that drains gives its slab back. Methods are safe for
+// concurrent use (queries run beside the datapath); entries go out as copies.
 type Memory struct {
-	mu      sync.RWMutex
-	idle    types.Time
-	entries map[memKey]*MemEntry
-	// order keeps keys in insertion order for deterministic sweeps.
-	order []memKey
+	mu    sync.RWMutex
+	idle  types.Time
+	slab  []slot
+	free  int32
+	flows map[types.FlowID]int32
+	n     int
 }
 
 // NewMemory builds a trajectory memory with the given idle timeout
@@ -83,93 +77,144 @@ func NewMemory(idle types.Time) *Memory {
 	if idle == 0 {
 		idle = DefaultIdleTimeout
 	}
-	return &Memory{idle: idle, entries: make(map[memKey]*MemEntry)}
+	return &Memory{idle: idle, flows: make(map[types.FlowID]int32)}
 }
 
 // Len returns the number of live per-path flow records.
 func (m *Memory) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.entries)
+	return m.n
 }
 
-// Update creates or updates the per-path flow record for one packet and
-// returns it. fin marks FIN/RST packets, which make the record eligible
-// for immediate eviction.
-func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header, size int, fin bool) *MemEntry {
+// Update creates or updates the per-path flow record for one packet. fin
+// marks FIN/RST packets, which make the record eligible for immediate
+// eviction.
+func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header, size int, fin bool) {
+	k := hdr.Pack()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := memKey{flow: flow, hdr: makeHdrKey(hdr)}
-	e := m.entries[k]
-	if e == nil {
-		e = &MemEntry{Flow: flow, Hdr: hdr.Clone(), STime: now}
-		m.entries[k] = e
-		m.order = append(m.order, k)
+	i, last := m.flows[flow], int32(0)
+	for i != 0 && m.slab[i].Hdr != k {
+		i, last = m.slab[i].chain, i
 	}
+	if i == 0 {
+		i = m.insert(MemEntry{Flow: flow, Hdr: k, STime: now})
+		if last == 0 {
+			m.flows[flow] = i
+		} else {
+			m.slab[last].chain = i
+		}
+	}
+	e := &m.slab[i]
 	e.ETime = now
 	e.Bytes += uint64(size)
 	e.Pkts++
-	if fin {
-		e.Fin = true
+	e.Fin = e.Fin || fin
+}
+
+// insert places e in a free (or new) slot at the ring's tail.
+func (m *Memory) insert(e MemEntry) int32 {
+	if len(m.slab) == 0 {
+		m.slab = make([]slot, 1, 2) // the sentinel (an empty ring) and the first cell
 	}
-	return e
+	i := m.free
+	if i != 0 {
+		m.free = m.slab[i].next
+	} else {
+		i = int32(len(m.slab))
+		m.slab = append(m.slab, slot{})
+	}
+	tail := m.slab[0].prev
+	m.slab[i] = slot{MemEntry: e, prev: tail}
+	m.slab[tail].next, m.slab[0].prev = i, i
+	m.n++
+	return i
+}
+
+// remove takes slot i out of the ring, frees it and returns the entry it
+// held; the flow index and the chain are the caller's to fix.
+func (m *Memory) remove(i int32) MemEntry {
+	s := m.slab[i]
+	m.slab[s.prev].next, m.slab[s.next].prev = s.next, s.prev
+	m.slab[i] = slot{next: m.free}
+	m.free = i
+	if m.n--; m.n == 0 {
+		m.slab, m.free = nil, 0 // idle: hold no slab
+	}
+	return s.MemEntry
+}
+
+// oldest returns the first slot in insertion order, 0 when there is none.
+func (m *Memory) oldest() int32 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.slab[0].next
 }
 
 // EvictFlow removes and returns every record of one flow (invoked when a
 // FIN or RST is seen).
-func (m *Memory) EvictFlow(flow types.FlowID) []*MemEntry {
+func (m *Memory) EvictFlow(flow types.FlowID) []MemEntry {
+	return m.AppendEvictFlow(nil, flow)
+}
+
+// AppendEvictFlow is EvictFlow appending to dst, in arrival order: a
+// datapath that reuses its buffer evicts without allocating.
+func (m *Memory) AppendEvictFlow(dst []MemEntry, flow types.FlowID) []MemEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []*MemEntry
-	kept := m.order[:0]
-	for _, k := range m.order {
-		if k.flow == flow {
-			if e, ok := m.entries[k]; ok {
-				out = append(out, e)
-				delete(m.entries, k)
-			}
-			continue
-		}
-		kept = append(kept, k)
+	i := m.flows[flow]
+	delete(m.flows, flow)
+	for i != 0 {
+		next := m.slab[i].chain
+		dst = append(dst, m.remove(i))
+		i = next
 	}
-	m.order = kept
-	return out
+	return dst
 }
 
 // EvictIdle removes and returns every record idle since before now−idle.
-func (m *Memory) EvictIdle(now types.Time) []*MemEntry {
+func (m *Memory) EvictIdle(now types.Time) []MemEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []*MemEntry
-	kept := m.order[:0]
-	for _, k := range m.order {
-		e, ok := m.entries[k]
-		if !ok {
-			continue
+	var out []MemEntry
+	for i := m.oldest(); i != 0; {
+		next := m.slab[i].next
+		if now-m.slab[i].ETime >= m.idle {
+			m.unchain(i)
+			out = append(out, m.remove(i))
 		}
-		if now-e.ETime >= m.idle {
-			out = append(out, e)
-			delete(m.entries, k)
-			continue
-		}
-		kept = append(kept, k)
+		i = next
 	}
-	m.order = kept
 	return out
 }
 
+// unchain takes slot i out of its flow's chain, dropping the flow from
+// the index with its last record.
+func (m *Memory) unchain(i int32) {
+	flow, after := m.slab[i].Flow, m.slab[i].chain
+	j := m.flows[flow]
+	switch {
+	case j != i:
+		for m.slab[j].chain != i {
+			j = m.slab[j].chain
+		}
+		m.slab[j].chain = after
+	case after != 0:
+		m.flows[flow] = after
+	default:
+		delete(m.flows, flow)
+	}
+}
+
 // Flush removes and returns everything (end of run).
-func (m *Memory) Flush() []*MemEntry {
+func (m *Memory) Flush() []MemEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*MemEntry, 0, len(m.entries))
-	for _, k := range m.order {
-		if e, ok := m.entries[k]; ok {
-			out = append(out, e)
-			delete(m.entries, k)
-		}
-	}
-	m.order = m.order[:0]
+	out := m.live()
+	clear(m.flows)
+	m.slab, m.free, m.n = nil, 0, 0
 	return out
 }
 
@@ -180,11 +225,13 @@ func (m *Memory) Flush() []*MemEntry {
 func (m *Memory) Live() []MemEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]MemEntry, 0, len(m.entries))
-	for _, k := range m.order {
-		if e, ok := m.entries[k]; ok {
-			out = append(out, *e)
-		}
+	return m.live()
+}
+
+func (m *Memory) live() []MemEntry {
+	out := make([]MemEntry, 0, m.n)
+	for i := m.oldest(); i != 0; i = m.slab[i].next {
+		out = append(out, m.slab[i].MemEntry)
 	}
 	return out
 }

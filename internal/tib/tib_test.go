@@ -74,32 +74,38 @@ func TestMemoryEviction(t *testing.T) {
 func TestCacheLRU(t *testing.T) {
 	c := NewCache(2)
 	p1, p2, p3 := types.Path{1}, types.Path{2}, types.Path{3}
-	c.Put(1, "a", p1)
-	c.Put(1, "b", p2)
-	if _, ok := c.Get(1, "a"); !ok {
+	ka := cherrypick.Header{VLANs: []uint16{1}}.Pack()
+	kb := cherrypick.Header{VLANs: []uint16{2}}.Pack()
+	kc := cherrypick.Header{DSCP: 1, VLANs: []uint16{1}}.Pack()
+	c.Put(1, ka, p1)
+	c.Put(1, kb, p2)
+	if _, ok := c.Get(1, ka); !ok {
 		t.Fatal("miss on fresh entry")
 	}
-	c.Put(1, "c", p3) // evicts "b" (LRU)
-	if _, ok := c.Get(1, "b"); ok {
+	c.Put(1, kc, p3) // evicts kb (LRU)
+	if _, ok := c.Get(1, kb); ok {
 		t.Error("LRU entry not evicted")
 	}
-	if got, ok := c.Get(1, "a"); !ok || !got.Equal(p1) {
+	if got, ok := c.Get(1, ka); !ok || !got.Equal(p1) {
 		t.Error("recently used entry evicted")
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d", c.Len())
 	}
 	// Update in place.
-	c.Put(1, "a", p2)
-	if got, _ := c.Get(1, "a"); !got.Equal(p2) {
+	c.Put(1, ka, p2)
+	if got, _ := c.Get(1, ka); !got.Equal(p2) {
 		t.Error("Put did not update existing entry")
 	}
 	if c.HitRate() <= 0 || c.HitRate() >= 1 {
 		t.Errorf("HitRate = %v", c.HitRate())
 	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 1 {
+		t.Errorf("Stats = %d hits, %d misses, want 3 and 1", hits, misses)
+	}
 	// Distinct sources do not collide.
-	c.Put(2, "a", p3)
-	if got, _ := c.Get(2, "a"); !got.Equal(p3) {
+	c.Put(2, ka, p3)
+	if got, _ := c.Get(2, ka); !got.Equal(p3) {
 		t.Error("source IP not part of the key")
 	}
 }
