@@ -7,6 +7,8 @@ package query
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"pathdump/internal/testutil"
@@ -145,5 +147,74 @@ func TestRecordBufAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { PutRecordBuf(append(GetRecordBuf(), types.Record{Bytes: 1})) }); got > 1 {
 		t.Errorf("a Get/Put cycle on a pooled buffer allocates %.0f times, want <= 1", got)
+	}
+}
+
+// TestTopKSelectionMatchesFullSort: keeping the k best by selection gives,
+// element for element, the front of the full sort under ⟨bytes desc,
+// flowCompare⟩ — with byte counts that tie constantly, k = 1, k at and
+// past the list's length — and leaves exactly the losers behind it (the
+// merger deletes those from its index). Through both callers, k ≤ 0 means
+// the paper's 1000.
+func TestTopKSelectionMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fullSort := func(s []FlowBytes) []FlowBytes {
+		out := make([]FlowBytes, len(s))
+		copy(out, s)
+		sort.Slice(out, func(i, j int) bool { return rankFlowBytes(out[i], out[j]) < 0 })
+		return out
+	}
+	list := func(n, distinctBytes int) []FlowBytes {
+		s := make([]FlowBytes, n)
+		for i := range s {
+			s[i] = FlowBytes{
+				Flow:  types.FlowID{SrcIP: types.IP(rng.Intn(4)), DstIP: 9, SrcPort: uint16(i), DstPort: uint16(rng.Intn(3)), Proto: types.ProtoTCP},
+				Bytes: uint64(rng.Intn(distinctBytes)), Pkts: uint64(i),
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { s[i], s[j] = s[j], s[i] })
+		return s
+	}
+	for round := 0; round < 400; round++ {
+		n := rng.Intn(300)
+		s := list(n, 1+rng.Intn(8))
+		k := 1 + rng.Intn(n+10)
+		switch round % 4 {
+		case 0:
+			k = 1
+		case 1:
+			k = max(1, n)
+		}
+		want := fullSort(s)
+		top := topFlowBytes(s, k)
+		if !reflect.DeepEqual(top, want[:min(k, n)]) {
+			t.Fatalf("n=%d k=%d: selection kept\n%v\nthe full sort ranks\n%v", n, k, top, want[:min(k, n)])
+		}
+		if rest := fullSort(s[len(top):]); !reflect.DeepEqual(rest, want[len(top):]) {
+			t.Fatalf("n=%d k=%d: what selection left behind is not the %d losers", n, k, n-len(top))
+		}
+	}
+
+	// The evaluator and the merger, with k unset: 1,500 single-record flows
+	// in 7 byte classes.
+	s := tib.NewStoreConfig(tib.Config{Shards: 4, SegmentRecords: 256})
+	totals := list(1500, 7)
+	for i, fb := range totals {
+		s.Add(types.Record{Flow: fb.Flow, Path: types.Path{1, 2}, STime: types.Time(i), ETime: types.Time(i + 1), Bytes: fb.Bytes, Pkts: fb.Pkts})
+	}
+	want := fullSort(totals)[:1000]
+	for _, k := range []int{0, -3} {
+		q := Query{Op: OpTopK, K: k}
+		if got := Execute(q, StoreView{S: s}).Top; !reflect.DeepEqual(got, want) {
+			t.Errorf("Execute with K=%d does not return the full sort's first 1000 (got %d entries)", k, len(got))
+		}
+		var dst Result
+		m := NewStreamMerger(q, &dst, 3)
+		for i := 0; i < 3; i++ {
+			m.Add(i, &Result{Op: OpTopK, Top: fullSort(totals[i*500 : (i+1)*500])})
+		}
+		if !m.Done() || !reflect.DeepEqual(dst.Top, want) {
+			t.Errorf("StreamMerger with K=%d does not fold to the full sort's first 1000 (got %d entries)", k, len(dst.Top))
+		}
 	}
 }

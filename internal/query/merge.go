@@ -253,13 +253,11 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 	for _, fb := range child {
 		t.add(fb.Flow, fb.Bytes, fb.Pkts)
 	}
-	sortFlowBytes(t.list)
-	if len(t.list) > k {
-		for _, fb := range t.list[k:] {
-			delete(t.idx, fb.Flow)
-		}
-		t.list = t.list[:k]
+	top := topFlowBytes(t.list, k)
+	for _, fb := range t.list[len(top):] {
+		delete(t.idx, fb.Flow)
 	}
+	t.list = top
 	for i := range t.list {
 		t.idx[t.list[i].Flow] = int32(i)
 	}

@@ -373,9 +373,9 @@ func (e *eval) topK(v View, p Predicate, k int) {
 	v.ScanRecords(p, func(rec *types.Record) {
 		e.totals.add(rec.Flow, rec.Bytes, rec.Pkts)
 	})
-	sortFlowBytes(e.totals.list)
-	e.res.Top = make([]FlowBytes, min(k, len(e.totals.list)))
-	copy(e.res.Top, e.totals.list)
+	top := topFlowBytes(e.totals.list, k)
+	e.res.Top = make([]FlowBytes, len(top))
+	copy(e.res.Top, top)
 }
 
 // policy is the conformance part of a Query.
@@ -478,13 +478,48 @@ func (t *flowTotals) reset() {
 	t.list = t.list[:0]
 }
 
-func sortFlowBytes(s []FlowBytes) {
-	slices.SortFunc(s, func(a, b FlowBytes) int {
-		if a.Bytes != b.Bytes {
-			return cmp.Compare(b.Bytes, a.Bytes)
+// rankFlowBytes is the top-k ranking, a strict total order over distinct
+// flows: more bytes first, ties by flowCompare.
+func rankFlowBytes(a, b FlowBytes) int {
+	if a.Bytes != b.Bytes {
+		return cmp.Compare(b.Bytes, a.Bytes)
+	}
+	return flowCompare(a.Flow, b.Flow)
+}
+
+// topFlowBytes moves the k first of s under rankFlowBytes (k ≥ 1) to its
+// front, ranked, and returns them; the rest of s is left in no particular
+// order. It selects instead of sorting — s[:k] is kept as a heap with the
+// last-ranked survivor at the root, so a total that does not make the cut
+// costs one comparison — and ranks only the survivors: the answer is,
+// element for element, the front of the full sort.
+func topFlowBytes(s []FlowBytes, k int) []FlowBytes {
+	if k < len(s) {
+		top := s[:k]
+		down := func(i int) {
+			for c := 2*i + 1; c < k; i, c = c, 2*c+1 {
+				if c+1 < k && rankFlowBytes(top[c+1], top[c]) > 0 {
+					c++
+				}
+				if rankFlowBytes(top[c], top[i]) <= 0 {
+					return
+				}
+				top[i], top[c] = top[c], top[i]
+			}
 		}
-		return flowCompare(a.Flow, b.Flow)
-	})
+		for i := k/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for i := k; i < len(s); i++ {
+			if rankFlowBytes(s[i], top[0]) < 0 {
+				s[i], top[0] = top[0], s[i]
+				down(0)
+			}
+		}
+		s = top
+	}
+	slices.SortFunc(s, rankFlowBytes)
+	return s
 }
 
 // flowCompare is the deterministic tie-break order for equal byte counts:

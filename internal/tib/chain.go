@@ -1,0 +1,189 @@
+package tib
+
+import (
+	"math/bits"
+	"slices"
+	"unsafe"
+
+	"pathdump/internal/types"
+)
+
+// chainIndex is an active segment's flow and link index. It costs a
+// record an append, not a map update: every entry is chained to the
+// previous entry of its flow (flowPrev) and, through a cell per directed
+// link it crossed (linkCells), to the previous entry on that link; two
+// small open-addressed tables hold each chain's newest end. References
+// into the buffers are 1 + an index, and 0 ends a chain.
+//
+// The chain buffers are append-only — a committed prefix never changes,
+// so a scan walks it without the shard lock (see chain). The head tables
+// are rewritten in place and read only under the lock.
+type chainIndex struct {
+	// flowPrev[i] refers to the previous entry of entry i's flow.
+	flowPrev []uint32
+	// flowHead holds each flow's newest entry. It stores no keys — slot
+	// value v belongs to flow entries[v-1].rec.Flow — and is kept under
+	// half full (flows counts its occupied slots), doubling by rehashing
+	// the heads it holds.
+	flowHead []uint32
+	flows    int
+	// linkCells chains, per directed link, the entries that crossed it;
+	// linkHead is the keyed table of each link's newest cell, also kept
+	// under half full.
+	linkCells []linkCell
+	linkHead  []linkSlot
+	links     int
+}
+
+// linkCell is one posting of the link index: an entry that crossed the
+// link, and the previous cell of the same link.
+type linkCell struct{ idx, prev uint32 }
+
+// linkSlot is one slot of the link table; head 0 marks it empty.
+type linkSlot struct {
+	link types.LinkID
+	head uint32
+}
+
+// headTableMin is the first size of a head table: a shard that holds a
+// record or two — most shards of a small store — never outgrows it.
+const headTableMin = 8
+
+// tableSlot maps a 32-bit hash onto a table of n slots (a power of two ≥
+// 2) by its top bits after a Fibonacci multiply, so that the low bits
+// all of a shard's flow hashes share do not cluster.
+func tableSlot(h uint32, n int) int {
+	return int(h * 0x9E3779B1 >> bits.LeadingZeros32(uint32(n-1)))
+}
+
+// flowSlot returns the head-table slot of flow f (h is its flowHash32):
+// the flow's newest entry in ents, or an empty slot.
+func (x *chainIndex) flowSlot(ents []entry, f types.FlowID, h uint32) *uint32 {
+	t := x.flowHead
+	for i := tableSlot(h, len(t)); ; i = (i + 1) & (len(t) - 1) {
+		if v := t[i]; v == 0 || ents[v-1].rec.Flow == f {
+			return &t[i]
+		}
+	}
+}
+
+// linkSlot is flowSlot for the link table, which holds its keys. It
+// returns nil when there is no table yet: no entry so far had a link.
+func (x *chainIndex) linkSlot(l types.LinkID) *linkSlot {
+	t := x.linkHead
+	if len(t) == 0 {
+		return nil
+	}
+	for i := tableSlot(uint32(l.A)<<16|uint32(l.B), len(t)); ; i = (i + 1) & (len(t) - 1) {
+		if t[i].head == 0 || t[i].link == l {
+			return &t[i]
+		}
+	}
+}
+
+// growFlowHead doubles the flow table, rehashing the heads it holds (a
+// head's flow is read back from its entry).
+func (x *chainIndex) growFlowHead(ents []entry) {
+	old := x.flowHead
+	x.flowHead = make([]uint32, max(headTableMin, 2*len(old)))
+	for _, v := range old {
+		if v != 0 {
+			f := ents[v-1].rec.Flow
+			*x.flowSlot(ents, f, flowHash32(f)) = v
+		}
+	}
+}
+
+// growLinkHead doubles the link table.
+func (x *chainIndex) growLinkHead() {
+	old := x.linkHead
+	x.linkHead = make([]linkSlot, max(headTableMin, 2*len(old)))
+	for _, s := range old {
+		if s.head != 0 {
+			*x.linkSlot(s.link) = s
+		}
+	}
+}
+
+// post indexes the newest entry of ents (h is its flow's flowHash32),
+// first doubling a head table that one more key would fill half of. A
+// record is posted at most once per link — a looped path traverses a link
+// twice but is still one record on it. Caller holds the shard write lock.
+func (x *chainIndex) post(ents []entry, h uint32) {
+	idx := uint32(len(ents) - 1)
+	rec := &ents[idx].rec
+	if 2*(x.flows+1) > len(x.flowHead) {
+		x.growFlowHead(ents)
+	}
+	fs := x.flowSlot(ents, rec.Flow, h)
+	if *fs == 0 {
+		x.flows++
+	}
+	x.flowPrev = append(x.flowPrev, *fs)
+	*fs = idx + 1
+	for p, i := rec.Path, 0; i+1 < len(p); i++ {
+		if 2*(x.links+1) > len(x.linkHead) {
+			x.growLinkHead()
+		}
+		l := types.LinkID{A: p[i], B: p[i+1]}
+		ls := x.linkSlot(l)
+		if ls.head == 0 {
+			ls.link = l
+			x.links++
+		} else if x.linkCells[ls.head-1].idx == idx {
+			continue
+		}
+		x.linkCells = append(x.linkCells, linkCell{idx: idx, prev: ls.head})
+		ls.head = uint32(len(x.linkCells))
+	}
+}
+
+// bytes is what the index occupies: every buffer at its capacity.
+func (x *chainIndex) bytes() int64 {
+	return int64(unsafe.Sizeof(*x)) + 4*int64(cap(x.flowPrev)+cap(x.flowHead)) +
+		int64(cap(x.linkCells))*int64(unsafe.Sizeof(linkCell{})) +
+		int64(cap(x.linkHead))*int64(unsafe.Sizeof(linkSlot{}))
+}
+
+// chain is what a listed scan captures of an active segment under the
+// shard read lock: the newest matching entry (a flow's) or cell (a
+// link's), and the committed prefix of the buffer its back-references
+// live in. Walking it needs no lock.
+type chain struct {
+	head  uint32
+	prev  []uint32   // a flow's chain: flowPrev
+	cells []linkCell // a link's chain: linkCells
+}
+
+// chain looks up where sel's flow — or, without one, its link — starts.
+// Caller holds the shard read lock.
+func (x *chainIndex) chain(ents []entry, sel *selector) chain {
+	if sel.flow != nil {
+		return chain{head: *x.flowSlot(ents, *sel.flow, flowHash32(*sel.flow)), prev: x.flowPrev}
+	}
+	if ls := x.linkSlot(sel.link); ls != nil {
+		return chain{head: ls.head, cells: x.linkCells}
+	}
+	return chain{}
+}
+
+// walk appends the chain's entry indexes to post in ascending order and
+// returns it. The chain runs newest first, so the walk stops at the first
+// entry at or below the since watermark, and what it appended is reversed.
+func (ch chain) walk(ents []entry, since uint64, post []uint32) []uint32 {
+	start := len(post)
+	for c := ch.head; c != 0; {
+		idx := c - 1
+		if ch.cells != nil {
+			idx, c = ch.cells[c-1].idx, ch.cells[c-1].prev
+		} else {
+			c = ch.prev[c-1]
+		}
+		if ents[idx].seq <= since {
+			break
+		}
+		post = append(post, idx)
+	}
+	slices.Reverse(post[start:])
+	return post
+}

@@ -95,6 +95,103 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 	}
 }
 
+// TestScansBesideAddSeePrefixes is the same-shard half of the above: four
+// writers append to one shard — its active segment growing, its chains
+// and head tables rewritten under the scans — while listed flow scans,
+// listed link scans and watermark scans run beside them. Sequence numbers
+// are handed out under the shard lock, so whatever instant a scan caught,
+// it must have seen a downward-closed prefix: every record crosses link
+// 1-2, so that scan's sequences run 1, 2, 3, … without a gap (since+1, …
+// under a watermark), and a flow's records — numbered in Bytes by their
+// writer — run 0, 1, 2, …. Under -race it also proves a scan reads only
+// what the writer can no longer write.
+func TestScansBesideAddSeePrefixes(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"sealing":    {Shards: 1, SegmentRecords: 600},
+		"never-seal": {Shards: 1, SegmentRecords: -1},
+		"two-shards": {Shards: 2, SegmentRecords: 300},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := NewStoreConfig(cfg)
+			const (
+				writers   = 4
+				perWriter = 1000
+				flowsEach = 40
+			)
+			flowOf := func(w, k int) types.FlowID { return flowN(w*flowsEach + k) }
+			all := types.LinkID{A: 1, B: 2}
+			var readGroup, writeGroup sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < 3; r++ {
+				readGroup.Add(1)
+				go func(r int) {
+					defer readGroup.Done()
+					for round := 0; ; round++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						f := flowOf(round%writers, round%flowsEach)
+						next := uint64(0)
+						s.ForFlow(f, types.AnyLink, types.AllTime, func(rec *types.Record) {
+							if rec.Flow != f || rec.Bytes != next {
+								t.Errorf("flow scan: record %d of %v is %v", next, f, rec)
+							}
+							next++
+						})
+						since := uint64(0)
+						if r > 0 {
+							since = s.LastSeq() / uint64(r+1)
+						}
+						want := since
+						sel := selector{since: since, link: all, tr: types.AllTime}
+						if err := s.scan(&sel, func(seq uint64, rec *types.Record) bool {
+							if want++; seq != want {
+								t.Errorf("link scan since %d: sequence %d where %d is due", since, seq, want)
+								want = seq
+							}
+							return true
+						}); err != nil {
+							t.Error(err)
+						}
+						own := types.LinkID{A: 2, B: types.SwitchID(16 + r)}
+						var seen [flowsEach]uint64
+						s.ForEach(own, types.AllTime, func(rec *types.Record) {
+							k := int(rec.Pkts)
+							if rec.Flow != flowOf(r, k) || rec.Bytes != seen[k] {
+								t.Errorf("link scan %v: flow %d's record %d is %v", own, k, seen[k], rec)
+							}
+							seen[k]++
+						})
+					}
+				}(r)
+			}
+			for w := 0; w < writers; w++ {
+				writeGroup.Add(1)
+				go func(w int) {
+					defer writeGroup.Done()
+					for i := 0; i < perWriter; i++ {
+						k := i % flowsEach
+						s.Add(types.Record{
+							Flow:  flowOf(w, k),
+							Path:  types.Path{1, 2, types.SwitchID(16 + w)},
+							STime: types.Time(i), ETime: types.Time(i + 10),
+							Bytes: uint64(i / flowsEach), Pkts: uint64(k),
+						})
+					}
+				}(w)
+			}
+			writeGroup.Wait()
+			close(stop)
+			readGroup.Wait()
+			if got := s.Len(); got != writers*perWriter {
+				t.Fatalf("Len = %d, want %d", got, writers*perWriter)
+			}
+		})
+	}
+}
+
 // TestShardCountsAgree feeds identical records into stores of different
 // shard counts and requires byte-identical query results: sharding is a
 // locking strategy, not a semantics change. Sequential inserts must come

@@ -352,6 +352,45 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// TestActiveSegmentMatchesReferenceModel holds a store that never seals by
+// count to the same model: every record stays in its shard's active
+// segment, whose flow table (300 flows, over one to four shards) and link
+// table double again and again while listed flow, link and (since, until]
+// scans land on the chains after every few adds — and on their sealed
+// form after a restore.
+func TestActiveSegmentMatchesReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		w := newModelWorld(t, seed)
+		w.cfg = Config{Shards: int(seed), SegmentRecords: -1, ColdDir: w.cfg.ColdDir}
+		w.s = NewStoreConfig(w.cfg)
+		w.flows = w.flows[:0]
+		for i := 0; i < 300; i++ {
+			w.flows = append(w.flows, flowN(i))
+		}
+		for op := 0; op < 400; op++ {
+			for n := 1 + w.rng.Intn(4); n > 0; n-- {
+				w.add()
+			}
+			w.check(w.s, "add")
+		}
+		flowSlots, linkSlots := 0, 0
+		for i := range w.s.shards {
+			sh := &w.s.shards[i]
+			if len(sh.segs) != 1 {
+				t.Fatalf("seed %d: shard %d sealed a segment", seed, i)
+			}
+			if x := sh.active().index; x != nil {
+				flowSlots, linkSlots = max(flowSlots, len(x.flowHead)), max(linkSlots, len(x.linkHead))
+			}
+		}
+		if flowSlots < 16*headTableMin || linkSlots < 4*headTableMin {
+			t.Fatalf("seed %d: the busiest shard's tables reached %d flow and %d link slots: too few doublings", seed, flowSlots, linkSlots)
+		}
+		w.restore()
+		w.check(w.s, "restore")
+	}
+}
+
 // TestBigBlockMatchesReferenceModel: more than 65,535 records in one
 // block, so record indexes in its postings need four bytes.
 func TestBigBlockMatchesReferenceModel(t *testing.T) {

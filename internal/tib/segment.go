@@ -2,25 +2,28 @@ package tib
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"pathdump/internal/types"
 )
 
 // segment is one time partition of a shard's record log, bracketed by the
 // min/max record times it covers. The last segment of a shard is the
-// active append target: a slice of sequence-stamped entries plus flow and
-// directed-link posting maps. Sealing (by record count or time span — see
-// Store.shouldSeal) encodes it into a block, immutable by construction:
-// nothing is left to mutate but the resident → cold transition, so
-// readers and the snapshot writer hold block references without locks.
+// active append target: a slice of sequence-stamped entries, each chained
+// to the previous entry of its flow and of every directed link it
+// crossed. Sealing (by record count or time span — see Store.shouldSeal)
+// encodes it into a block, immutable by construction: nothing is left to
+// mutate but the resident → cold transition, so readers and the snapshot
+// writer hold block references without locks.
 type segment struct {
-	// Active state, nil once sealed. Entries are append-only and posting
-	// slices only grow, so a scan that captured their headers under the
-	// shard read lock keeps reading them after the lock is gone — even
-	// after seal, which drops these references but never recycles them.
+	// Active state, nil once sealed (and index on an unindexed store, or
+	// before the first record). A record costs an append to entries and to
+	// the index's chain buffers, whose committed prefixes never change, so
+	// a scan that captured their headers under the shard read lock keeps
+	// reading them after the lock is gone — even after seal, which drops
+	// these references but never recycles them.
 	entries []entry
-	byFlow  map[types.FlowID][]uint32
-	byLink  map[types.LinkID][]uint32
+	index   *chainIndex
 
 	// blk is the sealed segment's block; nil while active and again once
 	// the segment is spilled cold.
@@ -88,12 +91,12 @@ func (seg *segment) seqOutside(since, until uint64) bool {
 	return (since > 0 && seg.lastSeq() <= since) || (until > 0 && seg.firstSeq() > until)
 }
 
-// add appends one entry to the (active) segment, updating bounds and
-// postings. The posting maps appear with the first record: most shards of
-// a small store never see one. A record is posted at most once per link —
-// a looped path traverses a link twice but is still one record on it.
+// add appends one entry to the (active) segment, updating bounds and —
+// on an indexed store — chaining the entry behind its flow's and its
+// links' previous ones (h is the flow's flowHash32). The index appears
+// with the first record: most shards of a small store never see one.
 // Caller holds the shard write lock.
-func (seg *segment) add(e entry, indexed bool) {
+func (seg *segment) add(e entry, h uint32, indexed bool) {
 	idx := uint32(len(seg.entries))
 	if idx == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime
@@ -106,17 +109,21 @@ func (seg *segment) add(e entry, indexed bool) {
 	if !indexed {
 		return
 	}
-	if seg.byFlow == nil {
-		seg.byFlow = make(map[types.FlowID][]uint32)
-		seg.byLink = make(map[types.LinkID][]uint32)
+	if seg.index == nil {
+		seg.index = new(chainIndex)
 	}
-	seg.byFlow[e.rec.Flow] = append(seg.byFlow[e.rec.Flow], idx)
-	for p, i := e.rec.Path, 0; i+1 < len(p); i++ {
-		l := types.LinkID{A: p[i], B: p[i+1]}
-		if post := seg.byLink[l]; len(post) == 0 || post[len(post)-1] != idx {
-			seg.byLink[l] = append(post, idx)
-		}
+	seg.index.post(seg.entries, h)
+}
+
+// activeBytes is the active segment's share of Store.ResidentBytes: its
+// buffers at their capacity, plus the path arrays the entries point at
+// (bytes − 96·records is recSize's 2·len(path) share).
+func (seg *segment) activeBytes() int64 {
+	n := int64(cap(seg.entries))*int64(unsafe.Sizeof(entry{})) + seg.bytes - 96*int64(len(seg.entries))
+	if seg.index != nil {
+		n += seg.index.bytes()
 	}
+	return n
 }
 
 // sealedSegment wraps a block as a sealed, resident segment charged
@@ -132,7 +139,7 @@ func sealedSegment(blk *block, bytes int64) *segment {
 func (seg *segment) freeze(blk *block) {
 	seg.blk, seg.n, seg.filter = blk, blk.n, blk.filter
 	seg.seqLo, seg.seqHi, seg.minTime, seg.maxTime = blk.seqLo, blk.seqHi, blk.minTime, blk.maxTime
-	seg.entries, seg.byFlow, seg.byLink = nil, nil, nil
+	seg.entries, seg.index = nil, nil
 }
 
 // seal encodes the active segment into its block for the given stripe.

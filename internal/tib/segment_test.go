@@ -2,9 +2,12 @@ package tib
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"pathdump/internal/testutil"
 	"pathdump/internal/types"
 )
 
@@ -208,5 +211,66 @@ func TestScanFlowPushdown(t *testing.T) {
 		if len(got) != 2 || got[0] != 100 || got[1] != 400 {
 			t.Errorf("indexed=%v: flow scan = %v, want [100 400]", indexed, got)
 		}
+	}
+}
+
+// TestAddAllocs pins what the active segment's index costs the write
+// path: per segment, not per record. 1,024 records of as many flows into
+// one shard regrow five buffers and two tables a logarithmic number of
+// times (the posting maps it replaced allocated 1,104 times here, a slice
+// per flow plus the maps' own growth); a shard that holds a single record
+// pays less than it did for two maps (856 B per shard on this record);
+// and a shard that holds none pays nothing at all for the index.
+func TestAddAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	recs := make([]types.Record, 1024)
+	for i := range recs {
+		recs[i] = mkRecord(flowN(i), types.Path{1, 2, types.SwitchID(3 + i%40), 4, 5}, 0, 1, 1, 1)
+	}
+	var s *Store
+	fill := testing.AllocsPerRun(5, func() {
+		s = NewStoreConfig(Config{Shards: 1, SegmentRecords: -1})
+		for _, r := range recs {
+			s.Add(r)
+		}
+	})
+	t.Logf("%d records into one shard: %.0f allocations", len(recs), fill)
+	if x := s.shards[0].active().index; len(x.flowHead) != 2048 || len(x.linkHead) < 128 {
+		t.Fatalf("rig: %d flow slots, %d link slots", len(x.flowHead), len(x.linkHead))
+	}
+	if fill > 80 || fill/float64(len(recs)) >= 0.1 {
+		t.Errorf("%d adds into one shard allocate %.0f times, want O(log n) (≤ 80)", len(recs), fill)
+	}
+
+	// One record in each of four shards (flowN's hash reaches no more).
+	var one []types.Record
+	s = NewStoreConfig(Config{Shards: 16})
+	for seen := map[int]bool{}; len(one) < 4; recs = recs[1:] {
+		if si := s.shardIndex(recs[0].Flow); !seen[si] {
+			seen[si], one = true, append(one, recs[0])
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range one {
+		s.Add(r)
+	}
+	runtime.ReadMemStats(&after)
+	const parentPerShard = 856
+	if got := (after.TotalAlloc - before.TotalAlloc) / uint64(len(one)); got > parentPerShard {
+		t.Errorf("a shard's first record allocates %d bytes, the posting maps took %d", got, parentPerShard)
+	}
+
+	empty := func(shards int) float64 {
+		return testing.AllocsPerRun(5, func() { s = NewStoreConfig(Config{Shards: shards}) })
+	}
+	// Per shard: its one-element chain and the empty segment in it.
+	if per := (empty(64) - empty(16)) / 48; per != 2 || s.ResidentBytes() != 0 {
+		t.Errorf("an empty store allocates %.2f times per shard and reports %d resident bytes, want 2 and 0", per, s.ResidentBytes())
+	}
+	if size := unsafe.Sizeof(segment{}); size > 160 {
+		t.Errorf("a segment is %d bytes, it was 160 with the two map headers: every sealed segment and every empty shard carries it", size)
 	}
 }

@@ -235,10 +235,9 @@ func (s *Store) SizeBytes() int64 { return s.bytesTotal.Load() }
 
 // ResidentBytes returns what the store's records actually occupy in
 // memory: the length of every resident block, the buffers of the active
-// segments (entries, path arrays, postings) and the blooms cold segments
-// keep.
+// segments (entries, their path arrays, the flow and link chains and
+// head tables, each at its capacity) and the blooms cold segments keep.
 func (s *Store) ResidentBytes() int64 {
-	const entrySize = 80 // unsafe.Sizeof(entry{})
 	var n int64
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -250,12 +249,7 @@ func (s *Store) ResidentBytes() int64 {
 			case seg.cold:
 				n += int64(len(seg.filter))
 			default:
-				// bytes − 96·records is recSize's 2·len(path) share; each
-				// record also holds one 4-byte flow posting.
-				n += int64(cap(seg.entries))*entrySize + seg.bytes - 92*int64(len(seg.entries))
-				for _, post := range seg.byLink {
-					n += 4 * int64(len(post))
-				}
+				n += seg.activeBytes()
 			}
 		}
 		sh.mu.RUnlock()
@@ -277,8 +271,12 @@ func recSize(rec *types.Record) int64 {
 	return 96 + 2*int64(len(rec.Path))
 }
 
-// shardIndex hashes a flow onto its stripe (FNV-1a over the 5-tuple).
-func (s *Store) shardIndex(f types.FlowID) int {
+// shardIndex maps a flow onto its stripe.
+func (s *Store) shardIndex(f types.FlowID) int { return int(flowHash32(f) & s.mask) }
+
+// flowHash32 hashes a flow's 5-tuple (FNV-1a, 32-bit): its low bits pick
+// the flow's stripe, and an active segment's head table probes from it.
+func flowHash32(f types.FlowID) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -298,7 +296,7 @@ func (s *Store) shardIndex(f types.FlowID) int {
 	mix(uint32(f.DstIP))
 	mix(uint32(f.SrcPort)<<16 | uint32(f.DstPort))
 	mix(uint32(f.Proto))
-	return int(h & s.mask)
+	return h
 }
 
 // Add appends one TIB record. Only the record's shard is locked, so
@@ -311,7 +309,8 @@ func (s *Store) Add(rec types.Record) { s.add(0, rec) }
 // add is Add with an explicit arrival sequence (0 = assign the next one);
 // the snapshot reshape path replays records under their original stamps.
 func (s *Store) add(seq uint64, rec types.Record) {
-	si := s.shardIndex(rec.Flow)
+	h := flowHash32(rec.Flow)
+	si := int(h & s.mask)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	seg := sh.active()
@@ -327,7 +326,7 @@ func (s *Store) add(seq uint64, rec types.Record) {
 	if seq == 0 {
 		seq = s.seq.Add(1)
 	}
-	seg.add(entry{seq: seq, rec: rec}, s.indexed)
+	seg.add(entry{seq: seq, rec: rec}, h, s.indexed)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.bytesTotal.Add(recSize(&rec))
@@ -537,13 +536,15 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 }
 
 // scanBuf holds one scan's reusable cursor machinery: the per-shard
-// cursor list with its per-segment chains, and the one Record sealed
-// blocks are materialised through. Scans borrow one from a sync.Pool;
-// release clears every segCursor up to capacity so a pooled buffer never
-// pins evicted segments' blocks, entries or posting arrays.
+// cursor list with its per-segment chains, the one Record sealed blocks
+// are materialised through, and the scratch a listed scan walks active
+// segments' chains into. Scans borrow one from a sync.Pool; release clears
+// every segCursor up to capacity so a pooled buffer never pins evicted
+// segments' blocks, entries or chain buffers.
 type scanBuf struct {
 	cursors []cursor
 	rec     types.Record
+	post    []uint32
 }
 
 var scanBufs = sync.Pool{New: func() any { return new(scanBuf) }}
@@ -579,7 +580,7 @@ func (b *scanBuf) release() {
 		clear(c.segs[:cap(c.segs)])
 		c.segs, c.si = c.segs[:0], 0
 	}
-	b.cursors, b.rec = b.cursors[:0], types.Record{}
+	b.cursors, b.rec, b.post = b.cursors[:0], types.Record{}, b.post[:0]
 	scanBufs.Put(b)
 }
 
@@ -613,17 +614,19 @@ const seqDone = ^uint64(0)
 
 // segCursor walks one segment: a sealed (or thawed) block in place, or
 // the active segment's buffers as captured under the shard read lock —
-// entry and posting slices are append-only, so those headers stay valid
-// (and their elements immutable) after the lock is released. Positions
-// i..n index the records themselves or, when listed, a posting list into
+// entries and chains are append-only, so those headers stay valid (and
+// their elements immutable) after the lock is released. Positions i..n
+// index the records themselves or, when listed, a posting list into
 // them. A cursor captured over a sealed segment carries only its block
-// (or, cold, the segment to thaw); resolve aims it after the shard locks
-// are released, before the merge starts.
+// (or, cold, the segment to thaw) and a listed one over the active segment
+// only where its chain starts; resolve aims both after the shard locks are
+// released, before the merge starts.
 type segCursor struct {
 	blk    *block
 	bpost  column   // listed block cursor: a run of the block's postings
 	ents   []entry  // active segment
-	post   []uint32 // listed active cursor: the posting slice
+	chain  chain    // listed active cursor, until resolve walks it into post
+	post   []uint32 // listed active cursor: the chain's entries, ascending
 	listed bool
 	i, n   int
 	cold   *segment // cold segment still to thaw; nil once resolved
@@ -650,19 +653,16 @@ func (c *segCursor) head(k int) (idx int, seq uint64) {
 // posting list sel names, and skips the positions at or below the since
 // watermark: sequences ascend along records and postings alike, so the
 // cut is a binary search. It reports whether anything is left to visit.
+// Of a listed scan over the active segment it only captures the chain:
+// the walk that applies the watermark waits for resolve.
 func (c *segCursor) aim(sel *selector, blk *block, active *segment) bool {
 	c.blk, c.listed = blk, sel.listed
 	switch {
+	case blk == nil && sel.listed:
+		c.ents, c.chain = active.entries, active.index.chain(active.entries, sel)
+		return c.chain.head != 0
 	case blk == nil:
 		c.ents, c.n = active.entries, len(active.entries)
-		if sel.listed {
-			if sel.flow != nil {
-				c.post = active.byFlow[*sel.flow]
-			} else {
-				c.post = active.byLink[sel.link]
-			}
-			c.n = len(c.post)
-		}
 	case !sel.listed:
 		c.n = blk.n
 	case sel.flow != nil:
@@ -749,8 +749,9 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 // shards' read locks are held at once while the views are captured —
 // sequence numbers are assigned under the shard write lock, so a moment
 // with every lock held observes a downward-closed prefix of the global
-// arrival order. Only the active segment's posting maps need the lock:
-// writers are stalled for a few comparisons and a pointer copy per segment.
+// arrival order. Only the active segment's head tables need the lock:
+// writers are stalled for a few comparisons and a pointer copy per segment
+// plus, on a listed scan, one probe.
 func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 	for i := range shards {
 		shards[i].mu.RLock()
@@ -793,8 +794,10 @@ func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 
 // resolve finishes what capture deferred until the shard locks were
 // released: every cold segment's block is demand-loaded from disk (the
-// store is untouched — disk reads must not stall writers) and every
-// block cursor is aimed. A segment evicted between capture and thaw
+// store is untouched — disk reads must not stall writers), every block
+// cursor is aimed and every captured chain is walked into the buffer's
+// scratch (a cursor keeps its stretch even if a later walk regrows the
+// scratch under it). A segment evicted between capture and thaw
 // resolves to an empty cursor (its data is gone exactly as if eviction
 // had won the race outright); any other failure aborts the scan with a
 // *ColdReadError.
@@ -810,8 +813,14 @@ func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 				}
 				sc.cold = nil
 			}
-			if blk != nil { // nil: an active segment, or one evicted under the scan
+			switch {
+			case blk != nil:
 				sc.aim(sel, blk, nil)
+			case sc.chain.head != 0: // else an unlisted active segment, or one evicted under the scan
+				from := len(buf.post)
+				buf.post = sc.chain.walk(sc.ents, sel.since, buf.post)
+				sc.post, sc.chain = buf.post[from:], chain{}
+				sc.n = len(sc.post)
 			}
 		}
 	}

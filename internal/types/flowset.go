@@ -5,11 +5,28 @@ package types
 // in a scratch buffer reused across calls and probes with the compiler's
 // allocation-free m[string(buf)] form, so a key is only materialised as
 // a string the first time its path is seen: allocations are O(distinct
-// paths), not O(lookups). The zero value is ready to use.
+// paths), not O(lookups). Keys outlive Reset — an entry records which
+// generation numbered it — so an interner that meets the same paths use
+// after use (a pooled staging sealing one host's segments) stops
+// allocating altogether. The zero value is ready to use.
 type PathInterner struct {
-	ids map[string]uint32
-	key []byte
+	slots  map[string]uint32 // key → its entry in stamps
+	stamps []pathStamp
+	gen    uint64 // Resets so far
+	n      uint32 // ids handed out this generation
+	key    []byte
 }
+
+// pathStamp is a kept key's id in the generation that last interned it;
+// it is stamped gen+1, so the zero value belongs to no generation.
+type pathStamp struct {
+	gen uint64
+	id  uint32
+}
+
+// internerKeep bounds the keys a PathInterner carries across Reset: one
+// that has met more distinct paths than this really forgets them.
+const internerKeep = 1024
 
 // Intern returns p's id and whether this call assigned it.
 func (in *PathInterner) Intern(p Path) (id uint32, fresh bool) {
@@ -18,20 +35,33 @@ func (in *PathInterner) Intern(p Path) (id uint32, fresh bool) {
 		k = append(k, byte(s>>8), byte(s))
 	}
 	in.key = k
-	if id, ok := in.ids[string(k)]; ok {
-		return id, false
+	si, ok := in.slots[string(k)]
+	if !ok {
+		if in.slots == nil {
+			in.slots = make(map[string]uint32)
+		}
+		si = uint32(len(in.stamps))
+		in.slots[string(k)] = si
+		in.stamps = append(in.stamps, pathStamp{})
 	}
-	if in.ids == nil {
-		in.ids = make(map[string]uint32)
+	st := &in.stamps[si]
+	if st.gen == in.gen+1 {
+		return st.id, false
 	}
-	id = uint32(len(in.ids))
-	in.ids[string(k)] = id
-	return id, true
+	st.gen, st.id = in.gen+1, in.n
+	in.n++
+	return st.id, true
 }
 
-// Reset forgets every path, keeping the map's buckets and the key
-// scratch for the next use.
-func (in *PathInterner) Reset() { clear(in.ids) }
+// Reset forgets every id, keeping the key scratch, the map's buckets
+// and — up to internerKeep of them — its keys for the next use.
+func (in *PathInterner) Reset() {
+	in.gen, in.n = in.gen+1, 0
+	if len(in.stamps) > internerKeep {
+		clear(in.slots)
+		in.stamps = in.stamps[:0]
+	}
+}
 
 // FlowSet is a set of ⟨flowID, path⟩ pairs — the dedup behind getFlows
 // and getPaths and every query built on them — that numbers its members

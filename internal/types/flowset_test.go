@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestPathInterner(t *testing.T) {
 	var in PathInterner
@@ -23,6 +26,57 @@ func TestPathInterner(t *testing.T) {
 	in.Reset()
 	if id, fresh := in.Intern(b); id != 0 || !fresh {
 		t.Fatalf("after Reset: id %d fresh %v", id, fresh)
+	}
+}
+
+// TestPathInternerMatchesNaiveAcrossResets interleaves Intern and Reset
+// against an interner that really forgets everything at Reset: ids are
+// dense in first-appearance order within a generation whatever earlier
+// generations saw, also past the point (internerKeep) where the kept keys
+// are dropped. And a generation that meets only paths an earlier one met
+// allocates nothing.
+func TestPathInternerMatchesNaiveAcrossResets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var in PathInterner
+	naive := map[string]uint32{}
+	path := func(i int) Path { return Path{SwitchID(i), SwitchID(i >> 4), 7}[:1+i%3] }
+	universe := 40
+	for step := 0; step < 60_000; step++ {
+		switch {
+		case step == 30_000:
+			universe = 3 * internerKeep // now a generation can outgrow the cap
+		case rng.Intn(50) == 0:
+			in.Reset()
+			clear(naive)
+			continue
+		}
+		p := path(rng.Intn(universe))
+		want, seen := naive[p.Key()]
+		if !seen {
+			want = uint32(len(naive))
+			naive[p.Key()] = want
+		}
+		if id, fresh := in.Intern(p); id != want || fresh == seen {
+			t.Fatalf("step %d: Intern(%v) = %d, fresh %v; a naive interner says %d, fresh %v", step, p, id, fresh, want, !seen)
+		}
+	}
+
+	var warm PathInterner
+	paths := make([]Path, 48)
+	for i := range paths {
+		paths[i] = path(i)
+	}
+	use := func() {
+		for i, p := range paths {
+			if id, _ := warm.Intern(p); id != uint32(i) {
+				t.Fatalf("path %d interned as %d", i, id)
+			}
+		}
+		warm.Reset()
+	}
+	use()
+	if n := testing.AllocsPerRun(100, use); n != 0 {
+		t.Errorf("re-interning %d known paths after Reset allocates %v times, want 0", len(paths), n)
 	}
 }
 
