@@ -334,15 +334,12 @@ func (a *Agent) export(e tib.MemEntry) {
 		a.Store.MaybeCompact()
 	}
 	// Event-triggered installed queries run as new records appear, outside
-	// the lock (they may raise alarms); only for them is rec copied to the heap.
+	// the lock (they may raise alarms); rec never leaves this frame.
 	a.instMu.Lock()
 	triggered := a.triggered
 	a.instMu.Unlock()
-	if len(triggered) > 0 {
-		exported := rec
-		for _, inst := range triggered {
-			a.runInstalled(inst, &exported)
-		}
+	for _, inst := range triggered {
+		a.runInstalled(inst, &rec)
 	}
 }
 
@@ -369,7 +366,9 @@ func (a *Agent) raise(al types.Alarm) {
 // Execute runs a query against this host's view (TIB plus live trajectory
 // memory plus the TCP monitor) — the host side of the controller API.
 func (a *Agent) Execute(q query.Query) query.Result {
-	return query.Execute(q, a.view(nil))
+	v := a.view(nil)
+	defer v.release()
+	return query.Execute(q, v)
 }
 
 // ExecuteContext is Execute under a caller context: the evaluation loop
@@ -378,7 +377,9 @@ func (a *Agent) Execute(q query.Query) query.Result {
 // servers call with the request context, so a disconnected client or an
 // expired controller deadline releases the host promptly.
 func (a *Agent) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
-	return query.ExecuteContext(ctx, q, a.view(ctx))
+	v := a.view(ctx)
+	defer v.release()
+	return query.ExecuteContext(ctx, q, v)
 }
 
 // StreamRecords hands every record matching q's predicate to fn as the
@@ -390,7 +391,9 @@ func (a *Agent) StreamRecords(ctx context.Context, q query.Query, fn func(*types
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	a.view(ctx).ScanRecords(query.PredicateOf(q), fn)
+	v := a.view(ctx)
+	defer v.release()
+	v.ScanRecords(query.PredicateOf(q), fn)
 	return ctx.Err()
 }
 
@@ -470,13 +473,13 @@ func (a *Agent) runInstalled(inst *Installed, rec *types.Record) {
 			a.raise(types.Alarm{Flow: f, Reason: types.ReasonPoorPerf})
 		}
 	case query.OpConformance:
-		var res query.Result
 		if rec != nil {
-			res = query.Execute(q, recordView{rec})
-		} else {
-			res = a.runIncremental(inst)
+			if query.Violates(q, rec) {
+				a.raise(types.Alarm{Flow: rec.Flow, Reason: types.ReasonPathConformance, Paths: []types.Path{rec.Path}})
+			}
+			return
 		}
-		for _, v := range res.Violations {
+		for _, v := range a.runIncremental(inst).Violations {
 			a.raise(types.Alarm{Flow: v.Flow, Reason: types.ReasonPathConformance, Paths: []types.Path{v.Path}})
 		}
 	default:

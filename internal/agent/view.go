@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"sync"
 
 	"pathdump/internal/query"
 	"pathdump/internal/tib"
@@ -19,32 +20,53 @@ import (
 // records of the cross-shard merge and stop early once it is cancelled,
 // so a caller that hung up (or a controller deadline that fired) does not
 // pin this host on a full scan.
+//
+// Views are recycled with the memory a scan needs — the buffer the live
+// lookup fills, the one record the visitor is shown — so a host-query
+// allocates its answer and no copy of the host's state. Whoever took a
+// view releases it once the evaluation has returned; a result never
+// aliases it (records are copied out, paths belong to the trajectory
+// cache or the store).
 type agentView struct {
-	a *Agent
-	// live is the trajectory memory as of the view's creation — before
-	// any store scan, so a record exported mid-query is seen at most
-	// twice, never missed. Headers are resolved to paths only for the
-	// entries a scan's predicate admits.
-	live   []tib.MemEntry
+	a      *Agent
 	ctx    context.Context
-	polled int // records visited, for the cancellation poll
+	polled int            // records visited, for the cancellation poll
+	live   []tib.MemEntry // the current scan's lookup in the trajectory memory
+	rec    types.Record   // the live record a visitor is shown
 }
+
+var views = sync.Pool{New: func() any { return new(agentView) }}
 
 // view binds the agent's queryable state to ctx (nil: never cancelled),
 // once: the view goes to query.Execute as it is.
 func (a *Agent) view(ctx context.Context) *agentView {
-	return &agentView{a: a, live: a.Mem.Live(), ctx: ctx}
+	v := views.Get().(*agentView)
+	v.a, v.ctx, v.polled = a, ctx, 0
+	return v
+}
+
+// release recycles the view: nothing may read it, or the record a scan
+// showed its visitor, afterwards (the race build poisons both, so a late
+// reader fails loudly instead of reading the next query's lookup).
+func (v *agentView) release() {
+	v.a, v.ctx, v.rec = nil, nil, types.Record{}
+	v.poison()
+	views.Put(v)
 }
 
 // ScanRecords implements query.View over store + live records: the
 // predicate — including its arrival-sequence window, the incremental
 // trigger path — is pushed down into the segmented store (whole-segment
 // time and watermark pruning, index postings), and the handful of
-// not-yet-exported live records follow, filtered by Predicate.Match
-// (they carry no sequence and count as in-window — by construction new).
-// With a context attached, the TIB scan aborts between merged shard
-// records once the context is cancelled.
+// not-yet-exported live records follow (they carry no sequence and count
+// as in-window — by construction new). Those are looked up by the
+// predicate's flow and time terms (Memory.AppendLive) before the store
+// scan of the same call, so a record exported mid-scan is seen at most
+// twice, never missed; Match then applies the link term to a constructed
+// path, outside the memory's lock. With a context attached, the TIB scan
+// aborts between merged shard records once the context is cancelled.
 func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
+	v.live = v.a.Mem.AppendLive(v.live[:0], p.Flow, p.Range)
 	// The query.View contract has no error channel: a cold-tier read
 	// fault yields the resident portion of the answer, with the fault
 	// counted in the store's ColdStats (see tib.Store.Flows for the
@@ -53,28 +75,19 @@ func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 	if v.ctx != nil && v.ctx.Err() != nil {
 		return
 	}
-	// The flow and time terms need no path, so they are tested before
-	// the header is resolved; Match then applies the link term.
-	var rec *types.Record // one per scan, made when the first entry gets this far
 	for i := range v.live {
 		e := &v.live[i]
-		if (p.Flow != nil && e.Flow != *p.Flow) || !p.Range.Overlaps(e.STime, e.ETime) {
-			continue
-		}
 		path, err := v.a.construct(e.Flow.SrcIP, e.Hdr)
 		if err != nil {
 			continue // counted on export; live queries skip bad headers
 		}
-		if rec == nil {
-			rec = new(types.Record)
-		}
-		*rec = types.Record{
+		v.rec = types.Record{
 			Flow: e.Flow, Path: path,
 			STime: e.STime, ETime: e.ETime,
 			Bytes: e.Bytes, Pkts: e.Pkts,
 		}
-		if p.Match(rec) {
-			fn(rec)
+		if p.Match(&v.rec) {
+			fn(&v.rec)
 		}
 	}
 }
@@ -82,20 +95,4 @@ func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 // PoorTCPFlows implements query.View.
 func (v *agentView) PoorTCPFlows(threshold int) []types.FlowID {
 	return v.a.PoorTCPFlows(threshold)
-}
-
-// recordView exposes a single just-exported record to event-triggered
-// queries.
-type recordView struct {
-	rec *types.Record
-}
-
-// PoorTCPFlows implements query.View.
-func (v recordView) PoorTCPFlows(int) []types.FlowID { return nil }
-
-// ScanRecords implements query.View.
-func (v recordView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
-	if p.Match(v.rec) {
-		fn(v.rec)
-	}
 }

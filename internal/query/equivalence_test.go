@@ -160,6 +160,15 @@ func TestEvaluatorsMatchReference(t *testing.T) {
 			}
 		}}
 		checkEvaluators(t, rng, "one record", one, n*10, 3)
+		// Violates is that evaluation's verdict without the evaluation.
+		for j := 0; j < 20; j++ {
+			q := eqQuery(rng, OpConformance, n*10)
+			q.Flow = []types.FlowID{{}, rec.Flow, q.Flow}[j%3]
+			want := len(refExecute(q, refView{scan: one.ScanRecords}).Violations) == 1
+			if got := Violates(q, &rec); got != want {
+				t.Fatalf("Violates(%+v, %+v) = %v, the reference evaluation says %v", q, rec, got, want)
+			}
+		}
 	}
 
 	// An empty store.

@@ -59,7 +59,6 @@ type StreamMerger struct {
 	hists   map[types.LinkID]int      // fsd: link → index in dst.Hists
 	cells   map[[2]types.SwitchID]int // matrix: ToR pair → index in dst.Matrix
 	totals  flowTotals                // topk: the current top ≤k, by flow
-	ownTop  bool                      // dst.Top's array is the merger's, not the base's
 	// parts are the folded children's record slices, in index order. A
 	// records merge is a concatenation, and children that trickle in one
 	// by one would regrow (and recopy) the merged slice once each, so the
@@ -95,7 +94,16 @@ func (m *StreamMerger) Add(i int, r *Result) {
 		m.pending[m.next] = nil
 		m.next++
 	}
-	if m.Done() && len(m.parts) > 0 {
+	if !m.Done() {
+		return
+	}
+	if m.totals.idx != nil {
+		// Nobody reads dst.Top before the last slot is consumed, so the
+		// ranked list is published once, as it is: the merger is finished
+		// with the array, which was never the base's.
+		m.dst.Top = m.totals.list
+	}
+	if len(m.parts) > 0 {
 		n := 0
 		for _, part := range m.parts {
 			n += len(part)
@@ -230,7 +238,7 @@ func (m *StreamMerger) fold(o *Result) {
 // flow twice during intermediate aggregation), then the list is ranked
 // and trimmed — per fold, exactly as a pairwise merge would. The totals
 // map and slice are the merger's own and are reused from child to child;
-// dst.Top gets a copy in an array the merger allocated, never the base's.
+// dst.Top keeps the base's list until Add publishes the final one.
 func (m *StreamMerger) foldTop(child []FlowBytes) {
 	k := m.q.K
 	if k <= 0 {
@@ -261,8 +269,4 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 	for i := range t.list {
 		t.idx[t.list[i].Flow] = int32(i)
 	}
-	if !m.ownTop {
-		m.dst.Top, m.ownTop = make([]FlowBytes, 0, len(t.list)), true
-	}
-	m.dst.Top = append(m.dst.Top[:0], t.list...)
 }

@@ -114,6 +114,39 @@ func TestStreamMergerNilContributions(t *testing.T) {
 	}
 }
 
+// TestStreamMergerPublishesTopOnce: a top-k merge writes dst.Top when its
+// last slot is consumed — a dropped straggler's nil counts — and not
+// before, so a merger abandoned short of Done leaves the base's list as
+// it found it, element for element and in the base's own array.
+func TestStreamMergerPublishesTopOnce(t *testing.T) {
+	const n = 4
+	q := Query{Op: OpTopK, K: 50}
+	results := childResults(n, 40, OpTopK)
+	base := childResults(1, 40, OpTopK)[0]
+	held := append([]FlowBytes(nil), base.Top...)
+
+	dst := Result{Op: OpTopK, Top: base.Top}
+	m := NewStreamMerger(q, &dst, n)
+	for i := 0; i < n-1; i++ {
+		m.Add(i, &results[i])
+	}
+	if m.Done() || &dst.Top[0] != &base.Top[0] || !reflect.DeepEqual(dst.Top, held) {
+		t.Fatalf("with a slot outstanding (done=%v) the base's Top was already rewritten", m.Done())
+	}
+
+	m.Add(n-1, nil) // the straggler was dropped
+	want := Result{Op: OpTopK, Top: held}
+	for i := 0; i < n-1; i++ {
+		want.Merge(&results[i], q)
+	}
+	if !m.Done() || !reflect.DeepEqual(dst, want) {
+		t.Fatalf("done=%v; the published Top differs from the pairwise merge of the same children", m.Done())
+	}
+	if !reflect.DeepEqual(base.Top, held) {
+		t.Fatal("publishing wrote into the base's array")
+	}
+}
+
 // arrival is one child's indexed contribution on its way to the merger's
 // single consumer; a nil res is a child that contributes nothing.
 type arrival struct {

@@ -403,6 +403,19 @@ func (pol policy) violates(p types.Path) bool {
 	return false
 }
 
+// Violates reports whether rec, taken alone, breaks q's conformance
+// policy — whether Execute would list it over a view of that one record.
+// The event-triggered check runs on the datapath for every record a host
+// exports, so it takes no view, evaluation or result and allocates
+// nothing.
+func Violates(q Query, rec *types.Record) bool {
+	p := Predicate{Link: types.AnyLink, Range: q.normalRange()}
+	if q.Flow != (types.FlowID{}) {
+		p.Flow = &q.Flow
+	}
+	return p.Match(rec) && policy{q.MaxPathLen, q.Avoid, q.Waypoints}.violates(rec.Path)
+}
+
 // conformance is the §2.3 path-conformance check: each distinct
 // ⟨flow, path⟩ among the matching records is tested once.
 func (e *eval) conformance(v View, p Predicate, pol policy) {

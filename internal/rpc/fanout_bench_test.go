@@ -44,6 +44,16 @@ func loopbackFleet(tb testing.TB, ndaemons, perDaemon, nrec int, reg func(d int)
 	return urls, hosts, all
 }
 
+// recycle hands the replies' records back to the pool the decoder drew
+// them from, as the controller does once its merge has copied them. The
+// daemons of a loopback fleet share that pool, so a caller that kept the
+// buffers would have every daemon regrow its reply from nothing.
+func recycle(replies []controller.BatchReply) {
+	for i := range replies {
+		query.PutRecordBuf(replies[i].Result.Records)
+	}
+}
+
 // BenchmarkParallelFanout is the acceptance benchmark for the data
 // plane: a 128-host fan-out (8 multi-agent daemons × 16 hosts) pulling
 // 32 records per host over real loopback HTTP, at parallelism 1 versus
@@ -75,6 +85,7 @@ func BenchmarkParallelFanout(b *testing.B) {
 				if len(replies) != len(hosts) {
 					b.Fatalf("%d replies for %d hosts", len(replies), len(hosts))
 				}
+				recycle(replies)
 			}
 			// Both ends of the loopback run in this process: a host's
 			// share covers the daemon's side of its query too.
@@ -114,6 +125,7 @@ func BenchmarkTracedFanout(b *testing.B) {
 				if len(replies) != len(hosts) {
 					b.Fatalf("%d replies for %d hosts", len(replies), len(hosts))
 				}
+				recycle(replies)
 			}
 		}
 	}

@@ -16,6 +16,7 @@
 package tib
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -59,9 +60,10 @@ const MemEntryBytes = int(unsafe.Sizeof(slot{})+unsafe.Sizeof(types.FlowID{})) +
 // a FIN costs one map probe: records live by value in a slab with a free
 // list, flows maps a flow to its first record (its records are chained in
 // arrival order — nearly always a chain of one), and a ring threads all
-// records in insertion order, the order sweeps and Live hand them out in.
-// A memory that drains gives its slab back. Methods are safe for
-// concurrent use (queries run beside the datapath); entries go out as copies.
+// records in insertion order, the order sweeps and AppendLive hand them
+// out in. A memory that drains gives its slab back. Methods are safe for
+// concurrent use (queries run beside the datapath); entries go out as
+// copies.
 type Memory struct {
 	mu    sync.RWMutex
 	idle  types.Time
@@ -212,26 +214,37 @@ func (m *Memory) unchain(i int32) {
 func (m *Memory) Flush() []MemEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := m.live()
+	out := make([]MemEntry, 0, m.n)
+	for i := m.oldest(); i != 0; i = m.slab[i].next {
+		out = append(out, m.slab[i].MemEntry)
+	}
 	clear(m.flows)
 	m.slab, m.free, m.n = nil, 0, 0
 	return out
 }
 
-// Live returns a snapshot of the current records without evicting them —
-// the IPC lookup path that lets queries see data not yet exported to the
-// TIB (§3.2). Entries are copied so readers never race with datapath
-// updates to the live records.
-func (m *Memory) Live() []MemEntry {
+// AppendLive appends to dst, in arrival order, the current records that
+// overlap tr — of one flow when flow is non-nil, found through the flow
+// index at the cost of that flow's chain — without evicting them: the IPC
+// lookup path that lets queries see data not yet exported to the TIB
+// (§3.2). Entries are copied, under the read lock, so readers never race
+// with datapath updates to the live records.
+func (m *Memory) AppendLive(dst []MemEntry, flow *types.FlowID, tr types.TimeRange) []MemEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.live()
-}
-
-func (m *Memory) live() []MemEntry {
-	out := make([]MemEntry, 0, m.n)
-	for i := m.oldest(); i != 0; i = m.slab[i].next {
-		out = append(out, m.slab[i].MemEntry)
+	if flow != nil {
+		for i := m.flows[*flow]; i != 0; i = m.slab[i].chain {
+			if e := &m.slab[i].MemEntry; tr.Overlaps(e.STime, e.ETime) {
+				dst = append(dst, *e)
+			}
+		}
+		return dst
 	}
-	return out
+	dst = slices.Grow(dst, m.n) // a fresh buffer is made once, not doubled under the lock
+	for i := m.oldest(); i != 0; i = m.slab[i].next {
+		if e := &m.slab[i].MemEntry; tr.Overlaps(e.STime, e.ETime) {
+			dst = append(dst, *e)
+		}
+	}
+	return dst
 }

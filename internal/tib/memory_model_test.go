@@ -90,10 +90,14 @@ func (m *refMemory) Flush() []*refEntry {
 	return m.evict(func(refKey, *refEntry) bool { return true })
 }
 
-func (m *refMemory) Live() []*refEntry {
+// Live is AppendLive the naive way: every entry in insertion order,
+// tested against the flow (nil: any) and the time range.
+func (m *refMemory) Live(flow *types.FlowID, tr types.TimeRange) []*refEntry {
 	var out []*refEntry
 	for _, k := range m.order {
-		out = append(out, m.entries[k])
+		if e := m.entries[k]; (flow == nil || e.Flow == *flow) && tr.Overlaps(e.STime, e.ETime) {
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -120,7 +124,8 @@ func sameMemEntries(got []MemEntry, want []*refEntry) error {
 // re-open, idle sweeps that take records out of the middle of a chain,
 // drains that release the slab and refills that reuse freed slots — and
 // demands the same Len after every step and the same entries in the same
-// order from every call.
+// order from every call, AppendLive's by-flow and by-range lookups among
+// them.
 func TestMemoryMatchesReference(t *testing.T) {
 	hdrs := []cherrypick.Header{
 		{}, {DSCP: 3}, {VLANs: []uint16{1}}, {DSCP: 3, VLANs: []uint16{1}}, {VLANs: []uint16{1, 2}},
@@ -153,8 +158,25 @@ func TestMemoryMatchesReference(t *testing.T) {
 				op = "Flush"
 				err = sameMemEntries(m.Flush(), ref.Flush())
 			default:
-				op = "Live"
-				err = sameMemEntries(m.Live(), ref.Live())
+				// The lookup a query's predicate pushes down: one flow or
+				// all, the whole memory's life or a window of it, appended
+				// behind whatever the caller's buffer already held.
+				op = "AppendLive"
+				var of *types.FlowID
+				if rng.Intn(2) == 0 {
+					of = &flow
+				}
+				tr := types.AllTime
+				if rng.Intn(2) == 0 {
+					tr.From = types.Time(rng.Int63n(int64(now) + 1))
+					tr.To = tr.From + types.Time(rng.Intn(2*idle))
+				}
+				prefix := []MemEntry{{Pkts: uint64(step)}, {Bytes: 7}}[:rng.Intn(3)]
+				got := m.AppendLive(slices.Clone(prefix), of, tr)
+				if !slices.Equal(got[:len(prefix)], prefix) {
+					t.Fatalf("seed %d step %d: AppendLive rewrote its destination's prefix: %+v, was %+v", seed, step, got[:len(prefix)], prefix)
+				}
+				err = sameMemEntries(got[len(prefix):], ref.Live(of, tr))
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d %s(%v): %v", seed, step, op, flow, err)
@@ -171,7 +193,7 @@ func TestMemoryMatchesReference(t *testing.T) {
 
 // TestMemoryHandedOutEntriesAreCopies: while one goroutine opens, feeds
 // and closes flows fast enough that every slot is reused many times,
-// readers take Live snapshots and check them twice — on
+// readers take AppendLive snapshots and check them twice — on
 // receipt and after the writer has moved on. Every flow sends packets of
 // one size with one header, so an entry that aliased a reused slot (or
 // was torn by a concurrent Update) shows as bytes that are not packets ×
@@ -204,7 +226,7 @@ func TestMemoryHandedOutEntriesAreCopies(t *testing.T) {
 					return
 				default:
 				}
-				es := m.Live()
+				es := m.AppendLive(nil, nil, types.AllTime)
 				held := append([]MemEntry(nil), es...)
 				if err := check(es); err != nil {
 					t.Error(err)

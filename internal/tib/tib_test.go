@@ -26,7 +26,7 @@ func TestMemoryAggregatesPerPath(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 per-path records", m.Len())
 	}
-	live := m.Live()
+	live := m.AppendLive(nil, nil, types.AllTime)
 	if live[0].Bytes != 300 || live[0].Pkts != 2 || live[0].STime != 10 || live[0].ETime != 20 {
 		t.Errorf("first record = %+v", live[0])
 	}

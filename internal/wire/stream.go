@@ -116,7 +116,6 @@ func (s *QueryStreamWriter) Close(segScanned, segPruned int) error {
 	}
 	if s.err == nil && len(s.chunk) > 0 {
 		s.prev = writeRecordChunk(s.w, s.chunk, s.fd, s.pd, s.prev)
-		s.chunk = s.chunk[:0]
 	}
 	if s.err == nil {
 		writeRecordsEnd(s.w, segScanned, segPruned)
@@ -160,6 +159,7 @@ func (s *QueryStreamWriter) flushChunk() {
 		return
 	}
 	s.prev = writeRecordChunk(s.w, s.chunk, s.fd, s.pd, s.prev)
+	clear(s.chunk) // the pool clears what a buffer holds, not what it once held
 	s.chunk = s.chunk[:0]
 	if err := s.fbw.Flush(); err != nil {
 		s.fail(err)
@@ -210,7 +210,7 @@ func ReadQueryChunks(r io.Reader, fn func([]types.Record)) (Meta, *query.Result,
 	var res query.Result
 	err := readFrame(r, kindQuery, func(br *reader) {
 		m = readMeta(br)
-		readResult(br, &res, &m, query.GetRecordBuf, fn)
+		readResult(br, &res, &m, fn)
 	})
 	if err != nil {
 		return Meta{}, nil, err

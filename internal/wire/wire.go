@@ -126,7 +126,7 @@ func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 	var res query.Result
 	err := readFrame(r, kindQuery, func(br *reader) {
 		m = readMeta(br)
-		readResult(br, &res, &m, query.GetRecordBuf, nil)
+		readResult(br, &res, &m, nil)
 	})
 	if err != nil {
 		return Meta{}, nil, err
@@ -154,17 +154,20 @@ func WriteBatch(w io.Writer, replies []BatchReply, compress bool) error {
 // a time, handing fn section i of n as soon as it is off the socket. rep
 // itself is only valid during the call, but every slice it holds was
 // decoded for this section alone and is the consumer's to keep: copying
-// rep.Result moves the section without copying its contents. An error
-// from fn stops the decode and is returned. A frame can fail after some
-// of its sections were delivered (truncation shows at the end), so a
-// consumer must treat an error as the whole frame's.
+// rep.Result moves the section without copying its contents. A section's
+// records are drawn from the record pool, as ReadQuery's are; a consumer
+// that is done with them may hand them to query.PutRecordBuf, and one
+// that is not leaves them to the collector. An error from fn stops the
+// decode and is returned. A frame can fail after some of its sections
+// were delivered (truncation shows at the end), so a consumer must treat
+// an error as the whole frame's.
 func ReadBatchEach(r io.Reader, fn func(i, n int, rep *BatchReply) error) error {
 	return readFrame(r, kindBatch, func(br *reader) {
 		n := br.count("batch replies", maxReplies)
 		var rep BatchReply
 		for i := 0; i < n && br.err == nil; i++ {
 			rep = BatchReply{Host: types.HostID(br.uvarint()), Error: br.str(maxErrLen), Meta: readMeta(br)}
-			readResult(br, &rep.Result, &rep.Meta, nil, nil)
+			readResult(br, &rep.Result, &rep.Meta, nil)
 			if br.err == nil {
 				br.err = fn(i, n, &rep)
 			}
@@ -172,7 +175,8 @@ func ReadBatchEach(r io.Reader, fn func(i, n int, rep *BatchReply) error) error 
 	})
 }
 
-// ReadBatch decodes a batch response frame from r into one slice.
+// ReadBatch decodes a batch response frame from r into one slice; the
+// sections' records are the caller's, under ReadBatchEach's rule.
 func ReadBatch(r io.Reader) ([]BatchReply, error) {
 	var replies []BatchReply
 	err := ReadBatchEach(r, func(i, n int, rep *BatchReply) error {
@@ -399,9 +403,8 @@ func writeResult(w *writer, res *query.Result) {
 // readResult decodes one result. The records section's end marker can
 // patch segment-scan telemetry into m (streamed frames learn the counts
 // only after the scan finishes); a non-nil sink receives each decoded
-// record chunk instead of the chunks accumulating into res.Records, and
-// getBuf says where the records buffer comes from (see readRecords).
-func readResult(r *reader, res *query.Result, m *Meta, getBuf func() []types.Record, sink func([]types.Record)) {
+// record chunk instead of the chunks accumulating into res.Records.
+func readResult(r *reader, res *query.Result, m *Meta, sink func([]types.Record)) {
 	res.Op = r.op()
 	res.Bytes = r.uvarint()
 	res.Pkts = r.uvarint()
@@ -483,7 +486,7 @@ func readResult(r *reader, res *query.Result, m *Meta, getBuf func() []types.Rec
 		}
 	}
 	if present&secRecords != 0 {
-		res.Records = readRecords(r, m, getBuf, sink)
+		res.Records = readRecords(r, m, sink)
 	}
 }
 
@@ -612,15 +615,12 @@ func writeRecordsEnd(w *writer, segScanned, segPruned int) {
 // into the same buffer, reused from chunk to chunk, and handed to the
 // sink (which must not retain it); the return value is nil.
 //
-// getBuf supplies the buffer at the first non-empty chunk. A frame that
-// carries one reply passes query.GetRecordBuf: its caller owns the
-// returned slice and may hand it to query.PutRecordBuf when done. A
-// batch frame passes nil and gets slices grown to fit: it carries many
-// replies, mostly small, and a pooled buffer apiece would cost a caller
-// that does not recycle them a thousand records of capacity per host.
-// On any error the buffer goes to the pool and nothing is returned. The
-// end marker's deltas are added to m.
-func readRecords(r *reader, m *Meta, getBuf func() []types.Record, sink func([]types.Record)) []types.Record {
+// The buffer is drawn from the query package's record pool at the first
+// non-empty chunk — for every frame kind, a batch's sections included: a
+// recycled buffer brings its capacity, a fresh one is sized by the chunk. The caller owns the returned slice and may hand it to
+// query.PutRecordBuf when done. On any error the buffer goes back to the
+// pool and nothing is returned. The end marker's deltas are added to m.
+func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 	dict := decodeDicts.Get().(*decodeDict)
 	defer dict.release()
 	var recs []types.Record
@@ -651,8 +651,8 @@ func readRecords(r *reader, m *Meta, getBuf func() []types.Record, sink func([]t
 		dict.flows = readFlowDictDelta(r, dict.flows)
 		dict.paths = readPathDictDelta(r, dict.paths)
 		fd, pd := dict.flows, dict.paths
-		if recs == nil && getBuf != nil {
-			recs = getBuf()
+		if recs == nil {
+			recs = query.GetRecordBufN(n)
 		}
 		start := len(recs)
 		if sink != nil {
@@ -689,6 +689,7 @@ func readRecords(r *reader, m *Meta, getBuf func() []types.Record, sink func([]t
 		}
 		if r.err == nil && sink != nil {
 			sink(dst)
+			clear(dst) // reused for the next chunk, which may be shorter
 		}
 	}
 	query.PutRecordBuf(recs)

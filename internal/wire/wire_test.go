@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pathdump/internal/query"
+	"pathdump/internal/testutil"
 	"pathdump/internal/types"
 )
 
@@ -290,6 +292,156 @@ func TestReadBatchEach(t *testing.T) {
 	})
 	if op != query.OpTopK || allocs != 0 {
 		t.Errorf("decoding the op name %q cost %.0f allocations, want topk and none", op, allocs)
+	}
+}
+
+// recordsBatch encodes a batch frame of n records sections, per records
+// each, and returns it with the bytes one section's record slice takes.
+func recordsBatch(t *testing.T, n, per int) ([]byte, uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	replies := make([]BatchReply, n)
+	for i := range replies {
+		replies[i] = BatchReply{Host: types.HostID(i), Result: *randResult(rng, per)}
+	}
+	var frame bytes.Buffer
+	if err := WriteBatch(&frame, replies, false); err != nil {
+		t.Fatal(err)
+	}
+	return frame.Bytes(), uint64(per) * uint64(unsafe.Sizeof(types.Record{}))
+}
+
+// drainRecordPool empties the record pool, as a garbage collection does
+// to one that sat idle.
+func drainRecordPool() {
+	for query.GetRecordBufN(0) != nil {
+	}
+}
+
+// TestBatchSectionsRecycleRecordBuffers: a consumer that hands each
+// section's records back once it is done with them — the controller,
+// after its merge — decodes the next frame into the same buffers, so in
+// steady state a two-section records frame allocates no record slice;
+// and a frame cut in the middle of its second section fails as a whole,
+// with the half-decoded section's buffer back in the pool, cleared.
+func TestBatchSectionsRecycleRecordBuffers(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	frame, sectionBytes := recordsBatch(t, 2, 200)
+	src := bytes.NewReader(frame)
+	decode := func() {
+		src.Reset(frame)
+		err := ReadBatchEach(src, func(i, n int, rep *BatchReply) error {
+			if len(rep.Result.Records) != 200 {
+				t.Errorf("section %d holds %d records, want 200", i, len(rep.Result.Records))
+			}
+			query.PutRecordBuf(rep.Result.Records)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocBytes(decode); got >= sectionBytes {
+		t.Errorf("decoding a recycled two-section frame allocates %d B; one section's records are %d B — a record slice is allocated per section again", got, sectionBytes)
+	}
+
+	drainRecordPool()
+	delivered := 0
+	err := ReadBatchEach(bytes.NewReader(frame[:len(frame)-40]), func(i, n int, rep *BatchReply) error {
+		delivered++
+		return nil
+	})
+	if err == nil || delivered != 1 {
+		t.Fatalf("a frame cut inside its second section: error %v after %d sections delivered, want an error after 1", err, delivered)
+	}
+	buf := query.GetRecordBufN(0)
+	if cap(buf) < 200 {
+		t.Fatalf("the half-decoded section's buffer did not come back to the pool (got capacity %d)", cap(buf))
+	}
+	for i, rec := range buf[:cap(buf)] {
+		if rec.Path != nil || rec.Flow != (types.FlowID{}) {
+			t.Fatalf("the pooled buffer still holds record %d of the failed section: %+v", i, rec)
+		}
+	}
+}
+
+// TestPooledBuffersHoldNoStaleRecords: PutRecordBuf clears a buffer up
+// to its length, so the two users that shorten theirs — the stream
+// writer between chunks, the chunk-at-a-time decoder from a long chunk
+// to a short one — clear what they cut off: after a two-chunk reply has
+// been through each, what they hand back pins no path to its capacity.
+func TestPooledBuffersHoldNoStaleRecords(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	recs := randResult(rand.New(rand.NewSource(23)), DefaultChunkRecords+100).Records
+	stale := func(who string) {
+		t.Helper()
+		buf := query.GetRecordBufN(0)
+		if cap(buf) < DefaultChunkRecords {
+			t.Fatalf("%s: pooled buffer of capacity %d, want the one a full chunk went through", who, cap(buf))
+		}
+		for i, rec := range buf[:cap(buf)] {
+			if rec.Path != nil || rec.Flow != (types.FlowID{}) {
+				t.Fatalf("%s: pooled buffer still holds a record at %d of %d: %+v", who, i, cap(buf), rec)
+			}
+		}
+	}
+	drainRecordPool()
+	var frame bytes.Buffer
+	sw, err := NewQueryStreamWriter(&frame, Meta{}, query.OpRecords, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		if err := sw.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	stale("stream writer")
+	seen := 0
+	if _, _, err := ReadQueryChunks(&frame, func(chunk []types.Record) { seen += len(chunk) }); err != nil || seen != len(recs) {
+		t.Fatalf("decoded %d of %d records: %v", seen, len(recs), err)
+	}
+	stale("chunk decoder")
+}
+
+// TestColdPoolSizesBuffersByWhatArrives: on an empty record pool — a
+// controller's first query, or its first after an idle spell — a
+// 128-section frame of four records apiece costs about its records, not a
+// pool-sized buffer per section (128 × 72 KB when the pool made 1,024-
+// record buffers).
+func TestColdPoolSizesBuffersByWhatArrives(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	frame, _ := recordsBatch(t, 128, 4)
+	kept := make([][]types.Record, 0, 128)
+	decode := func() {
+		err := ReadBatchEach(bytes.NewReader(frame), func(i, n int, rep *BatchReply) error {
+			kept = append(kept, rep.Result.Records)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// allocBytes warms the frame reader and the decode dictionaries and
+	// keeps the cheapest of its runs (a collection in the middle of one
+	// empties those pools too); the sections' buffers stay with the caller,
+	// so every run starts on a record pool with nothing in it.
+	got := allocBytes(func() {
+		kept = kept[:0]
+		drainRecordPool()
+		decode()
+	})
+	if got >= 64<<10 {
+		t.Errorf("128 sections of 4 records on an empty pool allocate %d B, want < 64 KiB", got)
 	}
 }
 
