@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"slices"
@@ -356,17 +357,21 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 	for j, i := range idx {
 		batch[j] = hosts[i]
 	}
-	resp, err := t.doPost(ctx, url, "/batchquery", BatchQueryRequest{Hosts: batch, Query: q, Parallel: share}, true)
-	if resp != nil && (resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed) {
+	buf := getReqBuf()
+	defer putReqBuf(buf)
+	err := wire.WriteBatchRequest(buf, batch, &q, share)
+	if err == nil {
+		err = t.dp.roundTrip(ctx, url, "/batchquery", buf.Bytes(), func(r *reply) error {
+			return readBatch(r, url, batch, idx, replies)
+		})
+	}
+	if se, ok := err.(*StatusError); ok && (se.Code == http.StatusNotFound || se.Code == http.StatusMethodNotAllowed) {
 		// Only single-agent daemons lack /batchquery, and a single-agent
 		// daemon answers /query for whichever one agent it wraps — it
 		// cannot tell hosts apart. Falling back per-host here would
 		// return that one agent's records once per requested host
 		// (silently duplicated data), so fail loudly instead.
 		err = fmt.Errorf("rpc: %s serves a single agent (no /batchquery) but %d hosts map to it — run a multi-host daemon (pathdumpd -hosts) or give each host its own URL", url, len(idx))
-	}
-	if err == nil {
-		err = t.readBatch(resp, url, batch, idx, replies)
 	}
 	if err != nil {
 		// A batch fails whole: the sections already in their slots go
@@ -378,17 +383,14 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 	}
 }
 
-// readBatch decodes one /batchquery reply, each section once, into the
-// slot of the host it was asked for, where it stays. Reply j must be host
-// j's: merging a section under the requested label without looking at the
-// one it carries would file one host's records under another's name.
-func (t *HTTPTransport) readBatch(resp *http.Response, url string, batch []types.HostID, idx []int, replies []controller.BatchReply) error {
-	defer closeBody(resp)
-	if ct := resp.Header.Get("Content-Type"); !wire.IsWire(ct) {
-		return &UnexpectedContentTypeError{URL: url + "/batchquery", ContentType: ct}
-	}
+// readBatch decodes one /batchquery reply body, each section once, into
+// the slot of the host it was asked for, where it stays. Reply j must be
+// host j's: merging a section under the requested label without looking
+// at the one it carries would file one host's records under another's
+// name.
+func readBatch(body io.Reader, url string, batch []types.HostID, idx []int, replies []controller.BatchReply) error {
 	got := 0
-	err := wire.ReadBatchEach(resp.Body, func(j, n int, sec *wire.BatchReply) error {
+	err := wire.ReadBatchEach(body, func(j, n int, sec *wire.BatchReply) error {
 		if got = n; n != len(idx) {
 			return nil // nowhere to put it; reported below, once
 		}

@@ -221,16 +221,15 @@ func finishScan(sp *obs.Span, t Target, segScanned, segPruned int, cold0 uint64)
 	sp.Finish()
 }
 
-// decodeSpanHeader parses the agent scan span a buffered wire reply
-// carried in its response header; a missing or malformed header
-// yields nil (the controller synthesizes a span from the meta).
-func decodeSpanHeader(h http.Header) *obs.Span {
-	raw := h.Get(SpanHeader)
-	if raw == "" {
+// decodeSpan parses the agent scan span a buffered wire reply carried in
+// its SpanHeader; a missing or malformed header yields nil (the
+// controller synthesizes a span from the meta).
+func decodeSpan(raw []byte) *obs.Span {
+	if len(raw) == 0 {
 		return nil
 	}
 	var sp obs.Span
-	if err := json.Unmarshal([]byte(raw), &sp); err != nil {
+	if err := json.Unmarshal(raw, &sp); err != nil {
 		return nil
 	}
 	return &sp

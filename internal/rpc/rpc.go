@@ -487,9 +487,16 @@ func (c *AlarmClient) client() *http.Client {
 // probed, retried in another encoding, or remembered per daemon: a daemon
 // that rejects a frame is a *StatusError after one request, and a query
 // reply in the wrong encoding is an *UnexpectedContentTypeError.
+//
+// The data plane — /query and /batchquery — rides the transport's own
+// keep-alive HTTP/1.1 connections (dataplane.go), which take plain
+// http:// URLs only and ignore proxy variables; Client (DefaultClient when
+// nil) serves the control plane: install, uninstall and snapshot pulls.
 type HTTPTransport struct {
 	URLs   map[types.HostID]string
 	Client *http.Client
+
+	dp dataPlane
 }
 
 func (t *HTTPTransport) client() *http.Client {
@@ -499,6 +506,13 @@ func (t *HTTPTransport) client() *http.Client {
 	return DefaultClient
 }
 
+// CloseIdleConnections closes the data plane's pooled connections and
+// the control-plane client's idle ones.
+func (t *HTTPTransport) CloseIdleConnections() {
+	t.dp.closeIdle()
+	t.client().CloseIdleConnections()
+}
+
 // post sends a control-plane request (install, uninstall) to host's
 // daemon and decodes the JSON reply into out.
 func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string, in, out interface{}) error {
@@ -506,7 +520,7 @@ func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string
 	if !ok {
 		return fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	resp, err := t.doPost(ctx, base, path, in, false)
+	resp, err := t.doPost(ctx, base, path, in)
 	if err != nil {
 		return err
 	}
@@ -522,74 +536,64 @@ func (t *HTTPTransport) post(ctx context.Context, host types.HostID, path string
 
 // reqBufs pools request-encode buffers: every POST borrows one for its
 // body (wire frame or JSON) instead of allocating, and releases it once
-// the round trip's Do returns. Buffers that grew past a megabyte are
-// dropped rather than pinned.
+// the round trip is over. Buffers that grew past a megabyte are dropped
+// rather than pinned.
 var reqBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledReqBuf = 1 << 20
+
+func getReqBuf() *bytes.Buffer {
+	buf := reqBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
 
 func putReqBuf(buf *bytes.Buffer) {
 	if buf.Cap() > maxPooledReqBuf {
 		return
 	}
-	buf.Reset()
 	reqBufs.Put(buf)
 }
 
-// encodeRequest writes in's body into buf in the one encoding its type
-// has — a PDW1 frame for the requests that have one, JSON for the rest —
-// and returns the matching Content-Type.
+// encodeRequest writes a control-plane request's body into buf in the one
+// encoding its type has — a PDW1 frame for an install, JSON for the rest
+// — and returns the matching Content-Type.
 func encodeRequest(buf *bytes.Buffer, in interface{}) (contentType string, err error) {
-	switch req := in.(type) {
-	case QueryRequest:
-		return wire.ContentType, wire.WriteQueryRequest(buf, req.Host, &req.Query)
-	case BatchQueryRequest:
-		return wire.ContentType, wire.WriteBatchRequest(buf, req.Hosts, &req.Query, req.Parallel)
-	case InstallRequest:
+	if req, ok := in.(InstallRequest); ok {
 		return wire.ContentType, wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
-	default:
-		return "application/json", json.NewEncoder(buf).Encode(in)
 	}
+	return "application/json", json.NewEncoder(buf).Encode(in)
 }
 
-// doPost issues one POST — exactly one: there is no retry in another
-// encoding — and returns the raw 200 response, body unread. With
-// acceptWire the request offers the binary wire encoding for the
-// response. The request carries ctx (http.NewRequestWithContext), so
-// cancelling it aborts the dial, the in-flight request, and the response
-// read. A non-200 answer closes the body and surfaces as *StatusError
-// (the response is still returned for its status code).
-func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}, acceptWire bool) (*http.Response, error) {
-	buf := reqBufs.Get().(*bytes.Buffer)
-	buf.Reset()
+// doPost issues one control-plane POST through the net/http client —
+// exactly one: there is no retry in another encoding — and returns the
+// raw 200 response, body unread. The request carries ctx
+// (http.NewRequestWithContext), so cancelling it aborts the dial, the
+// in-flight request, and the response read. A non-200 answer closes the
+// body and surfaces as *StatusError.
+func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}) (*http.Response, error) {
+	buf := getReqBuf()
+	defer putReqBuf(buf)
 	contentType, err := encodeRequest(buf, in)
 	if err != nil {
-		putReqBuf(buf)
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		putReqBuf(buf)
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	if acceptWire {
-		req.Header.Set("Accept", wire.ContentType+", application/json")
-	}
 	if tid := obs.TraceFromContext(ctx); tid != "" {
 		req.Header.Set(TraceHeader, tid)
 	}
 	resp, err := t.client().Do(req)
-	// Do has fully consumed (or abandoned) the body by the time it
-	// returns, so the buffer is recyclable here.
-	putReqBuf(buf)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		return resp, &StatusError{Code: resp.StatusCode, URL: base + path, Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
+		return nil, &StatusError{Code: resp.StatusCode, URL: base + path, Status: resp.Status, Msg: string(bytes.TrimSpace(msg))}
 	}
 	return resp, nil
 }
@@ -616,34 +620,41 @@ func (e *UnexpectedContentTypeError) Error() string {
 	return fmt.Sprintf("rpc: %s answered unexpected content type %q", e.URL, e.ContentType)
 }
 
-// Query implements controller.Transport. The reply decodes chunk by
-// chunk, in place, into one buffer from the record pool, so decode work
-// overlaps a streaming daemon's scan and arrival on the network instead
-// of waiting for the frame's last byte; the controller recycles the
-// buffer once the merge has folded it in.
+// Query implements controller.Transport over the data plane. The reply
+// decodes chunk by chunk, in place, into one buffer from the record pool,
+// so decode work overlaps a streaming daemon's scan and arrival on the
+// network instead of waiting for the frame's last byte; the controller
+// recycles the buffer once the merge has folded it in.
 func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, controller.QueryMeta, error) {
 	base, ok := t.URLs[host]
 	if !ok {
 		return query.Result{}, controller.QueryMeta{}, fmt.Errorf("rpc: no URL for host %v", host)
 	}
-	httpResp, err := t.doPost(ctx, base, "/query", QueryRequest{Host: &host, Query: q}, true)
+	buf := getReqBuf()
+	defer putReqBuf(buf)
+	if err := wire.WriteQueryRequest(buf, &host, &q); err != nil {
+		return query.Result{}, controller.QueryMeta{}, err
+	}
+	var res query.Result
+	var meta controller.QueryMeta
+	err := t.dp.roundTrip(ctx, base, "/query", buf.Bytes(), func(r *reply) error {
+		m, out, err := wire.ReadQuery(r)
+		if err != nil {
+			return err
+		}
+		res = *out
+		meta = controller.QueryMeta{
+			RecordsScanned:  m.RecordsScanned,
+			SegmentsScanned: m.SegmentsScanned,
+			SegmentsPruned:  m.SegmentsPruned,
+			Span:            decodeSpan(r.span),
+		}
+		return nil
+	})
 	if err != nil {
 		return query.Result{}, controller.QueryMeta{}, err
 	}
-	defer closeBody(httpResp)
-	if ct := httpResp.Header.Get("Content-Type"); !wire.IsWire(ct) {
-		return query.Result{}, controller.QueryMeta{}, &UnexpectedContentTypeError{URL: base + "/query", ContentType: ct}
-	}
-	m, res, err := wire.ReadQuery(httpResp.Body)
-	if err != nil {
-		return query.Result{}, controller.QueryMeta{}, err
-	}
-	return *res, controller.QueryMeta{
-		RecordsScanned:  m.RecordsScanned,
-		SegmentsScanned: m.SegmentsScanned,
-		SegmentsPruned:  m.SegmentsPruned,
-		Span:            decodeSpanHeader(httpResp.Header),
-	}, nil
+	return res, meta, nil
 }
 
 // Install implements controller.Transport.

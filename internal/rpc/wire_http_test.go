@@ -421,6 +421,7 @@ func TestPooledFanoutNoLeak(t *testing.T) {
 	}
 
 	DefaultTransport.CloseIdleConnections()
+	tr.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {

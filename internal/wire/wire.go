@@ -31,7 +31,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
@@ -218,8 +217,14 @@ func ReadBatch(r io.Reader) ([]BatchReply, error) {
 // fan-out rates kept the buffers out of the top of the allocation profile.
 var (
 	frameWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 32<<10) }}
-	frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(bytes.NewReader(nil), 32<<10) }}
+	frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, 32<<10) }}
 )
+
+// eofReader is the source a pooled frame reader is parked on: always at
+// EOF, and stateless, so parking a reader allocates nothing.
+type eofReader struct{}
+
+func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
 // writeFrame writes header and body, routing the body through flate when
 // compress is set. The body writer is buffered either way, so section
@@ -284,7 +289,7 @@ func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
 	fbr := frameReaders.Get().(*bufio.Reader)
 	fbr.Reset(src)
 	defer func() {
-		fbr.Reset(bytes.NewReader(nil)) // drop the source reference before pooling
+		fbr.Reset(eofReader{}) // drop the source reference before pooling
 		frameReaders.Put(fbr)
 	}()
 	br := &reader{br: fbr}
