@@ -34,7 +34,8 @@ func (c *Cluster) GetFlows(host HostID, link LinkID, tr TimeRange) []Flow {
 	if a == nil {
 		return nil
 	}
-	return a.Execute(Query{Op: OpFlows, Link: link, Range: tr}).Flows
+	res, _ := a.ExecuteContext(context.Background(), Query{Op: OpFlows, Link: link, Range: tr})
+	return res.Flows
 }
 
 // GetPaths returns the paths flowID took through linkID during the range,
@@ -44,7 +45,8 @@ func (c *Cluster) GetPaths(host HostID, f FlowID, link LinkID, tr TimeRange) []P
 	if a == nil {
 		return nil
 	}
-	return a.Execute(Query{Op: OpPaths, Flow: f, Link: link, Range: tr}).Paths
+	res, _ := a.ExecuteContext(context.Background(), Query{Op: OpPaths, Flow: f, Link: link, Range: tr})
+	return res.Paths
 }
 
 // GetCount returns packet and byte counts of a ⟨flowID, path⟩ pair within
@@ -54,7 +56,7 @@ func (c *Cluster) GetCount(host HostID, f Flow, tr TimeRange) (bytes, pkts uint6
 	if a == nil {
 		return 0, 0
 	}
-	res := a.Execute(Query{Op: OpCount, Flow: f.ID, Path: f.Path, Range: tr})
+	res, _ := a.ExecuteContext(context.Background(), Query{Op: OpCount, Flow: f.ID, Path: f.Path, Range: tr})
 	return res.Bytes, res.Pkts
 }
 
@@ -65,7 +67,8 @@ func (c *Cluster) GetDuration(host HostID, f Flow, tr TimeRange) Time {
 	if a == nil {
 		return 0
 	}
-	return a.Execute(Query{Op: OpDuration, Flow: f.ID, Path: f.Path, Range: tr}).Duration
+	res, _ := a.ExecuteContext(context.Background(), Query{Op: OpDuration, Flow: f.ID, Path: f.Path, Range: tr})
+	return res.Duration
 }
 
 // GetPoorTCPFlows returns the host's TCP flows whose consecutive
@@ -82,15 +85,10 @@ func (c *Cluster) GetPoorTCPFlows(host HostID, threshold int) []FlowID {
 // (agents call this internally via their sink).
 func (c *Cluster) RaiseAlarm(a Alarm) { c.Ctrl.RaiseAlarm(a) }
 
-// Execute runs a query at each listed host as a direct query and merges
-// the results at the controller.
-func (c *Cluster) Execute(hosts []HostID, q Query) (Result, ExecStats, error) {
-	return c.Ctrl.Execute(hosts, q)
-}
-
-// ExecuteContext is Execute under a caller context: cancellation (or an
-// expired deadline, via context.WithTimeout) aborts the in-flight
-// fan-out promptly — a slow or dead host cannot pin the whole query —
+// ExecuteContext runs a query at each listed host as a direct query and
+// merges the results at the controller. Cancellation (or an expired
+// deadline, via context.WithTimeout) aborts the in-flight fan-out
+// promptly — a slow or dead host cannot pin the whole query —
 // and ExecStats.Skipped reports how many hosts were cut off. With
 // Config.Query.PartialOnDeadline set, an expired deadline instead
 // returns the merged partial result (ExecStats.Partial, nil error); with
@@ -101,37 +99,23 @@ func (c *Cluster) ExecuteContext(ctx context.Context, hosts []HostID, q Query) (
 	return c.Ctrl.ExecuteContext(ctx, hosts, q)
 }
 
-// ExecuteTree runs a query through a multi-level aggregation tree with
-// the given per-level fan-outs (§3.2; the paper uses [7,4,4] over 112
-// hosts).
-func (c *Cluster) ExecuteTree(hosts []HostID, q Query, fanouts []int) (Result, ExecStats, error) {
-	return c.Ctrl.ExecuteTree(hosts, q, fanouts)
-}
-
-// ExecuteTreeContext is ExecuteTree under a caller context (see
-// ExecuteContext for cancellation semantics).
+// ExecuteTreeContext runs a query through a multi-level aggregation tree
+// with the given per-level fan-outs (§3.2; the paper uses [7,4,4] over
+// 112 hosts). Cancellation is as for ExecuteContext.
 func (c *Cluster) ExecuteTreeContext(ctx context.Context, hosts []HostID, q Query, fanouts []int) (Result, ExecStats, error) {
 	return c.Ctrl.ExecuteTreeContext(ctx, hosts, q, fanouts)
 }
 
-// InstallQuery installs a query at each host for periodic execution
-// (period 0 = event-triggered). The returned handle uninstalls it.
-// Installation is atomic at the fleet level: on the first failure every
-// already-installed ID is rolled back before the error returns.
-func (c *Cluster) InstallQuery(hosts []HostID, q Query, period Time) (map[HostID]int, error) {
-	return c.Ctrl.Install(hosts, q, period)
-}
-
-// InstallQueryContext is InstallQuery under a caller context; a partial
-// installation is rolled back even when the context is already cancelled.
+// InstallQueryContext installs a query at each host for periodic
+// execution (period 0 = event-triggered). The returned handle uninstalls
+// it. Installation is atomic at the fleet level: on the first failure
+// every already-installed ID is rolled back before the error returns,
+// even when the context is already cancelled.
 func (c *Cluster) InstallQueryContext(ctx context.Context, hosts []HostID, q Query, period Time) (map[HostID]int, error) {
 	return c.Ctrl.InstallContext(ctx, hosts, q, period)
 }
 
-// UninstallQuery removes previously installed queries.
-func (c *Cluster) UninstallQuery(ids map[HostID]int) error { return c.Ctrl.Uninstall(ids) }
-
-// UninstallQueryContext is UninstallQuery under a caller context.
+// UninstallQueryContext removes previously installed queries.
 func (c *Cluster) UninstallQueryContext(ctx context.Context, ids map[HostID]int) error {
 	return c.Ctrl.UninstallContext(ctx, ids)
 }
@@ -144,9 +128,8 @@ func (c *Cluster) QueryHostContext(ctx context.Context, host HostID, q Query) (R
 
 // SetQueryParallelism re-bounds the controller's concurrent per-host
 // request fan-out (<= 0 means unlimited). Each execution captures the
-// bound once at its start, so this applies to the next
-// Execute/ExecuteTree/InstallQuery call; do not call it concurrently
-// with in-flight queries.
+// bound once at its start, so this applies to the next execute or
+// install call; do not call it concurrently with in-flight queries.
 func (c *Cluster) SetQueryParallelism(n int) { c.Ctrl.Parallelism = n }
 
 // QueryParallelism reports the current fan-out bound (0 = unlimited).

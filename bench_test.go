@@ -7,6 +7,7 @@
 package pathdump_test
 
 import (
+	"context"
 	"math/rand"
 	"pathdump"
 	"testing"
@@ -305,8 +306,9 @@ func BenchmarkQueryExecute(b *testing.B) {
 	} {
 		b.Run(string(q.Op), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := query.Execute(q, v)
-				_ = res
+				if _, err := query.ExecuteContext(context.Background(), q, v); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

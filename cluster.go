@@ -47,8 +47,8 @@ type AlarmConfig struct {
 // QueryConfig tunes distributed query execution at the controller.
 type QueryConfig struct {
 	// Parallelism bounds the number of concurrently outstanding per-host
-	// requests during Execute/ExecuteTree/InstallQuery fan-out (<= 0
-	// means unlimited). The §5.2 response-time model mirrors the bound.
+	// requests during execute and install fan-out (<= 0 means
+	// unlimited). The §5.2 response-time model mirrors the bound.
 	Parallelism int
 	// Deadline is the modelled per-query response deadline fed into the
 	// §5.2 cost model (0 = none): modelled response times cap at it,

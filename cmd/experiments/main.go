@@ -6,8 +6,8 @@
 //	go run ./cmd/experiments -quick all
 //
 // -quick shrinks durations/run counts for a fast smoke pass; defaults are
-// the paper-shaped (but laptop-scaled) parameters documented in
-// EXPERIMENTS.md.
+// the paper-shaped (but laptop-scaled) parameters of each experiment's
+// config in internal/experiments.
 package main
 
 import (

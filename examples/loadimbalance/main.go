@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 	fmt.Println("\n-- load imbalance rate per 5 s window --")
 	for t := pathdump.Time(0); t < 30*pathdump.Second; t += 5 * pathdump.Second {
 		tr := pathdump.TimeRange{From: t, To: t + 5*pathdump.Second}
-		res, _, err := c.Execute(c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: link1, Range: tr})
+		res, _, err := c.ExecuteContext(context.Background(), c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: link1, Range: tr})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func main() {
 		for _, r := range res.Records {
 			b1 += r.Bytes
 		}
-		res, _, _ = c.Execute(c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: link2, Range: tr})
+		res, _, _ = c.ExecuteContext(context.Background(), c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: link2, Range: tr})
 		for _, r := range res.Records {
 			b2 += r.Bytes
 		}

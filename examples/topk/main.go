@@ -36,11 +36,11 @@ func main() {
 	fmt.Printf("ran %d flows; TIBs populated across %d hosts\n\n", gen.Started, len(hosts))
 
 	q := pathdump.Query{Op: pathdump.OpTopK, K: 10}
-	direct, dstats, err := c.Execute(hosts, q)
+	direct, dstats, err := c.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, tstats, err := c.ExecuteTree(hosts, q, []int{4, 2})
+	tree, tstats, err := c.ExecuteTreeContext(context.Background(), hosts, q, []int{4, 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 	// And a modelled per-query deadline (§5.2 cost model) caps the
 	// modelled response time: the controller hands back whatever arrived.
 	c.Ctrl.Cost.Deadline = dstats.ResponseTime / 2
-	_, capped, err := c.Execute(hosts, q)
+	_, capped, err := c.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -363,21 +363,15 @@ func (a *Agent) raise(al types.Alarm) {
 	a.sink.RaiseAlarm(al)
 }
 
-// Execute runs a query against this host's view (TIB plus live trajectory
-// memory plus the TCP monitor) — the host side of the controller API.
-func (a *Agent) Execute(q query.Query) query.Result {
-	v := a.view(nil)
-	defer v.release()
-	return query.Execute(q, v)
-}
-
-// ExecuteContext is Execute under a caller context: the evaluation loop
-// polls cancellation as it merges TIB shards and stops early, returning
-// the context's error instead of a partial result. This is what the HTTP
-// servers call with the request context, so a disconnected client or an
-// expired controller deadline releases the host promptly.
+// ExecuteContext runs a query against this host's view (TIB plus live
+// trajectory memory plus the TCP monitor) — the host side of the
+// controller API. The evaluation loop polls ctx as it merges TIB shards
+// and stops early, returning the context's error instead of a partial
+// result. The HTTP servers call it with the request context, so a
+// disconnected client or an expired controller deadline releases the
+// host promptly.
 func (a *Agent) ExecuteContext(ctx context.Context, q query.Query) (query.Result, error) {
-	v := a.view(ctx)
+	v := a.view()
 	defer v.release()
 	return query.ExecuteContext(ctx, q, v)
 }
@@ -391,9 +385,9 @@ func (a *Agent) StreamRecords(ctx context.Context, q query.Query, fn func(*types
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	v := a.view(ctx)
+	v := a.view()
 	defer v.release()
-	v.ScanRecords(query.PredicateOf(q), fn)
+	v.ScanRecords(ctx, query.PredicateOf(q), fn)
 	return ctx.Err()
 }
 
@@ -509,7 +503,7 @@ func (a *Agent) runIncremental(inst *Installed) query.Result {
 	}
 	var scanned uint64
 	view := query.ScanView{
-		Scan: func(p query.Predicate, fn func(*types.Record)) {
+		Scan: func(_ context.Context, p query.Predicate, fn func(*types.Record)) {
 			// Incremental windows sit at the hot end of the store, so a
 			// cold read fault here is rare; if one does occur the run
 			// evaluates the resident delta and the fault is counted in
@@ -524,7 +518,7 @@ func (a *Agent) runIncremental(inst *Installed) query.Result {
 		Window: query.Predicate{MinSeq: since, MaxSeq: until},
 		Poor:   a.PoorTCPFlows,
 	}
-	res := query.Execute(inst.Query, view)
+	res, _ := query.ExecuteContext(context.Background(), inst.Query, view) // a ScanView serves every op
 	a.instMu.Lock()
 	if cur, ok := a.installed[inst.ID]; ok && cur == inst {
 		inst.watermark = until

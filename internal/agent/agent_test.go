@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"testing"
 
 	"pathdump/internal/cherrypick"
@@ -115,11 +116,11 @@ func TestLiveMemoryVisibleToQueries(t *testing.T) {
 	if a.Store.Len() != 0 {
 		t.Fatal("record exported too early")
 	}
-	res := a.Execute(query.Query{Op: query.OpFlows, Link: types.AnyLink})
+	res, _ := a.ExecuteContext(context.Background(), query.Query{Op: query.OpFlows, Link: types.AnyLink})
 	if len(res.Flows) != 1 || res.Flows[0].ID != f {
 		t.Fatalf("live record invisible: %v", res.Flows)
 	}
-	res = a.Execute(query.Query{Op: query.OpCount, Flow: f})
+	res, _ = a.ExecuteContext(context.Background(), query.Query{Op: query.OpCount, Flow: f})
 	if res.Bytes != 700 {
 		t.Errorf("live count = %d", res.Bytes)
 	}

@@ -13,8 +13,8 @@ import (
 
 // TestAgentExecuteContext: the agent's evaluation loop honours the caller
 // context — pre-cancelled contexts never scan, an uncancelled context
-// returns exactly the plain-Execute result, and a cancel mid-scan over a
-// large sharded TIB cuts the evaluation short.
+// returns exactly the bare store's result (nothing is live), and a cancel
+// mid-scan over a large sharded TIB cuts the evaluation short.
 func TestAgentExecuteContext(t *testing.T) {
 	r := newRig(t, netsim.Config{Seed: 7}, Config{})
 	host := r.sim.Topo.Hosts()[0]
@@ -34,12 +34,15 @@ func TestAgentExecuteContext(t *testing.T) {
 
 	q := query.Query{Op: query.OpTopK, K: 100}
 
-	// Uncancelled: identical to the plain path.
+	// Uncancelled: identical to the bare store's answer.
 	res, err := a.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := a.Execute(q)
+	plain, err := query.ExecuteContext(context.Background(), q, query.StoreView{S: a.Store})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Top) != len(plain.Top) {
 		t.Fatalf("ctx result %d entries, plain %d", len(res.Top), len(plain.Top))
 	}

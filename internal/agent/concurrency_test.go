@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // TestAgentConcurrentIngestAndQuery hammers one agent with concurrent TIB
 // ingest (Store.Add, the datapath export path) and full query execution
-// (Execute, the HTTP-served host API) — the overlap the sharded TIB
-// exists for. Run under -race this is the per-host half of the
+// (ExecuteContext, the HTTP-served host API) — the overlap the sharded
+// TIB exists for. Run under -race this is the per-host half of the
 // race-proving suite; the assertions check no record is lost or
 // double-counted.
 func TestAgentConcurrentIngestAndQuery(t *testing.T) {
@@ -55,7 +56,7 @@ func TestAgentConcurrentIngestAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				res := a.Execute(ops[i%len(ops)])
+				res, _ := a.ExecuteContext(context.Background(), ops[i%len(ops)])
 				_ = res
 				_ = a.TIBSize()
 			}
@@ -77,7 +78,7 @@ func TestAgentConcurrentIngestAndQuery(t *testing.T) {
 	if got := a.Store.Len(); got != writers*perWriter {
 		t.Fatalf("TIB holds %d records, want %d", got, writers*perWriter)
 	}
-	res := a.Execute(query.Query{Op: query.OpCount, Flow: record(2, 77).Flow})
+	res, _ := a.ExecuteContext(context.Background(), query.Query{Op: query.OpCount, Flow: record(2, 77).Flow})
 	if res.Bytes != 1000 || res.Pkts != 1 {
 		t.Fatalf("record lost under concurrency: count = %d/%d", res.Bytes, res.Pkts)
 	}

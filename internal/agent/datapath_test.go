@@ -223,8 +223,8 @@ func TestViewScanAllocsDoNotGrowWithLiveEntries(t *testing.T) {
 		p := query.Predicate{Link: types.AnyLink, Range: types.AllTime}
 		allocs := testing.AllocsPerRun(20, func() {
 			seen = 0
-			v := d.a.view(nil)
-			v.ScanRecords(p, func(*types.Record) { seen++ })
+			v := d.a.view()
+			v.ScanRecords(context.Background(), p, func(*types.Record) { seen++ })
 			v.release()
 		})
 		if seen != open {
@@ -256,15 +256,15 @@ func TestOneFlowQueryCopiesOneChain(t *testing.T) {
 			d.receive(f, hdr, false)
 		}
 	}
-	v := d.a.view(nil)
+	v := d.a.view()
 	defer v.release()
-	if res := query.Execute(query.Query{Op: query.OpCount, Flow: watched}, v); res.Bytes != 2000 || res.Pkts != 2 {
+	if res, _ := query.ExecuteContext(context.Background(), query.Query{Op: query.OpCount, Flow: watched}, v); res.Bytes != 2000 || res.Pkts != 2 {
 		t.Errorf("count = %d bytes in %d packets, want the watched flow's 2000 in 2", res.Bytes, res.Pkts)
 	}
 	if len(v.live) != 1 {
 		t.Errorf("a one-flow count copied %d of the memory's %d entries, want the flow's 1", len(v.live), d.a.Mem.Len())
 	}
-	if res := query.Execute(query.Query{Op: query.OpTopK, K: 5}, v); len(res.Top) != 5 || len(v.live) != open {
+	if res, _ := query.ExecuteContext(context.Background(), query.Query{Op: query.OpTopK, K: 5}, v); len(res.Top) != 5 || len(v.live) != open {
 		t.Errorf("a wildcard top-5 ranked %d flows over %d copied entries, want 5 over %d", len(res.Top), len(v.live), open)
 	}
 }
@@ -299,12 +299,12 @@ func TestSingleFlowViewsBesideDatapath(t *testing.T) {
 					return
 				default:
 				}
-				one := d.a.Execute(query.Query{Op: query.OpCount, Flow: watched})
+				one, _ := d.a.ExecuteContext(context.Background(), query.Query{Op: query.OpCount, Flow: watched})
 				if one.Pkts == 0 || one.Bytes != one.Pkts*1000 {
 					t.Errorf("single-flow count %d bytes / %d packets", one.Bytes, one.Pkts)
 					return
 				}
-				top := d.a.Execute(query.Query{Op: query.OpTopK, K: 4})
+				top, _ := d.a.ExecuteContext(context.Background(), query.Query{Op: query.OpTopK, K: 4})
 				for _, fb := range top.Top {
 					if fb.Bytes != fb.Pkts*1000 {
 						t.Errorf("top-k entry %+v is not one flow's record", fb)
@@ -342,7 +342,7 @@ func TestSingleFlowViewsBesideDatapath(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
-	if got := d.a.Execute(query.Query{Op: query.OpCount, Flow: watched}); got.Pkts != uint64(rounds)+1 {
+	if got, _ := d.a.ExecuteContext(context.Background(), query.Query{Op: query.OpCount, Flow: watched}); got.Pkts != uint64(rounds)+1 {
 		t.Errorf("watched flow counts %d packets, want %d", got.Pkts, rounds+1)
 	}
 }
@@ -435,7 +435,7 @@ func BenchmarkHostQueryLive(b *testing.B) {
 				b.ReportAllocs()
 				var res query.Result
 				for i := 0; i < b.N; i++ {
-					res = d.a.Execute(tc.q)
+					res, _ = d.a.ExecuteContext(context.Background(), tc.q)
 				}
 				if len(res.Top) != 100 && res.Bytes != 1000 {
 					b.Fatalf("answer %+v: want 100 ranked flows or the watched flow's 1000 bytes", res)

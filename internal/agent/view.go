@@ -12,14 +12,8 @@ import (
 // agentView is the host's queryable state: the TIB store plus the
 // per-path flow records still in the trajectory memory (the paper's IPC
 // lookup that lets queries see data not yet exported, §3.2). It is a
-// record scanner and the TCP monitor, nothing else — query.Execute
+// record scanner and the TCP monitor, nothing else — query.ExecuteContext
 // derives every op from ScanRecords.
-//
-// ctx, when non-nil, makes the evaluation loop cancellation-aware: scans
-// over the sharded TIB poll the context every query.CancelCheckEvery
-// records of the cross-shard merge and stop early once it is cancelled,
-// so a caller that hung up (or a controller deadline that fired) does not
-// pin this host on a full scan.
 //
 // Views are recycled with the memory a scan needs — the buffer the live
 // lookup fills, the one record the visitor is shown — so a host-query
@@ -29,7 +23,6 @@ import (
 // cache or the store).
 type agentView struct {
 	a      *Agent
-	ctx    context.Context
 	polled int            // records visited, for the cancellation poll
 	live   []tib.MemEntry // the current scan's lookup in the trajectory memory
 	rec    types.Record   // the live record a visitor is shown
@@ -37,11 +30,10 @@ type agentView struct {
 
 var views = sync.Pool{New: func() any { return new(agentView) }}
 
-// view binds the agent's queryable state to ctx (nil: never cancelled),
-// once: the view goes to query.Execute as it is.
-func (a *Agent) view(ctx context.Context) *agentView {
+// view takes a pooled view of the agent's queryable state.
+func (a *Agent) view() *agentView {
 	v := views.Get().(*agentView)
-	v.a, v.ctx, v.polled = a, ctx, 0
+	v.a, v.polled = a, 0
 	return v
 }
 
@@ -49,7 +41,7 @@ func (a *Agent) view(ctx context.Context) *agentView {
 // showed its visitor, afterwards (the race build poisons both, so a late
 // reader fails loudly instead of reading the next query's lookup).
 func (v *agentView) release() {
-	v.a, v.ctx, v.rec = nil, nil, types.Record{}
+	v.a, v.rec = nil, types.Record{}
 	v.poison()
 	views.Put(v)
 }
@@ -63,16 +55,18 @@ func (v *agentView) release() {
 // predicate's flow and time terms (Memory.AppendLive) before the store
 // scan of the same call, so a record exported mid-scan is seen at most
 // twice, never missed; Match then applies the link term to a constructed
-// path, outside the memory's lock. With a context attached, the TIB scan
-// aborts between merged shard records once the context is cancelled.
-func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
+// path, outside the memory's lock. The TIB scan polls ctx between merged
+// shard records and aborts once it is cancelled, so a caller that hung up
+// (or a controller deadline that fired) does not pin this host on a full
+// scan.
+func (v *agentView) ScanRecords(ctx context.Context, p query.Predicate, fn func(*types.Record)) {
 	v.live = v.a.Mem.AppendLive(v.live[:0], p.Flow, p.Range)
 	// The query.View contract has no error channel: a cold-tier read
 	// fault yields the resident portion of the answer, with the fault
 	// counted in the store's ColdStats (see tib.Store.Flows for the
 	// contract).
-	_ = v.a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, query.PollCancel(v.ctx, &v.polled, fn))
-	if v.ctx != nil && v.ctx.Err() != nil {
+	_ = v.a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, query.PollCancel(ctx, &v.polled, fn))
+	if ctx.Err() != nil {
 		return
 	}
 	for i := range v.live {
@@ -92,7 +86,7 @@ func (v *agentView) ScanRecords(p query.Predicate, fn func(*types.Record)) {
 	}
 }
 
-// PoorTCPFlows implements query.View.
-func (v *agentView) PoorTCPFlows(threshold int) []types.FlowID {
-	return v.a.PoorTCPFlows(threshold)
+// PoorTCPFlows implements query.View: every agent has a monitor.
+func (v *agentView) PoorTCPFlows(threshold int) ([]types.FlowID, error) {
+	return v.a.PoorTCPFlows(threshold), nil
 }

@@ -98,7 +98,7 @@ func TestViewScanMatchesEagerLive(t *testing.T) {
 		}
 		sawLive = sawLive || len(want) > fromStore
 		var got []types.Record
-		a.view(nil).ScanRecords(p, func(rec *types.Record) { got = append(got, *rec) })
+		a.view().ScanRecords(context.Background(), p, func(rec *types.Record) { got = append(got, *rec) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("predicate %+v:\n got %v\nwant %v", p, got, want)
 		}
@@ -110,8 +110,8 @@ func TestViewScanMatchesEagerLive(t *testing.T) {
 
 // TestResultsNeverAliasTheView: what an evaluation returns is the
 // caller's for good, though the view it ran on — the lookup buffer, the
-// record its visitor was shown — goes back to the pool as Execute returns
-// and is rewritten by the next query (and poisoned at release, in the
+// record its visitor was shown — goes back to the pool as ExecuteContext
+// returns and is rewritten by the next query (and poisoned at release, in the
 // race build; TestSingleFlowViewsBesideDatapath is the concurrent half). Every op's answer over stored and open flows reads the
 // same after other queries have been through the recycled view.
 func TestResultsNeverAliasTheView(t *testing.T) {
@@ -141,8 +141,8 @@ func TestResultsNeverAliasTheView(t *testing.T) {
 		if string(held) == `{"op":"`+string(q.Op)+`"}` {
 			t.Fatalf("%s: empty answer, the rig has nothing to alias", q.Op)
 		}
-		d.a.Execute(query.Query{Op: query.OpRecords, Flow: flows[3], Link: link})
-		d.a.Execute(query.Query{Op: query.OpTopK, K: 3})
+		d.a.ExecuteContext(context.Background(), query.Query{Op: query.OpRecords, Flow: flows[3], Link: link})
+		d.a.ExecuteContext(context.Background(), query.Query{Op: query.OpTopK, K: 3})
 		if now, _ := json.Marshal(res); !bytes.Equal(now, held) {
 			t.Errorf("%s: the answer changed once its view was reused:\n was %s\n now %s", q.Op, held, now)
 		}

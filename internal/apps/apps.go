@@ -10,6 +10,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -23,7 +24,7 @@ import (
 // traversing an avoided switch, or paths missing a waypoint. period 0
 // checks every new record.
 func InstallPathConformance(c *controller.Controller, hosts []types.HostID, maxLen int, avoid, waypoints []types.SwitchID, period types.Time) (map[types.HostID]int, error) {
-	return c.Install(hosts, query.Query{
+	return c.InstallContext(context.Background(), hosts, query.Query{
 		Op:         query.OpConformance,
 		MaxPathLen: maxLen,
 		Avoid:      avoid,
@@ -35,33 +36,33 @@ func InstallPathConformance(c *controller.Controller, hosts []types.HostID, maxL
 // period (the paper uses 200 ms), flows whose consecutive retransmissions
 // reach threshold raise POOR_PERF alarms.
 func InstallTCPMonitor(c *controller.Controller, hosts []types.HostID, threshold int, period types.Time) (map[types.HostID]int, error) {
-	return c.Install(hosts, query.Query{Op: query.OpPoorTCP, Threshold: threshold}, period)
+	return c.InstallContext(context.Background(), hosts, query.Query{Op: query.OpPoorTCP, Threshold: threshold}, period)
 }
 
 // TopK returns the k largest flows across the given hosts, executed
 // through the multi-level aggregation tree when fanouts is non-empty
 // (§2.3 top-k example).
 func TopK(c *controller.Controller, hosts []types.HostID, k int, tr types.TimeRange, fanouts []int) ([]query.FlowBytes, controller.ExecStats, error) {
-	res, stats, err := c.ExecuteTree(hosts, query.Query{Op: query.OpTopK, K: k, Range: tr}, fanouts)
+	res, stats, err := c.ExecuteTreeContext(context.Background(), hosts, query.Query{Op: query.OpTopK, K: k, Range: tr}, fanouts)
 	return res.Top, stats, err
 }
 
 // TrafficMatrix aggregates the ToR-to-ToR byte matrix across hosts (§2.3).
 func TrafficMatrix(c *controller.Controller, hosts []types.HostID, tr types.TimeRange) ([]query.MatrixCell, error) {
-	res, _, err := c.Execute(hosts, query.Query{Op: query.OpMatrix, Range: tr})
+	res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpMatrix, Range: tr})
 	return res.Matrix, err
 }
 
 // DDoSSources ranks traffic sources observed at a victim host (§2.3's
 // DDoS diagnosis): bytes received per source address.
 func DDoSSources(c *controller.Controller, victim types.HostID, tr types.TimeRange) ([]query.FlowBytes, error) {
-	res, err := c.QueryHost(victim, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
+	res, err := c.QueryHostContext(context.Background(), victim, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}
 	perSrc := make(map[types.IP]*query.FlowBytes)
 	for _, fl := range res.Flows {
-		cnt, err := c.QueryHost(victim, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
+		cnt, err := c.QueryHostContext(context.Background(), victim, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +90,7 @@ func DDoSSources(c *controller.Controller, victim types.HostID, tr types.TimeRan
 // WaypointViolations finds flows whose paths missed a mandatory waypoint
 // switch (§2.3 waypoint routing).
 func WaypointViolations(c *controller.Controller, hosts []types.HostID, waypoint types.SwitchID, tr types.TimeRange) ([]query.Violation, error) {
-	res, _, err := c.Execute(hosts, query.Query{
+	res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{
 		Op: query.OpConformance, Waypoints: []types.SwitchID{waypoint}, Range: tr,
 	})
 	return res.Violations, err
@@ -112,7 +113,7 @@ func (p *IsolationPolicy) Allow(src, dst types.IP) { p.allowed[[2]types.IP{src, 
 // IsolationViolations returns flows observed at the hosts that the policy
 // does not permit.
 func IsolationViolations(c *controller.Controller, hosts []types.HostID, p *IsolationPolicy, tr types.TimeRange) ([]types.FlowID, error) {
-	res, _, err := c.Execute(hosts, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
+	res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +136,7 @@ func IsolationViolations(c *controller.Controller, hosts []types.HostID, p *Isol
 // bytes — Table 2's congested-link diagnosis ("find flows using a
 // congested link, to help rerouting").
 func CongestedLinkFlows(c *controller.Controller, hosts []types.HostID, link types.LinkID, tr types.TimeRange) ([]query.FlowBytes, error) {
-	res, _, err := c.Execute(hosts, query.Query{Op: query.OpFlows, Link: link, Range: tr})
+	res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpFlows, Link: link, Range: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +146,7 @@ func CongestedLinkFlows(c *controller.Controller, hosts []types.HostID, link typ
 		if dst == nil {
 			continue
 		}
-		cnt, err := c.QueryHost(dst.ID, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
+		cnt, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
 		if err != nil {
 			return nil, err
 		}

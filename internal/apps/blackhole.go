@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"pathdump/internal/controller"
 	"pathdump/internal/query"
 	"pathdump/internal/topology"
@@ -28,7 +29,7 @@ func DiagnoseBlackhole(c *controller.Controller, flow types.FlowID, tr types.Tim
 	if dst == nil {
 		return nil, errNoData("destination host")
 	}
-	res, err := c.QueryHost(dst.ID, query.Query{
+	res, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{
 		Op: query.OpPaths, Flow: flow, Link: types.AnyLink, Range: tr,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 
 	"pathdump/internal/controller"
@@ -50,7 +51,7 @@ func LocalizeDDoS(c *controller.Controller, victim types.HostID, tr types.TimeRa
 	if recv == nil {
 		return nil, errNoData("victim")
 	}
-	res, err := c.QueryHost(victim, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: tr})
+	res, err := c.QueryHostContext(context.Background(), victim, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -15,7 +16,7 @@ import (
 // distributions tells the operator the degree — and the cause — of load
 // imbalance (Fig. 5c).
 func FlowSizeDistribution(c *controller.Controller, hosts []types.HostID, links []types.LinkID, tr types.TimeRange, binBytes uint64, fanouts []int) ([]query.LinkHist, controller.ExecStats, error) {
-	res, stats, err := c.ExecuteTree(hosts, query.Query{
+	res, stats, err := c.ExecuteTreeContext(context.Background(), hosts, query.Query{
 		Op: query.OpFSD, Links: links, Range: tr, BinBytes: binBytes,
 	}, fanouts)
 	return res.Hists, stats, err
@@ -46,7 +47,7 @@ func ImbalanceRate(loads []float64) float64 {
 func LinkBytes(c *controller.Controller, hosts []types.HostID, links []types.LinkID, tr types.TimeRange) (map[types.LinkID]uint64, error) {
 	out := make(map[types.LinkID]uint64, len(links))
 	for _, l := range links {
-		res, _, err := c.Execute(hosts, query.Query{Op: query.OpRecords, Link: l, Range: tr})
+		res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpRecords, Link: l, Range: tr})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +101,7 @@ func SubflowBytes(c *controller.Controller, flow types.FlowID, tr types.TimeRang
 	if dst == nil {
 		return nil, errNoData("destination host")
 	}
-	paths, err := c.QueryHost(dst.ID, query.Query{Op: query.OpPaths, Flow: flow, Link: types.AnyLink, Range: tr})
+	paths, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpPaths, Flow: flow, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func SubflowBytes(c *controller.Controller, flow types.FlowID, tr types.TimeRang
 	}
 	out := make([]PathBytes, 0, len(paths.Paths))
 	for _, p := range paths.Paths {
-		cnt, err := c.QueryHost(dst.ID, query.Query{Op: query.OpCount, Flow: flow, Path: p, Range: tr})
+		cnt, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpCount, Flow: flow, Path: p, Range: tr})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 
 	"pathdump/internal/controller"
@@ -38,7 +39,7 @@ func DetectIncast(c *controller.Controller, receiver types.HostID, window types.
 	if recv == nil {
 		return nil, errNoData("receiver")
 	}
-	res, err := c.QueryHost(receiver, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: tr})
+	res, err := c.QueryHostContext(context.Background(), receiver, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func DetectIncast(c *controller.Controller, receiver types.HostID, window types.
 	}
 	sort.Slice(best.Flows, func(i, j int) bool { return best.Flows[i].String() < best.Flows[j].String() })
 	for _, f := range best.Flows {
-		cnt, err := c.QueryHost(receiver, query.Query{Op: query.OpCount, Flow: f, Range: tr})
+		cnt, err := c.QueryHostContext(context.Background(), receiver, query.Query{Op: query.OpCount, Flow: f, Range: tr})
 		if err != nil {
 			return nil, err
 		}

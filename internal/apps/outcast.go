@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 
 	"pathdump/internal/controller"
@@ -83,7 +84,7 @@ func DiagnoseOutcast(c *controller.Controller, receiver types.IP, tr types.TimeR
 	if dst == nil {
 		return nil, errNoData("receiver")
 	}
-	flows, err := c.QueryHost(dst.ID, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
+	flows, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +95,11 @@ func DiagnoseOutcast(c *controller.Controller, receiver types.IP, tr types.TimeR
 			continue
 		}
 		seen[fl.ID] = true
-		cnt, err := c.QueryHost(dst.ID, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
+		cnt, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpCount, Flow: fl.ID, Range: tr})
 		if err != nil {
 			return nil, err
 		}
-		dur, err := c.QueryHost(dst.ID, query.Query{Op: query.OpDuration, Flow: fl.ID, Range: tr})
+		dur, err := c.QueryHostContext(context.Background(), dst.ID, query.Query{Op: query.OpDuration, Flow: fl.ID, Range: tr})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 	"sync"
 
@@ -52,7 +53,7 @@ func DetectPolarization(c *controller.Controller, hosts []types.HostID, sw types
 	var hottest int
 	for _, up := range node.Up {
 		link := types.LinkID{A: sw, B: up}
-		res, _, err := c.Execute(hosts, query.Query{Op: query.OpFlows, Link: link, Range: tr})
+		res, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpFlows, Link: link, Range: tr})
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +71,7 @@ func DetectPolarization(c *controller.Controller, hosts []types.HostID, sw types
 			}
 		}
 		// Bytes ride along from raw records (one scan per uplink).
-		rec, _, err := c.Execute(hosts, query.Query{Op: query.OpRecords, Link: link, Range: tr})
+		rec, _, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpRecords, Link: link, Range: tr})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 
 	"pathdump/internal/controller"
@@ -59,7 +60,7 @@ func (d *SilentDropDebugger) handle(a types.Alarm) {
 		return
 	}
 	// §2.3: paths = getPaths(flowID, ⟨*,*⟩, ⟨t1,*⟩) at the destination.
-	res, err := d.c.QueryHost(dst.ID, query.Query{
+	res, err := d.c.QueryHostContext(context.Background(), dst.ID, query.Query{
 		Op: query.OpPaths, Flow: a.Flow, Link: types.AnyLink, Range: types.AllTime,
 	})
 	if err != nil {
@@ -144,7 +145,7 @@ func (d *SilentDropDebugger) linkTotal(l types.LinkID, cache map[types.LinkID]in
 		return n
 	}
 	n := 0
-	res, _, err := d.c.Execute(hostsOfTopo(d.c), query.Query{Op: query.OpFlows, Link: l})
+	res, _, err := d.c.ExecuteContext(context.Background(), hostsOfTopo(d.c), query.Query{Op: query.OpFlows, Link: l})
 	if err == nil {
 		seen := make(map[types.FlowID]bool, len(res.Flows))
 		for _, f := range res.Flows {

@@ -180,7 +180,7 @@ func TestModelDeadlineCapsResponse(t *testing.T) {
 
 	uncapped := New(topo, cannedTransport{k: 100, records: 10_000}, nil)
 	uncapped.Parallelism = 1
-	_, full, err := uncapped.Execute(hosts, q)
+	_, full, err := uncapped.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestModelDeadlineCapsResponse(t *testing.T) {
 	capped.Parallelism = 1
 	oneHost := cost.RTT + cost.ExecBase + 2*types.Millisecond // ~one slow-host round trip
 	capped.Cost.Deadline = oneHost
-	_, stats, err := capped.Execute(hosts, q)
+	_, stats, err := capped.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestModelDeadlineCapsResponse(t *testing.T) {
 	}
 	// A deadline the query beats anyway must not distort the model.
 	capped.Cost.Deadline = full.ResponseTime * 2
-	_, loose, err := capped.Execute(hosts, q)
+	_, loose, err := capped.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestInstallRollbackOnPartialFailure(t *testing.T) {
 		tr := &rollbackTransport{bad: 37}
 		ctrl := New(topo, tr, nil)
 		ctrl.Parallelism = 8
-		ids, err := ctrl.Install(hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
+		ids, err := ctrl.InstallContext(context.Background(), hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v, want errBoom", err)
 		}
@@ -294,7 +294,7 @@ func TestInstallRollbackOnPartialFailure(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		tr := &serialRollbackTransport{rollbackTransport{bad: 5}}
 		ctrl := New(topo, tr, nil)
-		ids, err := ctrl.Install(hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
+		ids, err := ctrl.InstallContext(context.Background(), hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v, want errBoom", err)
 		}
@@ -394,11 +394,11 @@ func TestSerialControlFanout(t *testing.T) {
 	t.Run("order", func(t *testing.T) {
 		tr := &serialScript{}
 		ctrl := New(topo, tr, nil)
-		ids, err := ctrl.Install(hosts, q, types.Second)
+		ids, err := ctrl.InstallContext(context.Background(), hosts, q, types.Second)
 		if err != nil || len(ids) != len(hosts) {
 			t.Fatalf("install: %v, %d ids", err, len(ids))
 		}
-		if err := ctrl.Uninstall(ids); err != nil {
+		if err := ctrl.UninstallContext(context.Background(), ids); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := trace(tr), "[i0 i1 i2 i3 i4 i5 u0 u1 u2 u3 u4 u5]"; got != want {
@@ -437,7 +437,7 @@ func TestSerialControlFanout(t *testing.T) {
 		for _, h := range hosts {
 			ids[h] = int(h) + 100
 		}
-		if err := ctrl.Uninstall(ids); !errors.Is(err, errBoom) {
+		if err := ctrl.UninstallContext(context.Background(), ids); !errors.Is(err, errBoom) {
 			t.Errorf("err = %v, want host 2's errBoom", err)
 		}
 		if got, want := trace(tr), "[u0 u1 u2 u3 u4 u5]"; got != want {

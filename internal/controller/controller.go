@@ -5,11 +5,11 @@
 // alarms from agents' active monitors, and traps packets whose VLAN stack
 // overflowed (suspiciously long paths and routing loops, §4.5).
 //
-// Every distributed operation is context-aware end to end: the public
-// Execute/ExecuteTree/Install/Uninstall/QueryHost entry points have
-// *Context variants, the Transport carries the context to the wire, and a
-// cancelled or expired context aborts in-flight fan-out waves promptly —
-// a slow or dead host can no longer pin down a whole query (§5.2's
+// Every distributed operation takes a context end to end: the entry
+// points (ExecuteContext, ExecuteTreeContext, InstallContext,
+// UninstallContext, QueryHostContext) take one, the Transport carries it
+// to the wire, and a cancelled or expired context aborts in-flight fan-out
+// promptly — a slow or dead host cannot pin down a whole query (§5.2's
 // interactivity argument).
 //
 // Queries are additionally straggler-tolerant: HedgeAfter issues a
@@ -99,11 +99,11 @@ type Controller struct {
 	Cost CostModel
 
 	// Parallelism bounds the number of concurrently outstanding per-host
-	// transport requests during Execute/ExecuteTree/Install/Uninstall
-	// fan-out (<= 0 means unlimited). The response-time model mirrors the
-	// bound: children of an aggregation node are dispatched onto
-	// Parallelism modelled workers, so max-over-parallel-children latency
-	// degrades gracefully toward sum-latency as the bound tightens.
+	// transport requests during execute, install and uninstall fan-out
+	// (<= 0 means unlimited). The response-time model mirrors the bound:
+	// children of an aggregation node are dispatched onto Parallelism
+	// modelled workers, so max-over-parallel-children latency degrades
+	// gracefully toward sum-latency as the bound tightens.
 	Parallelism int
 
 	// PerHostTimeout bounds how long any single host's query — including
@@ -198,64 +198,43 @@ func (c *Controller) VirtualNow() types.Time {
 	return c.sim.Now()
 }
 
-// QueryHost executes one query at one host (the direct query primitive).
-func (c *Controller) QueryHost(host types.HostID, q query.Query) (query.Result, error) {
-	return c.QueryHostContext(context.Background(), host, q)
-}
-
-// QueryHostContext is QueryHost with a caller-supplied context; a
-// cancelled or expired context aborts the request.
+// QueryHostContext executes one query at one host (the direct query
+// primitive); a cancelled or expired context aborts the request.
 func (c *Controller) QueryHostContext(ctx context.Context, host types.HostID, q query.Query) (query.Result, error) {
 	res, _, err := c.T.Query(ctx, host, q)
 	return res, err
 }
 
-// Execute runs a query at every listed host as a direct query — each host
-// contacted straight from the controller, results folded at the
+// ExecuteContext runs a query at every listed host as a direct query —
+// each host contacted straight from the controller, results folded at the
 // controller — and returns the merged result with modelled cost (§3.2).
-func (c *Controller) Execute(hosts []types.HostID, q query.Query) (query.Result, ExecStats, error) {
-	return c.ExecuteContext(context.Background(), hosts, q)
-}
-
-// ExecuteContext is Execute with a caller-supplied context. Cancellation
-// (or an expired deadline) aborts the in-flight fan-out wave promptly:
-// pending host requests are skipped, in-flight ones are cut off at the
-// transport, and the returned ExecStats reports how many hosts were
-// skipped. The error is the context's.
+// Cancellation (or an expired deadline) aborts the in-flight fan-out
+// promptly: pending host requests are skipped, in-flight ones are cut
+// off at the transport, and the returned ExecStats reports how many
+// hosts were skipped. The error is the context's.
 func (c *Controller) ExecuteContext(ctx context.Context, hosts []types.HostID, q query.Query) (query.Result, ExecStats, error) {
 	return c.run(ctx, hosts, nil, q)
 }
 
-// ExecuteTree runs a query through a multi-level aggregation tree with the
-// given per-level fan-outs (e.g. [7,4,4] builds the paper's 4-level tree
-// over 112 hosts). Hosts double as interior aggregation nodes: the tree
-// orders the merge and shapes the modelled cost, but routes no request —
-// every host is asked straight from the controller.
-func (c *Controller) ExecuteTree(hosts []types.HostID, q query.Query, fanouts []int) (query.Result, ExecStats, error) {
-	return c.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
-}
-
-// ExecuteTreeContext is ExecuteTree with a caller-supplied context (see
-// ExecuteContext for cancellation semantics).
+// ExecuteTreeContext runs a query through a multi-level aggregation tree
+// with the given per-level fan-outs (e.g. [7,4,4] builds the paper's
+// 4-level tree over 112 hosts). Hosts double as interior aggregation
+// nodes: the tree orders the merge and shapes the modelled cost, but
+// routes no request — every host is asked straight from the controller.
+// Cancellation is as for ExecuteContext.
 func (c *Controller) ExecuteTreeContext(ctx context.Context, hosts []types.HostID, q query.Query, fanouts []int) (query.Result, ExecStats, error) {
 	return c.run(ctx, hosts, fanouts, q)
 }
 
-// Install installs a query at each listed host (§2.1 controller API).
-// It returns per-host installation IDs for Uninstall. Installation fans
-// out concurrently (bounded by Parallelism) unless the transport declares
-// SerialControl. Install is atomic at the fleet level: on the first
-// failure every already-installed ID is rolled back (best effort) before
-// the error is returned, so no host is left running a query the caller
-// never got a handle to.
-func (c *Controller) Install(hosts []types.HostID, q query.Query, period types.Time) (map[types.HostID]int, error) {
-	return c.InstallContext(context.Background(), hosts, q, period)
-}
-
-// InstallContext is Install with a caller-supplied context. The rollback
-// of a partial installation runs even when ctx is already cancelled (it
-// detaches via context.WithoutCancel): cancellation must not orphan
-// installed queries.
+// InstallContext installs a query at each listed host (§2.1 controller
+// API). It returns per-host installation IDs for UninstallContext.
+// Installation fans out concurrently (bounded by Parallelism) unless the
+// transport declares SerialControl. It is atomic at the fleet level: on
+// the first failure every already-installed ID is rolled back (best
+// effort) before the error is returned, so no host is left running a
+// query the caller never got a handle to. The rollback runs even when ctx
+// is already cancelled (it detaches via context.WithoutCancel):
+// cancellation must not orphan installed queries.
 func (c *Controller) InstallContext(ctx context.Context, hosts []types.HostID, q query.Query, period types.Time) (map[types.HostID]int, error) {
 	out := make(map[types.HostID]int, len(hosts))
 	var mu sync.Mutex
@@ -281,14 +260,10 @@ func (c *Controller) InstallContext(ctx context.Context, hosts []types.HostID, q
 	return out, nil
 }
 
-// Uninstall removes previously installed queries. Every host is attempted
-// (best effort, concurrently unless the transport declares SerialControl);
-// the first failure in deterministic host order is returned.
-func (c *Controller) Uninstall(ids map[types.HostID]int) error {
-	return c.UninstallContext(context.Background(), ids)
-}
-
-// UninstallContext is Uninstall with a caller-supplied context.
+// UninstallContext removes previously installed queries. Every host is
+// attempted (best effort, concurrently unless the transport declares
+// SerialControl); the first failure in deterministic host order is
+// returned.
 func (c *Controller) UninstallContext(ctx context.Context, ids map[types.HostID]int) error {
 	hosts := make([]types.HostID, 0, len(ids))
 	for h := range ids {

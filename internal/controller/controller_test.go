@@ -71,11 +71,11 @@ func TestDirectAndTreeQueriesAgree(t *testing.T) {
 	r.seedTraffic(64)
 
 	q := query.Query{Op: query.OpTopK, K: 10}
-	direct, dstats, err := r.ctrl.Execute(r.hosts, q)
+	direct, dstats, err := r.ctrl.ExecuteContext(context.Background(), r.hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, tstats, err := r.ctrl.ExecuteTree(r.hosts, q, []int{4, 2})
+	tree, tstats, err := r.ctrl.ExecuteTreeContext(context.Background(), r.hosts, q, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +134,16 @@ func TestDirectResponseGrowsWithHostsTreeStaysFlat(t *testing.T) {
 	}
 	q := query.Query{Op: query.OpTopK, K: 2000}
 
-	_, d28, err := ctrl.Execute(hosts[:28], q)
+	_, d28, err := ctrl.ExecuteContext(context.Background(), hosts[:28], q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d112, err := ctrl.Execute(hosts, q)
+	_, d112, err := ctrl.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, t28, _ := ctrl.ExecuteTree(hosts[:28], q, []int{7, 4, 4})
-	_, t112, _ := ctrl.ExecuteTree(hosts, q, []int{7, 4, 4})
+	_, t28, _ := ctrl.ExecuteTreeContext(context.Background(), hosts[:28], q, []int{7, 4, 4})
+	_, t112, _ := ctrl.ExecuteTreeContext(context.Background(), hosts, q, []int{7, 4, 4})
 
 	if d112.ResponseTime <= d28.ResponseTime {
 		t.Errorf("direct response did not grow: %v vs %v", d28.ResponseTime, d112.ResponseTime)
@@ -167,22 +167,22 @@ func TestDirectResponseGrowsWithHostsTreeStaysFlat(t *testing.T) {
 func TestQueryHostAndErrors(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{Seed: 3})
 	r.seedTraffic(16)
-	res, err := r.ctrl.QueryHost(r.hosts[3], query.Query{Op: query.OpFlows, Link: types.AnyLink})
+	res, err := r.ctrl.QueryHostContext(context.Background(), r.hosts[3], query.Query{Op: query.OpFlows, Link: types.AnyLink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = res
-	if _, err := r.ctrl.QueryHost(types.HostID(9999), query.Query{Op: query.OpFlows}); err == nil {
+	if _, err := r.ctrl.QueryHostContext(context.Background(), types.HostID(9999), query.Query{Op: query.OpFlows}); err == nil {
 		t.Error("unknown host accepted")
 	}
-	if _, _, err := r.ctrl.Execute([]types.HostID{9999}, query.Query{Op: query.OpFlows}); err == nil {
+	if _, _, err := r.ctrl.ExecuteContext(context.Background(), []types.HostID{9999}, query.Query{Op: query.OpFlows}); err == nil {
 		t.Error("Execute with unknown host accepted")
 	}
 }
 
 func TestInstallUninstallViaController(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{Seed: 4})
-	ids, err := r.ctrl.Install(r.hosts[:3], query.Query{Op: query.OpPoorTCP, Threshold: 2}, 200*types.Millisecond)
+	ids, err := r.ctrl.InstallContext(context.Background(), r.hosts[:3], query.Query{Op: query.OpPoorTCP, Threshold: 2}, 200*types.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestInstallUninstallViaController(t *testing.T) {
 		}
 		_ = id
 	}
-	if err := r.ctrl.Uninstall(ids); err != nil {
+	if err := r.ctrl.UninstallContext(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	for h := range ids {
@@ -203,7 +203,7 @@ func TestInstallUninstallViaController(t *testing.T) {
 			t.Errorf("host %v still has installed queries", h)
 		}
 	}
-	if _, err := r.ctrl.Install([]types.HostID{9999}, query.Query{Op: query.OpPoorTCP}, 0); err == nil {
+	if _, err := r.ctrl.InstallContext(context.Background(), []types.HostID{9999}, query.Query{Op: query.OpPoorTCP}, 0); err == nil {
 		t.Error("install at unknown host accepted")
 	}
 }
@@ -234,7 +234,7 @@ func buildLoop(r *rig, f types.FlowID) {
 	paths := a.Store.Paths(f, types.AnyLink, types.AllTime)
 	if len(paths) == 0 {
 		// Record may still be in trajectory memory; flush via queries.
-		res := a.Execute(query.Query{Op: query.OpPaths, Flow: f, Link: types.AnyLink})
+		res, _ := a.ExecuteContext(context.Background(), query.Query{Op: query.OpPaths, Flow: f, Link: types.AnyLink})
 		paths = res.Paths
 	}
 	probe := paths[0]
@@ -371,7 +371,7 @@ func TestRecordsRepliesAreCharged(t *testing.T) {
 	var replyBytes int64
 	var one types.FlowID
 	for _, h := range r.hosts {
-		res, err := r.ctrl.QueryHost(h, all)
+		res, err := r.ctrl.QueryHostContext(context.Background(), h, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,11 +384,11 @@ func TestRecordsRepliesAreCharged(t *testing.T) {
 	few := query.Query{Op: query.OpRecords, Link: types.AnyLink, Flow: one}
 
 	for _, fanouts := range [][]int{nil, {4, 2}} {
-		resAll, stAll, err := r.ctrl.ExecuteTree(r.hosts, all, fanouts)
+		resAll, stAll, err := r.ctrl.ExecuteTreeContext(context.Background(), r.hosts, all, fanouts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resFew, stFew, err := r.ctrl.ExecuteTree(r.hosts, few, fanouts)
+		resFew, stFew, err := r.ctrl.ExecuteTreeContext(context.Background(), r.hosts, few, fanouts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func TestTreeRecordsEqualDirect(t *testing.T) {
 			ctrl := New(topo, tr, nil)
 			ctrl.Parallelism = 3
 			for round := 0; round < 2; round++ {
-				res, stats, err := ctrl.ExecuteTree(hosts, q, fanouts)
+				res, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
 				if err != nil {
 					t.Fatal(err)
 				}

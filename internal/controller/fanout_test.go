@@ -82,7 +82,7 @@ func TestFanoutParallelWallClock(t *testing.T) {
 	tr := &slowTransport{delay: delay}
 	ctrl := New(topo, tr, nil)
 	start := time.Now()
-	res, stats, err := ctrl.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
+	res, stats, err := ctrl.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestFanoutParallelWallClock(t *testing.T) {
 	ctrlSerial := New(topo, serial, nil)
 	ctrlSerial.Parallelism = 1
 	start = time.Now()
-	if _, _, err := ctrlSerial.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts}); err != nil {
+	if _, _, err := ctrlSerial.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts}); err != nil {
 		t.Fatal(err)
 	}
 	serialElapsed := time.Since(start)
@@ -120,7 +120,7 @@ func TestFanoutBoundIsRespected(t *testing.T) {
 	tr := &slowTransport{delay: time.Millisecond}
 	ctrl := New(topo, tr, nil)
 	ctrl.Parallelism = 4
-	if _, _, err := ctrl.ExecuteTree(hostRange(96), query.Query{Op: query.OpTopK, K: 10}, []int{6, 4}); err != nil {
+	if _, _, err := ctrl.ExecuteTreeContext(context.Background(), hostRange(96), query.Query{Op: query.OpTopK, K: 10}, []int{6, 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.maxSeen.Load(); got > 4 {
@@ -153,7 +153,7 @@ func TestFanoutFirstErrorSemantics(t *testing.T) {
 	tr := &failTransport{slowTransport: slowTransport{delay: 2 * time.Millisecond}, bad: 13}
 	ctrl := New(topo, tr, nil)
 	ctrl.Parallelism = 4
-	_, _, err := ctrl.Execute(hostRange(256), query.Query{Op: query.OpTopK, K: 5})
+	_, _, err := ctrl.ExecuteContext(context.Background(), hostRange(256), query.Query{Op: query.OpTopK, K: 5})
 	if err == nil {
 		t.Fatal("failing host did not fail the query")
 	}
@@ -176,7 +176,7 @@ func TestBoundedParallelismModel(t *testing.T) {
 	modelAt := func(p int) types.Time {
 		ctrl := New(topo, cannedTransport{k: 100, records: 10_000}, nil)
 		ctrl.Parallelism = p
-		_, stats, err := ctrl.Execute(hosts, q)
+		_, stats, err := ctrl.ExecuteContext(context.Background(), hosts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +198,8 @@ func TestBoundedParallelismModel(t *testing.T) {
 	ctrlA := New(topo, cannedTransport{k: 100, records: 10_000}, nil)
 	ctrlB := New(topo, cannedTransport{k: 100, records: 10_000}, nil)
 	ctrlB.Parallelism = 3
-	ra, _, _ := ctrlA.Execute(hosts, q)
-	rb, _, _ := ctrlB.Execute(hosts, q)
+	ra, _, _ := ctrlA.ExecuteContext(context.Background(), hosts, q)
+	rb, _, _ := ctrlB.ExecuteContext(context.Background(), hosts, q)
 	if len(ra.Top) != len(rb.Top) {
 		t.Fatalf("result size changed with parallelism: %d vs %d", len(ra.Top), len(rb.Top))
 	}
@@ -255,7 +255,7 @@ func TestBatchTransportCollapsesLeafFanout(t *testing.T) {
 
 	bt := &batchTransport{slowTransport: slowTransport{delay: time.Millisecond}}
 	ctrlBatch := New(topo, bt, nil)
-	viaBatch, bstats, err := ctrlBatch.Execute(hosts, q)
+	viaBatch, bstats, err := ctrlBatch.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestBatchTransportCollapsesLeafFanout(t *testing.T) {
 
 	plain := &slowTransport{delay: time.Millisecond}
 	ctrlPlain := New(topo, plain, nil)
-	viaPlain, pstats, err := ctrlPlain.Execute(hosts, q)
+	viaPlain, pstats, err := ctrlPlain.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBatchTransportCollapsesLeafFanout(t *testing.T) {
 	// ride the same single round as its 20 leaves.
 	bt2 := &batchTransport{slowTransport: slowTransport{delay: time.Millisecond}}
 	ctrlTree := New(topo, bt2, nil)
-	viaTree, tstats, err := ctrlTree.ExecuteTree(hosts, q, []int{4, 2})
+	viaTree, tstats, err := ctrlTree.ExecuteTreeContext(context.Background(), hosts, q, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestParallelInstallUninstall(t *testing.T) {
 	ctrl.Parallelism = 8
 	hosts := hostRange(64)
 	start := time.Now()
-	ids, err := ctrl.Install(hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
+	ids, err := ctrl.InstallContext(context.Background(), hosts, query.Query{Op: query.OpPoorTCP, Threshold: 3}, types.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestParallelInstallUninstall(t *testing.T) {
 	if len(ids) != 64 {
 		t.Fatalf("installed at %d hosts, want 64", len(ids))
 	}
-	if err := ctrl.Uninstall(ids); err != nil {
+	if err := ctrl.UninstallContext(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,7 +328,7 @@ func TestParallelInstallUninstall(t *testing.T) {
 	bad := &failingInstall{}
 	ctrlBad := New(topo, bad, nil)
 	ctrlBad.Parallelism = 4
-	if _, err := ctrlBad.Install(hosts, query.Query{}, 0); !errors.Is(err, errBoom) {
+	if _, err := ctrlBad.InstallContext(context.Background(), hosts, query.Query{}, 0); !errors.Is(err, errBoom) {
 		t.Errorf("install error = %v, want errBoom", err)
 	}
 }
@@ -342,31 +342,4 @@ func (f *failingInstall) Install(ctx context.Context, h types.HostID, q query.Qu
 		return 0, errBoom
 	}
 	return 1, nil
-}
-
-// BenchmarkParallelFanoutSim models the fan-out schedule with a
-// simulated transport: Controller.Execute over 128 hosts, each query
-// costing a flat 200 µs, at parallelism 1 versus 8. The parallel run
-// must come in at least 4× faster (ideally ~8×: 16 waves of 8 versus
-// 128 serial calls). The end-to-end acceptance benchmark — real
-// loopback HTTP, codec and connection reuse included — is
-// BenchmarkParallelFanout in internal/rpc; this one isolates the
-// scheduling overhead alone.
-func BenchmarkParallelFanoutSim(b *testing.B) {
-	topo, _ := topology.FatTree(4)
-	hosts := hostRange(128)
-	q := query.Query{Op: query.OpTopK, K: 128}
-	for _, p := range []int{1, 8} {
-		b.Run(fmt.Sprintf("parallelism-%d", p), func(b *testing.B) {
-			tr := &slowTransport{delay: 200 * time.Microsecond}
-			ctrl := New(topo, tr, nil)
-			ctrl.Parallelism = p
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ctrl.Execute(hosts, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

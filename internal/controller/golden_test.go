@@ -121,9 +121,9 @@ func TestGoldenModelEquivalence(t *testing.T) {
 						err error
 					)
 					if sh.fanouts == nil {
-						_, st, err = ctrl.Execute(hosts, q)
+						_, st, err = ctrl.ExecuteContext(context.Background(), hosts, q)
 					} else {
-						_, st, err = ctrl.ExecuteTree(hosts, q, sh.fanouts)
+						_, st, err = ctrl.ExecuteTreeContext(context.Background(), hosts, q, sh.fanouts)
 					}
 					if err != nil {
 						t.Fatalf("%s (%s): %v", key, tr.name, err)

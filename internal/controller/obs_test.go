@@ -23,7 +23,7 @@ func TestExecutionTrace(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{})
 	r.seedTraffic(40)
 	hosts := r.hosts[:4]
-	_, stats, err := r.ctrl.Execute(hosts, query.Query{Op: query.OpTopK, K: 3})
+	_, stats, err := r.ctrl.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpTopK, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExecutionTrace(t *testing.T) {
 func TestTreeExecutionTrace(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{})
 	r.seedTraffic(40)
-	_, stats, err := r.ctrl.ExecuteTree(r.hosts[:8], query.Query{Op: query.OpTopK, K: 3}, []int{2})
+	_, stats, err := r.ctrl.ExecuteTreeContext(context.Background(), r.hosts[:8], query.Query{Op: query.OpTopK, K: 3}, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestControllerMetricsAndSlowLog(t *testing.T) {
 	r.ctrl.RegisterMetrics(reg)
 	r.ctrl.SlowQueryThreshold = time.Nanosecond
 	hosts := r.hosts[:4]
-	if _, _, err := r.ctrl.Execute(hosts, query.Query{Op: query.OpTopK, K: 3}); err != nil {
+	if _, _, err := r.ctrl.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpTopK, K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	scrape := reg.Expose()
@@ -192,7 +192,7 @@ func (spanBatchTransport) QueryMany(_ context.Context, hosts []types.HostID, q q
 func TestBatchedTraceConcurrentReads(t *testing.T) {
 	topo, _ := topology.FatTree(4)
 	ctrl := New(topo, spanBatchTransport{}, nil)
-	_, stats, err := ctrl.ExecuteTree(hostRange(8), query.Query{Op: query.OpTopK, K: 4}, []int{2})
+	_, stats, err := ctrl.ExecuteTreeContext(context.Background(), hostRange(8), query.Query{Op: query.OpTopK, K: 4}, []int{2})
 	if err == nil {
 		t.Fatal("a failed host must fail the execution")
 	}

@@ -68,7 +68,7 @@ func TestRetryTransientTransportError(t *testing.T) {
 	c.RetryBackoff = time.Millisecond
 	hosts := []types.HostID{1, 2, 3, 4}
 
-	res, stats, err := c.Execute(hosts, query.Query{Op: query.OpCount})
+	res, stats, err := c.ExecuteContext(context.Background(), hosts, query.Query{Op: query.OpCount})
 	if err != nil {
 		t.Fatalf("Execute with retries = %v", err)
 	}
@@ -94,7 +94,7 @@ func TestRetryExhausted(t *testing.T) {
 	c.RetryAttempts = 2
 	c.RetryBackoff = time.Millisecond
 
-	_, stats, err := c.Execute([]types.HostID{1}, query.Query{Op: query.OpCount})
+	_, stats, err := c.ExecuteContext(context.Background(), []types.HostID{1}, query.Query{Op: query.OpCount})
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want the transport error, got %v", err)
 	}
@@ -115,7 +115,7 @@ func TestNoRetryOnStatusError(t *testing.T) {
 	c.RetryAttempts = 5
 	c.RetryBackoff = time.Millisecond
 
-	_, stats, err := c.Execute([]types.HostID{1}, query.Query{Op: query.OpPoorTCP})
+	_, stats, err := c.ExecuteContext(context.Background(), []types.HostID{1}, query.Query{Op: query.OpPoorTCP})
 	var se *statusErr
 	if !errors.As(err, &se) {
 		t.Fatalf("want the status error, got %v", err)
@@ -137,7 +137,7 @@ func TestNoRetryOnPermanentError(t *testing.T) {
 	c.RetryAttempts = 5
 	c.RetryBackoff = time.Millisecond
 
-	_, stats, err := c.Execute([]types.HostID{1}, query.Query{Op: query.OpCount})
+	_, stats, err := c.ExecuteContext(context.Background(), []types.HostID{1}, query.Query{Op: query.OpCount})
 	if err == nil {
 		t.Fatal("permanent error swallowed")
 	}
@@ -153,7 +153,7 @@ func TestNoRetryOnPermanentError(t *testing.T) {
 func TestNoRetryWithoutOptIn(t *testing.T) {
 	tr := newFlaky(1, nil)
 	c := New(nil, tr, nil)
-	if _, _, err := c.Execute([]types.HostID{1}, query.Query{Op: query.OpCount}); err == nil {
+	if _, _, err := c.ExecuteContext(context.Background(), []types.HostID{1}, query.Query{Op: query.OpCount}); err == nil {
 		t.Fatal("transport error swallowed without retry opt-in")
 	}
 	if got := tr.attempts[1]; got != 1 {
@@ -190,7 +190,7 @@ func TestRetryHonoursCancellation(t *testing.T) {
 func TestRetrySegmentStatsFlow(t *testing.T) {
 	seg := segTransport{scanned: 2, pruned: 18, records: 10_000}
 	c := New(nil, seg, nil)
-	_, stats, err := c.Execute([]types.HostID{1, 2}, query.Query{Op: query.OpCount})
+	_, stats, err := c.ExecuteContext(context.Background(), []types.HostID{1, 2}, query.Query{Op: query.OpCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRetrySegmentStatsFlow(t *testing.T) {
 	// Pruned fraction discounts modelled exec: 2/20 of the records at
 	// ExecPerRecord versus all of them without telemetry.
 	full := New(nil, segTransport{records: 10_000}, nil)
-	_, fullStats, err := full.Execute([]types.HostID{1, 2}, query.Query{Op: query.OpCount})
+	_, fullStats, err := full.ExecuteContext(context.Background(), []types.HostID{1, 2}, query.Query{Op: query.OpCount})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	res, stats, err := ctrl.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
+	res, stats, err := ctrl.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestHedgeRespectsParallelismBound(t *testing.T) {
 	ctrl := New(topo, tr, nil)
 	ctrl.Parallelism = 4
 	ctrl.HedgeAfter = 20 * time.Millisecond
-	if _, stats, err := ctrl.Execute(hostRange(32), query.Query{Op: query.OpTopK, K: 32}); err != nil {
+	if _, stats, err := ctrl.ExecuteContext(context.Background(), hostRange(32), query.Query{Op: query.OpTopK, K: 32}); err != nil {
 		t.Fatal(err)
 	} else if stats.Hosts != 32 {
 		t.Errorf("answered %d hosts, want 32", stats.Hosts)
@@ -149,7 +149,7 @@ func TestHedgeUnderFullPool(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	res, stats, err := ctrl.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
+	res, stats, err := ctrl.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestPerHostTimeoutDropsStraggler(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	res, stats, err := ctrl.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
+	res, stats, err := ctrl.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("per-host timeout must drop the straggler, not fail the query: %v", err)
@@ -215,7 +215,7 @@ func TestPerHostTimeoutInTree(t *testing.T) {
 	ctrl := New(topo, tr, nil)
 	ctrl.PerHostTimeout = 50 * time.Millisecond
 
-	res, stats, err := ctrl.ExecuteTree(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts}, []int{4, 2})
+	res, stats, err := ctrl.ExecuteTreeContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts}, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPartialOnDeadline(t *testing.T) {
 		ctrl := New(topo, tr, nil)
 		ctrl.PartialOnDeadline = true
 		ctrl.PerHostTimeout = 500 * time.Millisecond
-		_, _, err := ctrl.Execute(hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
+		_, _, err := ctrl.ExecuteContext(context.Background(), hostRange(hosts), query.Query{Op: query.OpTopK, K: hosts})
 		if err == nil || err.Error() != "host h7 exploded" {
 			t.Fatalf("err = %v, want the real host failure — straggler tolerance must not mask it", err)
 		}
@@ -373,7 +373,7 @@ func TestPerHostTimeoutModelCap(t *testing.T) {
 	// Huge per-host TIBs make modelled per-host service far exceed the cap.
 	ctrl := New(topo, cannedTransport{k: 100, records: 50_000_000}, nil)
 	ctrl.Cost.PerHostTimeout = 5 * types.Millisecond
-	_, stats, err := ctrl.Execute(hosts, q)
+	_, stats, err := ctrl.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestPerHostTimeoutModelCap(t *testing.T) {
 	}
 
 	uncapped := New(topo, cannedTransport{k: 100, records: 50_000_000}, nil)
-	_, full, err := uncapped.Execute(hosts, q)
+	_, full, err := uncapped.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestDroppedHostChargedAlikeOnBothPaths(t *testing.T) {
 		for i, tr := range []Transport{base, batchBudgetTransport{base}} {
 			ctrl := New(topo, tr, nil)
 			ctrl.PerHostTimeout = time.Second
-			_, stats, err := ctrl.ExecuteTree(hosts, q, fanouts)
+			_, stats, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, fanouts)
 			if err != nil {
 				t.Fatal(err)
 			}

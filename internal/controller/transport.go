@@ -50,7 +50,7 @@ type BatchReply struct {
 // BatchTransport is an optional Transport extension: QueryMany executes
 // one query at several hosts in a single round trip per daemon (the
 // batched request path of internal/rpc). The controller fetches every host
-// of an Execute/ExecuteTree through one call when available. Replies must
+// of an execution, direct or tree, through one call when available. Replies must
 // align with the hosts argument; parallel bounds the transport's internal
 // concurrency (<= 0 means unlimited). Cancelling ctx must abort the
 // round trip and any server-side fan-out it carries.

@@ -7,7 +7,8 @@
 // Absolute numbers differ from the paper — its testbed was 28 physical
 // servers with hardware switches — but each experiment preserves the
 // paper's shape: who wins, by what factor, and where behaviour changes.
-// EXPERIMENTS.md records paper-vs-measured for every figure.
+// `go run ./cmd/experiments all` prints the measured series of every
+// figure.
 package experiments
 
 import (

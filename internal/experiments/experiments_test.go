@@ -7,8 +7,8 @@ import (
 )
 
 // These smoke tests run each experiment at a drastically reduced scale and
-// assert the paper's qualitative shape — the full-scale runs live behind
-// cmd/experiments and are recorded in EXPERIMENTS.md.
+// assert the paper's qualitative shape — the full-scale runs are
+// `go run ./cmd/experiments all`.
 
 func TestFig5Shape(t *testing.T) {
 	r := Fig5(Fig5Config{Duration: 30 * pathdump.Second, LinkBps: 50e6, Seed: 1})

@@ -61,7 +61,8 @@ type synthTransport struct {
 }
 
 func (t synthTransport) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, controller.QueryMeta, error) {
-	return query.Execute(q, t.view), controller.QueryMeta{RecordsScanned: t.records}, nil
+	res, err := query.ExecuteContext(ctx, q, t.view)
+	return res, controller.QueryMeta{RecordsScanned: t.records}, err
 }
 
 func (t synthTransport) Install(context.Context, types.HostID, query.Query, types.Time) (int, error) {
@@ -147,11 +148,11 @@ func scaleSweep(topo *topology.Topology, q query.Query, cfg ScaleConfig) *ScaleR
 		for i := range hosts {
 			hosts[i] = types.HostID(i)
 		}
-		_, direct, err := ctrl.Execute(hosts, q)
+		_, direct, err := ctrl.ExecuteContext(context.Background(), hosts, q)
 		if err != nil {
 			panic(err)
 		}
-		_, tree, err := ctrl.ExecuteTree(hosts, q, []int{7, 4, 4})
+		_, tree, err := ctrl.ExecuteTreeContext(context.Background(), hosts, q, []int{7, 4, 4})
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"pathdump"
 	"pathdump/internal/netsim"
 	"pathdump/internal/query"
@@ -112,7 +113,7 @@ func Fig5(cfg Fig5Config) *Fig5Result {
 }
 
 func linkBytes(c *pathdump.Cluster, l pathdump.LinkID, tr pathdump.TimeRange) uint64 {
-	res, _, err := c.Execute(c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: l, Range: tr})
+	res, _, err := c.ExecuteContext(context.Background(), c.HostIDs(), pathdump.Query{Op: pathdump.OpRecords, Link: l, Range: tr})
 	if err != nil {
 		panic(err)
 	}

@@ -18,7 +18,8 @@ const (
 )
 
 // Stats aggregates simulator ground truth. Debugging applications never
-// read it; tests and EXPERIMENTS.md use it to score recall/precision.
+// read it; tests and `go run ./cmd/experiments` use it to score
+// recall/precision.
 type Stats struct {
 	Delivered      uint64
 	DeliveredBytes uint64

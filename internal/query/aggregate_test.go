@@ -6,6 +6,7 @@ package query
 // them rot.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -49,7 +50,7 @@ func BenchmarkExecuteAggregate(b *testing.B) {
 		b.Run(string(q.Op), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := Execute(q, v); res.Op != q.Op {
+				if res, _ := ExecuteContext(context.Background(), q, v); res.Op != q.Op {
 					b.Fatal("wrong result")
 				}
 			}
@@ -68,10 +69,10 @@ func TestTopKAllocsAreConstant(t *testing.T) {
 	q := Query{Op: OpTopK, K: 100}
 	measure := func(n, flows int) float64 {
 		v := StoreView{S: aggStore(n, flows)}
-		Execute(q, v) // warm: pooled eval grows its map and slice once
+		ExecuteContext(context.Background(), q, v) // warm: pooled eval grows its map and slice once
 		return testing.AllocsPerRun(20, func() {
-			if got := len(Execute(q, v).Top); got != 100 {
-				t.Fatalf("top-k returned %d entries", got)
+			if res, _ := ExecuteContext(context.Background(), q, v); len(res.Top) != 100 {
+				t.Fatalf("top-k returned %d entries", len(res.Top))
 			}
 		})
 	}
@@ -205,7 +206,7 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 	want := fullSort(totals)[:1000]
 	for _, k := range []int{0, -3} {
 		q := Query{Op: OpTopK, K: k}
-		if got := Execute(q, StoreView{S: s}).Top; !reflect.DeepEqual(got, want) {
+		if got := execute(t, q, StoreView{S: s}).Top; !reflect.DeepEqual(got, want) {
 			t.Errorf("Execute with K=%d does not return the full sort's first 1000 (got %d entries)", k, len(got))
 		}
 		var dst Result

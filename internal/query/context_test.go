@@ -67,7 +67,7 @@ func TestExecuteContextAbortsMidScan(t *testing.T) {
 }
 
 // TestExecuteContextCompletesUncancelled: a context that never cancels
-// yields exactly the plain-Execute result, polls and all.
+// yields the whole result, polls and all.
 func TestExecuteContextCompletesUncancelled(t *testing.T) {
 	records := 2*CancelCheckEvery + 7
 	s := bigStore(records)
@@ -75,9 +75,8 @@ func TestExecuteContextCompletesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Execute(Query{Op: OpRecords, Link: types.AnyLink}, StoreView{S: s})
-	if len(res.Records) != records || len(plain.Records) != records {
-		t.Fatalf("ctx scan %d records, plain %d, want %d", len(res.Records), len(plain.Records), records)
+	if len(res.Records) != records {
+		t.Fatalf("ctx scan %d records, want %d", len(res.Records), records)
 	}
 	// Flows (the scan behind topk/fsd/conformance) completes too.
 	fres, err := ExecuteContext(context.Background(), Query{Op: OpFlows, Link: types.AnyLink}, StoreView{S: s})
@@ -111,17 +110,16 @@ func TestExecuteContextUnsupportedOp(t *testing.T) {
 	}
 }
 
-// TestStoreViewWithContextAbortsMidScan: the context rides the StoreView
-// itself — a view that was given one stops its scan at the first poll
-// that reports cancellation, and the same view without one runs to the
-// end.
+// TestStoreViewWithContextAbortsMidScan: a StoreView scan stops at the
+// first poll of its context that reports cancellation, and the same view
+// under a context that never ends runs to the end.
 func TestStoreViewWithContextAbortsMidScan(t *testing.T) {
 	records := 6 * CancelCheckEvery
 	v := StoreView{S: bigStore(records)}
 	var polls atomic.Int64
 	ctx := &pollCancelCtx{Context: context.Background(), cancelAt: 0, pollsTotal: &polls}
 	visited := 0
-	v.WithContext(ctx).ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
+	v.ScanRecords(ctx, Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
 	if visited != CancelCheckEvery-1 {
 		t.Errorf("cancelled scan visited %d records, want %d (stop at the first poll)", visited, CancelCheckEvery-1)
 	}
@@ -129,9 +127,9 @@ func TestStoreViewWithContextAbortsMidScan(t *testing.T) {
 		t.Errorf("context polled %d times, want 1", polls.Load())
 	}
 	visited = 0
-	v.ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
+	v.ScanRecords(context.Background(), Predicate{Link: types.AnyLink, Range: types.AllTime}, func(*types.Record) { visited++ })
 	if visited != records {
-		t.Errorf("context-less scan visited %d records, want %d", visited, records)
+		t.Errorf("uncancelled scan visited %d records, want %d", visited, records)
 	}
 }
 

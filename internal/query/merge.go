@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"slices"
 
 	"pathdump/internal/types"
@@ -25,12 +26,11 @@ func (r *Result) Merge(o *Result, q Query) {
 }
 
 // StreamMerger folds per-child partial results into a single result
-// incrementally: child i is merged the moment children 0..i-1 have been
-// merged and child i has arrived, so merge work overlaps waiting on
-// stragglers instead of barriering on the full wave. Out-of-order
-// arrivals are buffered, which keeps the output identical to a
-// sequential index-order merge no matter the arrival order — the
-// determinism the controller's partial-result accounting relies on.
+// incrementally, in child index order: the caller adds child 0, then 1,
+// and so on, and each is folded the moment it is added, so a caller that
+// meets children as they land overlaps merge work with waiting on the
+// rest. The output is the sequential index-order merge — the determinism
+// the controller's partial-result accounting relies on.
 //
 // The merger keeps its op's dedup set or accumulator across Add calls,
 // so folding child i costs O(|child i|), not O(|everything merged so
@@ -40,17 +40,14 @@ func (r *Result) Merge(o *Result, q Query) {
 // included, is the caller's: the merger appends to it and updates it in
 // place, and the merged result belongs to the caller alone.
 //
-// A StreamMerger is single-consumer: feed Add from one goroutine,
-// typically the one draining a completion channel. A nil child marks a
-// slot that contributes nothing — a dropped straggler, a host cut off by
-// the query deadline — so the merge can advance past it without waiting.
+// A StreamMerger is single-consumer: feed Add from one goroutine. A nil
+// child marks a slot that contributes nothing — a dropped straggler, a
+// host cut off by the query deadline.
 type StreamMerger struct {
-	q       Query
-	dst     *Result
-	pending []*Result
-	arrived []bool
-	next    int
-	merged  int
+	q    Query
+	dst  *Result
+	n    int // child slots
+	next int // the slot Add takes next
 
 	// Per-op fold state, seeded from dst's base by the first fold.
 	seeded  bool
@@ -74,26 +71,19 @@ type StreamMerger struct {
 // the merge base).
 func NewStreamMerger(q Query, dst *Result, n int) *StreamMerger {
 	dst.Op = q.Op
-	return &StreamMerger{q: q, dst: dst, pending: make([]*Result, n), arrived: make([]bool, n)}
+	return &StreamMerger{q: q, dst: dst, n: n}
 }
 
-// Add hands child i's result (nil = no contribution) to the merger and
-// folds in as much of the now-contiguous prefix as possible. Duplicate
-// indices are ignored.
+// Add folds child i's result (nil = no contribution) into dst. i must be
+// the next slot: children are added in index order, 0 first.
 func (m *StreamMerger) Add(i int, r *Result) {
-	if m.arrived[i] {
-		return
+	if i != m.next {
+		panic(fmt.Sprintf("query: StreamMerger.Add(%d): slot %d is next", i, m.next))
 	}
-	m.arrived[i] = true
-	m.pending[i] = r
-	for m.next < len(m.arrived) && m.arrived[m.next] {
-		if r := m.pending[m.next]; r != nil {
-			m.fold(r)
-			m.merged++
-		}
-		m.pending[m.next] = nil
-		m.next++
+	if r != nil {
+		m.fold(r)
 	}
+	m.next++
 	if !m.Done() {
 		return
 	}
@@ -116,11 +106,8 @@ func (m *StreamMerger) Add(i int, r *Result) {
 	}
 }
 
-// Merged reports how many non-nil contributions have been folded in.
-func (m *StreamMerger) Merged() int { return m.merged }
-
 // Done reports whether every child slot has been consumed.
-func (m *StreamMerger) Done() bool { return m.next == len(m.arrived) }
+func (m *StreamMerger) Done() bool { return m.next == m.n }
 
 // seed loads the op's fold state from dst's base contents.
 func (m *StreamMerger) seed() {
@@ -226,7 +213,7 @@ func (m *StreamMerger) fold(o *Result) {
 	case OpRecords:
 		// Concatenated when the last slot is consumed (see parts).
 		if m.parts == nil {
-			m.parts = make([][]types.Record, 0, len(m.arrived))
+			m.parts = make([][]types.Record, 0, m.n)
 		}
 		m.parts = append(m.parts, o.Records)
 	}
@@ -249,7 +236,7 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 		// First fold: sized once, for the most a fold ever holds —
 		// everything, if the base and children like this one stay under
 		// k, and otherwise the k survivors plus the child being added.
-		n := len(m.dst.Top) + len(child)*(len(m.arrived)-m.next)
+		n := len(m.dst.Top) + len(child)*(m.n-m.next)
 		if n > k {
 			n = k + len(child)
 		}

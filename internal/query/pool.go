@@ -22,7 +22,7 @@ const maxPooledRecords = 1 << 16
 var recordBufs sync.Pool
 
 // GetRecordBuf returns an empty record slice for a caller that appends
-// without knowing how many records are coming (Execute's records op, the
+// without knowing how many records are coming (ExecuteContext's records op, the
 // stream writer's chunk): a recycled buffer, or a fresh one with room
 // for a typical reply. PutRecordBuf takes it back.
 func GetRecordBuf() []types.Record { return GetRecordBufN(1024) }

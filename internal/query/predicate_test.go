@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestRecordsOpFlowPushdown(t *testing.T) {
 		fl := predFlow(i % 10)
 		s.Add(types.Record{Flow: fl, Path: types.Path{1, 2, 3}, STime: types.Time(i), ETime: types.Time(i + 1), Bytes: uint64(i), Pkts: 1})
 	}
-	res := Execute(Query{Op: OpRecords, Flow: f, Link: types.AnyLink}, StoreView{S: s})
+	res := execute(t, Query{Op: OpRecords, Flow: f, Link: types.AnyLink}, StoreView{S: s})
 	if len(res.Records) != 10 {
 		t.Fatalf("flow-filtered records = %d, want 10", len(res.Records))
 	}
@@ -72,7 +73,7 @@ func TestRecordsOpFlowPushdown(t *testing.T) {
 		}
 	}
 	// Without a flow the op still dumps everything in range.
-	res = Execute(Query{Op: OpRecords, Link: types.AnyLink, Range: types.TimeRange{From: 0, To: 9}}, StoreView{S: s})
+	res = execute(t, Query{Op: OpRecords, Link: types.AnyLink, Range: types.TimeRange{From: 0, To: 9}}, StoreView{S: s})
 	if len(res.Records) != 10 {
 		t.Fatalf("windowed records = %d, want 10", len(res.Records))
 	}
@@ -111,8 +112,8 @@ func TestScanRecordsPushdownEquivalence(t *testing.T) {
 			p.Range = types.TimeRange{From: from, To: from + types.Time(rng.Intn(60))}
 		}
 		var pushed, filtered []uint64
-		v.ScanRecords(p, func(r *types.Record) { pushed = append(pushed, r.Bytes) })
-		v.ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime}, func(r *types.Record) {
+		v.ScanRecords(context.Background(), p, func(r *types.Record) { pushed = append(pushed, r.Bytes) })
+		v.ScanRecords(context.Background(), Predicate{Link: types.AnyLink, Range: types.AllTime}, func(r *types.Record) {
 			if p.Match(r) {
 				filtered = append(filtered, r.Bytes)
 			}

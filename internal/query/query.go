@@ -131,51 +131,31 @@ type Result struct {
 
 // View is the data a host agent exposes to query execution: a record
 // scanner over its TIB (plus not-yet-exported trajectory memory) and the
-// active TCP monitor. Every op except poor_tcp is derived by Execute from
-// one pass (fsd: one per link) of ScanRecords; views hold no copy of the
-// Table-1 derivations.
+// active TCP monitor. Every op except poor_tcp is derived by
+// ExecuteContext from one pass (fsd: one per link) of ScanRecords; views
+// hold no copy of the Table-1 derivations.
 type View interface {
 	// ScanRecords visits the records matching the predicate in insertion
 	// order. Views over an indexed store push the predicate down —
 	// segment pruning plus index postings — instead of filtering a full
-	// scan. fn must not retain the record pointer. A view carrying a
-	// context (ContextView) may stop the scan early once it is cancelled;
+	// scan. fn must not retain the record pointer. The scan polls ctx
+	// (PollCancel) and may stop early once it is cancelled;
 	// ExecuteContext then discards whatever the truncated scan produced.
-	ScanRecords(p Predicate, fn func(*types.Record))
-	// PoorTCPFlows is getPoorTCPFlows from the active monitor.
-	PoorTCPFlows(threshold int) []types.FlowID
-}
-
-// OpSupport is an optional View extension: views that cannot serve some
-// ops declare it, so ExecuteE can distinguish "no matching data" from
-// "this view can never answer that".
-type OpSupport interface {
-	// Supports returns nil when the op is answerable, or an error
-	// wrapping ErrUnsupported when it is not.
-	Supports(op Op) error
+	ScanRecords(ctx context.Context, p Predicate, fn func(*types.Record))
+	// PoorTCPFlows is getPoorTCPFlows from the active monitor. A view
+	// with no monitor behind it answers an error wrapping ErrUnsupported,
+	// so "this view can never answer" is not mistaken for "no poor flows".
+	PoorTCPFlows(threshold int) ([]types.FlowID, error)
 }
 
 // StoreView adapts a bare TIB store into a View with no TCP monitor —
-// used by tests and offline analysis of snapshots. It cannot serve
-// OpPoorTCP (there is no monitor behind a snapshot); ExecuteE surfaces
-// that as ErrUnsupported instead of a silently empty result.
-type StoreView struct {
-	S *tib.Store
-	// ctx, set by WithContext, makes scans poll cancellation.
-	ctx context.Context
-}
+// used by tests and offline analysis of snapshots.
+type StoreView struct{ S *tib.Store }
 
-// PoorTCPFlows implements View. A bare store has no TCP monitor; use
-// ExecuteE (which consults Supports) to get an explicit ErrUnsupported
-// rather than mistaking this for "no poor flows".
-func (v StoreView) PoorTCPFlows(int) []types.FlowID { return nil }
-
-// Supports implements OpSupport.
-func (v StoreView) Supports(op Op) error {
-	if op == OpPoorTCP {
-		return fmt.Errorf("%w: %s needs the active TCP monitor, absent from a bare TIB store", ErrUnsupported, op)
-	}
-	return nil
+// PoorTCPFlows implements View: there is no monitor behind a snapshot, so
+// the op is unsupported rather than silently empty.
+func (v StoreView) PoorTCPFlows(int) ([]types.FlowID, error) {
+	return nil, fmt.Errorf("%w: %s needs the active TCP monitor, absent from a bare TIB store", ErrUnsupported, OpPoorTCP)
 }
 
 // ScanRecords implements View: the predicate goes straight down into the
@@ -183,61 +163,65 @@ func (v StoreView) Supports(op Op) error {
 // and — when the predicate carries a sequence window — whole-segment
 // watermark skipping via ScanSince). The View contract has no error
 // channel; a cold-tier read fault leaves the answer partial and counted
-// in the store's ColdStats (see tib.Store.Flows). With a context
-// attached the visitor polls it between records and stops early.
-func (v StoreView) ScanRecords(p Predicate, fn func(*types.Record)) {
+// in the store's ColdStats (see tib.Store.Flows). The visitor polls ctx
+// between records and stops early once it is cancelled.
+func (v StoreView) ScanRecords(ctx context.Context, p Predicate, fn func(*types.Record)) {
 	var n int
-	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, PollCancel(v.ctx, &n, fn))
+	_ = v.S.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, PollCancel(ctx, &n, fn))
 }
 
-// ExecuteE runs a query against a host's view, reporting ErrUnsupported
-// when the view declares (via OpSupport) that it can never answer the op.
-func ExecuteE(q Query, v View) (Result, error) {
-	if s, ok := v.(OpSupport); ok {
-		if err := s.Supports(q.Op); err != nil {
-			return Result{Op: q.Op}, err
-		}
-	}
-	return Execute(q, v), nil
-}
-
-// Execute runs a query against a host's view and returns its local result.
-// Ops the view cannot serve come back empty; use ExecuteE to tell those
-// apart from genuinely empty answers.
+// ExecuteContext runs a query against a host's view under a context and
+// returns its local result — the host side of the controller API. A
+// context cancelled before or during evaluation yields the context's
+// error and no result (partial scans are discarded, never returned as if
+// complete); a view that cannot serve the op yields its ErrUnsupported.
 //
 // Every op costs one predicate-pushed scan (fsd: one per requested link),
 // folded in the visitor: nothing is composed from getFlows + per-flow
 // getCount calls that would each rescan and re-key the store.
-func Execute(q Query, v View) Result {
+func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{Op: q.Op}, err
+	}
 	e := evals.Get().(*eval)
 	e.res.Op, e.flow = q.Op, q.Flow
 	tr := q.normalRange()
+	var err error
 	switch q.Op {
 	case OpFlows:
-		e.flows(v, Predicate{Link: q.Link, Range: tr})
+		e.flows(ctx, v, Predicate{Link: q.Link, Range: tr})
 	case OpPaths:
-		e.paths(v, Predicate{Flow: &e.flow, Link: q.Link, Range: tr})
+		e.paths(ctx, v, Predicate{Flow: &e.flow, Link: q.Link, Range: tr})
 	case OpCount:
-		e.count(v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
+		e.count(ctx, v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
 	case OpDuration:
-		e.duration(v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
+		e.duration(ctx, v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
 	case OpPoorTCP:
-		e.res.FlowIDs = v.PoorTCPFlows(q.Threshold)
+		e.res.FlowIDs, err = v.PoorTCPFlows(q.Threshold)
 	case OpFSD:
-		e.fsd(v, q, tr)
+		e.fsd(ctx, v, q, tr)
 	case OpTopK:
-		e.topK(v, Predicate{Link: types.AnyLink, Range: tr}, q.K)
+		e.topK(ctx, v, Predicate{Link: types.AnyLink, Range: tr}, q.K)
 	case OpConformance:
-		e.conformance(v, Predicate{Flow: e.optFlow(), Link: types.AnyLink, Range: tr},
+		e.conformance(ctx, v, Predicate{Flow: e.optFlow(), Link: types.AnyLink, Range: tr},
 			policy{q.MaxPathLen, q.Avoid, q.Waypoints})
 	case OpMatrix:
-		e.matrix(v, Predicate{Link: types.AnyLink, Range: tr})
+		e.matrix(ctx, v, Predicate{Link: types.AnyLink, Range: tr})
 	case OpRecords:
-		e.records(v, Predicate{Flow: e.optFlow(), Link: q.Link, Range: tr})
+		e.records(ctx, v, Predicate{Flow: e.optFlow(), Link: q.Link, Range: tr})
 	}
 	res := e.res
 	e.release()
-	return res
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		// The partial result is discarded; recycle its pooled reply
+		// buffer instead of leaking it to the collector.
+		PutRecordBuf(res.Records)
+		return Result{Op: q.Op}, err
+	}
+	return res, nil
 }
 
 // eval is one evaluation's working memory: the result under construction,
@@ -282,8 +266,8 @@ func (e *eval) release() {
 
 // flows is getFlows: the distinct ⟨flowID, path⟩ pairs among the matching
 // records, in first-appearance order.
-func (e *eval) flows(v View, p Predicate) {
-	v.ScanRecords(p, func(rec *types.Record) {
+func (e *eval) flows(ctx context.Context, v View, p Predicate) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
 			e.res.Flows = append(e.res.Flows, types.Flow{ID: rec.Flow, Path: rec.Path})
 		}
@@ -291,8 +275,8 @@ func (e *eval) flows(v View, p Predicate) {
 }
 
 // paths is getPaths: the distinct paths of the predicate's flow.
-func (e *eval) paths(v View, p Predicate) {
-	v.ScanRecords(p, func(rec *types.Record) {
+func (e *eval) paths(ctx context.Context, v View, p Predicate) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
 			e.res.Paths = append(e.res.Paths, rec.Path)
 		}
@@ -300,8 +284,8 @@ func (e *eval) paths(v View, p Predicate) {
 }
 
 // count is getCount over a ⟨flowID, path⟩ pair (nil path = all paths).
-func (e *eval) count(v View, p Predicate, path types.Path) {
-	v.ScanRecords(p, func(rec *types.Record) {
+func (e *eval) count(ctx context.Context, v View, p Predicate, path types.Path) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if path == nil || rec.Path.Equal(path) {
 			e.res.Bytes += rec.Bytes
 			e.res.Pkts += rec.Pkts
@@ -310,9 +294,9 @@ func (e *eval) count(v View, p Predicate, path types.Path) {
 }
 
 // duration is getDuration over a ⟨flowID, path⟩ pair.
-func (e *eval) duration(v View, p Predicate, path types.Path) {
+func (e *eval) duration(ctx context.Context, v View, p Predicate, path types.Path) {
 	e.lo, e.hi = -1, -1
-	v.ScanRecords(p, func(rec *types.Record) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if path != nil && !rec.Path.Equal(path) {
 			return
 		}
@@ -331,7 +315,7 @@ func (e *eval) duration(v View, p Predicate, path types.Path) {
 // fsd builds one histogram per requested link — the §2.3 load-imbalance
 // query: per link, one scan sums bytes per ⟨flow, path⟩ through it, and
 // each pair's total lands in a bin.
-func (e *eval) fsd(v View, q Query, tr types.TimeRange) {
+func (e *eval) fsd(ctx context.Context, v View, q Query, tr types.TimeRange) {
 	bin := q.BinBytes
 	if bin == 0 {
 		bin = 10000 // the paper's example binsize
@@ -344,7 +328,7 @@ func (e *eval) fsd(v View, q Query, tr types.TimeRange) {
 	for _, l := range links {
 		e.pairs.Reset()
 		e.sums = e.sums[:0]
-		v.ScanRecords(Predicate{Link: l, Range: tr}, func(rec *types.Record) {
+		v.ScanRecords(ctx, Predicate{Link: l, Range: tr}, func(rec *types.Record) {
 			i, fresh := e.pairs.Add(rec.Flow, rec.Path)
 			if fresh {
 				e.sums = append(e.sums, 0)
@@ -366,11 +350,11 @@ func (e *eval) fsd(v View, q Query, tr types.TimeRange) {
 // topK is the §2.3 top-k query: all local flows ranked by bytes. One
 // scan accumulates every flow's totals; only the k survivors are copied
 // out of the pooled accumulator.
-func (e *eval) topK(v View, p Predicate, k int) {
+func (e *eval) topK(ctx context.Context, v View, p Predicate, k int) {
 	if k <= 0 {
 		k = 1000 // the paper's example
 	}
-	v.ScanRecords(p, func(rec *types.Record) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		e.totals.add(rec.Flow, rec.Bytes, rec.Pkts)
 	})
 	top := topFlowBytes(e.totals.list, k)
@@ -404,7 +388,7 @@ func (pol policy) violates(p types.Path) bool {
 }
 
 // Violates reports whether rec, taken alone, breaks q's conformance
-// policy — whether Execute would list it over a view of that one record.
+// policy — whether ExecuteContext would list it over a view of that one record.
 // The event-triggered check runs on the datapath for every record a host
 // exports, so it takes no view, evaluation or result and allocates
 // nothing.
@@ -418,8 +402,8 @@ func Violates(q Query, rec *types.Record) bool {
 
 // conformance is the §2.3 path-conformance check: each distinct
 // ⟨flow, path⟩ among the matching records is tested once.
-func (e *eval) conformance(v View, p Predicate, pol policy) {
-	v.ScanRecords(p, func(rec *types.Record) {
+func (e *eval) conformance(ctx context.Context, v View, p Predicate, pol policy) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh && pol.violates(rec.Path) {
 			e.res.Violations = append(e.res.Violations, Violation{Flow: rec.Flow, Path: rec.Path})
 		}
@@ -427,9 +411,9 @@ func (e *eval) conformance(v View, p Predicate, pol policy) {
 }
 
 // matrix aggregates bytes between path endpoints (ToR pairs).
-func (e *eval) matrix(v View, p Predicate) {
+func (e *eval) matrix(ctx context.Context, v View, p Predicate) {
 	cells := make(map[[2]types.SwitchID]uint64) // ⟨source ToR, destination ToR⟩ → bytes
-	v.ScanRecords(p, func(rec *types.Record) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		if len(rec.Path) > 0 {
 			cells[[2]types.SwitchID{rec.Path[0], rec.Path[len(rec.Path)-1]}] += rec.Bytes
 		}
@@ -452,9 +436,9 @@ func (e *eval) matrix(v View, p Predicate) {
 // recycles capacity. A reply with no matches returns its buffer
 // immediately and stays nil (the JSON omitempty / wire section-presence
 // contract).
-func (e *eval) records(v View, p Predicate) {
+func (e *eval) records(ctx context.Context, v View, p Predicate) {
 	e.res.Records = GetRecordBuf()
-	v.ScanRecords(p, func(rec *types.Record) {
+	v.ScanRecords(ctx, p, func(rec *types.Record) {
 		e.res.Records = append(e.res.Records, *rec)
 	})
 	if len(e.res.Records) == 0 {

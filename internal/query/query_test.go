@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -25,28 +26,39 @@ func fixture() *tib.Store {
 	return s
 }
 
+// execute is ExecuteContext under a context that never ends, over a view
+// that serves the op.
+func execute(tb testing.TB, q Query, v View) Result {
+	tb.Helper()
+	res, err := ExecuteContext(context.Background(), q, v)
+	if err != nil {
+		tb.Fatalf("%s: %v", q.Op, err)
+	}
+	return res
+}
+
 func TestExecuteFlowsPathsCountDuration(t *testing.T) {
 	v := StoreView{S: fixture()}
 
-	res := Execute(Query{Op: OpFlows, Link: types.LinkID{A: 0, B: 8}}, v)
+	res := execute(t, Query{Op: OpFlows, Link: types.LinkID{A: 0, B: 8}}, v)
 	if len(res.Flows) != 2 {
 		t.Fatalf("flows = %v", res.Flows)
 	}
 	f1 := types.FlowID{SrcIP: 1, DstIP: 200, SrcPort: 1, DstPort: 80, Proto: 6}
-	res = Execute(Query{Op: OpPaths, Flow: f1, Link: types.AnyLink}, v)
+	res = execute(t, Query{Op: OpPaths, Flow: f1, Link: types.AnyLink}, v)
 	if len(res.Paths) != 1 {
 		t.Fatalf("paths = %v", res.Paths)
 	}
-	res = Execute(Query{Op: OpCount, Flow: f1}, v)
+	res = execute(t, Query{Op: OpCount, Flow: f1}, v)
 	if res.Bytes != 5000 || res.Pkts != 5 {
 		t.Errorf("count = %d/%d", res.Bytes, res.Pkts)
 	}
-	res = Execute(Query{Op: OpDuration, Flow: f1}, v)
+	res = execute(t, Query{Op: OpDuration, Flow: f1}, v)
 	if res.Duration != 10 {
 		t.Errorf("duration = %v", res.Duration)
 	}
 	// Explicit range filter excludes early records.
-	res = Execute(Query{Op: OpFlows, Link: types.AnyLink, Range: types.TimeRange{From: 21, To: 100}}, v)
+	res = execute(t, Query{Op: OpFlows, Link: types.AnyLink, Range: types.TimeRange{From: 21, To: 100}}, v)
 	if len(res.Flows) != 2 { // flows 3 (until 30) and 4 (until 25)
 		t.Errorf("range-filtered flows = %v", res.Flows)
 	}
@@ -55,7 +67,7 @@ func TestExecuteFlowsPathsCountDuration(t *testing.T) {
 func TestExecuteFSD(t *testing.T) {
 	v := StoreView{S: fixture()}
 	q := Query{Op: OpFSD, Links: []types.LinkID{{A: 0, B: 8}, {A: 0, B: 9}}, BinBytes: 10_000}
-	res := Execute(q, v)
+	res := execute(t, q, v)
 	if len(res.Hists) != 2 {
 		t.Fatalf("hists = %v", res.Hists)
 	}
@@ -72,7 +84,7 @@ func TestExecuteFSD(t *testing.T) {
 
 func TestExecuteTopK(t *testing.T) {
 	v := StoreView{S: fixture()}
-	res := Execute(Query{Op: OpTopK, K: 2}, v)
+	res := execute(t, Query{Op: OpTopK, K: 2}, v)
 	if len(res.Top) != 2 {
 		t.Fatalf("top = %v", res.Top)
 	}
@@ -84,7 +96,7 @@ func TestExecuteTopK(t *testing.T) {
 func TestExecuteConformance(t *testing.T) {
 	v := StoreView{S: fixture()}
 	// Path length ≥ 6 or traversing switch 18 violates.
-	res := Execute(Query{Op: OpConformance, MaxPathLen: 6, Avoid: []types.SwitchID{18}}, v)
+	res := execute(t, Query{Op: OpConformance, MaxPathLen: 6, Avoid: []types.SwitchID{18}}, v)
 	if len(res.Violations) != 1 {
 		t.Fatalf("violations = %v", res.Violations)
 	}
@@ -92,13 +104,13 @@ func TestExecuteConformance(t *testing.T) {
 		t.Errorf("wrong violation: %v", res.Violations[0])
 	}
 	// Waypoint: every path must include switch 8.
-	res = Execute(Query{Op: OpConformance, Waypoints: []types.SwitchID{8}}, v)
+	res = execute(t, Query{Op: OpConformance, Waypoints: []types.SwitchID{8}}, v)
 	if len(res.Violations) != 1 { // only flow 3 avoids 8
 		t.Errorf("waypoint violations = %v", res.Violations)
 	}
 	// Per-flow conformance.
 	f3 := types.FlowID{SrcIP: 3, DstIP: 200, SrcPort: 3, DstPort: 80, Proto: 6}
-	res = Execute(Query{Op: OpConformance, Flow: f3, Avoid: []types.SwitchID{18}}, v)
+	res = execute(t, Query{Op: OpConformance, Flow: f3, Avoid: []types.SwitchID{18}}, v)
 	if len(res.Violations) != 1 {
 		t.Errorf("per-flow violations = %v", res.Violations)
 	}
@@ -106,14 +118,14 @@ func TestExecuteConformance(t *testing.T) {
 
 func TestExecuteMatrixAndRecords(t *testing.T) {
 	v := StoreView{S: fixture()}
-	res := Execute(Query{Op: OpMatrix}, v)
+	res := execute(t, Query{Op: OpMatrix}, v)
 	if len(res.Matrix) != 2 { // ⟨0,2⟩ and ⟨1,2⟩
 		t.Fatalf("matrix = %v", res.Matrix)
 	}
 	if res.Matrix[0].SrcToR != 0 || res.Matrix[0].Bytes != 530_000 {
 		t.Errorf("cell = %+v", res.Matrix[0])
 	}
-	res = Execute(Query{Op: OpRecords, Link: types.AnyLink}, v)
+	res = execute(t, Query{Op: OpRecords, Link: types.AnyLink}, v)
 	if len(res.Records) != 4 {
 		t.Errorf("records = %d", len(res.Records))
 	}
@@ -147,7 +159,7 @@ func TestMergeAssociativity(t *testing.T) {
 	for _, q := range queries {
 		parts := make([]Result, len(views))
 		for i, v := range views {
-			parts[i] = Execute(q, v)
+			parts[i], _ = ExecuteContext(context.Background(), q, v) // poor_tcp: unsupported, merged as empty
 		}
 		left := Result{Op: q.Op}
 		for i := range parts {
@@ -159,8 +171,8 @@ func TestMergeAssociativity(t *testing.T) {
 			p := parts[i]
 			right.Merge(&p, q)
 		}
-		lb, _ := json.Marshal(canonical(left, q))
-		rb, _ := json.Marshal(canonical(right, q))
+		lb, _ := json.Marshal(canonical(left))
+		rb, _ := json.Marshal(canonical(right))
 		if string(lb) != string(rb) {
 			t.Errorf("op %s: merge not order-independent:\n%s\n%s", q.Op, lb, rb)
 		}
@@ -168,23 +180,10 @@ func TestMergeAssociativity(t *testing.T) {
 }
 
 // canonical sorts unordered result fields for comparison.
-func canonical(r Result, q Query) Result {
-	res := Execute(q, emptyView{})
-	_ = res
+func canonical(r Result) Result {
 	sortFlows(r.Flows)
 	return r
 }
-
-type emptyView struct{}
-
-func (emptyView) Flows(types.LinkID, types.TimeRange) []types.Flow { return nil }
-func (emptyView) Paths(types.FlowID, types.LinkID, types.TimeRange) []types.Path {
-	return nil
-}
-func (emptyView) Count(types.Flow, types.TimeRange) (uint64, uint64) { return 0, 0 }
-func (emptyView) Duration(types.Flow, types.TimeRange) types.Time    { return 0 }
-func (emptyView) PoorTCPFlows(int) []types.FlowID                    { return nil }
-func (emptyView) ScanRecords(Predicate, func(*types.Record))         {}
 
 func sortFlows(fs []types.Flow) {
 	for i := 1; i < len(fs); i++ {
@@ -234,7 +233,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost data: %+v", q2)
 	}
 	v := StoreView{S: fixture()}
-	res := Execute(Query{Op: OpTopK, K: 3}, v)
+	res := execute(t, Query{Op: OpTopK, K: 3}, v)
 	rb, _ := json.Marshal(res)
 	var res2 Result
 	if err := json.Unmarshal(rb, &res2); err != nil {

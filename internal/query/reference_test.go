@@ -19,7 +19,6 @@ import (
 // record scanner.
 type refView struct {
 	scan func(p Predicate, fn func(*types.Record))
-	poor func(threshold int) []types.FlowID
 }
 
 func (v refView) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
@@ -82,7 +81,7 @@ func (v refView) Duration(f types.Flow, tr types.TimeRange) types.Time {
 	return hi - lo
 }
 
-// refExecute is the old Execute.
+// refExecute is the old evaluator.
 func refExecute(q Query, v refView) Result {
 	tr := q.normalRange()
 	res := Result{Op: q.Op}
@@ -95,10 +94,6 @@ func refExecute(q Query, v refView) Result {
 		res.Bytes, res.Pkts = v.Count(types.Flow{ID: q.Flow, Path: q.Path}, tr)
 	case OpDuration:
 		res.Duration = v.Duration(types.Flow{ID: q.Flow, Path: q.Path}, tr)
-	case OpPoorTCP:
-		if v.poor != nil {
-			res.FlowIDs = v.poor(q.Threshold)
-		}
 	case OpFSD:
 		res.Hists = refFSD(q, v, tr)
 	case OpTopK:

@@ -6,36 +6,41 @@
 // over just the delta without each op needing its own watermark logic.
 package query
 
-import "pathdump/internal/types"
+import (
+	"context"
 
-// ScanView adapts a record scanner into a View. Scan is required;
-// Window's MinSeq/MaxSeq sequence bounds are folded into every
-// predicate Execute builds (intersected with the predicate's own
-// bounds; Window's other fields are ignored — record selection beyond
-// the sequence window belongs to the op); Poor, when non-nil, serves
-// getPoorTCPFlows (the TCP monitor is already incremental — PoorFlows
-// advances its scan window per call — so delta views pass it through).
+	"pathdump/internal/types"
+)
+
+// ScanView adapts a record scanner into a View. Scan is required and is
+// handed the evaluation's context; Window's MinSeq/MaxSeq sequence bounds
+// are folded into every predicate ExecuteContext builds (intersected with
+// the predicate's own bounds; Window's other fields are ignored — record
+// selection beyond the sequence window belongs to the op); Poor, when
+// non-nil, serves getPoorTCPFlows (the TCP monitor is already incremental
+// — PoorFlows advances its scan window per call — so delta views pass it
+// through).
 type ScanView struct {
-	Scan   func(p Predicate, fn func(*types.Record))
+	Scan   func(ctx context.Context, p Predicate, fn func(*types.Record))
 	Window Predicate
 	Poor   func(threshold int) []types.FlowID
 }
 
 // ScanRecords implements View: the scanner, with the window folded in.
-func (v ScanView) ScanRecords(p Predicate, fn func(*types.Record)) {
+func (v ScanView) ScanRecords(ctx context.Context, p Predicate, fn func(*types.Record)) {
 	if v.Window.MinSeq > p.MinSeq {
 		p.MinSeq = v.Window.MinSeq
 	}
 	if v.Window.MaxSeq > 0 && (p.MaxSeq == 0 || v.Window.MaxSeq < p.MaxSeq) {
 		p.MaxSeq = v.Window.MaxSeq
 	}
-	v.Scan(p, fn)
+	v.Scan(ctx, p, fn)
 }
 
 // PoorTCPFlows implements View.
-func (v ScanView) PoorTCPFlows(threshold int) []types.FlowID {
+func (v ScanView) PoorTCPFlows(threshold int) ([]types.FlowID, error) {
 	if v.Poor == nil {
-		return nil
+		return nil, nil
 	}
-	return v.Poor(threshold)
+	return v.Poor(threshold), nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"pathdump/internal/tib"
@@ -35,7 +36,7 @@ func TestScanViewWindow(t *testing.T) {
 	}
 
 	// OpRecords over the delta: exactly records 16..20.
-	res := Execute(Query{Op: OpRecords, Link: types.AnyLink}, delta)
+	res := execute(t, Query{Op: OpRecords, Link: types.AnyLink}, delta)
 	if len(res.Records) != 5 {
 		t.Fatalf("delta records = %d, want 5", len(res.Records))
 	}
@@ -46,47 +47,47 @@ func TestScanViewWindow(t *testing.T) {
 	}
 
 	// Flows: 5 distinct flows in the window.
-	if got := len(Execute(Query{Op: OpFlows, Link: types.AnyLink}, delta).Flows); got != 5 {
+	if got := len(execute(t, Query{Op: OpFlows, Link: types.AnyLink}, delta).Flows); got != 5 {
 		t.Fatalf("delta flows = %d, want 5", got)
 	}
 
 	// Count of an in-window flow vs an out-of-window one.
 	in := deltaRecord(18).Flow
 	out := deltaRecord(3).Flow
-	if res := Execute(Query{Op: OpCount, Flow: in}, delta); res.Bytes != 1800 {
+	if res := execute(t, Query{Op: OpCount, Flow: in}, delta); res.Bytes != 1800 {
 		t.Fatalf("in-window count = %d, want 1800", res.Bytes)
 	}
-	if res := Execute(Query{Op: OpCount, Flow: out}, delta); res.Bytes != 0 {
+	if res := execute(t, Query{Op: OpCount, Flow: out}, delta); res.Bytes != 0 {
 		t.Fatalf("out-of-window count = %d, want 0", res.Bytes)
 	}
 
 	// Conformance over the delta flags only new records' paths.
-	res = Execute(Query{Op: OpConformance, MaxPathLen: 3}, delta)
+	res = execute(t, Query{Op: OpConformance, MaxPathLen: 3}, delta)
 	if len(res.Violations) != 5 {
 		t.Fatalf("delta conformance found %d violations, want 5", len(res.Violations))
 	}
 
 	// TopK over the delta ranks only the new flows.
-	res = Execute(Query{Op: OpTopK, K: 3}, delta)
+	res = execute(t, Query{Op: OpTopK, K: 3}, delta)
 	if len(res.Top) != 3 || res.Top[0].Bytes != 2000 {
 		t.Fatalf("delta topk = %+v, want top Bytes 2000", res.Top)
 	}
 
 	// Duration/Paths honour the window too.
-	if d := Execute(Query{Op: OpDuration, Flow: in}, delta).Duration; d != types.Millisecond {
+	if d := execute(t, Query{Op: OpDuration, Flow: in}, delta).Duration; d != types.Millisecond {
 		t.Fatalf("in-window duration = %v, want 1ms", d)
 	}
-	if p := Execute(Query{Op: OpPaths, Flow: out, Link: types.AnyLink}, delta).Paths; p != nil {
+	if p := execute(t, Query{Op: OpPaths, Flow: out, Link: types.AnyLink}, delta).Paths; p != nil {
 		t.Fatalf("out-of-window paths = %v, want none", p)
 	}
 
 	// PoorTCPFlows: nil without a monitor, delegated with one.
-	if delta.PoorTCPFlows(3) != nil {
-		t.Fatal("monitorless ScanView returned poor flows")
+	if got, err := delta.PoorTCPFlows(3); got != nil || err != nil {
+		t.Fatalf("monitorless ScanView returned poor flows %v, err %v", got, err)
 	}
 	delta.Poor = func(int) []types.FlowID { return []types.FlowID{in} }
-	if got := delta.PoorTCPFlows(3); len(got) != 1 || got[0] != in {
-		t.Fatalf("delegated poor flows = %v", got)
+	if got, err := delta.PoorTCPFlows(3); len(got) != 1 || got[0] != in || err != nil {
+		t.Fatalf("delegated poor flows = %v, err %v", got, err)
 	}
 }
 
@@ -100,7 +101,7 @@ func TestScanViewWindowMerge(t *testing.T) {
 	store := StoreView{S: s}
 	v := ScanView{Scan: store.ScanRecords, Window: Predicate{MinSeq: 4, MaxSeq: 8}}
 	var n int
-	v.ScanRecords(Predicate{Link: types.AnyLink, Range: types.AllTime, MinSeq: 6, MaxSeq: 9}, func(*types.Record) { n++ })
+	v.ScanRecords(context.Background(), Predicate{Link: types.AnyLink, Range: types.AllTime, MinSeq: 6, MaxSeq: 9}, func(*types.Record) { n++ })
 	if n != 2 { // intersection (6, 8]
 		t.Fatalf("merged window visited %d records, want 2", n)
 	}

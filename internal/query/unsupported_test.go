@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,10 +9,16 @@ import (
 	"pathdump/internal/types"
 )
 
+// monitorView is a store with a TCP monitor behind it: PoorTCPFlows
+// answers with a nil error, so every op is served.
+type monitorView struct{ StoreView }
+
+func (monitorView) PoorTCPFlows(int) ([]types.FlowID, error) { return nil, nil }
+
 // TestStoreViewPoorTCPUnsupported is the regression test for the old
 // silent-nil behaviour: a bare TIB store has no TCP monitor, so asking it
-// for poor TCP flows must surface ErrUnsupported through ExecuteE rather
-// than masquerading as "no poor flows".
+// for poor TCP flows must surface ErrUnsupported rather than masquerading
+// as "no poor flows". A view whose monitor answers serves every op.
 func TestStoreViewPoorTCPUnsupported(t *testing.T) {
 	s := tib.NewStore()
 	s.Add(types.Record{
@@ -19,41 +26,31 @@ func TestStoreViewPoorTCPUnsupported(t *testing.T) {
 		Path:  types.Path{0, 8, 16},
 		STime: 0, ETime: 10, Bytes: 500, Pkts: 5,
 	})
-	v := StoreView{S: s}
-
-	_, err := ExecuteE(Query{Op: OpPoorTCP, Threshold: 3}, v)
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("ExecuteE(OpPoorTCP) err = %v, want ErrUnsupported", err)
-	}
-
-	// Every op the store can serve still executes cleanly.
-	for _, op := range []Op{OpFlows, OpPaths, OpCount, OpDuration, OpFSD, OpTopK, OpConformance, OpMatrix, OpRecords} {
-		res, err := ExecuteE(Query{Op: op, Link: types.AnyLink}, v)
-		if err != nil {
-			t.Errorf("ExecuteE(%s) err = %v", op, err)
-		}
-		if res.Op != op {
-			t.Errorf("ExecuteE(%s) result op = %s", op, res.Op)
-		}
-	}
-
-	// The legacy Execute path keeps its lenient empty-result contract for
-	// views that execute all ops (agents), and for StoreView it still
-	// returns an empty result rather than panicking.
-	if got := Execute(Query{Op: OpPoorTCP}, v); len(got.FlowIDs) != 0 {
-		t.Errorf("Execute(OpPoorTCP) on a bare store = %v, want empty", got.FlowIDs)
-	}
-}
-
-// plainView has no OpSupport: ExecuteE must treat every op as supported.
-type plainView struct{ StoreView }
-
-func (plainView) Supports(op Op) error { return nil }
-
-func TestExecuteEWithoutOpSupport(t *testing.T) {
-	v := StoreView{S: tib.NewStore()}
-	// Wrapping in a type whose Supports always consents must execute.
-	if _, err := ExecuteE(Query{Op: OpPoorTCP}, plainView{v}); err != nil {
-		t.Fatalf("consenting view err = %v", err)
+	served := []Op{OpFlows, OpPaths, OpCount, OpDuration, OpFSD, OpTopK, OpConformance, OpMatrix, OpRecords}
+	for _, tc := range []struct {
+		name    string
+		v       View
+		poorErr error // what poor_tcp answers
+	}{
+		{name: "bare-store", v: StoreView{S: s}, poorErr: ErrUnsupported},
+		{name: "with-monitor", v: monitorView{StoreView{S: s}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			_, err := ExecuteContext(ctx, Query{Op: OpPoorTCP, Threshold: 3}, tc.v)
+			if !errors.Is(err, tc.poorErr) {
+				t.Fatalf("ExecuteContext(OpPoorTCP) err = %v, want %v", err, tc.poorErr)
+			}
+			// Every op the store can serve still executes cleanly.
+			for _, op := range served {
+				res, err := ExecuteContext(ctx, Query{Op: op, Link: types.AnyLink}, tc.v)
+				if err != nil {
+					t.Errorf("ExecuteContext(%s) err = %v", op, err)
+				}
+				if res.Op != op {
+					t.Errorf("ExecuteContext(%s) result op = %s", op, res.Op)
+				}
+			}
+		})
 	}
 }

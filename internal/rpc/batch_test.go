@@ -49,11 +49,11 @@ func TestBatchedQueryMatchesPerHost(t *testing.T) {
 	ctrlBatched.Parallelism = 4
 	ctrlPerHost := controller.New(sim.Topo, perHost, nil)
 
-	viaBatch, _, err := ctrlBatched.Execute(hosts, q)
+	viaBatch, _, err := ctrlBatched.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPerHost, _, err := ctrlPerHost.Execute(hosts, q)
+	viaPerHost, _, err := ctrlPerHost.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

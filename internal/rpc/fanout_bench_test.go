@@ -60,11 +60,8 @@ func recycle(replies []controller.BatchReply) {
 // BenchmarkParallelFanout is the acceptance benchmark for the data
 // plane: a 128-host fan-out (8 multi-agent daemons × 16 hosts) pulling
 // 32 records per host over real loopback HTTP, at parallelism 1 versus
-// 8. This is the successor of the simulated-transport bench of the same
-// name (now BenchmarkParallelFanoutSim in internal/controller): it
-// measures what that one modelled — request encode, response
-// encode/decode, and connection reuse — so codec and transport
-// regressions land here.
+// 8. It measures request encode, response encode/decode, and connection
+// reuse, so codec and transport regressions land here.
 func BenchmarkParallelFanout(b *testing.B) {
 	const (
 		daemons   = 8

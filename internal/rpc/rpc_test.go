@@ -74,11 +74,11 @@ func TestHTTPQueryMatchesLocal(t *testing.T) {
 		hosts = append(hosts, h.ID)
 	}
 	q := query.Query{Op: query.OpTopK, K: 5}
-	viaHTTP, _, err := ctrlHTTP.Execute(hosts, q)
+	viaHTTP, _, err := ctrlHTTP.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLocal, _, err := ctrlLocal.Execute(hosts, q)
+	viaLocal, _, err := ctrlLocal.ExecuteContext(context.Background(), hosts, q)
 	if err != nil {
 		t.Fatal(err)
 	}

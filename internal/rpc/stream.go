@@ -26,7 +26,7 @@ func (t SnapshotTarget) StreamRecords(ctx context.Context, q query.Query, fn fun
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	query.StoreView{S: t.Store}.WithContext(ctx).ScanRecords(query.PredicateOf(q), fn)
+	query.StoreView{S: t.Store}.ScanRecords(ctx, query.PredicateOf(q), fn)
 	return ctx.Err()
 }
 

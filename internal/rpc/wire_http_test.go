@@ -223,7 +223,8 @@ func TestWireFallbackMatrix(t *testing.T) {
 			for _, q := range matrixQueries(base) {
 				perHost, batched := answer(t, d, q)
 				for i, h := range d.hosts {
-					want := canon(t, query.Execute(q, query.StoreView{S: seedStore(int(h), nrec)}))
+					local, _ := query.ExecuteContext(context.Background(), q, query.StoreView{S: seedStore(int(h), nrec)})
+					want := canon(t, local)
 					if perHost[i] != want {
 						t.Errorf("%d-host daemon, %s at %v: /query differs from local evaluation\n got %s\nwant %s", len(d.hosts), q.Op, h, perHost[i], want)
 					}

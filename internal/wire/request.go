@@ -2,10 +2,10 @@ package wire
 
 // Request-side frames. Installs and queries fan out to thousands of
 // hosts, so requests travel in the same varint/columnar format as
-// responses: a client marks the body with the wire Content-Type and a
-// server that cannot decode it rejects the request, at which point the
-// client falls back to JSON for that daemon (see internal/rpc). Request
-// bodies are tiny, so they are never flate-compressed.
+// responses: a client marks the body with the wire Content-Type, and a
+// server decodes a body by its Content-Type, any other than the wire one
+// as JSON (see internal/rpc). Request bodies are tiny, so they are never
+// flate-compressed.
 
 import (
 	"fmt"

@@ -24,7 +24,7 @@ var ErrStreamClosed = errors.New("wire: stream writer closed")
 // QueryStreamWriter encodes one query-response frame whose records section
 // is produced incrementally. It serves the records op only: the frame's
 // scalar fields and every non-record section are written empty, which is
-// exactly what query.Execute produces for that op. Records buffer until a
+// exactly what query.ExecuteContext produces for that op. Records buffer until a
 // chunk fills, then the chunk is encoded and flushed to the destination
 // (through flate when compression is on), so server-side memory stays
 // O(chunk) however large the reply; the chunk buffer is drawn from the

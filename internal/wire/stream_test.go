@@ -208,7 +208,7 @@ func TestStreamEncodeBytesOChunk(t *testing.T) {
 	})
 	buffered := allocBytes(func() {
 		// The pre-streaming server: collect the whole reply into a fresh
-		// slice (query.Execute's append loop), then encode the frame.
+		// slice (query.ExecuteContext's append loop), then encode the frame.
 		reply := make([]types.Record, 0)
 		for i := range res.Records {
 			reply = append(reply, res.Records[i])

@@ -21,12 +21,12 @@
 // (QueryStreamWriter, stream.go) and a client can hand each chunk to a
 // merger before the frame's last byte arrives (ReadQueryChunks).
 //
-// Responses are negotiated per request: a client that understands the wire
-// format sends "Accept: application/x-pathdump-wire"; a server that speaks
-// it answers with that Content-Type, any other server answers JSON and the
-// client falls back transparently (see internal/rpc). Requests travel in
-// the same format (request.go): the client marks the body with the wire
-// Content-Type, and falls back to JSON per URL when a daemon rejects it.
+// Servers follow the request: a body marked with the wire Content-Type is
+// decoded as a frame (request.go) and any other as JSON, and a client that
+// sends "Accept: application/x-pathdump-wire" is answered with that
+// Content-Type, any other client with JSON. The controller's transport
+// speaks the wire format only, both ways, and takes a reply of any other
+// Content-Type for an error (see internal/rpc); curl gets JSON.
 package wire
 
 import (
@@ -538,22 +538,29 @@ func writeFlows(w *writer, flows []types.Flow) {
 	}
 }
 
+// readFlows decodes writeFlows' section: the two dictionaries, then the
+// flow-index column — each entry appended as its index is read — then
+// the path-index column filled in over those entries.
 func readFlows(r *reader) []types.Flow {
-	fd := readFlowDictEntries(r)
-	pd := readPathDictEntries(r)
+	fd := readFlowDictDelta(r, nil)
+	pd := readPathDictDelta(r, nil)
 	n := r.count("flows", maxElems)
 	if r.err != nil {
 		return nil
 	}
-	flows := make([]types.Flow, min(n, 4096))
-	flows = flows[:0]
-	flowIdx := readIndexColumn(r, n, len(fd), "flow")
-	pathIdx := readIndexColumn(r, n, len(pd), "path")
+	flows := make([]types.Flow, 0, min(n, 4096))
+	for i := 0; i < n && r.err == nil; i++ {
+		if v := readDictIndex(r, len(fd), "flow"); r.err == nil {
+			flows = append(flows, types.Flow{ID: fd[v]})
+		}
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		if v := readDictIndex(r, len(pd), "path"); r.err == nil {
+			flows[i].Path = pd[v]
+		}
+	}
 	if r.err != nil {
 		return nil
-	}
-	for i := 0; i < n; i++ {
-		flows = append(flows, types.Flow{ID: fd[flowIdx[i]], Path: pd[pathIdx[i]]})
 	}
 	return flows
 }
@@ -748,7 +755,7 @@ func (d *decodeDict) release() {
 }
 
 // readFlowDictDelta appends one chunk's new flow-dictionary entries to the
-// cumulative dictionary. Growth is bounded to the chunk's declared count
+// cumulative dictionary (nil: a flows section's whole dictionary). Growth is bounded to the chunk's declared count
 // so a hostile delta length cannot size an absurd allocation.
 func readFlowDictDelta(r *reader, fd []types.FlowID) []types.FlowID {
 	n := r.count("flow dictionary delta", maxElems)
@@ -787,27 +794,6 @@ func readDictIndex(r *reader, dictLen int, what string) uint64 {
 		r.fail(fmt.Errorf("wire: corrupt %s dictionary: index %d out of range (dict has %d entries)", what, v, dictLen))
 	}
 	return v
-}
-
-// readIndexColumn reads n dictionary indices, each bounds-checked against
-// the dictionary size — an out-of-range index means a corrupt frame.
-func readIndexColumn(r *reader, n, dictLen int, what string) []uint32 {
-	if r.err != nil {
-		return nil
-	}
-	idx := make([]uint32, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		v := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if v >= uint64(dictLen) {
-			r.fail(fmt.Errorf("wire: corrupt %s dictionary: index %d out of range (dict has %d entries)", what, v, dictLen))
-			return nil
-		}
-		idx = append(idx, uint32(v))
-	}
-	return idx
 }
 
 // flowDict assigns dense indices to flow IDs in first-appearance order.
@@ -852,15 +838,6 @@ func (d *flowDict) write(w *writer) {
 	}
 }
 
-func readFlowDictEntries(r *reader) []types.FlowID {
-	n := r.count("flow dictionary", maxElems)
-	list := make([]types.FlowID, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		list = append(list, readFlowID(r))
-	}
-	return list
-}
-
 // pathDict assigns dense indices to paths in first-appearance order. The
 // interner looks a path up by its compact byte key without materialising
 // the key as a string except on first appearance — index() is called
@@ -893,15 +870,6 @@ func (d *pathDict) write(w *writer) {
 	for _, p := range d.list {
 		writePath(w, p)
 	}
-}
-
-func readPathDictEntries(r *reader) []types.Path {
-	n := r.count("path dictionary", maxElems)
-	list := make([]types.Path, 0, min(n, 4096))
-	for i := 0; i < n && r.err == nil; i++ {
-		list = append(list, readPath(r))
-	}
-	return list
 }
 
 func writeFlowID(w *writer, f types.FlowID) {

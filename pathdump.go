@@ -21,10 +21,10 @@
 //	paths := c.GetPaths(hosts[12], flowID, pathdump.AnyLink, pathdump.AllTime)
 //
 // The Table-1 host API (GetFlows, GetPaths, GetCount, GetDuration,
-// GetPoorTCPFlows) and controller API (Execute, ExecuteTree, InstallQuery,
-// UninstallQuery) are exposed directly on Cluster; the debugging
-// applications of §4 live in internal/apps and are re-exported through
-// convenience wrappers.
+// GetPoorTCPFlows) and controller API (ExecuteContext, ExecuteTreeContext,
+// InstallQueryContext, UninstallQueryContext) are exposed directly on
+// Cluster; the debugging applications of §4 live in internal/apps and
+// are re-exported through convenience wrappers.
 package pathdump
 
 import (

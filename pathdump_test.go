@@ -1,6 +1,7 @@
 package pathdump
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -52,14 +53,14 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 
 	// Controller API.
-	res, stats, err := c.Execute(hosts, Query{Op: OpTopK, K: 5})
+	res, stats, err := c.ExecuteContext(context.Background(), hosts, Query{Op: OpTopK, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Top) == 0 || stats.Hosts != 16 {
 		t.Fatalf("Execute top=%d hosts=%d", len(res.Top), stats.Hosts)
 	}
-	tres, _, err := c.ExecuteTree(hosts, Query{Op: OpTopK, K: 5}, []int{4, 2})
+	tres, _, err := c.ExecuteTreeContext(context.Background(), hosts, Query{Op: OpTopK, K: 5}, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.UninstallQuery(ids); err != nil {
+	if err := c.UninstallQueryContext(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 
