@@ -569,9 +569,9 @@ func (a *Agent) TIBSize() int { return a.Store.Len() + a.Mem.Len() }
 // walked versus pruned); the rpc servers attribute per-query deltas.
 func (a *Agent) SegmentStats() (scanned, pruned uint64) { return a.Store.SegmentStats() }
 
-// ColdStats reports the TIB's cold-tier telemetry; traced scans
-// attribute the demand loads they trigger.
-func (a *Agent) ColdStats() tib.ColdStats { return a.Store.ColdStats() }
+// ColdLoads reports the TIB's cumulative cold-segment demand loads; the
+// rpc servers attribute per-query deltas.
+func (a *Agent) ColdLoads() uint64 { return a.Store.ColdLoads() }
 
 // WriteSnapshotSince streams the host's TIB in the block-framed snapshot
 // format — the /snapshot endpoint and offline analysis both read it:

@@ -310,7 +310,7 @@ func TestIngestRetentionBoundsStore(t *testing.T) {
 	// slack at the boundary — eviction granularity is a whole segment).
 	cutoff := r.sim.Now() - retention
 	slack := retention / 8 * 2 // default SegmentSpan is Retention/8
-	a.Store.ForEach(types.AnyLink, types.AllTime, func(rec *types.Record) {
+	a.Store.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) {
 		if rec.ETime < cutoff-slack {
 			t.Fatalf("expired record survived: %v (cutoff %v)", rec, cutoff)
 		}
@@ -357,7 +357,7 @@ func TestIngestColdTierAndCompaction(t *testing.T) {
 	// Cold records still count and still answer: a full scan touches the
 	// whole retention window, hot and cold.
 	n := 0
-	if err := a.Store.ForEach(types.AnyLink, types.AllTime, func(*types.Record) { n++ }); err != nil {
+	if err := a.Store.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) { n++ }); err != nil {
 		t.Fatalf("scan over the tiered store: %v", err)
 	}
 	if n != a.Store.Len() {

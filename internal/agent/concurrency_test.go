@@ -84,7 +84,7 @@ func TestAgentConcurrentIngestAndQuery(t *testing.T) {
 	}
 	// A full post-hoc scan sees every record exactly once.
 	n := 0
-	a.Store.ForEach(types.AnyLink, types.AllTime, func(*types.Record) { n++ })
+	a.Store.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) { n++ })
 	if n != writers*perWriter {
 		t.Fatalf("scan visited %d records, want %d", n, writers*perWriter)
 	}

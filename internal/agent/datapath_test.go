@@ -128,7 +128,7 @@ func TestLongHeadersStayApart(t *testing.T) {
 		t.Fatalf("rig: %d distinct valid paths and %d invalid headers, want 2 and 1", len(want), invalid)
 	}
 	got := map[string]uint64{}
-	a.Store.ForEach(types.AnyLink, types.AllTime, func(rec *types.Record) { got[rec.Path.String()] += rec.Bytes })
+	a.Store.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) { got[rec.Path.String()] += rec.Bytes })
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported path → bytes %v, want %v", got, want)
 	}

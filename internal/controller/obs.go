@@ -90,21 +90,21 @@ func (c *Controller) SlowLog() *obs.SlowLog {
 	return c.slow
 }
 
-// attachScan hangs the agent-side scan span under a host's rpc span,
-// synthesizing one from the reply's counters when the transport did
-// not carry a span back (local transports, streamed wire replies,
-// pre-observability daemons).
+// attachScan hangs a host's scan span under its rpc span — direct,
+// hedged, or derived in a batched round — built from the reply's
+// telemetry, which the host measured whatever the reply's shape. The
+// span lasts the host's measured scan time. cold_loads is set only when
+// the scan thawed something, so the usual three attributes stay inline.
 func attachScan(rpc *obs.Span, meta QueryMeta) {
 	if rpc == nil {
-		return
-	}
-	if meta.Span != nil {
-		rpc.AddChild(meta.Span)
 		return
 	}
 	scan := rpc.StartChild("scan")
 	scan.SetInt("records", int64(meta.RecordsScanned))
 	scan.SetInt("segments_scanned", int64(meta.SegmentsScanned))
 	scan.SetInt("segments_pruned", int64(meta.SegmentsPruned))
-	scan.Finish()
+	if meta.ColdLoads != 0 {
+		scan.SetInt("cold_loads", int64(meta.ColdLoads))
+	}
+	scan.SetDur(meta.ScanTime)
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // TestExecutionTrace: every execution returns a span tree rooted at
-// "query" with per-host rpc spans, synthesized scan spans (the Local
-// transport carries no agent span) and an interior merge span.
+// "query" with per-host rpc spans, each over a scan span that lasts the
+// host's measured scan time, and an interior merge span.
 func TestExecutionTrace(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{})
 	r.seedTraffic(40)
@@ -159,9 +159,9 @@ func TestBatchedExecutionTraceIsComplete(t *testing.T) {
 	}
 }
 
-// spanBatchTransport answers a batched round whose even hosts carry an
-// agent-side scan span back, as an HTTP daemon's replies can, and whose
-// odd hosts carry none; host 3 fails.
+// spanBatchTransport answers a batched round whose even hosts measured
+// cold loads and a scan time, as an HTTP daemon's replies carry them, and
+// whose odd hosts measured neither; host 3 fails.
 type spanBatchTransport struct{ goldenTransport }
 
 func (spanBatchTransport) QueryMany(_ context.Context, hosts []types.HostID, q query.Query, _ int) ([]BatchReply, error) {
@@ -169,10 +169,8 @@ func (spanBatchTransport) QueryMany(_ context.Context, hosts []types.HostID, q q
 	for i, h := range hosts {
 		res, meta := goldenReply(h, q)
 		if h%2 == 0 {
-			meta.Span = obs.NewSpan("scan")
-			meta.Span.SetHost("agent", h)
-			meta.Span.StartChild("cold-load").Finish()
-			meta.Span.Finish()
+			meta.ColdLoads = 1 + int(h)/2
+			meta.ScanTime = time.Duration(h+1) * time.Millisecond
 		}
 		out[i] = BatchReply{Host: h, Result: res, Meta: meta}
 		if h == 3 {
@@ -186,9 +184,9 @@ func (spanBatchTransport) QueryMany(_ context.Context, hosts []types.HostID, q q
 // built on read, so the trace an execution returns is read by many at
 // once — /slowlog beside pathdumpctl -trace — and must come out the same
 // every time: an rpc span per answered host in DFS order (none for the
-// failed one), each over the agent's own scan span when its reply carried
-// one and a synthesized one when it did not. Under -race the reads must
-// not touch anything shared.
+// failed one), each over a scan span built from its reply's measured
+// fields — cold loads when there were any, and the scan time as its
+// duration. Under -race the reads must not touch anything shared.
 func TestBatchedTraceConcurrentReads(t *testing.T) {
 	topo, _ := topology.FatTree(4)
 	ctrl := New(topo, spanBatchTransport{}, nil)
@@ -204,17 +202,17 @@ func TestBatchedTraceConcurrentReads(t *testing.T) {
 	var rpcs []string
 	for _, line := range strings.Split(want, "\n") {
 		if l := strings.TrimSpace(line); strings.HasPrefix(l, "rpc ") || strings.HasPrefix(l, "scan ") {
-			rpcs = append(rpcs, l[:strings.LastIndexByte(l, ' ')])
+			rpcs = append(rpcs, l)
 		}
 	}
 	wantRPCs := []string{
-		"rpc host=h0", "scan agent=h0",
-		"rpc host=h1", "scan records=40000 segments_scanned=1 segments_pruned=1",
-		"rpc host=h2", "scan agent=h2",
-		"rpc host=h4", "scan agent=h4",
-		"rpc host=h5", "scan records=120000 segments_scanned=1 segments_pruned=2",
-		"rpc host=h6", "scan agent=h6",
-		"rpc host=h7", "scan records=20000 segments_scanned=3 segments_pruned=1",
+		"rpc host=h0 0s", "scan records=20000 segments_scanned=0 segments_pruned=0 cold_loads=1 1ms",
+		"rpc host=h1 0s", "scan records=40000 segments_scanned=1 segments_pruned=1 0s",
+		"rpc host=h2 0s", "scan records=60000 segments_scanned=2 segments_pruned=2 cold_loads=2 3ms",
+		"rpc host=h4 0s", "scan records=100000 segments_scanned=0 segments_pruned=1 cold_loads=3 5ms",
+		"rpc host=h5 0s", "scan records=120000 segments_scanned=1 segments_pruned=2 0s",
+		"rpc host=h6 0s", "scan records=140000 segments_scanned=2 segments_pruned=0 cold_loads=4 7ms",
+		"rpc host=h7 0s", "scan records=20000 segments_scanned=3 segments_pruned=1 0s",
 	}
 	if strings.Join(rpcs, "\n") != strings.Join(wantRPCs, "\n") {
 		t.Fatalf("batched host spans:\n%s\nwant:\n%s\nin:\n%s", strings.Join(rpcs, "\n"), strings.Join(wantRPCs, "\n"), want)

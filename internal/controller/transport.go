@@ -3,15 +3,16 @@ package controller
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pathdump/internal/agent"
-	"pathdump/internal/obs"
 	"pathdump/internal/query"
 	"pathdump/internal/types"
 )
 
 // QueryMeta carries per-execution cost inputs from an agent (used by the
-// response-time model, §5.2).
+// response-time model, §5.2) and the telemetry its scan span is built
+// from. Every field is measured at the host, whatever the reply's shape.
 type QueryMeta struct {
 	// RecordsScanned is how many TIB records the host touched.
 	RecordsScanned int
@@ -21,11 +22,10 @@ type QueryMeta struct {
 	// model's pruned-fraction term.
 	SegmentsScanned int
 	SegmentsPruned  int
-	// Span is the agent-side scan span for this execution, when the
-	// transport carried one back (HTTP daemons return it with the
-	// response). The controller attaches it under the host's rpc span;
-	// when nil it synthesizes a scan span from the counts above.
-	Span *obs.Span
+	// ColdLoads is how many cold segments the evaluation demand-loaded,
+	// and ScanTime its wall time at the host.
+	ColdLoads int
+	ScanTime  time.Duration
 }
 
 // Transport moves queries between the controller and host agents. The
@@ -72,7 +72,8 @@ type Local struct {
 
 // Query implements Transport. The context is honoured mid-scan: the
 // agent's evaluation loop polls cancellation as it merges TIB shards.
-// Segment telemetry is attributed by delta around the execution (queries
+// The evaluation is measured as a daemon measures it: its wall time, and
+// the store's segment and cold-load counters by delta around it (queries
 // racing on one agent may swap shares — the counts feed modelled stats,
 // not correctness).
 func (l Local) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, QueryMeta, error) {
@@ -81,15 +82,19 @@ func (l Local) Query(ctx context.Context, host types.HostID, q query.Query) (que
 		return query.Result{}, QueryMeta{}, fmt.Errorf("controller: unknown host %v", host)
 	}
 	sc0, sp0 := a.Store.SegmentStats()
+	cold0 := a.Store.ColdLoads()
+	start := time.Now()
 	res, err := a.ExecuteContext(ctx, q)
 	if err != nil {
 		return query.Result{}, QueryMeta{}, err
 	}
 	sc1, sp1 := a.Store.SegmentStats()
 	return res, QueryMeta{
-		RecordsScanned:  a.Store.Len() + a.Mem.Len(),
+		RecordsScanned:  a.TIBSize(),
 		SegmentsScanned: int(sc1 - sc0),
 		SegmentsPruned:  int(sp1 - sp0),
+		ColdLoads:       int(a.Store.ColdLoads() - cold0),
+		ScanTime:        time.Since(start),
 	}, nil
 }
 

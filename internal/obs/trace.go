@@ -16,8 +16,8 @@ import (
 )
 
 // NewTraceID mints a 16-hex-character random trace identifier. IDs
-// are minted by the controller once per Execute* call and propagated
-// to agents in the X-Pathdump-Trace request header.
+// are minted by the controller once per Execute* call and ride the
+// execution's context (ContextWithTrace) and its root span.
 func NewTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -82,9 +82,9 @@ func (a *attr) value() string {
 
 // Span is one timed stage of a traced query: the fan-out wave, a
 // per-host RPC, a TIB scan, a streaming merge. Spans form a tree, marshal
-// to JSON (name/start/dur/attrs/children) so agent-side spans can ride
-// back on QueryResponse, and are safe for concurrent mutation (hedged
-// requests and parallel fan-out touch siblings from many goroutines).
+// to JSON (name/start/dur/attrs/children) for /slowlog and pathdumpctl
+// -trace, and are safe for concurrent mutation (hedged requests and
+// parallel fan-out touch siblings from many goroutines).
 // Every method is nil-safe: an untraced call site passes a nil parent
 // and the whole subtree melts away.
 //
@@ -159,10 +159,10 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
-// AddChild attaches an already-built span (typically one decoded from
-// an agent reply, the root of its own trace) under s. Under a derived
-// span (Derive) it attaches a copy: c may be shared with other readers,
-// and linking c itself would write to it.
+// AddChild attaches an already-built span (the root of its own trace,
+// such as one decoded from JSON) under s. Under a derived span (Derive)
+// it attaches a copy: c may be shared with other readers, and linking c
+// itself would write to it.
 func (s *Span) AddChild(c *Span) {
 	if s == nil || c == nil {
 		return
@@ -181,12 +181,12 @@ func (s *Span) AddChild(c *Span) {
 // Derive hangs a read-time hook on s: every Render, MarshalJSON and
 // Children of s calls build on a fresh span of a private trace and lists
 // the children build started or attached there after s's own. Those
-// spans start at s's end and last no time (Finish leaves them alone), so
-// a tree whose per-host spans hold nothing but what the caller keeps
-// anyway is built only when somebody looks. build runs outside s's lock,
-// once per read and possibly from several readers at once: it may only
-// read what is final by the time s is, and write nothing but into's
-// subtree.
+// spans start at s's end and last no time unless SetDur stamps them
+// (Finish leaves them alone), so a tree whose per-host spans hold nothing
+// but what the caller keeps anyway is built only when somebody looks.
+// build runs outside s's lock, once per read and possibly from several
+// readers at once: it may only read what is final by the time s is, and
+// write nothing but into's subtree.
 func (s *Span) Derive(build func(into *Span)) {
 	if s == nil {
 		return
@@ -206,6 +206,18 @@ func (s *Span) Finish() {
 	if s.Dur == 0 && s.tr.at.IsZero() {
 		s.Dur = time.Since(s.Start)
 	}
+	s.tr.mu.Unlock()
+}
+
+// SetDur stamps the span with a duration measured elsewhere — an agent's
+// scan, timed at the host — in place of Finish's time since Start. Unlike
+// Finish it also stamps a span of a derived tree (Derive).
+func (s *Span) SetDur(d time.Duration) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	s.Dur = d
 	s.tr.mu.Unlock()
 }
 

@@ -10,7 +10,7 @@ import (
 
 // traceGoldenJSON is one execution's span tree as json.Marshal printed it
 // before the arena representation landed: a direct query whose batch
-// answered h5 (synthesized scan span, three counters), dropped h6 after a
+// answered h5 (its scan span, three counters), dropped h6 after a
 // retry, and hedged h7 on a reused slot. Start times and durations are
 // fixed, so the document is both the input and the expected output.
 const traceGoldenJSON = `{"name":"query","start":"2026-01-02T03:04:05.000000006Z","dur":7654321,` +
@@ -40,11 +40,10 @@ const traceGoldenRender = "query trace=00c0ffee00c0ffee op=topk hosts=3 error=a 
 	"  merge children=3 2µs\n"
 
 // TestTraceGolden pins what an operator sees of a trace — the rendered
-// outline and the JSON that X-Pathdump-Span, QueryResponse.Span,
-// /slowlog and pathdumpctl -trace carry — byte for byte, whatever the
-// span's in-memory representation. The tree is built by unmarshalling a
-// committed document, so the test compiles against, and passes on, both
-// representations.
+// outline and the JSON that /slowlog and pathdumpctl -trace carry —
+// byte for byte, whatever the span's in-memory representation. The tree
+// is built by unmarshalling a committed document, so the test compiles
+// against, and passes on, both representations.
 func TestTraceGolden(t *testing.T) {
 	var root Span
 	if err := json.Unmarshal([]byte(traceGoldenJSON), &root); err != nil {
@@ -73,34 +72,6 @@ func TestTraceGolden(t *testing.T) {
 			t.Errorf("Attr(%q) = %q, want %q", key, got, want)
 		}
 	}
-
-	// An agent's scan span comes back in the X-Pathdump-Span header and
-	// is hung under the host's live rpc span, next to whatever the
-	// controller adds itself.
-	const header = `{"name":"scan","start":"2026-01-02T03:04:05.5Z","dur":1234567,` +
-		`"attrs":[{"k":"trace","v":"00c0ffee00c0ffee"},{"k":"records","v":"20000"},{"k":"segments_scanned","v":"3"},` +
-		`{"k":"segments_pruned","v":"29"},{"k":"cold_loads","v":"1"}],` +
-		`"children":[{"name":"cold-load","start":"2026-01-02T03:04:05.6Z","dur":800000}]}`
-	var scan Span
-	if err := json.Unmarshal([]byte(header), &scan); err != nil {
-		t.Fatal(err)
-	}
-	rpc := &Span{}
-	if err := json.Unmarshal([]byte(`{"name":"rpc","start":"2026-01-02T03:04:05.4Z","dur":2000000,"attrs":[{"k":"host","v":"h0"}]}`), rpc); err != nil {
-		t.Fatal(err)
-	}
-	rpc.AddChild(&scan)
-	rpc.StartChild("late").SetAttr("k", "v") // unfinished: renders 0s, after the decoded child
-	const want = "rpc host=h0 2ms\n" +
-		"  scan trace=00c0ffee00c0ffee records=20000 segments_scanned=3 segments_pruned=29 cold_loads=1 1.235ms\n" +
-		"    cold-load 800µs\n" +
-		"  late k=v 0s\n"
-	if got := rpc.Render(); got != want {
-		t.Errorf("attached header span renders:\n%s\nwant:\n%s", got, want)
-	}
-	if b, _ := json.Marshal(&scan); string(b) != header {
-		t.Errorf("header span re-marshals as:\n%s\nwant:\n%s", b, header)
-	}
 }
 
 // The golden batch span's two children, as the golden document spells
@@ -117,7 +88,7 @@ const (
 // children built on read, through Derive, renders and marshals byte for
 // byte as the golden tree does — first and every time after, from
 // several readers at once — and a span Derive hangs (AddChild of a span
-// another tree holds, as an agent's scan span is) is never written to.
+// another tree holds) is never written to.
 func TestTraceGoldenDerived(t *testing.T) {
 	kids := `,"children":[` + goldenRPC5 + `,` + goldenRPC6 + `]`
 	if !strings.Contains(traceGoldenJSON, kids) {

@@ -3,7 +3,7 @@
 // into their storage engine instead of filtering a full scan record by
 // record. The segmented TIB store answers a Predicate by pruning whole
 // segments on time bounds and walking flow/link index postings inside the
-// survivors (tib.Store.ScanWhile); views without such a store fall back
+// survivors (tib.Store.ScanSince); views without such a store fall back
 // to per-record Match.
 package query
 

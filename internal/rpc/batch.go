@@ -242,13 +242,12 @@ func (s *MultiAgentServer) runHost(ctx context.Context, h types.HostID, q query.
 		rep.Error = fmt.Sprintf("rpc: host %v not served here", h)
 		return
 	}
-	res, sc, sp, err := executeMeta(ctx, t, q)
+	res, m, err := evaluate(ctx, t, q, nil)
 	if err != nil {
 		rep.Error = err.Error()
 		return
 	}
-	rep.Result = res
-	rep.Meta = wire.Meta{RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp}
+	rep.Result, rep.Meta = res, m
 }
 
 // QueryMany implements controller.BatchTransport: hosts sharing a daemon
@@ -399,11 +398,7 @@ func readBatch(body io.Reader, url string, batch []types.HostID, idx []int, repl
 		if sec.Host != batch[j] {
 			return fmt.Errorf("rpc: %s/batchquery reply %d is for host %v, asked for %v", url, j, sec.Host, batch[j])
 		}
-		rep.Meta = controller.QueryMeta{
-			RecordsScanned:  sec.Meta.RecordsScanned,
-			SegmentsScanned: sec.Meta.SegmentsScanned,
-			SegmentsPruned:  sec.Meta.SegmentsPruned,
-		}
+		rep.Meta = queryMeta(sec.Meta)
 		if sec.Error != "" {
 			rep.Err = fmt.Errorf("rpc: host %v: %s", batch[j], sec.Error)
 		}

@@ -3,10 +3,10 @@
 // keep-alive HTTP/1.1 client instead of net/http, whose request, header
 // map, connection and goroutine machinery cost about 65 allocations per
 // round trip and carried nothing these exchanges use. The daemons see the
-// request they always saw (request line, Host, Content-Type, Accept,
-// X-Pathdump-Trace, Content-Length and the PDW1 frame; no User-Agent or
-// Accept-Encoding), and their servers are unchanged. The control plane —
-// install, uninstall, snapshots, alarms — stays on net/http through
+// request net/http would send (request line, Host, Content-Type, Accept,
+// Content-Length and the PDW1 frame; no User-Agent or Accept-Encoding),
+// and their servers are unchanged. The control plane — install,
+// uninstall, snapshots, alarms — stays on net/http through
 // HTTPTransport.Client.
 //
 // A connection holds its socket, a 4 KiB read buffer and a reusable
@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"pathdump/internal/obs"
 	"pathdump/internal/wire"
 )
 
@@ -118,10 +117,6 @@ func (p *dataPlane) roundTrip(ctx context.Context, base, path string, body []byt
 	if err != nil {
 		return err
 	}
-	tid := obs.TraceFromContext(ctx)
-	if !validHeaderValue(tid) {
-		return fmt.Errorf("rpc: trace ID %q is not a valid header value", tid)
-	}
 	for fresh := false; ; fresh = true {
 		c, reused, err := p.get(ctx, d, fresh)
 		if err != nil {
@@ -130,7 +125,7 @@ func (p *dataPlane) roundTrip(ctx context.Context, base, path string, body []byt
 			}
 			return d.errorf(path, err)
 		}
-		answered, err := p.exchange(ctx, d, c, path, tid, body, read)
+		answered, err := p.exchange(ctx, d, c, path, body, read)
 		if err != nil && reused && !answered && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			continue
 		}
@@ -140,7 +135,7 @@ func (p *dataPlane) roundTrip(ctx context.Context, base, path string, body []byt
 
 // exchange runs one request and reply on c, then pools c or closes it.
 // answered reports whether any byte of a reply arrived.
-func (p *dataPlane) exchange(ctx context.Context, d *daemonConns, c *dpConn, path, tid string, body []byte, read func(*reply) error) (answered bool, err error) {
+func (p *dataPlane) exchange(ctx context.Context, d *daemonConns, c *dpConn, path string, body []byte, read func(*reply) error) (answered bool, err error) {
 	// The head deadline goes on before the context is armed: set after, it
 	// could overwrite the kill.
 	c.killed = false
@@ -149,7 +144,7 @@ func (p *dataPlane) exchange(ctx context.Context, d *daemonConns, c *dpConn, pat
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, c.kill)
 	}
-	answered, err = c.do(d, path, tid, body, read)
+	answered, err = c.do(d, path, body, read)
 	fired := stop != nil && !stop()
 	if fired && err != nil {
 		err = ctx.Err()
@@ -165,8 +160,8 @@ func (p *dataPlane) exchange(ctx context.Context, d *daemonConns, c *dpConn, pat
 // do writes the request and reads the reply: its head here, its body
 // through read, and what read left of it past, so the connection can carry
 // the next exchange.
-func (c *dpConn) do(d *daemonConns, path, tid string, body []byte, read func(*reply) error) (answered bool, err error) {
-	c.req = appendRequest(c.req[:0], d, path, tid, body)
+func (c *dpConn) do(d *daemonConns, path string, body []byte, read func(*reply) error) (answered bool, err error) {
+	c.req = appendRequest(c.req[:0], d, path, body)
 	if _, err := c.nc.Write(c.req); err != nil {
 		return false, d.errorf(path, err)
 	}
@@ -210,18 +205,13 @@ func (c *dpConn) cancel() {
 }
 
 // appendRequest appends the request for path to b.
-func appendRequest(b []byte, d *daemonConns, path, tid string, body []byte) []byte {
+func appendRequest(b []byte, d *daemonConns, path string, body []byte) []byte {
 	b = append(b, "POST "...)
 	b = append(b, d.prefix...)
 	b = append(b, path...)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(b, d.host...)
 	b = append(b, "\r\nContent-Type: "+wire.ContentType+"\r\nAccept: "+wire.ContentType+", application/json\r\n"...)
-	if tid != "" {
-		b = append(b, TraceHeader+": "...)
-		b = append(b, tid...)
-		b = append(b, "\r\n"...)
-	}
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(body)), 10)
 	b = append(b, "\r\n\r\n"...)
@@ -337,28 +327,16 @@ func isWire(ct []byte) bool {
 	return len(ct) >= len(wire.ContentType) && string(ct[:len(wire.ContentType)]) == wire.ContentType
 }
 
-// validHeaderValue reports whether v can be sent as a header value: no
-// control byte but a tab.
-func validHeaderValue(v string) bool {
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; (c < ' ' && c != '\t') || c == 0x7f {
-			return false
-		}
-	}
-	return true
-}
-
 // reply is one HTTP/1.1 reply as the data plane reads it: the status, the
-// five headers it acts on — Content-Length, Transfer-Encoding, Connection,
-// Content-Type and X-Pathdump-Span — and the body, read through the reply
-// itself (it is the body's io.Reader). Nothing is kept in a map: the kept
+// four headers it acts on — Content-Length, Transfer-Encoding, Connection
+// and Content-Type — and the body, read through the reply itself (it is
+// the body's io.Reader). Nothing is kept in a map: the kept
 // values live in buffers the connection's next reply reuses.
 type reply struct {
 	br     *bufio.Reader
 	code   int
 	status []byte // "404 Not Found"
 	ctype  []byte // the first Content-Type
-	span   []byte // the first X-Pathdump-Span
 	headN  int    // head and trailer bytes read, bounded by maxHeadBytes
 
 	keep    bool  // the framing and Connection allow a next exchange
@@ -373,7 +351,7 @@ type reply struct {
 // body, by net/http's rules (ReadResponse, readTransfer) for every reply
 // net/http takes but those errUnsupportedReply names.
 func (r *reply) readHead(br *bufio.Reader) error {
-	*r = reply{br: br, status: r.status[:0], ctype: r.ctype[:0], span: r.span[:0]}
+	*r = reply{br: br, status: r.status[:0], ctype: r.ctype[:0]}
 	line, err := r.line()
 	if err != nil {
 		return err
@@ -403,7 +381,7 @@ func (r *reply) readHead(br *bufio.Reader) error {
 
 	var cl, clDigits int64 = -1, 0
 	var te int
-	var chunked, closing, haveCT, haveSpan bool
+	var chunked, closing, haveCT bool
 	for {
 		line, err := r.line()
 		if err != nil {
@@ -439,10 +417,6 @@ func (r *reply) readHead(br *bufio.Reader) error {
 		case equalFold(name, "Content-Type"):
 			if !haveCT {
 				r.ctype, haveCT = append(r.ctype, val...), true
-			}
-		case equalFold(name, SpanHeader):
-			if !haveSpan {
-				r.span, haveSpan = append(r.span, val...), true
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func replySeeds() map[string][]byte {
 		"http10-keep-alive": []byte("HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"),
 		"connection-close":  []byte("HTTP/1.1 200 OK\r\nconnection: Keep-Alive, close\r\nContent-Length: 2\r\n\r\nok"),
 		"no-content":        []byte("HTTP/1.1 204 No Content\r\nTransfer-Encoding: chunked\r\n\r\n"),
-		"traced":            []byte("HTTP/1.1 200 OK\r\n" + wireCT + SpanHeader + ": {\"name\":\"scan\",\"attrs\":{\"trace\":\"5f0c\"}}\r\nContent-Length: 0\r\n\r\n"),
+		"traced":            []byte("HTTP/1.1 200 OK\r\n" + wireCT + "X-Pathdump-Span: {\"name\":\"scan\",\"attrs\":{\"trace\":\"5f0c\"}}\r\nContent-Length: 0\r\n\r\n"),
 		"not-found":         []byte("HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\nX-Content-Type-Options: nosniff\r\nContent-Length: 30\r\n\r\nrpc: host h99 not served here\n"),
 		"pipelined":         []byte("HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nAHTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nB"),
 	}

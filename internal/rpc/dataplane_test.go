@@ -371,25 +371,24 @@ func TestDataPlaneStaleKeepAlive(t *testing.T) {
 }
 
 // TestDataPlaneRequest: the daemon receives what the net/http path sent —
-// request line, Content-Type, Accept, trace header and body — and a base
-// URL's path prefixes the request path.
+// request line, Content-Type, Accept and body — and a base URL's path
+// prefixes the request path.
 func TestDataPlaneRequest(t *testing.T) {
 	type seen struct {
-		method, uri, ct, accept, trace, host string
-		body                                 []byte
+		method, uri, ct, accept, host string
+		body                          []byte
 	}
 	got := make(chan seen, 2)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		got <- seen{r.Method, r.RequestURI, r.Header.Get("Content-Type"), r.Header.Get("Accept"), r.Header.Get(TraceHeader), r.Host, body}
+		got <- seen{r.Method, r.RequestURI, r.Header.Get("Content-Type"), r.Header.Get("Accept"), r.Host, body}
 		w.Header().Set("Content-Type", wire.ContentType)
 		wire.WriteQuery(w, wire.Meta{}, &query.Result{Op: query.OpCount}, false)
 	}))
 	defer srv.Close()
 	host := types.HostID(4)
 	q := query.Query{Op: query.OpCount, Flow: seedFlow(4, 1)}
-	tid := obs.NewTraceID()
-	ctx := obs.ContextWithTrace(context.Background(), tid)
+	ctx := obs.ContextWithTrace(context.Background(), obs.NewTraceID())
 
 	var body bytes.Buffer
 	if err := wire.WriteQueryRequest(&body, &host, &q); err != nil {
@@ -398,7 +397,6 @@ func TestDataPlaneRequest(t *testing.T) {
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/prefix/query", bytes.NewReader(body.Bytes()))
 	req.Header.Set("Content-Type", wire.ContentType)
 	req.Header.Set("Accept", wire.ContentType+", application/json")
-	req.Header.Set(TraceHeader, tid)
 	resp, err := DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,6 @@ import (
 	"pathdump/internal/wire"
 )
 
-// TraceHeader is the request header carrying the controller-minted
-// per-query trace ID to agents.
-const TraceHeader = "X-Pathdump-Trace"
-
-// SpanHeader is the response header carrying the agent-side scan span
-// (JSON-encoded) back on buffered wire-encoded replies, whose binary
-// body has no slot for it. JSON replies carry the span in the body
-// and streamed replies carry none — the controller synthesizes a scan
-// span from the stream's trailing meta instead.
-const SpanHeader = "X-Pathdump-Span"
-
 // HealthStatus is the GET /healthz body: a cheap readiness probe that
 // never executes a query. Status is "ok" once the server can answer
 // queries; daemons mid-restore report "loading".
@@ -192,45 +181,4 @@ func mountObs(mux *http.ServeMux, so *ServerObs, defaultHealth func() HealthStat
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-}
-
-// traceScan starts the agent-side scan span when the request carries a
-// controller-minted trace ID, returning the span and the target's
-// cold-load watermark for delta attribution.
-func traceScan(r *http.Request, t Target) (*obs.Span, uint64) {
-	tid := r.Header.Get(TraceHeader)
-	if tid == "" {
-		return nil, 0
-	}
-	sp := obs.NewSpan("scan")
-	sp.SetAttr("trace", tid)
-	return sp, t.ColdStats().Loads
-}
-
-// finishScan annotates the scan span with the execution's telemetry
-// — records resident, segments scanned/pruned, cold-tier loads — and
-// stamps its duration. Nil-safe.
-func finishScan(sp *obs.Span, t Target, segScanned, segPruned int, cold0 uint64) {
-	if sp == nil {
-		return
-	}
-	sp.SetInt("records", int64(t.TIBSize()))
-	sp.SetInt("segments_scanned", int64(segScanned))
-	sp.SetInt("segments_pruned", int64(segPruned))
-	sp.SetInt("cold_loads", int64(t.ColdStats().Loads-cold0))
-	sp.Finish()
-}
-
-// decodeSpan parses the agent scan span a buffered wire reply carried in
-// its SpanHeader; a missing or malformed header yields nil (the
-// controller synthesizes a span from the meta).
-func decodeSpan(raw []byte) *obs.Span {
-	if len(raw) == 0 {
-		return nil
-	}
-	var sp obs.Span
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil
-	}
-	return &sp
 }

@@ -11,8 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"pathdump/internal/agent"
+	"pathdump/internal/cherrypick"
+	"pathdump/internal/controller"
+	"pathdump/internal/netsim"
 	"pathdump/internal/obs"
 	"pathdump/internal/query"
+	"pathdump/internal/tib"
+	"pathdump/internal/topology"
 	"pathdump/internal/types"
 )
 
@@ -155,55 +161,122 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// TestTraceSpanRoundTrip: a traced request gets the agent's scan span
-// back in whichever slot its reply encoding has — the SpanHeader for the
-// transport's buffered wire replies (landing in QueryMeta.Span), the
-// body for a JSON reply to a curl-style request. Untraced requests carry
-// no span.
+// TestTraceSpanRoundTrip: every reply shape the controller meets — a
+// buffered wire /query, a streamed records /query, a /batchquery section
+// and the in-process Local transport — gives it one scan span per host,
+// built from the host's measured telemetry: the same attributes,
+// cold_loads included on a store whose cold tier the scan thaws, and the
+// measured scan time as its duration. Curl's JSON keeps its three
+// counters with no span beside them.
 func TestTraceSpanRoundTrip(t *testing.T) {
-	srv := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: seedStore(1, 50)}}).Handler())
-	defer srv.Close()
-	tr := &HTTPTransport{URLs: map[types.HostID]string{7: srv.URL}}
-	q := query.Query{Op: query.OpTopK, K: 3}
+	topo, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := httptest.NewServer((&AgentServer{T: SnapshotTarget{Store: coldStore(t, 7, 400)}}).Handler())
+	defer one.Close()
+	two := httptest.NewServer((&MultiAgentServer{Targets: map[types.HostID]Target{
+		8: SnapshotTarget{Store: coldStore(t, 8, 400)},
+		9: SnapshotTarget{Store: coldStore(t, 9, 400)},
+	}}).Handler())
+	defer two.Close()
+	tr := &HTTPTransport{URLs: map[types.HostID]string{7: one.URL, 8: two.URL, 9: two.URL}}
+	defer tr.CloseIdleConnections()
+	scheme, err := cherrypick.New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.New(topo, scheme, netsim.Config{Seed: 1})
+	local := agent.New(sim, topo.Hosts()[3], nil, nil, agent.Config{})
+	local.Store = coldStore(t, 3, 400)
 
+	topk := query.Query{Op: query.OpTopK, K: 3}
 	for _, tc := range []struct {
-		name string
-		// span runs q, traced with tid when it is non-empty, and returns
-		// the scan span the reply carried.
-		span func(t *testing.T, tid string) *obs.Span
+		name  string
+		t     controller.Transport
+		hosts []types.HostID
+		q     query.Query
 	}{
-		{"wire", func(t *testing.T, tid string) *obs.Span {
-			_, meta, err := tr.Query(obs.ContextWithTrace(context.Background(), tid), 7, q)
+		{"wire", tr, []types.HostID{7}, topk},
+		{"streamed", tr, []types.HostID{7}, query.Query{Op: query.OpRecords, Link: types.AnyLink}},
+		{"batch", tr, []types.HostID{8, 9}, topk},
+		{"local", controller.Local{Agents: map[types.HostID]*agent.Agent{3: local}}, []types.HostID{3}, topk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, stats, err := controller.New(topo, tc.t, nil).ExecuteContext(context.Background(), tc.hosts, tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return meta.Span
-		}},
-		{"json", func(t *testing.T, tid string) *obs.Span {
-			var resp QueryResponse
-			hdr := http.Header{}
-			if tid != "" {
-				hdr.Set(TraceHeader, tid)
+			var scans []*obs.Span
+			walkSpans(stats.Trace, func(s *obs.Span) {
+				if s.Name == "scan" {
+					scans = append(scans, s)
+				}
+			})
+			if len(scans) != len(tc.hosts) {
+				t.Fatalf("%d scan spans for %d hosts:\n%s", len(scans), len(tc.hosts), stats.Trace.Render())
 			}
-			postJSON(t, srv.URL+"/query", hdr, QueryRequest{Query: q}, &resp)
-			return resp.Span
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tid := obs.NewTraceID()
-			sp := tc.span(t, tid)
-			if sp == nil {
-				t.Fatal("traced query returned no span")
-			}
-			if sp.Name != "scan" || sp.Attr("trace") != tid {
-				t.Fatalf("span %s trace=%s, want scan/%s", sp.Name, sp.Attr("trace"), tid)
-			}
-			if sp.Attr("records") == "" || sp.Attr("segments_scanned") == "" {
-				t.Fatalf("span missing scan telemetry: %s", sp.Render())
-			}
-			if sp := tc.span(t, ""); sp != nil {
-				t.Fatalf("untraced query carried a span: %s", sp.Render())
+			for _, sp := range scans {
+				if got, want := spanAttrKeys(t, sp), "records segments_scanned segments_pruned cold_loads"; got != want {
+					t.Errorf("scan span attributes %q, want %q:\n%s", got, want, sp.Render())
+				}
+				if sp.Dur <= 0 {
+					t.Errorf("scan span lasts %v, want the measured scan time:\n%s", sp.Dur, sp.Render())
+				}
 			}
 		})
 	}
+
+	t.Run("json", func(t *testing.T) {
+		var resp map[string]json.RawMessage
+		q := query.Query{Op: query.OpTopK, K: 3, Range: types.TimeRange{From: 300 * types.Millisecond, To: types.Second}}
+		postJSON(t, one.URL+"/query", nil, QueryRequest{Query: q}, &resp)
+		for _, key := range []string{"result", "records_scanned", "segments_scanned", "segments_pruned"} {
+			if _, ok := resp[key]; !ok {
+				t.Errorf("JSON reply has no %q: %v", key, resp)
+			}
+		}
+		if _, ok := resp["span"]; ok || len(resp) != 4 {
+			t.Errorf("JSON reply carries more than its result and three counters: %v", resp)
+		}
+	})
+}
+
+// coldStore is seedStore's population on a store with a cold tier, its
+// older half spilled to disk: a full scan thaws it.
+func coldStore(t *testing.T, host, nrec int) *tib.Store {
+	t.Helper()
+	st := tib.NewStoreConfig(tib.Config{SegmentSpan: 20 * types.Millisecond, ColdDir: t.TempDir()})
+	seeded := seedStore(host, nrec)
+	seeded.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) { st.Add(*rec) })
+	if segs, _, err := st.SpillBefore(types.Time(nrec/2) * types.Millisecond); err != nil || segs == 0 {
+		t.Fatalf("spilled %d segments: %v", segs, err)
+	}
+	return st
+}
+
+// walkSpans visits every span of a trace, derived ones included.
+func walkSpans(s *obs.Span, visit func(*obs.Span)) {
+	visit(s)
+	for _, c := range s.Children {
+		walkSpans(c, visit)
+	}
+}
+
+// spanAttrKeys lists a span's attribute keys in the order they were set.
+func spanAttrKeys(t *testing.T, s *obs.Span) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j struct{ Attrs []obs.Attr }
+	if err := json.Unmarshal(b, &j); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(j.Attrs))
+	for i, a := range j.Attrs {
+		keys[i] = a.Key
+	}
+	return strings.Join(keys, " ")
 }

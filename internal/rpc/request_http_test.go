@@ -207,17 +207,19 @@ func (t *installCounter) count() int {
 }
 
 // TestInstallFallbackNoDoubleExecute: an install has no fallback either.
-// A daemon that rejects the frame does so in decode, before the handler
-// touches the target, and the transport does not try again in JSON — so
+// Installs are JSON, as every control-plane request is. A daemon that
+// rejects the body does so in decode, before the handler touches the
+// target, and the transport does not try again in another encoding — so
 // the caller gets the *StatusError, the daemon saw one request, and
-// nothing was installed. Against a daemon that takes the frame the
-// install runs exactly once.
+// nothing was installed. Against a daemon that takes the body the install
+// runs exactly once; a wire frame posted to /install is answered 415 and
+// installs nothing.
 func TestInstallFallbackNoDoubleExecute(t *testing.T) {
 	install := func(t *testing.T, reject int) (*installCounter, *ctCounter, int, error) {
 		target := &installCounter{SnapshotTarget: SnapshotTarget{Store: tib.NewStore()}}
 		var h http.Handler = (&AgentServer{T: target}).Handler()
 		if reject != 0 {
-			h = rejectWire(h, reject)
+			h = rejectJSON(h, reject)
 		}
 		cc := &ctCounter{h: h}
 		srv := httptest.NewServer(cc)
@@ -233,8 +235,8 @@ func TestInstallFallbackNoDoubleExecute(t *testing.T) {
 			if !errors.As(err, &se) || se.Code != code {
 				t.Fatalf("install err = %v, want *StatusError %d", err, code)
 			}
-			if w, j := cc.counts(); w != 1 || j != 0 {
-				t.Fatalf("daemon saw %d wire / %d json request bodies, want exactly one wire request", w, j)
+			if w, j := cc.counts(); w != 0 || j != 1 {
+				t.Fatalf("daemon saw %d wire / %d json request bodies, want exactly one json request", w, j)
 			}
 			if target.count() != 0 {
 				t.Fatalf("a rejected install ran %d times", target.count())
@@ -245,6 +247,32 @@ func TestInstallFallbackNoDoubleExecute(t *testing.T) {
 	if err != nil || id != 1 || target.count() != 1 {
 		t.Fatalf("accepted install ran %d times (id %d, err %v), want exactly once", target.count(), id, err)
 	}
+
+	srv := httptest.NewServer((&AgentServer{T: target}).Handler())
+	defer srv.Close()
+	var frame bytes.Buffer
+	if err := wire.WriteQueryRequest(&frame, nil, &query.Query{Op: query.OpPoorTCP, Threshold: 3}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/install", wire.ContentType, &frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType || target.count() != 1 {
+		t.Fatalf("a wire-encoded /install answered %d and left %d installs, want 415 and 1", resp.StatusCode, target.count())
+	}
+}
+
+// rejectJSON is rejectWire's mirror: a daemon that takes no JSON body.
+func rejectJSON(h http.Handler, code int) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !wire.IsWire(r.Header.Get("Content-Type")) {
+			http.Error(w, "unsupported media type", code)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // TestWireRequestRoundTrip pins the binary request path end to end: the

@@ -5,11 +5,12 @@
 // implements controller.Transport against a set of daemon base URLs;
 // ControllerServer accepts agent alarms.
 //
-// The client speaks one encoding per request type: /query, /batchquery
-// and /install bodies are PDW1 frames (internal/wire) and query replies
-// come back as PDW1 frames; everything else is JSON. Servers follow the
-// request — a JSON body decodes as JSON, a reply is JSON unless Accept
-// offers the wire type — which is what curl and the docs' examples use.
+// The client speaks one encoding per plane: the data plane's /query and
+// /batchquery bodies are PDW1 frames (internal/wire) and their replies
+// come back as PDW1 frames; the control plane — install, uninstall,
+// snapshots, alarms — is JSON. Servers follow the request — a JSON body
+// decodes as JSON, a reply is JSON unless Accept offers the wire type —
+// which is what curl and the docs' examples use.
 //
 // Endpoints (POST unless noted; {…} shows the JSON spelling):
 //
@@ -73,9 +74,9 @@ type Target interface {
 	// versus pruned by time bounds; servers attribute per-query deltas
 	// onto the wire for the controller's ExecStats and cost model.
 	SegmentStats() (scanned, pruned uint64)
-	// ColdStats is the store's cold-tier telemetry; traced scans report
-	// the demand loads they caused.
-	ColdStats() tib.ColdStats
+	// ColdLoads is the store's cumulative count of cold-segment demand
+	// loads, attributed per query the same way.
+	ColdLoads() uint64
 	// WriteSnapshotSince streams the TIB in the block-framed snapshot
 	// format: the records with arrival sequence greater than since, or
 	// everything when since is 0 or the watermark cannot be served (the
@@ -83,21 +84,38 @@ type Target interface {
 	WriteSnapshotSince(w io.Writer, since uint64) error
 }
 
-// executeMeta runs a query on a target under the request context and
-// attributes the target's segment telemetry to it by delta. Queries
-// racing on one target may swap shares — the counts feed modelled
+// evaluate runs q on t under the request context and measures what that
+// cost the host into a wire.Meta — the records resident, the segments
+// scanned and pruned, the cold segments loaded and the wall time — the
+// same way for every reply shape. With a nil each the result is
+// materialised; otherwise every matching record is handed to each as the
+// scan visits it (Target.StreamRecords) and the result is empty. Only
+// counters are read, by delta around the evaluation: queries racing on
+// one target may swap shares — the counts feed telemetry and modelled
 // stats, not correctness.
-func executeMeta(ctx context.Context, t Target, q query.Query) (res query.Result, segScanned, segPruned int, err error) {
+func evaluate(ctx context.Context, t Target, q query.Query, each func(*types.Record)) (res query.Result, m wire.Meta, err error) {
 	if err = ctx.Err(); err != nil {
 		return
 	}
 	sc0, sp0 := t.SegmentStats()
-	res, err = t.ExecuteContext(ctx, q)
-	if err == nil {
-		sc1, sp1 := t.SegmentStats()
-		segScanned, segPruned = int(sc1-sc0), int(sp1-sp0)
+	cold0 := t.ColdLoads()
+	start := time.Now()
+	if each != nil {
+		err = t.StreamRecords(ctx, q, each)
+	} else {
+		res, err = t.ExecuteContext(ctx, q)
 	}
-	return res, segScanned, segPruned, err
+	if err != nil {
+		return query.Result{}, wire.Meta{}, err
+	}
+	sc1, sp1 := t.SegmentStats()
+	return res, wire.Meta{
+		RecordsScanned:  t.TIBSize(),
+		SegmentsScanned: int(sc1 - sc0),
+		SegmentsPruned:  int(sp1 - sp0),
+		ColdLoads:       int(t.ColdLoads() - cold0),
+		ScanTime:        time.Since(start),
+	}, nil
 }
 
 // writeExecuteError maps a query-execution failure onto the right HTTP
@@ -144,8 +162,8 @@ func (t SnapshotTarget) TIBSize() int { return t.Store.Len() }
 // SegmentStats implements Target.
 func (t SnapshotTarget) SegmentStats() (scanned, pruned uint64) { return t.Store.SegmentStats() }
 
-// ColdStats implements Target.
-func (t SnapshotTarget) ColdStats() tib.ColdStats { return t.Store.ColdStats() }
+// ColdLoads implements Target.
+func (t SnapshotTarget) ColdLoads() uint64 { return t.Store.ColdLoads() }
 
 // WriteSnapshotSince implements Target: a restored store can be
 // re-snapshotted and serve deltas onward (snapshot relays, warm
@@ -162,18 +180,15 @@ type QueryRequest struct {
 	Query query.Query   `json:"query"`
 }
 
-// QueryResponse is the /query reply. SegmentsScanned/SegmentsPruned
-// carry the host store's partition telemetry for this query (§5.2
-// pruned-fraction cost term).
+// QueryResponse is the /query reply's JSON spelling. SegmentsScanned/
+// SegmentsPruned carry the host store's partition telemetry for this
+// query (§5.2 pruned-fraction cost term); the wire spelling's Meta also
+// carries the cold loads and the scan time.
 type QueryResponse struct {
 	Result          query.Result `json:"result"`
 	RecordsScanned  int          `json:"records_scanned"`
 	SegmentsScanned int          `json:"segments_scanned,omitempty"`
 	SegmentsPruned  int          `json:"segments_pruned,omitempty"`
-	// Span is the agent-side scan span for traced requests (the
-	// request carried a TraceHeader). Wire-encoded replies move it in
-	// the SpanHeader response header instead of the body.
-	Span *obs.Span `json:"span,omitempty"`
 }
 
 // InstallRequest is the /install body; Period is virtual nanoseconds.
@@ -303,15 +318,12 @@ func (a *hostAPI) mux() *http.ServeMux {
 			streamQueryResponse(w, r, t, req.Query, a.compress)
 			return
 		}
-		span, cold0 := traceScan(r, t)
-		res, sc, sp, err := executeMeta(r.Context(), t, req.Query)
+		res, m, err := evaluate(r.Context(), t, req.Query, nil)
 		if err != nil {
 			writeExecuteError(w, err)
 			return
 		}
-		finishScan(span, t, sc, sp, cold0)
-		writeQueryResponse(w, r, a.compress,
-			QueryResponse{Result: res, RecordsScanned: t.TIBSize(), SegmentsScanned: sc, SegmentsPruned: sp, Span: span})
+		writeQueryResponse(w, r, a.compress, m, &res)
 		query.PutRecordBuf(res.Records)
 	}))
 	mux.HandleFunc("/install", a.obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
@@ -482,11 +494,11 @@ func (c *AlarmClient) client() *http.Client {
 
 // HTTPTransport implements controller.Transport over per-host agent URLs.
 // Each request type has exactly one encoding, chosen by the type alone:
-// query, batch and install bodies are PDW1 frames (internal/wire), query
-// and batch replies are PDW1 frames, everything else is JSON. Nothing is
-// probed, retried in another encoding, or remembered per daemon: a daemon
-// that rejects a frame is a *StatusError after one request, and a query
-// reply in the wrong encoding is an *UnexpectedContentTypeError.
+// query and batch bodies and replies are PDW1 frames (internal/wire),
+// everything else is JSON. Nothing is probed, retried in another
+// encoding, or remembered per daemon: a daemon that rejects a body is a
+// *StatusError after one request, and a query reply in the wrong encoding
+// is an *UnexpectedContentTypeError.
 //
 // The data plane — /query and /batchquery — rides the transport's own
 // keep-alive HTTP/1.1 connections (dataplane.go), which take plain
@@ -555,37 +567,23 @@ func putReqBuf(buf *bytes.Buffer) {
 	reqBufs.Put(buf)
 }
 
-// encodeRequest writes a control-plane request's body into buf in the one
-// encoding its type has — a PDW1 frame for an install, JSON for the rest
-// — and returns the matching Content-Type.
-func encodeRequest(buf *bytes.Buffer, in interface{}) (contentType string, err error) {
-	if req, ok := in.(InstallRequest); ok {
-		return wire.ContentType, wire.WriteInstallRequest(buf, req.Host, &req.Query, req.Period)
-	}
-	return "application/json", json.NewEncoder(buf).Encode(in)
-}
-
-// doPost issues one control-plane POST through the net/http client —
-// exactly one: there is no retry in another encoding — and returns the
-// raw 200 response, body unread. The request carries ctx
+// doPost issues one control-plane POST, its body JSON, through the
+// net/http client — exactly one: there is no retry in another encoding —
+// and returns the raw 200 response, body unread. The request carries ctx
 // (http.NewRequestWithContext), so cancelling it aborts the dial, the
 // in-flight request, and the response read. A non-200 answer closes the
 // body and surfaces as *StatusError.
 func (t *HTTPTransport) doPost(ctx context.Context, base, path string, in interface{}) (*http.Response, error) {
 	buf := getReqBuf()
 	defer putReqBuf(buf)
-	contentType, err := encodeRequest(buf, in)
-	if err != nil {
+	if err := json.NewEncoder(buf).Encode(in); err != nil {
 		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
-	if tid := obs.TraceFromContext(ctx); tid != "" {
-		req.Header.Set(TraceHeader, tid)
-	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return nil, err
@@ -642,19 +640,24 @@ func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Qu
 		if err != nil {
 			return err
 		}
-		res = *out
-		meta = controller.QueryMeta{
-			RecordsScanned:  m.RecordsScanned,
-			SegmentsScanned: m.SegmentsScanned,
-			SegmentsPruned:  m.SegmentsPruned,
-			Span:            decodeSpan(r.span),
-		}
+		res, meta = *out, queryMeta(m)
 		return nil
 	})
 	if err != nil {
 		return query.Result{}, controller.QueryMeta{}, err
 	}
 	return res, meta, nil
+}
+
+// queryMeta is a reply's measured telemetry as the controller keeps it.
+func queryMeta(m wire.Meta) controller.QueryMeta {
+	return controller.QueryMeta{
+		RecordsScanned:  m.RecordsScanned,
+		SegmentsScanned: m.SegmentsScanned,
+		SegmentsPruned:  m.SegmentsPruned,
+		ColdLoads:       m.ColdLoads,
+		ScanTime:        m.ScanTime,
+	}
 }
 
 // Install implements controller.Transport.
@@ -804,7 +807,8 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}, limit int64) 
 }
 
 // errWireEndpoint marks a wire-encoded body posted to an endpoint that
-// has no binary request frame (alarms, uninstalls); decode answers 415.
+// has no binary request frame (the control plane: installs, uninstalls,
+// alarms); decode answers 415.
 var errWireEndpoint = errors.New("rpc: endpoint does not accept wire-encoded requests")
 
 // decodeWireRequest maps the handler's request struct onto its wire frame
@@ -823,12 +827,6 @@ func decodeWireRequest(body io.Reader, v interface{}) error {
 			return err
 		}
 		req.Hosts, req.Query, req.Parallel = hosts, q, parallel
-	case *InstallRequest:
-		host, q, period, err := wire.ReadInstallRequest(body)
-		if err != nil {
-			return err
-		}
-		req.Host, req.Query, req.Period = host, q, period
 	default:
 		return errWireEndpoint
 	}
@@ -866,29 +864,19 @@ func encode(w http.ResponseWriter, v interface{}) {
 }
 
 // writeQueryResponse answers /query in whichever encoding the request
-// negotiated: the binary wire format when the client offered it, JSON
-// otherwise. The wire path streams
-// columns straight to the socket instead of buffering the whole reply.
-// Once the first body byte is out the status line is committed, so a
-// mid-stream write failure just truncates the frame — the client-side
-// decoder rejects truncated frames explicitly.
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, resp QueryResponse) {
+// negotiated: the binary wire format, Meta and all, when the client
+// offered it, JSON otherwise. The wire path streams columns straight to
+// the socket instead of buffering the whole reply. Once the first body
+// byte is out the status line is committed, so a mid-stream write failure
+// just truncates the frame — the client-side decoder rejects truncated
+// frames explicitly.
+func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, m wire.Meta, res *query.Result) {
 	if !wire.Accepted(r.Header.Get("Accept")) {
-		encode(w, resp)
+		encode(w, QueryResponse{Result: *res, RecordsScanned: m.RecordsScanned, SegmentsScanned: m.SegmentsScanned, SegmentsPruned: m.SegmentsPruned})
 		return
 	}
-	if resp.Span != nil {
-		// The binary frame has no span slot; ride the response header.
-		if b, err := json.Marshal(resp.Span); err == nil {
-			w.Header().Set(SpanHeader, string(b))
-		}
-	}
 	w.Header().Set("Content-Type", wire.ContentType)
-	_ = wire.WriteQuery(w, wire.Meta{
-		RecordsScanned:  resp.RecordsScanned,
-		SegmentsScanned: resp.SegmentsScanned,
-		SegmentsPruned:  resp.SegmentsPruned,
-	}, &resp.Result, compress)
+	_ = wire.WriteQuery(w, m, res, compress)
 }
 
 // writeBatchResponse is writeQueryResponse for /batchquery: n sections,

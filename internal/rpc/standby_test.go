@@ -22,7 +22,7 @@ func standbyRecord(i int) types.Record {
 
 func countStore(s *tib.Store) int {
 	n := 0
-	s.ForEach(types.AnyLink, types.AllTime, func(*types.Record) { n++ })
+	s.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) { n++ })
 	return n
 }
 

@@ -34,19 +34,20 @@ func (t SnapshotTarget) StreamRecords(ctx context.Context, q query.Query, fn fun
 // caller has checked that the op is OpRecords and that the client
 // accepted the wire encoding.
 //
-// Once the first chunk is written the HTTP status is committed, so a
-// mid-scan failure (in practice: the client hung up) cannot turn into an
-// error status; the writer is abandoned instead, leaving a truncated
-// frame the client's decoder rejects.
+// The frame's head carries no telemetry: the scan's, measured as every
+// reply's is (evaluate), rides the end marker. Once the first chunk is
+// written the HTTP status is committed, so a mid-scan failure (in
+// practice: the client hung up) cannot turn into an error status; the
+// writer is abandoned instead, leaving a truncated frame the client's
+// decoder rejects.
 func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q query.Query, compress bool) {
 	ctx := r.Context()
 	if err := ctx.Err(); err != nil {
 		writeExecuteError(w, err)
 		return
 	}
-	sc0, sp0 := t.SegmentStats()
 	w.Header().Set("Content-Type", wire.ContentType)
-	sw, err := wire.NewQueryStreamWriter(w, wire.Meta{RecordsScanned: t.TIBSize()}, q.Op, compress)
+	sw, err := wire.NewQueryStreamWriter(w, wire.Meta{}, q.Op, compress)
 	if err != nil {
 		// Nothing reached the wire yet; the client sees a clean error.
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -55,7 +56,7 @@ func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q que
 	if f, ok := w.(http.Flusher); ok {
 		sw.OnChunk = f.Flush
 	}
-	serr := t.StreamRecords(ctx, q, func(rec *types.Record) {
+	_, m, serr := evaluate(ctx, t, q, func(rec *types.Record) {
 		// Errors are sticky: once a flush fails, later appends no-op and
 		// the scan winds down via its own ctx polls (the usual cause of a
 		// failed flush is the client hanging up, which cancels ctx).
@@ -69,8 +70,7 @@ func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q que
 		sw.Abort()
 		return
 	}
-	sc1, sp1 := t.SegmentStats()
-	if err := sw.Close(int(sc1-sc0), int(sp1-sp0)); err != nil && !errors.Is(err, wire.ErrStreamClosed) {
+	if err := sw.CloseWith(m); err != nil && !errors.Is(err, wire.ErrStreamClosed) {
 		sw.Abort()
 	}
 }

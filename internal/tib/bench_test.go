@@ -76,7 +76,7 @@ func BenchmarkTimeRangeScan(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := 0
-				tc.store.ForEach(types.AnyLink, window, func(*types.Record) { n++ })
+				tc.store.Scan(nil, types.AnyLink, window, func(*types.Record) { n++ })
 				if n == 0 {
 					b.Fatal("empty window")
 				}
@@ -112,7 +112,7 @@ func BenchmarkIncrementalTrigger(b *testing.B) {
 	b.Run("fullscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
-			trsSeg.ForEach(types.AnyLink, types.AllTime, func(*types.Record) { n++ })
+			trsSeg.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) { n++ })
 			if n != timeRangeStoreSize {
 				b.Fatalf("full scan visited %d records, want %d", n, timeRangeStoreSize)
 			}
@@ -154,7 +154,7 @@ func BenchmarkChurn(b *testing.B) {
 						return
 					default:
 					}
-					s.ForEach(types.AnyLink, types.AllTime, func(*types.Record) {})
+					s.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) {})
 				}
 			}()
 			b.ResetTimer()
@@ -187,7 +187,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	recs := make([]types.Record, 0, records)
-	src.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) { recs = append(recs, *r) })
+	src.Scan(nil, types.AnyLink, types.AllTime, func(r *types.Record) { recs = append(recs, *r) })
 
 	// Each iteration materialises a fresh ~200 K-record store; collect
 	// between iterations so one restore's garbage is not billed to the

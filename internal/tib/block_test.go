@@ -167,7 +167,7 @@ func TestBlockAllocGuards(t *testing.T) {
 	n := 0
 	full := testing.AllocsPerRun(5, func() {
 		n = 0
-		s.ForEach(types.AnyLink, types.AllTime, func(*types.Record) { n++ })
+		s.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) { n++ })
 	})
 	// Per scan, not per record: the pooled cursor list regrows when the
 	// pool has dropped it (the race detector makes sync.Pool do so).

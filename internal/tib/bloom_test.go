@@ -78,7 +78,8 @@ func TestBloomPrunesFlowScans(t *testing.T) {
 	for _, f := range []int{0, nflows / 2, nflows - 1} {
 		_, prunedBefore := s.SegmentStats()
 		var got int
-		s.ForFlow(flowN(f), types.AnyLink, types.AllTime, func(rec *types.Record) {
+		fl := flowN(f)
+		s.Scan(&fl, types.AnyLink, types.AllTime, func(rec *types.Record) {
 			if rec.Flow != flowN(f) {
 				t.Fatalf("flow %d scan returned record of %+v", f, rec.Flow)
 			}
@@ -102,7 +103,8 @@ func TestBloomMissingFlowExact(t *testing.T) {
 	// matter what the filters answer, and the common case is that every
 	// sealed segment is pruned without a posting lookup.
 	s := bloomStore(t, Config{Shards: 1, SegmentRecords: 16}, 32, 16)
-	s.ForFlow(flowN(9999), types.AnyLink, types.AllTime, func(rec *types.Record) {
+	absent := flowN(9999)
+	s.Scan(&absent, types.AnyLink, types.AllTime, func(rec *types.Record) {
 		t.Fatalf("phantom record %+v for absent flow", rec)
 	})
 }
@@ -111,7 +113,8 @@ func TestBloomUnindexedStore(t *testing.T) {
 	s := bloomStore(t, Config{Shards: 1, SegmentRecords: 16, Unindexed: true}, 32, 16)
 	_, prunedBefore := s.SegmentStats()
 	var got int
-	s.ForFlow(flowN(3), types.AnyLink, types.AllTime, func(rec *types.Record) {
+	f3 := flowN(3)
+	s.Scan(&f3, types.AnyLink, types.AllTime, func(rec *types.Record) {
 		if rec.Flow != flowN(3) {
 			t.Fatalf("wrong flow: %+v", rec.Flow)
 		}
@@ -140,7 +143,8 @@ func TestBloomSurvivesSnapshotRestore(t *testing.T) {
 		}
 		_, prunedBefore := dst.SegmentStats()
 		var got int
-		dst.ForFlow(flowN(5), types.AnyLink, types.AllTime, func(rec *types.Record) {
+		f5 := flowN(5)
+		dst.Scan(&f5, types.AnyLink, types.AllTime, func(rec *types.Record) {
 			if rec.Flow != flowN(5) {
 				t.Fatalf("%s: wrong flow %+v", name, rec.Flow)
 			}
@@ -172,7 +176,7 @@ func TestBloomFlowScanProperty(t *testing.T) {
 	for fi := 0; fi < 40; fi++ {
 		f := flowN(fi)
 		var got []types.Record
-		s.ForFlow(f, types.AnyLink, types.AllTime, func(rec *types.Record) {
+		s.Scan(&f, types.AnyLink, types.AllTime, func(rec *types.Record) {
 			got = append(got, *rec)
 		})
 		if len(got) != len(want[f]) {
@@ -207,7 +211,7 @@ func TestScanAllocs(t *testing.T) {
 
 	full := testing.AllocsPerRun(20, func() {
 		n = 0
-		s.ForEachWhile(types.AnyLink, types.AllTime, sink)
+		s.ScanSince(0, 0, nil, types.AnyLink, types.AllTime, sink)
 		if n != 8192 {
 			t.Fatalf("full scan saw %d records", n)
 		}
@@ -219,7 +223,7 @@ func TestScanAllocs(t *testing.T) {
 	f := flowN(7)
 	flow := testing.AllocsPerRun(20, func() {
 		n = 0
-		s.ScanWhile(&f, types.AnyLink, types.AllTime, sink)
+		s.ScanSince(0, 0, &f, types.AnyLink, types.AllTime, sink)
 		if n != 128 {
 			t.Fatalf("flow scan saw %d records", n)
 		}

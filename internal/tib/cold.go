@@ -60,6 +60,10 @@ type ColdStats struct {
 	Loads, Faults uint64
 }
 
+// ColdLoads is the number of cold segments demand-loaded since the store
+// was built: ColdStats().Loads, read from its counter alone.
+func (s *Store) ColdLoads() uint64 { return s.coldLoads.Load() }
+
 // ColdStats returns the current cold-tier counters.
 func (s *Store) ColdStats() ColdStats {
 	st := ColdStats{

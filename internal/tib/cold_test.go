@@ -84,7 +84,7 @@ func TestColdSpillBoundsRAMAndScansStillAnswer(t *testing.T) {
 	// A scan whose window prunes every cold segment must not touch disk.
 	loads := s.ColdStats().Loads
 	tr := types.TimeRange{From: cutoff + types.Second, To: cutoff + 2*types.Second}
-	if err := s.ForEach(types.AnyLink, tr, func(*types.Record) {}); err != nil {
+	if err := s.Scan(nil, types.AnyLink, tr, func(*types.Record) {}); err != nil {
 		t.Fatal(err)
 	}
 	if s.ColdStats().Loads != loads {
@@ -132,7 +132,7 @@ func TestColdTruncatedFileTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scanErr := s.ForEach(types.AnyLink, types.AllTime, func(*types.Record) {})
+	scanErr := s.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) {})
 	if scanErr == nil {
 		t.Fatal("scan over a truncated cold file returned no error")
 	}
@@ -154,7 +154,7 @@ func TestColdTruncatedFileTypedError(t *testing.T) {
 	}
 	tr := types.TimeRange{From: cutoff + types.Second, To: cutoff + 100*types.Second}
 	n := 0
-	if err := s.ForEach(types.AnyLink, tr, func(*types.Record) { n++ }); err != nil {
+	if err := s.Scan(nil, types.AnyLink, tr, func(*types.Record) { n++ }); err != nil {
 		t.Fatalf("hot-window scan failed after cold fault: %v", err)
 	}
 	if n == 0 {
@@ -190,7 +190,7 @@ func TestColdEvictionRemovesFiles(t *testing.T) {
 	if st := s.ColdStats(); st.Segments != 0 || st.Bytes != 0 {
 		t.Fatalf("ColdStats after eviction = %+v", st)
 	}
-	if err := s.ForEach(types.AnyLink, types.AllTime, func(*types.Record) {}); err != nil {
+	if err := s.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) {}); err != nil {
 		t.Fatalf("scan after cold eviction: %v", err)
 	}
 
@@ -215,7 +215,7 @@ func TestColdEvictionRemovesFiles(t *testing.T) {
 	if err := os.Remove(stub.coldPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.ForEach(types.AnyLink, types.AllTime, func(*types.Record) {}); err != nil {
+	if err := s2.Scan(nil, types.AnyLink, types.AllTime, func(*types.Record) {}); err != nil {
 		t.Fatalf("scan over a dropped cold segment errored: %v", err)
 	}
 	if s2.ColdStats().Faults != 0 {

@@ -58,7 +58,7 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 						_ = s.Len()
 						_, _ = s.Count(types.Flow{ID: stressRecord(r, 7).Flow}, types.AllTime)
 						prev := uint64(0)
-						s.ForEach(types.AnyLink, types.AllTime, func(rec *types.Record) {
+						s.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) {
 							// Global insertion order must hold even
 							// mid-ingest: bytes encode per-writer order
 							// only, so just touch the record.
@@ -134,7 +134,7 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 						}
 						f := flowOf(round%writers, round%flowsEach)
 						next := uint64(0)
-						s.ForFlow(f, types.AnyLink, types.AllTime, func(rec *types.Record) {
+						s.Scan(&f, types.AnyLink, types.AllTime, func(rec *types.Record) {
 							if rec.Flow != f || rec.Bytes != next {
 								t.Errorf("flow scan: record %d of %v is %v", next, f, rec)
 							}
@@ -157,7 +157,7 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 						}
 						own := types.LinkID{A: 2, B: types.SwitchID(16 + r)}
 						var seen [flowsEach]uint64
-						s.ForEach(own, types.AllTime, func(rec *types.Record) {
+						s.Scan(nil, own, types.AllTime, func(rec *types.Record) {
 							k := int(rec.Pkts)
 							if rec.Flow != flowOf(r, k) || rec.Bytes != seen[k] {
 								t.Errorf("link scan %v: flow %d's record %d is %v", own, k, seen[k], rec)
@@ -216,7 +216,7 @@ func TestShardCountsAgree(t *testing.T) {
 	refFlows := ref.Flows(types.AnyLink, types.AllTime)
 	refLink := ref.Flows(types.LinkID{A: 2, B: 10}, types.AllTime)
 	var refScan []types.Record
-	ref.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) { refScan = append(refScan, *r) })
+	ref.Scan(nil, types.AnyLink, types.AllTime, func(r *types.Record) { refScan = append(refScan, *r) })
 
 	for name, s := range stores {
 		if name == "1" {
@@ -239,7 +239,7 @@ func TestShardCountsAgree(t *testing.T) {
 			}
 		}
 		i := 0
-		s.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) {
+		s.Scan(nil, types.AnyLink, types.AllTime, func(r *types.Record) {
 			if i < len(refScan) && (r.Flow != refScan[i].Flow || r.Bytes != refScan[i].Bytes) {
 				t.Fatalf("shards=%s: ForEach order differs at %d", name, i)
 			}

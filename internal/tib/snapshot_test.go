@@ -14,7 +14,7 @@ import (
 // scanAll collects the store's full insertion-order iteration.
 func scanAll(s *Store) []types.Record {
 	var out []types.Record
-	s.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) { out = append(out, *r) })
+	s.Scan(nil, types.AnyLink, types.AllTime, func(r *types.Record) { out = append(out, *r) })
 	return out
 }
 
@@ -60,7 +60,7 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 		t.Error("restored link index answers nothing")
 	}
 	sc0, sp0 := restored.SegmentStats()
-	restored.ForEach(types.AnyLink, types.TimeRange{From: 25 * types.Second, To: 26 * types.Second}, func(*types.Record) {})
+	restored.Scan(nil, types.AnyLink, types.TimeRange{From: 25 * types.Second, To: 26 * types.Second}, func(*types.Record) {})
 	sc1, sp1 := restored.SegmentStats()
 	if pruned := sp1 - sp0; pruned == 0 || pruned < (sc1-sc0)*5 {
 		t.Errorf("restored store does not prune: %d scanned, %d pruned", sc1-sc0, sp1-sp0)
@@ -268,7 +268,7 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 		}
 		next := make([]int, writers+1) // expected SrcPort per writer: prefixes, in order
 		n := 0
-		restored.ForEach(types.AnyLink, types.AllTime, func(r *types.Record) {
+		restored.Scan(nil, types.AnyLink, types.AllTime, func(r *types.Record) {
 			n++
 			w := int(r.Flow.SrcIP)
 			if w < 1 || w > writers {

@@ -321,8 +321,8 @@ func (s *Store) add(seq uint64, rec types.Record) {
 		s.sealCount.Add(1)
 	}
 	// The sequence number is assigned under the shard lock so each
-	// shard's segment chain is sequence-monotonic, which the merge in
-	// ScanWhile relies on.
+	// shard's segment chain is sequence-monotonic, which the scan merge
+	// relies on.
 	if seq == 0 {
 		seq = s.seq.Add(1)
 	}
@@ -829,18 +829,7 @@ func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 
 // Scan visits every record matching the predicate triple in global
 // insertion order — the pushed-down evaluation path behind the query
-// layer's Predicate. See ScanWhile. The returned error is nil unless a
-// cold segment the scan needed could not be read back (*ColdReadError);
-// the store itself is unaffected by such a failure.
-func (s *Store) Scan(flow *types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record)) error {
-	return s.ScanWhile(flow, link, tr, func(rec *types.Record) bool {
-		fn(rec)
-		return true
-	})
-}
-
-// ScanWhile is Scan with early termination: the scan stops as soon as fn
-// returns false. The predicate triple picks the cheapest access path —
+// layer's Predicate. The triple picks the cheapest access path —
 //
 //   - flow != nil: the flow's single shard (all records of one flow live
 //     in one), walking that flow's posting list inside each segment
@@ -856,14 +845,21 @@ func (s *Store) Scan(flow *types.FlowID, link types.LinkID, tr types.TimeRange, 
 // skipped before a record is touched, and surviving records are filtered
 // by the remaining predicate terms. The *Record handed to fn is valid
 // only until fn returns (copy it to keep it); its Path may be retained
-// — path arrays are immutable. The error is nil unless a needed cold
-// segment failed to demand-load (*ColdReadError).
-func (s *Store) ScanWhile(flow *types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record) bool) error {
-	return s.ScanSince(0, 0, flow, link, tr, fn)
+// — path arrays are immutable. The error is nil unless a cold segment
+// the scan needed could not be read back (*ColdReadError); the store
+// itself is unaffected by such a failure. ScanSince is the same scan
+// with a sequence window and early termination.
+func (s *Store) Scan(flow *types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record)) error {
+	sel := selector{flow: flow, link: link, tr: tr}
+	return s.scan(&sel, func(_ uint64, rec *types.Record) bool {
+		fn(rec)
+		return true
+	})
 }
 
-// ScanSince is ScanWhile restricted to records whose global arrival
-// sequence lies in (since, until] — the incremental-evaluation primitive
+// ScanSince is Scan restricted to records whose global arrival sequence
+// lies in (since, until], stopping as soon as fn returns false — the
+// incremental-evaluation primitive
 // behind installed-query watermarks. since 0 means "from the beginning",
 // until 0 means "no upper bound". Shard chains are sequence-monotonic, so
 // whole sealed segments at or below the watermark are skipped by one
@@ -901,42 +897,17 @@ func (s *Store) scan(sel *selector, fn func(uint64, *types.Record) bool) error {
 	return nil
 }
 
-// ForEach visits records matching the link pattern and time range in
-// global insertion order. A wildcard-free link uses the link index;
-// everything else scans surviving segments. The error is nil unless a
-// needed cold segment failed to demand-load (*ColdReadError).
-func (s *Store) ForEach(link types.LinkID, tr types.TimeRange, fn func(*types.Record)) error {
-	return s.Scan(nil, link, tr, fn)
-}
-
-// ForEachWhile is ForEach with early termination: the scan stops as soon
-// as fn returns false. Context-aware query evaluation polls cancellation
-// every few thousand records through this, so a caller that hung up does
-// not pin a shard-merge over a large TIB.
-func (s *Store) ForEachWhile(link types.LinkID, tr types.TimeRange, fn func(*types.Record) bool) error {
-	return s.ScanWhile(nil, link, tr, fn)
-}
-
-// ForFlow visits records of one flow matching the link pattern and range,
-// in insertion order. All records of a flow live in one shard, so only
-// that stripe is touched. The error is nil unless a needed cold segment
-// failed to demand-load (*ColdReadError).
-func (s *Store) ForFlow(f types.FlowID, link types.LinkID, tr types.TimeRange, fn func(*types.Record)) error {
-	return s.Scan(&f, link, tr, fn)
-}
-
 // Flows returns the distinct ⟨flowID, path⟩ pairs that traversed the link
 // pattern during the range — the getFlows host API (§2.1).
 //
-// Flows, Paths, Count and Duration keep the error-less host-API
-// signatures the query layer's View contract requires. On a store with
-// a cold tier, a demand-load failure makes their answer partial (the
-// failing scan aborts); ColdStats counts such faults, and callers that
-// must distinguish partial answers use the Scan methods directly.
+// Flows, Paths and Count are the host API's error-less conveniences over
+// Scan. On a store with a cold tier, a demand-load failure makes their
+// answer partial (the failing scan aborts); ColdStats counts such faults,
+// and callers that must distinguish partial answers call Scan directly.
 func (s *Store) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
 	var seen types.FlowSet
 	var out []types.Flow
-	s.ForEach(link, tr, func(rec *types.Record) {
+	s.Scan(nil, link, tr, func(rec *types.Record) {
 		if _, fresh := seen.Add(rec.Flow, rec.Path); fresh {
 			out = append(out, types.Flow{ID: rec.Flow, Path: rec.Path})
 		}
@@ -949,7 +920,7 @@ func (s *Store) Flows(link types.LinkID, tr types.TimeRange) []types.Flow {
 func (s *Store) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []types.Path {
 	var seen types.FlowSet
 	var out []types.Path
-	s.ForFlow(f, link, tr, func(rec *types.Record) {
+	s.Scan(&f, link, tr, func(rec *types.Record) {
 		if _, fresh := seen.Add(f, rec.Path); fresh {
 			out = append(out, rec.Path)
 		}
@@ -960,7 +931,7 @@ func (s *Store) Paths(f types.FlowID, link types.LinkID, tr types.TimeRange) []t
 // Count returns packet and byte totals for a ⟨flowID, path⟩ pair within
 // the range — the getCount host API. A nil path aggregates all paths.
 func (s *Store) Count(f types.Flow, tr types.TimeRange) (bytes, pkts uint64) {
-	s.ForFlow(f.ID, types.AnyLink, tr, func(rec *types.Record) {
+	s.Scan(&f.ID, types.AnyLink, tr, func(rec *types.Record) {
 		if f.Path != nil && !rec.Path.Equal(f.Path) {
 			return
 		}
@@ -968,25 +939,4 @@ func (s *Store) Count(f types.Flow, tr types.TimeRange) (bytes, pkts uint64) {
 		pkts += rec.Pkts
 	})
 	return bytes, pkts
-}
-
-// Duration returns the active time span of a ⟨flowID, path⟩ pair within
-// the range — the getDuration host API. A nil path aggregates all paths.
-func (s *Store) Duration(f types.Flow, tr types.TimeRange) types.Time {
-	var lo, hi types.Time = -1, -1
-	s.ForFlow(f.ID, types.AnyLink, tr, func(rec *types.Record) {
-		if f.Path != nil && !rec.Path.Equal(f.Path) {
-			return
-		}
-		if lo < 0 || rec.STime < lo {
-			lo = rec.STime
-		}
-		if rec.ETime > hi {
-			hi = rec.ETime
-		}
-	})
-	if lo < 0 {
-		return 0
-	}
-	return hi - lo
 }

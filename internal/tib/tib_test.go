@@ -156,12 +156,8 @@ func TestStoreQueries(t *testing.T) {
 	if b != 1500 || k != 15 {
 		t.Errorf("Count(all paths) = %d/%d", b, k)
 	}
-	// getDuration spans both records.
-	if d := s.Duration(types.Flow{ID: f1}, types.AllTime); d != 20 {
-		t.Errorf("Duration = %v, want 20", d)
-	}
-	if d := s.Duration(types.Flow{ID: flowN(9)}, types.AllTime); d != 0 {
-		t.Errorf("Duration(unknown) = %v", d)
+	if b, k := s.Count(types.Flow{ID: flowN(9)}, types.AllTime); b != 0 || k != 0 {
+		t.Errorf("Count(unknown) = %d/%d", b, k)
 	}
 }
 

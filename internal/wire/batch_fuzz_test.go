@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"pathdump/internal/query"
@@ -28,7 +29,7 @@ const batchCorpusDir = "testdata/fuzz/FuzzReadBatchEach"
 func batchSeeds(tb testing.TB) map[string][]byte {
 	rng := rand.New(rand.NewSource(25))
 	top := func(h types.HostID) BatchReply {
-		return BatchReply{Host: h, Meta: Meta{RecordsScanned: 40, SegmentsScanned: 3, SegmentsPruned: 1}, Result: query.Result{
+		return BatchReply{Host: h, Meta: Meta{RecordsScanned: 40, SegmentsScanned: 3, SegmentsPruned: 1, ColdLoads: 1, ScanTime: 250 * time.Microsecond}, Result: query.Result{
 			Op:  query.OpTopK,
 			Top: []query.FlowBytes{{Flow: types.FlowID{SrcIP: types.IP(h), DstIP: 9, SrcPort: 80, DstPort: 443, Proto: 6}, Bytes: 1500, Pkts: 2}},
 		}}
@@ -63,27 +64,39 @@ func TestBatchSeedCorpus(t *testing.T) {
 		if _, err := ReadBatch(bytes.NewReader(data)); err != nil {
 			t.Errorf("seed %s: %v", name, err)
 		}
-		path := filepath.Join(batchCorpusDir, name)
-		raw, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			if err := os.MkdirAll(batchCorpusDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte("go test fuzz v1\n[]byte("+strconv.Quote(string(data))+")\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("wrote missing seed %s", path)
+		committed, ok := committedSeed(t, batchCorpusDir, name, data)
+		if !ok {
 			continue
-		}
-		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
-		committed, err := strconv.Unquote(strings.TrimSuffix(body, ")\n"))
-		if !ok || err != nil {
-			t.Fatalf("%s is not a fuzz corpus file: %v", path, err)
 		}
 		if _, err := ReadBatch(strings.NewReader(committed)); err != nil {
 			t.Errorf("committed seed %s: %v", name, err)
 		}
 	}
+}
+
+// committedSeed reads the committed corpus file dir/name. A missing one
+// is written from data and reported as absent (ok false), so deleting a
+// corpus directory and re-running its seed test regenerates it.
+func committedSeed(t *testing.T, dir, name string, data []byte) (seed string, ok bool) {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("go test fuzz v1\n[]byte("+strconv.Quote(string(data))+")\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote missing seed %s", path)
+		return "", false
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	seed, err = strconv.Unquote(strings.TrimSuffix(body, ")\n"))
+	if !ok || err != nil {
+		t.Fatalf("%s is not a fuzz corpus file: %v", path, err)
+	}
+	return seed, true
 }
 
 // decodeSlack is what one frame may allocate whatever its length: a

@@ -89,7 +89,7 @@ func BenchmarkStreamEncode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := sw.Close(0, 0); err != nil {
+			if err := sw.CloseWith(Meta{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func BenchmarkStreamEncode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := sw.Close(0, 0); err != nil {
+			if err := sw.CloseWith(Meta{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,10 +1,11 @@
 package wire
 
-// Request-side frames. Installs and queries fan out to thousands of
-// hosts, so requests travel in the same varint/columnar format as
+// Request-side frames. Queries fan out to thousands of hosts, so the data
+// plane's requests travel in the same varint/columnar format as
 // responses: a client marks the body with the wire Content-Type, and a
 // server decodes a body by its Content-Type, any other than the wire one
-// as JSON (see internal/rpc). Request bodies are tiny, so they are never
+// as JSON (see internal/rpc). The control plane (install, uninstall)
+// speaks JSON only. Request bodies are tiny, so they are never
 // flate-compressed.
 
 import (
@@ -69,32 +70,6 @@ func ReadBatchRequest(r io.Reader) ([]types.HostID, query.Query, int, error) {
 		return nil, query.Query{}, 0, err
 	}
 	return hosts, q, parallel, nil
-}
-
-// WriteInstallRequest encodes an /install request frame: an optional
-// target host, the monitor query, and its evaluation period.
-func WriteInstallRequest(w io.Writer, host *types.HostID, q *query.Query, period types.Time) error {
-	return writeFrame(w, kindInstallReq, false, func(bw *writer) {
-		writeHostPtr(bw, host)
-		writeQuery(bw, q)
-		bw.svarint(int64(period))
-	})
-}
-
-// ReadInstallRequest decodes an /install request frame.
-func ReadInstallRequest(r io.Reader) (*types.HostID, query.Query, types.Time, error) {
-	var host *types.HostID
-	var q query.Query
-	var period types.Time
-	err := readFrame(r, kindInstallReq, func(br *reader) {
-		host = readHostPtr(br)
-		readQuery(br, &q)
-		period = types.Time(br.svarint())
-	})
-	if err != nil {
-		return nil, query.Query{}, 0, err
-	}
-	return host, q, period, nil
 }
 
 func writeHostPtr(w *writer, host *types.HostID) {

@@ -17,8 +17,8 @@ import (
 	"pathdump/internal/types"
 )
 
-// ErrStreamClosed is returned by QueryStreamWriter.Append after Close or
-// Abort.
+// ErrStreamClosed is returned by QueryStreamWriter.Append after CloseWith
+// or Abort.
 var ErrStreamClosed = errors.New("wire: stream writer closed")
 
 // QueryStreamWriter encodes one query-response frame whose records section
@@ -28,11 +28,11 @@ var ErrStreamClosed = errors.New("wire: stream writer closed")
 // chunk fills, then the chunk is encoded and flushed to the destination
 // (through flate when compression is on), so server-side memory stays
 // O(chunk) however large the reply; the chunk buffer is drawn from the
-// query package's record pool and handed back by Close or Abort, so a
-// reply of a few hundred records does not pay for a full chunk. Close completes the frame; a writer
-// abandoned without Close leaves a truncated frame, which decoders reject
-// — that truncation is the error signal once the HTTP status line is
-// already committed.
+// query package's record pool and handed back by CloseWith or Abort, so
+// a reply of a few hundred records does not pay for a full chunk.
+// CloseWith completes the frame; a writer abandoned without it leaves a
+// truncated frame, which decoders reject — that truncation is the error
+// signal once the HTTP status line is already committed.
 //
 // The writer is not safe for concurrent use.
 type QueryStreamWriter struct {
@@ -54,8 +54,8 @@ type QueryStreamWriter struct {
 
 // NewQueryStreamWriter writes the frame header, telemetry and result
 // prefix for a records-op reply to dst and returns a writer ready to
-// Append records. Meta is written up front, before the scan runs; pass the
-// segment-stat deltas learned during the scan to Close instead.
+// Append records. m is written up front, before the scan runs; pass the
+// telemetry measured during the scan to CloseWith instead.
 func NewQueryStreamWriter(dst io.Writer, m Meta, op query.Op, compress bool) (*QueryStreamWriter, error) {
 	hdr := [6]byte{magic[0], magic[1], magic[2], magic[3], kindQuery, 0}
 	if compress {
@@ -106,11 +106,18 @@ func (s *QueryStreamWriter) Append(rec *types.Record) error {
 	return s.err
 }
 
-// Close flushes the final chunk, writes the end marker carrying the
-// segment-stat deltas learned during the scan, completes the compressed
-// stream, and releases pooled resources. It returns the first error the
-// stream hit.
+// Close is CloseWith for a writer that learned only segment counts. The
+// benchmark's next revision (ledger v2) deletes it: the benchmark is its
+// last caller.
 func (s *QueryStreamWriter) Close(segScanned, segPruned int) error {
+	return s.CloseWith(Meta{SegmentsScanned: segScanned, SegmentsPruned: segPruned})
+}
+
+// CloseWith flushes the final chunk, writes the end marker carrying m —
+// the telemetry the scan measured, which the decoder adds to the head's
+// Meta — completes the compressed stream, and releases pooled resources.
+// It returns the first error the stream hit.
+func (s *QueryStreamWriter) CloseWith(m Meta) error {
 	if s.done {
 		return s.err
 	}
@@ -118,7 +125,8 @@ func (s *QueryStreamWriter) Close(segScanned, segPruned int) error {
 		s.prev = writeRecordChunk(s.w, s.chunk, s.fd, s.pd, s.prev)
 	}
 	if s.err == nil {
-		writeRecordsEnd(s.w, segScanned, segPruned)
+		s.w.uvarint(0)
+		writeMeta(s.w, m)
 		if err := s.fbw.Flush(); err != nil {
 			s.fail(err)
 		}

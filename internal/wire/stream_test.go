@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"pathdump/internal/query"
@@ -41,7 +42,7 @@ func TestStreamWriterMatchesWriteQuery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := sw.Close(0, 0); err != nil {
+			if err := sw.CloseWith(Meta{}); err != nil {
 				t.Fatal(err)
 			}
 			if !compress {
@@ -64,26 +65,40 @@ func TestStreamWriterMatchesWriteQuery(t *testing.T) {
 
 // TestStreamWriterEmptyAndMetaPatch covers the two stream-only frame
 // shapes: an empty records section (WriteQuery would omit it) and an end
-// marker carrying segment-stat deltas learned after Meta was written.
+// marker carrying a Meta delta measured after the head was written, which
+// the reader adds to the head field by field.
 func TestStreamWriterEmptyAndMetaPatch(t *testing.T) {
-	var buf bytes.Buffer
-	sw, err := NewQueryStreamWriter(&buf, Meta{RecordsScanned: 7}, query.OpRecords, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(4, 9); err != nil {
-		t.Fatal(err)
-	}
-	m, res, err := ReadQuery(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Meta{RecordsScanned: 7, SegmentsScanned: 4, SegmentsPruned: 9}
-	if m != want {
-		t.Fatalf("meta: got %+v want %+v", m, want)
-	}
-	if res.Op != query.OpRecords || res.Records != nil {
-		t.Fatalf("empty stream decoded to %+v", res)
+	for _, tc := range []struct {
+		name  string
+		close func(*QueryStreamWriter) error
+		want  Meta
+	}{
+		{"CloseWith", func(sw *QueryStreamWriter) error {
+			return sw.CloseWith(Meta{RecordsScanned: 1, SegmentsScanned: 4, SegmentsPruned: 9, ColdLoads: 2, ScanTime: 1500 * time.Microsecond})
+		}, Meta{RecordsScanned: 8, SegmentsScanned: 4, SegmentsPruned: 9, ColdLoads: 2, ScanTime: 1500 * time.Microsecond}},
+		{"Close", func(sw *QueryStreamWriter) error { return sw.Close(4, 9) },
+			Meta{RecordsScanned: 7, SegmentsScanned: 4, SegmentsPruned: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			sw, err := NewQueryStreamWriter(&buf, Meta{RecordsScanned: 7}, query.OpRecords, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.close(sw); err != nil {
+				t.Fatal(err)
+			}
+			m, res, err := ReadQuery(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != tc.want {
+				t.Fatalf("meta: got %+v want %+v", m, tc.want)
+			}
+			if res.Op != query.OpRecords || res.Records != nil {
+				t.Fatalf("empty stream decoded to %+v", res)
+			}
+		})
 	}
 }
 
@@ -115,7 +130,7 @@ func TestStreamChunksArriveBeforeClose(t *testing.T) {
 		// The first full chunk has been flushed into the pipe; do not
 		// Close until the reader proves it decoded that chunk.
 		<-firstChunk
-		err = sw.Close(0, 0)
+		err = sw.CloseWith(Meta{})
 		writerDone <- err
 		pw.Close()
 	}()
@@ -202,7 +217,7 @@ func TestStreamEncodeBytesOChunk(t *testing.T) {
 		for i := range res.Records {
 			sw.Append(&res.Records[i])
 		}
-		if err := sw.Close(0, 0); err != nil {
+		if err := sw.CloseWith(Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -294,24 +309,6 @@ func TestBatchRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInstallRequestRoundTrip(t *testing.T) {
-	host := types.HostID(3)
-	var buf bytes.Buffer
-	if err := WriteInstallRequest(&buf, &host, fullQuery(), 2500); err != nil {
-		t.Fatal(err)
-	}
-	gotHost, gotQ, period, err := ReadInstallRequest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHost == nil || *gotHost != host || period != 2500 {
-		t.Fatalf("got host %v period %d", gotHost, period)
-	}
-	if !reflect.DeepEqual(gotQ, *fullQuery()) {
-		t.Fatalf("query mismatch: %+v", gotQ)
-	}
-}
-
 // TestRequestKindMismatch posts each request frame to the wrong decoder:
 // the kind byte must reject it before any field parses.
 func TestRequestKindMismatch(t *testing.T) {
@@ -320,8 +317,8 @@ func TestRequestKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	if _, _, _, err := ReadInstallRequest(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "frame kind") {
-		t.Fatalf("query frame as install: got %v, want kind error", err)
+	if _, _, _, err := ReadBatchRequest(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "frame kind") {
+		t.Fatalf("query frame as batch: got %v, want kind error", err)
 	}
 	if _, _, err := ReadQuery(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "frame kind") {
 		t.Fatalf("query request as query response: got %v, want kind error", err)
@@ -354,7 +351,7 @@ func TestStreamReplyAllocsAreNotPerChunk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := sw.Close(0, 0); err != nil {
+		if err := sw.CloseWith(Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}

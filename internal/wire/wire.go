@@ -16,7 +16,7 @@
 // The records section is chunked: a sequence of bounded-size chunks, each
 // carrying only the dictionary entries that first appear in it (deltas
 // against the cumulative dictionaries), followed by a zero-count end marker
-// that can patch segment-scan telemetry learned only after the scan. A
+// that carries a Meta delta: the telemetry learned only after the scan. A
 // server can therefore emit a huge records reply O(chunk) at a time
 // (QueryStreamWriter, stream.go) and a client can hand each chunk to a
 // merger before the frame's last byte arrives (ReadQueryChunks).
@@ -38,6 +38,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"pathdump/internal/query"
 	"pathdump/internal/types"
@@ -59,11 +60,10 @@ func IsWire(contentType string) bool {
 // 0x11+ so a frame posted to the wrong endpoint fails the kind check
 // instead of misparsing.
 const (
-	kindQuery      = 0x01 // Meta + one query.Result
-	kindBatch      = 0x02 // a list of per-host BatchReply entries
-	kindQueryReq   = 0x11 // optional host + one query.Query
-	kindBatchReq   = 0x12 // host list + query.Query + parallelism
-	kindInstallReq = 0x13 // optional host + query.Query + period
+	kindQuery    = 0x01 // Meta + one query.Result
+	kindBatch    = 0x02 // a list of per-host BatchReply entries
+	kindQueryReq = 0x11 // optional host + one query.Query
+	kindBatchReq = 0x12 // host list + query.Query + parallelism
 )
 
 // FlagFlate marks a body compressed with DEFLATE. Decoders detect it from
@@ -92,13 +92,26 @@ const (
 // larger maxChunk cap so the constant can be tuned without a format break.
 const DefaultChunkRecords = 4096
 
-// Meta mirrors the execution telemetry carried alongside a result. wire
+// Meta is what one host's evaluation cost, as its reply carries it: the
+// records resident, the segments the scan walked and pruned, the cold
+// segments it loaded and its wall time, all measured at the host. wire
 // cannot import internal/rpc (rpc imports wire), so it defines its own
 // carrier; rpc maps it to and from its response structs.
 type Meta struct {
 	RecordsScanned  int
 	SegmentsScanned int
 	SegmentsPruned  int
+	ColdLoads       int
+	ScanTime        time.Duration
+}
+
+// add folds a records section's end-marker delta into m, field by field.
+func (m *Meta) add(d Meta) {
+	m.RecordsScanned += d.RecordsScanned
+	m.SegmentsScanned += d.SegmentsScanned
+	m.SegmentsPruned += d.SegmentsPruned
+	m.ColdLoads += d.ColdLoads
+	m.ScanTime += d.ScanTime
 }
 
 // BatchReply is one host's slot in a batch response frame.
@@ -308,10 +321,14 @@ func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
 	return br.err
 }
 
+// writeMeta encodes a Meta: a frame's or section's head, or a records
+// section's end-marker delta.
 func writeMeta(w *writer, m Meta) {
 	w.uvarint(uint64(m.RecordsScanned))
 	w.uvarint(uint64(m.SegmentsScanned))
 	w.uvarint(uint64(m.SegmentsPruned))
+	w.uvarint(uint64(m.ColdLoads))
+	w.uvarint(uint64(m.ScanTime))
 }
 
 func readMeta(r *reader) Meta {
@@ -319,6 +336,8 @@ func readMeta(r *reader) Meta {
 		RecordsScanned:  int(r.uvarint()),
 		SegmentsScanned: int(r.uvarint()),
 		SegmentsPruned:  int(r.uvarint()),
+		ColdLoads:       int(r.uvarint()),
+		ScanTime:        time.Duration(r.uvarint()),
 	}
 }
 
@@ -426,9 +445,9 @@ func writeResult(w *writer, res *query.Result) {
 	}
 }
 
-// readResult decodes one result. The records section's end marker can
-// patch segment-scan telemetry into m (streamed frames learn the counts
-// only after the scan finishes); a non-nil sink receives each decoded
+// readResult decodes one result. The records section's end marker adds
+// its Meta delta to m (a streamed frame learns its telemetry only after
+// the scan finishes); a non-nil sink receives each decoded
 // record chunk instead of the chunks accumulating into res.Records.
 func readResult(r *reader, res *query.Result, m *Meta, sink func([]types.Record)) {
 	res.Op = r.op()
@@ -573,14 +592,15 @@ func readFlows(r *reader) []types.Flow {
 //	chunk   := n (>0) | flow-dict delta | path-dict delta
 //	           | n×flowIdx | n×pathIdx | n×ΔSTime | n×ΔETime
 //	           | n×bytes | n×pkts
-//	end     := 0 | ΔSegmentsScanned | ΔSegmentsPruned
+//	end     := 0 | Meta delta
 //
 // Dictionaries are cumulative across chunks — each chunk carries only the
 // entries that first appear in it — and the STime delta chain continues
-// across chunk boundaries. The end marker's deltas are added to the
-// frame's Meta by the decoder: a streaming server writes Meta before the
-// scan starts and patches the segment counts it learns afterward; the
-// materialised path here always writes zeros.
+// across chunk boundaries. The end marker's Meta delta is added to the
+// frame's (or section's) Meta by the decoder, field by field: a streaming
+// server writes its head before the scan starts and the telemetry it
+// measured in the end marker; the materialised path here always writes a
+// zero delta.
 func writeRecords(w *writer, recs []types.Record) {
 	fd, pd := getFlowDict(), getPathDict()
 	defer fd.release()
@@ -590,7 +610,8 @@ func writeRecords(w *writer, recs []types.Record) {
 		end := min(start+DefaultChunkRecords, len(recs))
 		prev = writeRecordChunk(w, recs[start:end], fd, pd, prev)
 	}
-	writeRecordsEnd(w, 0, 0)
+	w.uvarint(0)
+	writeMeta(w, Meta{})
 }
 
 // writeRecordChunk encodes one bounded chunk of records against the
@@ -634,14 +655,6 @@ func writeRecordChunk(w *writer, recs []types.Record, fd *flowDict, pd *pathDict
 	return prev
 }
 
-// writeRecordsEnd terminates a records section: a zero chunk count
-// followed by segment-stat deltas to fold into the frame's Meta.
-func writeRecordsEnd(w *writer, segScanned, segPruned int) {
-	w.uvarint(0)
-	w.uvarint(uint64(segScanned))
-	w.uvarint(uint64(segPruned))
-}
-
 // readRecords decodes a chunked records section. With a nil sink the
 // chunks accumulate, each decoded in place at the tail of one buffer,
 // and that buffer is the return value. With a sink each chunk is decoded
@@ -652,7 +665,7 @@ func writeRecordsEnd(w *writer, segScanned, segPruned int) {
 // non-empty chunk — for every frame kind, a batch's sections included: a
 // recycled buffer brings its capacity, a fresh one is sized by the chunk. The caller owns the returned slice and may hand it to
 // query.PutRecordBuf when done. On any error the buffer goes back to the
-// pool and nothing is returned. The end marker's deltas are added to m.
+// pool and nothing is returned. The end marker's Meta delta is added to m.
 func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 	dict := decodeDicts.Get().(*decodeDict)
 	defer dict.release()
@@ -665,8 +678,7 @@ func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 			break
 		}
 		if n == 0 {
-			m.SegmentsScanned += int(r.uvarint())
-			m.SegmentsPruned += int(r.uvarint())
+			m.add(readMeta(r))
 			if r.err != nil {
 				break
 			}

@@ -400,7 +400,7 @@ func TestPooledBuffersHoldNoStaleRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sw.Close(0, 0); err != nil {
+	if err := sw.CloseWith(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	stale("stream writer")
@@ -574,8 +574,7 @@ func TestCorruptDictionaryLaterChunk(t *testing.T) {
 		writeTestChunk(w, 2, 1)
 		writeTestChunk(w, 1, 2) // cumulative index 2 = the third entry
 		w.uvarint(0)            // end marker
-		w.uvarint(0)
-		w.uvarint(0)
+		writeMeta(w, Meta{})
 	})
 	if err != nil {
 		t.Fatal(err)
