@@ -127,9 +127,16 @@ func (m CostModel) subtree(n *treeNode, qWire int64, parallelism int, hostCap ty
 		localT = m.hostExec(n.meta)
 		out.hosts, out.segScanned, out.segPruned = 1, n.meta.SegmentsScanned, n.meta.SegmentsPruned
 	}
-	var workers []types.Time // nil = unlimited, start always 0
+	// Each worker's next free time; nil = unlimited, start always 0. A
+	// bound that fits the stack array costs no allocation per node.
+	var stack [16]types.Time
+	var workers []types.Time
 	if parallelism > 0 && len(n.children) > 0 {
-		workers = make([]types.Time, parallelism)
+		if parallelism <= len(stack) {
+			workers = stack[:parallelism]
+		} else {
+			workers = make([]types.Time, parallelism)
+		}
 	}
 	childT, mergeEnd := localT, localT
 	for _, ch := range n.children {

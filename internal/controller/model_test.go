@@ -119,6 +119,24 @@ func TestAccount(t *testing.T) {
 	}
 }
 
+// TestAccountAllocs: replaying the schedule of a 128-host [4,4,8] tree
+// at parallelism 2 keeps every node's worker clocks on the stack, so the
+// accounting after each query allocates nothing.
+func TestAccountAllocs(t *testing.T) {
+	hosts := make([]types.HostID, 128)
+	for i := range hosts {
+		hosts[i] = types.HostID(i)
+	}
+	top, dfs := buildLevels(hosts, []int{4, 4, 8})
+	for i := range dfs {
+		dfs[i].answered, dfs[i].size, dfs[i].items = true, 100, 2
+	}
+	root := rootOf(top...)
+	if got := testing.AllocsPerRun(100, func() { tableModel.account(root, tableQWire, 2, 0) }); got != 0 {
+		t.Errorf("account over a [4,4,8] tree: %v allocations, want 0", got)
+	}
+}
+
 // genRecords builds records shaped like the benchmark generator's
 // (bench/gen.go): 10.x addresses, five-digit ports, timestamps on a 10 ms
 // grid over a few seconds, 2..7-packet flows with the odd elephant, and

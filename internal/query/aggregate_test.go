@@ -59,9 +59,9 @@ func BenchmarkExecuteAggregate(b *testing.B) {
 }
 
 // TestTopKAllocsAreConstant: once the pools are warm, a top-k evaluation
-// allocates its answer, its scan closures and nothing that grows with
-// the records scanned or the flows ranked — 4× the records and 8× the
-// flows cost not one allocation more.
+// allocates its answer and nothing that grows with the records scanned
+// or the flows ranked — 4× the records and 8× the flows cost not one
+// allocation more.
 func TestTopKAllocsAreConstant(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -216,6 +216,37 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 		}
 		if !m.Done() || !reflect.DeepEqual(dst.Top, want) {
 			t.Errorf("StreamMerger with K=%d does not fold to the full sort's first 1000 (got %d entries)", k, len(dst.Top))
+		}
+	}
+}
+
+// TestExecuteAllocs pins an evaluation's fixed cost at zero: with the
+// evaluator pool warm, each op's visitor is a method value the pooled
+// eval already holds, so what ExecuteContext allocates over a store is
+// its answer and nothing else — none for a scalar answer or a clean
+// conformance sweep, one slice for a top-k or a one-path answer, and the
+// two appends that grow a two-flow answer.
+func TestExecuteAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	v := StoreView{S: fixture()}
+	f1 := types.FlowID{SrcIP: 1, DstIP: 200, SrcPort: 1, DstPort: 80, Proto: 6}
+	for _, c := range []struct {
+		q    Query
+		want float64
+	}{
+		{Query{Op: OpCount, Flow: f1}, 0},
+		{Query{Op: OpDuration, Flow: f1}, 0},
+		{Query{Op: OpPaths, Flow: f1, Link: types.AnyLink}, 1},
+		{Query{Op: OpConformance, MaxPathLen: 8}, 0},
+		{Query{Op: OpTopK, K: 2}, 1},
+		{Query{Op: OpFlows, Link: types.LinkID{A: 0, B: 8}}, 2},
+	} {
+		execute(t, c.q, v) // warm the evaluator pool
+		got := testing.AllocsPerRun(100, func() { execute(t, c.q, v) })
+		if got != c.want {
+			t.Errorf("%s: %v allocations, want %v (its answer)", c.q.Op, got, c.want)
 		}
 	}
 }

@@ -22,9 +22,9 @@ const CancelCheckEvery = 4096
 // CancelCheckEvery records and stops the scan once it is cancelled. It
 // is the one shared definition of the in-scan poll policy — every view
 // over a store (the bare-store view here, the agent's live view) wraps
-// its scans with it. The record count lives in the caller's *n, so a
-// view that already sits on the heap pays for the closure and nothing
-// else.
+// its scans with it. It inlines, the record count lives in the caller's
+// *n, and ScanSince does not retain its callback, so the closure stays on
+// the caller's stack: a poll costs a scan no allocation.
 func PollCancel(ctx context.Context, n *int, fn func(*types.Record)) func(*types.Record) bool {
 	return func(rec *types.Record) bool {
 		*n++

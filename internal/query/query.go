@@ -189,13 +189,15 @@ func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
 	var err error
 	switch q.Op {
 	case OpFlows:
-		e.flows(ctx, v, Predicate{Link: q.Link, Range: tr})
+		v.ScanRecords(ctx, Predicate{Link: q.Link, Range: tr}, e.on.flows)
 	case OpPaths:
-		e.paths(ctx, v, Predicate{Flow: &e.flow, Link: q.Link, Range: tr})
+		v.ScanRecords(ctx, Predicate{Flow: &e.flow, Link: q.Link, Range: tr}, e.on.paths)
 	case OpCount:
-		e.count(ctx, v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
+		e.path = q.Path
+		v.ScanRecords(ctx, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, e.on.count)
 	case OpDuration:
-		e.duration(ctx, v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr}, q.Path)
+		e.path = q.Path
+		e.duration(ctx, v, Predicate{Flow: &e.flow, Link: types.AnyLink, Range: tr})
 	case OpPoorTCP:
 		e.res.FlowIDs, err = v.PoorTCPFlows(q.Threshold)
 	case OpFSD:
@@ -203,8 +205,8 @@ func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
 	case OpTopK:
 		e.topK(ctx, v, Predicate{Link: types.AnyLink, Range: tr}, q.K)
 	case OpConformance:
-		e.conformance(ctx, v, Predicate{Flow: e.optFlow(), Link: types.AnyLink, Range: tr},
-			policy{q.MaxPathLen, q.Avoid, q.Waypoints})
+		e.pol = policy{q.MaxPathLen, q.Avoid, q.Waypoints}
+		v.ScanRecords(ctx, Predicate{Flow: e.optFlow(), Link: types.AnyLink, Range: tr}, e.on.conformance)
 	case OpMatrix:
 		e.matrix(ctx, v, Predicate{Link: types.AnyLink, Range: tr})
 	case OpRecords:
@@ -225,19 +227,30 @@ func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
 }
 
 // eval is one evaluation's working memory: the result under construction,
-// the ⟨flow, path⟩ set behind flows/paths/conformance/fsd, and the
-// per-flow totals behind top-k. Scan visitors capture nothing but the
-// eval, so an evaluation's fixed cost is one closure; the sets' maps and
-// slices are recycled through a sync.Pool, so in steady state a query
-// allocates its answer and little else. The result's slices are handed
-// to the caller, never retained.
+// the op's parameters its visitor reads (count/duration path, conformance
+// policy, matrix cells), the ⟨flow, path⟩ set behind
+// flows/paths/conformance/fsd, and the per-flow totals behind top-k. Each
+// op's scan visitor is a method value bound once, when the pool makes the
+// eval, so an evaluation passes ScanRecords a func it already has and
+// allocates no closure; the sets' maps and slices are recycled with the
+// eval, so in steady state a query allocates its answer and nothing else.
+// The result's slices are handed to the caller, never retained.
 type eval struct {
 	res    Result
-	flow   types.FlowID // the query's flow: predicates point here, not at a heap copy
+	flow   types.FlowID                 // the query's flow: predicates point here, not at a heap copy
+	path   types.Path                   // count, duration: the query's path (nil = all paths)
+	pol    policy                       // conformance
+	cells  map[[2]types.SwitchID]uint64 // matrix: ⟨source ToR, destination ToR⟩ → bytes
 	pairs  types.FlowSet
 	sums   []uint64 // fsd: bytes per pair, by FlowSet ordinal
 	totals flowTotals
 	lo, hi types.Time // duration: active span so far (lo < 0 = none)
+	on     visitors
+}
+
+// visitors are an eval's scan visitors, one per op that scans.
+type visitors struct {
+	flows, paths, count, duration, fsd, topK, conformance, matrix, records func(*types.Record)
 }
 
 // optFlow is the flow term of a predicate that filters by the query's
@@ -249,7 +262,15 @@ func (e *eval) optFlow() *types.FlowID {
 	return &e.flow
 }
 
-var evals = sync.Pool{New: func() any { return new(eval) }}
+var evals = sync.Pool{New: func() any {
+	e := new(eval)
+	e.on = visitors{
+		flows: e.visitFlows, paths: e.visitPaths, count: e.visitCount, duration: e.visitDuration,
+		fsd: e.visitFSD, topK: e.visitTopK, conformance: e.visitConformance,
+		matrix: e.visitMatrix, records: e.visitRecords,
+	}
+	return e
+}}
 
 // release resets the eval and returns it to the pool. Like record
 // buffers, working sets a monster query grew are dropped, not retained.
@@ -257,58 +278,55 @@ func (e *eval) release() {
 	if e.pairs.Len() > maxPooledRecords || len(e.totals.list) > maxPooledRecords {
 		return
 	}
-	e.res = Result{}
+	e.res, e.path, e.pol, e.cells = Result{}, nil, policy{}, nil
 	e.pairs.Reset()
 	e.sums = e.sums[:0]
 	e.totals.reset()
 	evals.Put(e)
 }
 
-// flows is getFlows: the distinct ⟨flowID, path⟩ pairs among the matching
-// records, in first-appearance order.
-func (e *eval) flows(ctx context.Context, v View, p Predicate) {
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
-			e.res.Flows = append(e.res.Flows, types.Flow{ID: rec.Flow, Path: rec.Path})
-		}
-	})
+// visitFlows is getFlows: the distinct ⟨flowID, path⟩ pairs among the
+// matching records, in first-appearance order.
+func (e *eval) visitFlows(rec *types.Record) {
+	if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
+		e.res.Flows = append(e.res.Flows, types.Flow{ID: rec.Flow, Path: rec.Path})
+	}
 }
 
-// paths is getPaths: the distinct paths of the predicate's flow.
-func (e *eval) paths(ctx context.Context, v View, p Predicate) {
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
-			e.res.Paths = append(e.res.Paths, rec.Path)
-		}
-	})
+// visitPaths is getPaths: the distinct paths of the predicate's flow.
+func (e *eval) visitPaths(rec *types.Record) {
+	if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh {
+		e.res.Paths = append(e.res.Paths, rec.Path)
+	}
 }
 
-// count is getCount over a ⟨flowID, path⟩ pair (nil path = all paths).
-func (e *eval) count(ctx context.Context, v View, p Predicate, path types.Path) {
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if path == nil || rec.Path.Equal(path) {
-			e.res.Bytes += rec.Bytes
-			e.res.Pkts += rec.Pkts
-		}
-	})
+// visitCount is getCount over a ⟨flowID, path⟩ pair (e.path; nil = all
+// paths).
+func (e *eval) visitCount(rec *types.Record) {
+	if e.path == nil || rec.Path.Equal(e.path) {
+		e.res.Bytes += rec.Bytes
+		e.res.Pkts += rec.Pkts
+	}
 }
 
-// duration is getDuration over a ⟨flowID, path⟩ pair.
-func (e *eval) duration(ctx context.Context, v View, p Predicate, path types.Path) {
+// duration is getDuration over a ⟨flowID, path⟩ pair (e.path).
+func (e *eval) duration(ctx context.Context, v View, p Predicate) {
 	e.lo, e.hi = -1, -1
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if path != nil && !rec.Path.Equal(path) {
-			return
-		}
-		if e.lo < 0 || rec.STime < e.lo {
-			e.lo = rec.STime
-		}
-		if rec.ETime > e.hi {
-			e.hi = rec.ETime
-		}
-	})
+	v.ScanRecords(ctx, p, e.on.duration)
 	if e.lo >= 0 {
 		e.res.Duration = e.hi - e.lo
+	}
+}
+
+func (e *eval) visitDuration(rec *types.Record) {
+	if e.path != nil && !rec.Path.Equal(e.path) {
+		return
+	}
+	if e.lo < 0 || rec.STime < e.lo {
+		e.lo = rec.STime
+	}
+	if rec.ETime > e.hi {
+		e.hi = rec.ETime
 	}
 }
 
@@ -328,13 +346,7 @@ func (e *eval) fsd(ctx context.Context, v View, q Query, tr types.TimeRange) {
 	for _, l := range links {
 		e.pairs.Reset()
 		e.sums = e.sums[:0]
-		v.ScanRecords(ctx, Predicate{Link: l, Range: tr}, func(rec *types.Record) {
-			i, fresh := e.pairs.Add(rec.Flow, rec.Path)
-			if fresh {
-				e.sums = append(e.sums, 0)
-			}
-			e.sums[i] += rec.Bytes
-		})
+		v.ScanRecords(ctx, Predicate{Link: l, Range: tr}, e.on.fsd)
 		h := LinkHist{Link: l, BinBytes: bin}
 		for _, bytes := range e.sums {
 			idx := int(bytes / bin)
@@ -347,6 +359,14 @@ func (e *eval) fsd(ctx context.Context, v View, q Query, tr types.TimeRange) {
 	}
 }
 
+func (e *eval) visitFSD(rec *types.Record) {
+	i, fresh := e.pairs.Add(rec.Flow, rec.Path)
+	if fresh {
+		e.sums = append(e.sums, 0)
+	}
+	e.sums[i] += rec.Bytes
+}
+
 // topK is the §2.3 top-k query: all local flows ranked by bytes. One
 // scan accumulates every flow's totals; only the k survivors are copied
 // out of the pooled accumulator.
@@ -354,12 +374,14 @@ func (e *eval) topK(ctx context.Context, v View, p Predicate, k int) {
 	if k <= 0 {
 		k = 1000 // the paper's example
 	}
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		e.totals.add(rec.Flow, rec.Bytes, rec.Pkts)
-	})
+	v.ScanRecords(ctx, p, e.on.topK)
 	top := topFlowBytes(e.totals.list, k)
 	e.res.Top = make([]FlowBytes, len(top))
 	copy(e.res.Top, top)
+}
+
+func (e *eval) visitTopK(rec *types.Record) {
+	e.totals.add(rec.Flow, rec.Bytes, rec.Pkts)
 }
 
 // policy is the conformance part of a Query.
@@ -400,26 +422,20 @@ func Violates(q Query, rec *types.Record) bool {
 	return p.Match(rec) && policy{q.MaxPathLen, q.Avoid, q.Waypoints}.violates(rec.Path)
 }
 
-// conformance is the §2.3 path-conformance check: each distinct
-// ⟨flow, path⟩ among the matching records is tested once.
-func (e *eval) conformance(ctx context.Context, v View, p Predicate, pol policy) {
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh && pol.violates(rec.Path) {
-			e.res.Violations = append(e.res.Violations, Violation{Flow: rec.Flow, Path: rec.Path})
-		}
-	})
+// visitConformance is the §2.3 path-conformance check: each distinct
+// ⟨flow, path⟩ among the matching records is tested once against e.pol.
+func (e *eval) visitConformance(rec *types.Record) {
+	if _, fresh := e.pairs.Add(rec.Flow, rec.Path); fresh && e.pol.violates(rec.Path) {
+		e.res.Violations = append(e.res.Violations, Violation{Flow: rec.Flow, Path: rec.Path})
+	}
 }
 
 // matrix aggregates bytes between path endpoints (ToR pairs).
 func (e *eval) matrix(ctx context.Context, v View, p Predicate) {
-	cells := make(map[[2]types.SwitchID]uint64) // ⟨source ToR, destination ToR⟩ → bytes
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		if len(rec.Path) > 0 {
-			cells[[2]types.SwitchID{rec.Path[0], rec.Path[len(rec.Path)-1]}] += rec.Bytes
-		}
-	})
-	out := make([]MatrixCell, 0, len(cells))
-	for k, b := range cells {
+	e.cells = make(map[[2]types.SwitchID]uint64)
+	v.ScanRecords(ctx, p, e.on.matrix)
+	out := make([]MatrixCell, 0, len(e.cells))
+	for k, b := range e.cells {
 		out = append(out, MatrixCell{SrcToR: k[0], DstToR: k[1], Bytes: b})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -431,6 +447,12 @@ func (e *eval) matrix(ctx context.Context, v View, p Predicate) {
 	e.res.Matrix = out
 }
 
+func (e *eval) visitMatrix(rec *types.Record) {
+	if len(rec.Path) > 0 {
+		e.cells[[2]types.SwitchID{rec.Path[0], rec.Path[len(rec.Path)-1]}] += rec.Bytes
+	}
+}
+
 // records dumps the matching records. The reply buffer comes from the
 // pool: the rpc servers hand it back after encoding, so fan-out traffic
 // recycles capacity. A reply with no matches returns its buffer
@@ -438,13 +460,15 @@ func (e *eval) matrix(ctx context.Context, v View, p Predicate) {
 // contract).
 func (e *eval) records(ctx context.Context, v View, p Predicate) {
 	e.res.Records = GetRecordBuf()
-	v.ScanRecords(ctx, p, func(rec *types.Record) {
-		e.res.Records = append(e.res.Records, *rec)
-	})
+	v.ScanRecords(ctx, p, e.on.records)
 	if len(e.res.Records) == 0 {
 		PutRecordBuf(e.res.Records)
 		e.res.Records = nil
 	}
+}
+
+func (e *eval) visitRecords(rec *types.Record) {
+	e.res.Records = append(e.res.Records, *rec)
 }
 
 // flowTotals accumulates per-flow byte/packet totals — top-k's working

@@ -118,7 +118,7 @@ func writeQuery(w *writer, q *query.Query) {
 }
 
 func readQuery(r *reader, q *query.Query) {
-	q.Op = query.Op(r.str(maxOpLen))
+	q.Op = r.op()
 	q.Link.A = types.SwitchID(r.uvarint())
 	q.Link.B = types.SwitchID(r.uvarint())
 	if n := r.count("query links", maxElems); n > 0 {

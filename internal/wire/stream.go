@@ -7,7 +7,6 @@ package wire
 // each chunk to a merger before the frame's last byte arrives.
 
 import (
-	"bufio"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -37,7 +36,6 @@ var ErrStreamClosed = errors.New("wire: stream writer closed")
 // The writer is not safe for concurrent use.
 type QueryStreamWriter struct {
 	fw    *flate.Writer
-	fbw   *bufio.Writer
 	w     *writer
 	fd    *flowDict
 	pd    *pathDict
@@ -57,22 +55,18 @@ type QueryStreamWriter struct {
 // Append records. m is written up front, before the scan runs; pass the
 // telemetry measured during the scan to CloseWith instead.
 func NewQueryStreamWriter(dst io.Writer, m Meta, op query.Op, compress bool) (*QueryStreamWriter, error) {
-	hdr := [6]byte{magic[0], magic[1], magic[2], magic[3], kindQuery, 0}
-	if compress {
-		hdr[5] = FlagFlate
+	w := frameWriters.Get().(*writer)
+	if err := w.header(dst, kindQuery, compress); err != nil {
+		w.release()
+		return nil, err
 	}
-	if _, err := dst.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	s := &QueryStreamWriter{}
+	s := &QueryStreamWriter{w: w}
 	out := dst
 	if compress {
 		s.fw, _ = flate.NewWriter(dst, flate.DefaultCompression)
 		out = s.fw
 	}
-	s.fbw = frameWriters.Get().(*bufio.Writer)
-	s.fbw.Reset(out)
-	s.w = &writer{bw: s.fbw}
+	w.bw.Reset(out)
 	s.fd, s.pd = getFlowDict(), getPathDict()
 	s.chunk = query.GetRecordBuf()
 
@@ -127,7 +121,7 @@ func (s *QueryStreamWriter) CloseWith(m Meta) error {
 	if s.err == nil {
 		s.w.uvarint(0)
 		writeMeta(s.w, m)
-		if err := s.fbw.Flush(); err != nil {
+		if err := s.w.bw.Flush(); err != nil {
 			s.fail(err)
 		}
 	}
@@ -169,7 +163,7 @@ func (s *QueryStreamWriter) flushChunk() {
 	s.prev = writeRecordChunk(s.w, s.chunk, s.fd, s.pd, s.prev)
 	clear(s.chunk) // the pool clears what a buffer holds, not what it once held
 	s.chunk = s.chunk[:0]
-	if err := s.fbw.Flush(); err != nil {
+	if err := s.w.bw.Flush(); err != nil {
 		s.fail(err)
 		return
 	}
@@ -192,9 +186,7 @@ func (s *QueryStreamWriter) fail(err error) {
 
 func (s *QueryStreamWriter) release() {
 	s.done = true
-	s.fbw.Reset(io.Discard) // drop buffered bytes + destination before pooling
-	frameWriters.Put(s.fbw)
-	s.fbw = nil
+	s.w.release() // drops buffered bytes + destination before pooling
 	s.w = nil
 	s.fd.release()
 	s.pd.release()

@@ -225,12 +225,14 @@ func ReadBatch(r io.Reader) ([]BatchReply, error) {
 	return replies, nil
 }
 
-// frameBufs pools the frames' 32 KiB bufio buffers: encode and decode of
-// every query/batch exchange borrow one instead of allocating, which at
-// fan-out rates kept the buffers out of the top of the allocation profile.
+// frameWriters and frameReaders pool the frame codecs, each with its
+// 32 KiB bufio buffer and header scratch: encode and decode of every
+// query/batch exchange borrow one, so a frame costs its contents and
+// nothing of the codec's own. These two constructors are the only places
+// a writer or reader is built.
 var (
-	frameWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 32<<10) }}
-	frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, 32<<10) }}
+	frameWriters = sync.Pool{New: func() any { return &writer{bw: bufio.NewWriterSize(io.Discard, 32<<10)} }}
+	frameReaders = sync.Pool{New: func() any { return &reader{br: bufio.NewReaderSize(eofReader{}, 32<<10)} }}
 )
 
 // eofReader is the source a pooled frame reader is parked on: always at
@@ -239,17 +241,45 @@ type eofReader struct{}
 
 func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
+// release drops the writer's buffered bytes and destination, then hands
+// it back to frameWriters.
+func (w *writer) release() {
+	w.bw.Reset(io.Discard)
+	frameWriters.Put(w)
+}
+
+// header writes a frame header straight to dst, ahead of any compressor,
+// from the writer's scratch.
+func (w *writer) header(dst io.Writer, kind byte, compress bool) error {
+	h := w.buf[:6]
+	copy(h, magic[:])
+	h[4], h[5] = kind, 0
+	if compress {
+		h[5] = FlagFlate
+	}
+	if _, err := dst.Write(h); err != nil {
+		return fmt.Errorf("wire: writing frame header: %w", err)
+	}
+	return nil
+}
+
+// release drops the reader's source and sticky error, then hands it back
+// to frameReaders: the next frame it decodes starts clean.
+func (r *reader) release() {
+	r.br.Reset(eofReader{})
+	r.err = nil
+	frameReaders.Put(r)
+}
+
 // writeFrame writes header and body, routing the body through flate when
 // compress is set. The body writer is buffered either way, so section
 // encoders stream straight toward the socket instead of building the whole
 // reply in memory first.
 func writeFrame(w io.Writer, kind byte, compress bool, body func(*writer)) error {
-	hdr := [6]byte{magic[0], magic[1], magic[2], magic[3], kind, 0}
-	if compress {
-		hdr[5] = FlagFlate
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
+	bw := frameWriters.Get().(*writer)
+	defer bw.release()
+	if err := bw.header(w, kind, compress); err != nil {
+		return err
 	}
 	dst := w
 	var fw *flate.Writer
@@ -257,14 +287,9 @@ func writeFrame(w io.Writer, kind byte, compress bool, body func(*writer)) error
 		fw, _ = flate.NewWriter(w, flate.DefaultCompression)
 		dst = fw
 	}
-	fbw := frameWriters.Get().(*bufio.Writer)
-	fbw.Reset(dst)
-	bw := &writer{bw: fbw}
+	bw.bw.Reset(dst)
 	body(bw)
-	err := fbw.Flush()
-	fbw.Reset(io.Discard) // drop the destination reference before pooling
-	frameWriters.Put(fbw)
-	if err != nil {
+	if err := bw.bw.Flush(); err != nil {
 		return fmt.Errorf("wire: writing frame body: %w", err)
 	}
 	if fw != nil {
@@ -278,8 +303,10 @@ func writeFrame(w io.Writer, kind byte, compress bool, body func(*writer)) error
 // readFrame validates the header, unwraps compression, runs the body
 // decoder and surfaces its sticky error.
 func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	br := frameReaders.Get().(*reader)
+	defer br.release()
+	hdr := br.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("wire: truncated frame header: %w", err)
 	}
 	if [4]byte{hdr[0], hdr[1], hdr[2], hdr[3]} != magic {
@@ -299,13 +326,7 @@ func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
 		defer fr.Close()
 		src = fr
 	}
-	fbr := frameReaders.Get().(*bufio.Reader)
-	fbr.Reset(src)
-	defer func() {
-		fbr.Reset(eofReader{}) // drop the source reference before pooling
-		frameReaders.Put(fbr)
-	}()
-	br := &reader{br: fbr}
+	br.br.Reset(src)
 	body(br)
 	if fr != nil && br.err == nil {
 		// A flate stream's final block carries the end-of-stream marker;
@@ -922,7 +943,8 @@ func readPath(r *reader) types.Path {
 }
 
 // writer wraps a buffered writer with varint helpers. Write errors stick
-// inside bufio.Writer and surface at the final Flush.
+// inside bufio.Writer and surface at the final Flush. buf is the varint
+// scratch, and the frame header's.
 type writer struct {
 	bw  *bufio.Writer
 	buf [binary.MaxVarintLen64]byte
@@ -951,6 +973,7 @@ func (w *writer) str(s string) {
 type reader struct {
 	br  *bufio.Reader
 	err error
+	hdr [6]byte // the frame header's scratch
 }
 
 func (r *reader) fail(err error) {

@@ -692,3 +692,86 @@ func TestWireSmallerThanJSON(t *testing.T) {
 	}
 	t.Logf("wire %dB, json %dB (%.1fx)", buf.Len(), len(j), float64(len(j))/float64(buf.Len()))
 }
+
+// TestFrameCodecAllocs pins a round trip at the cost of what it decodes:
+// the frame writer and reader, their bufio buffers and header scratch
+// come from pools, and a request's op name decodes to the interned
+// constant. A count reply costs the decoded *Result; a batch request the
+// host list.
+func TestFrameCodecAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	var buf bytes.Buffer
+	src := bytes.NewReader(nil)
+	res := &query.Result{Op: query.OpCount, Bytes: 5000, Pkts: 5}
+	countReply := func() {
+		buf.Reset()
+		if err := WriteQuery(&buf, Meta{RecordsScanned: 1}, res, false); err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(buf.Bytes())
+		if _, got, err := ReadQuery(src); err != nil || got.Bytes != res.Bytes {
+			t.Fatalf("count reply round trip: %+v, %v", got, err)
+		}
+	}
+	hosts := []types.HostID{1, 5, 900000}
+	q := &query.Query{Op: query.OpTopK, K: 10}
+	batchRequest := func() {
+		buf.Reset()
+		if err := WriteBatchRequest(&buf, hosts, q, 2); err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(buf.Bytes())
+		if got, gotQ, _, err := ReadBatchRequest(src); err != nil || len(got) != len(hosts) || gotQ.Op != q.Op {
+			t.Fatalf("batch request round trip: %v %+v, %v", got, gotQ, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{{"count reply", countReply}, {"batch request", batchRequest}} {
+		c.f() // warm the pools
+		if n := testing.AllocsPerRun(100, c.f); n > 1 {
+			t.Errorf("%s round trip: %v allocations, want <= 1", c.name, n)
+		}
+	}
+}
+
+// TestFramePoolNoStickyError: a pooled reader that failed a frame — on
+// its header, or in its body with bytes still buffered — decodes the
+// next frame from a fresh source with no error and nothing left over.
+func TestFramePoolNoStickyError(t *testing.T) {
+	var valid bytes.Buffer
+	want := &query.Result{Op: query.OpCount, Bytes: 7, Pkts: 1}
+	if err := WriteQuery(&valid, Meta{RecordsScanned: 3}, want, false); err != nil {
+		t.Fatal(err)
+	}
+	var big bytes.Buffer
+	if err := WriteQuery(&big, Meta{}, randResult(rand.New(rand.NewSource(3)), 200), false); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(big.Bytes())
+	// After the header and an empty Meta (five zero varints) comes the op
+	// name's length: past its cap, the body fails with most of it buffered.
+	corrupt[11], corrupt[12] = 0xff, 0x7f
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"bad magic", []byte(`{"op":"count"}`)},
+		{"truncated body", big.Bytes()[:big.Len()/2]},
+		{"corrupt body", corrupt},
+	} {
+		if _, _, err := ReadQuery(bytes.NewReader(c.frame)); err == nil {
+			t.Fatalf("%s: decoded without error", c.name)
+		}
+		m, got, err := ReadQuery(bytes.NewReader(valid.Bytes()))
+		if err != nil {
+			t.Fatalf("valid frame after a %s: %v", c.name, err)
+		}
+		if m.RecordsScanned != 3 || got.Bytes != want.Bytes || got.Pkts != want.Pkts || got.Op != want.Op {
+			t.Errorf("valid frame after a %s decoded as %+v %+v", c.name, m, got)
+		}
+	}
+}
