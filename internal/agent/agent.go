@@ -123,13 +123,15 @@ type Installed struct {
 	// already evaluated: each periodic run scans only records past it
 	// (guarded by instMu). The first run covers everything already in the
 	// store, so violations that predate the install are still reported —
-	// once.
+	// once. A faulted run leaves it where it was.
 	watermark uint64
 	// runs/recordsScanned count periodic evaluations and the TIB records
 	// they actually touched — the telemetry proving incremental runs stay
-	// proportional to the delta, not the store (guarded by instMu).
+	// proportional to the delta, not the store — and faults the runs a
+	// cold read fault cut short (guarded by instMu).
 	runs           uint64
 	recordsScanned uint64
+	faults         uint64
 }
 
 // TriggerStats is one installed query's incremental-evaluation telemetry.
@@ -143,6 +145,10 @@ type TriggerStats struct {
 	RecordsScanned uint64
 	// Watermark is the newest arrival sequence already evaluated.
 	Watermark uint64
+	// Faults counts runs a cold read fault cut short: each left the
+	// watermark where it was, so its window is evaluated again next
+	// period.
+	Faults uint64
 }
 
 // Agent is one host's PathDump instance.
@@ -492,7 +498,11 @@ func (a *Agent) runInstalled(inst *Installed, rec *types.Record) {
 // record arriving mid-scan is deferred (exactly once) to the next run.
 // Records still in the trajectory memory are not consulted — they enter
 // the window when exported, so nothing is reported twice and nothing is
-// missed, only deferred until export.
+// missed, only deferred until export. A cold read fault inside the
+// window aborts the store scan: the run's result (what it found before
+// the fault) is still raised, but the watermark stays, so the whole
+// window is retried next period — a violation is reported at least
+// once, never skipped — and the fault is counted.
 func (a *Agent) runIncremental(inst *Installed) query.Result {
 	a.instMu.Lock()
 	since := inst.watermark
@@ -502,18 +512,17 @@ func (a *Agent) runIncremental(inst *Installed) query.Result {
 		return query.Result{Op: inst.Query.Op} // nothing new since the last run
 	}
 	var scanned uint64
+	var fault error
 	view := query.ScanView{
 		Scan: func(_ context.Context, p query.Predicate, fn func(*types.Record)) {
-			// Incremental windows sit at the hot end of the store, so a
-			// cold read fault here is rare; if one does occur the run
-			// evaluates the resident delta and the fault is counted in
-			// ColdStats — the watermark still advances, matching the
-			// View contract's partial-on-fault semantics.
-			_ = a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, func(r *types.Record) bool {
+			err := a.Store.ScanSince(p.MinSeq, p.MaxSeq, p.Flow, p.Link, p.Range, func(r *types.Record) bool {
 				scanned++
 				fn(r)
 				return true
 			})
+			if fault == nil {
+				fault = err
+			}
 		},
 		Window: query.Predicate{MinSeq: since, MaxSeq: until},
 		Poor:   a.PoorTCPFlows,
@@ -521,7 +530,11 @@ func (a *Agent) runIncremental(inst *Installed) query.Result {
 	res, _ := query.ExecuteContext(context.Background(), inst.Query, view) // a ScanView serves every op
 	a.instMu.Lock()
 	if cur, ok := a.installed[inst.ID]; ok && cur == inst {
-		inst.watermark = until
+		if fault == nil {
+			inst.watermark = until
+		} else {
+			inst.faults++
+		}
 		inst.runs++
 		inst.recordsScanned += scanned
 	}
@@ -538,27 +551,33 @@ func (a *Agent) TriggerStats(id int) (TriggerStats, bool) {
 	if !ok {
 		return TriggerStats{}, false
 	}
-	return TriggerStats{Runs: inst.runs, RecordsScanned: inst.recordsScanned, Watermark: inst.watermark}, true
+	return inst.stats(), true
+}
+
+// stats is inst's telemetry; the caller holds instMu.
+func (inst *Installed) stats() TriggerStats {
+	return TriggerStats{Runs: inst.runs, RecordsScanned: inst.recordsScanned, Watermark: inst.watermark, Faults: inst.faults}
 }
 
 // TriggerTotals aggregates installed-query telemetry across every
-// installation: the install count, cumulative runs and records scanned,
-// and the lowest watermark (the furthest-behind trigger; 0 when none
-// are installed). The metrics plane scrapes it.
-func (a *Agent) TriggerTotals() (installed int, runs, recordsScanned, minWatermark uint64) {
+// installation: the install count, and in total the cumulative runs,
+// records scanned and faults, with the lowest watermark (the
+// furthest-behind trigger; 0 when none are installed). The metrics plane
+// scrapes it.
+func (a *Agent) TriggerTotals() (installed int, total TriggerStats) {
 	a.instMu.Lock()
 	defer a.instMu.Unlock()
-	first := true
 	for _, inst := range a.installed {
-		installed++
-		runs += inst.runs
-		recordsScanned += inst.recordsScanned
-		if first || inst.watermark < minWatermark {
-			minWatermark = inst.watermark
-			first = false
+		st := inst.stats()
+		if installed == 0 || st.Watermark < total.Watermark {
+			total.Watermark = st.Watermark
 		}
+		installed++
+		total.Runs += st.Runs
+		total.RecordsScanned += st.RecordsScanned
+		total.Faults += st.Faults
 	}
-	return installed, runs, recordsScanned, minWatermark
+	return installed, total
 }
 
 // TIBSize reports the number of queryable records (TIB plus trajectory
@@ -566,11 +585,11 @@ func (a *Agent) TriggerTotals() (installed int, runs, recordsScanned, minWaterma
 func (a *Agent) TIBSize() int { return a.Store.Len() + a.Mem.Len() }
 
 // SegmentStats reports the TIB's cumulative scan telemetry (segments
-// walked versus pruned); the rpc servers attribute per-query deltas.
+// walked versus pruned); controller.Evaluate attributes per-query deltas.
 func (a *Agent) SegmentStats() (scanned, pruned uint64) { return a.Store.SegmentStats() }
 
-// ColdLoads reports the TIB's cumulative cold-segment demand loads; the
-// rpc servers attribute per-query deltas.
+// ColdLoads reports the TIB's cumulative cold-segment demand loads;
+// controller.Evaluate attributes per-query deltas.
 func (a *Agent) ColdLoads() uint64 { return a.Store.ColdLoads() }
 
 // WriteSnapshotSince streams the host's TIB in the block-framed snapshot

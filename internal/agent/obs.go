@@ -66,11 +66,13 @@ func (a *Agent) RegisterMetrics(r *obs.Registry, mu sync.Locker) {
 		func() float64 { return float64(a.Store.ColdStats().Faults) }, hl)
 
 	r.GaugeFunc("pathdump_triggers_installed", "Installed (continuously monitored) queries.",
-		func() float64 { n, _, _, _ := a.TriggerTotals(); return float64(n) }, hl)
+		func() float64 { n, _ := a.TriggerTotals(); return float64(n) }, hl)
 	r.GaugeFunc("pathdump_trigger_runs", "Incremental trigger evaluations across all installed queries (cumulative).",
-		func() float64 { _, runs, _, _ := a.TriggerTotals(); return float64(runs) }, hl)
+		func() float64 { _, st := a.TriggerTotals(); return float64(st.Runs) }, hl)
 	r.GaugeFunc("pathdump_trigger_records_scanned", "Records scanned by incremental trigger runs (cumulative).",
-		func() float64 { _, _, sc, _ := a.TriggerTotals(); return float64(sc) }, hl)
+		func() float64 { _, st := a.TriggerTotals(); return float64(st.RecordsScanned) }, hl)
+	r.GaugeFunc("pathdump_trigger_faults", "Incremental trigger runs cut short by a cold read fault; each window is retried next period (cumulative).",
+		func() float64 { _, st := a.TriggerTotals(); return float64(st.Faults) }, hl)
 	r.GaugeFunc("pathdump_trigger_min_watermark", "Lowest arrival-sequence watermark across installed queries (the furthest-behind trigger).",
-		func() float64 { _, _, _, wm := a.TriggerTotals(); return float64(wm) }, hl)
+		func() float64 { _, st := a.TriggerTotals(); return float64(st.Watermark) }, hl)
 }

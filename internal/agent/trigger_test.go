@@ -1,9 +1,15 @@
 package agent
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"pathdump/internal/netsim"
+	"pathdump/internal/obs"
 	"pathdump/internal/query"
 	"pathdump/internal/types"
 )
@@ -117,6 +123,77 @@ func TestIncrementalTriggerSegmentPruning(t *testing.T) {
 	}
 	if pruned := sp1 - sp0; pruned != 8 {
 		t.Fatalf("delta run pruned %d segments, want 8 (all sealed ones below the watermark)", pruned)
+	}
+}
+
+// TestIncrementalTriggerRetriesFaultedWindow: a cold read fault inside a
+// periodic run's window leaves the watermark where it was, so the window
+// is evaluated again next period and a violation in the unreadable
+// segment is reported once the segment reads again, not skipped. The
+// fault is counted on TriggerStats and /metrics.
+func TestIncrementalTriggerRetriesFaultedWindow(t *testing.T) {
+	dir := t.TempDir()
+	r := newRig(t, netsim.Config{}, Config{StoreShards: 1, SegmentRecords: 4, ColdDir: dir})
+	h := r.sim.Topo.Hosts()[0]
+	a := r.agents[h.ID]
+	reg := obs.NewRegistry()
+	a.RegisterMetrics(reg, &sync.Mutex{})
+	gauge := func() string {
+		t.Helper()
+		prefix := fmt.Sprintf(`pathdump_trigger_faults{host="%d"} `, uint32(h.ID))
+		for _, line := range strings.Split(reg.Expose(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics lacks pathdump_trigger_faults")
+		return ""
+	}
+
+	const period = 100 * types.Millisecond
+	id := a.Install(query.Query{Op: query.OpConformance, MaxPathLen: 4}, period)
+	// One violation (record 1) in the first sealed segment, the rest
+	// conforming; then spill that segment alone to the cold tier.
+	for i := 0; i < 10; i++ {
+		rec := badRecord(i)
+		if i != 1 {
+			rec.Path = types.Path{0, 8, 9}
+		}
+		a.Store.Add(rec)
+	}
+	if segs, _, err := a.Store.SpillBefore(5 * types.Millisecond); err != nil || segs != 1 {
+		t.Fatalf("spilled %d segments (err %v), want the first one", segs, err)
+	}
+	cold, err := filepath.Glob(filepath.Join(dir, "*", "*.cold"))
+	if err != nil || len(cold) != 1 {
+		t.Fatalf("cold files %v (err %v), want one", cold, err)
+	}
+	if err := os.Rename(cold[0], cold[0]+".away"); err != nil {
+		t.Fatal(err)
+	}
+
+	r.sim.Run(period + types.Millisecond) // the first window faults
+	if got := len(r.log.alarms); got != 0 {
+		t.Fatalf("faulted run raised %d alarms, want 0", got)
+	}
+	st, _ := a.TriggerStats(id)
+	if st.Watermark != 0 || st.Faults != 1 {
+		t.Fatalf("after the faulted run stats = %+v, want watermark 0 (held) and faults 1", st)
+	}
+	if got := gauge(); got != "1" {
+		t.Fatalf("pathdump_trigger_faults reads %s, want 1", got)
+	}
+
+	if err := os.Rename(cold[0]+".away", cold[0]); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run(2*period + types.Millisecond) // the window is retried whole
+	if got := len(r.log.alarms); got != 1 || r.log.alarms[0].Flow != badRecord(1).Flow {
+		t.Fatalf("retried run raised %v, want the one violation in the cold segment", r.log.alarms)
+	}
+	st, _ = a.TriggerStats(id)
+	if st.Watermark != a.Store.LastSeq() || st.Faults != 1 || st.Runs != 2 {
+		t.Fatalf("after the retried run stats = %+v, want watermark %d, faults 1, runs 2", st, a.Store.LastSeq())
 	}
 }
 

@@ -77,10 +77,9 @@ func (c *Controller) run(ctx context.Context, hostIDs []types.HostID, fanouts []
 	if err != nil {
 		return query.Result{}, ExecStats{}, err
 	}
-	// Every execution is traced: the ID rides to agents in the
-	// transport headers, the span tree comes back on ExecStats. An
-	// execution arriving with a trace ID (forwarded from an upstream
-	// controller) keeps it.
+	// Every execution is traced: the ID names the span tree that comes
+	// back on ExecStats and the slow-log entry. An execution arriving
+	// with a trace ID (forwarded from an upstream controller) keeps it.
 	trace := obs.TraceFromContext(ctx)
 	if trace == "" {
 		trace = obs.NewTraceID()

@@ -213,13 +213,6 @@ func (c *Controller) queryHost(host types.HostID, q query.Query, fo *fanout, sp 
 	return r, meta, err
 }
 
-// hostReply is one attempt's answer inside a hedged host query.
-type hostReply struct {
-	res  query.Result
-	meta QueryMeta
-	err  error
-}
-
 // queryHedged races a primary request against a duplicate issued after
 // fo.hedgeAfter of silence. The first success wins and the other
 // attempt's context is cancelled; a primary that fails before the hedge
@@ -241,10 +234,10 @@ func (c *Controller) queryHedged(hostCtx context.Context, host types.HostID, q q
 	primCtx, primCancel := context.WithCancel(ctx)
 	defer primCancel()
 
-	replies := make(chan hostReply, 2) // every launched attempt delivers
+	replies := make(chan BatchReply, 2) // every launched attempt delivers
 	go func() {
 		r, m, err := c.T.Query(primCtx, host, q)
-		replies <- hostReply{res: r, meta: m, err: err}
+		replies <- BatchReply{Host: host, Result: r, Meta: m, Err: err}
 	}()
 
 	// launchHedge issues the duplicate; with ownSlot it holds (and must
@@ -256,7 +249,7 @@ func (c *Controller) queryHedged(hostCtx context.Context, host types.HostID, q q
 				defer fo.release()
 			}
 			if ctx.Err() != nil {
-				replies <- hostReply{err: ctx.Err()}
+				replies <- BatchReply{Host: host, Err: ctx.Err()}
 				return
 			}
 			fo.hedged.Add(1)
@@ -269,7 +262,7 @@ func (c *Controller) queryHedged(hostCtx context.Context, host types.HostID, q q
 			}
 			r, m, err := c.T.Query(ctx, host, q)
 			hsp.Finish()
-			replies <- hostReply{res: r, meta: m, err: err}
+			replies <- BatchReply{Host: host, Result: r, Meta: m, Err: err}
 		}()
 	}
 
@@ -283,22 +276,22 @@ func (c *Controller) queryHedged(hostCtx context.Context, host types.HostID, q q
 		select {
 		case rep := <-replies:
 			inFlight--
-			if rep.err == nil {
-				return rep.res, rep.meta, nil
+			if rep.Err == nil {
+				return rep.Result, rep.Meta, nil
 			}
 			if retryOnPrimaryReturn {
 				// The cancelled primary has vacated this host's slot; the
 				// duplicate takes its place. Our own cancellation echo is
 				// not a reportable failure, but a real primary error is.
 				retryOnPrimaryReturn = false
-				if !errors.Is(rep.err, context.Canceled) {
-					errs = append(errs, rep.err)
+				if !errors.Is(rep.Err, context.Canceled) {
+					errs = append(errs, rep.Err)
 				}
 				inFlight++
 				launchHedge(false)
 				continue
 			}
-			errs = append(errs, rep.err)
+			errs = append(errs, rep.Err)
 			if inFlight == 0 {
 				return query.Result{}, QueryMeta{}, firstError(errs)
 			}

@@ -12,20 +12,68 @@ import (
 
 // QueryMeta carries per-execution cost inputs from an agent (used by the
 // response-time model, §5.2) and the telemetry its scan span is built
-// from. Every field is measured at the host, whatever the reply's shape.
-type QueryMeta struct {
-	// RecordsScanned is how many TIB records the host touched.
-	RecordsScanned int
-	// SegmentsScanned/SegmentsPruned report the host store's segment
-	// telemetry for this query: partitions walked versus skipped whole by
-	// time-bound intersection. They feed ExecStats and the §5.2 cost
-	// model's pruned-fraction term.
-	SegmentsScanned int
-	SegmentsPruned  int
-	// ColdLoads is how many cold segments the evaluation demand-loaded,
-	// and ScanTime its wall time at the host.
-	ColdLoads int
-	ScanTime  time.Duration
+// from. Every field is measured at the host, whatever the reply's shape
+// (Evaluate).
+type QueryMeta = query.Meta
+
+// Host is the evaluation surface of one host: the paper's execute (Table
+// 1) plus the store counters its cost is measured by. *agent.Agent
+// satisfies it; the daemons serve it (rpc.Target) and Local calls it in
+// process.
+type Host interface {
+	// ExecuteContext evaluates q under the request context: a
+	// disconnected client or expired deadline aborts the scan and
+	// surfaces as the context's error. An op this host can never
+	// serve is an error wrapping query.ErrUnsupported, not an empty
+	// result.
+	ExecuteContext(ctx context.Context, q query.Query) (query.Result, error)
+	// StreamRecords hands every record matching q to fn as the scan
+	// visits it, without materialising the reply. fn must not retain
+	// the pointer. The scan polls ctx and returns its error.
+	StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error
+	// TIBSize is the number of queryable records.
+	TIBSize() int
+	// SegmentStats is the store's cumulative count of segments scanned
+	// versus pruned by time bounds; Evaluate attributes per-query deltas.
+	SegmentStats() (scanned, pruned uint64)
+	// ColdLoads is the store's cumulative count of cold-segment demand
+	// loads, attributed per query the same way.
+	ColdLoads() uint64
+}
+
+// Evaluate runs q on h under ctx and measures what that cost the host —
+// the records resident, the segments scanned and pruned, the cold
+// segments loaded and the wall time — the same way for every reply shape
+// and every transport: the daemons' buffered, streamed and batched
+// replies and the in-process Local alike. With a nil each the result is
+// materialised; otherwise every matching record is handed to each as the
+// scan visits it (Host.StreamRecords) and the result is empty. Only
+// counters are read, by delta around the evaluation: queries racing on
+// one host may swap shares — the counts feed telemetry and modelled
+// stats, not correctness.
+func Evaluate(ctx context.Context, h Host, q query.Query, each func(*types.Record)) (res query.Result, m query.Meta, err error) {
+	if err = ctx.Err(); err != nil {
+		return
+	}
+	sc0, sp0 := h.SegmentStats()
+	cold0 := h.ColdLoads()
+	start := time.Now()
+	if each != nil {
+		err = h.StreamRecords(ctx, q, each)
+	} else {
+		res, err = h.ExecuteContext(ctx, q)
+	}
+	if err != nil {
+		return query.Result{}, query.Meta{}, err
+	}
+	sc1, sp1 := h.SegmentStats()
+	return res, query.Meta{
+		RecordsScanned:  h.TIBSize(),
+		SegmentsScanned: int(sc1 - sc0),
+		SegmentsPruned:  int(sp1 - sp0),
+		ColdLoads:       int(h.ColdLoads() - cold0),
+		ScanTime:        time.Since(start),
+	}, nil
 }
 
 // Transport moves queries between the controller and host agents. The
@@ -70,32 +118,15 @@ type Local struct {
 	Agents map[types.HostID]*agent.Agent
 }
 
-// Query implements Transport. The context is honoured mid-scan: the
-// agent's evaluation loop polls cancellation as it merges TIB shards.
-// The evaluation is measured as a daemon measures it: its wall time, and
-// the store's segment and cold-load counters by delta around it (queries
-// racing on one agent may swap shares — the counts feed modelled stats,
-// not correctness).
+// Query implements Transport: the agent evaluates q as a daemon would
+// (Evaluate). The context is honoured mid-scan: the agent's evaluation
+// loop polls cancellation as it merges TIB shards.
 func (l Local) Query(ctx context.Context, host types.HostID, q query.Query) (query.Result, QueryMeta, error) {
 	a, ok := l.Agents[host]
 	if !ok {
 		return query.Result{}, QueryMeta{}, fmt.Errorf("controller: unknown host %v", host)
 	}
-	sc0, sp0 := a.Store.SegmentStats()
-	cold0 := a.Store.ColdLoads()
-	start := time.Now()
-	res, err := a.ExecuteContext(ctx, q)
-	if err != nil {
-		return query.Result{}, QueryMeta{}, err
-	}
-	sc1, sp1 := a.Store.SegmentStats()
-	return res, QueryMeta{
-		RecordsScanned:  a.TIBSize(),
-		SegmentsScanned: int(sc1 - sc0),
-		SegmentsPruned:  int(sp1 - sp0),
-		ColdLoads:       int(a.Store.ColdLoads() - cold0),
-		ScanTime:        time.Since(start),
-	}, nil
+	return Evaluate(ctx, a, q, nil)
 }
 
 // Install implements Transport.

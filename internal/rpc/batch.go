@@ -242,7 +242,7 @@ func (s *MultiAgentServer) runHost(ctx context.Context, h types.HostID, q query.
 		rep.Error = fmt.Sprintf("rpc: host %v not served here", h)
 		return
 	}
-	res, m, err := evaluate(ctx, t, q, nil)
+	res, m, err := controller.Evaluate(ctx, t, q, nil)
 	if err != nil {
 		rep.Error = err.Error()
 		return
@@ -398,7 +398,7 @@ func readBatch(body io.Reader, url string, batch []types.HostID, idx []int, repl
 		if sec.Host != batch[j] {
 			return fmt.Errorf("rpc: %s/batchquery reply %d is for host %v, asked for %v", url, j, sec.Host, batch[j])
 		}
-		rep.Meta = queryMeta(sec.Meta)
+		rep.Meta = sec.Meta
 		if sec.Error != "" {
 			rep.Err = fmt.Errorf("rpc: host %v: %s", batch[j], sec.Error)
 		}

@@ -229,3 +229,48 @@ const (
 		`{"host":99,"result":{"op":""},"records_scanned":0,"error":"rpc: host h99 not served here"},` +
 		`{"host":0,"result":{"op":"topk","top":[{"flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"bytes":1002,"pkts":3},{"flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2}]},"records_scanned":3,"segments_scanned":2}]}` + "\n"
 )
+
+// TestQueryJSONSpelling is TestBatchJSONSpelling's twin for /query: a
+// records reply, an aggregate, a time-bounded scan that prunes every
+// segment and a reply from an empty store spell their telemetry byte
+// for byte as before — segments_* only when non-zero, and never the cold
+// loads or the scan time.
+func TestQueryJSONSpelling(t *testing.T) {
+	targets := map[types.HostID]Target{
+		0: SnapshotTarget{Store: seedStore(0, 3)},
+		2: SnapshotTarget{Store: seedStore(2, 2)},
+		5: SnapshotTarget{Store: seedStore(5, 0)},
+	}
+	handler := (&MultiAgentServer{Targets: targets}).Handler()
+	later := types.TimeRange{From: 100 * types.Millisecond, To: 200 * types.Millisecond}
+	for _, tc := range []struct {
+		host types.HostID
+		q    query.Query
+		want string
+	}{
+		{0, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}, queryJSONRecords},
+		{2, query.Query{Op: query.OpTopK, K: 2, Link: types.AnyLink}, queryJSONTopK},
+		{0, query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: later}, queryJSONPruned},
+		{5, query.Query{Op: query.OpTopK, K: 2, Link: types.AnyLink}, queryJSONEmpty},
+	} {
+		body, err := json.Marshal(QueryRequest{Host: &tc.host, Query: tc.q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if got := rec.Body.String(); rec.Code != http.StatusOK || got != tc.want {
+			t.Errorf("host %v %s: /query status %d, JSON:\n%s\nwant:\n%s", tc.host, tc.q.Op, rec.Code, got, tc.want)
+		}
+	}
+}
+
+// The parent commit's /query JSON for TestQueryJSONSpelling's queries.
+const (
+	queryJSONRecords = `{"result":{"op":"records","records":[{"Flow":{"SrcIP":0,"DstIP":1,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[0,100,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[0,100,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2},{"Flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"Path":[0,100,2],"STime":2000000,"ETime":5000000,"Bytes":1002,"Pkts":3}]},"records_scanned":3,"segments_scanned":2}` + "\n"
+	queryJSONTopK    = `{"result":{"op":"topk","top":[{"flow":{"SrcIP":131073,"DstIP":3,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2},{"flow":{"SrcIP":131072,"DstIP":3,"SrcPort":1000,"DstPort":80,"Proto":6},"bytes":1000,"pkts":1}]},"records_scanned":2,"segments_scanned":2}` + "\n"
+	queryJSONPruned  = `{"result":{"op":"records"},"records_scanned":3,"segments_pruned":2}` + "\n"
+	queryJSONEmpty   = `{"result":{"op":"topk"},"records_scanned":0}` + "\n"
+)

@@ -45,77 +45,27 @@ import (
 	"pathdump/internal/wire"
 )
 
-// Target is the host-side surface the servers expose: the paper's
-// execute/install/uninstall (Table 1) plus what a daemon reports about
-// the store behind them. *agent.Agent and SnapshotTarget satisfy it.
-// Every method is required — the servers never probe for a capability —
-// so a wrapper embeds a Target and overrides only the methods it
-// changes; the rest (streaming included) cannot be lost on the way.
+// Target is the host-side surface the servers expose: a controller.Host
+// — the paper's execute plus the store counters a reply's telemetry is
+// measured by — and the control plane: install/uninstall (Table 1) and
+// snapshots. *agent.Agent and SnapshotTarget satisfy it. Every method is
+// required — the servers never probe for a capability — so a wrapper
+// embeds a Target and overrides only the methods it changes; the rest
+// (streaming included) cannot be lost on the way. An op a target can
+// never serve is an error wrapping query.ErrUnsupported, answered 501.
 type Target interface {
-	// ExecuteContext evaluates q under the request context: a
-	// disconnected client or expired deadline aborts the scan and
-	// surfaces as the context's error. An op this target can never
-	// serve is an error wrapping query.ErrUnsupported (answered 501),
-	// not an empty result.
-	ExecuteContext(ctx context.Context, q query.Query) (query.Result, error)
-	// StreamRecords hands every record matching q to fn as the scan
-	// visits it, without materialising the reply. fn must not retain
-	// the pointer. The scan polls ctx and returns its error.
-	StreamRecords(ctx context.Context, q query.Query, fn func(*types.Record)) error
+	controller.Host
 	// Install registers q to run every period (0 = per exported record)
 	// and returns its ID. IDs start at 1; a target with no
 	// installed-query engine returns 0 and the servers answer 501.
 	Install(q query.Query, period types.Time) int
 	// Uninstall removes an installed query.
 	Uninstall(id int) error
-	// TIBSize is the number of queryable records.
-	TIBSize() int
-	// SegmentStats is the store's cumulative count of segments scanned
-	// versus pruned by time bounds; servers attribute per-query deltas
-	// onto the wire for the controller's ExecStats and cost model.
-	SegmentStats() (scanned, pruned uint64)
-	// ColdLoads is the store's cumulative count of cold-segment demand
-	// loads, attributed per query the same way.
-	ColdLoads() uint64
 	// WriteSnapshotSince streams the TIB in the block-framed snapshot
 	// format: the records with arrival sequence greater than since, or
 	// everything when since is 0 or the watermark cannot be served (the
 	// stream header says which; see tib.Store.SnapshotSince).
 	WriteSnapshotSince(w io.Writer, since uint64) error
-}
-
-// evaluate runs q on t under the request context and measures what that
-// cost the host into a wire.Meta — the records resident, the segments
-// scanned and pruned, the cold segments loaded and the wall time — the
-// same way for every reply shape. With a nil each the result is
-// materialised; otherwise every matching record is handed to each as the
-// scan visits it (Target.StreamRecords) and the result is empty. Only
-// counters are read, by delta around the evaluation: queries racing on
-// one target may swap shares — the counts feed telemetry and modelled
-// stats, not correctness.
-func evaluate(ctx context.Context, t Target, q query.Query, each func(*types.Record)) (res query.Result, m wire.Meta, err error) {
-	if err = ctx.Err(); err != nil {
-		return
-	}
-	sc0, sp0 := t.SegmentStats()
-	cold0 := t.ColdLoads()
-	start := time.Now()
-	if each != nil {
-		err = t.StreamRecords(ctx, q, each)
-	} else {
-		res, err = t.ExecuteContext(ctx, q)
-	}
-	if err != nil {
-		return query.Result{}, wire.Meta{}, err
-	}
-	sc1, sp1 := t.SegmentStats()
-	return res, wire.Meta{
-		RecordsScanned:  t.TIBSize(),
-		SegmentsScanned: int(sc1 - sc0),
-		SegmentsPruned:  int(sp1 - sp0),
-		ColdLoads:       int(t.ColdLoads() - cold0),
-		ScanTime:        time.Since(start),
-	}, nil
 }
 
 // writeExecuteError maps a query-execution failure onto the right HTTP
@@ -180,15 +130,12 @@ type QueryRequest struct {
 	Query query.Query   `json:"query"`
 }
 
-// QueryResponse is the /query reply's JSON spelling. SegmentsScanned/
-// SegmentsPruned carry the host store's partition telemetry for this
-// query (§5.2 pruned-fraction cost term); the wire spelling's Meta also
-// carries the cold loads and the scan time.
+// QueryResponse is the /query reply's JSON spelling: the result and the
+// host's measured telemetry, whose JSON spelling leaves out the cold
+// loads and the scan time the wire frame's Meta also carries.
 type QueryResponse struct {
-	Result          query.Result `json:"result"`
-	RecordsScanned  int          `json:"records_scanned"`
-	SegmentsScanned int          `json:"segments_scanned,omitempty"`
-	SegmentsPruned  int          `json:"segments_pruned,omitempty"`
+	Result query.Result `json:"result"`
+	query.Meta
 }
 
 // InstallRequest is the /install body; Period is virtual nanoseconds.
@@ -220,19 +167,9 @@ type BatchQueryRequest struct {
 	Parallel int            `json:"parallel,omitempty"`
 }
 
-// BatchQueryReply is one host's slot in a /batchquery response.
-type BatchQueryReply struct {
-	Host            types.HostID `json:"host"`
-	Result          query.Result `json:"result"`
-	RecordsScanned  int          `json:"records_scanned"`
-	SegmentsScanned int          `json:"segments_scanned,omitempty"`
-	SegmentsPruned  int          `json:"segments_pruned,omitempty"`
-	Error           string       `json:"error,omitempty"`
-}
-
 // BatchQueryResponse is the /batchquery reply, aligned with request hosts.
 type BatchQueryResponse struct {
-	Replies []BatchQueryReply `json:"replies"`
+	Replies []wire.BatchReply `json:"replies"`
 }
 
 // AlarmRequest is the controller's /alarm body.
@@ -318,7 +255,7 @@ func (a *hostAPI) mux() *http.ServeMux {
 			streamQueryResponse(w, r, t, req.Query, a.compress)
 			return
 		}
-		res, m, err := evaluate(r.Context(), t, req.Query, nil)
+		res, m, err := controller.Evaluate(r.Context(), t, req.Query, nil)
 		if err != nil {
 			writeExecuteError(w, err)
 			return
@@ -640,24 +577,13 @@ func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Qu
 		if err != nil {
 			return err
 		}
-		res, meta = *out, queryMeta(m)
+		res, meta = *out, m
 		return nil
 	})
 	if err != nil {
 		return query.Result{}, controller.QueryMeta{}, err
 	}
 	return res, meta, nil
-}
-
-// queryMeta is a reply's measured telemetry as the controller keeps it.
-func queryMeta(m wire.Meta) controller.QueryMeta {
-	return controller.QueryMeta{
-		RecordsScanned:  m.RecordsScanned,
-		SegmentsScanned: m.SegmentsScanned,
-		SegmentsPruned:  m.SegmentsPruned,
-		ColdLoads:       m.ColdLoads,
-		ScanTime:        m.ScanTime,
-	}
 }
 
 // Install implements controller.Transport.
@@ -872,7 +798,7 @@ func encode(w http.ResponseWriter, v interface{}) {
 // frames explicitly.
 func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, m wire.Meta, res *query.Result) {
 	if !wire.Accepted(r.Header.Get("Accept")) {
-		encode(w, QueryResponse{Result: *res, RecordsScanned: m.RecordsScanned, SegmentsScanned: m.SegmentsScanned, SegmentsPruned: m.SegmentsPruned})
+		encode(w, QueryResponse{Result: *res, Meta: m})
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType)
@@ -892,7 +818,7 @@ func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, n
 		_ = wire.WriteBatchEach(w, n, compress, next)
 		return
 	}
-	out := make([]BatchQueryReply, n)
+	out := make([]wire.BatchReply, n)
 	defer func() {
 		for i := range out {
 			query.PutRecordBuf(out[i].Result.Records)
@@ -904,14 +830,7 @@ func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, n
 			writeExecuteError(w, r.Context().Err())
 			return
 		}
-		out[i] = BatchQueryReply{
-			Host:            rep.Host,
-			Result:          rep.Result,
-			RecordsScanned:  rep.Meta.RecordsScanned,
-			SegmentsScanned: rep.Meta.SegmentsScanned,
-			SegmentsPruned:  rep.Meta.SegmentsPruned,
-			Error:           rep.Error,
-		}
+		out[i] = *rep
 		rep.Result.Records = nil // out[i]'s now
 	}
 	encode(w, BatchQueryResponse{Replies: out})

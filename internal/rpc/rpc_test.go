@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"pathdump/internal/agent"
@@ -63,6 +64,10 @@ func buildCluster(t *testing.T) (*netsim.Sim, map[types.HostID]*agent.Agent, *HT
 	return sim, agents, tr, cleanup
 }
 
+// TestHTTPQueryMatchesLocal: the daemons and the in-process Local
+// transport measure a host alike (controller.Evaluate), so a query over
+// either gives the same merged answer and the same modelled execution —
+// response time, wire bytes, segment telemetry and hosts answered.
 func TestHTTPQueryMatchesLocal(t *testing.T) {
 	sim, agents, tr, cleanup := buildCluster(t)
 	defer cleanup()
@@ -73,25 +78,44 @@ func TestHTTPQueryMatchesLocal(t *testing.T) {
 	for _, h := range sim.Topo.Hosts() {
 		hosts = append(hosts, h.ID)
 	}
-	q := query.Query{Op: query.OpTopK, K: 5}
-	viaHTTP, _, err := ctrlHTTP.ExecuteContext(context.Background(), hosts, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaLocal, _, err := ctrlLocal.ExecuteContext(context.Background(), hosts, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaHTTP.Top) != len(viaLocal.Top) {
-		t.Fatalf("HTTP %d entries, local %d", len(viaHTTP.Top), len(viaLocal.Top))
-	}
-	for i := range viaHTTP.Top {
-		if viaHTTP.Top[i] != viaLocal.Top[i] {
-			t.Errorf("entry %d differs: %+v vs %+v", i, viaHTTP.Top[i], viaLocal.Top[i])
+	early := types.TimeRange{From: 0, To: 100 * types.Microsecond}
+	for _, tc := range []struct {
+		name string
+		q    query.Query
+	}{
+		{"topk", query.Query{Op: query.OpTopK, K: 5}},
+		{"records", query.Query{Op: query.OpRecords, Link: types.AnyLink, Range: types.AllTime}},
+		{"flows", query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: types.AllTime}},
+		{"flows-bounded", query.Query{Op: query.OpFlows, Link: types.AnyLink, Range: early}},
+	} {
+		viaHTTP, stHTTP, err := ctrlHTTP.ExecuteContext(context.Background(), hosts, tc.q)
+		if err != nil {
+			t.Fatalf("%s over HTTP: %v", tc.name, err)
 		}
-	}
-	if len(viaHTTP.Top) == 0 {
-		t.Fatal("no flows over HTTP")
+		viaLocal, stLocal, err := ctrlLocal.ExecuteContext(context.Background(), hosts, tc.q)
+		if err != nil {
+			t.Fatalf("%s in process: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(viaHTTP, viaLocal) {
+			t.Errorf("%s: HTTP answered %+v, Local %+v", tc.name, viaHTTP, viaLocal)
+		}
+		if len(viaHTTP.Top)+len(viaHTTP.Records)+len(viaHTTP.Flows) == 0 {
+			t.Errorf("%s: empty answer over HTTP", tc.name)
+		}
+		type model struct {
+			ResponseTime                    types.Time
+			WireBytes                       int64
+			SegmentsScanned, SegmentsPruned int
+			Hosts                           int
+		}
+		mHTTP := model{stHTTP.ResponseTime, stHTTP.WireBytes, stHTTP.SegmentsScanned, stHTTP.SegmentsPruned, stHTTP.Hosts}
+		mLocal := model{stLocal.ResponseTime, stLocal.WireBytes, stLocal.SegmentsScanned, stLocal.SegmentsPruned, stLocal.Hosts}
+		if mHTTP != mLocal {
+			t.Errorf("%s: HTTP modelled %+v, Local %+v", tc.name, mHTTP, mLocal)
+		}
+		if mHTTP.Hosts != len(hosts) || mHTTP.SegmentsScanned+mHTTP.SegmentsPruned == 0 {
+			t.Errorf("%s: %+v, want %d hosts answering with segment telemetry", tc.name, mHTTP, len(hosts))
+		}
 	}
 }
 

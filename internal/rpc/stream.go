@@ -14,6 +14,7 @@ import (
 	"errors"
 	"net/http"
 
+	"pathdump/internal/controller"
 	"pathdump/internal/query"
 	"pathdump/internal/types"
 	"pathdump/internal/wire"
@@ -35,7 +36,7 @@ func (t SnapshotTarget) StreamRecords(ctx context.Context, q query.Query, fn fun
 // accepted the wire encoding.
 //
 // The frame's head carries no telemetry: the scan's, measured as every
-// reply's is (evaluate), rides the end marker. Once the first chunk is
+// reply's is (controller.Evaluate), rides the end marker. Once the first chunk is
 // written the HTTP status is committed, so a mid-scan failure (in
 // practice: the client hung up) cannot turn into an error status; the
 // writer is abandoned instead, leaving a truncated frame the client's
@@ -56,7 +57,7 @@ func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q que
 	if f, ok := w.(http.Flusher); ok {
 		sw.OnChunk = f.Flush
 	}
-	_, m, serr := evaluate(ctx, t, q, func(rec *types.Record) {
+	_, m, serr := controller.Evaluate(ctx, t, q, func(rec *types.Record) {
 		// Errors are sticky: once a flush fails, later appends no-op and
 		// the scan winds down via its own ctx polls (the usual cause of a
 		// failed flush is the client hanging up, which cancels ctx).

@@ -92,34 +92,16 @@ const (
 // larger maxChunk cap so the constant can be tuned without a format break.
 const DefaultChunkRecords = 4096
 
-// Meta is what one host's evaluation cost, as its reply carries it: the
-// records resident, the segments the scan walked and pruned, the cold
-// segments it loaded and its wall time, all measured at the host. wire
-// cannot import internal/rpc (rpc imports wire), so it defines its own
-// carrier; rpc maps it to and from its response structs.
-type Meta struct {
-	RecordsScanned  int
-	SegmentsScanned int
-	SegmentsPruned  int
-	ColdLoads       int
-	ScanTime        time.Duration
-}
+// Meta is what one host's evaluation cost, as its reply carries it.
+type Meta = query.Meta
 
-// add folds a records section's end-marker delta into m, field by field.
-func (m *Meta) add(d Meta) {
-	m.RecordsScanned += d.RecordsScanned
-	m.SegmentsScanned += d.SegmentsScanned
-	m.SegmentsPruned += d.SegmentsPruned
-	m.ColdLoads += d.ColdLoads
-	m.ScanTime += d.ScanTime
-}
-
-// BatchReply is one host's slot in a batch response frame.
+// BatchReply is one host's slot in a batch response frame, and in the
+// JSON /batchquery reply's "replies" list.
 type BatchReply struct {
-	Host   types.HostID
-	Meta   Meta
-	Result query.Result
-	Error  string
+	Host   types.HostID `json:"host"`
+	Result query.Result `json:"result"`
+	Meta
+	Error string `json:"error,omitempty"`
 }
 
 // WriteQuery encodes one query response frame to w.
@@ -699,7 +681,7 @@ func readRecords(r *reader, m *Meta, sink func([]types.Record)) []types.Record {
 			break
 		}
 		if n == 0 {
-			m.add(readMeta(r))
+			m.Add(readMeta(r))
 			if r.err != nil {
 				break
 			}
