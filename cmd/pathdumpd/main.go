@@ -73,7 +73,6 @@ func main() {
 		slowOnce = flag.Bool("slow-first-only", false, "only the first query at -slow-host stalls; later ones (e.g. a hedged retry) answer at full speed")
 		impair   = flag.String("impair", "", "fault injection: semicolon-separated link impairments applied before the demo workload runs, each 'A-B:knob[,knob...]' with directed switch IDs and tc-style knobs loss=P (drop probability), rate=BPS (throttle; 0 kills the link's bandwidth), delay=DUR (added one-way latency), down (administratively down) — e.g. '0-8:loss=1;0-9:loss=1'")
 		poorFlow = flag.Bool("inject-poor-flow", false, "fault injection: register one wedged TCP flow at the lowest served host so an installed poor_tcp monitor deterministically raises POOR_PERF every period (e2e alarm-path testing)")
-		wireComp = flag.Bool("wire-compress", false, "flate-compress binary wire responses (trades CPU for bytes on slow links)")
 		maxBody  = flag.Int64("max-body", 0, "per-request body cap in bytes; oversized requests answer 413 (0 = the 16 MiB default)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints stay off by default)")
 		opsEvery = flag.Duration("ops-log-every", 0, "periodically log an operational summary — served TIB records plus alarm forwarding health (forwarded, failed, dropped) — at this interval (0 = off)")
@@ -184,7 +183,7 @@ func main() {
 	serveTargets := func(targets map[types.HostID]rpc.Target) {
 		h := newHandler(&rpc.MultiAgentServer{
 			Targets: targets, Parallelism: *parallel,
-			MaxBodyBytes: *maxBody, WireCompress: *wireComp, Obs: srvObs,
+			MaxBodyBytes: *maxBody, Obs: srvObs,
 		}, *slowHost, *slowDly, *slowOnce)
 		log.Printf("pathdumpd: %d hosts serving on %s", len(targets), *listen)
 		fmt.Println("endpoints: POST /query /batchquery /install /uninstall, GET /stats /snapshot?host=N /healthz /metrics")

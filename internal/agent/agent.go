@@ -39,10 +39,6 @@ type Config struct {
 	CacheSize int
 	// DisableCache turns the trajectory cache off (ablation).
 	DisableCache bool
-	// PacketLog, when positive, keeps the last N packets at per-packet
-	// granularity (the paper's §2.2 future-work extension); zero keeps
-	// the shipped per-path aggregation only.
-	PacketLog int
 	// StoreShards stripes the TIB store's locks so concurrent ingest and
 	// query scans do not serialise (default tib.DefaultShards; 1 yields
 	// a single-lock store).
@@ -117,7 +113,6 @@ type Installed struct {
 	ID     int
 	Query  query.Query
 	Period types.Time
-	gen    uint64 // bumped on uninstall to cancel pending timers
 
 	// watermark is the newest global TIB arrival sequence this query has
 	// already evaluated: each periodic run scans only records past it
@@ -177,7 +172,6 @@ type Agent struct {
 	triggered []*Installed
 	nextID    int
 	sweeping  bool
-	plog      *packetRing
 	evicted   []tib.MemEntry // Receive's eviction buffer, reused FIN after FIN
 
 	// Counters exposed for the overhead experiments (§5.3).
@@ -218,9 +212,6 @@ func New(sim *netsim.Sim, h *topology.Host, stack *tcp.Stack, sink AlarmSink, cf
 		sink:      sink,
 		installed: make(map[int]*Installed),
 	}
-	if cfg.PacketLog > 0 {
-		a.plog = newPacketRing(cfg.PacketLog)
-	}
 	sim.SetReceiver(h.ID, a)
 	return a
 }
@@ -235,9 +226,6 @@ func (a *Agent) Receive(pkt *netsim.Packet) {
 	a.PacketsSeen++
 	a.BytesSeen += uint64(pkt.Size)
 	now := a.sim.Now()
-	if a.plog != nil {
-		a.plog.add(packetEntry{flow: pkt.Flow, hdr: hdr.Pack(), at: now, size: pkt.Size})
-	}
 	a.Mem.Update(now, pkt.Flow, hdr, pkt.Size, pkt.Fin)
 	if pkt.Fin {
 		a.evicted = a.Mem.AppendEvictFlow(a.evicted[:0], pkt.Flow)
@@ -398,21 +386,26 @@ func (a *Agent) StreamRecords(ctx context.Context, q query.Query, fn func(*types
 }
 
 // Install registers a query; period 0 means event-triggered (§2.1). The
-// returned ID is used to uninstall. The registry itself is
-// concurrency-safe, but periodic installs register timers on the agent's
-// simulator, so callers installing concurrently at agents that share one
-// Sim must serialise — the rpc servers and the sim-backed Local transport
-// (via SerialControl) both do.
+// returned ID is used to uninstall. Only the ops an installed query can
+// act on are accepted — conformance, which raises its violations, and
+// poor_tcp, which raises its suffering flows; any other op would run and
+// report nothing, so it is refused with ID 0 and no timer. The registry
+// itself is concurrency-safe, but periodic installs register timers on
+// the agent's simulator, so callers installing concurrently at agents
+// that share one Sim must serialise — the rpc servers and the sim-backed
+// Local transport (via SerialControl) both do.
 func (a *Agent) Install(q query.Query, period types.Time) int {
+	if q.Op != query.OpConformance && q.Op != query.OpPoorTCP {
+		return 0
+	}
 	a.instMu.Lock()
 	a.nextID++
 	inst := &Installed{ID: a.nextID, Query: q, Period: period}
 	a.installed[inst.ID] = inst
 	a.retrigger()
-	gen := inst.gen
 	a.instMu.Unlock()
 	if period > 0 {
-		a.sim.After(period, func() { a.periodic(inst, gen) })
+		a.sim.After(period, func() { a.periodic(inst) })
 	}
 	return inst.ID
 }
@@ -421,11 +414,9 @@ func (a *Agent) Install(q query.Query, period types.Time) int {
 func (a *Agent) Uninstall(id int) error {
 	a.instMu.Lock()
 	defer a.instMu.Unlock()
-	inst, ok := a.installed[id]
-	if !ok {
+	if _, ok := a.installed[id]; !ok {
 		return fmt.Errorf("agent %v: no installed query %d", a.Host.ID, id)
 	}
-	inst.gen++
 	delete(a.installed, id)
 	a.retrigger()
 	return nil
@@ -442,17 +433,18 @@ func (a *Agent) InstalledQueries() []int {
 	return out
 }
 
-// periodic runs one installed query and reschedules itself.
-func (a *Agent) periodic(inst *Installed, gen uint64) {
+// periodic runs one installed query and reschedules itself, until the
+// query is uninstalled. IDs are never reused, so the registry still
+// holding inst under its ID means it is live.
+func (a *Agent) periodic(inst *Installed) {
 	a.instMu.Lock()
-	cur, ok := a.installed[inst.ID]
-	live := ok && cur.gen == gen
+	live := a.installed[inst.ID] == inst
 	a.instMu.Unlock()
 	if !live {
 		return
 	}
 	a.runInstalled(inst, nil)
-	a.sim.After(inst.Period, func() { a.periodic(inst, gen) })
+	a.sim.After(inst.Period, func() { a.periodic(inst) })
 }
 
 // runInstalled executes an installed query and converts its result into
@@ -482,9 +474,6 @@ func (a *Agent) runInstalled(inst *Installed, rec *types.Record) {
 		for _, v := range a.runIncremental(inst).Violations {
 			a.raise(types.Alarm{Flow: v.Flow, Reason: types.ReasonPathConformance, Paths: []types.Path{v.Path}})
 		}
-	default:
-		// Measurement queries installed for periodic execution surface
-		// their results through the TIB on demand; nothing to push.
 	}
 }
 

@@ -240,38 +240,23 @@ func TestInstalledQueryListing(t *testing.T) {
 	}
 }
 
-func TestPerPacketLogExtension(t *testing.T) {
-	topo, _ := topology.FatTree(4)
-	scheme, _ := cherrypick.New(topo)
-	sim := netsim.New(topo, scheme, netsim.Config{})
-	src := topo.Hosts()[0]
-	dst := topo.HostsAt(topo.ToRID(2, 0))[0]
-	a := New(sim, dst, nil, nil, Config{PacketLog: 4})
-	f := types.FlowID{SrcIP: src.IP, DstIP: dst.IP, SrcPort: 9000, DstPort: 80, Proto: types.ProtoTCP}
-	for i := 0; i < 7; i++ {
-		sim.Send(src.ID, &netsim.Packet{Flow: f, Seq: uint64(i), Size: 100 + i})
-	}
-	sim.RunAll()
-	got := a.RecentPackets()
-	if len(got) != 4 {
-		t.Fatalf("ring kept %d packets, want 4", len(got))
-	}
-	// Oldest-first ordering: sizes 103..106 survive.
-	for i, pr := range got {
-		if pr.Size != 103+i {
-			t.Errorf("entry %d size = %d, want %d", i, pr.Size, 103+i)
-		}
-		if err := topo.ValidTrajectory(f.SrcIP, f.DstIP, pr.Path); err != nil {
-			t.Errorf("per-packet path invalid: %v", err)
-		}
-		if pr.At <= 0 {
-			t.Error("missing timestamp")
+// TestInstallRefusesMeasurementOps: an installed query runs only the
+// ops that raise something, so a topk install, periodic or
+// event-triggered, is refused with ID 0 and schedules no timer.
+func TestInstallRefusesMeasurementOps(t *testing.T) {
+	r := newRig(t, netsim.Config{}, Config{})
+	a := r.agents[0]
+	pending := r.sim.Pending()
+	for _, period := range []types.Time{types.Second, 0} {
+		if id := a.Install(query.Query{Op: query.OpTopK, K: 5}, period); id != 0 {
+			t.Errorf("topk install every %v got ID %d, want 0", period, id)
 		}
 	}
-	// Disabled by default.
-	b := New(sim, topo.Hosts()[1], nil, nil, Config{})
-	if b.RecentPackets() != nil {
-		t.Error("packet log should be off by default")
+	if got := r.sim.Pending(); got != pending {
+		t.Errorf("%d events pending after refused installs, want %d", got, pending)
+	}
+	if got := a.InstalledQueries(); len(got) != 0 {
+		t.Errorf("installed = %v after refused installs", got)
 	}
 }
 

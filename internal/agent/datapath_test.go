@@ -96,7 +96,7 @@ func mallocsPer(runs int, f func()) float64 {
 // on the first three tags (as the memory once was) they were one record,
 // exported under the first header's path with all three's bytes.
 func TestLongHeadersStayApart(t *testing.T) {
-	r := newRig(t, netsim.Config{}, Config{PacketLog: 8})
+	r := newRig(t, netsim.Config{}, Config{})
 	topo := r.sim.Topo
 	src := topo.Hosts()[0]
 	dst := topo.HostsAt(topo.ToRID(2, 0))[0]
@@ -137,14 +137,6 @@ func TestLongHeadersStayApart(t *testing.T) {
 	}
 	if hits, _ := a.Cache.Stats(); hits != 0 {
 		t.Errorf("%d cache hits: two of the three headers shared a slot", hits)
-	}
-	// The packet log resolves each packet under its own header too.
-	var logged []string
-	for _, p := range a.RecentPackets() {
-		logged = append(logged, p.Path.String())
-	}
-	if len(logged) != 2 || logged[0] == logged[1] {
-		t.Errorf("packet log paths %v, want the two valid trajectories", logged)
 	}
 }
 

@@ -55,15 +55,14 @@ type Header struct {
 }
 
 // Packed is a Header in comparable, fixed-size form: the trajectory
-// memory keeps one per open record and the trajectory cache and the
-// packet log key on it as it is, so the datapath neither copies a tag
-// slice nor builds a string per packet. The first three VLAN tags sit
-// inline — a third tag already punts the packet to the controller, so
-// that is every header the fabric can deliver, packed without an
-// allocation. A longer tag list (a direct Receive, a DisableTagging rig)
-// spills its remainder, two big-endian bytes per tag, into more: packing
-// then allocates, and two headers are equal exactly when their DSCP and
-// full tag lists are.
+// memory keeps one per open record and the trajectory cache keys on it
+// as it is, so the datapath neither copies a tag slice nor builds a
+// string per packet. The first three VLAN tags sit inline — a third tag
+// already punts the packet to the controller, so that is every header
+// the fabric can deliver, packed without an allocation. A longer tag
+// list (a direct Receive, a DisableTagging rig) spills its remainder, two
+// big-endian bytes per tag, into more: packing then allocates, and two
+// headers are equal exactly when their DSCP and full tag lists are.
 type Packed struct {
 	DSCP uint8
 	n    uint8 // tags held inline

@@ -208,6 +208,21 @@ func TestInstallUninstallViaController(t *testing.T) {
 	}
 }
 
+// TestLocalInstallRefusesMeasurementOps: the in-process transport turns
+// an agent's refusal (ID 0) into an error, so the controller hands back
+// no ID.
+func TestLocalInstallRefusesMeasurementOps(t *testing.T) {
+	r := newRig(t, 4, netsim.Config{})
+	q := query.Query{Op: query.OpTopK, K: 5}
+	if id, err := (Local{Agents: r.agents}).Install(context.Background(), r.hosts[0], q, types.Second); err == nil || id != 0 {
+		t.Errorf("Local.Install of topk = ID %d, error %v; want 0 and an error", id, err)
+	}
+	ids, err := r.ctrl.InstallContext(context.Background(), r.hosts[:2], q, types.Second)
+	if err == nil || ids != nil {
+		t.Errorf("InstallContext of topk = %v, %v; want no IDs and an error", ids, err)
+	}
+}
+
 func TestAlarmLogAndHandlers(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{})
 	var handled []types.Alarm

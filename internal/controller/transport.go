@@ -138,7 +138,11 @@ func (l Local) Install(ctx context.Context, host types.HostID, q query.Query, pe
 	if !ok {
 		return 0, fmt.Errorf("controller: unknown host %v", host)
 	}
-	return a.Install(q, period), nil
+	id := a.Install(q, period)
+	if id == 0 {
+		return 0, fmt.Errorf("controller: host %v runs no installed %q query", host, q.Op)
+	}
+	return id, nil
 }
 
 // Uninstall implements Transport.

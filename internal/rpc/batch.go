@@ -40,8 +40,6 @@ type MultiAgentServer struct {
 	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody); batch
 	// installs across many hosts may need it raised.
 	MaxBodyBytes int64
-	// WireCompress flate-compresses wire-encoded responses.
-	WireCompress bool
 	// Obs mounts the server's observability surface — /metrics,
 	// /healthz override, optional pprof — and instruments every
 	// endpoint (nil = uninstrumented; /healthz is served regardless).
@@ -71,12 +69,11 @@ func (s *MultiAgentServer) target(h *types.HostID) (Target, error) {
 // /batchquery.
 func (s *MultiAgentServer) Handler() http.Handler {
 	api := hostAPI{
-		resolve:  s.target,
-		targets:  slices.Collect(maps.Values(s.Targets)),
-		maxBody:  s.MaxBodyBytes,
-		compress: s.WireCompress,
-		obs:      s.Obs,
-		instMu:   &s.instMu,
+		resolve: s.target,
+		targets: slices.Collect(maps.Values(s.Targets)),
+		maxBody: s.MaxBodyBytes,
+		obs:     s.Obs,
+		instMu:  &s.instMu,
 	}
 	mux := api.mux()
 	mux.HandleFunc("/batchquery", s.Obs.wrap("batchquery", func(w http.ResponseWriter, r *http.Request) {
@@ -95,7 +92,7 @@ func (s *MultiAgentServer) Handler() http.Handler {
 			writeExecuteError(w, err)
 			return
 		}
-		writeBatchResponse(w, r, s.WireCompress, len(req.Hosts), b.next)
+		writeBatchResponse(w, r, len(req.Hosts), b.next)
 	}))
 	return mux
 }

@@ -347,7 +347,7 @@ func TestUnexpectedReplyEncoding(t *testing.T) {
 // every slot errs — instead of one host's records being merged under
 // the other's name.
 func TestBatchReplyMisaligned(t *testing.T) {
-	srv, hosts := multiDaemon(t, 20, 3, 10, false)
+	srv, hosts := multiDaemon(t, 20, 3, 10)
 	swapper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hs, q, parallel, err := wire.ReadBatchRequest(r.Body)
 		if err != nil {

@@ -57,7 +57,8 @@ type Target interface {
 	controller.Host
 	// Install registers q to run every period (0 = per exported record)
 	// and returns its ID. IDs start at 1; a target with no
-	// installed-query engine returns 0 and the servers answer 501.
+	// installed-query engine, or none for q's op, returns 0 and the
+	// servers answer 501.
 	Install(q query.Query, period types.Time) int
 	// Uninstall removes an installed query.
 	Uninstall(id int) error
@@ -83,9 +84,9 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 	}
 }
 
-// errNoInstallEngine is what install and uninstall answer at a target
-// that has no installed-query engine.
-var errNoInstallEngine = errors.New("rpc: snapshot target has no installed-query engine")
+// errNoInstallEngine is what install answers when a target refuses the
+// query (ID 0), and what uninstall answers at a snapshot target.
+var errNoInstallEngine = errors.New("rpc: no installed-query engine for this query (snapshot targets run none; agents run conformance and poor_tcp only)")
 
 // SnapshotTarget serves a bare TIB — a store loaded from a snapshot with
 // no live agent behind it. Ops needing the agent's runtime (the active
@@ -187,8 +188,6 @@ type AgentServer struct {
 
 	// MaxBodyBytes caps request bodies (<= 0 = DefaultMaxBody).
 	MaxBodyBytes int64
-	// WireCompress flate-compresses wire-encoded responses.
-	WireCompress bool
 	// Obs mounts the server's observability surface — /metrics,
 	// /healthz override, optional pprof — and instruments every
 	// endpoint (nil = uninstrumented; /healthz is served regardless).
@@ -200,12 +199,11 @@ type AgentServer struct {
 // Handler returns the agent's HTTP mux.
 func (s *AgentServer) Handler() http.Handler {
 	api := hostAPI{
-		resolve:  func(*types.HostID) (Target, error) { return s.T, nil },
-		targets:  []Target{s.T},
-		maxBody:  s.MaxBodyBytes,
-		compress: s.WireCompress,
-		obs:      s.Obs,
-		instMu:   &s.instMu,
+		resolve: func(*types.HostID) (Target, error) { return s.T, nil },
+		targets: []Target{s.T},
+		maxBody: s.MaxBodyBytes,
+		obs:     s.Obs,
+		instMu:  &s.instMu,
 	}
 	return api.mux()
 }
@@ -217,10 +215,9 @@ type hostAPI struct {
 	// that serves it; an error is answered 404.
 	resolve func(*types.HostID) (Target, error)
 	// targets is every served target (for /stats and /healthz).
-	targets  []Target
-	maxBody  int64
-	compress bool
-	obs      *ServerObs
+	targets []Target
+	maxBody int64
+	obs     *ServerObs
 	// instMu serialises install/uninstall across the server's targets.
 	instMu *sync.Mutex
 	// snapErrs counts snapshot streams that failed mid-body.
@@ -252,7 +249,7 @@ func (a *hostAPI) mux() *http.ServeMux {
 			return
 		}
 		if req.Query.Op == query.OpRecords && wire.Accepted(r.Header.Get("Accept")) {
-			streamQueryResponse(w, r, t, req.Query, a.compress)
+			streamQueryResponse(w, r, t, req.Query)
 			return
 		}
 		res, m, err := controller.Evaluate(r.Context(), t, req.Query, nil)
@@ -260,7 +257,7 @@ func (a *hostAPI) mux() *http.ServeMux {
 			writeExecuteError(w, err)
 			return
 		}
-		writeQueryResponse(w, r, a.compress, m, &res)
+		writeQueryResponse(w, r, m, &res)
 		query.PutRecordBuf(res.Records)
 	}))
 	mux.HandleFunc("/install", a.obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
@@ -796,42 +793,45 @@ func encode(w http.ResponseWriter, v interface{}) {
 // byte is out the status line is committed, so a mid-stream write failure
 // just truncates the frame — the client-side decoder rejects truncated
 // frames explicitly.
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, compress bool, m wire.Meta, res *query.Result) {
+func writeQueryResponse(w http.ResponseWriter, r *http.Request, m wire.Meta, res *query.Result) {
 	if !wire.Accepted(r.Header.Get("Accept")) {
 		encode(w, QueryResponse{Result: *res, Meta: m})
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType)
-	_ = wire.WriteQuery(w, m, res, compress)
+	_ = wire.WriteQuery(w, m, res, false)
 }
 
 // writeBatchResponse is writeQueryResponse for /batchquery: n sections,
 // pulled in order from next (see batchWindow.next). Each section goes out
 // as it arrives; a nil one cuts the frame short, which its reader rejects.
 // The JSON spelling is built from the same pull only for a client that did
-// not offer the wire encoding (curl): it must see every section before its
-// first byte, so it keeps each section's records and recycles them once
-// encoded, and a failure is the whole request's.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, compress bool, n int, next func(i int) *wire.BatchReply) {
+// not offer the wire encoding (curl): each section is marshalled as it
+// arrives, so the window still holds at most W answers, but no byte is
+// written before the last one, so a failure is the whole request's.
+func writeBatchResponse(w http.ResponseWriter, r *http.Request, n int, next func(i int) *wire.BatchReply) {
 	if wire.Accepted(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", wire.ContentType)
-		_ = wire.WriteBatchEach(w, n, compress, next)
+		_ = wire.WriteBatchEach(w, n, next)
 		return
 	}
-	out := make([]wire.BatchReply, n)
-	defer func() {
-		for i := range out {
-			query.PutRecordBuf(out[i].Result.Records)
-		}
-	}()
-	for i := range out {
+	buf := []byte(`{"replies":[`)
+	for i := range n {
 		rep := next(i)
 		if rep == nil {
 			writeExecuteError(w, r.Context().Err())
 			return
 		}
-		out[i] = *rep
-		rep.Result.Records = nil // out[i]'s now
+		sec, err := json.Marshal(rep)
+		if err != nil {
+			http.Error(w, "rpc: encoding response: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, sec...)
 	}
-	encode(w, BatchQueryResponse{Replies: out})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(buf, "]}\n"...))
 }

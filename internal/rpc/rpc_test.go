@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -146,6 +148,25 @@ func TestHTTPInstallUninstall(t *testing.T) {
 	}
 	if _, err := tr.Install(context.Background(), types.HostID(4242), query.Query{}, 0); err == nil {
 		t.Error("unknown host should fail")
+	}
+}
+
+// TestHTTPInstallRefusesMeasurementOps: a daemon answers an install its
+// agent refuses (a periodic topk runs nothing) with 501.
+func TestHTTPInstallRefusesMeasurementOps(t *testing.T) {
+	_, agents, tr, cleanup := buildCluster(t)
+	defer cleanup()
+	var host types.HostID
+	for host = range agents {
+		break
+	}
+	id, err := tr.Install(context.Background(), host, query.Query{Op: query.OpTopK, K: 5}, types.Second)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
+		t.Fatalf("topk install: ID %d, error %v; want a 501 *StatusError", id, err)
+	}
+	if got := agents[host].InstalledQueries(); len(got) != 0 {
+		t.Errorf("installed = %v after a refused install", got)
 	}
 }
 

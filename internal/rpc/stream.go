@@ -41,14 +41,14 @@ func (t SnapshotTarget) StreamRecords(ctx context.Context, q query.Query, fn fun
 // practice: the client hung up) cannot turn into an error status; the
 // writer is abandoned instead, leaving a truncated frame the client's
 // decoder rejects.
-func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q query.Query, compress bool) {
+func streamQueryResponse(w http.ResponseWriter, r *http.Request, t Target, q query.Query) {
 	ctx := r.Context()
 	if err := ctx.Err(); err != nil {
 		writeExecuteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType)
-	sw, err := wire.NewQueryStreamWriter(w, wire.Meta{}, q.Op, compress)
+	sw, err := wire.NewQueryStreamWriter(w, wire.Meta{}, q.Op, false)
 	if err != nil {
 		// Nothing reached the wire yet; the client sees a clean error.
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -71,7 +71,7 @@ func seedFlow(host, i int) types.FlowID {
 
 // multiDaemon starts one MultiAgentServer over nhosts snapshot targets
 // starting at host ID base.
-func multiDaemon(t *testing.T, base, nhosts, nrec int, compress bool) (*httptest.Server, []types.HostID) {
+func multiDaemon(t *testing.T, base, nhosts, nrec int) (*httptest.Server, []types.HostID) {
 	t.Helper()
 	targets := make(map[types.HostID]Target)
 	var hosts []types.HostID
@@ -80,7 +80,7 @@ func multiDaemon(t *testing.T, base, nhosts, nrec int, compress bool) (*httptest
 		targets[h] = SnapshotTarget{Store: seedStore(base+i, nrec)}
 		hosts = append(hosts, h)
 	}
-	srv := httptest.NewServer((&MultiAgentServer{Targets: targets, WireCompress: compress}).Handler())
+	srv := httptest.NewServer((&MultiAgentServer{Targets: targets}).Handler())
 	t.Cleanup(srv.Close)
 	return srv, hosts
 }
@@ -145,12 +145,11 @@ func matrixQueries(host int) []query.Query {
 }
 
 // TestWireFallbackMatrix is the encoding matrix that still exists. The
-// transport has one encoding, so the client axis is the transport versus
-// curl — a raw JSON POST offering nothing in Accept, which the servers
-// answer in JSON because they follow the request — and the server axis
-// is a plain versus a compressing daemon. For every op, on a one-host and
-// a three-host daemon, through /query and /batchquery, every pairing must
-// return the same result.
+// transport has one encoding and so has the daemon, so the one axis is
+// the client: the transport versus curl — a raw JSON POST offering
+// nothing in Accept, which the servers answer in JSON because they follow
+// the request. For every op, on a one-host and a three-host daemon,
+// through /query and /batchquery, both must return the same result.
 func TestWireFallbackMatrix(t *testing.T) {
 	const base, nrec = 10, 50
 	type daemon struct {
@@ -158,10 +157,10 @@ func TestWireFallbackMatrix(t *testing.T) {
 		hosts []types.HostID
 		tr    *HTTPTransport
 	}
-	fleet := func(t *testing.T, compress bool) []daemon {
+	fleet := func(t *testing.T) []daemon {
 		var ds []daemon
 		for _, nhosts := range []int{1, 3} {
-			srv, hosts := multiDaemon(t, base, nhosts, nrec, compress)
+			srv, hosts := multiDaemon(t, base, nhosts, nrec)
 			urls := make(map[types.HostID]string)
 			for _, h := range hosts {
 				urls[h] = srv.URL
@@ -218,8 +217,8 @@ func TestWireFallbackMatrix(t *testing.T) {
 
 	// The oracle is the evaluator itself, run in-process over the same
 	// population; every pairing, through both endpoints, must reproduce it.
-	check := func(t *testing.T, compress bool, answer func(*testing.T, daemon, query.Query) ([]string, []string)) {
-		for _, d := range fleet(t, compress) {
+	check := func(t *testing.T, answer func(*testing.T, daemon, query.Query) ([]string, []string)) {
+		for _, d := range fleet(t) {
 			for _, q := range matrixQueries(base) {
 				perHost, batched := answer(t, d, q)
 				for i, h := range d.hosts {
@@ -235,9 +234,8 @@ func TestWireFallbackMatrix(t *testing.T) {
 			}
 		}
 	}
-	t.Run("binary-client-wire-server", func(t *testing.T) { check(t, false, viaTransport) })
-	t.Run("binary-client-compressing-server", func(t *testing.T) { check(t, true, viaTransport) })
-	t.Run("json-client-wire-server", func(t *testing.T) { check(t, false, viaCurl) })
+	t.Run("binary-client-wire-server", func(t *testing.T) { check(t, viaTransport) })
+	t.Run("json-client-wire-server", func(t *testing.T) { check(t, viaCurl) })
 }
 
 // TestNegotiationHeaders checks the raw HTTP contract: the response
@@ -377,7 +375,7 @@ func TestAlarmClientDropped(t *testing.T) {
 // goroutines (run under -race in CI) and then checks that no goroutines
 // outlive the storm once idle connections are dropped.
 func TestPooledFanoutNoLeak(t *testing.T) {
-	srv, hosts := multiDaemon(t, 40, 8, 30, false)
+	srv, hosts := multiDaemon(t, 40, 8, 30)
 	urls := make(map[types.HostID]string)
 	for _, h := range hosts {
 		urls[h] = srv.URL
@@ -436,7 +434,7 @@ func TestPooledFanoutNoLeak(t *testing.T) {
 // binary batch path value-for-value against the JSON reply a curl-style
 // client gets.
 func TestQueryManyMetaOverWire(t *testing.T) {
-	srv, hosts := multiDaemon(t, 70, 3, 40, false)
+	srv, hosts := multiDaemon(t, 70, 3, 40)
 	urls := make(map[types.HostID]string)
 	for _, h := range hosts {
 		urls[h] = srv.URL

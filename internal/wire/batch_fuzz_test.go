@@ -25,7 +25,9 @@ const batchCorpusDir = "testdata/fuzz/FuzzReadBatchEach"
 
 // batchSeeds are the frames FuzzReadBatchEach starts from: two sections,
 // sections that carry errors (one longer than the decoder takes), a
-// records section, and a flate frame of every section kind.
+// records section, and no sections at all. The committed corpus also holds "flate-frame", written
+// by a build that could set the frame's flags byte; it is kept to pin that
+// a nonzero flags byte is rejected (TestUnknownFlagsRejected).
 func batchSeeds(tb testing.TB) map[string][]byte {
 	rng := rand.New(rand.NewSource(25))
 	top := func(h types.HostID) BatchReply {
@@ -42,12 +44,12 @@ func batchSeeds(tb testing.TB) map[string][]byte {
 			{Host: 9, Error: strings.Repeat("x", maxErrLen+10)},
 		},
 		"records-section": {{Host: 2, Result: *randResult(rng, 40)}},
-		"flate-frame":     {{Host: 4, Result: *fullResult(rng)}, top(5), {Host: 6, Error: "deadline"}},
+		"no-sections":     nil,
 	}
 	seeds := make(map[string][]byte, len(frames))
 	for name, replies := range frames {
 		var buf bytes.Buffer
-		if err := WriteBatch(&buf, replies, name == "flate-frame"); err != nil {
+		if err := WriteBatch(&buf, replies, false); err != nil {
 			tb.Fatal(err)
 		}
 		seeds[name] = buf.Bytes()
@@ -77,7 +79,7 @@ func TestBatchSeedCorpus(t *testing.T) {
 // committedSeed reads the committed corpus file dir/name. A missing one
 // is written from data and reported as absent (ok false), so deleting a
 // corpus directory and re-running its seed test regenerates it.
-func committedSeed(t *testing.T, dir, name string, data []byte) (seed string, ok bool) {
+func committedSeed(t *testing.T, dir, name string, data []byte) (string, bool) {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	raw, err := os.ReadFile(path)
@@ -91,17 +93,55 @@ func committedSeed(t *testing.T, dir, name string, data []byte) (seed string, ok
 		t.Logf("wrote missing seed %s", path)
 		return "", false
 	}
+	return parseSeed(t, path, raw), true
+}
+
+// parseSeed returns the frame held by raw, the contents of the corpus
+// file at path.
+func parseSeed(t *testing.T, path string, raw []byte) string {
+	t.Helper()
 	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
-	seed, err = strconv.Unquote(strings.TrimSuffix(body, ")\n"))
+	seed, err := strconv.Unquote(strings.TrimSuffix(body, ")\n"))
 	if !ok || err != nil {
 		t.Fatalf("%s is not a fuzz corpus file: %v", path, err)
 	}
-	return seed, true
+	return seed
 }
 
 // decodeSlack is what one frame may allocate whatever its length: a
 // records chunk sized at its cap, and the first 4096 of any other count.
 const decodeSlack = maxChunk*uint64(unsafe.Sizeof(types.Record{})) + 4<<20
+
+// checkDecodeAlloc fails t if decoding data allocated past what the
+// section caps allow.
+func checkDecodeAlloc(t *testing.T, data []byte, decode func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+decodeSlack {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+	}
+}
+
+// checkNoPrefix fails t if read accepts a strict prefix of frame: every
+// one of a short frame, a sample of a long one.
+func checkNoPrefix(t *testing.T, frame []byte, read func([]byte) error) {
+	t.Helper()
+	cuts := []int{0, 6, len(frame) / 2, len(frame) - 1}
+	if len(frame) <= 512 {
+		cuts = cuts[:0]
+		for n := range len(frame) {
+			cuts = append(cuts, n)
+		}
+	}
+	for _, n := range cuts {
+		if read(frame[:n]) == nil {
+			t.Fatalf("strict prefix (%d of %d bytes) of a frame accepted", n, len(frame))
+		}
+	}
+}
 
 // FuzzReadBatchEach drives the batch frame's decoder — the one a daemon's
 // streamed sections meet at the controller — with arbitrary bytes. It must
@@ -114,19 +154,14 @@ func FuzzReadBatchEach(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		replies, err := ReadBatch(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+decodeSlack {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
+		var replies []BatchReply
+		var err error
+		checkDecodeAlloc(t, data, func() { replies, err = ReadBatch(bytes.NewReader(data)) })
 		if err != nil {
 			return
 		}
-		compress := data[5]&FlagFlate != 0
 		var frame bytes.Buffer
-		if err := WriteBatch(&frame, replies, compress); err != nil {
+		if err := WriteBatch(&frame, replies, false); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadBatch(bytes.NewReader(frame.Bytes()))
@@ -136,24 +171,16 @@ func FuzzReadBatchEach(f *testing.F) {
 		if a, b := mustJSON(t, replies), mustJSON(t, again); a != b {
 			t.Fatalf("replies changed across a re-encode:\n%s\n%s", a, b)
 		}
-		cuts := []int{0, 6, frame.Len() / 2, frame.Len() - 1}
-		if frame.Len() <= 512 {
-			cuts = cuts[:0]
-			for n := range frame.Len() {
-				cuts = append(cuts, n)
-			}
-		}
-		for _, n := range cuts {
-			if _, err := ReadBatch(bytes.NewReader(frame.Bytes()[:min(n, frame.Len()-1)])); err == nil {
-				t.Fatalf("strict prefix (%d of %d bytes) of a frame accepted", n, frame.Len())
-			}
-		}
+		checkNoPrefix(t, frame.Bytes(), func(b []byte) error {
+			_, err := ReadBatch(bytes.NewReader(b))
+			return err
+		})
 		if len(replies) == 0 {
 			return
 		}
 		var short bytes.Buffer
 		stop := len(replies) / 2
-		err = WriteBatchEach(&short, len(replies), compress, func(i int) *BatchReply {
+		err = WriteBatchEach(&short, len(replies), func(i int) *BatchReply {
 			if i == stop {
 				return nil
 			}

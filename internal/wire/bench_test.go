@@ -13,7 +13,7 @@ import (
 
 // BenchmarkWireRoundtrip measures a full encode+decode of a 5000-record
 // result — the controller-side cost of one host's reply — for the binary
-// codec (plain and compressed) against the JSON path it replaces. Run with
+// codec against the JSON path it replaces. Run with
 // -benchmem: allocs/op is gated by the CI bench job alongside the medians.
 func BenchmarkWireRoundtrip(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
@@ -31,22 +31,7 @@ func BenchmarkWireRoundtrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		reportSize(b, res, false)
-	})
-
-	b.Run("binary-flate", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := WriteQuery(&buf, Meta{RecordsScanned: 5000}, res, true); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := ReadQuery(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportSize(b, res, true)
+		reportSize(b, res)
 	})
 
 	b.Run("json", func(b *testing.B) {
@@ -237,10 +222,10 @@ func BenchmarkRequestEncode(b *testing.B) {
 	})
 }
 
-func reportSize(b *testing.B, res *query.Result, compress bool) {
+func reportSize(b *testing.B, res *query.Result) {
 	b.Helper()
 	var cw countWriter
-	if err := WriteQuery(&cw, Meta{}, res, compress); err != nil {
+	if err := WriteQuery(&cw, Meta{}, res, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(cw), "wire-bytes")

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +16,10 @@ const queryCorpusDir = "testdata/fuzz/FuzzReadQuery"
 
 // querySeeds are the frames FuzzReadQuery starts from: a buffered frame of
 // every section kind, a streamed records frame whose end marker carries a
-// Meta delta, a flate frame, and that streamed frame cut inside its end
-// marker (the one seed that must be rejected).
+// Meta delta, that streamed frame cut inside its end marker (the one seed
+// that must be rejected), and a streamed frame with no records. The committed corpus also holds
+// "flate-frame", kept to pin that a nonzero flags byte is rejected
+// (TestUnknownFlagsRejected).
 func querySeeds(tb testing.TB) map[string][]byte {
 	rng := rand.New(rand.NewSource(31))
 	m := Meta{RecordsScanned: 4000, SegmentsScanned: 12, SegmentsPruned: 29, ColdLoads: 1, ScanTime: 1234567 * time.Nanosecond}
@@ -51,10 +52,13 @@ func querySeeds(tb testing.TB) map[string][]byte {
 	seeds["cut-in-end-marker"] = streamed[:len(streamed)-2]
 
 	buf.Reset()
-	if err := WriteQuery(&buf, m, randResult(rng, 40), true); err != nil {
+	if sw, err = NewQueryStreamWriter(&buf, Meta{}, query.OpRecords, false); err != nil {
 		tb.Fatal(err)
 	}
-	seeds["flate-frame"] = bytes.Clone(buf.Bytes())
+	if err := sw.CloseWith(Meta{SegmentsPruned: 3}); err != nil {
+		tb.Fatal(err)
+	}
+	seeds["streamed-empty"] = bytes.Clone(buf.Bytes())
 	return seeds
 }
 
@@ -90,13 +94,10 @@ func FuzzReadQuery(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, res, err := ReadQuery(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+decodeSlack {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
+		var m Meta
+		var res *query.Result
+		var err error
+		checkDecodeAlloc(t, data, func() { m, res, err = ReadQuery(bytes.NewReader(data)) })
 		var chunked []types.Record
 		cm, cres, cerr := ReadQueryChunks(bytes.NewReader(data), func(chunk []types.Record) {
 			chunked = append(chunked, chunk...)
@@ -111,10 +112,8 @@ func FuzzReadQuery(f *testing.F) {
 		if cm != m || mustJSON(t, cres) != mustJSON(t, res) {
 			t.Fatalf("the readers disagree:\n%+v %s\n%+v %s", m, mustJSON(t, res), cm, mustJSON(t, cres))
 		}
-		compress := data[5]&FlagFlate != 0
-
 		var frame bytes.Buffer
-		if err := WriteQuery(&frame, m, res, compress); err != nil {
+		if err := WriteQuery(&frame, m, res, false); err != nil {
 			t.Fatal(err)
 		}
 		checkQueryFrame(t, "WriteQuery", frame.Bytes(), m, res)
@@ -123,7 +122,7 @@ func FuzzReadQuery(f *testing.F) {
 			return
 		}
 		var stream bytes.Buffer
-		sw, err := NewQueryStreamWriter(&stream, Meta{}, res.Op, compress)
+		sw, err := NewQueryStreamWriter(&stream, Meta{}, res.Op, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,16 +149,8 @@ func checkQueryFrame(t *testing.T, writer string, frame []byte, m Meta, res *que
 	if gm != m || mustJSON(t, got) != mustJSON(t, res) {
 		t.Fatalf("a frame from %s changed its answer:\n%+v %s\n%+v %s", writer, m, mustJSON(t, res), gm, mustJSON(t, got))
 	}
-	cuts := []int{0, 6, len(frame) / 2, len(frame) - 1}
-	if len(frame) <= 512 {
-		cuts = cuts[:0]
-		for n := range len(frame) {
-			cuts = append(cuts, n)
-		}
-	}
-	for _, n := range cuts {
-		if _, _, err := ReadQuery(bytes.NewReader(frame[:min(n, len(frame)-1)])); err == nil {
-			t.Fatalf("strict prefix (%d of %d bytes) of a frame from %s accepted", n, len(frame), writer)
-		}
-	}
+	checkNoPrefix(t, frame, func(b []byte) error {
+		_, _, err := ReadQuery(bytes.NewReader(b))
+		return err
+	})
 }

@@ -5,8 +5,7 @@ package wire
 // responses: a client marks the body with the wire Content-Type, and a
 // server decodes a body by its Content-Type, any other than the wire one
 // as JSON (see internal/rpc). The control plane (install, uninstall)
-// speaks JSON only. Request bodies are tiny, so they are never
-// flate-compressed.
+// speaks JSON only.
 
 import (
 	"fmt"
@@ -19,7 +18,7 @@ import (
 // WriteQueryRequest encodes a /query request frame: an optional target
 // host plus the query itself.
 func WriteQueryRequest(w io.Writer, host *types.HostID, q *query.Query) error {
-	return writeFrame(w, kindQueryReq, false, func(bw *writer) {
+	return writeFrame(w, kindQueryReq, func(bw *writer) {
 		writeHostPtr(bw, host)
 		writeQuery(bw, q)
 	})
@@ -42,7 +41,7 @@ func ReadQueryRequest(r io.Reader) (*types.HostID, query.Query, error) {
 // WriteBatchRequest encodes a /batchquery request frame: the host list,
 // the query, and the requested per-batch parallelism.
 func WriteBatchRequest(w io.Writer, hosts []types.HostID, q *query.Query, parallel int) error {
-	return writeFrame(w, kindBatchReq, false, func(bw *writer) {
+	return writeFrame(w, kindBatchReq, func(bw *writer) {
 		bw.uvarint(uint64(len(hosts)))
 		for _, h := range hosts {
 			bw.uvarint(uint64(h))

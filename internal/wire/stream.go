@@ -7,7 +7,6 @@ package wire
 // each chunk to a merger before the frame's last byte arrives.
 
 import (
-	"compress/flate"
 	"errors"
 	"fmt"
 	"io"
@@ -23,19 +22,18 @@ var ErrStreamClosed = errors.New("wire: stream writer closed")
 // QueryStreamWriter encodes one query-response frame whose records section
 // is produced incrementally. It serves the records op only: the frame's
 // scalar fields and every non-record section are written empty, which is
-// exactly what query.ExecuteContext produces for that op. Records buffer until a
-// chunk fills, then the chunk is encoded and flushed to the destination
-// (through flate when compression is on), so server-side memory stays
-// O(chunk) however large the reply; the chunk buffer is drawn from the
-// query package's record pool and handed back by CloseWith or Abort, so
-// a reply of a few hundred records does not pay for a full chunk.
+// exactly what query.ExecuteContext produces for that op. Records buffer
+// until a chunk fills, then the chunk is encoded and flushed to the
+// destination, so server-side memory stays O(chunk) however large the
+// reply; the chunk buffer is drawn from the query package's record pool
+// and handed back by CloseWith or Abort, so a reply of a few hundred
+// records does not pay for a full chunk.
 // CloseWith completes the frame; a writer abandoned without it leaves a
 // truncated frame, which decoders reject — that truncation is the error
 // signal once the HTTP status line is already committed.
 //
 // The writer is not safe for concurrent use.
 type QueryStreamWriter struct {
-	fw    *flate.Writer
 	w     *writer
 	fd    *flowDict
 	pd    *pathDict
@@ -53,20 +51,19 @@ type QueryStreamWriter struct {
 // NewQueryStreamWriter writes the frame header, telemetry and result
 // prefix for a records-op reply to dst and returns a writer ready to
 // Append records. m is written up front, before the scan runs; pass the
-// telemetry measured during the scan to CloseWith instead.
+// telemetry measured during the scan to CloseWith instead. compress must
+// be false; ledger v2 (c) drops it along with Close.
 func NewQueryStreamWriter(dst io.Writer, m Meta, op query.Op, compress bool) (*QueryStreamWriter, error) {
+	if compress {
+		return nil, errCompress
+	}
 	w := frameWriters.Get().(*writer)
-	if err := w.header(dst, kindQuery, compress); err != nil {
+	if err := w.header(dst, kindQuery); err != nil {
 		w.release()
 		return nil, err
 	}
 	s := &QueryStreamWriter{w: w}
-	out := dst
-	if compress {
-		s.fw, _ = flate.NewWriter(dst, flate.DefaultCompression)
-		out = s.fw
-	}
-	w.bw.Reset(out)
+	w.bw.Reset(dst)
 	s.fd, s.pd = getFlowDict(), getPathDict()
 	s.chunk = query.GetRecordBuf()
 
@@ -109,8 +106,8 @@ func (s *QueryStreamWriter) Close(segScanned, segPruned int) error {
 
 // CloseWith flushes the final chunk, writes the end marker carrying m —
 // the telemetry the scan measured, which the decoder adds to the head's
-// Meta — completes the compressed stream, and releases pooled resources.
-// It returns the first error the stream hit.
+// Meta — and releases pooled resources. It returns the first error the
+// stream hit.
 func (s *QueryStreamWriter) CloseWith(m Meta) error {
 	if s.done {
 		return s.err
@@ -122,11 +119,6 @@ func (s *QueryStreamWriter) CloseWith(m Meta) error {
 		s.w.uvarint(0)
 		writeMeta(s.w, m)
 		if err := s.w.bw.Flush(); err != nil {
-			s.fail(err)
-		}
-	}
-	if s.err == nil && s.fw != nil {
-		if err := s.fw.Close(); err != nil {
 			s.fail(err)
 		}
 	}
@@ -167,12 +159,6 @@ func (s *QueryStreamWriter) flushChunk() {
 		s.fail(err)
 		return
 	}
-	if s.fw != nil {
-		if err := s.fw.Flush(); err != nil {
-			s.fail(err)
-			return
-		}
-	}
 	if s.OnChunk != nil {
 		s.OnChunk()
 	}
@@ -193,7 +179,6 @@ func (s *QueryStreamWriter) release() {
 	s.fd, s.pd = nil, nil
 	query.PutRecordBuf(s.chunk)
 	s.chunk = nil
-	s.fw = nil
 }
 
 // ReadQueryChunks decodes one query response frame, handing each record

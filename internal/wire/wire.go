@@ -5,7 +5,10 @@
 // wire format instead encodes a response column by column:
 //
 //	frame  := magic "PDW1" | kind (1B) | flags (1B) | body
-//	body   := sections, flate-compressed when flags&FlagFlate is set
+//	body   := sections
+//
+// The flags byte is reserved: writers put 0 there and readers reject any
+// other value.
 //
 // Flow IDs and paths are dictionary-encoded (each distinct value written
 // once, records carry small integer indices), timestamps are delta-encoded
@@ -31,8 +34,8 @@ package wire
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -66,10 +69,9 @@ const (
 	kindBatchReq = 0x12 // host list + query.Query + parallelism
 )
 
-// FlagFlate marks a body compressed with DEFLATE. Decoders detect it from
-// the frame, so compression is a per-response server choice, not a
-// negotiated capability.
-const FlagFlate = 0x01
+// errCompress refuses a compressed frame: the format has no compression,
+// and the flags byte is always 0.
+var errCompress = errors.New("wire: compressed frames are not supported")
 
 var magic = [4]byte{'P', 'D', 'W', '1'}
 
@@ -104,9 +106,14 @@ type BatchReply struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WriteQuery encodes one query response frame to w.
+// WriteQuery encodes one query response frame to w. compress must be
+// false; the benchmark's next revision (ledger v2 (c)) drops it along
+// with QueryStreamWriter.Close.
 func WriteQuery(w io.Writer, m Meta, res *query.Result, compress bool) error {
-	return writeFrame(w, kindQuery, compress, func(bw *writer) {
+	if compress {
+		return errCompress
+	}
+	return writeFrame(w, kindQuery, func(bw *writer) {
 		writeMeta(bw, m)
 		writeResult(bw, res)
 	})
@@ -129,9 +136,13 @@ func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 }
 
 // WriteBatch encodes a batch response frame to w: WriteBatchEach over a
-// slice.
+// slice. compress must be false; ledger v2 (c) drops it along with
+// QueryStreamWriter.Close.
 func WriteBatch(w io.Writer, replies []BatchReply, compress bool) error {
-	return WriteBatchEach(w, len(replies), compress, func(i int) *BatchReply { return &replies[i] })
+	if compress {
+		return errCompress
+	}
+	return WriteBatchEach(w, len(replies), func(i int) *BatchReply { return &replies[i] })
 }
 
 // WriteBatchEach encodes a batch response frame of n sections to w,
@@ -142,9 +153,9 @@ func WriteBatch(w io.Writer, replies []BatchReply, compress bool) error {
 // returns an error. A per-host error longer than the decoder accepts is
 // cut to fit: one verbose host must not cost every other host in the
 // frame its answer.
-func WriteBatchEach(w io.Writer, n int, compress bool, next func(i int) *BatchReply) error {
+func WriteBatchEach(w io.Writer, n int, next func(i int) *BatchReply) error {
 	short := -1
-	err := writeFrame(w, kindBatch, compress, func(bw *writer) {
+	err := writeFrame(w, kindBatch, func(bw *writer) {
 		bw.uvarint(uint64(n))
 		for i := 0; i < n; i++ {
 			rep := next(i)
@@ -230,15 +241,12 @@ func (w *writer) release() {
 	frameWriters.Put(w)
 }
 
-// header writes a frame header straight to dst, ahead of any compressor,
-// from the writer's scratch.
-func (w *writer) header(dst io.Writer, kind byte, compress bool) error {
+// header writes a frame header straight to dst from the writer's
+// scratch.
+func (w *writer) header(dst io.Writer, kind byte) error {
 	h := w.buf[:6]
 	copy(h, magic[:])
 	h[4], h[5] = kind, 0
-	if compress {
-		h[5] = FlagFlate
-	}
 	if _, err := dst.Write(h); err != nil {
 		return fmt.Errorf("wire: writing frame header: %w", err)
 	}
@@ -253,37 +261,25 @@ func (r *reader) release() {
 	frameReaders.Put(r)
 }
 
-// writeFrame writes header and body, routing the body through flate when
-// compress is set. The body writer is buffered either way, so section
-// encoders stream straight toward the socket instead of building the whole
-// reply in memory first.
-func writeFrame(w io.Writer, kind byte, compress bool, body func(*writer)) error {
+// writeFrame writes header and body. The body writer is buffered, so
+// section encoders stream straight toward the socket instead of building
+// the whole reply in memory first.
+func writeFrame(w io.Writer, kind byte, body func(*writer)) error {
 	bw := frameWriters.Get().(*writer)
 	defer bw.release()
-	if err := bw.header(w, kind, compress); err != nil {
+	if err := bw.header(w, kind); err != nil {
 		return err
 	}
-	dst := w
-	var fw *flate.Writer
-	if compress {
-		fw, _ = flate.NewWriter(w, flate.DefaultCompression)
-		dst = fw
-	}
-	bw.bw.Reset(dst)
+	bw.bw.Reset(w)
 	body(bw)
 	if err := bw.bw.Flush(); err != nil {
 		return fmt.Errorf("wire: writing frame body: %w", err)
 	}
-	if fw != nil {
-		if err := fw.Close(); err != nil {
-			return fmt.Errorf("wire: flushing compressed body: %w", err)
-		}
-	}
 	return nil
 }
 
-// readFrame validates the header, unwraps compression, runs the body
-// decoder and surfaces its sticky error.
+// readFrame validates the header, runs the body decoder and surfaces its
+// sticky error.
 func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
 	br := frameReaders.Get().(*reader)
 	defer br.release()
@@ -297,30 +293,11 @@ func readFrame(r io.Reader, wantKind byte, body func(*reader)) error {
 	if hdr[4] != wantKind {
 		return fmt.Errorf("wire: frame kind %#x, want %#x", hdr[4], wantKind)
 	}
-	flags := hdr[5]
-	if flags&^byte(FlagFlate) != 0 {
-		return fmt.Errorf("wire: unknown frame flags %#x", flags)
+	if hdr[5] != 0 {
+		return fmt.Errorf("wire: unknown frame flags %#x", hdr[5])
 	}
-	src := r
-	var fr io.ReadCloser
-	if flags&FlagFlate != 0 {
-		fr = flate.NewReader(r)
-		defer fr.Close()
-		src = fr
-	}
-	br.br.Reset(src)
+	br.br.Reset(r)
 	body(br)
-	if fr != nil && br.err == nil {
-		// A flate stream's final block carries the end-of-stream marker;
-		// the logical fields can all decode before the marker is read, so a
-		// truncated tail is only caught by driving the stream to EOF.
-		if _, err := br.br.ReadByte(); err != io.EOF {
-			if err == nil {
-				err = fmt.Errorf("trailing data after frame body")
-			}
-			return fmt.Errorf("wire: truncated frame: %w", err)
-		}
-	}
 	return br.err
 }
 

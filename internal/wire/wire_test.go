@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,10 +103,10 @@ func normalize(res *query.Result) {
 	}
 }
 
-func roundTripQuery(t *testing.T, m Meta, res *query.Result, compress bool) {
+func roundTripQuery(t *testing.T, m Meta, res *query.Result) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteQuery(&buf, m, res, compress); err != nil {
+	if err := WriteQuery(&buf, m, res, false); err != nil {
 		t.Fatalf("WriteQuery: %v", err)
 	}
 	gotMeta, got, err := ReadQuery(&buf)
@@ -121,8 +124,8 @@ func roundTripQuery(t *testing.T, m Meta, res *query.Result, compress bool) {
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	roundTripQuery(t, Meta{}, &query.Result{}, false)
-	roundTripQuery(t, Meta{}, &query.Result{Op: query.OpCount}, true)
+	roundTripQuery(t, Meta{}, &query.Result{})
+	roundTripQuery(t, Meta{}, &query.Result{Op: query.OpCount})
 }
 
 func TestRoundTripSingleRecord(t *testing.T) {
@@ -131,7 +134,7 @@ func TestRoundTripSingleRecord(t *testing.T) {
 		Path:  types.Path{1, 2, 3},
 		STime: 100, ETime: 200, Bytes: 1500, Pkts: 1,
 	}}}
-	roundTripQuery(t, Meta{RecordsScanned: 1, SegmentsScanned: 2, SegmentsPruned: 3}, res, false)
+	roundTripQuery(t, Meta{RecordsScanned: 1, SegmentsScanned: 2, SegmentsPruned: 3}, res)
 }
 
 func TestRoundTripRandom(t *testing.T) {
@@ -140,14 +143,14 @@ func TestRoundTripRandom(t *testing.T) {
 		nrec := rng.Intn(200)
 		res := randResult(rng, nrec)
 		m := Meta{RecordsScanned: rng.Intn(1 << 20), SegmentsScanned: rng.Intn(100), SegmentsPruned: rng.Intn(100)}
-		roundTripQuery(t, m, res, trial%2 == 0)
+		roundTripQuery(t, m, res)
 	}
 }
 
 func TestRoundTripAllSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		roundTripQuery(t, Meta{}, fullResult(rng), trial%2 == 1)
+		roundTripQuery(t, Meta{}, fullResult(rng))
 	}
 }
 
@@ -155,35 +158,32 @@ func TestRoundTripLargeBatchOfRecords(t *testing.T) {
 	// Larger than the 4096 progressive-allocation hint, so append-growth
 	// paths run too.
 	rng := rand.New(rand.NewSource(3))
-	roundTripQuery(t, Meta{}, randResult(rng, 10_000), false)
-	roundTripQuery(t, Meta{}, randResult(rng, 10_000), true)
+	roundTripQuery(t, Meta{}, randResult(rng, 10_000))
 }
 
 func TestRoundTripBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, compress := range []bool{false, true} {
-		replies := []BatchReply{
-			{Host: 1, Meta: Meta{RecordsScanned: 5}, Result: *randResult(rng, 20)},
-			{Host: 2, Error: "deadline exceeded"},
-			{Host: 900, Result: *fullResult(rng)},
-		}
-		var buf bytes.Buffer
-		if err := WriteBatch(&buf, replies, compress); err != nil {
-			t.Fatalf("WriteBatch: %v", err)
-		}
-		got, err := ReadBatch(&buf)
-		if err != nil {
-			t.Fatalf("ReadBatch: %v", err)
-		}
-		if len(got) != len(replies) {
-			t.Fatalf("got %d replies, want %d", len(got), len(replies))
-		}
-		for i := range got {
-			normalize(&got[i].Result)
-			normalize(&replies[i].Result)
-			if !reflect.DeepEqual(got[i], replies[i]) {
-				t.Fatalf("reply %d mismatch:\ngot  %+v\nwant %+v", i, got[i], replies[i])
-			}
+	replies := []BatchReply{
+		{Host: 1, Meta: Meta{RecordsScanned: 5}, Result: *randResult(rng, 20)},
+		{Host: 2, Error: "deadline exceeded"},
+		{Host: 900, Result: *fullResult(rng)},
+	}
+	var buf bytes.Buffer
+	if err := WriteBatch(&buf, replies, false); err != nil {
+		t.Fatalf("WriteBatch: %v", err)
+	}
+	got, err := ReadBatch(&buf)
+	if err != nil {
+		t.Fatalf("ReadBatch: %v", err)
+	}
+	if len(got) != len(replies) {
+		t.Fatalf("got %d replies, want %d", len(got), len(replies))
+	}
+	for i := range got {
+		normalize(&got[i].Result)
+		normalize(&replies[i].Result)
+		if !reflect.DeepEqual(got[i], replies[i]) {
+			t.Fatalf("reply %d mismatch:\ngot  %+v\nwant %+v", i, got[i], replies[i])
 		}
 	}
 }
@@ -463,16 +463,14 @@ func TestEmptyBatch(t *testing.T) {
 // rejected with an error — not a panic, not a silent partial decode.
 func TestTruncatedFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := WriteQuery(&buf, Meta{RecordsScanned: 9}, fullResult(rng), compress); err != nil {
-			t.Fatalf("WriteQuery: %v", err)
-		}
-		frame := buf.Bytes()
-		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
-				t.Fatalf("compress=%v: prefix of %d/%d bytes decoded without error", compress, cut, len(frame))
-			}
+	var buf bytes.Buffer
+	if err := WriteQuery(&buf, Meta{RecordsScanned: 9}, fullResult(rng), false); err != nil {
+		t.Fatalf("WriteQuery: %v", err)
+	}
+	frame := buf.Bytes()
+	for cut := 0; cut < len(frame); cut++ {
+		if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(frame))
 		}
 	}
 }
@@ -490,15 +488,71 @@ func TestBadMagicAndKind(t *testing.T) {
 	}
 }
 
+// TestUnknownFlagsRejected: the flags byte is reserved, so every frame
+// reader rejects a frame that sets any bit of it. 0x01 is the bit an
+// earlier build set on a DEFLATE-compressed body; the "flate-frame" seeds
+// it wrote into the committed fuzz corpora pin the rejection on its real
+// bytes.
 func TestUnknownFlagsRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteQuery(&buf, Meta{}, &query.Result{}, false); err != nil {
+	var q, b bytes.Buffer
+	if err := WriteQuery(&q, Meta{}, &query.Result{}, false); err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
-	frame[5] |= 0x80
-	if _, _, err := ReadQuery(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unknown frame flags") {
-		t.Fatalf("got %v, want unknown-flags error", err)
+	if err := WriteBatch(&b, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	readers := []struct {
+		name   string
+		frame  []byte
+		corpus string
+		read   func(io.Reader) error
+	}{
+		{"ReadQuery", q.Bytes(), queryCorpusDir, func(r io.Reader) error {
+			_, _, err := ReadQuery(r)
+			return err
+		}},
+		{"ReadQueryChunks", q.Bytes(), queryCorpusDir, func(r io.Reader) error {
+			_, _, err := ReadQueryChunks(r, func([]types.Record) {})
+			return err
+		}},
+		{"ReadBatchEach", b.Bytes(), batchCorpusDir, func(r io.Reader) error {
+			return ReadBatchEach(r, func(int, int, *BatchReply) error { return nil })
+		}},
+	}
+	for _, rd := range readers {
+		for _, flags := range []byte{0x01, 0x80} {
+			frame := bytes.Clone(rd.frame)
+			frame[5] = flags
+			if err := rd.read(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "unknown frame flags") {
+				t.Errorf("%s, flags %#x: got %v, want unknown-flags error", rd.name, flags, err)
+			}
+		}
+		path := filepath.Join(rd.corpus, "flate-frame")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rd.read(strings.NewReader(parseSeed(t, path, raw))); err == nil || !strings.Contains(err.Error(), "unknown frame flags") {
+			t.Errorf("%s, committed %s: got %v, want unknown-flags error", rd.name, path, err)
+		}
+	}
+}
+
+// TestCompressRefused: the writers that still take a compress argument
+// refuse true and write nothing, since no frame may set its flags byte.
+func TestCompressRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteQuery(&buf, Meta{}, &query.Result{}, true); err == nil {
+		t.Error("WriteQuery accepted compress=true")
+	}
+	if err := WriteBatch(&buf, nil, true); err == nil {
+		t.Error("WriteBatch accepted compress=true")
+	}
+	if _, err := NewQueryStreamWriter(&buf, Meta{}, query.OpRecords, true); err == nil {
+		t.Error("NewQueryStreamWriter accepted compress=true")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("%d bytes written for refused frames", buf.Len())
 	}
 }
 
@@ -537,7 +591,7 @@ func writeTestChunk(w *writer, ndict int, flowIdx uint64) {
 // column points past the end of the flow dictionary.
 func TestCorruptDictionaryRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err := writeFrame(&buf, kindQuery, func(w *writer) {
 		recordsFramePrefix(w)
 		writeTestChunk(w, 1, 7) // flow index 7 — dict has one entry
 	})
@@ -555,7 +609,7 @@ func TestCorruptDictionaryRejected(t *testing.T) {
 // per-chunk delta.
 func TestCorruptDictionaryLaterChunk(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err := writeFrame(&buf, kindQuery, func(w *writer) {
 		recordsFramePrefix(w)
 		writeTestChunk(w, 2, 1) // valid: cumulative dict has 2 entries
 		writeTestChunk(w, 1, 3) // index 3 past the 3-entry cumulative dict
@@ -569,7 +623,7 @@ func TestCorruptDictionaryLaterChunk(t *testing.T) {
 	// Index 2 in the second chunk is in range only because dictionaries
 	// are cumulative; a fresh-per-chunk decoder would reject it.
 	buf.Reset()
-	err = writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err = writeFrame(&buf, kindQuery, func(w *writer) {
 		recordsFramePrefix(w)
 		writeTestChunk(w, 2, 1)
 		writeTestChunk(w, 1, 2) // cumulative index 2 = the third entry
@@ -590,7 +644,7 @@ func TestCorruptDictionaryLaterChunk(t *testing.T) {
 // cap and a records total crossing the section cap.
 func TestCorruptChunkHeaderRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err := writeFrame(&buf, kindQuery, func(w *writer) {
 		recordsFramePrefix(w)
 		w.uvarint(maxChunk + 1) // chunk claims more records than the cap
 	})
@@ -601,7 +655,7 @@ func TestCorruptChunkHeaderRejected(t *testing.T) {
 		t.Fatalf("oversized chunk: got %v, want count-cap error", err)
 	}
 	buf.Reset()
-	err = writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err = writeFrame(&buf, kindQuery, func(w *writer) {
 		recordsFramePrefix(w)
 		w.uvarint(1)       // one record
 		w.uvarint(1 << 40) // absurd flow-dictionary delta
@@ -619,24 +673,22 @@ func TestCorruptChunkHeaderRejected(t *testing.T) {
 func TestTruncatedMidChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	res := randResult(rng, DefaultChunkRecords+100) // two chunks
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if err := WriteQuery(&buf, Meta{}, res, compress); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if err := WriteQuery(&buf, Meta{}, res, false); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	// Sampled prefixes through the body (every prefix would be
+	// O(frame²)), then every byte around the chunk boundary region and
+	// the end marker, where an off-by-one would actually live.
+	for cut := len(frame) / 2; cut < len(frame); cut += 97 {
+		if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(frame))
 		}
-		frame := buf.Bytes()
-		// Sampled prefixes through the body (every prefix would be
-		// O(frame²)), then every byte around the chunk boundary region and
-		// the end marker, where an off-by-one would actually live.
-		for cut := len(frame) / 2; cut < len(frame); cut += 97 {
-			if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
-				t.Fatalf("compress=%v: prefix of %d/%d bytes decoded without error", compress, cut, len(frame))
-			}
-		}
-		for cut := max(0, len(frame)-200); cut < len(frame); cut++ {
-			if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
-				t.Fatalf("compress=%v: prefix of %d/%d bytes decoded without error", compress, cut, len(frame))
-			}
+	}
+	for cut := max(0, len(frame)-200); cut < len(frame); cut++ {
+		if _, _, err := ReadQuery(bytes.NewReader(frame[:cut])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(frame))
 		}
 	}
 }
@@ -645,7 +697,7 @@ func TestTruncatedMidChunk(t *testing.T) {
 // instead of sizing an allocation from it.
 func TestHugeCountRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, kindQuery, false, func(w *writer) {
+	err := writeFrame(&buf, kindQuery, func(w *writer) {
 		writeMeta(w, Meta{})
 		w.str(string(query.OpRecords))
 		w.uvarint(0)
