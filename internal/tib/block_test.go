@@ -136,7 +136,7 @@ func TestResidentBytesPerRecord(t *testing.T) {
 // TestBlockAllocGuards pins the allocation profile the block exists for:
 // a scan over sealed blocks allocates nothing per record, a thaw a fixed
 // handful of objects per block, and steady-state ingest — seals included
-// — a few dozen objects per segment, nothing per record.
+// — a couple of dozen objects per segment, nothing per record.
 func TestBlockAllocGuards(t *testing.T) {
 	recs := make([]types.Record, 1<<16+4<<14)
 	for i := range recs {
@@ -153,15 +153,19 @@ func TestBlockAllocGuards(t *testing.T) {
 		}
 		next += 1 << 14
 	}) / (1 << 14)
-	// 0.058 on this exact sequence: per 1,024-record segment, its buffers
-	// regrowing from nothing, then one block and its path table. (2.156
-	// while the active segment kept two maps of posting slices.)
-	ceiling := 0.1
+	t.Logf("steady-state Add: %.4f objects/record", add)
+	// 0.0216 on this exact sequence: per 1,024-record segment, two
+	// regrowths of each buffer seeded from the segment before, the
+	// segment and its index, then one block and its path table; the
+	// ceiling leaves 40 % for the staging sync.Pool drops at a GC. (0.058
+	// while every buffer regrew from nothing after a seal, 2.156 while the
+	// active segment kept two maps of posting slices.)
+	ceiling := 0.03
 	if testutil.RaceEnabled {
 		ceiling = 0.5 // sync.Pool drops the seal's staging at random under the race detector
 	}
 	if add > ceiling {
-		t.Errorf("steady-state Add allocates %.3f objects/record, want per-segment costs only (0.058)", add)
+		t.Errorf("steady-state Add allocates %.4f objects/record, want per-segment costs only (0.0216, ceiling %.2f)", add, ceiling)
 	}
 
 	n := 0
@@ -252,23 +256,30 @@ func blockSeeds(t testing.TB) (accepted, rejected map[string][]byte) {
 // corpusDir is where `go test -fuzz` looks for FuzzBlockDecode's seeds.
 const corpusDir = "testdata/fuzz/FuzzBlockDecode"
 
-// corpusFile renders data in the fuzz engine's corpus file encoding.
-func corpusFile(data []byte) []byte {
-	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
-}
-
-// readCorpusFile is corpusFile's inverse.
-func readCorpusFile(t *testing.T, path string) []byte {
+// committedSeed returns the seed the corpus file dir/name holds, first
+// writing data there, in the fuzz engine's corpus file encoding, when the
+// file is missing — so deleting a corpus directory and re-running the
+// test that calls this regenerates it.
+func committedSeed(t *testing.T, dir, name string, data []byte) []byte {
+	t.Helper()
+	path := filepath.Join(dir, name)
 	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		raw = []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			err = os.WriteFile(path, raw, 0o644)
+		}
+		t.Logf("wrote missing seed %s", path)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
-	data, err := strconv.Unquote(strings.TrimSuffix(body, ")\n"))
+	seed, err := strconv.Unquote(strings.TrimSuffix(body, ")\n"))
 	if !ok || err != nil {
 		t.Fatalf("%s is not a fuzz corpus file: %v", path, err)
 	}
-	return []byte(data)
+	return []byte(seed)
 }
 
 // walk reads everything an accepted block offers, the way scans do:
@@ -321,18 +332,7 @@ func TestBlockSeedCorpus(t *testing.T) {
 	}{{accepted, true}, {rejected, false}} {
 		for name, data := range set.seeds {
 			check(name, data, set.want)
-			path := filepath.Join(corpusDir, name)
-			if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-				if err := os.MkdirAll(corpusDir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, corpusFile(data), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote missing seed %s", path)
-				continue
-			}
-			check("committed "+name, readCorpusFile(t, path), set.want)
+			check("committed "+name, committedSeed(t, corpusDir, name, data), set.want)
 		}
 	}
 	cold, snap := accepted["cold-file"], accepted["snapshot"]

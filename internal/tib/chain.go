@@ -17,7 +17,9 @@ import (
 //
 // The chain buffers are append-only — a committed prefix never changes,
 // so a scan walks it without the shard lock (see chain). The head tables
-// are rewritten in place and read only under the lock.
+// are rewritten in place and read only under the lock, which is what lets
+// a seal hand them to the next segment (successor) instead of dropping
+// them: the seal holds the write lock, so no reader sees them cleared.
 type chainIndex struct {
 	// flowPrev[i] refers to the previous entry of entry i's flow.
 	flowPrev []uint32
@@ -136,6 +138,35 @@ func (x *chainIndex) post(ents []entry, h uint32) {
 		x.linkCells = append(x.linkCells, linkCell{idx: idx, prev: ls.head})
 		ls.head = uint32(len(x.linkCells))
 	}
+}
+
+// successor builds the index of the segment that follows this one's,
+// which held n entries: the chain buffers at half the lengths they
+// reached (they cannot be handed over — a scan may still be walking
+// them) and the head tables handed over, cleared (reuseTable).
+func (x *chainIndex) successor(n int) *chainIndex {
+	return &chainIndex{
+		flowPrev:  make([]uint32, 0, n/2),
+		flowHead:  reuseTable(x.flowHead, x.flows),
+		linkCells: make([]linkCell, 0, len(x.linkCells)/2),
+		linkHead:  reuseTable(x.linkHead, x.links),
+	}
+}
+
+// reuseTable returns head table t, which held keys keys, cleared for the
+// next segment — unless they filled less than an eighth of it: then a
+// fresh table of the size keys call for, so a burst cannot pin a big
+// table on a shard for good.
+func reuseTable[T any](t []T, keys int) []T {
+	if 8*keys >= len(t) {
+		clear(t)
+		return t
+	}
+	size := headTableMin
+	for size < 2*keys {
+		size *= 2
+	}
+	return make([]T, size)
 }
 
 // bytes is what the index occupies: every buffer at its capacity.

@@ -38,6 +38,24 @@ type compactRun struct {
 	bytes int64
 }
 
+// compactPlan is planShard's scratch, reused from shard to shard and pass
+// to pass: the runs of one shard, whose segs and blks are stretches of
+// the two buffers below.
+type compactPlan struct {
+	runs []compactRun
+	segs []*segment
+	blks []*block
+}
+
+// release clears the plan once its runs have committed, so no segment it
+// names — a dropped victim above all — stays reachable through it.
+func (p *compactPlan) release() {
+	clear(p.runs[:cap(p.runs)])
+	clear(p.segs[:cap(p.segs)])
+	clear(p.blks[:cap(p.blks)])
+	p.runs, p.segs, p.blks = p.runs[:0], p.segs[:0], p.blks[:0]
+}
+
 // Compactions returns how many segment merges have completed since the
 // store was built.
 func (s *Store) Compactions() uint64 { return s.compactions.Load() }
@@ -98,6 +116,7 @@ func (s *Store) compactPass() (merged, replaced int) {
 				s.compactions.Add(1)
 			}
 		}
+		s.plan.release()
 	}
 	return merged, replaced
 }
@@ -114,17 +133,25 @@ func (s *Store) compactPass() (merged, replaced int) {
 // never ages past the eviction cutoff, quietly defeating retention and
 // cold tiering. With it, eviction staleness is bounded at 1.5x the
 // window: merged data waits at most an extra half-window to expire.
+//
+// It returns this shard's runs only. They live in s.plan, valid until
+// its release. Caller holds compactMu.
 func (s *Store) planShard(shard, target int) []compactRun {
 	spanCap := s.retention / 2
 	sh := &s.shards[shard]
-	var runs []compactRun
-	cur := compactRun{shard: shard}
-	size := 0
+	p := &s.plan
+	first := len(p.runs)
+	// The current run is p.segs[start:] and p.blks[start:]; a flushed run
+	// keeps its stretch (later appends only write past it), a dropped one
+	// gives it back.
+	start, size, charge := len(p.segs), 0, int64(0)
 	flush := func() {
-		if len(cur.segs) >= 2 {
-			runs = append(runs, cur)
+		if end := len(p.segs); end-start >= 2 {
+			p.runs = append(p.runs, compactRun{shard: shard, segs: p.segs[start:end:end], blks: p.blks[start:end:end], bytes: charge})
+		} else {
+			p.segs, p.blks = p.segs[:start], p.blks[:start]
 		}
-		cur, size = compactRun{shard: shard}, 0
+		start, size, charge = len(p.segs), 0, 0
 	}
 	sh.mu.RLock()
 	for _, seg := range sh.segs[:len(sh.segs)-1] { // last is the active segment
@@ -136,15 +163,15 @@ func (s *Store) planShard(shard, target int) []compactRun {
 		if size+n > target {
 			flush()
 		}
-		if len(cur.segs) > 0 && spanCap > 0 && seg.maxTime-cur.segs[0].minTime > spanCap {
+		if len(p.segs) > start && spanCap > 0 && seg.maxTime-p.segs[start].minTime > spanCap {
 			flush()
 		}
-		cur.segs, cur.blks, cur.bytes = append(cur.segs, seg), append(cur.blks, seg.blk), cur.bytes+seg.bytes
+		p.segs, p.blks, charge = append(p.segs, seg), append(p.blks, seg.blk), charge+seg.bytes
 		size += n
 	}
 	flush()
 	sh.mu.RUnlock()
-	return runs
+	return p.runs[first:]
 }
 
 // buildMerged stages a run's blocks in chain order (already ascending in

@@ -1,6 +1,7 @@
 package tib
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,6 +78,54 @@ func TestCompactionReducesSegments(t *testing.T) {
 
 	if s.Len() != len(wantAll) {
 		t.Errorf("Len = %d after compaction, want %d", s.Len(), len(wantAll))
+	}
+}
+
+// TestCompactPlanReusesScratch: planning a pass fills one scratch the
+// store keeps, so once it has grown a plan allocates nothing, and the
+// pass clears it after each shard's runs commit, so no victim stays
+// reachable through it. Each planShard call returns its own shard's runs
+// only, also while earlier shards' runs are still held.
+func TestCompactPlanReusesScratch(t *testing.T) {
+	s := fragmentedStore(2000)
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	held := 0
+	for i := range s.shards {
+		runs := s.planShard(i, DefaultSegmentRecords)
+		for _, r := range runs {
+			for _, seg := range r.segs {
+				if r.shard != i || !slices.Contains(s.shards[i].segs, seg) {
+					t.Fatalf("planShard(%d) returned a run holding another shard's segment", i)
+				}
+			}
+		}
+		if held += len(runs); len(s.plan.runs) != held {
+			t.Fatalf("planShard(%d) returned %d runs, the scratch holds %d past the %d before", i, len(runs), len(s.plan.runs), held-len(runs))
+		}
+	}
+	s.plan.release()
+	runs := 0
+	plan := func() {
+		runs = 0
+		for i := range s.shards {
+			runs += len(s.planShard(i, DefaultSegmentRecords))
+			s.plan.release()
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, plan); allocs != 0 || runs == 0 {
+		t.Errorf("planning %d runs allocates %.0f times, want 0", runs, allocs)
+	}
+	s.compactPass()
+	for _, seg := range s.plan.segs[:cap(s.plan.segs)] {
+		if seg != nil {
+			t.Fatal("a pass left a segment in the plan scratch")
+		}
+	}
+	for _, r := range s.plan.runs[:cap(s.plan.runs)] {
+		if r.segs != nil || r.blks != nil {
+			t.Fatal("a pass left a run in the plan scratch")
+		}
 	}
 }
 

@@ -108,6 +108,7 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 func TestScansBesideAddSeePrefixes(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"sealing":    {Shards: 1, SegmentRecords: 600},
+		"seal-often": {Shards: 1, SegmentRecords: 37}, // every seal hands its head tables on
 		"never-seal": {Shards: 1, SegmentRecords: -1},
 		"two-shards": {Shards: 2, SegmentRecords: 300},
 	} {

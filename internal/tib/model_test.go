@@ -391,6 +391,58 @@ func TestActiveSegmentMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// TestRecurringKeysMatchReferenceModel holds the seal's hand-over
+// (segment.successor) to the model: four flows and the links of a few
+// paths recur in every segment of a store that seals every 8 to 64
+// records, so each new segment's head tables would still point into its
+// predecessor had the seal not cleared them. After every add, every
+// flow's and every link's listed scan, and each of them again from a
+// recent ScanSince watermark, must answer as the model does — and once
+// more after a restore.
+func TestRecurringKeysMatchReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		w := newModelWorld(t, seed)
+		w.cfg = Config{Shards: int(1 + seed%2), SegmentRecords: []int{8, 13, 31, 64}[seed-1], ColdDir: w.cfg.ColdDir}
+		w.s = NewStoreConfig(w.cfg)
+		w.flows = w.flows[:4]
+		w.paths = modelPaths[:4]
+		w.links = w.links[:0]
+		for _, p := range w.paths {
+			for i := 0; i+1 < len(p); i++ {
+				w.links = append(w.links, types.LinkID{A: p[i], B: p[i+1]})
+			}
+		}
+		ask := func(who string, since uint64, flow *types.FlowID, link types.LinkID) {
+			w.t.Helper()
+			got := storeScan(w.t, w.s, since, 0, flow, link, types.AllTime)
+			if err := sameEntries(got, w.m.scan(since, 0, flow, link, types.AllTime)); err != nil {
+				w.fatalf("%s: scan since %d flow %v link %v: %v", who, since, flow, link, err)
+			}
+		}
+		listed := func(who string) {
+			w.t.Helper()
+			recent := w.m.recs[len(w.m.recs)-1-w.rng.Intn(min(len(w.m.recs), 2*w.cfg.SegmentRecords))].seq - 1
+			for _, since := range []uint64{0, recent} {
+				for i := range w.flows {
+					ask(who, since, &w.flows[i], types.AnyLink)
+				}
+				for _, l := range w.links {
+					ask(who, since, nil, l)
+				}
+			}
+		}
+		for op := 0; op < 400; op++ {
+			w.add()
+			listed("add")
+		}
+		if seals := w.s.Seals(); seals < uint64(400/w.cfg.SegmentRecords/2) {
+			t.Fatalf("seed %d: %d seals over 400 records", seed, seals)
+		}
+		w.restore()
+		listed("restore")
+	}
+}
+
 // TestBigBlockMatchesReferenceModel: more than 65,535 records in one
 // block, so record indexes in its postings need four bytes.
 func TestBigBlockMatchesReferenceModel(t *testing.T) {

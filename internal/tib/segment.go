@@ -21,7 +21,9 @@ type segment struct {
 	// the index's chain buffers, whose committed prefixes never change, so
 	// a scan that captured their headers under the shard read lock keeps
 	// reading them after the lock is gone — even after seal, which drops
-	// these references but never recycles them.
+	// these references but never recycles them. Only the index's head
+	// tables are recycled (see successor): they are read only under the
+	// shard lock, which the seal holds for writing.
 	entries []entry
 	index   *chainIndex
 
@@ -124,6 +126,21 @@ func (seg *segment) activeBytes() int64 {
 		n += seg.index.bytes()
 	}
 	return n
+}
+
+// successor starts the segment that follows seg once seg seals, shaped
+// like it: the append-only buffers at half the lengths seg reached, so
+// one regrowth lands at about its size (half of all segments outgrow
+// their predecessor, and a seed at the full length would hold that much
+// more per shard), and seg's head tables handed over (chainIndex.successor).
+// Caller holds the shard write lock and seals seg next.
+func (seg *segment) successor() *segment {
+	n := len(seg.entries)
+	next := &segment{entries: make([]entry, 0, n/2)}
+	if seg.index != nil {
+		next.index = seg.index.successor(n)
+	}
+	return next
 }
 
 // sealedSegment wraps a block as a sealed, resident segment charged

@@ -274,3 +274,76 @@ func TestAddAllocs(t *testing.T) {
 		t.Errorf("a segment is %d bytes, it was 160 with the two map headers: every sealed segment and every empty shard carries it", size)
 	}
 }
+
+// TestSealSeedsNextSegment pins what a seal hands the next segment
+// (segment.successor). A run of same-sized segments pays, per segment, a
+// regrowth or two of each append-only buffer, the segment and its index,
+// and the seal's block: a fixed count (13 here), where five buffers and
+// two tables growing from nothing took 50. The head tables are handed
+// over cleared — unless the sealed segment filled less than an eighth of
+// one: a burst of flows in one segment must not pin its big table on the
+// shard for good.
+func TestSealSeedsNextSegment(t *testing.T) {
+	recs := make([]types.Record, 300)
+	for i := range recs {
+		recs[i] = mkRecord(flowN(i), types.Path{1, 2, types.SwitchID(3 + i%40), 4, 5}, 0, 1, 1, 1)
+	}
+	// Same-sized segments seal by count; a record far off in time seals a
+	// short one by span.
+	s := NewStoreConfig(Config{Shards: 1, SegmentRecords: len(recs), SegmentSpan: 100})
+	for _, r := range recs {
+		s.Add(r)
+	}
+	// Each run's first record seals the segment before it: the first run
+	// warms up on the segment that grew from nothing.
+	perSegment := testing.AllocsPerRun(5, func() {
+		for _, r := range recs {
+			s.Add(r)
+		}
+	})
+	t.Logf("a %d-record segment after the first seal: %.0f allocations, block included", len(recs), perSegment)
+	// Not under the race detector: it makes sync.Pool drop the seal's
+	// staging at random.
+	if perSegment > 20 && !testutil.RaceEnabled {
+		t.Errorf("a %d-record segment after the first seal allocates %.0f times, want ≤ 20 (50 while every buffer regrew from nothing)", len(recs), perSegment)
+	}
+
+	sh := &s.shards[0]
+	full := sh.active().index
+	flowHead, linkHead := full.flowHead, full.linkHead
+	if full.flows != len(recs) || len(flowHead) != 1024 || len(linkHead) != 256 {
+		t.Fatalf("rig: %d flows in %d flow slots, %d link slots", full.flows, len(flowHead), len(linkHead))
+	}
+	occupied := func(x *chainIndex) (flows, links int) {
+		for _, v := range x.flowHead {
+			if v != 0 {
+				flows++
+			}
+		}
+		for _, l := range x.linkHead {
+			if l.head != 0 {
+				links++
+			}
+		}
+		return flows, links
+	}
+	s.Add(recs[0]) // seals by count
+	next := sh.active().index
+	if &next.flowHead[0] != &flowHead[0] || &next.linkHead[0] != &linkHead[0] {
+		t.Fatal("a full segment's successor got new head tables, not the sealed segment's")
+	}
+	if f, l := occupied(next); f != 1 || l != 4 {
+		t.Fatalf("one record in a handed-over table: %d flow heads and %d link heads set, want 1 and 4 (the seal did not clear them)", f, l)
+	}
+	s.Add(mkRecord(flowN(0), types.Path{1, 2, 3, 4, 5}, 1000, 1001, 1, 1)) // seals the one-record segment by span
+	if s.Seals() != 8 || sh.active().recs() != 1 {
+		t.Fatalf("rig: %d seals, %d records in the active segment", s.Seals(), sh.active().recs())
+	}
+	small := sh.active().index
+	if len(small.flowHead) != headTableMin || len(small.linkHead) != headTableMin || &small.flowHead[0] == &flowHead[0] || &small.linkHead[0] == &linkHead[0] {
+		t.Errorf("a one-record segment handed on its %d- and %d-slot tables; want fresh %d-slot ones (no ratchet)", len(small.flowHead), len(small.linkHead), headTableMin)
+	}
+	if got := storeScan(t, s, 0, 0, &recs[0].Flow, types.AnyLink, types.AllTime); len(got) != 9 {
+		t.Errorf("flow 0 has %d records, want 9", len(got))
+	}
+}

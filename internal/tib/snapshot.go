@@ -187,7 +187,8 @@ func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 
 // readSnapshot reads and validates a whole stream: the header, then every
 // block — each through openBlock's validator, named stripe in range, each
-// stripe's blocks in sequence order — up to a terminator that counts them.
+// stripe's blocks in sequence order, none past the header's sequence
+// counter — up to a terminator that counts them.
 func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) {
 	br := bufio.NewReader(r)
 	var pre [len(snapshotMagic) + 32]byte
@@ -212,6 +213,10 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 		if string(head[:4]) == snapshotEnd {
 			if n != len(blocks) {
 				return hdr, nil, fmt.Errorf("tib: snapshot terminator counts %d blocks, stream held %d", n, len(blocks))
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				// A stream that goes on is not the one the terminator closed.
+				return hdr, nil, fmt.Errorf("tib: snapshot has bytes past its terminator")
 			}
 			return hdr, blocks, nil
 		}
@@ -238,6 +243,11 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 		}
 		if blk.seqLo <= lastSeq[blk.shard] {
 			return hdr, nil, fmt.Errorf("tib: snapshot shard %d blocks out of sequence order", blk.shard)
+		}
+		if blk.seqHi > hdr.Seq {
+			// The reader's counter resumes from Seq: a record past it would
+			// see later Adds stamped below it.
+			return hdr, nil, fmt.Errorf("tib: snapshot block reaches seq %d, past the writer's counter %d", blk.seqHi, hdr.Seq)
 		}
 		lastSeq[blk.shard] = blk.seqHi
 		blocks = append(blocks, blk)
@@ -290,16 +300,29 @@ func (s *Store) emptyClone() *Store {
 func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 	staged := s.emptyClone()
 	source := staged // where the blocks are chained up
+	stripe := func(blk *block) int { return blk.shard }
 	if hdr.Shards != len(staged.shards) {
-		source = NewStoreConfig(Config{Shards: hdr.Shards, Unindexed: true})
+		// The replay's merge needs each stripe's chain, not the writer's
+		// stripe numbers: the stripes that hold blocks are chained in a
+		// store of their own, numbered densely. A store of the header's
+		// count would cost what the stream does not pay for — 48 bytes
+		// can declare four billion stripes.
+		dense := map[int]int{}
+		for _, blk := range blocks {
+			if _, ok := dense[blk.shard]; !ok {
+				dense[blk.shard] = len(dense)
+			}
+		}
+		source = NewStoreConfig(Config{Shards: len(dense), Unindexed: true})
+		stripe = func(blk *block) int { return dense[blk.shard] }
 	}
-	seq, total := hdr.Seq, 0
+	total := 0
 	for _, blk := range blocks {
 		// Insert before the (empty) active segment; readSnapshot checked
 		// that each stripe's blocks arrive in chain order.
-		sh := &source.shards[blk.shard]
+		sh := &source.shards[stripe(blk)]
 		sh.segs = slices.Insert(sh.segs, len(sh.segs)-1, source.adopt(blk))
-		seq, total = max(seq, blk.seqHi), total+blk.n // never reuse live sequence space
+		total += blk.n
 	}
 	if source != staged {
 		_ = source.scan(&selector{link: types.AnyLink, tr: types.AllTime}, func(seq uint64, rec *types.Record) bool {
@@ -307,7 +330,7 @@ func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 			return true
 		}) // nothing in source is cold: the scan cannot fail
 	}
-	staged.seq.Store(seq)
+	staged.seq.Store(hdr.Seq) // readSnapshot checked no record is past it
 	staged.count.Store(int64(total))
 	s.swapFrom(staged)
 }

@@ -306,3 +306,30 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestSnapshotStripeCountCostsNothing (regression, found by
+// FuzzLoadSnapshot): a snapshot's header declares the writer's stripe
+// count, and a load under another count replayed the blocks through a
+// store of that many stripes. A 48-byte stream declaring 2³² − 1 stripes
+// and holding no block asked for hundreds of gigabytes; the replay now
+// chains only the stripes that hold blocks.
+func TestSnapshotStripeCountCostsNothing(t *testing.T) {
+	var pre [len(snapshotMagic) + 32 + 8]byte
+	h := pre[copy(pre[:], snapshotMagic):]
+	le.PutUint32(h, snapshotVersion)
+	le.PutUint32(h[4:], 1<<32-1)
+	le.PutUint64(h[8:], 7)
+	copy(h[32:], snapshotEnd)
+	s := NewStoreConfig(Config{Shards: 2})
+	s.Add(mkRecord(flowN(1), types.Path{1, 2}, 0, 1, 1, 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.LoadSnapshot(bytes.NewReader(pre[:]))
+	runtime.ReadMemStats(&after)
+	if err != nil || s.Len() != 0 || s.LastSeq() != 7 {
+		t.Fatalf("empty snapshot: %v, %d records, seq %d; want it loaded empty at seq 7", err, s.Len(), s.LastSeq())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("loading a %d-byte snapshot allocated %d bytes", len(pre), grew)
+	}
+}

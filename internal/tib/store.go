@@ -137,12 +137,14 @@ type Store struct {
 	// sealCount counts segments sealed by Add (MaybeCompact's cheap
 	// trigger), compactMark the sealCount at the last completed pass,
 	// compactMu admits one compactor at a time, and compactions counts
-	// completed merges.
+	// completed merges; plan is the scratch planShard fills, owned by
+	// whoever holds compactMu.
 	compactBelow int
 	sealCount    atomic.Uint64
 	compactMark  atomic.Uint64
 	compactMu    sync.Mutex
 	compactions  atomic.Uint64
+	plan         compactPlan
 
 	// evictedThroughSeq is the highest arrival sequence ever freed by
 	// eviction (never by spilling or compaction, which preserve data).
@@ -303,7 +305,8 @@ func flowHash32(f types.FlowID) uint32 {
 // concurrent ingest of distinct flows proceeds in parallel. When the
 // shard's active segment is full (by record count) or the record would
 // stretch its time span past SegmentSpan, the segment is sealed — encoded
-// into its immutable block — and a fresh active segment starts.
+// into its immutable block — and a fresh active segment starts, shaped
+// like the one sealed (segment.successor).
 func (s *Store) Add(rec types.Record) { s.add(0, rec) }
 
 // add is Add with an explicit arrival sequence (0 = assign the next one);
@@ -315,8 +318,9 @@ func (s *Store) add(seq uint64, rec types.Record) {
 	sh.mu.Lock()
 	seg := sh.active()
 	if s.shouldSeal(seg, &rec) {
+		next := seg.successor()
 		seg.seal(si, s.indexed)
-		seg = &segment{}
+		seg = next
 		sh.segs = append(sh.segs, seg)
 		s.sealCount.Add(1)
 	}
