@@ -233,7 +233,7 @@ func (a *Agent) Receive(pkt *netsim.Packet) {
 			a.export(e)
 		}
 		if a.Mem.Len() == 0 {
-			a.evicted = nil // idle: hold no buffer, as the memory holds no slab
+			a.evicted = nil // idle: hold no buffer, as the memory holds no slab or index
 		}
 	}
 	a.ensureSweep()

@@ -16,6 +16,8 @@
 package tib
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"unsafe"
@@ -41,35 +43,56 @@ type MemEntry struct {
 	Fin   bool
 }
 
-// slot is one slab cell: an entry and its links, which are slab indexes
-// (the slab moves when it grows). Index 0 is no record: slab[0] is the
-// sentinel that closes the insertion-order ring.
+// slot is one slab cell: an entry, its flow's index hash and its links,
+// which are slab indexes (the slab moves when it grows). Index 0 is no
+// record: slab[0] is the sentinel that closes the insertion-order ring.
 type slot struct {
 	MemEntry
-	chain      int32 // next record of the same flow, in arrival order
-	prev, next int32 // insertion-order ring; a free slot's next is the free list
+	h          uint32 // flow's hash (Memory.hash): the sweep finds its index entry without rehashing
+	chain      int32  // next record of the same flow, in arrival order
+	prev, next int32  // insertion-order ring; a free slot's next is the free list
 }
 
+// flowSlot is one entry of the flow index: a flow's hash and the slab
+// index of its first record; slot 0 marks the entry empty.
+type flowSlot struct {
+	h    uint32
+	slot int32
+}
+
+// indexMin is the flow index's first size, a power of two like every
+// size after it.
+const indexMin = 8
+
 // MemEntryBytes is what one open record occupies: its slab cell and its
-// flow's index entry (key, slot index, the map's control byte). The slab's
-// and the map's growth slack comes on top.
-const MemEntryBytes = int(unsafe.Sizeof(slot{})+unsafe.Sizeof(types.FlowID{})) + 4 + 1
+// flow's index entry (hash, slot index). The slab's growth slack and the
+// index's (it is kept at most 3/4 full) come on top.
+const MemEntryBytes = int(unsafe.Sizeof(slot{}) + unsafe.Sizeof(flowSlot{}))
 
 // Memory is the trajectory memory: the OVS-side aggregation stage of
 // Figure 2. It is sized by active flows, not by packets, and a packet or
-// a FIN costs one map probe: records live by value in a slab with a free
-// list, flows maps a flow to its first record (its records are chained in
-// arrival order — nearly always a chain of one), and a ring threads all
-// records in insertion order, the order sweeps and AppendLive hand them
-// out in. A memory that drains gives its slab back. Methods are safe for
-// concurrent use (queries run beside the datapath); entries go out as
-// copies.
+// a FIN costs one probe of the flow index: records live by value in a
+// slab with a free list, the index — open-addressed, linear probing,
+// at most 3/4 full — maps a flow's hash to its first record (its records
+// are chained in arrival order — nearly always a chain of one), and a
+// ring threads all records in insertion order, the order sweeps and
+// AppendLive hand them out in. A probe compares hashes before it touches
+// the slab, and a deletion shifts the entries behind it back, so the
+// index holds no tombstones and flows that open and close never grow it.
+// The hash is keyed per memory: five-tuples come from the network, and
+// a fixed hash would let a sender pick flows that collide. A memory that
+// drains gives its slab and its index back. Methods are safe for
+// concurrent use (queries run beside the datapath) under one mutex —
+// the datapath is the only writer, and readers are rare; entries go out
+// as copies.
 type Memory struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	idle  types.Time
+	key   [2]uint64 // hash's random keys
 	slab  []slot
 	free  int32
-	flows map[types.FlowID]int32
+	index []flowSlot
+	flows int // occupied index entries
 	n     int
 }
 
@@ -79,33 +102,96 @@ func NewMemory(idle types.Time) *Memory {
 	if idle == 0 {
 		idle = DefaultIdleTimeout
 	}
-	return &Memory{idle: idle, flows: make(map[types.FlowID]int32)}
+	return &Memory{idle: idle, key: [2]uint64{rand.Uint64(), rand.Uint64()}}
 }
 
 // Len returns the number of live per-path flow records.
 func (m *Memory) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.n
+}
+
+// hash is flow's index hash: the five-tuple's two words, each xored with
+// one of this memory's random keys, multiplied into 128 bits and folded
+// (wyhash's mix). The keys are what the seeded Go map gave: a sender that
+// picks its five-tuples cannot aim them at one probe run.
+func (m *Memory) hash(f types.FlowID) uint32 {
+	a := uint64(f.SrcIP)<<32 | uint64(f.DstIP)
+	b := uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
+	hi, lo := bits.Mul64(a^m.key[0], b^m.key[1])
+	return uint32(hi ^ lo)
+}
+
+// find returns the index position that holds flow (h is its hash), or the
+// empty position that ends its probe. The index must not be empty.
+func (m *Memory) find(flow types.FlowID, h uint32) int {
+	mask := len(m.index) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if e := m.index[i]; e.slot == 0 || e.h == h && m.slab[e.slot].Flow == flow {
+			return i
+		}
+	}
+}
+
+// grow doubles the index (or makes its first), placing every entry by
+// the hash it holds.
+func (m *Memory) grow() {
+	old := m.index
+	m.index = make([]flowSlot, max(indexMin, 2*len(old)))
+	mask := len(m.index) - 1
+	for _, e := range old {
+		if e.slot == 0 {
+			continue
+		}
+		i := int(e.h) & mask
+		for m.index[i].slot != 0 {
+			i = (i + 1) & mask
+		}
+		m.index[i] = e
+	}
+}
+
+// drop empties index position i by backward shift: each entry after it
+// in the probe run that may sit at the hole (the hole lies between the
+// entry's home and the entry) moves into it, leaving the hole where it
+// was, until the run ends. Every probe then still reaches its flow
+// without crossing an empty entry, and no tombstone is left.
+func (m *Memory) drop(i int) {
+	mask := len(m.index) - 1
+	for j := (i + 1) & mask; m.index[j].slot != 0; j = (j + 1) & mask {
+		if home := int(m.index[j].h) & mask; (j-home)&mask >= (j-i)&mask {
+			m.index[i], i = m.index[j], j
+		}
+	}
+	m.index[i] = flowSlot{}
+	m.flows--
 }
 
 // Update creates or updates the per-path flow record for one packet. fin
 // marks FIN/RST packets, which make the record eligible for immediate
 // eviction.
 func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header, size int, fin bool) {
-	k := hdr.Pack()
+	k, h := hdr.Pack(), m.hash(flow)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i, last := m.flows[flow], int32(0)
+	if m.index == nil {
+		m.grow()
+	}
+	at := m.find(flow, h)
+	i, last := m.index[at].slot, int32(0)
 	for i != 0 && m.slab[i].Hdr != k {
 		i, last = m.slab[i].chain, i
 	}
 	if i == 0 {
-		i = m.insert(MemEntry{Flow: flow, Hdr: k, STime: now})
-		if last == 0 {
-			m.flows[flow] = i
-		} else {
+		i = m.insert(MemEntry{Flow: flow, Hdr: k, STime: now}, h)
+		if last != 0 {
 			m.slab[last].chain = i
+		} else {
+			m.index[at] = flowSlot{h: h, slot: i}
+			if m.flows++; 4*m.flows > 3*len(m.index) {
+				m.grow()
+			}
 		}
 	}
 	e := &m.slab[i]
@@ -115,8 +201,9 @@ func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header
 	e.Fin = e.Fin || fin
 }
 
-// insert places e in a free (or new) slot at the ring's tail.
-func (m *Memory) insert(e MemEntry) int32 {
+// insert places e, of a flow with hash h, in a free (or new) slot at the
+// ring's tail.
+func (m *Memory) insert(e MemEntry, h uint32) int32 {
 	if len(m.slab) == 0 {
 		m.slab = make([]slot, 1, 2) // the sentinel (an empty ring) and the first cell
 	}
@@ -128,7 +215,7 @@ func (m *Memory) insert(e MemEntry) int32 {
 		m.slab = append(m.slab, slot{})
 	}
 	tail := m.slab[0].prev
-	m.slab[i] = slot{MemEntry: e, prev: tail}
+	m.slab[i] = slot{MemEntry: e, h: h, prev: tail}
 	m.slab[tail].next, m.slab[0].prev = i, i
 	m.n++
 	return i
@@ -142,7 +229,7 @@ func (m *Memory) remove(i int32) MemEntry {
 	m.slab[i] = slot{next: m.free}
 	m.free = i
 	if m.n--; m.n == 0 {
-		m.slab, m.free = nil, 0 // idle: hold no slab
+		m.slab, m.free, m.index = nil, 0, nil // idle: hold no slab and no index
 	}
 	return s.MemEntry
 }
@@ -166,8 +253,15 @@ func (m *Memory) EvictFlow(flow types.FlowID) []MemEntry {
 func (m *Memory) AppendEvictFlow(dst []MemEntry, flow types.FlowID) []MemEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := m.flows[flow]
-	delete(m.flows, flow)
+	if m.n == 0 {
+		return dst
+	}
+	at := m.find(flow, m.hash(flow))
+	i := m.index[at].slot
+	if i == 0 {
+		return dst
+	}
+	m.drop(at)
 	for i != 0 {
 		next := m.slab[i].chain
 		dst = append(dst, m.remove(i))
@@ -195,18 +289,18 @@ func (m *Memory) EvictIdle(now types.Time) []MemEntry {
 // unchain takes slot i out of its flow's chain, dropping the flow from
 // the index with its last record.
 func (m *Memory) unchain(i int32) {
-	flow, after := m.slab[i].Flow, m.slab[i].chain
-	j := m.flows[flow]
-	switch {
+	at := m.find(m.slab[i].Flow, m.slab[i].h)
+	after := m.slab[i].chain
+	switch j := m.index[at].slot; {
 	case j != i:
 		for m.slab[j].chain != i {
 			j = m.slab[j].chain
 		}
 		m.slab[j].chain = after
 	case after != 0:
-		m.flows[flow] = after
+		m.index[at].slot = after
 	default:
-		delete(m.flows, flow)
+		m.drop(at)
 	}
 }
 
@@ -218,8 +312,7 @@ func (m *Memory) Flush() []MemEntry {
 	for i := m.oldest(); i != 0; i = m.slab[i].next {
 		out = append(out, m.slab[i].MemEntry)
 	}
-	clear(m.flows)
-	m.slab, m.free, m.n = nil, 0, 0
+	m.slab, m.free, m.index, m.flows, m.n = nil, 0, nil, 0, 0
 	return out
 }
 
@@ -227,13 +320,16 @@ func (m *Memory) Flush() []MemEntry {
 // overlap tr — of one flow when flow is non-nil, found through the flow
 // index at the cost of that flow's chain — without evicting them: the IPC
 // lookup path that lets queries see data not yet exported to the TIB
-// (§3.2). Entries are copied, under the read lock, so readers never race
-// with datapath updates to the live records.
+// (§3.2). Entries are copied, under the lock, so readers never race with
+// datapath updates to the live records.
 func (m *Memory) AppendLive(dst []MemEntry, flow *types.FlowID, tr types.TimeRange) []MemEntry {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.n == 0 {
+		return dst
+	}
 	if flow != nil {
-		for i := m.flows[*flow]; i != 0; i = m.slab[i].chain {
+		for i := m.index[m.find(*flow, m.hash(*flow))].slot; i != 0; i = m.slab[i].chain {
 			if e := &m.slab[i].MemEntry; tr.Overlaps(e.STime, e.ETime) {
 				dst = append(dst, *e)
 			}

@@ -188,7 +188,8 @@ func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 // readSnapshot reads and validates a whole stream: the header, then every
 // block — each through openBlock's validator, named stripe in range, each
 // stripe's blocks in sequence order, none past the header's sequence
-// counter — up to a terminator that counts them.
+// counter — up to a terminator that counts them, and last that no two
+// stripes ship one sequence number (distinctSeqs).
 func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) {
 	br := bufio.NewReader(r)
 	var pre [len(snapshotMagic) + 32]byte
@@ -217,6 +218,9 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 			if _, err := br.ReadByte(); err != io.EOF {
 				// A stream that goes on is not the one the terminator closed.
 				return hdr, nil, fmt.Errorf("tib: snapshot has bytes past its terminator")
+			}
+			if err := distinctSeqs(blocks); err != nil {
+				return hdr, nil, err
 			}
 			return hdr, blocks, nil
 		}
@@ -252,6 +256,66 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 		lastSeq[blk.shard] = blk.seqHi
 		blocks = append(blocks, blk)
 	}
+}
+
+// distinctSeqs fails when two stripes ship the same sequence number,
+// which would leave the loaded store without one global arrival order.
+// Each stripe's blocks were checked to ascend, so a merge of the stripes'
+// sequence columns — a min-heap holding each stripe's next record — meets
+// every number in order, a repeat right after its twin.
+func distinctSeqs(blocks []*block) error {
+	type cursor struct {
+		blk, k int // record k of blocks[blk]
+		seq    uint64
+	}
+	next := make([]int, len(blocks)) // the stripe's next block, -1 after its last
+	first := map[int]int{}
+	for i := len(blocks) - 1; i >= 0; i-- {
+		next[i] = -1
+		if j, ok := first[blocks[i].shard]; ok {
+			next[i] = j
+		}
+		first[blocks[i].shard] = i
+	}
+	h := make([]cursor, 0, len(first))
+	for _, i := range first {
+		h = append(h, cursor{blk: i, seq: blocks[i].seqLo})
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && h[c+1].seq < h[c].seq {
+				c++
+			}
+			if h[i].seq <= h[c].seq {
+				return
+			}
+			h[i], h[c], i = h[c], h[i], c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for last := uint64(0); len(h) > 0; { // every sequence is above 0
+		c := &h[0]
+		if c.seq == last {
+			return fmt.Errorf("tib: snapshot ships sequence %d in two stripes", last)
+		}
+		last = c.seq
+		if c.k++; c.k == blocks[c.blk].n {
+			if c.blk, c.k = next[c.blk], 0; c.blk < 0 {
+				h[0], h = h[len(h)-1], h[:len(h)-1]
+			}
+		}
+		if len(h) > 0 {
+			h[0].seq = blocks[h[0].blk].seqAt(h[0].k)
+			down(0)
+		}
+	}
+	return nil
 }
 
 // adopt turns a validated incoming block into a sealed segment of this

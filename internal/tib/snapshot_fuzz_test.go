@@ -233,6 +233,71 @@ func TestSnapshotTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// stripedSnapshot is a full snapshot of a store built by hand: stripe i
+// ships the sequence numbers stripes[i], two to a block.
+func stripedSnapshot(stripes ...[]uint64) []byte {
+	var top uint64
+	var buf bytes.Buffer
+	var pre [len(snapshotMagic) + 32]byte
+	h := pre[copy(pre[:], snapshotMagic):]
+	le.PutUint32(h, snapshotVersion)
+	le.PutUint32(h[4:], uint32(len(stripes)))
+	buf.Write(pre[:])
+	blocks := 0
+	for shard, seqs := range stripes {
+		for len(seqs) > 0 {
+			st := getStaging()
+			for _, seq := range seqs[:min(2, len(seqs))] {
+				rec := mkRecord(flowN(int(seq)), types.Path{1, 2, 9}, types.Time(seq)*10, types.Time(seq)*10+5, seq, 1)
+				st.add(seq, &rec)
+				top = max(top, seq)
+			}
+			buf.Write(st.encode(shard, false))
+			st.release()
+			seqs = seqs[min(2, len(seqs)):]
+			blocks++
+		}
+	}
+	data := buf.Bytes()
+	le.PutUint64(data[len(snapshotMagic)+8:], top)
+	var end [8]byte
+	copy(end[:], snapshotEnd)
+	le.PutUint32(end[4:], uint32(blocks))
+	return append(data, end[:]...)
+}
+
+// TestSnapshotStripesShareNoSequence (regression): the loader checked
+// sequence order within each stripe only, so a stream in which two
+// stripes both ship the same sequence number loaded — a store with no
+// one global arrival order. Both loaders now refuse it and keep the
+// store; the same stream with the numbers told apart loads. The
+// refused stream is a committed seed of both snapshot fuzzers.
+func TestSnapshotStripesShareNoSequence(t *testing.T) {
+	seeds, _ := snapshotSeeds(t)
+	distinct := stripedSnapshot([]uint64{1, 2, 4}, []uint64{3, 5, 6})
+	dup := stripedSnapshot([]uint64{1, 2, 4}, []uint64{3, 4, 5}) // 4: stripe 0's second block, stripe 1's first
+	for _, dir := range []string{loadCorpusDir, applyCorpusDir} {
+		if got := committedSeed(t, dir, "stripes-share-seq", dup); !bytes.Equal(got, dup) {
+			t.Fatalf("%s/stripes-share-seq is not the stream this test builds", dir)
+		}
+	}
+	for name, load := range map[string]func(*Store, []byte) error{"LoadSnapshot": loadSnapshot, "ApplyIncremental": applyIncremental} {
+		s := snapshotBase(t, seeds)
+		if err := load(s, distinct); err != nil {
+			t.Fatalf("%s: stripes with distinct sequences refused: %v", name, err)
+		}
+		if s.Len() != 6 || s.LastSeq() != 6 {
+			t.Fatalf("%s: loaded %d records up to seq %d, want 6 up to 6", name, s.Len(), s.LastSeq())
+		}
+		s = snapshotBase(t, seeds)
+		before := stateOf(t, s)
+		if err := load(s, dup); err == nil {
+			t.Fatalf("%s: two stripes shipping seq 4 accepted", name)
+		}
+		before.check(t, s, name)
+	}
+}
+
 // FuzzLoadSnapshot drives LoadSnapshot with arbitrary bytes onto a store
 // that already holds records. It must never panic; a stream it rejects
 // leaves the store exactly as it was; a stream it accepts — of which no
