@@ -4,7 +4,8 @@
 //
 //   - keeps a bounded ring-buffer history with monotone entry IDs — the
 //     previous unbounded append-only log is gone; an alarm storm costs a
-//     fixed amount of memory, never more;
+//     fixed amount of memory, never more, and the ring grows toward that
+//     bound as alarms arrive, so a controller that sees none holds none;
 //   - deduplicates: repeated firings of the same ⟨host, flow, reason⟩
 //     within the suppression window fold into the earlier entry
 //     (Count/LastAt updated) instead of producing new entries — an
@@ -36,7 +37,8 @@ const DefaultHistory = 4096
 // distinct (no suppression, no rate limit) in a DefaultHistory-deep ring.
 type Config struct {
 	// History is the ring-buffer capacity: the newest History entries are
-	// queryable; older ones fall off (<= 0 selects DefaultHistory).
+	// queryable; older ones fall off (<= 0 selects DefaultHistory). The
+	// ring is allocated as it fills, never past History.
 	History int
 	// Suppress is the dedup window: a firing of the same
 	// ⟨host, flow, reason⟩ within Suppress of the key's previous firing
@@ -139,7 +141,7 @@ type Pipeline struct {
 	cfg Config
 
 	mu      sync.Mutex
-	ring    []Entry // ring[(id-1) % cap] holds entry id while it survives
+	ring    []Entry // ring[(id-1) % cfg.History] holds entry id while it survives
 	nextID  uint64  // next entry ID to assign (last assigned = nextID-1)
 	lastKey map[dedupKey]uint64
 	subs    map[*Subscription]struct{}
@@ -165,7 +167,6 @@ func New(cfg Config) *Pipeline {
 	}
 	return &Pipeline{
 		cfg:        cfg,
-		ring:       make([]Entry, 0, cfg.History),
 		nextID:     1,
 		lastKey:    make(map[dedupKey]uint64),
 		subs:       make(map[*Subscription]struct{}),
@@ -180,7 +181,7 @@ func (p *Pipeline) slot(id uint64) *Entry {
 	if id == 0 || id >= p.nextID {
 		return nil
 	}
-	e := &p.ring[(id-1)%uint64(cap(p.ring))]
+	e := &p.ring[(id-1)%uint64(p.cfg.History)]
 	if e.ID != id {
 		return nil // overwritten by a newer entry
 	}
@@ -226,12 +227,20 @@ func (p *Pipeline) Publish(a types.Alarm) (e Entry, admitted bool) {
 
 	e = Entry{ID: p.nextID, Alarm: a, Count: 1, FirstAt: now, LastAt: now}
 	p.nextID++
-	if len(p.ring) < cap(p.ring) {
+	if n := len(p.ring); n < p.cfg.History {
+		// Until the ring is full, entry id sits at id-1: it grows by
+		// doubling, from 64, to exactly History (append would round the
+		// last step past it).
+		if n == cap(p.ring) {
+			grown := make([]Entry, n, min(p.cfg.History, max(2*n, 64)))
+			copy(grown, p.ring)
+			p.ring = grown
+		}
 		p.ring = append(p.ring, e)
 	} else {
 		// Overwrite the oldest slot; its key mapping dies with it (slot()
 		// checks the stored ID, so no map cleanup is needed).
-		p.ring[(e.ID-1)%uint64(cap(p.ring))] = e
+		p.ring[(e.ID-1)%uint64(p.cfg.History)] = e
 		p.stats.Evicted++
 	}
 	if p.cfg.Suppress > 0 {
@@ -239,7 +248,7 @@ func (p *Pipeline) Publish(a types.Alarm) (e Entry, admitted bool) {
 		// Bound the dedup map alongside the ring: keys whose entries fell
 		// off can never fold again, so sweep them once enough garbage
 		// accrues.
-		if len(p.lastKey) > 2*cap(p.ring) {
+		if len(p.lastKey) > 2*p.cfg.History {
 			for k, id := range p.lastKey {
 				if p.slot(id) == nil {
 					delete(p.lastKey, k)

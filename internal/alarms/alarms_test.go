@@ -2,6 +2,7 @@ package alarms
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -359,16 +360,91 @@ func TestHistoryPagination(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	p := New(Config{})
-	if cap(p.ring) != DefaultHistory {
-		t.Fatalf("default ring cap = %d", cap(p.ring))
-	}
 	// No suppression by default: identical alarms stay distinct.
 	p.Publish(alarm(1, 1, types.ReasonPoorPerf))
 	p.Publish(alarm(1, 1, types.ReasonPoorPerf))
 	if got := len(p.History(Filter{})); got != 2 {
 		t.Fatalf("default pipeline folded: %d entries, want 2", got)
 	}
+	// The default ring holds DefaultHistory entries: the next one evicts
+	// the oldest, and the ring never grows past the bound on the way.
+	for i := 2; i < DefaultHistory+1; i++ {
+		p.Publish(alarm(1, uint16(i), types.ReasonPoorPerf))
+		if c := cap(p.ring); c > DefaultHistory {
+			t.Fatalf("after %d publishes the ring has capacity %d, above %d", i+1, c, DefaultHistory)
+		}
+	}
+	hist := p.History(Filter{})
+	if len(hist) != DefaultHistory || hist[0].ID != 2 || hist[len(hist)-1].ID != DefaultHistory+1 {
+		t.Fatalf("history holds %d entries (IDs %d..%d), want %d (IDs 2..%d)",
+			len(hist), hist[0].ID, hist[len(hist)-1].ID, DefaultHistory, DefaultHistory+1)
+	}
+	if st := p.Stats(); st.Evicted != 1 || st.Admitted != DefaultHistory+1 {
+		t.Fatalf("stats = %+v, want 1 evicted of %d admitted", st, DefaultHistory+1)
+	}
 	if testing.Verbose() {
 		fmt.Printf("stats: %+v\n", p.Stats())
+	}
+}
+
+// TestIdlePipelineHoldsNoRing: a pipeline that never sees an alarm — a
+// controller with no agents raising any — costs its maps and counters,
+// not a DefaultHistory-deep ring.
+func TestIdlePipelineHoldsNoRing(t *testing.T) {
+	const calls = 100
+	keep := make([]*Pipeline, calls)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New(Config{})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1024 {
+		t.Fatalf("New(Config{}) allocates %d B, want < 1 KiB", per)
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestRingGrowsAsItFills publishes 250 alarms into a 100-deep ring with
+// dedup on (so the lastKey sweep runs once the map passes twice the
+// depth) and checks History against a reference slice after every
+// publish: across each growth step, the step that stops at History
+// rather than doubling past it, and the wrap.
+func TestRingGrowsAsItFills(t *testing.T) {
+	const depth = 100
+	clk := newFakeClock()
+	p := New(Config{History: depth, Suppress: time.Second, Now: clk.Now})
+	var ref []Entry
+	for i := 0; i < 250; i++ {
+		clk.Advance(time.Millisecond)
+		a := alarm(i%3, uint16(i), types.ReasonPoorPerf)
+		e, admitted := p.Publish(a)
+		if !admitted || e.ID != uint64(i+1) {
+			t.Fatalf("publish %d: entry %d admitted=%v", i, e.ID, admitted)
+		}
+		ref = append(ref, Entry{ID: uint64(i + 1), Alarm: a, Count: 1, FirstAt: clk.Now(), LastAt: clk.Now()})
+		if len(ref) > depth {
+			ref = ref[1:]
+		}
+		if got := p.History(Filter{}); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("after publish %d: history holds %d entries, want %d", i, len(got), len(ref))
+		}
+		if c := cap(p.ring); c > depth {
+			t.Fatalf("after publish %d: ring capacity %d, above History %d", i, c, depth)
+		}
+		if n := len(p.lastKey); n > 2*depth+1 {
+			t.Fatalf("after publish %d: dedup map holds %d keys, sweep never ran", i, n)
+		}
+	}
+	// A repeat of a surviving key still folds; one whose entry fell off
+	// is admitted anew.
+	if e, admitted := p.Publish(ref[len(ref)-1].Alarm); admitted || e.Count != 2 {
+		t.Fatalf("repeat of a live entry: admitted=%v count=%d", admitted, e.Count)
+	}
+	if _, admitted := p.Publish(alarm(0, 0, types.ReasonPoorPerf)); !admitted {
+		t.Fatal("repeat of an evicted entry was folded")
+	}
+	if st := p.Stats(); st.Evicted != 250+1-depth {
+		t.Fatalf("evicted %d, want %d", st.Evicted, 250+1-depth)
 	}
 }

@@ -186,7 +186,9 @@ func (f *fold) node(n *treeNode, sp *obs.Span) (res *query.Result, ok bool) {
 		sp.SetHost("host", n.host)
 	}
 	sp.SetInt("children", int64(len(n.children)))
+	own := res.Top // an aggregation host's own list, pooled like its children's
 	sm := query.NewStreamMerger(f.q, res, len(n.children))
+	folded := false
 	for i, ch := range n.children {
 		r, cok := f.node(ch, sp)
 		if !cok {
@@ -194,8 +196,16 @@ func (f *fold) node(n *treeNode, sp *obs.Span) (res *query.Result, ok bool) {
 			continue
 		}
 		ch.size, ch.items = measure(r)
-		ok = true
+		ok, folded = true, true
 		sm.Add(i, r)
+		// A top-k fold copies the child's list: it goes back to the pool
+		// now, not after the root.
+		query.PutTopBuf(r.Top)
+		r.Top = nil
+	}
+	if folded && f.q.Op == query.OpTopK {
+		// The merger published its own list over the base's.
+		query.PutTopBuf(own)
 	}
 	sp.Finish()
 	return res, ok

@@ -155,7 +155,7 @@ func TestRecordBufAllocs(t *testing.T) {
 // element for element, the front of the full sort under ⟨bytes desc,
 // flowCompare⟩ — with byte counts that tie constantly, k = 1, k at and
 // past the list's length — and leaves exactly the losers behind it (the
-// merger deletes those from its index). Through both callers, k ≤ 0 means
+// merger indexes only the survivors). Through both callers, k ≤ 0 means
 // the paper's 1000.
 func TestTopKSelectionMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -55,7 +55,7 @@ type StreamMerger struct {
 	flowIDs map[types.FlowID]struct{} // poor_tcp
 	hists   map[types.LinkID]int      // fsd: link → index in dst.Hists
 	cells   map[[2]types.SwitchID]int // matrix: ToR pair → index in dst.Matrix
-	totals  flowTotals                // topk: the current top ≤k, by flow
+	totals  flowTotals                // topk: the current top ≤k, indexed by flow
 	// parts are the folded children's record slices, in index order. A
 	// records merge is a concatenation, and children that trickle in one
 	// by one would regrow (and recopy) the merged slice once each, so the
@@ -87,7 +87,7 @@ func (m *StreamMerger) Add(i int, r *Result) {
 	if !m.Done() {
 		return
 	}
-	if m.totals.idx != nil {
+	if m.totals.index != nil {
 		// Nobody reads dst.Top before the last slot is consumed, so the
 		// ranked list is published once, as it is: the merger is finished
 		// with the array, which was never the base's.
@@ -224,7 +224,8 @@ func (m *StreamMerger) fold(o *Result) {
 // records live on a single host, but spray subflows can surface the same
 // flow twice during intermediate aggregation), then the list is ranked
 // and trimmed — per fold, exactly as a pairwise merge would. The totals
-// map and slice are the merger's own and are reused from child to child;
+// are the merger's own and are reused from child to child, and the child
+// is copied into them, so the caller may recycle it once Add returns;
 // dst.Top keeps the base's list until Add publishes the final one.
 func (m *StreamMerger) foldTop(child []FlowBytes) {
 	k := m.q.K
@@ -232,7 +233,7 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 		k = 1000
 	}
 	t := &m.totals
-	if t.idx == nil {
+	if t.index == nil {
 		// First fold: sized once, for the most a fold ever holds —
 		// everything, if the base and children like this one stay under
 		// k, and otherwise the k survivors plus the child being added.
@@ -240,7 +241,7 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 		if n > k {
 			n = k + len(child)
 		}
-		t.idx, t.list = make(map[types.FlowID]int32, n), make([]FlowBytes, 0, n)
+		t.size(n)
 		for _, fb := range m.dst.Top {
 			t.add(fb.Flow, fb.Bytes, fb.Pkts)
 		}
@@ -248,12 +249,8 @@ func (m *StreamMerger) foldTop(child []FlowBytes) {
 	for _, fb := range child {
 		t.add(fb.Flow, fb.Bytes, fb.Pkts)
 	}
-	top := topFlowBytes(t.list, k)
-	for _, fb := range t.list[len(top):] {
-		delete(t.idx, fb.Flow)
-	}
-	t.list = top
-	for i := range t.list {
-		t.idx[t.list[i].Flow] = int32(i)
-	}
+	// Ranking reorders the list and trimming cuts it: the survivors are
+	// indexed afresh.
+	t.list = topFlowBytes(t.list, k)
+	t.reindex()
 }

@@ -219,8 +219,8 @@ func ExecuteContext(ctx context.Context, q Query, v View) (Result, error) {
 	}
 	if err != nil {
 		// The partial result is discarded; recycle its pooled reply
-		// buffer instead of leaking it to the collector.
-		PutRecordBuf(res.Records)
+		// buffers instead of leaking them to the collector.
+		PutResultBufs(&res)
 		return Result{Op: q.Op}, err
 	}
 	return res, nil
@@ -275,7 +275,7 @@ var evals = sync.Pool{New: func() any {
 // release resets the eval and returns it to the pool. Like record
 // buffers, working sets a monster query grew are dropped, not retained.
 func (e *eval) release() {
-	if e.pairs.Len() > maxPooledRecords || len(e.totals.list) > maxPooledRecords {
+	if e.pairs.Len() > maxPooled || len(e.totals.list) > maxPooled {
 		return
 	}
 	e.res, e.path, e.pol, e.cells = Result{}, nil, policy{}, nil
@@ -369,15 +369,14 @@ func (e *eval) visitFSD(rec *types.Record) {
 
 // topK is the §2.3 top-k query: all local flows ranked by bytes. One
 // scan accumulates every flow's totals; only the k survivors are copied
-// out of the pooled accumulator.
+// out of the pooled accumulator, into a pooled reply buffer.
 func (e *eval) topK(ctx context.Context, v View, p Predicate, k int) {
 	if k <= 0 {
 		k = 1000 // the paper's example
 	}
 	v.ScanRecords(ctx, p, e.on.topK)
 	top := topFlowBytes(e.totals.list, k)
-	e.res.Top = make([]FlowBytes, len(top))
-	copy(e.res.Top, top)
+	e.res.Top = append(GetTopBuf(len(top)), top...)
 }
 
 func (e *eval) visitTopK(rec *types.Record) {
@@ -472,30 +471,97 @@ func (e *eval) visitRecords(rec *types.Record) {
 }
 
 // flowTotals accumulates per-flow byte/packet totals — top-k's working
-// set on the host and at the merge: an index map into a dense slice, so
-// adding to a known flow chases no pointer and the ranked list is the
-// slice itself, sorted in place.
+// set on the host and at the merge: a dense slice, so the ranked list is
+// the slice itself, sorted in place, and an open-addressed index into it
+// (power-of-two, at most 3/4 full, linear probing) whose entries carry
+// the flow's hash, compared before the slice's FlowID is read. The hash
+// is keyed per accumulator (types.FlowKey): the flows come from TIB
+// records, whose five-tuples the network supplied.
 type flowTotals struct {
-	idx  map[types.FlowID]int32
-	list []FlowBytes
+	key   types.FlowKey
+	index []totalSlot
+	list  []FlowBytes
+}
+
+// totalSlot is one index entry: a flow's hash and its position in list
+// plus one; 0 marks the entry empty.
+type totalSlot struct {
+	h   uint32
+	pos int32
+}
+
+// totalsIndexMin is the index's first size, a power of two like every
+// size after it.
+const totalsIndexMin = 8
+
+// size makes a fresh accumulator room for n flows without regrowing: a
+// list of that capacity and an index that holds n at most 3/4 full. A
+// zero key is drawn here.
+func (t *flowTotals) size(n int) {
+	if t.key == (types.FlowKey{}) {
+		t.key = types.NewFlowKey()
+	}
+	t.list = make([]FlowBytes, 0, n)
+	slots := totalsIndexMin
+	for 4*n > 3*slots {
+		slots *= 2
+	}
+	t.index = make([]totalSlot, slots)
 }
 
 func (t *flowTotals) add(f types.FlowID, bytes, pkts uint64) {
-	i, ok := t.idx[f]
-	if !ok {
-		if t.idx == nil {
-			t.idx = make(map[types.FlowID]int32)
-		}
-		i = int32(len(t.list))
-		t.idx[f] = i
-		t.list = append(t.list, FlowBytes{Flow: f})
+	if t.index == nil {
+		t.size(0)
 	}
-	t.list[i].Bytes += bytes
-	t.list[i].Pkts += pkts
+	h := t.key.Hash(f)
+	mask := len(t.index) - 1
+	i := int(h) & mask
+	for ; t.index[i].pos != 0; i = (i + 1) & mask {
+		if e := t.index[i]; e.h == h && t.list[e.pos-1].Flow == f {
+			t.list[e.pos-1].Bytes += bytes
+			t.list[e.pos-1].Pkts += pkts
+			return
+		}
+	}
+	t.list = append(t.list, FlowBytes{Flow: f, Bytes: bytes, Pkts: pkts})
+	t.index[i] = totalSlot{h: h, pos: int32(len(t.list))}
+	if 4*len(t.list) > 3*len(t.index) {
+		t.grow()
+	}
+}
+
+// grow doubles the index, placing every entry by the hash it holds.
+func (t *flowTotals) grow() {
+	old := t.index
+	t.index = make([]totalSlot, 2*len(old))
+	for _, e := range old {
+		if e.pos != 0 {
+			t.place(e)
+		}
+	}
+}
+
+// place puts e at the first empty position of its probe run.
+func (t *flowTotals) place(e totalSlot) {
+	mask := len(t.index) - 1
+	i := int(e.h) & mask
+	for t.index[i].pos != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = e
+}
+
+// reindex rebuilds the index over list as it now stands — after a
+// ranking reordered it or a trim cut it short.
+func (t *flowTotals) reindex() {
+	clear(t.index)
+	for i := range t.list {
+		t.place(totalSlot{h: t.key.Hash(t.list[i].Flow), pos: int32(i + 1)})
+	}
 }
 
 func (t *flowTotals) reset() {
-	clear(t.idx)
+	clear(t.index)
 	t.list = t.list[:0]
 }
 

@@ -214,7 +214,7 @@ func (b *batchWindow) next(i int) *wire.BatchReply {
 
 // recycle empties a slot for its next host.
 func (b *batchWindow) recycle(sl *batchSlot) {
-	query.PutRecordBuf(sl.rep.Result.Records)
+	query.PutResultBufs(&sl.rep.Result)
 	*sl = batchSlot{}
 }
 
@@ -371,9 +371,9 @@ func (t *HTTPTransport) queryGroup(ctx context.Context, url string, hosts []type
 	}
 	if err != nil {
 		// A batch fails whole: the sections already in their slots go
-		// back to the record pool with the rest.
+		// back to the pools with the rest.
 		for _, i := range idx {
-			query.PutRecordBuf(replies[i].Result.Records)
+			query.PutResultBufs(&replies[i].Result)
 			replies[i] = controller.BatchReply{Host: hosts[i], Err: err}
 		}
 	}
@@ -388,6 +388,7 @@ func readBatch(body io.Reader, url string, batch []types.HostID, idx []int, repl
 	got := 0
 	err := wire.ReadBatchEach(body, func(j, n int, sec *wire.BatchReply) error {
 		if got = n; n != len(idx) {
+			query.PutResultBufs(&sec.Result)
 			return nil // nowhere to put it; reported below, once
 		}
 		rep := &replies[idx[j]]

@@ -258,7 +258,7 @@ func (a *hostAPI) mux() *http.ServeMux {
 			return
 		}
 		writeQueryResponse(w, r, m, &res)
-		query.PutRecordBuf(res.Records)
+		query.PutResultBufs(&res)
 	}))
 	mux.HandleFunc("/install", a.obs.wrap("install", func(w http.ResponseWriter, r *http.Request) {
 		var req InstallRequest
@@ -578,6 +578,7 @@ func (t *HTTPTransport) Query(ctx context.Context, host types.HostID, q query.Qu
 		return nil
 	})
 	if err != nil {
+		query.PutResultBufs(&res)
 		return query.Result{}, controller.QueryMeta{}, err
 	}
 	return res, meta, nil

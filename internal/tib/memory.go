@@ -16,8 +16,6 @@
 package tib
 
 import (
-	"math/bits"
-	"math/rand/v2"
 	"slices"
 	"sync"
 	"unsafe"
@@ -48,7 +46,7 @@ type MemEntry struct {
 // record: slab[0] is the sentinel that closes the insertion-order ring.
 type slot struct {
 	MemEntry
-	h          uint32 // flow's hash (Memory.hash): the sweep finds its index entry without rehashing
+	h          uint32 // flow's hash (Memory.key): the sweep finds its index entry without rehashing
 	chain      int32  // next record of the same flow, in arrival order
 	prev, next int32  // insertion-order ring; a free slot's next is the free list
 }
@@ -88,7 +86,7 @@ const MemEntryBytes = int(unsafe.Sizeof(slot{}) + unsafe.Sizeof(flowSlot{}))
 type Memory struct {
 	mu    sync.Mutex
 	idle  types.Time
-	key   [2]uint64 // hash's random keys
+	key   types.FlowKey // the flow index's hash key
 	slab  []slot
 	free  int32
 	index []flowSlot
@@ -102,7 +100,7 @@ func NewMemory(idle types.Time) *Memory {
 	if idle == 0 {
 		idle = DefaultIdleTimeout
 	}
-	return &Memory{idle: idle, key: [2]uint64{rand.Uint64(), rand.Uint64()}}
+	return &Memory{idle: idle, key: types.NewFlowKey()}
 }
 
 // Len returns the number of live per-path flow records.
@@ -110,17 +108,6 @@ func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.n
-}
-
-// hash is flow's index hash: the five-tuple's two words, each xored with
-// one of this memory's random keys, multiplied into 128 bits and folded
-// (wyhash's mix). The keys are what the seeded Go map gave: a sender that
-// picks its five-tuples cannot aim them at one probe run.
-func (m *Memory) hash(f types.FlowID) uint32 {
-	a := uint64(f.SrcIP)<<32 | uint64(f.DstIP)
-	b := uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
-	hi, lo := bits.Mul64(a^m.key[0], b^m.key[1])
-	return uint32(hi ^ lo)
 }
 
 // find returns the index position that holds flow (h is its hash), or the
@@ -172,7 +159,7 @@ func (m *Memory) drop(i int) {
 // marks FIN/RST packets, which make the record eligible for immediate
 // eviction.
 func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header, size int, fin bool) {
-	k, h := hdr.Pack(), m.hash(flow)
+	k, h := hdr.Pack(), m.key.Hash(flow)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.index == nil {
@@ -256,7 +243,7 @@ func (m *Memory) AppendEvictFlow(dst []MemEntry, flow types.FlowID) []MemEntry {
 	if m.n == 0 {
 		return dst
 	}
-	at := m.find(flow, m.hash(flow))
+	at := m.find(flow, m.key.Hash(flow))
 	i := m.index[at].slot
 	if i == 0 {
 		return dst
@@ -329,7 +316,7 @@ func (m *Memory) AppendLive(dst []MemEntry, flow *types.FlowID, tr types.TimeRan
 		return dst
 	}
 	if flow != nil {
-		for i := m.index[m.find(*flow, m.hash(*flow))].slot; i != 0; i = m.slab[i].chain {
+		for i := m.index[m.find(*flow, m.key.Hash(*flow))].slot; i != 0; i = m.slab[i].chain {
 			if e := &m.slab[i].MemEntry; tr.Overlaps(e.STime, e.ETime) {
 				dst = append(dst, *e)
 			}

@@ -34,8 +34,8 @@ func checkIndex(m *Memory) error {
 			continue
 		}
 		s := &m.slab[e.slot]
-		if e.h != m.hash(s.Flow) || s.h != e.h {
-			return fmt.Errorf("index entry %d holds hash %#x, its record %#x, its flow hashes to %#x", i, e.h, s.h, m.hash(s.Flow))
+		if e.h != m.key.Hash(s.Flow) || s.h != e.h {
+			return fmt.Errorf("index entry %d holds hash %#x, its record %#x, its flow hashes to %#x", i, e.h, s.h, m.key.Hash(s.Flow))
 		}
 		if at := m.find(s.Flow, e.h); at != i {
 			return fmt.Errorf("flow %v sits at %d (home %d) but its probe stops at %d", s.Flow, i, int(e.h)&(size-1), at)
@@ -55,7 +55,7 @@ func checkIndex(m *Memory) error {
 		return fmt.Errorf("%d open flows, %d in the index", len(firsts), m.flows)
 	}
 	for f, i := range firsts {
-		if m.index[m.find(f, m.hash(f))].slot != i {
+		if m.index[m.find(f, m.key.Hash(f))].slot != i {
 			return fmt.Errorf("flow %v: the index does not lead to its first record %d", f, i)
 		}
 	}
@@ -111,7 +111,7 @@ func collidingFlows(m *Memory, n int) []types.FlowID {
 	var high, low []types.FlowID
 	for i := 0; len(high)+len(low) < n; i++ {
 		f := flowN(1<<20 + i)
-		switch home := m.hash(f) & 4095; {
+		switch home := m.key.Hash(f) & 4095; {
 		case home >= 4096-8 && len(high) < n/2:
 			high = append(high, f)
 		case home < 8 && len(low) < n-n/2:

@@ -16,6 +16,8 @@ package types
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"strings"
 )
 
@@ -83,6 +85,24 @@ func (f FlowID) Reverse() FlowID {
 		SrcPort: f.DstPort, DstPort: f.SrcPort,
 		Proto: f.Proto,
 	}
+}
+
+// FlowKey keys FlowKey.Hash: two random words, drawn once per table.
+type FlowKey [2]uint64
+
+// NewFlowKey draws a random key.
+func NewFlowKey() FlowKey { return FlowKey{rand.Uint64(), rand.Uint64()} }
+
+// Hash is the keyed hash of the open-addressed flow tables: the
+// five-tuple's two words, each xored with one of the key's words,
+// multiplied into 128 bits and folded (wyhash's mix). Five-tuples come
+// from the network; under a random key, a sender that picks its flows
+// cannot aim them at one probe run, as it could under a fixed hash.
+func (k FlowKey) Hash(f FlowID) uint32 {
+	a := uint64(f.SrcIP)<<32 | uint64(f.DstIP)
+	b := uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
+	hi, lo := bits.Mul64(a^k[0], b^k[1])
+	return uint32(hi ^ lo)
 }
 
 // LinkID is a pair of adjacent switch IDs. Either side may be

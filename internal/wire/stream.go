@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"pathdump/internal/query"
 	"pathdump/internal/types"
@@ -89,6 +90,11 @@ func (s *QueryStreamWriter) Append(rec *types.Record) error {
 	}
 	if s.err != nil {
 		return s.err
+	}
+	if n := len(s.chunk); n == cap(s.chunk) && n < DefaultChunkRecords {
+		// A pooled buffer short of a chunk grows to one in one step, not
+		// by append's doublings.
+		s.chunk = slices.Grow(s.chunk, DefaultChunkRecords-n)
 	}
 	s.chunk = append(s.chunk, *rec)
 	if len(s.chunk) >= DefaultChunkRecords {
@@ -198,6 +204,7 @@ func ReadQueryChunks(r io.Reader, fn func([]types.Record)) (Meta, *query.Result,
 		readResult(br, &res, &m, fn)
 	})
 	if err != nil {
+		query.PutResultBufs(&res)
 		return Meta{}, nil, err
 	}
 	return m, &res, nil

@@ -120,8 +120,9 @@ func WriteQuery(w io.Writer, m Meta, res *query.Result, compress bool) error {
 }
 
 // ReadQuery decodes one query response frame from r. A records section
-// is decoded into a buffer from the query package's record pool; the
-// caller owns Result.Records and may hand it to query.PutRecordBuf.
+// and a top section are decoded into buffers from the query package's
+// pools; the caller owns Result.Records and Result.Top and may hand them
+// to query.PutResultBufs. On an error they go back to the pools.
 func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 	var m Meta
 	var res query.Result
@@ -130,6 +131,7 @@ func ReadQuery(r io.Reader) (Meta, *query.Result, error) {
 		readResult(br, &res, &m, nil)
 	})
 	if err != nil {
+		query.PutResultBufs(&res)
 		return Meta{}, nil, err
 	}
 	return m, &res, nil
@@ -180,13 +182,15 @@ func WriteBatchEach(w io.Writer, n int, next func(i int) *BatchReply) error {
 // itself is only valid during the call, but every slice it holds was
 // decoded for this section alone and is the consumer's to keep: copying
 // rep.Result moves the section without copying its contents. A section's
-// records are drawn from the record pool, as ReadQuery's are; a consumer
-// that is done with them may hand them to query.PutRecordBuf, and one
-// that is not leaves them to the collector. An error from fn stops the
-// decode and is returned. A frame can fail after some of its sections
-// were delivered (truncation shows at the end), so a consumer must treat
-// an error as the whole frame's; a frame its writer cut short
-// (WriteBatchEach) is one that fails.
+// records and top list are drawn from the query package's pools, as
+// ReadQuery's are; a consumer that is done with them may hand them to
+// query.PutResultBufs, and one that is not leaves them to the collector.
+// A section that fails to decode never reaches fn: its buffers go back
+// to the pools. An error from fn stops the decode and is returned. A
+// frame can fail after some of its sections were delivered (truncation
+// shows at the end), so a consumer must treat an error as the whole
+// frame's; a frame its writer cut short (WriteBatchEach) is one that
+// fails.
 func ReadBatchEach(r io.Reader, fn func(i, n int, rep *BatchReply) error) error {
 	return readFrame(r, kindBatch, func(br *reader) {
 		n := br.count("batch replies", maxReplies)
@@ -194,7 +198,9 @@ func ReadBatchEach(r io.Reader, fn func(i, n int, rep *BatchReply) error) error 
 		for i := 0; i < n && br.err == nil; i++ {
 			rep = BatchReply{Host: types.HostID(br.uvarint()), Error: br.str(maxErrLen), Meta: readMeta(br)}
 			readResult(br, &rep.Result, &rep.Meta, nil)
-			if br.err == nil {
+			if br.err != nil {
+				query.PutResultBufs(&rep.Result)
+			} else {
 				br.err = fn(i, n, &rep)
 			}
 		}
@@ -480,7 +486,7 @@ func readResult(r *reader, res *query.Result, m *Meta, sink func([]types.Record)
 	}
 	if present&secTop != 0 {
 		n := r.count("top flows", maxElems)
-		res.Top = make([]query.FlowBytes, 0, min(n, 4096))
+		res.Top = query.GetTopBuf(min(n, 4096))
 		for i := 0; i < n && r.err == nil; i++ {
 			var t query.FlowBytes
 			t.Flow = readFlowID(r)
