@@ -2,8 +2,8 @@
 // artifact) plus the ablations called out in DESIGN.md. The figure
 // benchmarks run laptop-scaled configurations of the same code paths the
 // cmd/experiments harness uses at full size; the ablations isolate the
-// design choices (trajectory cache, TIB indexes, direct vs multi-level
-// aggregation).
+// design choices (TIB indexes, direct vs multi-level aggregation; the
+// trajectory cache's is in internal/agent).
 package pathdump_test
 
 import (
@@ -217,72 +217,50 @@ func BenchmarkStorageSnapshot(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §5) ----
 
-// BenchmarkAblationTrajectoryCache isolates the trajectory cache: path
-// construction for a hot header with and without the LRU in front of the
-// topology walk.
-func BenchmarkAblationTrajectoryCache(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "cache-on"
-		cfg := pathdump.AgentConfig{}
-		if !on {
-			name = "cache-off"
-			cfg.DisableCache = true
-		}
-		b.Run(name, func(b *testing.B) {
-			c, _ := pathdump.NewFatTree(4, pathdump.Config{Agent: cfg})
-			hosts := c.HostIDs()
-			// One hot path: repeated single-packet flows between a pair.
-			for i := 0; i < b.N%1000+8; i++ {
-				// warm
-				_, _ = c.StartFlow(hosts[0], hosts[12], uint16(7000+i), 1000, nil)
-			}
-			c.RunAll()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.StartFlow(hosts[0], hosts[12], uint16(10000+i%50000), 1000, nil); err != nil {
-					b.Fatal(err)
-				}
-				c.RunAll()
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTIBIndex isolates the link index: getFlows against an
-// indexed versus scan-only store of 50 000 records.
+// BenchmarkAblationTIBIndex isolates the link index: getFlows, which
+// walks the link's postings, against a full scan of the same 50 000-record
+// store that filters the link in its callback. The trajectory cache's
+// ablation lives beside the agent it belongs to (internal/agent).
 func BenchmarkAblationTIBIndex(b *testing.B) {
-	build := func(s *tib.Store) {
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 50_000; i++ {
-			s.Add(types.Record{
-				Flow: types.FlowID{SrcIP: types.IP(i), DstIP: 9, SrcPort: uint16(i), DstPort: 80, Proto: 6},
-				Path: types.Path{
-					types.SwitchID(rng.Intn(8)),
-					types.SwitchID(8 + rng.Intn(8)),
-					types.SwitchID(16 + rng.Intn(4)),
-				},
-				STime: types.Time(i), ETime: types.Time(i + 100),
-				Bytes: uint64(i), Pkts: 1,
-			})
-		}
+	s := tib.NewStore()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50_000; i++ {
+		s.Add(types.Record{
+			Flow: types.FlowID{SrcIP: types.IP(i), DstIP: 9, SrcPort: uint16(i), DstPort: 80, Proto: 6},
+			Path: types.Path{
+				types.SwitchID(rng.Intn(8)),
+				types.SwitchID(8 + rng.Intn(8)),
+				types.SwitchID(16 + rng.Intn(4)),
+			},
+			STime: types.Time(i), ETime: types.Time(i + 100),
+			Bytes: uint64(i), Pkts: 1,
+		})
 	}
 	link := types.LinkID{A: 3, B: 11}
-	for _, indexed := range []bool{true, false} {
-		name := "indexed"
-		s := tib.NewStore()
-		if !indexed {
-			name = "scan"
-			s = tib.NewUnindexedStore()
-		}
-		build(s)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := s.Flows(link, types.AllTime); len(got) == 0 {
-					b.Fatal("no flows")
-				}
+	b.Run("indexed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if got := s.Flows(link, types.AllTime); len(got) == 0 {
+				b.Fatal("no flows")
 			}
-		})
-	}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var seen types.FlowSet
+			var got []types.Flow
+			s.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) {
+				if !rec.Path.ContainsLink(link) {
+					return
+				}
+				if _, fresh := seen.Add(rec.Flow, rec.Path); fresh {
+					got = append(got, types.Flow{ID: rec.Flow, Path: rec.Path})
+				}
+			})
+			if len(got) == 0 {
+				b.Fatal("no flows")
+			}
+		}
+	})
 }
 
 // BenchmarkQueryExecute measures raw host-side query execution over a

@@ -37,8 +37,6 @@ type Config struct {
 	SweepPeriod types.Time
 	// CacheSize bounds the trajectory cache (default 4096 paths).
 	CacheSize int
-	// DisableCache turns the trajectory cache off (ablation).
-	DisableCache bool
 	// StoreShards stripes the TIB store's locks so concurrent ingest and
 	// query scans do not serialise (default tib.DefaultShards; 1 yields
 	// a single-lock store).
@@ -266,18 +264,14 @@ func (a *Agent) sweep() {
 // construct resolves a header to an end-to-end path via the trajectory
 // cache, falling back to a topology walk over the unpacked header.
 func (a *Agent) construct(src types.IP, hdr cherrypick.Packed) (types.Path, error) {
-	if !a.cfg.DisableCache {
-		if p, ok := a.Cache.Get(src, hdr); ok {
-			return p, nil
-		}
+	if p, ok := a.Cache.Get(src, hdr); ok {
+		return p, nil
 	}
 	p, err := a.scheme.Reconstruct(src, a.Host.IP, hdr.Header())
 	if err != nil {
 		return nil, err
 	}
-	if !a.cfg.DisableCache {
-		a.Cache.Put(src, hdr, p)
-	}
+	a.Cache.Put(src, hdr, p)
 	return p, nil
 }
 

@@ -468,3 +468,32 @@ func TestHotStateGauges(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAblationTrajectoryCache isolates the trajectory cache (§3.2):
+// resolving one hot header — a five-hop path from another pod — to its
+// path through construct, whose cache is warm, against the topology walk
+// it saves, scheme.Reconstruct on the same header.
+func BenchmarkAblationTrajectoryCache(b *testing.B) {
+	d := newDatapath(b, Config{})
+	last := len(d.srcs) - 1 // the highest host ID: a pod away from the agent's
+	src, hdr := d.srcs[last], d.hdrs[last].Pack()
+	want, err := d.a.construct(src, hdr) // warms the cache
+	if err != nil || len(want) != 5 {
+		b.Fatalf("constructed %v, %v; want a five-hop path", want, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		resolve func() (types.Path, error)
+	}{
+		{"cache-on", func() (types.Path, error) { return d.a.construct(src, hdr) }},
+		{"cache-off", func() (types.Path, error) { return d.a.scheme.Reconstruct(src, d.a.Host.IP, hdr.Header()) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if p, err := tc.resolve(); err != nil || !p.Equal(want) {
+					b.Fatalf("resolved %v, %v; want %v", p, err, want)
+				}
+			}
+		})
+	}
+}

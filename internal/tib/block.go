@@ -31,7 +31,7 @@ const (
 	// Header field offsets (all little-endian).
 	hLen     = 4  // u32 total block length, header included
 	hCRC     = 8  // u32 CRC-32C of b[hFlags:]
-	hFlags   = 12 // u8  bit 0: postings present
+	hFlags   = 12 // u8  always 1: every block carries its postings
 	hWidths  = 13 // 6×u8 column widths, in col* order
 	hShard   = 20 // u32 stripe the segment lives in
 	hCount   = 24 // u32 records
@@ -82,23 +82,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type layout struct {
 	n, paths, hops, links, posts, bloom int
 	w                                   [numCols]uint8
-	indexed                             bool
 }
 
 // offsets returns each section's start (and, last, the block's length).
-// A block without postings has four empty trailing sections.
 func (l *layout) offsets() (off [numSecs + 1]int) {
 	iw := int(idxWidth(l.n))
 	size := [numSecs]int{
 		secBloom: l.bloom, secFlow: l.n * flowLen,
 		secPathOff: (l.paths + 1) * 4, secHops: l.hops * 2,
+		secPerm: l.n * iw, secLinkTab: l.links * 4,
+		secLinkOff: (l.links + 1) * 4, secLinkPost: l.posts * iw,
 	}
 	for c, w := range l.w {
 		size[colSec(c)] = l.n * int(w)
-	}
-	if l.indexed {
-		size[secPerm], size[secLinkTab] = l.n*iw, l.links*4
-		size[secLinkOff], size[secLinkPost] = (l.links+1)*4, l.posts*iw
 	}
 	off[0] = blockHeaderLen
 	for i, sz := range size {
@@ -183,7 +179,6 @@ func (c column) put(vals []uint64, base uint64) {
 type block struct {
 	b                []byte
 	n, shard         int
-	indexed          bool
 	minTime, maxTime types.Time
 	seqLo, seqHi     uint64
 	filter           flowFilter
@@ -206,7 +201,6 @@ func openBlock(b []byte, verify bool) (*block, error) {
 	l := layout{
 		n: int(le.Uint32(b[hCount:])), paths: int(le.Uint32(b[hPaths:])), hops: int(le.Uint32(b[hHops:])),
 		links: int(le.Uint32(b[hLinks:])), posts: int(le.Uint32(b[hPosts:])), bloom: int(le.Uint32(b[hBloom:])),
-		indexed: b[hFlags] == 1,
 	}
 	copy(l.w[:], b[hWidths:])
 	for _, w := range l.w {
@@ -214,7 +208,7 @@ func openBlock(b []byte, verify bool) (*block, error) {
 			return nil, fmt.Errorf("tib: block column width %d", w)
 		}
 	}
-	if b[hFlags] > 1 || l.n == 0 || l.bloom < 8 || l.bloom&(l.bloom-1) != 0 || (!l.indexed && l.links+l.posts > 0) {
+	if b[hFlags] != 1 || l.n == 0 || l.bloom < 8 || l.bloom&(l.bloom-1) != 0 {
 		return nil, fmt.Errorf("tib: block header inconsistent")
 	}
 	off := l.offsets()
@@ -228,7 +222,7 @@ func openBlock(b []byte, verify bool) (*block, error) {
 	sec := func(s int) []byte { return b[off[s]:off[s+1]:off[s+1]] }
 	iw := idxWidth(l.n)
 	blk := &block{
-		b: b, n: l.n, shard: int(le.Uint32(b[hShard:])), indexed: l.indexed,
+		b: b, n: l.n, shard: int(le.Uint32(b[hShard:])),
 		minTime: types.Time(le.Uint64(b[hMinTime:])), maxTime: types.Time(le.Uint64(b[hMaxTime:])),
 		seqLo: le.Uint64(b[hSeqLo:]), seqHi: le.Uint64(b[hSeqHi:]),
 		filter: sec(secBloom), flows: sec(secFlow),
@@ -281,9 +275,6 @@ func (b *block) verify() error {
 		if et := st + types.Time(b.col[colDur].at(i)); st < b.minTime || et > b.maxTime {
 			return fmt.Errorf("tib: block bounds [%v,%v] exclude record %d (%v..%v)", b.minTime, b.maxTime, i, st, et)
 		}
-	}
-	if !b.indexed {
-		return nil
 	}
 	var prev flowKey
 	for k, p := 0, 0; k < b.n; k++ {
@@ -466,11 +457,11 @@ func (st *staging) addBlock(b *block, from int) {
 }
 
 // encode marshals the staged records (at least one, ascending sequence)
-// into a block for the given stripe, with postings when indexed.
-func (st *staging) encode(shard int, indexed bool) []byte {
+// into a block for the given stripe.
+func (st *staging) encode(shard int) []byte {
 	n := len(st.flows)
 	seqs := st.col[colSeq]
-	l := layout{n: n, paths: len(st.paths), hops: st.hops, indexed: indexed}
+	l := layout{n: n, paths: len(st.paths), hops: st.hops}
 	bases := [numCols]uint64{colSeq: seqs[0], colSTime: uint64(st.minTime)}
 	for c, vals := range st.col {
 		var span uint64
@@ -479,21 +470,15 @@ func (st *staging) encode(shard int, indexed bool) []byte {
 		}
 		l.w[c] = width(span)
 	}
-	distinct := n // sizes the bloom; exact only when the permutation is at hand
-	if indexed {
-		distinct = st.sortFlows()
-		l.links, l.posts = st.countLinks()
-	}
-	l.bloom = filterLen(distinct)
+	l.bloom = filterLen(st.sortFlows())
+	l.links, l.posts = st.countLinks()
 	off := l.offsets()
 	b := make([]byte, off[numSecs])
 	sec := func(s int) []byte { return b[off[s]:off[s+1]] }
 
 	copy(b, blockMagic)
 	le.PutUint32(b[hLen:], uint32(len(b)))
-	if indexed {
-		b[hFlags] = 1
-	}
+	b[hFlags] = 1
 	copy(b[hWidths:], l.w[:])
 	for i, v := range [...]int{shard, n, l.paths, l.hops, l.links, l.posts, l.bloom} {
 		le.PutUint32(b[hShard+4*i:], uint32(v)) // the seven u32 fields are contiguous
@@ -524,11 +509,9 @@ func (st *staging) encode(shard int, indexed bool) []byte {
 		}
 		le.PutUint32(pathOff[4*i+4:], uint32(h))
 	}
-	if indexed {
-		st.fillLinks(sec(secLinkTab), sec(secLinkOff))
-		column{sec(secPerm), idxWidth(n)}.put(st.perm, 0)
-		column{sec(secLinkPost), idxWidth(n)}.put(st.posts, 0)
-	}
+	st.fillLinks(sec(secLinkTab), sec(secLinkOff))
+	column{sec(secPerm), idxWidth(n)}.put(st.perm, 0)
+	column{sec(secLinkPost), idxWidth(n)}.put(st.posts, 0)
 	le.PutUint32(b[hCRC:], crc32.Checksum(b[hFlags:], crcTable))
 	return b
 }

@@ -20,52 +20,42 @@ import (
 // TestLoopedPathPostedOncePerLink (regression): a record whose path
 // traverses a directed link twice — a routing loop, the paper's §4.5 case
 // — is one record on that link. The parent posted it once per occurrence,
-// so every link-indexed scan visited it twice and indexed and unindexed
-// stores disagreed. Checked in every state a segment can be in.
+// so every link-indexed scan visited it twice where a filtered scan
+// visits it once. Checked in every state a segment can be in.
 func TestLoopedPathPostedOncePerLink(t *testing.T) {
 	loop := types.Path{1, 2, 3, 2, 3, 4}
 	link := types.LinkID{A: 2, B: 3}
-	build := func(unindexed bool) *Store {
-		s := NewStoreConfig(Config{Shards: 1, SegmentSpan: 3, CompactBelow: 8, Unindexed: unindexed, ColdDir: t.TempDir()})
-		for i := 0; i < 10; i++ {
-			p := loop
-			if i%2 == 1 {
-				p = types.Path{1, 2, 4}
-			}
-			s.Add(mkRecord(flowN(i), p, types.Time(i), types.Time(i+1), uint64(i), 1))
+	s := NewStoreConfig(Config{Shards: 1, SegmentSpan: 3, CompactBelow: 8, ColdDir: t.TempDir()})
+	for i := 0; i < 10; i++ { // the five even records loop
+		p := loop
+		if i%2 == 1 {
+			p = types.Path{1, 2, 4}
 		}
-		return s
+		s.Add(mkRecord(flowN(i), p, types.Time(i), types.Time(i+1), uint64(i), 1))
 	}
-	visits := func(s *Store) (n int) {
+	stage := func(name string) {
+		t.Helper()
+		n := 0
 		if err := s.Scan(nil, link, types.AllTime, func(*types.Record) { n++ }); err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-	idx, ref := build(false), build(true)
-	stage := func(name string) {
-		t.Helper()
-		if got, want := visits(idx), visits(ref); got != want || want != 5 {
-			t.Errorf("%s: indexed store visits %d records on %v, unindexed %d, want 5", name, got, link, want)
+		if n != 5 {
+			t.Errorf("%s: the link scan visits %d records on %v, want 5", name, n, link)
 		}
 	}
-	if idx.SealedSegments() < 2 {
-		t.Fatalf("%d sealed segments; the span seal is not engaging", idx.SealedSegments())
+	if s.SealedSegments() < 2 {
+		t.Fatalf("%d sealed segments; the span seal is not engaging", s.SealedSegments())
 	}
 	stage("active + sealed")
-	for _, s := range []*Store{idx, ref} {
-		if merged, _ := s.Compact(); merged == 0 {
-			t.Fatal("nothing compacted")
-		}
+	if merged, _ := s.Compact(); merged == 0 {
+		t.Fatal("nothing compacted")
 	}
 	stage("compacted")
-	for _, s := range []*Store{idx, ref} {
-		if segs, _, err := s.SpillBefore(types.TimeEnd); err != nil || segs == 0 {
-			t.Fatalf("spilled %d segments: %v", segs, err)
-		}
+	if segs, _, err := s.SpillBefore(types.TimeEnd); err != nil || segs == 0 {
+		t.Fatalf("spilled %d segments: %v", segs, err)
 	}
 	stage("thawed")
-	if idx.ColdStats().Loads == 0 {
+	if s.ColdStats().Loads == 0 {
 		t.Error("the link scan never thawed the spilled segment")
 	}
 }
@@ -84,7 +74,7 @@ func TestResidentBytesPerRecord(t *testing.T) {
 	}
 	for i := range s.shards { // seal the tails too: the claim is about blocks
 		if sh := &s.shards[i]; sh.active().recs() > 0 {
-			sh.active().seal(i, true)
+			sh.active().seal(i)
 			sh.segs = append(sh.segs, &segment{})
 		}
 	}
@@ -125,11 +115,6 @@ func TestResidentBytesPerRecord(t *testing.T) {
 	}
 	if got := a.ResidentBytes(); got != want() || a.Segments() != 1 {
 		t.Errorf("%d active records report %d resident bytes, their buffers hold %d", a.Len(), got, want())
-	}
-	u := NewStoreConfig(Config{Shards: 1, Unindexed: true})
-	u.Add(mkRecord(flowN(1), types.Path{1, 2, 3}, 0, 1, 1, 1))
-	if got := u.ResidentBytes(); got != 86 {
-		t.Errorf("one unindexed active record reports %d resident bytes, want its entry and hops (86)", got)
 	}
 }
 
@@ -232,7 +217,7 @@ func blockSeeds(t testing.TB) (accepted, rejected map[string][]byte) {
 		t.Fatal(err)
 	}
 	l := layout{n: blk.n, paths: len(blk.paths), hops: int(le.Uint32(cold[hHops:])), links: len(blk.linkTab) / 4,
-		posts: blk.linkPost.len(), bloom: len(blk.filter), indexed: true}
+		posts: blk.linkPost.len(), bloom: len(blk.filter)}
 	copy(l.w[:], cold[hWidths:])
 	const pre = len(snapshotMagic) + 32
 	accepted = map[string][]byte{"cold-file": cold, "snapshot": snap}
@@ -290,9 +275,6 @@ func walk(t testing.TB, blk *block) {
 	for i := 0; i < blk.n; i++ {
 		blk.record(i, &rec)
 		blk.filter.mayContain(flowHash64(rec.Flow))
-		if !blk.indexed {
-			continue
-		}
 		if post := blk.flowPostings(rec.Flow); post.len() == 0 {
 			t.Fatalf("record %d's flow has no postings", i)
 		}
@@ -393,7 +375,7 @@ func FuzzBlockDecode(f *testing.F) {
 		// block with the same records in the same order.
 		st := getStaging()
 		st.addBlock(blk, 0)
-		again := mustOpen(st.encode(blk.shard, blk.indexed))
+		again := mustOpen(st.encode(blk.shard))
 		st.release()
 		var a, b types.Record
 		for i := 0; i < blk.n; i++ {

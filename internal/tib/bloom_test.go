@@ -109,25 +109,6 @@ func TestBloomMissingFlowExact(t *testing.T) {
 	})
 }
 
-func TestBloomUnindexedStore(t *testing.T) {
-	s := bloomStore(t, Config{Shards: 1, SegmentRecords: 16, Unindexed: true}, 32, 16)
-	_, prunedBefore := s.SegmentStats()
-	var got int
-	f3 := flowN(3)
-	s.Scan(&f3, types.AnyLink, types.AllTime, func(rec *types.Record) {
-		if rec.Flow != flowN(3) {
-			t.Fatalf("wrong flow: %+v", rec.Flow)
-		}
-		got++
-	})
-	if got != 16 {
-		t.Fatalf("got %d records, want 16", got)
-	}
-	if _, prunedAfter := s.SegmentStats(); prunedAfter-prunedBefore < 16 {
-		t.Errorf("unindexed bloom pruned %d segments, want ≥ 16", prunedAfter-prunedBefore)
-	}
-}
-
 func TestBloomSurvivesSnapshotRestore(t *testing.T) {
 	src := bloomStore(t, Config{Shards: 1, SegmentRecords: 16}, 32, 16)
 	var buf bytes.Buffer

@@ -185,7 +185,7 @@ func (s *Store) buildMerged(run compactRun) *segment {
 	for _, blk := range run.blks {
 		st.addBlock(blk, 0)
 	}
-	return sealedSegment(mustOpen(st.encode(run.shard, s.indexed)), run.bytes)
+	return sealedSegment(mustOpen(st.encode(run.shard)), run.bytes)
 }
 
 // commitRun splices the merged segment over its victims under the shard

@@ -31,8 +31,7 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 		store *Store
 	}{
 		{"indexed", NewStore()},
-		{"unindexed", NewUnindexedStore()},
-		{"single-shard", NewStoreShards(1)},
+		{"single-shard", NewStoreConfig(Config{Shards: 1})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.store
@@ -199,10 +198,10 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 // back in exact insertion order from every configuration.
 func TestShardCountsAgree(t *testing.T) {
 	stores := map[string]*Store{
-		"1":  NewStoreShards(1),
-		"4":  NewStoreShards(4),
-		"16": NewStoreShards(16),
-		"64": NewStoreShards(64),
+		"1":  NewStoreConfig(Config{Shards: 1}),
+		"4":  NewStoreConfig(Config{Shards: 4}),
+		"16": NewStoreConfig(Config{Shards: 16}),
+		"64": NewStoreConfig(Config{Shards: 64}),
 	}
 	var recs []types.Record
 	for i := 0; i < 700; i++ {

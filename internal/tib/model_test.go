@@ -110,7 +110,6 @@ func newModelWorld(t *testing.T, seed int64) *modelWorld {
 		SegmentRecords: pick(1, 2, 7, 40, -1),
 		SegmentSpan:    types.Time(pick(0, 0, 50, 5000)),
 		RetentionBytes: int64(pick(0, 0, 3000)),
-		Unindexed:      rng.Intn(4) == 0,
 		CompactBelow:   pick(0, 8, 64),
 		ColdDir:        t.TempDir(),
 	}
@@ -192,14 +191,13 @@ func (w *modelWorld) reconcile(freed int, mustSurvive func(entry) bool) {
 }
 
 // restore replaces the store under test with one rebuilt from its own
-// snapshot, under a stripe count and index setting of its own.
+// snapshot, under a stripe count of its own.
 func (w *modelWorld) restore() {
 	var buf bytes.Buffer
 	if err := w.s.Snapshot(&buf); err != nil {
 		w.fatalf("snapshot: %v", err)
 	}
 	w.cfg.Shards = []int{1, 2, 4, 16}[w.rng.Intn(4)]
-	w.cfg.Unindexed = w.rng.Intn(4) == 0
 	w.cfg.ColdDir = w.t.TempDir()
 	w.s = NewStoreConfig(w.cfg)
 	if err := w.s.LoadSnapshot(&buf); err != nil {

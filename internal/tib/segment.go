@@ -16,14 +16,14 @@ import (
 // mutate but the resident → cold transition, so readers and the snapshot
 // writer hold block references without locks.
 type segment struct {
-	// Active state, nil once sealed (and index on an unindexed store, or
-	// before the first record). A record costs an append to entries and to
-	// the index's chain buffers, whose committed prefixes never change, so
-	// a scan that captured their headers under the shard read lock keeps
-	// reading them after the lock is gone — even after seal, which drops
-	// these references but never recycles them. Only the index's head
-	// tables are recycled (see successor): they are read only under the
-	// shard lock, which the seal holds for writing.
+	// Active state, nil once sealed (and index before the first record).
+	// A record costs an append to entries and to the index's chain
+	// buffers, whose committed prefixes never change, so a scan that
+	// captured their headers under the shard read lock keeps reading them
+	// after the lock is gone — even after seal, which drops these
+	// references but never recycles them. Only the index's head tables are
+	// recycled (see successor): they are read only under the shard lock,
+	// which the seal holds for writing.
 	entries []entry
 	index   *chainIndex
 
@@ -93,12 +93,12 @@ func (seg *segment) seqOutside(since, until uint64) bool {
 	return (since > 0 && seg.lastSeq() <= since) || (until > 0 && seg.firstSeq() > until)
 }
 
-// add appends one entry to the (active) segment, updating bounds and —
-// on an indexed store — chaining the entry behind its flow's and its
-// links' previous ones (h is the flow's flowHash32). The index appears
-// with the first record: most shards of a small store never see one.
-// Caller holds the shard write lock.
-func (seg *segment) add(e entry, h uint32, indexed bool) {
+// add appends one entry to the (active) segment, updating bounds and
+// chaining the entry behind its flow's and its links' previous ones (h is
+// the flow's flowHash32). The index appears with the first record: most
+// shards of a small store never see one. Caller holds the shard write
+// lock.
+func (seg *segment) add(e entry, h uint32) {
 	idx := uint32(len(seg.entries))
 	if idx == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime
@@ -108,9 +108,6 @@ func (seg *segment) add(e entry, h uint32, indexed bool) {
 	}
 	seg.entries = append(seg.entries, e)
 	seg.bytes += recSize(&e.rec)
-	if !indexed {
-		return
-	}
 	if seg.index == nil {
 		seg.index = new(chainIndex)
 	}
@@ -161,12 +158,12 @@ func (seg *segment) freeze(blk *block) {
 
 // seal encodes the active segment into its block for the given stripe.
 // Caller holds the shard write lock.
-func (seg *segment) seal(shard int, indexed bool) {
+func (seg *segment) seal(shard int) {
 	st := getStaging()
 	for i := range seg.entries {
 		st.add(seg.entries[i].seq, &seg.entries[i].rec)
 	}
-	seg.freeze(mustOpen(st.encode(shard, indexed)))
+	seg.freeze(mustOpen(st.encode(shard)))
 	st.release()
 }
 

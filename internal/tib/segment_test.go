@@ -196,21 +196,19 @@ func TestSegmentedMatchesUnsegmentedProperty(t *testing.T) {
 // TestScanFlowPushdown: the flow-predicate path must honour link and time
 // filters identically to the generic scan.
 func TestScanFlowPushdown(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		s := NewStoreConfig(Config{SegmentRecords: 4, Unindexed: !indexed})
-		f, other := flowN(1), flowN(2)
-		s.Add(mkRecord(f, types.Path{1, 2, 3}, 0, 10, 100, 1))
-		s.Add(mkRecord(other, types.Path{1, 2, 3}, 0, 10, 999, 1))
-		s.Add(mkRecord(f, types.Path{1, 4, 3}, 20, 30, 200, 2))
-		s.Add(mkRecord(f, types.Path{1, 2, 3}, 40, 50, 400, 4))
+	s := NewStoreConfig(Config{SegmentRecords: 4})
+	f, other := flowN(1), flowN(2)
+	s.Add(mkRecord(f, types.Path{1, 2, 3}, 0, 10, 100, 1))
+	s.Add(mkRecord(other, types.Path{1, 2, 3}, 0, 10, 999, 1))
+	s.Add(mkRecord(f, types.Path{1, 4, 3}, 20, 30, 200, 2))
+	s.Add(mkRecord(f, types.Path{1, 2, 3}, 40, 50, 400, 4))
 
-		var got []uint64
-		s.Scan(&f, types.LinkID{A: 1, B: 2}, types.TimeRange{From: 0, To: 45}, func(r *types.Record) {
-			got = append(got, r.Bytes)
-		})
-		if len(got) != 2 || got[0] != 100 || got[1] != 400 {
-			t.Errorf("indexed=%v: flow scan = %v, want [100 400]", indexed, got)
-		}
+	var got []uint64
+	s.Scan(&f, types.LinkID{A: 1, B: 2}, types.TimeRange{From: 0, To: 45}, func(r *types.Record) {
+		got = append(got, r.Bytes)
+	})
+	if len(got) != 2 || got[0] != 100 || got[1] != 400 {
+		t.Errorf("flow scan = %v, want [100 400]", got)
 	}
 }
 

@@ -2,14 +2,14 @@
 // MongoDB persistence).
 //
 // A snapshot is a 40-byte preamble (magic, format version, the writer's
-// stripe count, sequence counter and index flag, and the watermark of an
-// incremental stream), then the store's blocks back to back — each
-// carries its own magic, length, checksum and stripe — then a terminator
-// holding the block count, so a stream cut off anywhere never loads as
-// complete. Sealed and cold segments ship their block verbatim; each
-// shard's active segment, and the unseen suffix of a segment straddling
-// an incremental watermark, is encoded on the way out as a block without
-// postings, which the loader indexes. docs/storage.md has the bytes.
+// stripe count and sequence counter, and the watermark of an incremental
+// stream), then the store's blocks back to back — each carries its own
+// magic, length, checksum and stripe — then a terminator holding the
+// block count, so a stream cut off anywhere never loads as complete.
+// Sealed and cold segments ship their block verbatim; each shard's active
+// segment, and the unseen suffix of a segment straddling an incremental
+// watermark, is encoded on the way out into a block like any other, which
+// the loader adopts as it is. docs/storage.md has the bytes.
 //
 // LoadSnapshot and ApplyIncremental are atomic: the incoming stream is
 // fully read and validated into staged segments first, and only then
@@ -38,7 +38,7 @@ var ErrIncompatibleDelta = errors.New("tib: incremental snapshot incompatible wi
 
 const (
 	snapshotMagic   = "PDTIBSN\n"
-	snapshotVersion = 4 // after gob records (1), gob segments (2) and gob deltas (3)
+	snapshotVersion = 5 // after gob records (1), gob segments (2), gob deltas (3) and an index flag (4)
 	snapshotEnd     = "PDBE"
 	// A block is read in doubling steps from this size up to its declared
 	// length, so a corrupt length field cannot make the loader allocate
@@ -46,7 +46,8 @@ const (
 	readStep = 4 << 10
 )
 
-// snapshotHeader follows the magic: five little-endian fields in 32 bytes.
+// snapshotHeader follows the magic: four little-endian fields, then
+// eight zero bytes, in 32 bytes.
 type snapshotHeader struct {
 	// Version is snapshotVersion; anything else is refused loudly.
 	Version uint32
@@ -60,8 +61,6 @@ type snapshotHeader struct {
 	// Since is the watermark an incremental stream was cut at: only
 	// records with sequence > Since follow. Zero on full snapshots.
 	Since uint64
-	// Indexed records whether the writer maintained flow/link postings.
-	Indexed bool
 }
 
 // segView is one segment's immutable capture for the writer: a sealed
@@ -136,9 +135,6 @@ func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 	le.PutUint32(h[4:], uint32(len(s.shards)))
 	le.PutUint64(h[8:], seq)
 	le.PutUint64(h[16:], since)
-	if s.indexed {
-		h[24] = 1
-	}
 	bw.Write(pre[:]) // a bufio.Writer's error is sticky: Flush reports it
 	blocks := 0
 	for si, segs := range views {
@@ -162,7 +158,7 @@ func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 			} else {
 				// The active segment, or one straddling the watermark
 				// (shipped trimmed to its unseen suffix, so a delta's cost
-				// tracks the new data): encode without postings.
+				// tracks the new data): encode it as a seal would.
 				st := getStaging()
 				if blk != nil {
 					st.addBlock(blk, sort.Search(blk.n, func(k int) bool { return blk.seqAt(k) > since }))
@@ -171,7 +167,7 @@ func (s *Store) SnapshotSince(w io.Writer, since uint64) error {
 						st.add(v.ents[k].seq, &v.ents[k].rec)
 					}
 				}
-				out = st.encode(si, false)
+				out = st.encode(si)
 				st.release()
 			}
 			bw.Write(out)
@@ -197,7 +193,7 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 		return hdr, nil, fmt.Errorf("tib: not a snapshot (bad magic or shorter than a header)")
 	}
 	h := pre[len(snapshotMagic):]
-	hdr = snapshotHeader{Version: le.Uint32(h), Shards: int(le.Uint32(h[4:])), Seq: le.Uint64(h[8:]), Since: le.Uint64(h[16:]), Indexed: h[24] == 1}
+	hdr = snapshotHeader{Version: le.Uint32(h), Shards: int(le.Uint32(h[4:])), Seq: le.Uint64(h[8:]), Since: le.Uint64(h[16:])}
 	if hdr.Version != snapshotVersion {
 		return hdr, nil, fmt.Errorf("tib: unsupported snapshot version %d", hdr.Version)
 	}
@@ -318,19 +314,6 @@ func distinctSeqs(blocks []*block) error {
 	return nil
 }
 
-// adopt turns a validated incoming block into a sealed segment of this
-// store, indexing it first when the store wants postings and the block
-// (a writer's active segment or trimmed suffix) has none.
-func (s *Store) adopt(blk *block) *segment {
-	if s.indexed && !blk.indexed {
-		st := getStaging()
-		st.addBlock(blk, 0)
-		blk = mustOpen(st.encode(blk.shard, true))
-		st.release()
-	}
-	return sealedSegment(blk, blk.charge())
-}
-
 // LoadSnapshot replaces the store contents from a full snapshot. The
 // replacement is atomic — see the comment at the top of this file.
 func (s *Store) LoadSnapshot(r io.Reader) error {
@@ -353,7 +336,6 @@ func (s *Store) emptyClone() *Store {
 		SegmentRecords: s.segRecords,
 		Retention:      s.retention,
 		RetentionBytes: s.retentionBytes,
-		Unindexed:      !s.indexed,
 	})
 }
 
@@ -377,7 +359,7 @@ func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 				dense[blk.shard] = len(dense)
 			}
 		}
-		source = NewStoreConfig(Config{Shards: len(dense), Unindexed: true})
+		source = NewStoreConfig(Config{Shards: len(dense)})
 		stripe = func(blk *block) int { return dense[blk.shard] }
 	}
 	total := 0
@@ -385,7 +367,7 @@ func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 		// Insert before the (empty) active segment; readSnapshot checked
 		// that each stripe's blocks arrive in chain order.
 		sh := &source.shards[stripe(blk)]
-		sh.segs = slices.Insert(sh.segs, len(sh.segs)-1, source.adopt(blk))
+		sh.segs = slices.Insert(sh.segs, len(sh.segs)-1, sealedSegment(blk, blk.charge()))
 		total += blk.n
 	}
 	if source != staged {
@@ -480,7 +462,7 @@ func (s *Store) ApplyIncremental(r io.Reader) error {
 	// before any lock is taken.
 	incoming := make([][]*segment, len(s.shards))
 	for _, blk := range blocks {
-		incoming[blk.shard] = append(incoming[blk.shard], s.adopt(blk))
+		incoming[blk.shard] = append(incoming[blk.shard], sealedSegment(blk, blk.charge()))
 	}
 
 	// Install under every shard lock at once, like swapFrom, so readers
@@ -547,7 +529,7 @@ func (s *Store) ApplyIncremental(r io.Reader) error {
 			// The old active segment survives the cut whole: seal it so
 			// the chain invariant (only the last segment unsealed) holds
 			// once the delta's segments follow it.
-			kept[n-1].seal(i, s.indexed)
+			kept[n-1].seal(i)
 			s.sealCount.Add(1)
 		}
 		for _, seg := range ins {

@@ -35,9 +35,9 @@ func snapshotSource(n int) *Store {
 // snapshotSeeds are the streams both snapshot fuzzers start from, each
 // with the store that wrote it:
 //   - "active-tail": a live store's full snapshot, whose last block per
-//     shard is the active segment's, shipped without postings;
-//   - "full": a full snapshot of a store restored from that one, every
-//     block sealed with postings;
+//     shard is the active segment's, encoded on the way out;
+//   - "full": a full snapshot of a store restored from that one, which
+//     adopted every block as it came (so the two are equal byte for byte);
 //   - "incremental": the live store, 30 records on, cut at the watermark
 //     of "active-tail" (snapshotBase).
 func snapshotSeeds(tb testing.TB) (seeds map[string][]byte, writers map[string]*Store) {
@@ -252,7 +252,7 @@ func stripedSnapshot(stripes ...[]uint64) []byte {
 				st.add(seq, &rec)
 				top = max(top, seq)
 			}
-			buf.Write(st.encode(shard, false))
+			buf.Write(st.encode(shard))
 			st.release()
 			seqs = seqs[min(2, len(seqs)):]
 			blocks++

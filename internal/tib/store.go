@@ -52,10 +52,6 @@ type Config struct {
 	// 0 means no byte budget. Like Retention, granularity is a whole
 	// segment and the active segment is never evicted.
 	RetentionBytes int64
-	// Unindexed disables the per-segment flow/link indexes (the index
-	// ablation benchmark's baseline): active segments keep no posting
-	// maps and sealed blocks carry no postings.
-	Unindexed bool
 	// ColdDir enables the cold tier: SpillBefore moves sealed segments
 	// older than its cutoff into one file each under this directory (the
 	// segment's block, byte for byte) and scans demand-load them
@@ -94,8 +90,6 @@ type Store struct {
 	// total record count without summing shard lengths under locks.
 	seq   atomic.Uint64
 	count atomic.Int64
-	// indexing can be disabled for the ablation benchmark
-	indexed bool
 
 	segSpan        types.Time
 	segRecords     int
@@ -181,16 +175,8 @@ type entry struct {
 	rec types.Record
 }
 
-// NewStore builds an empty, indexed TIB with the default configuration.
+// NewStore builds an empty TIB with the default configuration.
 func NewStore() *Store { return NewStoreConfig(Config{}) }
-
-// NewStoreShards builds an empty, indexed TIB striped into n lock shards
-// (rounded up to a power of two; n <= 1 yields a single-lock store).
-func NewStoreShards(n int) *Store { return NewStoreConfig(Config{Shards: n}) }
-
-// NewUnindexedStore builds a TIB that answers every query by scanning the
-// record log — the baseline for the index ablation bench.
-func NewUnindexedStore() *Store { return NewStoreConfig(Config{Unindexed: true}) }
 
 // NewStoreConfig builds an empty TIB from an explicit configuration.
 func NewStoreConfig(cfg Config) *Store {
@@ -209,7 +195,6 @@ func NewStoreConfig(cfg Config) *Store {
 	s := &Store{
 		shards:         make([]storeShard, pow),
 		mask:           uint32(pow - 1),
-		indexed:        !cfg.Unindexed,
 		segSpan:        cfg.SegmentSpan,
 		segRecords:     segRecords,
 		retention:      cfg.Retention,
@@ -319,7 +304,7 @@ func (s *Store) add(seq uint64, rec types.Record) {
 	seg := sh.active()
 	if s.shouldSeal(seg, &rec) {
 		next := seg.successor()
-		seg.seal(si, s.indexed)
+		seg.seal(si)
 		seg = next
 		sh.segs = append(sh.segs, seg)
 		s.sealCount.Add(1)
@@ -330,7 +315,7 @@ func (s *Store) add(seq uint64, rec types.Record) {
 	if seq == 0 {
 		seq = s.seq.Add(1)
 	}
-	seg.add(entry{seq: seq, rec: rec}, h, s.indexed)
+	seg.add(entry{seq: seq, rec: rec}, h)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.bytesTotal.Add(recSize(&rec))
@@ -595,9 +580,9 @@ type selector struct {
 	flow         *types.FlowID
 	link         types.LinkID
 	tr           types.TimeRange
-	// listed is set when the store is indexed and there is a flow or a
-	// concrete link to look up: cursors then walk that posting list (the
-	// flow's when both are given) instead of every record.
+	// listed is set when there is a flow or a concrete link to look up:
+	// cursors then walk that posting list (the flow's when both are
+	// given) instead of every record.
 	listed bool
 	fh     uint64 // flowHash64(*flow): single-flow scans probe segment blooms
 }
@@ -712,7 +697,8 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 	for i := range cursors {
 		cursors[i].settle(sel.until)
 	}
-	checkFlow := sel.flow != nil && !sel.listed // unindexed: filter the shard's other flows
+	// A flow's postings, and a link with one wildcard end, still leave
+	// the link to filter record by record.
 	checkLink := sel.link != types.AnyLink && (sel.flow != nil || !sel.listed)
 	for {
 		best, bi := seqDone, -1
@@ -734,7 +720,7 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 		}
 		sc.i++
 		c.settle(sel.until)
-		if !rec.Overlaps(sel.tr) || (checkFlow && rec.Flow != *sel.flow) || (checkLink && !rec.Path.ContainsLink(sel.link)) {
+		if !rec.Overlaps(sel.tr) || (checkLink && !rec.Path.ContainsLink(sel.link)) {
 			continue
 		}
 		if !fn(best, rec) {
@@ -890,7 +876,7 @@ func (s *Store) scan(sel *selector, fn func(uint64, *types.Record) bool) error {
 		si := s.shardIndex(*sel.flow)
 		shards, sel.fh = s.shards[si:si+1], flowHash64(*sel.flow)
 	}
-	sel.listed = s.indexed && (sel.flow != nil || !sel.link.IsWildcard())
+	sel.listed = sel.flow != nil || !sel.link.IsWildcard()
 	buf := getScanBuf()
 	defer buf.release()
 	s.capture(buf, shards, sel)

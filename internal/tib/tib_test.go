@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,10 +170,13 @@ func TestStoreDirectionality(t *testing.T) {
 	}
 }
 
-func TestIndexedMatchesUnindexedProperty(t *testing.T) {
-	// The link/flow indexes are an optimisation: results must be
-	// identical to a full scan for arbitrary records and queries.
-	idx, scan := NewStore(), NewUnindexedStore()
+// TestPostingsMatchBruteForceProperty: the flow and link postings are an
+// optimisation. For arbitrary records and queries, getFlows, getCount and
+// Scan — by link, by flow, and by both — must answer exactly as a linear
+// filter over the flat list of added records does, in arrival order.
+func TestPostingsMatchBruteForceProperty(t *testing.T) {
+	s := NewStore()
+	var all []types.Record
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 500; i++ {
 		f := flowN(rng.Intn(20))
@@ -183,9 +187,22 @@ func TestIndexedMatchesUnindexedProperty(t *testing.T) {
 		}
 		st := types.Time(rng.Intn(100))
 		rec := mkRecord(f, p, st, st+types.Time(rng.Intn(50)), uint64(rng.Intn(10000)), uint64(rng.Intn(10)))
-		idx.Add(rec)
-		scan.Add(rec)
+		s.Add(rec)
+		all = append(all, rec)
 	}
+	want := func(flow *types.FlowID, link types.LinkID, tr types.TimeRange) (out []types.Record) {
+		for _, r := range all {
+			if r.Overlaps(tr) && (flow == nil || r.Flow == *flow) && (link == types.AnyLink || r.Path.ContainsLink(link)) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	got := func(flow *types.FlowID, link types.LinkID, tr types.TimeRange) (out []types.Record) {
+		s.Scan(flow, link, tr, func(r *types.Record) { out = append(out, *r) })
+		return out
+	}
+	same := func(a, b []types.Record) bool { return slices.EqualFunc(a, b, recEqual) }
 	check := func(a, b uint32) bool {
 		link := types.LinkID{A: types.SwitchID(a % 5), B: types.SwitchID(4 + b%5)}
 		if a%7 == 0 {
@@ -195,24 +212,27 @@ func TestIndexedMatchesUnindexedProperty(t *testing.T) {
 			link.B = types.WildcardSwitch
 		}
 		tr := types.TimeRange{From: types.Time(a % 60), To: types.Time(60 + b%60)}
-		fa := idx.Flows(link, tr)
-		fb := scan.Flows(link, tr)
-		if len(fa) != len(fb) {
+		f := flowN(int(a % 20))
+		if !same(got(nil, link, tr), want(nil, link, tr)) || !same(got(&f, link, tr), want(&f, link, tr)) ||
+			!same(got(&f, types.AnyLink, tr), want(&f, types.AnyLink, tr)) {
 			return false
 		}
-		seen := map[string]bool{}
-		for _, x := range fa {
-			seen[x.ID.String()+x.Path.Key()] = true
-		}
-		for _, x := range fb {
-			if !seen[x.ID.String()+x.Path.Key()] {
-				return false
+		var seen types.FlowSet
+		var flows []types.Flow
+		for _, r := range want(nil, link, tr) {
+			if _, fresh := seen.Add(r.Flow, r.Path); fresh {
+				flows = append(flows, types.Flow{ID: r.Flow, Path: r.Path})
 			}
 		}
-		f := flowN(int(a % 20))
-		ba, ka := idx.Count(types.Flow{ID: f}, tr)
-		bb, kb := scan.Count(types.Flow{ID: f}, tr)
-		return ba == bb && ka == kb
+		if !slices.EqualFunc(s.Flows(link, tr), flows, func(x, y types.Flow) bool { return x.ID == y.ID && x.Path.Equal(y.Path) }) {
+			return false
+		}
+		var wb, wk uint64
+		for _, r := range want(&f, types.AnyLink, tr) {
+			wb, wk = wb+r.Bytes, wk+r.Pkts
+		}
+		gb, gk := s.Count(types.Flow{ID: f}, tr)
+		return gb == wb && gk == wk
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

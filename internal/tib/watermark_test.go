@@ -113,22 +113,6 @@ func TestScanSincePostings(t *testing.T) {
 	if got := collectSince(s, 6, 0, nil, link); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("link scan since 6 visited %v, want %v", got, want)
 	}
-	// Unindexed stores take the filter path; semantics must match.
-	u := NewStoreConfig(Config{Shards: 1, SegmentRecords: 3, Unindexed: true})
-	for i := 1; i <= 9; i++ {
-		rec := wmRecord(i)
-		if i%2 == 1 {
-			rec.Flow = f
-			rec.Path = types.Path{5, 6}
-		}
-		u.Add(rec)
-	}
-	if got := collectSince(u, 6, 0, &f, types.AnyLink); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("unindexed flow scan since 6 visited %v, want %v", got, want)
-	}
-	if got := collectSince(u, 6, 0, nil, link); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("unindexed link scan since 6 visited %v, want %v", got, want)
-	}
 }
 
 // TestScanSinceAcrossShards checks the merged multi-shard walk stays in
