@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pathdump/internal/agent"
-	"pathdump/internal/alarms"
 	"pathdump/internal/cherrypick"
 	"pathdump/internal/controller"
 	"pathdump/internal/netsim"
@@ -25,23 +24,6 @@ type Config struct {
 	TCP    TCPConfig
 	Query  QueryConfig
 	Alarms AlarmConfig
-}
-
-// AlarmConfig tunes the controller-side alarm pipeline (see
-// internal/alarms): bounded history depth, per-⟨host, flow, reason⟩
-// suppression window folding repeated firings, and a token-bucket rate
-// limit on distinct new alarms. The zero value keeps every alarm
-// distinct in a default-depth ring.
-type AlarmConfig struct {
-	// History bounds the alarm ring buffer (0 = default depth).
-	History int
-	// Suppress folds repeats of one ⟨host, flow, reason⟩ arriving within
-	// this window into a single history entry (0 = no dedup).
-	Suppress time.Duration
-	// Rate caps distinct new alarms per second (0 = unlimited); Burst is
-	// the bucket depth (default ≈ Rate).
-	Rate  float64
-	Burst int
 }
 
 // QueryConfig tunes distributed query execution at the controller.
@@ -124,12 +106,7 @@ func newCluster(topo *topology.Topology, cfg Config) (*Cluster, error) {
 	}
 	c.Ctrl = controller.New(topo, controller.Local{Agents: c.Agents}, sim)
 	if cfg.Alarms != (AlarmConfig{}) {
-		c.Ctrl.SetAlarmPolicy(alarms.Config{
-			History:  cfg.Alarms.History,
-			Suppress: cfg.Alarms.Suppress,
-			Rate:     cfg.Alarms.Rate,
-			Burst:    cfg.Alarms.Burst,
-		})
+		c.Ctrl.SetAlarmPolicy(cfg.Alarms)
 	}
 	c.Ctrl.Parallelism = cfg.Query.Parallelism
 	c.Ctrl.Cost.Deadline = cfg.Query.Deadline

@@ -51,11 +51,6 @@ type Config struct {
 	Rate float64
 	// Burst is the bucket depth (default max(1, ceil(Rate))).
 	Burst int
-	// Now is the pipeline clock, injectable for tests (default time.Now).
-	// Suppression and rate limiting run on receipt (wall) time: agents
-	// across a deployment stamp Alarm.At from their own virtual clocks,
-	// which are not comparable.
-	Now func() time.Time
 }
 
 // Entry is one admitted alarm in the history ring.
@@ -139,6 +134,11 @@ type dedupKey struct {
 // subscribers.
 type Pipeline struct {
 	cfg Config
+	// now is the pipeline clock (time.Now outside tests). Suppression and
+	// rate limiting run on receipt (wall) time: agents across a
+	// deployment stamp Alarm.At from their own virtual clocks, which are
+	// not comparable.
+	now func() time.Time
 
 	mu      sync.Mutex
 	ring    []Entry // ring[(id-1) % cfg.History] holds entry id while it survives
@@ -152,12 +152,12 @@ type Pipeline struct {
 }
 
 // New builds a pipeline.
-func New(cfg Config) *Pipeline {
+func New(cfg Config) *Pipeline { return newClocked(cfg, time.Now) }
+
+// newClocked builds a pipeline that reads the given clock.
+func newClocked(cfg Config, now func() time.Time) *Pipeline {
 	if cfg.History <= 0 {
 		cfg.History = DefaultHistory
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	if cfg.Rate > 0 && cfg.Burst <= 0 {
 		cfg.Burst = int(math.Ceil(cfg.Rate))
@@ -167,11 +167,12 @@ func New(cfg Config) *Pipeline {
 	}
 	return &Pipeline{
 		cfg:        cfg,
+		now:        now,
 		nextID:     1,
 		lastKey:    make(map[dedupKey]uint64),
 		subs:       make(map[*Subscription]struct{}),
 		tokens:     float64(cfg.Burst),
-		lastRefill: cfg.Now(),
+		lastRefill: now(),
 	}
 }
 
@@ -193,7 +194,7 @@ func (p *Pipeline) slot(id uint64) *Entry {
 // entry; a suppressed repeat returns the entry it folded into (with
 // admitted == false), and a rate-limited alarm returns a zero Entry.
 func (p *Pipeline) Publish(a types.Alarm) (e Entry, admitted bool) {
-	now := p.cfg.Now()
+	now := p.now()
 	p.mu.Lock()
 	p.stats.Received++
 

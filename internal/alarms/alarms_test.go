@@ -43,7 +43,7 @@ func alarm(host int, port uint16, reason types.Reason) types.Alarm {
 
 func TestDedupFoldsRepeats(t *testing.T) {
 	clk := newFakeClock()
-	p := New(Config{Suppress: 5 * time.Second, Now: clk.Now})
+	p := newClocked(Config{Suppress: 5 * time.Second}, clk.Now)
 
 	if _, admitted := p.Publish(alarm(1, 100, types.ReasonPoorPerf)); !admitted {
 		t.Fatal("first firing not admitted")
@@ -89,7 +89,7 @@ func TestDedupFoldsRepeats(t *testing.T) {
 
 func TestRateLimit(t *testing.T) {
 	clk := newFakeClock()
-	p := New(Config{Rate: 2, Burst: 2, Now: clk.Now})
+	p := newClocked(Config{Rate: 2, Burst: 2}, clk.Now)
 
 	admitted := 0
 	for i := 0; i < 10; i++ {
@@ -110,7 +110,7 @@ func TestRateLimit(t *testing.T) {
 	}
 	// Suppressed repeats are not charged against the bucket.
 	clk2 := newFakeClock()
-	p2 := New(Config{Suppress: time.Minute, Rate: 1, Burst: 1, Now: clk2.Now})
+	p2 := newClocked(Config{Suppress: time.Minute, Rate: 1, Burst: 1}, clk2.Now)
 	p2.Publish(alarm(1, 1, types.ReasonPoorPerf))
 	for i := 0; i < 5; i++ {
 		clk2.Advance(time.Millisecond)
@@ -160,7 +160,7 @@ func TestRingBounded(t *testing.T) {
 
 func TestHistoryFilters(t *testing.T) {
 	clk := newFakeClock()
-	p := New(Config{Now: clk.Now})
+	p := newClocked(Config{}, clk.Now)
 	h2 := types.HostID(2)
 	for i := 0; i < 10; i++ {
 		clk.Advance(time.Second)
@@ -413,7 +413,7 @@ func TestIdlePipelineHoldsNoRing(t *testing.T) {
 func TestRingGrowsAsItFills(t *testing.T) {
 	const depth = 100
 	clk := newFakeClock()
-	p := New(Config{History: depth, Suppress: time.Second, Now: clk.Now})
+	p := newClocked(Config{History: depth, Suppress: time.Second}, clk.Now)
 	var ref []Entry
 	for i := 0; i < 250; i++ {
 		clk.Advance(time.Millisecond)

@@ -19,14 +19,16 @@ import (
 
 // aggStore builds a 4-shard store of n records over the given number of
 // flows, sealed into segments of 256 (so a scan merges many cursors) —
-// the shape of a query-scan host.
+// the shape of a query-scan host. A flow's source address is its number
+// times an odd 32-bit constant, so the flows fill all four stripes
+// whatever the flow hash makes of small counters.
 func aggStore(n, flows int) *tib.Store {
 	rng := rand.New(rand.NewSource(9))
 	s := tib.NewStoreConfig(tib.Config{Shards: 4, SegmentRecords: 256})
 	for i := 0; i < n; i++ {
 		f := rng.Intn(flows)
 		s.Add(types.Record{
-			Flow:  types.FlowID{SrcIP: types.IP(f), DstIP: 9, SrcPort: uint16(f), DstPort: 80, Proto: types.ProtoTCP},
+			Flow:  types.FlowID{SrcIP: types.IP(uint32(f) * 2654435761), DstIP: 9, SrcPort: uint16(f), DstPort: 80, Proto: types.ProtoTCP},
 			Path:  types.Path{types.SwitchID(f % 8), types.SwitchID(8 + rng.Intn(4)), 20},
 			STime: types.Time(i), ETime: types.Time(i + 50),
 			Bytes: uint64(rng.Intn(100_000)), Pkts: 3,

@@ -513,7 +513,7 @@ func (t *flowTotals) add(f types.FlowID, bytes, pkts uint64) {
 	if t.index == nil {
 		t.size(0)
 	}
-	h := t.key.Hash(f)
+	h := uint32(t.key.Hash(f))
 	mask := len(t.index) - 1
 	i := int(h) & mask
 	for ; t.index[i].pos != 0; i = (i + 1) & mask {
@@ -556,7 +556,7 @@ func (t *flowTotals) place(e totalSlot) {
 func (t *flowTotals) reindex() {
 	clear(t.index)
 	for i := range t.list {
-		t.place(totalSlot{h: t.key.Hash(t.list[i].Flow), pos: int32(i + 1)})
+		t.place(totalSlot{h: uint32(t.key.Hash(t.list[i].Flow)), pos: int32(i + 1)})
 	}
 }
 

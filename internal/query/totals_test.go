@@ -35,7 +35,7 @@ func collidingTotals(key types.FlowKey, n int) []types.FlowID {
 // lookup is the position t's index holds for f, or -1: the probe add
 // makes, without the insert.
 func (t *flowTotals) lookup(f types.FlowID) int {
-	h := t.key.Hash(f)
+	h := uint32(t.key.Hash(f))
 	mask := len(t.index) - 1
 	for i := int(h) & mask; t.index[i].pos != 0; i = (i + 1) & mask {
 		if e := t.index[i]; e.h == h && t.list[e.pos-1].Flow == f {

@@ -218,16 +218,17 @@ func TestBatchJSONSpelling(t *testing.T) {
 	}
 }
 
-// The parent commit's /batchquery JSON for TestBatchJSONSpelling's batch.
+// The /batchquery JSON for TestBatchJSONSpelling's batch. The segment
+// counts follow the stripes the seeded flows hash to.
 const (
 	batchJSONRecords = `{"replies":[` +
 		`{"host":2,"result":{"op":"records","records":[{"Flow":{"SrcIP":131072,"DstIP":3,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[2,102,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":131073,"DstIP":3,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[2,102,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2}]},"records_scanned":2,"segments_scanned":2},` +
 		`{"host":99,"result":{"op":""},"records_scanned":0,"error":"rpc: host h99 not served here"},` +
-		`{"host":0,"result":{"op":"records","records":[{"Flow":{"SrcIP":0,"DstIP":1,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[0,100,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[0,100,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2},{"Flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"Path":[0,100,2],"STime":2000000,"ETime":5000000,"Bytes":1002,"Pkts":3}]},"records_scanned":3,"segments_scanned":2}]}` + "\n"
+		`{"host":0,"result":{"op":"records","records":[{"Flow":{"SrcIP":0,"DstIP":1,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[0,100,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[0,100,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2},{"Flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"Path":[0,100,2],"STime":2000000,"ETime":5000000,"Bytes":1002,"Pkts":3}]},"records_scanned":3,"segments_scanned":3}]}` + "\n"
 	batchJSONTopK = `{"replies":[` +
 		`{"host":2,"result":{"op":"topk","top":[{"flow":{"SrcIP":131073,"DstIP":3,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2},{"flow":{"SrcIP":131072,"DstIP":3,"SrcPort":1000,"DstPort":80,"Proto":6},"bytes":1000,"pkts":1}]},"records_scanned":2,"segments_scanned":2},` +
 		`{"host":99,"result":{"op":""},"records_scanned":0,"error":"rpc: host h99 not served here"},` +
-		`{"host":0,"result":{"op":"topk","top":[{"flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"bytes":1002,"pkts":3},{"flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2}]},"records_scanned":3,"segments_scanned":2}]}` + "\n"
+		`{"host":0,"result":{"op":"topk","top":[{"flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"bytes":1002,"pkts":3},{"flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2}]},"records_scanned":3,"segments_scanned":3}]}` + "\n"
 )
 
 // TestQueryJSONSpelling is TestBatchJSONSpelling's twin for /query: a
@@ -267,10 +268,11 @@ func TestQueryJSONSpelling(t *testing.T) {
 	}
 }
 
-// The parent commit's /query JSON for TestQueryJSONSpelling's queries.
+// The /query JSON for TestQueryJSONSpelling's queries. The segment
+// counts follow the stripes the seeded flows hash to.
 const (
-	queryJSONRecords = `{"result":{"op":"records","records":[{"Flow":{"SrcIP":0,"DstIP":1,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[0,100,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[0,100,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2},{"Flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"Path":[0,100,2],"STime":2000000,"ETime":5000000,"Bytes":1002,"Pkts":3}]},"records_scanned":3,"segments_scanned":2}` + "\n"
+	queryJSONRecords = `{"result":{"op":"records","records":[{"Flow":{"SrcIP":0,"DstIP":1,"SrcPort":1000,"DstPort":80,"Proto":6},"Path":[0,100,0],"STime":0,"ETime":3000000,"Bytes":1000,"Pkts":1},{"Flow":{"SrcIP":1,"DstIP":1,"SrcPort":1001,"DstPort":80,"Proto":6},"Path":[0,100,1],"STime":1000000,"ETime":4000000,"Bytes":1001,"Pkts":2},{"Flow":{"SrcIP":2,"DstIP":1,"SrcPort":1002,"DstPort":80,"Proto":6},"Path":[0,100,2],"STime":2000000,"ETime":5000000,"Bytes":1002,"Pkts":3}]},"records_scanned":3,"segments_scanned":3}` + "\n"
 	queryJSONTopK    = `{"result":{"op":"topk","top":[{"flow":{"SrcIP":131073,"DstIP":3,"SrcPort":1001,"DstPort":80,"Proto":6},"bytes":1001,"pkts":2},{"flow":{"SrcIP":131072,"DstIP":3,"SrcPort":1000,"DstPort":80,"Proto":6},"bytes":1000,"pkts":1}]},"records_scanned":2,"segments_scanned":2}` + "\n"
-	queryJSONPruned  = `{"result":{"op":"records"},"records_scanned":3,"segments_pruned":2}` + "\n"
+	queryJSONPruned  = `{"result":{"op":"records"},"records_scanned":3,"segments_pruned":3}` + "\n"
 	queryJSONEmpty   = `{"result":{"op":"topk"},"records_scanned":0}` + "\n"
 )

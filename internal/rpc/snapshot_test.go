@@ -148,7 +148,7 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 // instead of living only in ColdStats.Faults.
 func TestSnapshotMidBodyFailureIsVisible(t *testing.T) {
 	coldDir := t.TempDir()
-	store := tib.NewStoreConfig(tib.Config{SegmentRecords: 64, ColdDir: coldDir})
+	store := tib.NewStoreConfig(tib.Config{SegmentRecords: 16, ColdDir: coldDir})
 	for i := 0; i < 1000; i++ {
 		store.Add(standbyRecord(i))
 	}

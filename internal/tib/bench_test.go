@@ -11,11 +11,14 @@ import (
 
 // benchRecord synthesises record i of a large time-ordered store: 100 K
 // distinct flows, 3-hop paths over a small switch set, 1 ms of activity
-// per record, one record per millisecond of virtual time.
+// per record, one record per millisecond of virtual time. The source
+// address is the flow number times an odd 32-bit constant, so the flows
+// fill every stripe and consecutive records land in different ones, as
+// real five-tuples do, whatever the flow hash makes of small counters.
 func benchRecord(i int) types.Record {
 	st := types.Time(i) * types.Millisecond
 	return types.Record{
-		Flow: types.FlowID{SrcIP: types.IP(i % 100_000), DstIP: 9, SrcPort: uint16(i), DstPort: 80, Proto: 6},
+		Flow: types.FlowID{SrcIP: types.IP(uint32(i%100_000) * 2654435761), DstIP: 9, SrcPort: uint16(i), DstPort: 80, Proto: 6},
 		Path: types.Path{
 			types.SwitchID(i % 8),
 			types.SwitchID(8 + i%8),

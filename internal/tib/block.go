@@ -31,7 +31,7 @@ const (
 	// Header field offsets (all little-endian).
 	hLen     = 4  // u32 total block length, header included
 	hCRC     = 8  // u32 CRC-32C of b[hFlags:]
-	hFlags   = 12 // u8  always 1: every block carries its postings
+	hFlags   = 12 // u8  always 2: postings, keyed by types.StoreHash
 	hWidths  = 13 // 6×u8 column widths, in col* order
 	hShard   = 20 // u32 stripe the segment lives in
 	hCount   = 24 // u32 records
@@ -208,7 +208,10 @@ func openBlock(b []byte, verify bool) (*block, error) {
 			return nil, fmt.Errorf("tib: block column width %d", w)
 		}
 	}
-	if b[hFlags] != 1 || l.n == 0 || l.bloom < 8 || l.bloom&(l.bloom-1) != 0 {
+	if b[hFlags] == 1 {
+		return nil, fmt.Errorf("tib: block flags 1: its bloom and flow order use the retired FNV-1a flow hash")
+	}
+	if b[hFlags] != 2 || l.n == 0 || l.bloom < 8 || l.bloom&(l.bloom-1) != 0 {
 		return nil, fmt.Errorf("tib: block header inconsistent")
 	}
 	off := l.offsets()
@@ -366,12 +369,14 @@ func (b *block) linkPostings(l types.LinkID) column {
 func linkKey(p []byte) uint32 { return uint32(le.Uint16(p))<<16 | uint32(le.Uint16(p[2:])) }
 
 // flowKey is a flow's place in the flow permutation's order, compared
-// word by word: the top half of its bloom hash first (which is what lets
-// sortFlows sort plain words), then the five-tuple in declaration order.
+// word by word: the low half of its hash first (which is what lets
+// sortFlows sort plain words; the top half holds the stripe's bits, the
+// same for every flow of a block), then the five-tuple in declaration
+// order.
 type flowKey [3]uint64
 
 func keyOf(f types.FlowID) flowKey {
-	return flowKey{flowHash64(f) >> 32, uint64(f.SrcIP)<<32 | uint64(f.DstIP),
+	return flowKey{uint64(uint32(types.StoreHash(f))), uint64(f.SrcIP)<<32 | uint64(f.DstIP),
 		uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)}
 }
 
@@ -384,7 +389,7 @@ func (k flowKey) cmp(o flowKey) int { return slices.Compare(k[:], o[:]) }
 // store counts against its resident footprint.
 type staging struct {
 	flows            []types.FlowID
-	hash             []uint64          // flowHash64 of each flow: feeds the bloom and the sort
+	hash             []uint64          // each flow's types.StoreHash: feeds the bloom and the sort
 	col              [numCols][]uint64 // colSTime holds absolute times until encode
 	interner         types.PathInterner
 	paths            []types.Path
@@ -432,7 +437,7 @@ func (st *staging) push(f types.FlowID, vals [numCols]uint64) {
 		st.minTime, st.maxTime = stime, etime
 	}
 	st.minTime, st.maxTime = min(st.minTime, stime), max(st.maxTime, etime)
-	st.flows, st.hash = append(st.flows, f), append(st.hash, flowHash64(f))
+	st.flows, st.hash = append(st.flows, f), append(st.hash, types.StoreHash(f))
 	for c, v := range vals {
 		st.col[c] = append(st.col[c], v)
 	}
@@ -478,7 +483,7 @@ func (st *staging) encode(shard int) []byte {
 
 	copy(b, blockMagic)
 	le.PutUint32(b[hLen:], uint32(len(b)))
-	b[hFlags] = 1
+	b[hFlags] = 2
 	copy(b[hWidths:], l.w[:])
 	for i, v := range [...]int{shard, n, l.paths, l.hops, l.links, l.posts, l.bloom} {
 		le.PutUint32(b[hShard+4*i:], uint32(v)) // the seven u32 fields are contiguous
@@ -523,7 +528,7 @@ func (st *staging) encode(shard int) []byte {
 func (st *staging) sortFlows() (distinct int) {
 	st.perm = st.perm[:0]
 	for i, h := range st.hash {
-		st.perm = append(st.perm, h&^0xffffffff|uint64(i))
+		st.perm = append(st.perm, h<<32|uint64(i))
 	}
 	slices.Sort(st.perm)
 	flow := func(key uint64) types.FlowID { return st.flows[uint32(key)] }

@@ -201,6 +201,7 @@ func blockSeeds(t testing.TB) (accepted, rejected map[string][]byte) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
+	everyStripeShips(t, snap)
 	if _, _, err := s.SpillBefore(types.TimeEnd); err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +237,25 @@ func blockSeeds(t testing.TB) (accepted, rejected map[string][]byte) {
 		}
 	}
 	return accepted, rejected
+}
+
+// everyStripeShips fails unless each stripe of the snapshot ships a
+// block: seeds meant to cross stripes must not fill one.
+func everyStripeShips(tb testing.TB, snap []byte) {
+	tb.Helper()
+	hdr, blocks, err := readSnapshot(bytes.NewReader(snap))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shipped := make([]int, hdr.Shards)
+	for _, b := range blocks {
+		shipped[b.shard]++
+	}
+	for si, n := range shipped {
+		if n == 0 {
+			tb.Fatalf("stripe %d of %d ships no block (blocks per stripe: %v)", si, hdr.Shards, shipped)
+		}
+	}
 }
 
 // corpusDir is where `go test -fuzz` looks for FuzzBlockDecode's seeds.
@@ -274,7 +294,7 @@ func walk(t testing.TB, blk *block) {
 	var rec types.Record
 	for i := 0; i < blk.n; i++ {
 		blk.record(i, &rec)
-		blk.filter.mayContain(flowHash64(rec.Flow))
+		blk.filter.mayContain(types.StoreHash(rec.Flow))
 		if post := blk.flowPostings(rec.Flow); post.len() == 0 {
 			t.Fatalf("record %d's flow has no postings", i)
 		}

@@ -1,7 +1,5 @@
 package tib
 
-import "pathdump/internal/types"
-
 // flowFilter is a per-segment bloom filter over the flow IDs a sealed
 // segment contains. Single-flow queries (the getPaths/getCount/getDuration
 // host APIs, and every trigger re-evaluation) probe it before touching the
@@ -36,8 +34,10 @@ func filterLen(distinct int) int {
 // newFlowFilter sizes a filter for the given distinct-flow count.
 func newFlowFilter(distinct int) flowFilter { return make(flowFilter, filterLen(distinct)) }
 
-// probes derives the Kirsch–Mitzenmacher hash pair from one 64-bit flow
-// hash. h2 is forced odd so successive probes never collapse onto one bit.
+// probes derives the Kirsch–Mitzenmacher hash pair from a flow's
+// types.StoreHash. h1 is the hash itself, whose low bits vary within
+// a stripe (the stripe is its top bits); h2 is forced odd so successive
+// probes never collapse onto one bit.
 func probes(h uint64) (h1, h2 uint64) {
 	return h, ((h>>17 | h<<47) * 0x9e3779b97f4a7c15) | 1
 }
@@ -67,27 +67,4 @@ func (f flowFilter) mayContain(h uint64) bool {
 		}
 	}
 	return true
-}
-
-// flowHash64 hashes a flow's 5-tuple (FNV-1a, 64-bit). Independent of the
-// 32-bit shard hash, so filter probes do not correlate with shard
-// placement.
-func flowHash64(f types.FlowID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64, bytes int) {
-		for j := 0; j < bytes; j++ {
-			h ^= (v >> (8 * j)) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(f.SrcIP), 4)
-	mix(uint64(f.DstIP), 4)
-	mix(uint64(f.SrcPort), 2)
-	mix(uint64(f.DstPort), 2)
-	mix(uint64(f.Proto), 1)
-	return h
 }

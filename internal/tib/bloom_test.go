@@ -20,10 +20,10 @@ func TestFlowFilterNoFalseNegatives(t *testing.T) {
 				SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()),
 				Proto: uint8(rng.Uint32()),
 			}
-			f.add(flowHash64(flows[i]))
+			f.add(types.StoreHash(flows[i]))
 		}
 		for _, fl := range flows {
-			if !f.mayContain(flowHash64(fl)) {
+			if !f.mayContain(types.StoreHash(fl)) {
 				t.Fatalf("false negative for %+v (n=%d)", fl, n)
 			}
 		}
@@ -34,14 +34,14 @@ func TestFlowFilterFalsePositiveRate(t *testing.T) {
 	const n = 1000
 	f := newFlowFilter(n)
 	for i := 0; i < n; i++ {
-		f.add(flowHash64(flowN(i)))
+		f.add(types.StoreHash(flowN(i)))
 	}
 	// Probe flows that were never added; at ~8 bits/flow with k=3 the
 	// expected rate is ~3%, so 15% is a generous regression bound.
 	fp := 0
 	const probes = 5000
 	for i := 0; i < probes; i++ {
-		if f.mayContain(flowHash64(flowN(n + 1 + i))) {
+		if f.mayContain(types.StoreHash(flowN(n + 1 + i))) {
 			fp++
 		}
 	}

@@ -51,18 +51,18 @@ type linkSlot struct {
 // record or two — most shards of a small store — never outgrows it.
 const headTableMin = 8
 
-// tableSlot maps a 32-bit hash onto a table of n slots (a power of two ≥
-// 2) by its top bits after a Fibonacci multiply, so that the low bits
-// all of a shard's flow hashes share do not cluster.
+// tableSlot maps a 32-bit key onto a table of n slots (a power of two ≥
+// 2) by its top bits after a Fibonacci multiply, so that keys that differ
+// in a few low bits — a link's two switch IDs — do not cluster.
 func tableSlot(h uint32, n int) int {
 	return int(h * 0x9E3779B1 >> bits.LeadingZeros32(uint32(n-1)))
 }
 
-// flowSlot returns the head-table slot of flow f (h is its flowHash32):
-// the flow's newest entry in ents, or an empty slot.
-func (x *chainIndex) flowSlot(ents []entry, f types.FlowID, h uint32) *uint32 {
+// flowSlot returns the head-table slot of flow f (h is its
+// types.StoreHash): the flow's newest entry in ents, or an empty slot.
+func (x *chainIndex) flowSlot(ents []entry, f types.FlowID, h uint64) *uint32 {
 	t := x.flowHead
-	for i := tableSlot(h, len(t)); ; i = (i + 1) & (len(t) - 1) {
+	for i := tableSlot(uint32(h), len(t)); ; i = (i + 1) & (len(t) - 1) {
 		if v := t[i]; v == 0 || ents[v-1].rec.Flow == f {
 			return &t[i]
 		}
@@ -91,7 +91,7 @@ func (x *chainIndex) growFlowHead(ents []entry) {
 	for _, v := range old {
 		if v != 0 {
 			f := ents[v-1].rec.Flow
-			*x.flowSlot(ents, f, flowHash32(f)) = v
+			*x.flowSlot(ents, f, types.StoreHash(f)) = v
 		}
 	}
 }
@@ -107,11 +107,11 @@ func (x *chainIndex) growLinkHead() {
 	}
 }
 
-// post indexes the newest entry of ents (h is its flow's flowHash32),
+// post indexes the newest entry of ents (h is its flow's hash),
 // first doubling a head table that one more key would fill half of. A
 // record is posted at most once per link — a looped path traverses a link
 // twice but is still one record on it. Caller holds the shard write lock.
-func (x *chainIndex) post(ents []entry, h uint32) {
+func (x *chainIndex) post(ents []entry, h uint64) {
 	idx := uint32(len(ents) - 1)
 	rec := &ents[idx].rec
 	if 2*(x.flows+1) > len(x.flowHead) {
@@ -190,7 +190,7 @@ type chain struct {
 // Caller holds the shard read lock.
 func (x *chainIndex) chain(ents []entry, sel *selector) chain {
 	if sel.flow != nil {
-		return chain{head: *x.flowSlot(ents, *sel.flow, flowHash32(*sel.flow)), prev: x.flowPrev}
+		return chain{head: *x.flowSlot(ents, *sel.flow, sel.fh), prev: x.flowPrev}
 	}
 	if ls := x.linkSlot(sel.link); ls != nil {
 		return chain{head: ls.head, cells: x.linkCells}

@@ -159,7 +159,7 @@ func (m *Memory) drop(i int) {
 // marks FIN/RST packets, which make the record eligible for immediate
 // eviction.
 func (m *Memory) Update(now types.Time, flow types.FlowID, hdr cherrypick.Header, size int, fin bool) {
-	k, h := hdr.Pack(), m.key.Hash(flow)
+	k, h := hdr.Pack(), uint32(m.key.Hash(flow))
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.index == nil {
@@ -243,7 +243,7 @@ func (m *Memory) AppendEvictFlow(dst []MemEntry, flow types.FlowID) []MemEntry {
 	if m.n == 0 {
 		return dst
 	}
-	at := m.find(flow, m.key.Hash(flow))
+	at := m.find(flow, uint32(m.key.Hash(flow)))
 	i := m.index[at].slot
 	if i == 0 {
 		return dst
@@ -316,7 +316,7 @@ func (m *Memory) AppendLive(dst []MemEntry, flow *types.FlowID, tr types.TimeRan
 		return dst
 	}
 	if flow != nil {
-		for i := m.index[m.find(*flow, m.key.Hash(*flow))].slot; i != 0; i = m.slab[i].chain {
+		for i := m.index[m.find(*flow, uint32(m.key.Hash(*flow)))].slot; i != 0; i = m.slab[i].chain {
 			if e := &m.slab[i].MemEntry; tr.Overlaps(e.STime, e.ETime) {
 				dst = append(dst, *e)
 			}

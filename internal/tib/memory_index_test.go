@@ -34,7 +34,7 @@ func checkIndex(m *Memory) error {
 			continue
 		}
 		s := &m.slab[e.slot]
-		if e.h != m.key.Hash(s.Flow) || s.h != e.h {
+		if e.h != uint32(m.key.Hash(s.Flow)) || s.h != e.h {
 			return fmt.Errorf("index entry %d holds hash %#x, its record %#x, its flow hashes to %#x", i, e.h, s.h, m.key.Hash(s.Flow))
 		}
 		if at := m.find(s.Flow, e.h); at != i {
@@ -55,7 +55,7 @@ func checkIndex(m *Memory) error {
 		return fmt.Errorf("%d open flows, %d in the index", len(firsts), m.flows)
 	}
 	for f, i := range firsts {
-		if m.index[m.find(f, m.key.Hash(f))].slot != i {
+		if m.index[m.find(f, uint32(m.key.Hash(f)))].slot != i {
 			return fmt.Errorf("flow %v: the index does not lead to its first record %d", f, i)
 		}
 	}

@@ -95,10 +95,10 @@ func (seg *segment) seqOutside(since, until uint64) bool {
 
 // add appends one entry to the (active) segment, updating bounds and
 // chaining the entry behind its flow's and its links' previous ones (h is
-// the flow's flowHash32). The index appears with the first record: most
-// shards of a small store never see one. Caller holds the shard write
-// lock.
-func (seg *segment) add(e entry, h uint32) {
+// the flow's types.StoreHash). The index appears with the first
+// record: most shards of a small store never see one. Caller holds the
+// shard write lock.
+func (seg *segment) add(e entry, h uint64) {
 	idx := uint32(len(seg.entries))
 	if idx == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime

@@ -246,7 +246,7 @@ func TestAddAllocs(t *testing.T) {
 	var one []types.Record
 	s = NewStoreConfig(Config{Shards: 16})
 	for seen := map[int]bool{}; len(one) < 4; recs = recs[1:] {
-		if si := s.shardIndex(recs[0].Flow); !seen[si] {
+		if si := s.stripe(types.StoreHash(recs[0].Flow)); !seen[si] {
 			seen[si], one = true, append(one, recs[0])
 		}
 	}

@@ -38,7 +38,7 @@ var ErrIncompatibleDelta = errors.New("tib: incremental snapshot incompatible wi
 
 const (
 	snapshotMagic   = "PDTIBSN\n"
-	snapshotVersion = 5 // after gob records (1), gob segments (2), gob deltas (3) and an index flag (4)
+	snapshotVersion = 6 // after gob records (1), gob segments (2), gob deltas (3), an index flag (4) and FNV-1a blocks (5)
 	snapshotEnd     = "PDBE"
 	// A block is read in doubling steps from this size up to its declared
 	// length, so a corrupt length field cannot make the loader allocate
@@ -256,9 +256,10 @@ func readSnapshot(r io.Reader) (hdr snapshotHeader, blocks []*block, err error) 
 
 // distinctSeqs fails when two stripes ship the same sequence number,
 // which would leave the loaded store without one global arrival order.
-// Each stripe's blocks were checked to ascend, so a merge of the stripes'
-// sequence columns — a min-heap holding each stripe's next record — meets
-// every number in order, a repeat right after its twin.
+// Each stripe's blocks were checked to ascend, so the stripes' sequence
+// columns are walked side by side, a window of mergeWindow numbers at a
+// time from the lowest head, as a scan merges them: each stripe marks the
+// numbers it holds in the window, and one marked twice ships twice.
 func distinctSeqs(blocks []*block) error {
 	type cursor struct {
 		blk, k int // record k of blocks[blk]
@@ -273,45 +274,41 @@ func distinctSeqs(blocks []*block) error {
 		}
 		first[blocks[i].shard] = i
 	}
-	h := make([]cursor, 0, len(first))
+	cs := make([]cursor, 0, len(first))
 	for _, i := range first {
-		h = append(h, cursor{blk: i, seq: blocks[i].seqLo})
+		cs = append(cs, cursor{blk: i, seq: blocks[i].seqLo})
 	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && h[c+1].seq < h[c].seq {
-				c++
-			}
-			if h[i].seq <= h[c].seq {
-				return
-			}
-			h[i], h[c], i = h[c], h[i], c
+	var used [mergeWindow / 64]uint64
+	for {
+		base := uint64(seqDone)
+		for _, c := range cs {
+			base = min(base, c.seq)
 		}
+		if base == seqDone {
+			return nil
+		}
+		end := base + mergeWindow
+		if end < base {
+			end = seqDone
+		}
+		for i := range cs {
+			c := &cs[i]
+			for c.seq < end {
+				off := c.seq - base
+				if used[off/64]&(1<<(off%64)) != 0 {
+					return fmt.Errorf("tib: snapshot ships sequence %d in two stripes", c.seq)
+				}
+				used[off/64] |= 1 << (off % 64)
+				if c.k++; c.k == blocks[c.blk].n {
+					c.blk, c.k = next[c.blk], 0
+				}
+				if c.seq = seqDone; c.blk >= 0 {
+					c.seq = blocks[c.blk].seqAt(c.k)
+				}
+			}
+		}
+		clear(used[:])
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for last := uint64(0); len(h) > 0; { // every sequence is above 0
-		c := &h[0]
-		if c.seq == last {
-			return fmt.Errorf("tib: snapshot ships sequence %d in two stripes", last)
-		}
-		last = c.seq
-		if c.k++; c.k == blocks[c.blk].n {
-			if c.blk, c.k = next[c.blk], 0; c.blk < 0 {
-				h[0], h = h[len(h)-1], h[:len(h)-1]
-			}
-		}
-		if len(h) > 0 {
-			h[0].seq = blocks[h[0].blk].seqAt(h[0].k)
-			down(0)
-		}
-	}
-	return nil
 }
 
 // LoadSnapshot replaces the store contents from a full snapshot. The
@@ -371,6 +368,7 @@ func (s *Store) loadFull(hdr snapshotHeader, blocks []*block) {
 		total += blk.n
 	}
 	if source != staged {
+		source.seq.Store(hdr.Seq) // a scan sees the records its counter has reached
 		_ = source.scan(&selector{link: types.AnyLink, tr: types.AllTime}, func(seq uint64, rec *types.Record) bool {
 			staged.add(seq, *rec)
 			return true
@@ -418,6 +416,7 @@ func (s *Store) swapFrom(staged *Store) {
 		s.shards[i].segs = staged.shards[i].segs
 	}
 	s.seq.Store(staged.seq.Load())
+	s.swaps.Add(1)
 	s.count.Store(staged.count.Load())
 	s.bytesTotal.Store(bytes)
 	s.coldBytesTotal.Store(0)
@@ -541,6 +540,7 @@ func (s *Store) ApplyIncremental(r io.Reader) error {
 	if hdr.Seq > s.seq.Load() {
 		s.seq.Store(hdr.Seq)
 	}
+	s.swaps.Add(1)
 	s.count.Add(addedRecs - droppedRecs)
 	s.bytesTotal.Add(addedBytes - droppedBytes)
 	s.coldBytesTotal.Add(-droppedCold)

@@ -50,6 +50,7 @@ func snapshotSeeds(tb testing.TB) (seeds map[string][]byte, writers map[string]*
 	}
 	live := snapshotSource(60)
 	tail := write(live, 0)
+	everyStripeShips(tb, tail)
 	restored := NewStoreConfig(snapshotConfig)
 	if err := restored.LoadSnapshot(bytes.NewReader(tail)); err != nil {
 		tb.Fatal(err)

@@ -2,6 +2,7 @@ package tib
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"strings"
@@ -150,7 +151,7 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 		return stream
 	}
 	opened, err := openBlock(build(func(_, _ []byte) {})[pre:][:le.Uint32(buf.Bytes()[pre+hLen:])], true)
-	if err != nil || opened.n != 2 || opened.b[hFlags] != 1 {
+	if err != nil || opened.n != 2 || opened.b[hFlags] != 2 {
 		t.Fatalf("harness: first block is not the sealed pair: %v", err)
 	}
 	off := (&layout{n: 2, paths: 1, hops: 2, links: 1, posts: 2, bloom: 8, w: [numCols]uint8{1, 1, 1, 1, 1, 1}}).offsets()
@@ -162,12 +163,12 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 		"seq bounds lie":          func(blk, _ []byte) { le.PutUint64(blk[hSeqHi:], 9) },
 		"path id out of range":    func(blk, _ []byte) { blk[off[secPath]] = 1 },
 		"flow posting past end":   func(blk, _ []byte) { blk[off[secPerm]] = 5 },
-		"flow perm unsorted":      func(blk, _ []byte) { blk[off[secPerm]], blk[off[secPerm]+1] = 1, 0 },
+		"flow perm unsorted":      func(blk, _ []byte) { p := blk[off[secPerm]:]; p[0], p[1] = p[1], p[0] },
 		"link posting past end":   func(blk, _ []byte) { blk[off[secLinkPost]+1] = 7 },
 		"link offsets overrun":    func(blk, _ []byte) { le.PutUint32(blk[off[secLinkOff]+4:], 3) },
 		"path offsets overrun":    func(blk, _ []byte) { le.PutUint32(blk[off[secPathOff]+4:], 9) },
 		"column width 3":          func(blk, _ []byte) { blk[hWidths+colBytes] = 3 },
-		"flags byte not 1":        func(blk, _ []byte) { blk[hFlags] = 0 },
+		"flags byte not 2":        func(blk, _ []byte) { blk[hFlags] = 0 },
 		"length field lies":       func(blk, _ []byte) { le.PutUint32(blk[hLen:], uint32(len(blk)-1)) },
 		"terminator miscounts":    func(_, stream []byte) { le.PutUint32(stream[len(stream)-4:], 1) },
 		"version from the future": func(_, stream []byte) { stream[len(snapshotMagic)] = 9 },
@@ -377,26 +378,42 @@ func TestSnapshotReloadIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, blk := range blocks {
-		if blk.b[hFlags] != 1 {
-			t.Errorf("block %d (shard %d, seq %d..%d) has flags %d, want 1", i, blk.shard, blk.seqLo, blk.seqHi, blk.b[hFlags])
+		if blk.b[hFlags] != 2 {
+			t.Errorf("block %d (shard %d, seq %d..%d) has flags %d, want 2", i, blk.shard, blk.seqLo, blk.seqHi, blk.b[hFlags])
 		}
 	}
 }
 
-// TestSnapshotV4Refused: a stream of the previous format, whose active
-// tails came without postings, is refused by its version, before any
-// block is read.
-func TestSnapshotV4Refused(t *testing.T) {
+// TestSnapshotOldFormatsRefused: streams of the two previous formats
+// are refused by their version, before any block is read — v4, whose
+// active tails came without postings, and v5, whose blocks were keyed by
+// the FNV-1a flow hash. A format-5 block (flags 1) is refused on its own
+// too, in a v6 stream and as a cold file: its bloom bits and flow order
+// would answer this build's flow scans wrongly, not fail them.
+func TestSnapshotOldFormatsRefused(t *testing.T) {
 	src := NewStoreConfig(Config{Shards: 1})
 	src.Add(mkRecord(flowN(1), types.Path{1, 2}, 0, 1, 1, 1))
 	var buf bytes.Buffer
 	if err := src.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	stream := buf.Bytes()
-	le.PutUint32(stream[len(snapshotMagic):], 4)
-	err := NewStore().LoadSnapshot(bytes.NewReader(stream))
-	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 4") {
-		t.Fatalf("v4 stream: %v, want it refused as an unsupported snapshot version", err)
+	for _, v := range []uint32{4, 5} {
+		stream := bytes.Clone(buf.Bytes())
+		le.PutUint32(stream[len(snapshotMagic):], v)
+		err := NewStore().LoadSnapshot(bytes.NewReader(stream))
+		if want := fmt.Sprintf("unsupported snapshot version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d stream: %v, want it refused as an unsupported snapshot version", v, err)
+		}
+	}
+	stream := bytes.Clone(buf.Bytes())
+	blk := stream[len(snapshotMagic)+32 : len(stream)-8]
+	blk[hFlags] = 1
+	reseal(blk)
+	const want = "flags 1: its bloom and flow order use the retired FNV-1a flow hash"
+	if _, err := openBlock(blk, true); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("flags-1 block: %v, want it refused for its flow hash", err)
+	}
+	if err := NewStore().LoadSnapshot(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v6 stream of a flags-1 block: %v, want it refused for its flow hash", err)
 	}
 }

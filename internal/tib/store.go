@@ -1,6 +1,7 @@
 package tib
 
 import (
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -10,7 +11,7 @@ import (
 )
 
 // DefaultShards is the stripe count of a Store built with NewStore. Powers
-// of two keep the shard-selection mask cheap; 16 stripes are enough to
+// of two make a flow's stripe a shift of its hash; 16 stripes are enough to
 // keep a host's ingest path and a handful of concurrent query scans off
 // each other's locks without bloating small stores.
 const DefaultShards = 16
@@ -85,7 +86,7 @@ type Config struct {
 // serves queries while the datapath appends).
 type Store struct {
 	shards []storeShard
-	mask   uint32
+	shift  uint // 64 − log2(len(shards)): stripe's shift
 	// seq hands out global arrival sequence numbers; count tracks the
 	// total record count without summing shard lengths under locks.
 	seq   atomic.Uint64
@@ -139,6 +140,11 @@ type Store struct {
 	compactMu    sync.Mutex
 	compactions  atomic.Uint64
 	plan         compactPlan
+
+	// swaps counts LoadSnapshot and ApplyIncremental commits, which
+	// replace chains under every shard's write lock; a scan, which
+	// captures one shard at a time, starts over when one lands mid-capture.
+	swaps atomic.Uint64
 
 	// evictedThroughSeq is the highest arrival sequence ever freed by
 	// eviction (never by spilling or compaction, which preserve data).
@@ -194,7 +200,7 @@ func NewStoreConfig(cfg Config) *Store {
 	}
 	s := &Store{
 		shards:         make([]storeShard, pow),
-		mask:           uint32(pow - 1),
+		shift:          uint(64 - bits.TrailingZeros(uint(pow))),
 		segSpan:        cfg.SegmentSpan,
 		segRecords:     segRecords,
 		retention:      cfg.Retention,
@@ -258,33 +264,10 @@ func recSize(rec *types.Record) int64 {
 	return 96 + 2*int64(len(rec.Path))
 }
 
-// shardIndex maps a flow onto its stripe.
-func (s *Store) shardIndex(f types.FlowID) int { return int(flowHash32(f) & s.mask) }
-
-// flowHash32 hashes a flow's 5-tuple (FNV-1a, 32-bit): its low bits pick
-// the flow's stripe, and an active segment's head table probes from it.
-func flowHash32(f types.FlowID) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	mix := func(v uint32) {
-		h ^= v & 0xff
-		h *= prime32
-		h ^= (v >> 8) & 0xff
-		h *= prime32
-		h ^= (v >> 16) & 0xff
-		h *= prime32
-		h ^= v >> 24
-		h *= prime32
-	}
-	mix(uint32(f.SrcIP))
-	mix(uint32(f.DstIP))
-	mix(uint32(f.SrcPort)<<16 | uint32(f.DstPort))
-	mix(uint32(f.Proto))
-	return h
-}
+// stripe maps a flow's hash (types.StoreHash) onto its stripe: the
+// hash's top bits, so the low bits that seed its bloom probes and its
+// head-table slot vary within a stripe.
+func (s *Store) stripe(h uint64) int { return int(h >> s.shift) }
 
 // Add appends one TIB record. Only the record's shard is locked, so
 // concurrent ingest of distinct flows proceeds in parallel. When the
@@ -297,8 +280,8 @@ func (s *Store) Add(rec types.Record) { s.add(0, rec) }
 // add is Add with an explicit arrival sequence (0 = assign the next one);
 // the snapshot reshape path replays records under their original stamps.
 func (s *Store) add(seq uint64, rec types.Record) {
-	h := flowHash32(rec.Flow)
-	si := int(h & s.mask)
+	h := types.StoreHash(rec.Flow)
+	si := s.stripe(h)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	seg := sh.active()
@@ -525,51 +508,44 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 }
 
 // scanBuf holds one scan's reusable cursor machinery: the per-shard
-// cursor list with its per-segment chains, the one Record sealed blocks
-// are materialised through, and the scratch a listed scan walks active
-// segments' chains into. Scans borrow one from a sync.Pool; release clears
-// every segCursor up to capacity so a pooled buffer never pins evicted
-// segments' blocks, entries or chain buffers.
+// cursor list, every cursor's per-segment chain back to back in one
+// slice, the one Record sealed blocks are materialised through, and the
+// scratch a listed scan walks active segments' chains into. Scans borrow
+// one from a sync.Pool; a buffer the pool did not keep costs a scan a
+// few allocations, however many stripes it spans. release
+// clears every segCursor it handed out, so a pooled buffer never pins
+// evicted segments' blocks, entries or chain buffers. The merge window's
+// records it leaves: all they reference is a path, a slice of a block's
+// small hop table.
 type scanBuf struct {
 	cursors []cursor
+	segs    []segCursor // the cursors' segs, back to back
 	rec     types.Record
 	post    []uint32
+	win     *window // a merge of several cursors' staging, made on first use
+}
+
+// mergeWindow is how many consecutive arrival sequences one round of the
+// cross-stripe merge places.
+const mergeWindow = 256
+
+// window is one merge round: bit j of used is set when sequence base+j
+// is a record the scan visits, and rec[j] holds it.
+type window struct {
+	used [mergeWindow / 64]uint64
+	rec  [mergeWindow]types.Record
 }
 
 var scanBufs = sync.Pool{New: func() any { return new(scanBuf) }}
 
 func getScanBuf() *scanBuf { return scanBufs.Get().(*scanBuf) }
 
-// next extends the cursor list by one, reusing the slot's retained segs
-// capacity from earlier scans. The returned pointer is valid until the
-// next call (which may grow the backing array).
-func (b *scanBuf) next() *cursor {
-	if len(b.cursors) < cap(b.cursors) {
-		b.cursors = b.cursors[:len(b.cursors)+1]
-	} else {
-		b.cursors = append(b.cursors, cursor{})
-	}
-	c := &b.cursors[len(b.cursors)-1]
-	c.segs, c.si = c.segs[:0], 0
-	return c
-}
-
-// drop retracts the last cursor handed out by next — used when a shard
-// turns out to have no surviving segments. Only valid while that cursor's
-// segs list is empty.
-func (b *scanBuf) drop() { b.cursors = b.cursors[:len(b.cursors)-1] }
-
 // release clears all segment references and returns the buffer to the
-// pool. Clearing runs to capacity, not length: slots beyond this scan's
-// length were cleared when their own scan released, so the invariant
-// "pooled buffers hold no segment references" survives reuse at any size.
+// pool.
 func (b *scanBuf) release() {
-	for i := range b.cursors {
-		c := &b.cursors[i]
-		clear(c.segs[:cap(c.segs)])
-		c.segs, c.si = c.segs[:0], 0
-	}
-	b.cursors, b.rec, b.post = b.cursors[:0], types.Record{}, b.post[:0]
+	clear(b.cursors)
+	clear(b.segs)
+	b.cursors, b.segs, b.rec, b.post = b.cursors[:0], b.segs[:0], types.Record{}, b.post[:0]
 	scanBufs.Put(b)
 }
 
@@ -584,7 +560,10 @@ type selector struct {
 	// cursors then walk that posting list (the flow's when both are
 	// given) instead of every record.
 	listed bool
-	fh     uint64 // flowHash64(*flow): single-flow scans probe segment blooms
+	// checkLink is set when the link still filters record by record: a
+	// flow's postings, or a link with one wildcard end, leave it to.
+	checkLink bool
+	fh        uint64 // types.StoreHash(*flow): single-flow scans probe blooms and head tables
 }
 
 // cursor walks one shard's matching records in sequence order during a
@@ -689,97 +668,173 @@ func (c *cursor) settle(until uint64) {
 // order, applying the selector's per-record terms, until fn returns
 // false. Cancellation-aware scans (a query whose caller hung up
 // mid-evaluation) use the early exit to bail out between records instead
-// of finishing a pointless full scan. A sealed record is materialised
-// into the buffer's one Record, valid only until fn returns; an active
-// one is visited where it lies.
+// of finishing a pointless full scan. The Record handed to fn is valid
+// only until fn returns.
+//
+// Several cursors merge a window at a time rather than by comparing
+// heads per record: from the lowest head, each cursor in turn copies its
+// records of the next mergeWindow sequences to their offsets in the
+// window, and the window is then read in order. A record costs the same
+// however many stripes the scan spans and however their arrivals
+// interleave, and each block is read front to back, a run at a time. It
+// relies on no two records sharing a sequence, which Add's counter
+// guarantees and LoadSnapshot checks.
 func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 	cursors := b.cursors
 	for i := range cursors {
 		cursors[i].settle(sel.until)
 	}
-	// A flow's postings, and a link with one wildcard end, still leave
-	// the link to filter record by record.
-	checkLink := sel.link != types.AnyLink && (sel.flow != nil || !sel.listed)
-	for {
-		best, bi := seqDone, -1
-		for i := range cursors {
-			if cursors[i].seq < best {
-				best, bi = cursors[i].seq, i
+	if len(cursors) < 2 {
+		for i := range cursors { // one at most: nothing to merge
+			c := &cursors[i]
+			for c.seq != seqDone {
+				seq := c.seq
+				if !visit(sel, c.take(&b.rec, sel.until), seq, fn) {
+					return
+				}
 			}
 		}
-		if bi < 0 {
+		return
+	}
+	if b.win == nil {
+		b.win = new(window)
+	}
+	w := b.win
+	for {
+		base := uint64(seqDone)
+		for i := range cursors {
+			base = min(base, cursors[i].seq)
+		}
+		if base == seqDone {
 			return
 		}
-		c := &cursors[bi]
-		sc := &c.segs[c.si]
-		rec := &b.rec
-		if sc.blk != nil {
-			sc.blk.record(c.idx, rec)
-		} else {
-			rec = &sc.ents[c.idx].rec
+		end := base + mergeWindow
+		if end < base {
+			end = seqDone
 		}
-		sc.i++
-		c.settle(sel.until)
-		if !rec.Overlaps(sel.tr) || (checkLink && !rec.Path.ContainsLink(sel.link)) {
-			continue
+		for i := range cursors {
+			c := &cursors[i]
+			for c.seq < end {
+				off := c.seq - base
+				w.used[off/64] |= 1 << (off % 64)
+				if rec := c.take(&w.rec[off], sel.until); rec != &w.rec[off] {
+					w.rec[off] = *rec
+				}
+			}
 		}
-		if !fn(best, rec) {
-			return
+		for k := range w.used {
+			for w.used[k] != 0 {
+				off := k*64 + bits.TrailingZeros64(w.used[k])
+				w.used[k] &= w.used[k] - 1
+				if !visit(sel, &w.rec[off], base+uint64(off), fn) {
+					clear(w.used[:])
+					return
+				}
+			}
 		}
 	}
 }
 
-// capture takes a consistent read view of the given shards: per surviving
-// segment, a reference to its block (sealed segments are immutable, and a
-// cold one is a file) or, for the active segment, a cursor aimed at the
-// committed prefix of its buffers. Segments whose time bounds do not
-// intersect the range, whose sequence bounds fall wholly outside
-// (since, until], or — on single-flow scans — whose bloom rules the flow
-// out are pruned: skipped whole, before any record is touched. All the
-// shards' read locks are held at once while the views are captured —
-// sequence numbers are assigned under the shard write lock, so a moment
-// with every lock held observes a downward-closed prefix of the global
-// arrival order. Only the active segment's head tables need the lock:
-// writers are stalled for a few comparisons and a pointer copy per segment
-// plus, on a listed scan, one probe.
-func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
-	for i := range shards {
-		shards[i].mu.RLock()
+// take returns the cursor's head record — materialised into rec when it
+// lies in a block, in place when it lies in an active segment — and
+// settles the cursor on its next head.
+func (c *cursor) take(rec *types.Record, until uint64) *types.Record {
+	sc := &c.segs[c.si]
+	if sc.blk != nil {
+		sc.blk.record(c.idx, rec)
+	} else {
+		rec = &sc.ents[c.idx].rec
 	}
-	var scanned, pruned uint64
-	for i := range shards {
-		c := buf.next()
-		for _, seg := range shards[i].segs {
-			if seg.recs() == 0 {
-				continue
-			}
-			if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
-				(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
-				pruned++
-				continue
-			}
-			scanned++ // even when the index then answers "none"
-			switch {
-			case seg.cold:
-				c.segs = append(c.segs, segCursor{cold: seg})
-			case seg.blk != nil:
-				c.segs = append(c.segs, segCursor{blk: seg.blk})
-			default:
-				var sc segCursor
-				if sc.aim(sel, nil, seg) {
-					c.segs = append(c.segs, sc)
+	sc.i++
+	c.settle(until)
+	return rec
+}
+
+// visit hands fn the record if it passes the selector's per-record terms,
+// and reports whether the scan goes on.
+func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.Record) bool) bool {
+	if !rec.Overlaps(sel.tr) || (sel.checkLink && !rec.Path.ContainsLink(sel.link)) {
+		return true
+	}
+	return fn(seq, rec)
+}
+
+// capture takes a read view of the given shards: per surviving segment,
+// a reference to its block (sealed segments are immutable, and a cold one
+// is a file) or, for the active segment, a cursor aimed at the committed
+// prefix of its buffers. Segments whose time bounds do not intersect the
+// range, whose sequence bounds fall wholly outside (since, until], or —
+// on single-flow scans — whose bloom rules the flow out are pruned:
+// skipped whole, before any record is touched.
+//
+// The view holds the records numbered up to the store's sequence counter
+// as capture found it (sel.until is lowered to it), a downward-closed
+// prefix of the global arrival order: a number is handed out and its
+// record appended under one shard write lock, so each number the counter
+// had given is in place by the time capture read-locks that shard. The
+// shards are therefore locked one at a time, and a writer waits on at
+// most one shard's capture — a few comparisons and a pointer copy per
+// segment plus, on a listed scan, one probe. Only LoadSnapshot and
+// ApplyIncremental change several chains at once (under every shard's
+// write lock); capture starts over when one commits during it.
+func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
+	until := sel.until
+	for {
+		swaps, last := s.swaps.Load(), s.seq.Load()
+		if last == 0 {
+			return // empty when the scan began
+		}
+		if sel.until = until; until == 0 || until > last {
+			sel.until = last
+		}
+		var scanned, pruned uint64
+		for i := range shards {
+			sh := &shards[i]
+			start := len(buf.segs)
+			sh.mu.RLock()
+			for _, seg := range sh.segs {
+				if seg.recs() == 0 {
+					continue
+				}
+				if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
+					(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
+					pruned++
+					continue
+				}
+				scanned++ // even when the index then answers "none"
+				switch {
+				case seg.cold:
+					buf.segs = append(buf.segs, segCursor{cold: seg})
+				case seg.blk != nil:
+					buf.segs = append(buf.segs, segCursor{blk: seg.blk})
+				default:
+					var sc segCursor
+					if sc.aim(sel, nil, seg) {
+						buf.segs = append(buf.segs, sc)
+					}
 				}
 			}
+			sh.mu.RUnlock()
+			if len(buf.segs) > start {
+				buf.cursors = append(buf.cursors, cursor{si: len(buf.segs)}) // si holds the end until the cut below
+			}
 		}
-		if len(c.segs) == 0 {
-			buf.drop()
+		if s.swaps.Load() != swaps {
+			clear(buf.segs)
+			buf.cursors, buf.segs = buf.cursors[:0], buf.segs[:0]
+			continue
 		}
+		// segs may have moved as it grew, so the cursors' slices of it are
+		// cut only now.
+		start := 0
+		for i := range buf.cursors {
+			c := &buf.cursors[i]
+			c.segs, c.si, start = buf.segs[start:c.si:c.si], 0, c.si
+		}
+		s.segScanned.Add(scanned)
+		s.segPruned.Add(pruned)
+		return
 	}
-	for i := range shards {
-		shards[i].mu.RUnlock()
-	}
-	s.segScanned.Add(scanned)
-	s.segPruned.Add(pruned)
 }
 
 // resolve finishes what capture deferred until the shard locks were
@@ -873,10 +928,12 @@ func (s *Store) ScanSince(since, until uint64, flow *types.FlowID, link types.Li
 func (s *Store) scan(sel *selector, fn func(uint64, *types.Record) bool) error {
 	shards := s.shards
 	if sel.flow != nil {
-		si := s.shardIndex(*sel.flow)
-		shards, sel.fh = s.shards[si:si+1], flowHash64(*sel.flow)
+		sel.fh = types.StoreHash(*sel.flow)
+		si := s.stripe(sel.fh)
+		shards = s.shards[si : si+1]
 	}
 	sel.listed = sel.flow != nil || !sel.link.IsWildcard()
+	sel.checkLink = sel.link != types.AnyLink && (sel.flow != nil || !sel.listed)
 	buf := getScanBuf()
 	defer buf.release()
 	s.capture(buf, shards, sel)

@@ -87,22 +87,46 @@ func (f FlowID) Reverse() FlowID {
 	}
 }
 
-// FlowKey keys FlowKey.Hash: two random words, drawn once per table.
+// FlowKey keys FlowKey.Hash: two 64-bit words.
 type FlowKey [2]uint64
+
+// storeKey is the fixed key of every structure the TIB persists or ships:
+// a flow's stripe, its head-table slot, its bloom bits and its place in a
+// block's flow order are all read from StoreHash. It is fixed because a
+// block built by one process is probed by another, and unexported because
+// blocks and snapshots already written would silently miss their own
+// flows under any other. Tables that live in one process only draw their
+// own key with NewFlowKey.
+var storeKey = FlowKey{0x243f6a8885a308d3, 0x13198a2e03707344}
+
+// StoreHash is a flow's hash under the TIB's fixed key.
+func StoreHash(f FlowID) uint64 { return storeKey.Hash(f) }
+
+// StoreKey returns a copy of the TIB's fixed key, for tests that craft
+// flows against its words.
+func StoreKey() FlowKey { return storeKey }
 
 // NewFlowKey draws a random key.
 func NewFlowKey() FlowKey { return FlowKey{rand.Uint64(), rand.Uint64()} }
 
-// Hash is the keyed hash of the open-addressed flow tables: the
-// five-tuple's two words, each xored with one of the key's words,
-// multiplied into 128 bits and folded (wyhash's mix). Five-tuples come
-// from the network; under a random key, a sender that picks its flows
-// cannot aim them at one probe run, as it could under a fixed hash.
-func (k FlowKey) Hash(f FlowID) uint32 {
+// Hash is the one flow hash: the five-tuple's two words, each mixed with
+// one key word by a 128-bit multiply folded to 64 bits (wyhash's mix,
+// twice). The first word is xored with the key and then multiplied by a
+// constant, never by a key word, so no input word collapses the hash: a
+// flow whose first word equals the key's still hashes by its second.
+// Five-tuples come from the network; under a random key, a sender that
+// picks its flows cannot aim them at one probe run, as it could under a
+// fixed one.
+func (k FlowKey) Hash(f FlowID) uint64 {
 	a := uint64(f.SrcIP)<<32 | uint64(f.DstIP)
 	b := uint64(f.SrcPort)<<24 | uint64(f.DstPort)<<8 | uint64(f.Proto)
-	hi, lo := bits.Mul64(a^k[0], b^k[1])
-	return uint32(hi ^ lo)
+	return mum(mum(a^k[0], 0x9e3779b97f4a7c15)^b, k[1]|1)
+}
+
+// mum multiplies into 128 bits and folds the halves.
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // LinkID is a pair of adjacent switch IDs. Either side may be

@@ -172,3 +172,20 @@ func TestTimeSeconds(t *testing.T) {
 		t.Error("millisecond conversion wrong")
 	}
 }
+
+// TestFlowHashDoesNotCollapse: flows whose address word equals the key's
+// first word still hash apart, under the fixed store key and a random
+// one. Under a single multiply of (a^k0)·(b^k1) every such flow hashed
+// to the same value.
+func TestFlowHashDoesNotCollapse(t *testing.T) {
+	for name, k := range map[string]FlowKey{"store": storeKey, "random": NewFlowKey()} {
+		seen := map[uint64]bool{}
+		for i := 0; i < 1000; i++ {
+			f := FlowID{SrcIP: IP(k[0] >> 32), DstIP: IP(k[0]), SrcPort: uint16(i), DstPort: 80, Proto: ProtoTCP}
+			seen[k.Hash(f)] = true
+		}
+		if len(seen) != 1000 {
+			t.Errorf("%s key: 1000 flows sharing the key's address word hash to %d values", name, len(seen))
+		}
+	}
+}

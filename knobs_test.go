@@ -28,7 +28,6 @@ func TestKnobsPinned(t *testing.T) {
 		{"agent.Config", agent.Config{}},
 		{"alarms.Config", alarms.Config{}},
 		{"pathdump.Config", pathdump.Config{}},
-		{"pathdump.AlarmConfig", pathdump.AlarmConfig{}},
 		{"pathdump.QueryConfig", pathdump.QueryConfig{}},
 	} {
 		typ := reflect.TypeOf(c.v)

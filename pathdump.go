@@ -85,6 +85,10 @@ type (
 	NetConfig = netsim.Config
 	// AgentConfig parameterises host agents.
 	AgentConfig = agent.Config
+	// AlarmConfig tunes the controller-side alarm pipeline: history
+	// depth, the suppression window and the rate limit. The zero value
+	// keeps every alarm distinct in a default-depth ring.
+	AlarmConfig = alarms.Config
 	// TCPConfig parameterises the TCP model.
 	TCPConfig = tcp.Config
 	// Packet is one simulated packet (raw-injection API).
