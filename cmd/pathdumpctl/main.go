@@ -47,7 +47,6 @@ func main() {
 	retries := flag.Int("retries", 0, "re-issue a request up to this many extra times on real transport errors (connection refused/reset), with jittered backoff; ignored when -hedge-after is set (the hedge race owns the slow/failed path then)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff before the first retry (default 50ms; doubles per attempt, jittered)")
 	pullSnapshot := flag.String("pull-snapshot", "", "capture the agent's TIB snapshot (GET /snapshot) into this file and exit; requires exactly one -agents entry. Serve it offline with pathdumpd -tib")
-	snapSince := flag.Uint64("snapshot-since", 0, "with -pull-snapshot: pull only the records past this arrival sequence (GET /snapshot?since_seq=N) — an incremental delta, or a full stream when the agent has evicted past the watermark (0 = full snapshot)")
 	traceOut := flag.Bool("trace", false, "print the execution's span tree after the stats line: per-host rpc and TIB-scan timings, merge waves, with hedged/retried/dropped requests labelled")
 	fanouts := flag.String("fanouts", "", "comma-separated per-level widths for hierarchical (tree) aggregation, e.g. '4,2': agents are grouped under interior aggregation nodes instead of one flat fan-out (empty = flat)")
 	ctrlURL := flag.String("controller", "", "controller URL (pathdumpc) for the alarm-plane modes -alarms and -watch")
@@ -107,17 +106,13 @@ func main() {
 		}
 		f, err := os.Create(*pullSnapshot)
 		check(err)
-		n, err := transport.PullSnapshotSince(ctx, hosts[0], *snapSince, f)
+		n, err := transport.PullSnapshot(ctx, hosts[0], f)
 		if err != nil {
 			os.Remove(*pullSnapshot)
 			check(err)
 		}
 		check(f.Close())
-		if *snapSince > 0 {
-			fmt.Printf("pulled %d incremental snapshot bytes (since seq %d) from host %v into %s\n", n, *snapSince, hosts[0], *pullSnapshot)
-		} else {
-			fmt.Printf("pulled %d snapshot bytes from host %v into %s\n", n, hosts[0], *pullSnapshot)
-		}
+		fmt.Printf("pulled %d snapshot bytes from host %v into %s\n", n, hosts[0], *pullSnapshot)
 		return
 	}
 

@@ -200,12 +200,12 @@ func main() {
 		// A snapshot has no live agent behind it: serve it as a bare
 		// store so ops needing agent runtime (poor_tcp) answer 501
 		// instead of a silently empty result.
-		store := tib.NewStore()
 		f, err := os.Open(*tibPath)
 		if err != nil {
 			log.Fatalf("pathdumpd: %v", err)
 		}
-		if err := store.LoadSnapshot(f); err != nil {
+		store, err := tib.ReadSnapshot(f)
+		if err != nil {
 			log.Fatalf("pathdumpd: loading %s: %v", *tibPath, err)
 		}
 		f.Close()

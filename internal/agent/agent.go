@@ -30,11 +30,6 @@ type AlarmSink interface {
 
 // Config parameterises an agent. Zero values select the noted defaults.
 type Config struct {
-	// IdleTimeout evicts per-path flow records after inactivity
-	// (default 5 s, §3.2).
-	IdleTimeout types.Time
-	// SweepPeriod is how often the eviction sweep runs (default 1 s).
-	SweepPeriod types.Time
 	// CacheSize bounds the trajectory cache (default 4096 paths).
 	CacheSize int
 	// StoreShards stripes the TIB store's locks so concurrent ingest and
@@ -77,12 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = tib.DefaultIdleTimeout
-	}
-	if c.SweepPeriod == 0 {
-		c.SweepPeriod = types.Second
-	}
 	if c.SegmentSpan == 0 && c.Retention > 0 {
 		c.SegmentSpan = c.Retention / 8
 	}
@@ -203,7 +192,7 @@ func New(sim *netsim.Sim, h *topology.Host, stack *tcp.Stack, sink AlarmSink, cf
 		topo:      sim.Topo,
 		scheme:    sim.Scheme,
 		cfg:       cfg,
-		Mem:       tib.NewMemory(cfg.IdleTimeout),
+		Mem:       tib.NewMemory(tib.DefaultIdleTimeout),
 		Cache:     tib.NewCache(cfg.CacheSize),
 		Store:     tib.NewStoreConfig(cfg.storeConfig()),
 		stack:     stack,
@@ -240,6 +229,10 @@ func (a *Agent) Receive(pkt *netsim.Packet) {
 	}
 }
 
+// sweepPeriod is how often the idle sweep runs: every second, evicting
+// per-path records idle for tib.DefaultIdleTimeout (§3.2's 5 s).
+const sweepPeriod = types.Second
+
 // ensureSweep keeps exactly one idle-eviction timer alive while the
 // trajectory memory is non-empty (so a drained simulation terminates).
 func (a *Agent) ensureSweep() {
@@ -247,7 +240,7 @@ func (a *Agent) ensureSweep() {
 		return
 	}
 	a.sweeping = true
-	a.sim.After(a.cfg.SweepPeriod, a.sweep)
+	a.sim.After(sweepPeriod, a.sweep)
 }
 
 func (a *Agent) sweep() {
@@ -255,7 +248,7 @@ func (a *Agent) sweep() {
 		a.export(e)
 	}
 	if a.Mem.Len() > 0 {
-		a.sim.After(a.cfg.SweepPeriod, a.sweep)
+		a.sim.After(sweepPeriod, a.sweep)
 		return
 	}
 	a.sweeping = false
@@ -575,16 +568,11 @@ func (a *Agent) SegmentStats() (scanned, pruned uint64) { return a.Store.Segment
 // controller.Evaluate attributes per-query deltas.
 func (a *Agent) ColdLoads() uint64 { return a.Store.ColdLoads() }
 
-// WriteSnapshotSince streams the host's TIB in the block-framed snapshot
-// format — the /snapshot endpoint and offline analysis both read it:
-// only the records with arrival sequence greater than since (the
-// header's Since says so), or everything when since is 0 or the
-// watermark cannot be served (see tib.SnapshotSince); a standby applies
-// the stream with tib.ApplyIncremental. The capture is consistent and
-// momentary; ingest continues while the snapshot streams.
-func (a *Agent) WriteSnapshotSince(w io.Writer, since uint64) error {
-	return a.Store.SnapshotSince(w, since)
-}
+// WriteSnapshot streams the host's whole TIB in the block-framed
+// snapshot format — the /snapshot endpoint and offline analysis
+// (pathdumpd -tib, through tib.ReadSnapshot) both read it. The capture is
+// consistent and momentary; ingest continues while the snapshot streams.
+func (a *Agent) WriteSnapshot(w io.Writer) error { return a.Store.Snapshot(w) }
 
 // PoorTCPFlows implements getPoorTCPFlows over the host's TCP monitor.
 func (a *Agent) PoorTCPFlows(threshold int) []types.FlowID {

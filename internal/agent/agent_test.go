@@ -8,6 +8,7 @@ import (
 	"pathdump/internal/netsim"
 	"pathdump/internal/query"
 	"pathdump/internal/tcp"
+	"pathdump/internal/tib"
 	"pathdump/internal/topology"
 	"pathdump/internal/types"
 )
@@ -88,14 +89,18 @@ func TestDatapathBuildsTIB(t *testing.T) {
 }
 
 func TestIdleSweepExports(t *testing.T) {
-	r := newRig(t, netsim.Config{}, Config{IdleTimeout: 2 * types.Second, SweepPeriod: 500 * types.Millisecond})
+	r := newRig(t, netsim.Config{}, Config{})
 	src := r.sim.Topo.Hosts()[0]
 	dst := r.sim.Topo.HostsAt(r.sim.Topo.ToRID(1, 0))[0]
 	f := r.flow(src, dst, 1001)
 	// Raw packet without FIN: only the sweep can export it.
 	r.sim.Send(src.ID, &netsim.Packet{Flow: f, Size: 500})
-	r.sim.RunAll() // drains: data packet, then sweeps until memory empties
 	a := r.agents[dst.ID]
+	r.sim.Run(tib.DefaultIdleTimeout - types.Second) // sweeps run, but the record is not idle long enough
+	if a.Store.Len() != 0 {
+		t.Fatalf("record exported after %v, before the %v idle timeout", r.sim.Now(), tib.DefaultIdleTimeout)
+	}
+	r.sim.RunAll() // drains: sweeps until memory empties
 	if a.Mem.Len() != 0 {
 		t.Fatalf("memory still holds %d records", a.Mem.Len())
 	}

@@ -167,7 +167,6 @@ type Controller struct {
 	sim       *netsim.Sim
 	loopState map[loopKey][]types.LinkID
 	loopFns   []func(LoopEvent)
-	longFns   []func(types.SwitchID, *netsim.Packet)
 }
 
 // New builds a controller over a transport. sim may be nil when no

@@ -312,18 +312,24 @@ func TestRoutingLoopDetection(t *testing.T) {
 	}
 }
 
+// TestLongPathHandlerFires: a punted packet whose links do not repeat
+// yet raises a LONG_PATH alarm for its flow before the loop is concluded.
 func TestLongPathHandlerFires(t *testing.T) {
 	r := newRig(t, 4, netsim.Config{Seed: 6})
-	var longs int
-	r.ctrl.OnLongPath(func(at types.SwitchID, pkt *netsim.Packet) { longs++ })
 	src := r.sim.Topo.Hosts()[0]
 	dst := r.sim.Topo.HostsAt(r.sim.Topo.ToRID(2, 0))[0]
 	f := types.FlowID{SrcIP: src.IP, DstIP: dst.IP, SrcPort: 7100, DstPort: 80, Proto: types.ProtoTCP}
 	buildLoop(r, f)
 	r.sim.Send(src.ID, &netsim.Packet{Flow: f, Seq: 1, Size: 64})
 	r.sim.RunAll()
-	if longs == 0 {
-		t.Error("no long-path callback before loop conclusion")
+	longs := r.ctrl.AlarmsFor(types.ReasonLongPath)
+	if len(longs) == 0 {
+		t.Fatal("no LONG_PATH alarm before loop conclusion")
+	}
+	for _, a := range longs {
+		if a.Flow != f {
+			t.Errorf("LONG_PATH alarm for flow %v, want %v", a.Flow, f)
+		}
 	}
 }
 

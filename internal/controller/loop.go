@@ -34,14 +34,6 @@ func (c *Controller) OnLoop(fn func(LoopEvent)) {
 	c.loopFns = append(c.loopFns, fn)
 }
 
-// OnLongPath registers a handler for packets trapped with a suspiciously
-// long path that did not (yet) reveal a loop.
-func (c *Controller) OnLongPath(fn func(at types.SwitchID, pkt *netsim.Packet)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.longFns = append(c.longFns, fn)
-}
-
 // Trap implements netsim.TrapHandler. A packet arrives here when its VLAN
 // stack exceeded what the switch ASIC can parse. The controller decodes
 // the sampled link IDs (it has the topology and the srcIP) and checks for
@@ -90,15 +82,8 @@ func (c *Controller) Trap(at types.SwitchID, pkt *netsim.Packet) {
 	// after the controller→switch leg of the slow path.
 	c.mu.Lock()
 	c.loopState[k] = append(append([]types.LinkID(nil), prev...), cur...)
-	longFns := append(make([]func(types.SwitchID, *netsim.Packet), 0, len(c.longFns)), c.longFns...)
 	c.mu.Unlock()
 	c.RaiseAlarmContext(ctx, types.Alarm{Flow: pkt.Flow, Reason: types.ReasonLongPath, At: c.now(), Paths: nil})
-	for _, fn := range longFns {
-		if ctx.Err() != nil {
-			return
-		}
-		fn(at, pkt)
-	}
 	if c.sim != nil && ctx.Err() == nil {
 		pkt.Hdr.VLANs = nil
 		c.sim.After(c.sim.Config().PuntDelay/2, func() { c.sim.Reinject(at, pkt) })

@@ -19,7 +19,7 @@
 //	            /install    {host?, query, period}    → {id}
 //	            /uninstall  {host?, id}               → {}
 //	            /stats      (GET)                     → {hosts, records}
-//	            /snapshot   (GET, ?host=N&since_seq=N) → block-framed TIB snapshot stream
+//	            /snapshot   (GET, ?host=N)            → block-framed TIB snapshot stream
 //	controller: /alarm      {alarm}                   → {}
 package rpc
 
@@ -62,11 +62,9 @@ type Target interface {
 	Install(q query.Query, period types.Time) int
 	// Uninstall removes an installed query.
 	Uninstall(id int) error
-	// WriteSnapshotSince streams the TIB in the block-framed snapshot
-	// format: the records with arrival sequence greater than since, or
-	// everything when since is 0 or the watermark cannot be served (the
-	// stream header says which; see tib.Store.SnapshotSince).
-	WriteSnapshotSince(w io.Writer, since uint64) error
+	// WriteSnapshot streams the whole TIB in the block-framed snapshot
+	// format (tib.Store.Snapshot).
+	WriteSnapshot(w io.Writer) error
 }
 
 // writeExecuteError maps a query-execution failure onto the right HTTP
@@ -116,12 +114,9 @@ func (t SnapshotTarget) SegmentStats() (scanned, pruned uint64) { return t.Store
 // ColdLoads implements Target.
 func (t SnapshotTarget) ColdLoads() uint64 { return t.Store.ColdLoads() }
 
-// WriteSnapshotSince implements Target: a restored store can be
-// re-snapshotted and serve deltas onward (snapshot relays, warm
-// standbys).
-func (t SnapshotTarget) WriteSnapshotSince(w io.Writer, since uint64) error {
-	return t.Store.SnapshotSince(w, since)
-}
+// WriteSnapshot implements Target: a restored store can be
+// re-snapshotted (snapshot relays).
+func (t SnapshotTarget) WriteSnapshot(w io.Writer) error { return t.Store.Snapshot(w) }
 
 // QueryRequest is the /query body. Host picks the agent at a
 // MultiAgentServer (optional there only when it serves exactly one);
@@ -600,10 +595,9 @@ func (t *HTTPTransport) Uninstall(ctx context.Context, host types.HostID, id int
 }
 
 // snapshot is the GET /snapshot handler: ?host=N names the target (as
-// the host field does on the POST endpoints) and ?since_seq=N asks for
-// the delta past that arrival sequence instead of everything. The
-// snapshot streams straight from the store's consistent capture to the
-// socket — ingest continues while it is written.
+// the host field does on the POST endpoints). The whole store's snapshot
+// streams straight from its consistent capture to the socket — ingest
+// continues while it is written.
 func (a *hostAPI) snapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -625,41 +619,27 @@ func (a *hostAPI) snapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	var since uint64
-	if raw := params.Get("since_seq"); raw != "" {
-		since, err = strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			http.Error(w, "rpc: since_seq must be an unsigned integer", http.StatusBadRequest)
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := t.WriteSnapshotSince(w, since); err != nil {
+	if err := t.WriteSnapshot(w); err != nil {
 		// The status line is committed once bytes flow, so the puller
 		// sees only a truncated body — which its loader rejects (no
 		// terminator) without touching the store it would have replaced.
 		// Make the failure visible on this side too.
 		a.snapErrs.Inc()
-		log.Printf("rpc: /snapshot host=%q since_seq=%d failed mid-stream: %v", params.Get("host"), since, err)
+		log.Printf("rpc: /snapshot host=%q failed mid-stream: %v", params.Get("host"), err)
 	}
 }
 
-// PullSnapshotSince captures one host's TIB from a live daemon: GET
-// /snapshot, streamed into w. With since 0 the stream is a full
-// snapshot; otherwise it is the delta of everything past that arrival
-// sequence — or a full snapshot when the daemon could not serve the
-// delta (watermark evicted); tib.ApplyIncremental tells them apart and
-// handles both. The byte count written is returned; a non-200 answer
+// PullSnapshot captures one host's TIB from a live daemon: GET
+// /snapshot, streamed into w — a full snapshot, which tib.ReadSnapshot
+// restores. The byte count written is returned; a non-200 answer
 // surfaces as a *StatusError.
-func (t *HTTPTransport) PullSnapshotSince(ctx context.Context, host types.HostID, since uint64, w io.Writer) (int64, error) {
+func (t *HTTPTransport) PullSnapshot(ctx context.Context, host types.HostID, w io.Writer) (int64, error) {
 	base, ok := t.URLs[host]
 	if !ok {
 		return 0, fmt.Errorf("rpc: no URL for host %v", host)
 	}
 	url := fmt.Sprintf("%s/snapshot?host=%d", base, uint32(host))
-	if since > 0 {
-		url += fmt.Sprintf("&since_seq=%d", since)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err

@@ -103,15 +103,15 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 	} {
 		tr := &HTTPTransport{URLs: map[types.HostID]string{tc.host: tc.url}}
 		var buf bytes.Buffer
-		n, err := tr.PullSnapshotSince(context.Background(), tc.host, 0, &buf)
+		n, err := tr.PullSnapshot(context.Background(), tc.host, &buf)
 		if err != nil {
-			t.Fatalf("%s: PullSnapshotSince: %v", name, err)
+			t.Fatalf("%s: PullSnapshot: %v", name, err)
 		}
 		if n == 0 || int64(buf.Len()) != n {
 			t.Fatalf("%s: pulled %d bytes, buffered %d", name, n, buf.Len())
 		}
-		restored := tib.NewStore()
-		if err := restored.LoadSnapshot(&buf); err != nil {
+		restored, err := tib.ReadSnapshot(&buf)
+		if err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}
 		if restored.Len() != store.Len() {
@@ -131,10 +131,22 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 		}
 	}
 
+	// A watermark an older client still sends is ignored: the answer is
+	// the whole store, which ReadSnapshot restores.
+	resp, err := http.Get(srv.URL + "/snapshot?since_seq=500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := tib.ReadSnapshot(resp.Body)
+	resp.Body.Close()
+	if err != nil || restored.Len() != store.Len() {
+		t.Fatalf("GET /snapshot?since_seq=500: %v; want all %d records", err, store.Len())
+	}
+
 	// A multi-agent daemon rejects snapshot pulls for hosts it does not
 	// serve, with a typed status error.
 	trBad := &HTTPTransport{URLs: map[types.HostID]string{9: ms.URL}}
-	_, err := trBad.PullSnapshotSince(context.Background(), 9, 0, &bytes.Buffer{})
+	_, err = trBad.PullSnapshot(context.Background(), 9, &bytes.Buffer{})
 	var se *StatusError
 	if !errors.As(err, &se) || se.HTTPStatus() != 404 {
 		t.Errorf("snapshot pull for an unserved host = %v, want a typed *StatusError(404)", err)
@@ -144,13 +156,17 @@ func TestSnapshotEndpointPullAndServe(t *testing.T) {
 // TestSnapshotMidBodyFailureIsVisible: a snapshot that dies after its
 // status line is committed — here a cold-tier file truncated on disk —
 // reaches the puller as a stream its loader rejects, and on the daemon's
-// side is counted on /metrics and logged with the host and watermark,
-// instead of living only in ColdStats.Faults.
+// side is counted on /metrics and logged with the host, instead of living only in ColdStats.Faults.
 func TestSnapshotMidBodyFailureIsVisible(t *testing.T) {
 	coldDir := t.TempDir()
 	store := tib.NewStoreConfig(tib.Config{SegmentRecords: 16, ColdDir: coldDir})
 	for i := 0; i < 1000; i++ {
-		store.Add(standbyRecord(i))
+		st := types.Time(i) * types.Millisecond
+		store.Add(types.Record{
+			Flow:  types.FlowID{SrcIP: types.IP(i % 100), DstIP: 2, SrcPort: uint16(i), DstPort: 80, Proto: 6},
+			Path:  types.Path{0, types.SwitchID(8 + i%4), 16},
+			STime: st, ETime: st + types.Millisecond, Bytes: uint64(i), Pkts: 1,
+		})
 	}
 	if segs, _, err := store.SpillBefore(500 * types.Millisecond); err != nil || segs == 0 {
 		t.Fatalf("spilled %d segments (err %v)", segs, err)
@@ -178,10 +194,10 @@ func TestSnapshotMidBodyFailureIsVisible(t *testing.T) {
 		srv := httptest.NewServer(h)
 		tr := &HTTPTransport{URLs: map[types.HostID]string{3: srv.URL}}
 		var buf bytes.Buffer
-		_, pullErr := tr.PullSnapshotSince(context.Background(), 3, 7, &buf)
+		_, pullErr := tr.PullSnapshot(context.Background(), 3, &buf)
 		srv.Close()
 		if pullErr == nil {
-			if err := tib.NewStore().LoadSnapshot(&buf); err == nil {
+			if _, err := tib.ReadSnapshot(&buf); err == nil {
 				t.Fatalf("%s: a snapshot over a truncated cold file pulled and loaded cleanly", name)
 			}
 		}
@@ -190,7 +206,7 @@ func TestSnapshotMidBodyFailureIsVisible(t *testing.T) {
 		t.Errorf("snapshot failure not counted:\n%s", got)
 	}
 	lines := strings.Count(logged.String(), "failed mid-stream")
-	if lines != 2 || !strings.Contains(logged.String(), `host="3" since_seq=7`) {
-		t.Errorf("want one log line per failed snapshot naming host and since_seq, got %d:\n%s", lines, logged.String())
+	if lines != 2 || !strings.Contains(logged.String(), `host="3" failed`) {
+		t.Errorf("want one log line per failed snapshot naming the host, got %d:\n%s", lines, logged.String())
 	}
 }

@@ -60,12 +60,12 @@ func BenchmarkTimeRangeScan(b *testing.B) {
 	trsOnce.Do(buildTimeRangeStores)
 	// The store spans 1000 s of virtual time; scan 10 s from the middle.
 	window := types.TimeRange{From: 500 * types.Second, To: 510 * types.Second}
-	sealed := NewStoreConfig(Config{SegmentRecords: -1})
 	var snap bytes.Buffer
 	if err := trsFlat.Snapshot(&snap); err != nil {
 		b.Fatal(err)
 	}
-	if err := sealed.LoadSnapshot(&snap); err != nil {
+	sealed, err := ReadSnapshot(&snap)
+	if err != nil {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -175,9 +175,8 @@ func BenchmarkChurn(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore: restoring a large sharded store. "blocks" is
-// LoadSnapshot — sealed segments are adopted as the bytes they arrived
-// in, only each shard's active segment is re-encoded to gain postings;
-// readd-loop replays the same records through Add (the full ingest path,
+// ReadSnapshot — every block, the active segments' included, is adopted
+// as the bytes it arrived in; readd-loop replays the same records through Add (the full ingest path,
 // seals included) as the baseline restore has to beat.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	const records = 200_000
@@ -203,8 +202,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.Run("blocks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gcBetween(b)
-			s := NewStore()
-			if err := s.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+			s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+			if err != nil {
 				b.Fatal(err)
 			}
 			if s.Len() != records {

@@ -443,15 +443,15 @@ func (st *staging) push(f types.FlowID, vals [numCols]uint64) {
 	}
 }
 
-// addBlock stages records [from, n) of b column by column, interning
-// each of b's paths once, when its first record comes by.
-func (st *staging) addBlock(b *block, from int) {
+// addBlock stages b's records column by column, interning each of b's
+// paths once, when its first record comes by.
+func (st *staging) addBlock(b *block) {
 	const unset = ^uint32(0)
 	st.remap = st.remap[:0]
 	for range b.paths {
 		st.remap = append(st.remap, unset)
 	}
-	for i := from; i < b.n; i++ {
+	for i := 0; i < b.n; i++ {
 		pid := b.col[colPath].at(i)
 		if st.remap[pid] == unset {
 			st.remap[pid] = st.intern(b.paths[pid])

@@ -320,7 +320,7 @@ func TestBlockSeedCorpus(t *testing.T) {
 	check := func(name string, data []byte, want bool) {
 		t.Helper()
 		blk, berr := openBlock(data, true)
-		serr := NewStore().LoadSnapshot(bytes.NewReader(data))
+		_, serr := ReadSnapshot(bytes.NewReader(data))
 		if got := berr == nil || serr == nil; got != want {
 			t.Errorf("%s (%d bytes): accepted=%v, want %v (block: %v; snapshot: %v)", name, len(data), got, want, berr, serr)
 		}
@@ -394,7 +394,7 @@ func FuzzBlockDecode(f *testing.F) {
 		// Round trip: staging the block and encoding it again yields a
 		// block with the same records in the same order.
 		st := getStaging()
-		st.addBlock(blk, 0)
+		st.addBlock(blk)
 		again := mustOpen(st.encode(blk.shard))
 		st.release()
 		var a, b types.Record

@@ -110,16 +110,17 @@ func TestBloomMissingFlowExact(t *testing.T) {
 }
 
 func TestBloomSurvivesSnapshotRestore(t *testing.T) {
-	src := bloomStore(t, Config{Shards: 1, SegmentRecords: 16}, 32, 16)
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for name, dst := range map[string]*Store{
-		"same-shape": NewStoreConfig(Config{Shards: 1, SegmentRecords: 16}),
-		"reshaped":   NewStoreConfig(Config{Shards: 4, SegmentRecords: 16}),
+	for name, cfg := range map[string]Config{
+		"one stripe":   {Shards: 1, SegmentRecords: 16},
+		"four stripes": {Shards: 4, SegmentRecords: 16},
 	} {
-		if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		src := bloomStore(t, cfg, 32, 16)
+		var buf bytes.Buffer
+		if err := src.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := ReadSnapshot(&buf)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		_, prunedBefore := dst.SegmentStats()

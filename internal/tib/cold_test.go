@@ -104,8 +104,8 @@ func TestColdSnapshotCarriesSpilledSegments(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	if err := restored.LoadSnapshot(&buf); err != nil {
+	restored, err := ReadSnapshot(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sameRecords(t, scanAll(restored), scanAll(ref), "restore of a tiered store")

@@ -183,7 +183,7 @@ func (s *Store) buildMerged(run compactRun) *segment {
 	st := getStaging()
 	defer st.release()
 	for _, blk := range run.blks {
-		st.addBlock(blk, 0)
+		st.addBlock(blk)
 	}
 	return sealedSegment(mustOpen(st.encode(run.shard)), run.bytes)
 }

@@ -1,7 +1,6 @@
 package tib
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -263,56 +262,4 @@ func TestShardCountsAgree(t *testing.T) {
 			t.Fatalf("shards=%s: Count = %d/%d, want %d/%d", name, b2, k2, b1, k1)
 		}
 	}
-}
-
-// TestScansBesideLoadSeeOneStore: a scan captures the stripes one at a
-// time, while LoadSnapshot replaces every chain at once, so a load that
-// lands mid-capture must send the scan back to the start — it sees the
-// store before the load or after it, never stripes of both. Two
-// snapshots of 16-stripe stores with the same flows, tagged in Bytes,
-// are loaded in turn beside full scans.
-func TestScansBesideLoadSeeOneStore(t *testing.T) {
-	const n = 2000
-	snaps := make([][]byte, 2)
-	for tag := range snaps {
-		src := NewStore()
-		for i := 0; i < n; i++ {
-			src.Add(types.Record{Flow: flowN(i), Path: types.Path{1, 2}, STime: types.Time(i), ETime: types.Time(i), Bytes: uint64(tag)})
-		}
-		var b bytes.Buffer
-		if err := src.Snapshot(&b); err != nil {
-			t.Fatal(err)
-		}
-		snaps[tag] = b.Bytes()
-	}
-	s := NewStore()
-	if err := s.LoadSnapshot(bytes.NewReader(snaps[0])); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := s.LoadSnapshot(bytes.NewReader(snaps[i%2])); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for round := 0; round < 300; round++ {
-		var tags [2]int
-		s.Scan(nil, types.AnyLink, types.AllTime, func(rec *types.Record) { tags[rec.Bytes]++ })
-		if tags != [2]int{n, 0} && tags != [2]int{0, n} {
-			t.Fatalf("scan %d saw %d records of one load and %d of the other", round, tags[0], tags[1])
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

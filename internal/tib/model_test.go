@@ -2,7 +2,6 @@ package tib
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -65,24 +64,22 @@ func sameEntries(got, want []entry) error {
 	return nil
 }
 
-// modelWorld is one randomised scenario: a store under test, its model,
-// the pools records are drawn from and (between evictions) a standby fed
-// by incremental snapshots.
+// modelWorld is one randomised scenario: a store under test, its model
+// and the pools records are drawn from.
 type modelWorld struct {
-	t       *testing.T
-	rng     *rand.Rand
-	cfg     Config
-	s       *Store
-	m       model
-	standby *Store
-	now     types.Time
-	flows   []types.FlowID
-	paths   []types.Path
-	links   []types.LinkID
-	step    types.Time // virtual time between records
-	scale   [3]uint64  // magnitude of duration, bytes, pkts
-	log     []string
-	did     map[string]int // how often each operation actually moved something
+	t     *testing.T
+	rng   *rand.Rand
+	cfg   Config
+	s     *Store
+	m     model
+	now   types.Time
+	flows []types.FlowID
+	paths []types.Path
+	links []types.LinkID
+	step  types.Time // virtual time between records
+	scale [3]uint64  // magnitude of duration, bytes, pkts
+	log   []string
+	did   map[string]int // how often each operation actually moved something
 }
 
 func (w *modelWorld) fatalf(format string, args ...any) {
@@ -187,56 +184,42 @@ func (w *modelWorld) reconcile(freed int, mustSurvive func(entry) bool) {
 	}
 	w.m.recs = kept
 	w.did["evicted"] += freed
-	w.standby = nil // a standby may keep what its source evicted: start over
 }
 
-// restore replaces the store under test with one rebuilt from its own
-// snapshot, under a stripe count of its own.
-func (w *modelWorld) restore() {
+// reread is ReadSnapshot of the store under test's own snapshot, which
+// must keep the writer's stripe count.
+func (w *modelWorld) reread() *Store {
 	var buf bytes.Buffer
 	if err := w.s.Snapshot(&buf); err != nil {
 		w.fatalf("snapshot: %v", err)
 	}
-	w.cfg.Shards = []int{1, 2, 4, 16}[w.rng.Intn(4)]
-	w.cfg.ColdDir = w.t.TempDir()
-	w.s = NewStoreConfig(w.cfg)
-	if err := w.s.LoadSnapshot(&buf); err != nil {
-		w.fatalf("restore: %v", err)
+	s, err := ReadSnapshot(&buf)
+	if err != nil {
+		w.fatalf("ReadSnapshot: %v", err)
 	}
-	w.standby = nil
+	if len(s.shards) != len(w.s.shards) {
+		w.fatalf("restored %d stripes, the writer had %d", len(s.shards), len(w.s.shards))
+	}
+	return s
 }
 
-// sync catches the standby up through SnapshotSince → ApplyIncremental,
-// falling back to a full pull exactly when the delta is refused as
-// incompatible (the stripe counts differ).
+// restore replaces the store under test with ReadSnapshot of its own
+// snapshot. The restored store takes the world's other settings too
+// (ReadSnapshot leaves them at their defaults), so the operations that
+// follow still seal, compact, spill and evict — now over adopted blocks.
+func (w *modelWorld) restore() {
+	s := w.reread()
+	w.cfg.ColdDir = w.t.TempDir()
+	c := NewStoreConfig(w.cfg)
+	s.segSpan, s.segRecords, s.retention, s.retentionBytes = c.segSpan, c.segRecords, c.retention, c.retentionBytes
+	s.coldDir, s.compactBelow = c.coldDir, c.compactBelow
+	w.s = s
+}
+
+// sync checks an offline copy: a full re-read of the store under test,
+// at its default settings, as pathdumpd -tib serves one.
 func (w *modelWorld) sync() {
-	if w.standby == nil {
-		cfg := w.cfg
-		cfg.ColdDir, cfg.RetentionBytes = "", 0
-		if w.rng.Intn(3) == 0 {
-			cfg.Shards = []int{1, 2, 4, 16}[w.rng.Intn(4)]
-		}
-		w.standby = NewStoreConfig(cfg)
-	}
-	var buf bytes.Buffer
-	if err := w.s.SnapshotSince(&buf, w.standby.LastSeq()); err != nil {
-		w.fatalf("SnapshotSince: %v", err)
-	}
-	if hdr, _, _ := readSnapshot(bytes.NewReader(buf.Bytes())); hdr.Since > 0 {
-		w.did["delta"]++
-	}
-	err := w.standby.ApplyIncremental(bytes.NewReader(buf.Bytes()))
-	if errors.Is(err, ErrIncompatibleDelta) && len(w.standby.shards) != len(w.s.shards) {
-		w.did["delta refused"]++
-		buf.Reset()
-		if err = w.s.Snapshot(&buf); err == nil {
-			err = w.standby.LoadSnapshot(&buf)
-		}
-	}
-	if err != nil {
-		w.fatalf("standby catch-up: %v", err)
-	}
-	w.check(w.standby, "standby")
+	w.check(w.reread(), "standby")
 }
 
 // check asks the store and the model the same random questions.
@@ -343,7 +326,7 @@ func TestStoreMatchesReferenceModel(t *testing.T) {
 		did["sealed"] += int(w.s.Seals())
 	}
 	t.Logf("operations that moved something: %v", did)
-	for _, k := range []string{"sealed", "compacted", "spilled", "thawed", "evicted", "delta", "delta refused"} {
+	for _, k := range []string{"sealed", "compacted", "spilled", "thawed", "evicted"} {
 		if did[k] == 0 {
 			t.Errorf("no %q ever happened: the interleavings have gone vacuous", k)
 		}

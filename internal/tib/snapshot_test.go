@@ -48,8 +48,8 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte(snapshotMagic)) {
 		t.Fatal("snapshot lacks the magic prefix")
 	}
-	restored := NewStoreConfig(Config{SegmentSpan: types.Second})
-	if err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	restored, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	sameRecords(t, scanAll(restored), scanAll(s), "round trip")
@@ -75,15 +75,10 @@ func TestSnapshotV2SegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotAtomic (regression): a mid-stream decode error must
-// leave the prior contents fully intact — never a half-cleared store.
+// TestLoadSnapshotAtomic: a broken stream restores nothing — ReadSnapshot
+// validates the whole stream before it builds a store, so a mid-stream
+// decode error yields an error and no store, never a half-filled one.
 func TestLoadSnapshotAtomic(t *testing.T) {
-	prior := NewStoreConfig(Config{SegmentRecords: 32})
-	for i := 0; i < 500; i++ {
-		prior.Add(mkRecord(flowN(i%20), types.Path{1, 2, 3}, types.Time(i), types.Time(i+1), uint64(i), 1))
-	}
-	want := scanAll(prior)
-
 	donor := NewStore()
 	for i := 0; i < 2000; i++ {
 		donor.Add(mkRecord(flowN(i), types.Path{4, 5, 6}, types.Time(i), types.Time(i+1), 1, 1))
@@ -104,20 +99,13 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 		"empty":                nil,
 	}
 	for name, blob := range cases {
-		if err := prior.LoadSnapshot(bytes.NewReader(blob)); err == nil {
-			t.Fatalf("%s: LoadSnapshot accepted a broken snapshot", name)
-		}
-		sameRecords(t, scanAll(prior), want, name)
-		if prior.Len() != len(want) {
-			t.Fatalf("%s: Len = %d, want %d", name, prior.Len(), len(want))
+		if s, err := ReadSnapshot(bytes.NewReader(blob)); err == nil || s != nil {
+			t.Fatalf("%s: error %v, a store returned: %t; want an error and no store", name, err, s != nil)
 		}
 	}
-
-	// And the store still works after the failed loads: queries and
-	// appends behave.
-	prior.Add(mkRecord(flowN(999), types.Path{1, 2}, 1000, 1001, 5, 5))
-	if prior.Len() != len(want)+1 {
-		t.Fatal("append after failed load went missing")
+	s, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
+	if err != nil || s.Len() != donor.Len() {
+		t.Fatalf("the intact stream: %v", err)
 	}
 }
 
@@ -126,7 +114,7 @@ func TestLoadSnapshotAtomic(t *testing.T) {
 func reseal(b []byte) { le.PutUint32(b[hCRC:], crc32.Checksum(b[hFlags:], crcTable)) }
 
 // TestLoadSnapshotRejectsCorruptSegments: hand-mutated streams with
-// lying metadata must be rejected before the swap — bounds narrower than
+// lying metadata must be rejected, with no store — bounds narrower than
 // the records would cause silent wrong pruning, a posting past the end
 // would panic a scan, and a terminator that miscounts must not truncate
 // the load quietly. Every mutation is re-checksummed: the structural
@@ -175,25 +163,20 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 		"zero shards":             func(_, stream []byte) { le.PutUint32(stream[len(snapshotMagic)+4:], 0) },
 	}
 	for name, mutate := range cases {
-		s := NewStoreConfig(Config{Shards: 1})
-		s.Add(mkRecord(flowN(9), types.Path{1, 2}, 0, 1, 9, 9))
-		if err := s.LoadSnapshot(bytes.NewReader(build(mutate))); err == nil {
+		if s, err := ReadSnapshot(bytes.NewReader(build(mutate))); err == nil || s != nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
-		}
-		if s.Len() != 1 {
-			t.Errorf("%s: prior contents disturbed (Len=%d)", name, s.Len())
 		}
 	}
 	// A flipped bit that is not re-checksummed fails on the CRC alone.
 	stream := bytes.Clone(buf.Bytes())
 	stream[pre+off[secBytes]] ^= 1
-	if err := NewStore().LoadSnapshot(bytes.NewReader(stream)); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(stream)); err == nil {
 		t.Error("checksum mismatch accepted")
 	}
 	// The untouched stream is valid — the cases above fail for the
 	// mutation, not the harness.
-	s := NewStoreConfig(Config{Shards: 1})
-	if err := s.LoadSnapshot(bytes.NewReader(build(func(_, _ []byte) {}))); err != nil {
+	s, err := ReadSnapshot(bytes.NewReader(build(func(_, _ []byte) {})))
+	if err != nil {
 		t.Fatalf("control stream rejected: %v", err)
 	}
 	if s.Len() != 3 {
@@ -201,28 +184,37 @@ func TestLoadSnapshotRejectsCorruptSegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotReshape: a snapshot written by a store with a different
-// stripe count redistributes records (the flow→shard mapping changes)
-// and still answers identically, in identical order.
-func TestSnapshotReshape(t *testing.T) {
-	wide := NewStoreConfig(Config{Shards: 16, SegmentRecords: 64})
-	for i := 0; i < 2000; i++ {
-		wide.Add(mkRecord(flowN(i%150), types.Path{1, 2, 3}, types.Time(i), types.Time(i+1), uint64(i), 1))
-	}
-	var buf bytes.Buffer
-	if err := wide.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	narrow := NewStoreConfig(Config{Shards: 4, SegmentRecords: 64})
-	if err := narrow.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sameRecords(t, scanAll(narrow), scanAll(wide), "reshaped load")
-	f := flowN(7)
-	wb, wk := wide.Count(types.Flow{ID: f}, types.AllTime)
-	nb, nk := narrow.Count(types.Flow{ID: f}, types.AllTime)
-	if wb != nb || wk != nk {
-		t.Errorf("reshaped flow lookup = %d/%d, want %d/%d", nb, nk, wb, wk)
+// TestSnapshotKeepsWriterStripes: a store of 1, 4 or 16 stripes goes
+// through Snapshot and ReadSnapshot into a store of the same stripe
+// count, every block in the stripe it came from, so every scan — full,
+// per flow, per link and from a watermark — returns the same records in
+// the same order, and the restored store snapshots to the same bytes.
+func TestSnapshotKeepsWriterStripes(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		src := NewStoreConfig(Config{Shards: shards, SegmentRecords: 64})
+		for i := 0; i < 2000; i++ {
+			src.Add(mkRecord(flowN(i%150), types.Path{1, types.SwitchID(2 + i%3), 9}, types.Time(i), types.Time(i+1), uint64(i), 1))
+		}
+		var buf bytes.Buffer
+		if err := src.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		first := bytes.Clone(buf.Bytes())
+		dst, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("%d stripes: %v", shards, err)
+		}
+		if len(dst.shards) != shards {
+			t.Fatalf("%d-stripe writer restored into %d stripes", shards, len(dst.shards))
+		}
+		sameScans(t, dst, src, fmt.Sprintf("%d stripes", shards))
+		var again bytes.Buffer
+		if err := dst.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first) {
+			t.Errorf("%d stripes: the restored store snapshots to %d bytes other than the %d it was read from", shards, again.Len(), len(first))
+		}
 	}
 }
 
@@ -265,8 +257,8 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 	wg.Wait()
 
 	for i := range bufs {
-		restored := NewStoreConfig(Config{SegmentRecords: 256})
-		if err := restored.LoadSnapshot(bytes.NewReader(bufs[i].Bytes())); err != nil {
+		restored, err := ReadSnapshot(bytes.NewReader(bufs[i].Bytes()))
+		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
 		next := make([]int, writers+1) // expected SrcPort per writer: prefixes, in order
@@ -292,8 +284,8 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 	if err := s.Snapshot(&final); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	if err := restored.LoadSnapshot(&final); err != nil {
+	restored, err := ReadSnapshot(&final)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != writers*perWriter {
@@ -312,28 +304,38 @@ func TestSnapshotUnderConcurrentIngest(t *testing.T) {
 
 // TestSnapshotStripeCountCostsNothing (regression, found by
 // FuzzLoadSnapshot): a snapshot's header declares the writer's stripe
-// count, and a load under another count replayed the blocks through a
-// store of that many stripes. A 48-byte stream declaring 2³² − 1 stripes
-// and holding no block asked for hundreds of gigabytes; the replay now
-// chains only the stripes that hold blocks.
+// count, which the restored store takes. A 48-byte stream declaring
+// 2³¹ stripes and holding no block would ask for a store of that many;
+// a count that is not a power of two, or is above the stripe cap, is
+// refused before anything is allocated for it.
 func TestSnapshotStripeCountCostsNothing(t *testing.T) {
+	for _, n := range []uint32{0, 3, 2 * maxShards, 1 << 31, 1<<32 - 1} {
+		var pre [len(snapshotMagic) + 32 + 8]byte
+		h := pre[copy(pre[:], snapshotMagic):]
+		le.PutUint32(h, snapshotVersion)
+		le.PutUint32(h[4:], n)
+		le.PutUint64(h[8:], 7)
+		copy(h[32:], snapshotEnd)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := ReadSnapshot(bytes.NewReader(pre[:]))
+		runtime.ReadMemStats(&after)
+		if err == nil || s != nil {
+			t.Errorf("a header declaring %d stripes: error %v, a store returned: %t; want it refused", n, err, s != nil)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("refusing a header of %d stripes allocated %d bytes", n, grew)
+		}
+	}
 	var pre [len(snapshotMagic) + 32 + 8]byte
 	h := pre[copy(pre[:], snapshotMagic):]
 	le.PutUint32(h, snapshotVersion)
-	le.PutUint32(h[4:], 1<<32-1)
+	le.PutUint32(h[4:], maxShards)
 	le.PutUint64(h[8:], 7)
 	copy(h[32:], snapshotEnd)
-	s := NewStoreConfig(Config{Shards: 2})
-	s.Add(mkRecord(flowN(1), types.Path{1, 2}, 0, 1, 1, 1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := s.LoadSnapshot(bytes.NewReader(pre[:]))
-	runtime.ReadMemStats(&after)
-	if err != nil || s.Len() != 0 || s.LastSeq() != 7 {
-		t.Fatalf("empty snapshot: %v, %d records, seq %d; want it loaded empty at seq 7", err, s.Len(), s.LastSeq())
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-		t.Errorf("loading a %d-byte snapshot allocated %d bytes", len(pre), grew)
+	s, err := ReadSnapshot(bytes.NewReader(pre[:]))
+	if err != nil || len(s.shards) != maxShards || s.Len() != 0 || s.LastSeq() != 7 {
+		t.Fatalf("an empty stream of the cap's %d stripes: %v; want it loaded empty at seq 7", maxShards, err)
 	}
 }
 
@@ -366,8 +368,8 @@ func TestSnapshotReloadIsByteIdentical(t *testing.T) {
 		return buf.Bytes()
 	}
 	first := snap(src)
-	dst := NewStoreConfig(cfg)
-	if err := dst.LoadSnapshot(bytes.NewReader(first)); err != nil {
+	dst, err := ReadSnapshot(bytes.NewReader(first))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if second := snap(dst); !bytes.Equal(first, second) {
@@ -400,7 +402,7 @@ func TestSnapshotOldFormatsRefused(t *testing.T) {
 	for _, v := range []uint32{4, 5} {
 		stream := bytes.Clone(buf.Bytes())
 		le.PutUint32(stream[len(snapshotMagic):], v)
-		err := NewStore().LoadSnapshot(bytes.NewReader(stream))
+		_, err := ReadSnapshot(bytes.NewReader(stream))
 		if want := fmt.Sprintf("unsupported snapshot version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d stream: %v, want it refused as an unsupported snapshot version", v, err)
 		}
@@ -413,7 +415,31 @@ func TestSnapshotOldFormatsRefused(t *testing.T) {
 	if _, err := openBlock(blk, true); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("flags-1 block: %v, want it refused for its flow hash", err)
 	}
-	if err := NewStore().LoadSnapshot(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := ReadSnapshot(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("v6 stream of a flags-1 block: %v, want it refused for its flow hash", err)
+	}
+}
+
+// TestDeltaRejections: a stream whose header carries a since word is
+// an incremental delta an older build cut, which holds only the records
+// past that watermark. It is refused by name, not restored as if it were
+// the whole store.
+func TestDeltaRejections(t *testing.T) {
+	src := NewStoreConfig(Config{Shards: 2})
+	for i := 0; i < 20; i++ {
+		src.Add(mkRecord(flowN(i), types.Path{1, 2}, types.Time(i), types.Time(i+1), 1, 1))
+	}
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if le.Uint64(buf.Bytes()[len(snapshotMagic)+16:]) != 0 {
+		t.Fatal("a snapshot was written with a since word")
+	}
+	for _, since := range []uint64{1, 10, 1 << 40} {
+		s, err := ReadSnapshot(bytes.NewReader(withSince(buf.Bytes(), since)))
+		if err == nil || s != nil || !strings.Contains(err.Error(), deltaRefusal) {
+			t.Fatalf("since %d: error %v, a store returned: %t; want it refused as a delta", since, err, s != nil)
+		}
 	}
 }

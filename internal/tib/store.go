@@ -16,6 +16,11 @@ import (
 // each other's locks without bloating small stores.
 const DefaultShards = 16
 
+// maxShards caps the stripe count, 64 times the default: a snapshot's
+// header declares its writer's count, which the restored store takes,
+// so the reader refuses anything above what a writer can have.
+const maxShards = 1024
+
 // DefaultSegmentRecords is the default seal threshold: the active segment
 // of a shard is sealed once it holds this many records. Small enough that
 // a narrow time window prunes most of a large store by segment bounds
@@ -26,8 +31,8 @@ const DefaultSegmentRecords = 8192
 // Config parameterises a Store beyond the shard count. The zero value
 // selects the documented defaults.
 type Config struct {
-	// Shards is the lock-stripe count (rounded up to a power of two;
-	// default DefaultShards, 1 yields a single-lock store).
+	// Shards is the lock-stripe count (rounded up to a power of two, at
+	// most 1024; default DefaultShards, 1 yields a single-lock store).
 	Shards int
 	// SegmentSpan seals the active segment of a shard once the time span
 	// covered by its records would exceed this (0 = seal by record count
@@ -140,18 +145,6 @@ type Store struct {
 	compactMu    sync.Mutex
 	compactions  atomic.Uint64
 	plan         compactPlan
-
-	// swaps counts LoadSnapshot and ApplyIncremental commits, which
-	// replace chains under every shard's write lock; a scan, which
-	// captures one shard at a time, starts over when one lands mid-capture.
-	swaps atomic.Uint64
-
-	// evictedThroughSeq is the highest arrival sequence ever freed by
-	// eviction (never by spilling or compaction, which preserve data).
-	// SnapshotSince refuses to build a delta from a watermark at or
-	// below it — records in that range are gone, so only a full
-	// snapshot is honest.
-	evictedThroughSeq atomic.Uint64
 }
 
 // atomicTime is an atomic types.Time (int64).
@@ -190,6 +183,7 @@ func NewStoreConfig(cfg Config) *Store {
 	if n < 1 {
 		n = DefaultShards
 	}
+	n = min(n, maxShards)
 	pow := 1
 	for pow < n {
 		pow <<= 1
@@ -275,11 +269,7 @@ func (s *Store) stripe(h uint64) int { return int(h >> s.shift) }
 // stretch its time span past SegmentSpan, the segment is sealed — encoded
 // into its immutable block — and a fresh active segment starts, shaped
 // like the one sealed (segment.successor).
-func (s *Store) Add(rec types.Record) { s.add(0, rec) }
-
-// add is Add with an explicit arrival sequence (0 = assign the next one);
-// the snapshot reshape path replays records under their original stamps.
-func (s *Store) add(seq uint64, rec types.Record) {
+func (s *Store) Add(rec types.Record) {
 	h := types.StoreHash(rec.Flow)
 	si := s.stripe(h)
 	sh := &s.shards[si]
@@ -295,10 +285,7 @@ func (s *Store) add(seq uint64, rec types.Record) {
 	// The sequence number is assigned under the shard lock so each
 	// shard's segment chain is sequence-monotonic, which the scan merge
 	// relies on.
-	if seq == 0 {
-		seq = s.seq.Add(1)
-	}
-	seg.add(entry{seq: seq, rec: rec}, h)
+	seg.add(entry{seq: s.seq.Add(1), rec: rec}, h)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.bytesTotal.Add(recSize(&rec))
@@ -407,7 +394,6 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 					seg.dropped.Store(true)
 					coldFiles = append(coldFiles, seg.coldPath)
 				}
-				s.noteEvictedSeq(seg.lastSeq())
 				continue
 			}
 			keep = append(keep, seg)
@@ -445,17 +431,6 @@ func (s *Store) advance(floor *atomicTime, cutoff types.Time) bool {
 	}
 	floor.Store(cutoff)
 	return true
-}
-
-// noteEvictedSeq advances the evicted-through watermark to seq (see the
-// evictedThroughSeq field). Lock-free monotonic max.
-func (s *Store) noteEvictedSeq(seq uint64) {
-	for {
-		cur := s.evictedThroughSeq.Load()
-		if seq <= cur || s.evictedThroughSeq.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
 }
 
 // EvictOverBytes enforces the byte budget (Config.RetentionBytes): while
@@ -498,7 +473,6 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 				records += seg.n
 				s.count.Add(int64(-seg.n))
 				s.bytesTotal.Add(-seg.bytes)
-				s.noteEvictedSeq(seg.lastSeq())
 				break
 			}
 		}
@@ -678,7 +652,7 @@ func (c *cursor) settle(until uint64) {
 // however many stripes the scan spans and however their arrivals
 // interleave, and each block is read front to back, a run at a time. It
 // relies on no two records sharing a sequence, which Add's counter
-// guarantees and LoadSnapshot checks.
+// guarantees and ReadSnapshot checks.
 func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 	cursors := b.cursors
 	for i := range cursors {
@@ -774,67 +748,56 @@ func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.
 // had given is in place by the time capture read-locks that shard. The
 // shards are therefore locked one at a time, and a writer waits on at
 // most one shard's capture — a few comparisons and a pointer copy per
-// segment plus, on a listed scan, one probe. Only LoadSnapshot and
-// ApplyIncremental change several chains at once (under every shard's
-// write lock); capture starts over when one commits during it.
+// segment plus, on a listed scan, one probe.
 func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
-	until := sel.until
-	for {
-		swaps, last := s.swaps.Load(), s.seq.Load()
-		if last == 0 {
-			return // empty when the scan began
-		}
-		if sel.until = until; until == 0 || until > last {
-			sel.until = last
-		}
-		var scanned, pruned uint64
-		for i := range shards {
-			sh := &shards[i]
-			start := len(buf.segs)
-			sh.mu.RLock()
-			for _, seg := range sh.segs {
-				if seg.recs() == 0 {
-					continue
-				}
-				if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
-					(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
-					pruned++
-					continue
-				}
-				scanned++ // even when the index then answers "none"
-				switch {
-				case seg.cold:
-					buf.segs = append(buf.segs, segCursor{cold: seg})
-				case seg.blk != nil:
-					buf.segs = append(buf.segs, segCursor{blk: seg.blk})
-				default:
-					var sc segCursor
-					if sc.aim(sel, nil, seg) {
-						buf.segs = append(buf.segs, sc)
-					}
-				}
-			}
-			sh.mu.RUnlock()
-			if len(buf.segs) > start {
-				buf.cursors = append(buf.cursors, cursor{si: len(buf.segs)}) // si holds the end until the cut below
-			}
-		}
-		if s.swaps.Load() != swaps {
-			clear(buf.segs)
-			buf.cursors, buf.segs = buf.cursors[:0], buf.segs[:0]
-			continue
-		}
-		// segs may have moved as it grew, so the cursors' slices of it are
-		// cut only now.
-		start := 0
-		for i := range buf.cursors {
-			c := &buf.cursors[i]
-			c.segs, c.si, start = buf.segs[start:c.si:c.si], 0, c.si
-		}
-		s.segScanned.Add(scanned)
-		s.segPruned.Add(pruned)
-		return
+	last := s.seq.Load()
+	if last == 0 {
+		return // empty when the scan began
 	}
+	if sel.until == 0 || sel.until > last {
+		sel.until = last
+	}
+	var scanned, pruned uint64
+	for i := range shards {
+		sh := &shards[i]
+		start := len(buf.segs)
+		sh.mu.RLock()
+		for _, seg := range sh.segs {
+			if seg.recs() == 0 {
+				continue
+			}
+			if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
+				(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
+				pruned++
+				continue
+			}
+			scanned++ // even when the index then answers "none"
+			switch {
+			case seg.cold:
+				buf.segs = append(buf.segs, segCursor{cold: seg})
+			case seg.blk != nil:
+				buf.segs = append(buf.segs, segCursor{blk: seg.blk})
+			default:
+				var sc segCursor
+				if sc.aim(sel, nil, seg) {
+					buf.segs = append(buf.segs, sc)
+				}
+			}
+		}
+		sh.mu.RUnlock()
+		if len(buf.segs) > start {
+			buf.cursors = append(buf.cursors, cursor{si: len(buf.segs)}) // si holds the end until the cut below
+		}
+	}
+	// segs may have moved as it grew, so the cursors' slices of it are
+	// cut only now.
+	start := 0
+	for i := range buf.cursors {
+		c := &buf.cursors[i]
+		c.segs, c.si, start = buf.segs[start:c.si:c.si], 0, c.si
+	}
+	s.segScanned.Add(scanned)
+	s.segPruned.Add(pruned)
 }
 
 // resolve finishes what capture deferred until the shard locks were

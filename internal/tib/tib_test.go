@@ -248,8 +248,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	if err := restored.LoadSnapshot(&buf); err != nil {
+	restored, err := ReadSnapshot(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != s.Len() {
@@ -259,8 +259,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := restored.Flows(types.LinkID{A: 1, B: 50}, types.AllTime); len(got) != 1 {
 		t.Errorf("index not rebuilt: %v", got)
 	}
-	if err := restored.LoadSnapshot(bytes.NewBufferString("garbage")); err == nil {
-		t.Error("garbage snapshot accepted")
+	if s, err := ReadSnapshot(bytes.NewBufferString("garbage")); err == nil || s != nil {
+		t.Errorf("garbage snapshot: error %v, a store returned: %t; want an error and no store", err, s != nil)
 	}
 }
 

@@ -173,35 +173,26 @@ func TestEvictOverBytesSparesActive(t *testing.T) {
 	}
 }
 
-// TestSizeBytesSurvivesSnapshot: byte accounting is rebuilt on both
-// restore paths, so a byte budget keeps working after a snapshot load.
+// TestSizeBytesSurvivesSnapshot: a restored store's byte accounting is
+// the writer's, sealed blocks and encoded active tails alike, so a byte
+// budget keeps working after a snapshot load.
 func TestSizeBytesSurvivesSnapshot(t *testing.T) {
-	src := NewStoreConfig(Config{Shards: 4, SegmentRecords: 8})
-	for i := 1; i <= 50; i++ {
-		src.Add(wmRecord(i))
-	}
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewStoreConfig(Config{Shards: 4, SegmentRecords: 8})
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if dst.SizeBytes() != src.SizeBytes() {
-		t.Fatalf("restored SizeBytes() = %d, want %d", dst.SizeBytes(), src.SizeBytes())
-	}
-	// Reshaped restore (different shard count) goes through buildFrom.
-	re := NewStoreConfig(Config{Shards: 2, SegmentRecords: 8})
-	var buf2 bytes.Buffer
-	if err := src.Snapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.LoadSnapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if re.SizeBytes() != src.SizeBytes() {
-		t.Fatalf("reshaped SizeBytes() = %d, want %d", re.SizeBytes(), src.SizeBytes())
+	for _, shards := range []int{2, 4} {
+		src := NewStoreConfig(Config{Shards: shards, SegmentRecords: 8})
+		for i := 1; i <= 50; i++ {
+			src.Add(wmRecord(i))
+		}
+		var buf bytes.Buffer
+		if err := src.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst.SizeBytes() != src.SizeBytes() {
+			t.Fatalf("%d stripes: restored SizeBytes() = %d, want %d", shards, dst.SizeBytes(), src.SizeBytes())
+		}
 	}
 }
 
