@@ -236,7 +236,7 @@ func BenchmarkColdThaw(b *testing.B) {
 	if segs, recs, err := s.SpillBefore(types.TimeEnd); err != nil || segs != 1 || recs != DefaultSegmentRecords {
 		b.Fatalf("spilled %d segments / %d records (err %v), want 1 / %d", segs, recs, err, DefaultSegmentRecords)
 	}
-	stub := s.shards[0].segs[0]
+	stub := s.shards[0].segs()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -443,6 +443,22 @@ func (st *staging) push(f types.FlowID, vals [numCols]uint64) {
 	}
 }
 
+// addEntries stages an active segment's entries, page by page. The
+// columns are grown to the segment's length first, so a staging the pool
+// had to make afresh reaches it in one allocation a column, not in a
+// run of doublings.
+func (st *staging) addEntries(ents *pages[entry]) {
+	st.flows, st.hash = slices.Grow(st.flows, ents.n), slices.Grow(st.hash, ents.n)
+	for c := range st.col {
+		st.col[c] = slices.Grow(st.col[c], ents.n)
+	}
+	for pg := range ents.all {
+		for i := range pg {
+			st.add(pg[i].seq, &pg[i].rec)
+		}
+	}
+}
+
 // addBlock stages b's records column by column, interning each of b's
 // paths once, when its first record comes by.
 func (st *staging) addBlock(b *block) {
@@ -526,7 +542,7 @@ func (st *staging) encode(shard int) []byte {
 // ⟨half-hash, index⟩ words does the work; only a run where two flows
 // share a half-hash (n²/2³³ of blocks have one) is re-sorted in full.
 func (st *staging) sortFlows() (distinct int) {
-	st.perm = st.perm[:0]
+	st.perm = slices.Grow(st.perm[:0], len(st.hash))
 	for i, h := range st.hash {
 		st.perm = append(st.perm, h<<32|uint64(i))
 	}

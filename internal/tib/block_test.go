@@ -73,9 +73,8 @@ func TestResidentBytesPerRecord(t *testing.T) {
 		s.Add(mkRecord(flowN(i), path, st, st+types.Time(i%5000), uint64(64+i%9000), uint64(1+i%40)))
 	}
 	for i := range s.shards { // seal the tails too: the claim is about blocks
-		if sh := &s.shards[i]; sh.active().recs() > 0 {
-			sh.active().seal(i)
-			sh.segs = append(sh.segs, &segment{})
+		if seg := s.shards[i].active(); seg != nil {
+			seg.seal(i)
 		}
 	}
 	if merged, _ := s.Compact(); merged != 0 {
@@ -89,25 +88,32 @@ func TestResidentBytesPerRecord(t *testing.T) {
 	if got, want := s.SizeBytes(), int64(n*(96+2*5)); got != want {
 		t.Errorf("SizeBytes = %d, want the unchanged logical charge %d", got, want)
 	}
-	// An active segment reports its buffers, not a block: each at its
-	// capacity, by the layout of its elements (a heap measurement of the
-	// same thing differs from run to run).
+	// An active segment reports its buffers, not a block: each page at its
+	// capacity and each page table, by the layout of their elements (a
+	// heap measurement of the same thing differs from run to run).
 	a := NewStoreConfig(Config{Shards: 1, SegmentRecords: -1})
 	want := func() int64 {
-		seg := a.shards[0].active()
-		x := seg.index
-		n := int64(cap(seg.entries)) * int64(unsafe.Sizeof(entry{}))
-		n += int64(unsafe.Sizeof(chainIndex{})) + 4*int64(cap(x.flowPrev)) + 4*int64(cap(x.flowHead))
-		n += 8*int64(cap(x.linkCells)) + 8*int64(cap(x.linkHead))
-		for i := range seg.entries {
-			n += 2 * int64(len(seg.entries[i].rec.Path))
+		x := a.shards[0].active().index
+		n := int64(unsafe.Sizeof(chainIndex{})) + 4*int64(cap(x.flowHead)) + 8*int64(cap(x.linkHead))
+		for pg := range x.entries.all {
+			n += int64(cap(pg)) * int64(unsafe.Sizeof(entry{}))
+			for i := range pg {
+				n += 2 * int64(len(pg[i].rec.Path))
+			}
 		}
-		return n
+		for pg := range x.flowPrev.all {
+			n += 4 * int64(cap(pg))
+		}
+		for pg := range x.linkCells.all {
+			n += 8 * int64(cap(pg))
+		}
+		return n + 24*int64(cap(x.entries.more)+cap(x.flowPrev.more)+cap(x.linkCells.more))
 	}
 	a.Add(mkRecord(flowN(1), types.Path{1, 2, 3}, 0, 1, 1, 1))
-	// One entry, its 3 hops, the index: one flowPrev element rounded up to
-	// two, 8 flow slots, 2 link cells, 8 link slots.
-	if got, layout := a.ResidentBytes(), int64(80+6+int(unsafe.Sizeof(chainIndex{}))+8+32+16+64); got != layout || got != want() {
+	// One entry, its 3 hops, the index: one flowPrev element, 8 flow
+	// slots, 2 link cells, 8 link slots, each in a first page: no page
+	// table.
+	if got, layout := a.ResidentBytes(), int64(80+6+int(unsafe.Sizeof(chainIndex{}))+4+32+16+64); got != layout || got != want() {
 		t.Errorf("one active record reports %d resident bytes, its buffers hold %d (%d by hand)", got, want(), layout)
 	}
 	for i := 2; i <= 3000; i++ {
@@ -139,18 +145,19 @@ func TestBlockAllocGuards(t *testing.T) {
 		next += 1 << 14
 	}) / (1 << 14)
 	t.Logf("steady-state Add: %.4f objects/record", add)
-	// 0.0216 on this exact sequence: per 1,024-record segment, two
-	// regrowths of each buffer seeded from the segment before, the
-	// segment and its index, then one block and its path table; the
-	// ceiling leaves 40 % for the staging sync.Pool drops at a GC. (0.058
-	// while every buffer regrew from nothing after a seal, 2.156 while the
-	// active segment kept two maps of posting slices.)
+	// 0.0118 on this exact sequence: per 1,024-record segment, two pages
+	// of each buffer seeded from the segment before, the segment and its
+	// index, then one block and its path table; the ceiling leaves room
+	// for the staging sync.Pool drops at a GC. (0.0216 while the seeded
+	// buffers regrew by copy, 0.058 while every buffer regrew from nothing
+	// after a seal, 2.156 while the active segment kept two maps of
+	// posting slices.)
 	ceiling := 0.03
 	if testutil.RaceEnabled {
 		ceiling = 0.5 // sync.Pool drops the seal's staging at random under the race detector
 	}
 	if add > ceiling {
-		t.Errorf("steady-state Add allocates %.4f objects/record, want per-segment costs only (0.0216, ceiling %.2f)", add, ceiling)
+		t.Errorf("steady-state Add allocates %.4f objects/record, want per-segment costs only (0.0118, ceiling %.2f)", add, ceiling)
 	}
 
 	n := 0
@@ -171,7 +178,7 @@ func TestBlockAllocGuards(t *testing.T) {
 	if segs, _, err := cold.SpillBefore(types.TimeEnd); err != nil || segs != 1 {
 		t.Fatalf("spilled %d segments: %v", segs, err)
 	}
-	stub := cold.shards[0].segs[0]
+	stub := cold.shards[0].segs()[0]
 	thaw := testing.AllocsPerRun(5, func() {
 		if blk, err := cold.thaw(stub); err != nil || blk.n != DefaultSegmentRecords {
 			t.Fatalf("thaw: %v", err)

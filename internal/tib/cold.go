@@ -73,7 +73,7 @@ func (s *Store) ColdStats() ColdStats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
+		for _, seg := range sh.segs() {
 			if seg.cold {
 				st.Segments++
 				st.Records += seg.n
@@ -121,7 +121,7 @@ func (s *Store) SpillBefore(cutoff types.Time) (segments, records int, err error
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
+		for _, seg := range sh.segs() {
 			if seg.blk != nil && seg.maxTime < cutoff {
 				victims = append(victims, victim{seg, seg.blk})
 			}
@@ -169,7 +169,7 @@ func (s *Store) spillOne(seg *segment, blk *block) (bool, error) {
 	}
 	sh := &s.shards[blk.shard]
 	sh.mu.Lock()
-	if !slices.Contains(sh.segs, seg) || seg.blk != blk {
+	if !slices.Contains(sh.segs(), seg) || seg.blk != blk {
 		sh.mu.Unlock()
 		os.Remove(path)
 		return false, nil

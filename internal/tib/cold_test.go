@@ -202,7 +202,7 @@ func TestColdEvictionRemovesFiles(t *testing.T) {
 	}
 	var stub *segment
 	for i := range s2.shards {
-		for _, seg := range s2.shards[i].segs {
+		for _, seg := range s2.shards[i].segs() {
 			if seg.cold {
 				stub = seg
 			}

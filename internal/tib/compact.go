@@ -154,9 +154,9 @@ func (s *Store) planShard(shard, target int) []compactRun {
 		start, size, charge = len(p.segs), 0, 0
 	}
 	sh.mu.RLock()
-	for _, seg := range sh.segs[:len(sh.segs)-1] { // last is the active segment
+	for _, seg := range sh.segs() {
 		n := seg.n
-		if seg.blk == nil || n >= s.compactBelow {
+		if seg.blk == nil || n >= s.compactBelow { // cold, or the active segment
 			flush()
 			continue
 		}
@@ -200,27 +200,29 @@ func (s *Store) commitRun(run compactRun, m *segment) bool {
 	sh := &s.shards[run.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	segs := sh.segs()
 	start := -1
-	for j, seg := range sh.segs {
+	for j, seg := range segs {
 		if seg == run.segs[0] {
 			start = j
 			break
 		}
 	}
-	if start < 0 || start+len(run.segs) > len(sh.segs) {
+	if start < 0 || start+len(run.segs) > len(segs) {
 		return false
 	}
 	for k, want := range run.segs {
-		got := sh.segs[start+k]
+		got := segs[start+k]
 		if got != want || got.cold {
 			return false
 		}
 	}
-	sh.segs[start] = m
-	sh.segs = append(sh.segs[:start+1], sh.segs[start+len(run.segs):]...)
+	segs[start] = m
+	segs = append(segs[:start+1], segs[start+len(run.segs):]...)
+	sh.setSegs(segs)
 	// Clear the vacated tail of the backing array so the dropped
 	// victims are collectable.
-	tail := sh.segs[len(sh.segs) : len(sh.segs)+len(run.segs)-1]
+	tail := segs[len(segs) : len(segs)+len(run.segs)-1]
 	for j := range tail {
 		tail[j] = nil
 	}

@@ -95,7 +95,7 @@ func TestCompactPlanReusesScratch(t *testing.T) {
 		runs := s.planShard(i, DefaultSegmentRecords)
 		for _, r := range runs {
 			for _, seg := range r.segs {
-				if r.shard != i || !slices.Contains(s.shards[i].segs, seg) {
+				if r.shard != i || !slices.Contains(s.shards[i].segs(), seg) {
 					t.Fatalf("planShard(%d) returned a run holding another shard's segment", i)
 				}
 			}

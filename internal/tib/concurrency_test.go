@@ -103,12 +103,16 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 // 1-2, so that scan's sequences run 1, 2, 3, … without a gap (since+1, …
 // under a watermark), and a flow's records — numbered in Bytes by their
 // writer — run 0, 1, 2, …. Under -race it also proves a scan reads only
-// what the writer can no longer write.
+// what the writer can no longer write. The writers start once every
+// reader has scanned, so the active segments take their pages beside the
+// scans: in "outgrown", a segment seeded by an 8-record predecessor
+// grows to 4,000 records across a dozen page boundaries.
 func TestScansBesideAddSeePrefixes(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"sealing":    {Shards: 1, SegmentRecords: 600},
 		"seal-often": {Shards: 1, SegmentRecords: 37}, // every seal hands its head tables on
 		"never-seal": {Shards: 1, SegmentRecords: -1},
+		"outgrown":   {Shards: 1, SegmentRecords: -1, SegmentSpan: 100_000},
 		"two-shards": {Shards: 2, SegmentRecords: 300},
 		"16-shards":  {Shards: 16, SegmentRecords: 50},
 	} {
@@ -121,13 +125,25 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 			)
 			flowOf := func(w, k int) types.FlowID { return flowN(w*flowsEach + k) }
 			all := types.LinkID{A: 1, B: 2}
-			var readGroup, writeGroup sync.WaitGroup
+			prefill := 0
+			if cfg.SegmentSpan > 0 {
+				// Records far from the writers' in time seal into a segment
+				// of their own at the writers' first, which seeds the next.
+				for ; prefill < 8; prefill++ {
+					s.Add(mkRecord(flowN(100_000+prefill), types.Path{1, 2, 99}, 1_000_000, 1_000_010, 0, 0))
+				}
+			}
+			var readGroup, writeGroup, started sync.WaitGroup
 			stop := make(chan struct{})
 			for r := 0; r < 3; r++ {
 				readGroup.Add(1)
+				started.Add(1)
 				go func(r int) {
 					defer readGroup.Done()
 					for round := 0; ; round++ {
+						if round == 1 {
+							started.Done()
+						}
 						select {
 						case <-stop:
 							return
@@ -168,6 +184,7 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 					}
 				}(r)
 			}
+			started.Wait()
 			for w := 0; w < writers; w++ {
 				writeGroup.Add(1)
 				go func(w int) {
@@ -186,8 +203,14 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 			writeGroup.Wait()
 			close(stop)
 			readGroup.Wait()
-			if got := s.Len(); got != writers*perWriter {
-				t.Fatalf("Len = %d, want %d", got, writers*perWriter)
+			if got := s.Len(); got != writers*perWriter+prefill {
+				t.Fatalf("Len = %d, want %d", got, writers*perWriter+prefill)
+			}
+			if cfg.SegmentSpan > 0 {
+				seg := s.shards[0].active()
+				if s.Seals() != 1 || cap(seg.index.entries.first) != prefill/2 || pageCount(&seg.index.entries) < 4 {
+					t.Errorf("rig: %d seals, the active segment's %d entries in %d pages from a first of %d", s.Seals(), seg.recs(), pageCount(&seg.index.entries), cap(seg.index.entries.first))
+				}
 			}
 		})
 	}

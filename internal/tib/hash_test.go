@@ -16,7 +16,7 @@ func stripeLoads(shards int, flows []types.FlowID) []int {
 	}
 	loads := make([]int, len(s.shards))
 	for i := range s.shards {
-		for _, seg := range s.shards[i].segs {
+		for _, seg := range s.shards[i].segs() {
 			loads[i] += seg.recs()
 		}
 	}
@@ -81,7 +81,7 @@ func TestBloomWithinStripe(t *testing.T) {
 		}
 		absent++
 		h := types.StoreHash(f)
-		for _, seg := range s.shards[s.stripe(h)].segs {
+		for _, seg := range s.shards[s.stripe(h)].segs() {
 			if seg.sealed() {
 				probed++
 				if seg.filter.mayContain(h) {

@@ -357,11 +357,11 @@ func TestActiveSegmentMatchesReferenceModel(t *testing.T) {
 		flowSlots, linkSlots := 0, 0
 		for i := range w.s.shards {
 			sh := &w.s.shards[i]
-			if len(sh.segs) != 1 {
+			if len(sh.segs()) > 1 {
 				t.Fatalf("seed %d: shard %d sealed a segment", seed, i)
 			}
-			if x := sh.active().index; x != nil {
-				flowSlots, linkSlots = max(flowSlots, len(x.flowHead)), max(linkSlots, len(x.linkHead))
+			if seg := sh.active(); seg != nil {
+				flowSlots, linkSlots = max(flowSlots, len(seg.index.flowHead)), max(linkSlots, len(seg.index.linkHead))
 			}
 		}
 		if flowSlots < 16*headTableMin || linkSlots < 4*headTableMin {
@@ -436,7 +436,7 @@ func TestBigBlockMatchesReferenceModel(t *testing.T) {
 	for i := 0; i < 70_010; i++ {
 		w.add()
 	}
-	blk := w.s.shards[0].segs[0].blk
+	blk := w.s.shards[0].segs()[0].blk
 	if blk == nil || blk.n != 70_000 || blk.perm.w != 4 {
 		t.Fatalf("first segment is not a sealed 70,000-record block with 4-byte indexes")
 	}

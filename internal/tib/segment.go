@@ -2,30 +2,28 @@ package tib
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"pathdump/internal/types"
 )
 
 // segment is one time partition of a shard's record log, bracketed by the
-// min/max record times it covers. The last segment of a shard is the
-// active append target: a slice of sequence-stamped entries, each chained
-// to the previous entry of its flow and of every directed link it
+// min/max record times it covers. The last segment of a shard, unless it
+// is sealed, is the active append target: sequence-stamped entries, each
+// chained to the previous entry of its flow and of every directed link it
 // crossed. Sealing (by record count or time span — see Store.shouldSeal)
 // encodes it into a block, immutable by construction: nothing is left to
 // mutate but the resident → cold transition, so readers and the snapshot
 // writer hold block references without locks.
 type segment struct {
-	// Active state, nil once sealed (and index before the first record).
-	// A record costs an append to entries and to the index's chain
-	// buffers, whose committed prefixes never change, so a scan that
-	// captured their headers under the shard read lock keeps reading them
-	// after the lock is gone — even after seal, which drops these
-	// references but never recycles them. Only the index's head tables are
-	// recycled (see successor): they are read only under the shard lock,
-	// which the seal holds for writing.
-	entries []entry
-	index   *chainIndex
+	// Active state, nil once sealed. A record costs an append to the
+	// index's entries and chain buffers, which grow by pages whose
+	// committed prefixes never change, so a scan that copied their page
+	// headers under the shard read lock keeps reading them after the lock
+	// is gone — even after seal, which drops these references but never
+	// recycles a page. Only the head and page tables are recycled (see
+	// successor): they are read only under the shard lock, which the seal
+	// holds for writing.
+	index *chainIndex
 
 	// blk is the sealed segment's block; nil while active and again once
 	// the segment is spilled cold.
@@ -63,81 +61,63 @@ func (seg *segment) recs() int {
 	if seg.sealed() {
 		return seg.n
 	}
-	return len(seg.entries)
+	return seg.index.entries.n
 }
 
 // firstSeq/lastSeq bracket the segment's global arrival sequence numbers.
 // Sequence numbers are assigned under the shard write lock, so within a
 // shard's chain both are monotone across segments and entries — watermark
 // scans skip a whole segment when lastSeq() is at or below the watermark.
-// Caller holds (at least) the shard read lock for the active segment and
-// guarantees the segment is non-empty.
+// Caller holds (at least) the shard read lock for the active segment,
+// which holds a record from its start.
 func (seg *segment) firstSeq() uint64 {
 	if seg.sealed() {
 		return seg.seqLo
 	}
-	return seg.entries[0].seq
+	return seg.index.entries.at(0).seq
 }
 
 func (seg *segment) lastSeq() uint64 {
 	if seg.sealed() {
 		return seg.seqHi
 	}
-	return seg.entries[len(seg.entries)-1].seq
+	return seg.index.entries.at(seg.index.entries.n - 1).seq
 }
 
 // seqOutside reports whether the (since, until] arrival-sequence window
 // excludes the whole segment — the watermark prune check shared by every
-// scan path. Caller guarantees the segment is non-empty.
+// scan path.
 func (seg *segment) seqOutside(since, until uint64) bool {
 	return (since > 0 && seg.lastSeq() <= since) || (until > 0 && seg.firstSeq() > until)
 }
 
+// newSegment starts a shard's active segment at its first record, rec.
+// Its first pages hold one entry and rec's link cells, so a segment that
+// takes a single record holds no slack.
+func newSegment(rec *types.Record) *segment {
+	cells := make([]linkCell, 0, max(1, len(rec.Path)-1))
+	return &segment{index: &chainIndex{linkCells: pages[linkCell]{first: cells}}}
+}
+
 // add appends one entry to the (active) segment, updating bounds and
 // chaining the entry behind its flow's and its links' previous ones (h is
-// the flow's types.StoreHash). The index appears with the first
-// record: most shards of a small store never see one. Caller holds the
-// shard write lock.
+// the flow's types.StoreHash). Caller holds the shard write lock.
 func (seg *segment) add(e entry, h uint64) {
-	idx := uint32(len(seg.entries))
-	if idx == 0 {
+	if seg.index.entries.n == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime
 	} else {
 		seg.minTime = min(seg.minTime, e.rec.STime)
 		seg.maxTime = max(seg.maxTime, e.rec.ETime)
 	}
-	seg.entries = append(seg.entries, e)
 	seg.bytes += recSize(&e.rec)
-	if seg.index == nil {
-		seg.index = new(chainIndex)
-	}
-	seg.index.post(seg.entries, h)
+	seg.index.add(&e, h)
 }
 
 // activeBytes is the active segment's share of Store.ResidentBytes: its
 // buffers at their capacity, plus the path arrays the entries point at
 // (bytes − 96·records is recSize's 2·len(path) share).
 func (seg *segment) activeBytes() int64 {
-	n := int64(cap(seg.entries))*int64(unsafe.Sizeof(entry{})) + seg.bytes - 96*int64(len(seg.entries))
-	if seg.index != nil {
-		n += seg.index.bytes()
-	}
-	return n
-}
-
-// successor starts the segment that follows seg once seg seals, shaped
-// like it: the append-only buffers at half the lengths seg reached, so
-// one regrowth lands at about its size (half of all segments outgrow
-// their predecessor, and a seed at the full length would hold that much
-// more per shard), and seg's head tables handed over (chainIndex.successor).
-// Caller holds the shard write lock and seals seg next.
-func (seg *segment) successor() *segment {
-	n := len(seg.entries)
-	next := &segment{entries: make([]entry, 0, n/2)}
-	if seg.index != nil {
-		next.index = seg.index.successor(n)
-	}
-	return next
+	return seg.index.bytes() + seg.bytes - 96*int64(seg.index.entries.n)
 }
 
 // sealedSegment wraps a block as a sealed, resident segment charged
@@ -153,18 +133,24 @@ func sealedSegment(blk *block, bytes int64) *segment {
 func (seg *segment) freeze(blk *block) {
 	seg.blk, seg.n, seg.filter = blk, blk.n, blk.filter
 	seg.seqLo, seg.seqHi, seg.minTime, seg.maxTime = blk.seqLo, blk.seqHi, blk.minTime, blk.maxTime
-	seg.entries, seg.index = nil, nil
+	seg.index = nil
 }
 
-// seal encodes the active segment into its block for the given stripe.
-// Caller holds the shard write lock.
-func (seg *segment) seal(shard int) {
+// seal encodes the active segment into its block for the given stripe and
+// returns the segment that follows it, shaped like it: the index's
+// buffers start at half the lengths they reached, so a segment the size
+// of this one fills two pages (half of all segments outgrow their
+// predecessor, and a seed at the full length would hold that much more
+// per shard), and the head and page tables are handed over
+// (chainIndex.successor). Caller holds the shard write lock.
+func (seg *segment) seal(shard int) *segment {
 	st := getStaging()
-	for i := range seg.entries {
-		st.add(seg.entries[i].seq, &seg.entries[i].rec)
-	}
-	seg.freeze(mustOpen(st.encode(shard)))
+	st.addEntries(&seg.index.entries)
+	blk := mustOpen(st.encode(shard))
 	st.release()
+	next := &segment{index: seg.index.successor()}
+	seg.freeze(blk)
+	return next
 }
 
 // mustOpen opens a block this process just encoded; a failure is a bug.
@@ -177,8 +163,7 @@ func mustOpen(b []byte) *block {
 }
 
 // overlaps reports whether any record in the segment can intersect tr.
-// Empty segments overlap nothing. Cold segments answer from their
-// retained bounds.
+// Cold segments answer from their retained bounds.
 func (seg *segment) overlaps(tr types.TimeRange) bool {
-	return seg.recs() > 0 && tr.Overlaps(seg.minTime, seg.maxTime)
+	return tr.Overlaps(seg.minTime, seg.maxTime)
 }

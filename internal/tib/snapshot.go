@@ -20,7 +20,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 )
 
 const (
@@ -49,11 +48,11 @@ type snapshotHeader struct {
 
 // segView is one segment's immutable capture for the writer: a sealed
 // segment's block, a cold segment's stub (thawed at encode time, outside
-// the shard locks) or the active segment's append-only entries.
+// the shard locks) or a view of the active segment's entries.
 type segView struct {
 	blk  *block
 	cold *segment
-	ents []entry
+	ents pages[entry]
 }
 
 // captureSegments snapshots every shard's segment chain under all shard
@@ -64,14 +63,15 @@ func (s *Store) captureSegments() (views [][]segView, seq uint64) {
 		s.shards[i].mu.RLock()
 	}
 	views = make([][]segView, len(s.shards))
+	var tab [][]entry // the active segments' page tables (pages.view)
 	for i := range s.shards {
-		for _, seg := range s.shards[i].segs {
-			if seg.recs() == 0 {
-				continue
-			}
-			v := segView{blk: seg.blk, ents: seg.entries}
-			if seg.cold {
+		for _, seg := range s.shards[i].segs() {
+			v := segView{blk: seg.blk}
+			switch {
+			case seg.cold:
 				v.cold = seg
+			case seg.index != nil:
+				v.ents = seg.index.entries.view(&tab)
 			}
 			views[i] = append(views[i], v)
 		}
@@ -116,9 +116,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 			} else {
 				// The active segment: encode it as a seal would.
 				st := getStaging()
-				for k := range v.ents {
-					st.add(v.ents[k].seq, &v.ents[k].rec)
-				}
+				st.addEntries(&v.ents)
 				bw.Write(st.encode(si))
 				st.release()
 			}
@@ -279,11 +277,11 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	s := NewStoreConfig(Config{Shards: hdr.Shards})
 	var total, bytes int64
 	for _, blk := range blocks {
-		// Insert before the (empty) active segment; readSnapshot checked
-		// that each stripe's blocks arrive in chain order.
+		// readSnapshot checked that each stripe's blocks arrive in chain
+		// order; a shard's active segment starts with its next record.
 		sh := &s.shards[blk.shard]
 		seg := sealedSegment(blk, blk.charge())
-		sh.segs = slices.Insert(sh.segs, len(sh.segs)-1, seg)
+		sh.push(seg)
 		total += int64(blk.n)
 		bytes += seg.bytes
 	}

@@ -3,6 +3,7 @@ package tib
 import (
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -157,17 +158,52 @@ func (a *atomicTime) Load() types.Time { return types.Time(a.v.Load()) }
 func (a *atomicTime) Store(t types.Time) { a.v.Store(int64(t)) }
 
 // storeShard is one lock stripe: an ordered chain of segments. The last
-// segment is the active append target; all earlier ones are sealed and
-// immutable. Sequence numbers are assigned under the shard lock, so the
-// chain is sequence-monotonic: every entry of segs[i] precedes every
-// entry of segs[i+1] in global arrival order.
+// segment, once the shard has taken a record, is the active append
+// target; all earlier ones are sealed and immutable. Sequence numbers are
+// assigned under the shard lock, so the chain is sequence-monotonic:
+// every entry of segs[i] precedes every entry of segs[i+1] in global
+// arrival order.
 type storeShard struct {
-	mu   sync.RWMutex
-	segs []*segment
+	mu sync.RWMutex
+	// list holds the segments, oldest first; nil until the shard's first
+	// record or block. Behind a pointer, a stripe is 32 bytes and a
+	// default store's 16 take one 512-byte allocation; at 48 bytes they
+	// took 896, the allocator's header included.
+	list *[]*segment
 }
 
-// active returns the shard's append segment.
-func (sh *storeShard) active() *segment { return sh.segs[len(sh.segs)-1] }
+// segs returns the shard's segments, oldest first. Caller holds the lock.
+func (sh *storeShard) segs() []*segment {
+	if sh.list == nil {
+		return nil
+	}
+	return *sh.list
+}
+
+// push appends seg to the shard's segments. Caller holds the write lock.
+func (sh *storeShard) push(seg *segment) {
+	if sh.list == nil {
+		sh.list = new([]*segment)
+	}
+	*sh.list = append(*sh.list, seg)
+}
+
+// setSegs replaces the shard's segments with segs, cut from them by
+// eviction or compaction. Caller holds the write lock.
+func (sh *storeShard) setSegs(segs []*segment) {
+	if sh.list != nil {
+		*sh.list = segs
+	}
+}
+
+// active returns the shard's append segment: nil before the shard's first
+// record, and in a restored store until the shard's next one.
+func (sh *storeShard) active() *segment {
+	if segs := sh.segs(); len(segs) > 0 && !segs[len(segs)-1].sealed() {
+		return segs[len(segs)-1]
+	}
+	return nil
+}
 
 type entry struct {
 	seq uint64
@@ -177,7 +213,9 @@ type entry struct {
 // NewStore builds an empty TIB with the default configuration.
 func NewStore() *Store { return NewStoreConfig(Config{}) }
 
-// NewStoreConfig builds an empty TIB from an explicit configuration.
+// NewStoreConfig builds an empty TIB from an explicit configuration. A
+// shard's first segment appears with its first record, so an idle store
+// costs its stripes' locks and nothing more.
 func NewStoreConfig(cfg Config) *Store {
 	n := cfg.Shards
 	if n < 1 {
@@ -192,7 +230,7 @@ func NewStoreConfig(cfg Config) *Store {
 	if segRecords == 0 {
 		segRecords = DefaultSegmentRecords
 	}
-	s := &Store{
+	return &Store{
 		shards:         make([]storeShard, pow),
 		shift:          uint(64 - bits.TrailingZeros(uint(pow))),
 		segSpan:        cfg.SegmentSpan,
@@ -202,10 +240,6 @@ func NewStoreConfig(cfg Config) *Store {
 		coldDir:        cfg.ColdDir,
 		compactBelow:   cfg.CompactBelow,
 	}
-	for i := range s.shards {
-		s.shards[i].segs = []*segment{{}}
-	}
-	return s
 }
 
 // Retention returns the configured retention window (0 = unbounded); the
@@ -229,7 +263,7 @@ func (s *Store) ResidentBytes() int64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
+		for _, seg := range sh.segs() {
 			switch {
 			case seg.blk != nil:
 				n += int64(len(seg.blk.b))
@@ -268,18 +302,21 @@ func (s *Store) stripe(h uint64) int { return int(h >> s.shift) }
 // shard's active segment is full (by record count) or the record would
 // stretch its time span past SegmentSpan, the segment is sealed — encoded
 // into its immutable block — and a fresh active segment starts, shaped
-// like the one sealed (segment.successor).
+// like the one sealed (segment.seal). A shard without an active segment
+// starts one.
 func (s *Store) Add(rec types.Record) {
 	h := types.StoreHash(rec.Flow)
 	si := s.stripe(h)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	seg := sh.active()
-	if s.shouldSeal(seg, &rec) {
-		next := seg.successor()
-		seg.seal(si)
-		seg = next
-		sh.segs = append(sh.segs, seg)
+	switch {
+	case seg == nil:
+		seg = newSegment(&rec)
+		sh.push(seg)
+	case s.shouldSeal(seg, &rec):
+		seg = seg.seal(si)
+		sh.push(seg)
 		s.sealCount.Add(1)
 	}
 	// The sequence number is assigned under the shard lock so each
@@ -291,13 +328,10 @@ func (s *Store) Add(rec types.Record) {
 	s.bytesTotal.Add(recSize(&rec))
 }
 
-// shouldSeal decides whether the active segment must be sealed before rec
-// is appended.
+// shouldSeal decides whether the active segment, which holds a record at
+// least, must be sealed before rec is appended.
 func (s *Store) shouldSeal(seg *segment, rec *types.Record) bool {
-	if len(seg.entries) == 0 {
-		return false
-	}
-	if s.segRecords > 0 && len(seg.entries) >= s.segRecords {
+	if s.segRecords > 0 && seg.index.entries.n >= s.segRecords {
 		return true
 	}
 	if s.segSpan > 0 {
@@ -316,19 +350,15 @@ func (s *Store) shouldSeal(seg *segment, rec *types.Record) bool {
 // Len returns the record count.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
-// Segments returns how many non-empty segments currently exist across
-// all shards (a shard's active segment counts once it holds a record;
-// cold segments count — they are still scannable).
+// Segments returns how many segments currently exist across all shards:
+// none is empty (a shard's active segment appears with its first record),
+// and cold ones count — they are still scannable.
 func (s *Store) Segments() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
-			if seg.recs() > 0 {
-				n++
-			}
-		}
+		n += len(sh.segs())
 		sh.mu.RUnlock()
 	}
 	return n
@@ -342,7 +372,7 @@ func (s *Store) SealedSegments() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
+		for _, seg := range sh.segs() {
 			if seg.blk != nil {
 				n++
 			}
@@ -379,8 +409,9 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		keep := sh.segs[:0]
-		for _, seg := range sh.segs {
+		segs := sh.segs()
+		keep := segs[:0]
+		for _, seg := range segs {
 			if seg.sealed() && seg.maxTime < cutoff {
 				segments++
 				records += seg.recs()
@@ -399,10 +430,8 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 			keep = append(keep, seg)
 		}
 		// Clear the dropped tail so evicted segments are collectable.
-		for j := len(keep); j < len(sh.segs); j++ {
-			sh.segs[j] = nil
-		}
-		sh.segs = keep
+		clear(segs[len(keep):])
+		sh.setSegs(keep)
 		sh.mu.Unlock()
 	}
 	if records > 0 {
@@ -454,7 +483,7 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.RLock()
-			for _, seg := range sh.segs {
+			for _, seg := range sh.segs() {
 				if seg.blk != nil && (victim == nil || seg.maxTime < victim.maxTime) {
 					victim, victimShard = seg, i
 				}
@@ -466,9 +495,9 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 		}
 		sh := &s.shards[victimShard]
 		sh.mu.Lock()
-		for j, seg := range sh.segs {
+		for j, seg := range sh.segs() {
 			if seg == victim {
-				sh.segs = append(sh.segs[:j], sh.segs[j+1:]...)
+				sh.setSegs(slices.Delete(sh.segs(), j, j+1))
 				segments++
 				records += seg.n
 				s.count.Add(int64(-seg.n))
@@ -483,19 +512,21 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 
 // scanBuf holds one scan's reusable cursor machinery: the per-shard
 // cursor list, every cursor's per-segment chain back to back in one
-// slice, the one Record sealed blocks are materialised through, and the
-// scratch a listed scan walks active segments' chains into. Scans borrow
-// one from a sync.Pool; a buffer the pool did not keep costs a scan a
-// few allocations, however many stripes it spans. release
-// clears every segCursor it handed out, so a pooled buffer never pins
-// evicted segments' blocks, entries or chain buffers. The merge window's
-// records it leaves: all they reference is a path, a slice of a block's
-// small hop table.
+// slice, the one Record sealed blocks are materialised through, the page
+// tables a listed scan copies of active segments' buffers and the
+// scratch it walks their chains into. Scans borrow one from a sync.Pool;
+// a buffer the pool did not keep costs a scan a few allocations, however
+// many stripes it spans. release clears every segCursor, page table and
+// walked entry it handed out, so a pooled buffer never pins evicted
+// segments' blocks, entries or chain buffers. The merge window's records
+// it leaves: all they reference is a path, a slice of a block's small
+// hop table.
 type scanBuf struct {
 	cursors []cursor
 	segs    []segCursor // the cursors' segs, back to back
 	rec     types.Record
-	post    []uint32
+	tabs    pageTabs
+	post    []*entry
 	win     *window // a merge of several cursors' staging, made on first use
 }
 
@@ -519,6 +550,8 @@ func getScanBuf() *scanBuf { return scanBufs.Get().(*scanBuf) }
 func (b *scanBuf) release() {
 	clear(b.cursors)
 	clear(b.segs)
+	clear(b.post)
+	b.tabs.reset()
 	b.cursors, b.segs, b.rec, b.post = b.cursors[:0], b.segs[:0], types.Record{}, b.post[:0]
 	scanBufs.Put(b)
 }
@@ -555,20 +588,21 @@ type cursor struct {
 const seqDone = ^uint64(0)
 
 // segCursor walks one segment: a sealed (or thawed) block in place, or
-// the active segment's buffers as captured under the shard read lock —
-// entries and chains are append-only, so those headers stay valid (and
-// their elements immutable) after the lock is released. Positions i..n
-// index the records themselves or, when listed, a posting list into
+// an active segment's buffers as captured under the shard read lock —
+// they grow by pages that are never regrown or reused, so what was
+// captured stays valid (and immutable) after the lock is released.
+// Positions i..n index the records themselves — a block's, or one page of
+// an active segment's entries — or, when listed, a posting list into
 // them. A cursor captured over a sealed segment carries only its block
 // (or, cold, the segment to thaw) and a listed one over the active segment
-// only where its chain starts; resolve aims both after the shard locks are
-// released, before the merge starts.
+// only its chain; resolve aims the first and walks the second after the
+// shard locks are released, before the merge starts.
 type segCursor struct {
 	blk    *block
 	bpost  column   // listed block cursor: a run of the block's postings
-	ents   []entry  // active segment
+	ents   []entry  // unlisted active cursor: a page of entries
 	chain  chain    // listed active cursor, until resolve walks it into post
-	post   []uint32 // listed active cursor: the chain's entries, ascending
+	post   []*entry // listed active cursor: the chain's entries, ascending
 	listed bool
 	i, n   int
 	cold   *segment // cold segment still to thaw; nil once resolved
@@ -578,33 +612,30 @@ type segCursor struct {
 // sequence.
 func (c *segCursor) head(k int) (idx int, seq uint64) {
 	switch {
-	case !c.listed:
 	case c.blk != nil:
-		k = int(c.bpost.at(k))
-	default:
-		k = int(c.post[k])
-	}
-	if c.blk != nil {
+		if c.listed {
+			k = int(c.bpost.at(k))
+		}
 		return k, c.blk.seqAt(k)
+	case c.listed:
+		return k, c.post[k].seq
 	}
 	return k, c.ents[k].seq
 }
 
-// aim points the cursor at blk — or, when blk is nil, at the active
-// segment's buffers (caller holds the shard read lock) — through the
-// posting list sel names, and skips the positions at or below the since
-// watermark: sequences ascend along records and postings alike, so the
-// cut is a binary search. It reports whether anything is left to visit.
-// Of a listed scan over the active segment it only captures the chain:
-// the walk that applies the watermark waits for resolve.
-func (c *segCursor) aim(sel *selector, blk *block, active *segment) bool {
+// aim points the cursor at blk — or, when blk is nil, at a page of an
+// active segment's entries (caller holds the shard read lock) — through
+// the posting list sel names, and skips the positions at or below the
+// since watermark: sequences ascend along records and postings alike, so
+// the cut is a binary search. It reports whether anything is left to
+// visit. A listed scan over the active segment captures its chain
+// instead (chainIndex.chain): the walk that applies the watermark waits
+// for resolve.
+func (c *segCursor) aim(sel *selector, blk *block, page []entry) bool {
 	c.blk, c.listed = blk, sel.listed
 	switch {
-	case blk == nil && sel.listed:
-		c.ents, c.chain = active.entries, active.index.chain(active.entries, sel)
-		return c.chain.head != 0
 	case blk == nil:
-		c.ents, c.n = active.entries, len(active.entries)
+		c.ents, c.n, c.listed = page, len(page), false
 	case !sel.listed:
 		c.n = blk.n
 	case sel.flow != nil:
@@ -714,9 +745,12 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 // settles the cursor on its next head.
 func (c *cursor) take(rec *types.Record, until uint64) *types.Record {
 	sc := &c.segs[c.si]
-	if sc.blk != nil {
+	switch {
+	case sc.blk != nil:
 		sc.blk.record(c.idx, rec)
-	} else {
+	case sc.listed:
+		rec = &sc.post[c.idx].rec
+	default:
 		rec = &sc.ents[c.idx].rec
 	}
 	sc.i++
@@ -736,7 +770,8 @@ func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.
 // capture takes a read view of the given shards: per surviving segment,
 // a reference to its block (sealed segments are immutable, and a cold one
 // is a file) or, for the active segment, a cursor aimed at the committed
-// prefix of its buffers. Segments whose time bounds do not intersect the
+// prefix of each page of its entries — or a listed scan's chain, with
+// copies of the page headers its walk reads. Segments whose time bounds do not intersect the
 // range, whose sequence bounds fall wholly outside (since, until], or —
 // on single-flow scans — whose bloom rules the flow out are pruned:
 // skipped whole, before any record is touched.
@@ -748,7 +783,8 @@ func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.
 // had given is in place by the time capture read-locks that shard. The
 // shards are therefore locked one at a time, and a writer waits on at
 // most one shard's capture — a few comparisons and a pointer copy per
-// segment plus, on a listed scan, one probe.
+// segment (per page, for the active one) plus, on a listed scan, one
+// probe.
 func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 	last := s.seq.Load()
 	if last == 0 {
@@ -762,10 +798,7 @@ func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 		sh := &shards[i]
 		start := len(buf.segs)
 		sh.mu.RLock()
-		for _, seg := range sh.segs {
-			if seg.recs() == 0 {
-				continue
-			}
+		for _, seg := range sh.segs() {
 			if seg.seqOutside(sel.since, sel.until) || !seg.overlaps(sel.tr) ||
 				(sel.flow != nil && !seg.filter.mayContain(sel.fh)) {
 				pruned++
@@ -777,10 +810,16 @@ func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 				buf.segs = append(buf.segs, segCursor{cold: seg})
 			case seg.blk != nil:
 				buf.segs = append(buf.segs, segCursor{blk: seg.blk})
+			case sel.listed:
+				if ch := seg.index.chain(sel, &buf.tabs); ch.head != 0 {
+					buf.segs = append(buf.segs, segCursor{chain: ch, listed: true})
+				}
 			default:
-				var sc segCursor
-				if sc.aim(sel, nil, seg) {
-					buf.segs = append(buf.segs, sc)
+				for pg := range seg.index.entries.all {
+					var sc segCursor
+					if sc.aim(sel, nil, pg) {
+						buf.segs = append(buf.segs, sc)
+					}
 				}
 			}
 		}
@@ -826,7 +865,7 @@ func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 				sc.aim(sel, blk, nil)
 			case sc.chain.head != 0: // else an unlisted active segment, or one evicted under the scan
 				from := len(buf.post)
-				buf.post = sc.chain.walk(sc.ents, sel.since, buf.post)
+				buf.post = sc.chain.walk(sel.since, buf.post)
 				sc.post, sc.chain = buf.post[from:], chain{}
 				sc.n = len(sc.post)
 			}
