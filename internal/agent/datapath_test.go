@@ -144,18 +144,18 @@ func TestLongHeadersStayApart(t *testing.T) {
 // TestReceiveAllocs pins what the datapath allocates. A data packet on
 // an open flow: nothing — one probe of the flow index, counters bumped in
 // the slab. A whole flow (open, data, FIN) with no query installed: only
-// the store's share, and that is per segment, not per record — 0.054 per
+// the store's share, and that is per segment, not per record — 0.027 per
 // flow in this rig (the window seals each shard once: its first segment's
-// buffers growing from nothing, the seal's block, the next segment's
-// buffers seeded from the sealed one's lengths; 0.083–0.091 while every
+// entries growing from nothing, the seal's block, the next segment's
+// entries seeded from the sealed one's length; 0.054 while a chain index
+// beside the entries grew two more buffers, 0.083–0.091 while every
 // segment regrew from nothing after a seal, 1.33 while segment.add kept
 // two maps of posting slices, 7.2 before the datapath's own went: the
 // entry, the cloned tag slice, the eviction result, the cache key string,
 // the escaped record). The count is taken with GC off: a GC empties the
-// pools the seal draws on, and each one in the window would add ≈ 0.008
-// of refills. One that landed before the window adds them once (0.062);
-// the ceiling leaves room for that and no more, not one allocation per
-// four flows. An event-triggered query installed adds nothing while
+// pools the seal draws on, and each one in the window would add refills.
+// One that landed before the window adds them once (0.030); the ceiling
+// leaves room for that and no more, not one allocation per four flows. An event-triggered query installed adds nothing while
 // records conform: the check reads the record in export's frame.
 func TestReceiveAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -189,7 +189,7 @@ func TestReceiveAllocs(t *testing.T) {
 	bare := perFlow()
 	t.Logf("%.4f allocations per flow opened and closed, no query installed", bare)
 	if bare > 0.07 {
-		t.Errorf("%.4f allocations per flow opened and closed, ceiling 0.07 (the store's own share is 0.054–0.062)", bare)
+		t.Errorf("%.4f allocations per flow opened and closed, ceiling 0.07 (the store's own share is 0.027–0.030)", bare)
 	}
 	if d.a.Mem.Len() != resident || d.a.InvalidTraj != 0 || d.a.Store.Len() == 0 {
 		t.Fatalf("rig: %d open, %d stored, %d invalid", d.a.Mem.Len(), d.a.Store.Len(), d.a.InvalidTraj)

@@ -88,39 +88,32 @@ func TestResidentBytesPerRecord(t *testing.T) {
 	if got, want := s.SizeBytes(), int64(n*(96+2*5)); got != want {
 		t.Errorf("SizeBytes = %d, want the unchanged logical charge %d", got, want)
 	}
-	// An active segment reports its buffers, not a block: each page at its
-	// capacity and each page table, by the layout of their elements (a
+	// An active segment reports its entries, not a block: each page at its
+	// capacity and the page table, by the layout of their elements (a
 	// heap measurement of the same thing differs from run to run).
 	a := NewStoreConfig(Config{Shards: 1, SegmentRecords: -1})
 	want := func() int64 {
-		x := a.shards[0].active().index
-		n := int64(unsafe.Sizeof(chainIndex{})) + 4*int64(cap(x.flowHead)) + 8*int64(cap(x.linkHead))
-		for pg := range x.entries.all {
+		x := a.shards[0].active().entries
+		n := int64(unsafe.Sizeof(*x)) + 24*int64(cap(x.more))
+		for pg := range x.all {
 			n += int64(cap(pg)) * int64(unsafe.Sizeof(entry{}))
 			for i := range pg {
 				n += 2 * int64(len(pg[i].rec.Path))
 			}
 		}
-		for pg := range x.flowPrev.all {
-			n += 4 * int64(cap(pg))
-		}
-		for pg := range x.linkCells.all {
-			n += 8 * int64(cap(pg))
-		}
-		return n + 24*int64(cap(x.entries.more)+cap(x.flowPrev.more)+cap(x.linkCells.more))
+		return n
 	}
 	a.Add(mkRecord(flowN(1), types.Path{1, 2, 3}, 0, 1, 1, 1))
-	// One entry, its 3 hops, the index: one flowPrev element, 8 flow
-	// slots, 2 link cells, 8 link slots, each in a first page: no page
-	// table.
-	if got, layout := a.ResidentBytes(), int64(80+6+int(unsafe.Sizeof(chainIndex{}))+4+32+16+64); got != layout || got != want() {
-		t.Errorf("one active record reports %d resident bytes, its buffers hold %d (%d by hand)", got, want(), layout)
+	// One entry and its 3 hops, in a first page: no page table and no
+	// index.
+	if got, layout := a.ResidentBytes(), int64(80+6+int(unsafe.Sizeof(pages[entry]{}))); got != layout || got != want() {
+		t.Errorf("one active record reports %d resident bytes, its entries hold %d (%d by hand)", got, want(), layout)
 	}
 	for i := 2; i <= 3000; i++ {
 		a.Add(mkRecord(flowN(i%700), types.Path{1, types.SwitchID(2 + i%60), 3, types.SwitchID(4 + i%7)}, 0, 1, 1, 1))
 	}
 	if got := a.ResidentBytes(); got != want() || a.Segments() != 1 {
-		t.Errorf("%d active records report %d resident bytes, their buffers hold %d", a.Len(), got, want())
+		t.Errorf("%d active records report %d resident bytes, their entries hold %d", a.Len(), got, want())
 	}
 }
 
@@ -145,10 +138,11 @@ func TestBlockAllocGuards(t *testing.T) {
 		next += 1 << 14
 	}) / (1 << 14)
 	t.Logf("steady-state Add: %.4f objects/record", add)
-	// 0.0118 on this exact sequence: per 1,024-record segment, two pages
-	// of each buffer seeded from the segment before, the segment and its
-	// index, then one block and its path table; the ceiling leaves room
-	// for the staging sync.Pool drops at a GC. (0.0216 while the seeded
+	// 0.0079 on this exact sequence: per 1,024-record segment, two pages
+	// of entries seeded from the segment before, the segment and its page
+	// buffer, then one block and its path table; the ceiling leaves room
+	// for the staging sync.Pool drops at a GC. (0.0118 while a chain index
+	// paged two more buffers beside the entries, 0.0216 while the seeded
 	// buffers regrew by copy, 0.058 while every buffer regrew from nothing
 	// after a seal, 2.156 while the active segment kept two maps of
 	// posting slices.)
@@ -157,7 +151,7 @@ func TestBlockAllocGuards(t *testing.T) {
 		ceiling = 0.5 // sync.Pool drops the seal's staging at random under the race detector
 	}
 	if add > ceiling {
-		t.Errorf("steady-state Add allocates %.4f objects/record, want per-segment costs only (0.0118, ceiling %.2f)", add, ceiling)
+		t.Errorf("steady-state Add allocates %.4f objects/record, want per-segment costs only (0.0079, ceiling %.2f)", add, ceiling)
 	}
 
 	n := 0

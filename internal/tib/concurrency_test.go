@@ -95,8 +95,8 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 }
 
 // TestScansBesideAddSeePrefixes is the same-shard half of the above: four
-// writers append to one shard — its active segment growing, its chains
-// and head tables rewritten under the scans — while listed flow scans,
+// writers append to one shard — its active segment growing and sealing,
+// its page table handed on, under the scans — while listed flow scans,
 // listed link scans and watermark scans run beside them. Sequence numbers
 // are handed out under the shard lock, so whatever instant a scan caught,
 // it must have seen a downward-closed prefix: every record crosses link
@@ -110,7 +110,7 @@ func TestStoreConcurrentAddAndScan(t *testing.T) {
 func TestScansBesideAddSeePrefixes(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"sealing":    {Shards: 1, SegmentRecords: 600},
-		"seal-often": {Shards: 1, SegmentRecords: 37}, // every seal hands its head tables on
+		"seal-often": {Shards: 1, SegmentRecords: 37}, // every seal hands its page table on
 		"never-seal": {Shards: 1, SegmentRecords: -1},
 		"outgrown":   {Shards: 1, SegmentRecords: -1, SegmentSpan: 100_000},
 		"two-shards": {Shards: 2, SegmentRecords: 300},
@@ -208,8 +208,8 @@ func TestScansBesideAddSeePrefixes(t *testing.T) {
 			}
 			if cfg.SegmentSpan > 0 {
 				seg := s.shards[0].active()
-				if s.Seals() != 1 || cap(seg.index.entries.first) != prefill/2 || pageCount(&seg.index.entries) < 4 {
-					t.Errorf("rig: %d seals, the active segment's %d entries in %d pages from a first of %d", s.Seals(), seg.recs(), pageCount(&seg.index.entries), cap(seg.index.entries.first))
+				if s.Seals() != 1 || cap(seg.entries.first) != prefill/2 || pageCount(seg.entries) < 4 {
+					t.Errorf("rig: %d seals, the active segment's %d entries in %d pages from a first of %d", s.Seals(), seg.recs(), pageCount(seg.entries), cap(seg.entries.first))
 				}
 			}
 		})

@@ -56,19 +56,13 @@ func (p *pages[T]) push(v T) {
 	p.n++
 }
 
-// at returns element i (0 ≤ i < p.n). Pages are searched from the newest,
-// which holds about half the elements, or all of a seeded buffer's
-// outgrowth: most lookups — and every chain walk's first steps — end at
-// the first comparison.
-func (p *pages[T]) at(i int) *T {
-	start := p.n
-	for k := len(p.more) - 1; k >= 0; k-- {
-		pg := p.more[k]
-		if start -= len(pg); i >= start {
-			return &pg[i-start]
-		}
+// last returns the newest element (p.n > 0).
+func (p *pages[T]) last() *T {
+	pg := p.first
+	if len(p.more) > 0 {
+		pg = p.more[len(p.more)-1]
 	}
-	return &p.first[i]
+	return &pg[len(pg)-1]
 }
 
 // all yields the pages in order, each sliced to what it holds.

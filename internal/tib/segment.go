@@ -2,28 +2,28 @@ package tib
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"pathdump/internal/types"
 )
 
 // segment is one time partition of a shard's record log, bracketed by the
 // min/max record times it covers. The last segment of a shard, unless it
-// is sealed, is the active append target: sequence-stamped entries, each
-// chained to the previous entry of its flow and of every directed link it
-// crossed. Sealing (by record count or time span — see Store.shouldSeal)
-// encodes it into a block, immutable by construction: nothing is left to
-// mutate but the resident → cold transition, so readers and the snapshot
-// writer hold block references without locks.
+// is sealed, is the active append target: sequence-stamped entries in
+// arrival order, and nothing else — a scan filters them. Sealing (by
+// record count or time span — see Store.shouldSeal) encodes it into a
+// block with its flow and link postings, immutable by construction:
+// nothing is left to mutate but the resident → cold transition, so
+// readers and the snapshot writer hold block references without locks.
 type segment struct {
-	// Active state, nil once sealed. A record costs an append to the
-	// index's entries and chain buffers, which grow by pages whose
-	// committed prefixes never change, so a scan that copied their page
-	// headers under the shard read lock keeps reading them after the lock
-	// is gone — even after seal, which drops these references but never
-	// recycles a page. Only the head and page tables are recycled (see
-	// successor): they are read only under the shard lock, which the seal
-	// holds for writing.
-	index *chainIndex
+	// entries is the active state, nil once sealed. A record costs an
+	// append, into pages whose committed prefixes never change, so a scan
+	// that copied their page headers under the shard read lock keeps
+	// reading them after the lock is gone — even after seal, which drops
+	// this reference but never recycles a page. Only the page table is
+	// recycled (see seal): it is read only under the shard lock, which the
+	// seal holds for writing.
+	entries *pages[entry]
 
 	// blk is the sealed segment's block; nil while active and again once
 	// the segment is spilled cold.
@@ -61,7 +61,7 @@ func (seg *segment) recs() int {
 	if seg.sealed() {
 		return seg.n
 	}
-	return seg.index.entries.n
+	return seg.entries.n
 }
 
 // firstSeq/lastSeq bracket the segment's global arrival sequence numbers.
@@ -74,14 +74,14 @@ func (seg *segment) firstSeq() uint64 {
 	if seg.sealed() {
 		return seg.seqLo
 	}
-	return seg.index.entries.at(0).seq
+	return seg.entries.first[0].seq
 }
 
 func (seg *segment) lastSeq() uint64 {
 	if seg.sealed() {
 		return seg.seqHi
 	}
-	return seg.index.entries.at(seg.index.entries.n - 1).seq
+	return seg.entries.last().seq
 }
 
 // seqOutside reports whether the (since, until] arrival-sequence window
@@ -91,33 +91,25 @@ func (seg *segment) seqOutside(since, until uint64) bool {
 	return (since > 0 && seg.lastSeq() <= since) || (until > 0 && seg.firstSeq() > until)
 }
 
-// newSegment starts a shard's active segment at its first record, rec.
-// Its first pages hold one entry and rec's link cells, so a segment that
-// takes a single record holds no slack.
-func newSegment(rec *types.Record) *segment {
-	cells := make([]linkCell, 0, max(1, len(rec.Path)-1))
-	return &segment{index: &chainIndex{linkCells: pages[linkCell]{first: cells}}}
-}
-
-// add appends one entry to the (active) segment, updating bounds and
-// chaining the entry behind its flow's and its links' previous ones (h is
-// the flow's types.StoreHash). Caller holds the shard write lock.
-func (seg *segment) add(e entry, h uint64) {
-	if seg.index.entries.n == 0 {
+// add appends one entry to the (active) segment, updating its bounds.
+// Caller holds the shard write lock.
+func (seg *segment) add(e entry) {
+	if seg.entries.n == 0 {
 		seg.minTime, seg.maxTime = e.rec.STime, e.rec.ETime
 	} else {
 		seg.minTime = min(seg.minTime, e.rec.STime)
 		seg.maxTime = max(seg.maxTime, e.rec.ETime)
 	}
 	seg.bytes += recSize(&e.rec)
-	seg.index.add(&e, h)
+	seg.entries.push(e)
 }
 
 // activeBytes is the active segment's share of Store.ResidentBytes: its
-// buffers at their capacity, plus the path arrays the entries point at
-// (bytes − 96·records is recSize's 2·len(path) share).
+// entries' pages at their capacity and their page table, plus the path
+// arrays the entries point at (bytes − 96·records is recSize's
+// 2·len(path) share).
 func (seg *segment) activeBytes() int64 {
-	return seg.index.bytes() + seg.bytes - 96*int64(seg.index.entries.n)
+	return int64(unsafe.Sizeof(*seg.entries)) + seg.entries.bytes() + seg.bytes - 96*int64(seg.entries.n)
 }
 
 // sealedSegment wraps a block as a sealed, resident segment charged
@@ -133,24 +125,24 @@ func sealedSegment(blk *block, bytes int64) *segment {
 func (seg *segment) freeze(blk *block) {
 	seg.blk, seg.n, seg.filter = blk, blk.n, blk.filter
 	seg.seqLo, seg.seqHi, seg.minTime, seg.maxTime = blk.seqLo, blk.seqHi, blk.minTime, blk.maxTime
-	seg.index = nil
+	seg.entries = nil
 }
 
 // seal encodes the active segment into its block for the given stripe and
-// returns the segment that follows it, shaped like it: the index's
-// buffers start at half the lengths they reached, so a segment the size
-// of this one fills two pages (half of all segments outgrow their
+// returns the segment that follows it, shaped like it: its entries start
+// with a first page half the length this one reached, so a segment the
+// size of this one fills two pages (half of all segments outgrow their
 // predecessor, and a seed at the full length would hold that much more
-// per shard), and the head and page tables are handed over
-// (chainIndex.successor). Caller holds the shard write lock.
+// per shard), and the page table is handed over (pages.successor).
+// Caller holds the shard write lock.
 func (seg *segment) seal(shard int) *segment {
 	st := getStaging()
-	st.addEntries(&seg.index.entries)
+	st.addEntries(seg.entries)
 	blk := mustOpen(st.encode(shard))
 	st.release()
-	next := &segment{index: seg.index.successor()}
+	next := seg.entries.successor()
 	seg.freeze(blk)
-	return next
+	return &segment{entries: &next}
 }
 
 // mustOpen opens a block this process just encoded; a failure is a bug.

@@ -70,8 +70,8 @@ func (s *Store) captureSegments() (views [][]segView, seq uint64) {
 			switch {
 			case seg.cold:
 				v.cold = seg
-			case seg.index != nil:
-				v.ents = seg.index.entries.view(&tab)
+			case seg.entries != nil:
+				v.ents = seg.entries.view(&tab)
 			}
 			views[i] = append(views[i], v)
 		}

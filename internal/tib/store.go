@@ -256,8 +256,8 @@ func (s *Store) SizeBytes() int64 { return s.bytesTotal.Load() }
 
 // ResidentBytes returns what the store's records actually occupy in
 // memory: the length of every resident block, the buffers of the active
-// segments (entries, their path arrays, the flow and link chains and
-// head tables, each at its capacity) and the blooms cold segments keep.
+// segments (their entries' pages at capacity, the page tables and the
+// entries' path arrays) and the blooms cold segments keep.
 func (s *Store) ResidentBytes() int64 {
 	var n int64
 	for i := range s.shards {
@@ -294,10 +294,11 @@ func recSize(rec *types.Record) int64 {
 
 // stripe maps a flow's hash (types.StoreHash) onto its stripe: the
 // hash's top bits, so the low bits that seed its bloom probes and its
-// head-table slot vary within a stripe.
+// block flow order vary within a stripe.
 func (s *Store) stripe(h uint64) int { return int(h >> s.shift) }
 
-// Add appends one TIB record. Only the record's shard is locked, so
+// Add appends one TIB record. Only the record's shard — its flow's hash
+// picks it, and that is all the hash is for here — is locked, so
 // concurrent ingest of distinct flows proceeds in parallel. When the
 // shard's active segment is full (by record count) or the record would
 // stretch its time span past SegmentSpan, the segment is sealed — encoded
@@ -305,14 +306,13 @@ func (s *Store) stripe(h uint64) int { return int(h >> s.shift) }
 // like the one sealed (segment.seal). A shard without an active segment
 // starts one.
 func (s *Store) Add(rec types.Record) {
-	h := types.StoreHash(rec.Flow)
-	si := s.stripe(h)
+	si := s.stripe(types.StoreHash(rec.Flow))
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	seg := sh.active()
 	switch {
-	case seg == nil:
-		seg = newSegment(&rec)
+	case seg == nil: // its entries' first page will hold one: no slack
+		seg = &segment{entries: new(pages[entry])}
 		sh.push(seg)
 	case s.shouldSeal(seg, &rec):
 		seg = seg.seal(si)
@@ -322,7 +322,7 @@ func (s *Store) Add(rec types.Record) {
 	// The sequence number is assigned under the shard lock so each
 	// shard's segment chain is sequence-monotonic, which the scan merge
 	// relies on.
-	seg.add(entry{seq: s.seq.Add(1), rec: rec}, h)
+	seg.add(entry{seq: s.seq.Add(1), rec: rec})
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.bytesTotal.Add(recSize(&rec))
@@ -331,7 +331,7 @@ func (s *Store) Add(rec types.Record) {
 // shouldSeal decides whether the active segment, which holds a record at
 // least, must be sealed before rec is appended.
 func (s *Store) shouldSeal(seg *segment, rec *types.Record) bool {
-	if s.segRecords > 0 && seg.index.entries.n >= s.segRecords {
+	if s.segRecords > 0 && seg.entries.n >= s.segRecords {
 		return true
 	}
 	if s.segSpan > 0 {
@@ -512,21 +512,17 @@ func (s *Store) EvictOverBytes() (segments, records int) {
 
 // scanBuf holds one scan's reusable cursor machinery: the per-shard
 // cursor list, every cursor's per-segment chain back to back in one
-// slice, the one Record sealed blocks are materialised through, the page
-// tables a listed scan copies of active segments' buffers and the
-// scratch it walks their chains into. Scans borrow one from a sync.Pool;
-// a buffer the pool did not keep costs a scan a few allocations, however
-// many stripes it spans. release clears every segCursor, page table and
-// walked entry it handed out, so a pooled buffer never pins evicted
-// segments' blocks, entries or chain buffers. The merge window's records
-// it leaves: all they reference is a path, a slice of a block's small
-// hop table.
+// slice, and the one Record sealed blocks are materialised through.
+// Scans borrow one from a sync.Pool; a buffer the pool did not keep costs
+// a scan a few allocations, however many stripes it spans. release
+// clears every segCursor it handed out, so a pooled buffer never pins
+// evicted segments' blocks or entries. The merge window's records it
+// leaves: all they reference is a path, a slice of a block's small hop
+// table.
 type scanBuf struct {
 	cursors []cursor
 	segs    []segCursor // the cursors' segs, back to back
 	rec     types.Record
-	tabs    pageTabs
-	post    []*entry
 	win     *window // a merge of several cursors' staging, made on first use
 }
 
@@ -550,9 +546,7 @@ func getScanBuf() *scanBuf { return scanBufs.Get().(*scanBuf) }
 func (b *scanBuf) release() {
 	clear(b.cursors)
 	clear(b.segs)
-	clear(b.post)
-	b.tabs.reset()
-	b.cursors, b.segs, b.rec, b.post = b.cursors[:0], b.segs[:0], types.Record{}, b.post[:0]
+	b.cursors, b.segs, b.rec = b.cursors[:0], b.segs[:0], types.Record{}
 	scanBufs.Put(b)
 }
 
@@ -564,13 +558,24 @@ type selector struct {
 	link         types.LinkID
 	tr           types.TimeRange
 	// listed is set when there is a flow or a concrete link to look up:
-	// cursors then walk that posting list (the flow's when both are
-	// given) instead of every record.
+	// block cursors then walk that posting list (the flow's when both are
+	// given) instead of every record, and active page cursors drop the
+	// entries that fail it (keeps).
 	listed bool
 	// checkLink is set when the link still filters record by record: a
 	// flow's postings, or a link with one wildcard end, leave it to.
 	checkLink bool
-	fh        uint64 // types.StoreHash(*flow): single-flow scans probe blooms and head tables
+	fh        uint64 // types.StoreHash(*flow): single-flow scans probe blooms
+}
+
+// keeps reports whether rec is on the posting list a listed selector
+// names: the flow's, or else the link's. It is what a block's postings
+// answer, asked of an active segment's entry.
+func (sel *selector) keeps(rec *types.Record) bool {
+	if sel.flow != nil {
+		return rec.Flow == *sel.flow
+	}
+	return rec.Path.ContainsLink(sel.link)
 }
 
 // cursor walks one shard's matching records in sequence order during a
@@ -588,21 +593,19 @@ type cursor struct {
 const seqDone = ^uint64(0)
 
 // segCursor walks one segment: a sealed (or thawed) block in place, or
-// an active segment's buffers as captured under the shard read lock —
-// they grow by pages that are never regrown or reused, so what was
-// captured stays valid (and immutable) after the lock is released.
-// Positions i..n index the records themselves — a block's, or one page of
-// an active segment's entries — or, when listed, a posting list into
-// them. A cursor captured over a sealed segment carries only its block
-// (or, cold, the segment to thaw) and a listed one over the active segment
-// only its chain; resolve aims the first and walks the second after the
-// shard locks are released, before the merge starts.
+// one page of an active segment's entries as captured under the shard
+// read lock — pages are never regrown or reused, so what was captured
+// stays valid (and immutable) after the lock is released. Positions i..n
+// index the records themselves — a block's or the page's — or, when a
+// block cursor is listed, a posting list into them; a listed page cursor
+// skips the entries its selector does not keep as it settles. A cursor
+// captured over a sealed segment carries only its block (or, cold, the
+// segment to thaw); resolve aims it after the shard locks are released,
+// before the merge starts.
 type segCursor struct {
 	blk    *block
-	bpost  column   // listed block cursor: a run of the block's postings
-	ents   []entry  // unlisted active cursor: a page of entries
-	chain  chain    // listed active cursor, until resolve walks it into post
-	post   []*entry // listed active cursor: the chain's entries, ascending
+	bpost  column  // listed block cursor: a run of the block's postings
+	ents   []entry // active cursor: a page of entries
 	listed bool
 	i, n   int
 	cold   *segment // cold segment still to thaw; nil once resolved
@@ -611,16 +614,13 @@ type segCursor struct {
 // head maps a cursor position to its record's index and arrival
 // sequence.
 func (c *segCursor) head(k int) (idx int, seq uint64) {
-	switch {
-	case c.blk != nil:
-		if c.listed {
-			k = int(c.bpost.at(k))
-		}
-		return k, c.blk.seqAt(k)
-	case c.listed:
-		return k, c.post[k].seq
+	if c.blk == nil {
+		return k, c.ents[k].seq
 	}
-	return k, c.ents[k].seq
+	if c.listed {
+		k = int(c.bpost.at(k))
+	}
+	return k, c.blk.seqAt(k)
 }
 
 // aim points the cursor at blk — or, when blk is nil, at a page of an
@@ -628,14 +628,12 @@ func (c *segCursor) head(k int) (idx int, seq uint64) {
 // the posting list sel names, and skips the positions at or below the
 // since watermark: sequences ascend along records and postings alike, so
 // the cut is a binary search. It reports whether anything is left to
-// visit. A listed scan over the active segment captures its chain
-// instead (chainIndex.chain): the walk that applies the watermark waits
-// for resolve.
+// visit.
 func (c *segCursor) aim(sel *selector, blk *block, page []entry) bool {
 	c.blk, c.listed = blk, sel.listed
 	switch {
 	case blk == nil:
-		c.ents, c.n, c.listed = page, len(page), false
+		c.ents, c.n = page, len(page)
 	case !sel.listed:
 		c.n = blk.n
 	case sel.flow != nil:
@@ -652,16 +650,23 @@ func (c *segCursor) aim(sel *selector, blk *block, page []entry) bool {
 	return c.i < c.n
 }
 
-// settle moves the cursor to its next head at or below until (0 = no
-// bound) and caches that head's sequence and record index. The chain is
-// sequence-monotonic, so the first head past the bound exhausts it.
-func (c *cursor) settle(until uint64) {
+// settle moves the cursor to its next head at or below sel.until (0 = no
+// bound) — on a listed scan, past the entries of an active page that sel
+// does not keep — and caches that head's sequence and record index. The
+// chain is sequence-monotonic, so the first head past the bound exhausts
+// it.
+func (c *cursor) settle(sel *selector) {
 	for ; c.si < len(c.segs); c.si++ {
 		sc := &c.segs[c.si]
+		if sc.listed && sc.blk == nil {
+			for sc.i < sc.n && !sel.keeps(&sc.ents[sc.i].rec) {
+				sc.i++
+			}
+		}
 		if sc.i == sc.n {
 			continue
 		}
-		if c.idx, c.seq = sc.head(sc.i); until > 0 && c.seq > until {
+		if c.idx, c.seq = sc.head(sc.i); sel.until > 0 && c.seq > sel.until {
 			break
 		}
 		return
@@ -687,14 +692,14 @@ func (c *cursor) settle(until uint64) {
 func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 	cursors := b.cursors
 	for i := range cursors {
-		cursors[i].settle(sel.until)
+		cursors[i].settle(sel)
 	}
 	if len(cursors) < 2 {
 		for i := range cursors { // one at most: nothing to merge
 			c := &cursors[i]
 			for c.seq != seqDone {
 				seq := c.seq
-				if !visit(sel, c.take(&b.rec, sel.until), seq, fn) {
+				if !visit(sel, c.take(&b.rec, sel), seq, fn) {
 					return
 				}
 			}
@@ -722,7 +727,7 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 			for c.seq < end {
 				off := c.seq - base
 				w.used[off/64] |= 1 << (off % 64)
-				if rec := c.take(&w.rec[off], sel.until); rec != &w.rec[off] {
+				if rec := c.take(&w.rec[off], sel); rec != &w.rec[off] {
 					w.rec[off] = *rec
 				}
 			}
@@ -743,18 +748,15 @@ func (b *scanBuf) merge(sel *selector, fn func(uint64, *types.Record) bool) {
 // take returns the cursor's head record — materialised into rec when it
 // lies in a block, in place when it lies in an active segment — and
 // settles the cursor on its next head.
-func (c *cursor) take(rec *types.Record, until uint64) *types.Record {
+func (c *cursor) take(rec *types.Record, sel *selector) *types.Record {
 	sc := &c.segs[c.si]
-	switch {
-	case sc.blk != nil:
+	if sc.blk != nil {
 		sc.blk.record(c.idx, rec)
-	case sc.listed:
-		rec = &sc.post[c.idx].rec
-	default:
+	} else {
 		rec = &sc.ents[c.idx].rec
 	}
 	sc.i++
-	c.settle(until)
+	c.settle(sel)
 	return rec
 }
 
@@ -770,11 +772,10 @@ func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.
 // capture takes a read view of the given shards: per surviving segment,
 // a reference to its block (sealed segments are immutable, and a cold one
 // is a file) or, for the active segment, a cursor aimed at the committed
-// prefix of each page of its entries — or a listed scan's chain, with
-// copies of the page headers its walk reads. Segments whose time bounds do not intersect the
-// range, whose sequence bounds fall wholly outside (since, until], or —
-// on single-flow scans — whose bloom rules the flow out are pruned:
-// skipped whole, before any record is touched.
+// prefix of each page of its entries. Segments whose time bounds do not
+// intersect the range, whose sequence bounds fall wholly outside (since,
+// until], or — on single-flow scans — whose bloom rules the flow out are
+// pruned: skipped whole, before any record is touched.
 //
 // The view holds the records numbered up to the store's sequence counter
 // as capture found it (sel.until is lowered to it), a downward-closed
@@ -783,8 +784,7 @@ func visit(sel *selector, rec *types.Record, seq uint64, fn func(uint64, *types.
 // had given is in place by the time capture read-locks that shard. The
 // shards are therefore locked one at a time, and a writer waits on at
 // most one shard's capture — a few comparisons and a pointer copy per
-// segment (per page, for the active one) plus, on a listed scan, one
-// probe.
+// segment (per page, for the active one).
 func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 	last := s.seq.Load()
 	if last == 0 {
@@ -810,12 +810,8 @@ func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 				buf.segs = append(buf.segs, segCursor{cold: seg})
 			case seg.blk != nil:
 				buf.segs = append(buf.segs, segCursor{blk: seg.blk})
-			case sel.listed:
-				if ch := seg.index.chain(sel, &buf.tabs); ch.head != 0 {
-					buf.segs = append(buf.segs, segCursor{chain: ch, listed: true})
-				}
 			default:
-				for pg := range seg.index.entries.all {
+				for pg := range seg.entries.all {
 					var sc segCursor
 					if sc.aim(sel, nil, pg) {
 						buf.segs = append(buf.segs, sc)
@@ -841,10 +837,8 @@ func (s *Store) capture(buf *scanBuf, shards []storeShard, sel *selector) {
 
 // resolve finishes what capture deferred until the shard locks were
 // released: every cold segment's block is demand-loaded from disk (the
-// store is untouched — disk reads must not stall writers), every block
-// cursor is aimed and every captured chain is walked into the buffer's
-// scratch (a cursor keeps its stretch even if a later walk regrows the
-// scratch under it). A segment evicted between capture and thaw
+// store is untouched — disk reads must not stall writers) and every
+// block cursor is aimed. A segment evicted between capture and thaw
 // resolves to an empty cursor (its data is gone exactly as if eviction
 // had won the race outright); any other failure aborts the scan with a
 // *ColdReadError.
@@ -860,14 +854,8 @@ func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 				}
 				sc.cold = nil
 			}
-			switch {
-			case blk != nil:
+			if blk != nil { // else an active page, or a segment evicted under the scan
 				sc.aim(sel, blk, nil)
-			case sc.chain.head != 0: // else an unlisted active segment, or one evicted under the scan
-				from := len(buf.post)
-				buf.post = sc.chain.walk(sel.since, buf.post)
-				sc.post, sc.chain = buf.post[from:], chain{}
-				sc.n = len(sc.post)
 			}
 		}
 	}
@@ -879,13 +867,15 @@ func (s *Store) resolve(buf *scanBuf, sel *selector) error {
 // layer's Predicate. The triple picks the cheapest access path —
 //
 //   - flow != nil: the flow's single shard (all records of one flow live
-//     in one), walking that flow's posting list inside each segment
-//     surviving time and bloom pruning — a negative bloom probe prunes a
-//     sealed segment before its postings are consulted, which dominates
-//     on long-lived stores where a flow touches a handful of the shard's
-//     many segments;
-//   - concrete link: the link's posting lists inside surviving segments
-//     of every shard, merged by sequence;
+//     in one), walking that flow's posting list inside each sealed
+//     segment surviving time and bloom pruning — a negative bloom probe
+//     prunes a sealed segment before its postings are consulted, which
+//     dominates on long-lived stores where a flow touches a handful of
+//     the shard's many segments — and the flow's entries of the active
+//     one;
+//   - concrete link: the link's posting lists inside surviving sealed
+//     segments, and its entries of the active ones, of every shard,
+//     merged by sequence;
 //   - otherwise: a full merge over surviving segments.
 //
 // In every case whole segments whose [min,max] time bounds miss tr are

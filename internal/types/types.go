@@ -91,12 +91,12 @@ func (f FlowID) Reverse() FlowID {
 type FlowKey [2]uint64
 
 // storeKey is the fixed key of every structure the TIB persists or ships:
-// a flow's stripe, its head-table slot, its bloom bits and its place in a
-// block's flow order are all read from StoreHash. It is fixed because a
-// block built by one process is probed by another, and unexported because
-// blocks and snapshots already written would silently miss their own
-// flows under any other. Tables that live in one process only draw their
-// own key with NewFlowKey.
+// a flow's stripe, its bloom bits and its place in a block's flow order
+// are all read from StoreHash. It is fixed because a block built by one
+// process is probed by another, and unexported because blocks and
+// snapshots already written would silently miss their own flows under
+// any other. Tables that live in one process only draw their own key
+// with NewFlowKey.
 var storeKey = FlowKey{0x243f6a8885a308d3, 0x13198a2e03707344}
 
 // StoreHash is a flow's hash under the TIB's fixed key.
