@@ -109,9 +109,22 @@ func (c *Controller) run(ctx context.Context, hostIDs []types.HostID, fanouts []
 		}
 	}()
 	fo := c.newQueryFanout(ctx)
-	f := fold{q: q, slots: c.fetch(hosts, q, fo, root)}
+	slots, replies := c.fetch(hosts, q, fo, root)
+	f := fold{q: q, slots: slots}
 	res, _ := f.node(n, root)
+	if res.Top != nil {
+		// A top-k answer is the root merger's list, drawn from the pool
+		// and sized for the fold: the caller keeps a copy of exactly its
+		// length, and the pool gets the list back.
+		top := make([]query.FlowBytes, len(res.Top))
+		copy(top, res.Top)
+		query.PutTopBuf(res.Top)
+		res.Top = top
+	}
 	f.recycle()
+	// Every reply is folded and nothing holds a slot: the trace's rpc
+	// spans are derived from the tree nodes, never the replies.
+	putBatchReplies(replies)
 	stats := ExecStats{Hedged: int(fo.hedged.Load()), Retried: int(fo.retried.Load()), Trace: root}
 	m.hedged.Add(uint64(stats.Hedged))
 	m.retried.Add(uint64(stats.Retried))
@@ -203,6 +216,7 @@ func (f *fold) node(n *treeNode, sp *obs.Span) (res *query.Result, ok bool) {
 		query.PutTopBuf(r.Top)
 		r.Top = nil
 	}
+	sm.Release()
 	if folded && f.q.Op == query.OpTopK {
 		// The merger published its own list over the base's.
 		query.PutTopBuf(own)

@@ -80,12 +80,13 @@ func (c *Controller) land(n *treeNode, s *hostSlot, res *query.Result, meta Quer
 // one host's request, not a daemon's round) or a plain transport,
 // min(Parallelism, n) workers pull positions in DFS order through
 // queryHost and fetch returns at once; the fold, which waits on every
-// slot, is what joins them.
-func (c *Controller) fetch(hosts []treeNode, q query.Query, fo *fanout, sp *obs.Span) []hostSlot {
+// slot, is what joins them. A batched round also returns the transport's
+// reply array, which the slots point into: the caller hands it back
+// (putBatchReplies) once the fold is done.
+func (c *Controller) fetch(hosts []treeNode, q query.Query, fo *fanout, sp *obs.Span) ([]hostSlot, []BatchReply) {
 	slots := make([]hostSlot, len(hosts))
 	if bt, ok := c.T.(BatchTransport); ok && fo.hedgeAfter <= 0 && len(hosts) > 0 {
-		c.fetchBatch(bt, hosts, slots, q, fo, sp)
-		return slots
+		return slots, c.fetchBatch(bt, hosts, slots, q, fo, sp)
 	}
 	results := make([]query.Result, len(hosts))
 	workers := len(hosts)
@@ -110,7 +111,7 @@ func (c *Controller) fetch(hosts []treeNode, q query.Query, fo *fanout, sp *obs.
 			}
 		}()
 	}
-	return slots
+	return slots, nil
 }
 
 // fetchBatch resolves every host through one BatchTransport round, on the
@@ -121,7 +122,9 @@ func (c *Controller) fetch(hosts []treeNode, q query.Query, fo *fanout, sp *obs.
 // transport could not get within it comes back as per-reply errors and
 // only those hosts are dropped (over HTTP: the daemons that had not
 // answered); a transport that fails the round whole drops every host.
-func (c *Controller) fetchBatch(bt BatchTransport, hosts []treeNode, slots []hostSlot, q query.Query, fo *fanout, sp *obs.Span) {
+// It returns the reply array the slots point into, nil if the round
+// failed whole.
+func (c *Controller) fetchBatch(bt BatchTransport, hosts []treeNode, slots []hostSlot, q query.Query, fo *fanout, sp *obs.Span) []BatchReply {
 	bsp := sp.StartChild("batch")
 	bsp.SetInt("hosts", int64(len(hosts)))
 	defer bsp.Finish()
@@ -155,7 +158,7 @@ func (c *Controller) fetchBatch(bt BatchTransport, hosts []treeNode, slots []hos
 		for j := range hosts {
 			c.land(&hosts[j], &slots[j], nil, QueryMeta{}, err, fo)
 		}
-		return
+		return nil
 	}
 	for j := range hosts {
 		rep := &replies[j]
@@ -167,6 +170,7 @@ func (c *Controller) fetchBatch(bt BatchTransport, hosts []treeNode, slots []hos
 	// An answered host's rpc and scan spans would hold nothing its node
 	// does not: they are built from the nodes when the trace is read.
 	bsp.Derive(func(into *obs.Span) { hostSpans(into, hosts) })
+	return replies
 }
 
 // hostSpans hangs an rpc span, with its scan under it, for every answered

@@ -101,11 +101,28 @@ type BatchReply struct {
 // of an execution, direct or tree, through one call when available. Replies must
 // align with the hosts argument; parallel bounds the transport's internal
 // concurrency (<= 0 means unlimited). Cancelling ctx must abort the
-// round trip and any server-side fan-out it carries.
+// round trip and any server-side fan-out it carries. The reply array is
+// the controller's once QueryMany returns: when the execution has folded
+// every reply, it clears the slots and hands the array to the pool
+// GetBatchReplies draws from, whichever transport made it.
 type BatchTransport interface {
 	Transport
 	QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, parallel int) ([]BatchReply, error)
 }
+
+// batchReplies recycles the reply arrays of batched rounds: a 128-host
+// round's array is 128 slots of a few hundred bytes each, dead once the
+// execution's fold is done with it.
+var batchReplies query.BufPool[BatchReply]
+
+// GetBatchReplies returns n zero reply slots for a QueryMany to fill: a
+// recycled array, or a fresh one.
+func GetBatchReplies(n int) []BatchReply { return batchReplies.Get(n)[:n] }
+
+// putBatchReplies clears a folded round's array, up to its capacity — an
+// array from another transport may hold something past its length — and
+// hands it to the pool.
+func putBatchReplies(replies []BatchReply) { batchReplies.Put(replies[:cap(replies)]) }
 
 // SerialControl marks transports whose Install/Uninstall must not be
 // invoked concurrently — the sim-backed Local transport schedules periodic

@@ -38,7 +38,11 @@ func (r *Result) Merge(o *Result, q Query) {
 // hand children out of shared or pooled memory, and the controller
 // recycles every child after the merge — whereas dst, base contents
 // included, is the caller's: the merger appends to it and updates it in
-// place, and the merged result belongs to the caller alone.
+// place, and the merged result belongs to the caller alone. A top-k
+// merge publishes a list drawn from the top-k pool (GetTopBuf): a caller
+// done with it hands it back with PutTopBuf, and one that keeps it —
+// the answer to a user — copies it out, so as not to hold a buffer
+// sized for the fold rather than for the answer.
 //
 // A StreamMerger is single-consumer: feed Add from one goroutine. A nil
 // child marks a slot that contributes nothing — a dropped straggler, a
@@ -108,6 +112,14 @@ func (m *StreamMerger) Add(i int, r *Result) {
 
 // Done reports whether every child slot has been consumed.
 func (m *StreamMerger) Done() bool { return m.next == m.n }
+
+// Release hands the merger's working set — top-k's flow index — back to
+// its pool, for a caller that is done with the merger once it is Done.
+// dst, and the list a top-k merge published there, stay the caller's.
+func (m *StreamMerger) Release() {
+	indexBufs.Put(m.totals.index)
+	m.totals.index, m.totals.list = nil, nil
+}
 
 // seed loads the op's fold state from dst's base contents.
 func (m *StreamMerger) seed() {

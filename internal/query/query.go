@@ -495,18 +495,20 @@ type totalSlot struct {
 const totalsIndexMin = 8
 
 // size makes a fresh accumulator room for n flows without regrowing: a
-// list of that capacity and an index that holds n at most 3/4 full. A
-// zero key is drawn here.
+// list of that capacity and an index that holds n at most 3/4 full, both
+// drawn from the pools (a merger's caller hands the index back with
+// Release, and the published list with PutTopBuf). A zero key is drawn
+// here.
 func (t *flowTotals) size(n int) {
 	if t.key == (types.FlowKey{}) {
 		t.key = types.NewFlowKey()
 	}
-	t.list = make([]FlowBytes, 0, n)
+	t.list = GetTopBuf(n)
 	slots := totalsIndexMin
 	for 4*n > 3*slots {
 		slots *= 2
 	}
-	t.index = make([]totalSlot, slots)
+	t.index = indexBufs.Get(slots)[:slots]
 }
 
 func (t *flowTotals) add(f types.FlowID, bytes, pkts uint64) {
@@ -533,12 +535,13 @@ func (t *flowTotals) add(f types.FlowID, bytes, pkts uint64) {
 // grow doubles the index, placing every entry by the hash it holds.
 func (t *flowTotals) grow() {
 	old := t.index
-	t.index = make([]totalSlot, 2*len(old))
+	t.index = indexBufs.Get(2 * len(old))[:2*len(old)]
 	for _, e := range old {
 		if e.pos != 0 {
 			t.place(e)
 		}
 	}
+	indexBufs.Put(old)
 }
 
 // place puts e at the first empty position of its probe run.

@@ -254,9 +254,11 @@ func (s *MultiAgentServer) runHost(ctx context.Context, h types.HostID, q query.
 // are outstanding at once (<= 0 means unlimited). Several hosts mapped
 // to one single-agent daemon is reported as an error per slot. The
 // context rides every HTTP request, so cancellation aborts in-flight
-// round trips and the daemons' server-side fan-outs with them.
+// round trips and the daemons' server-side fan-outs with them. The reply
+// array comes from controller.GetBatchReplies, whose pool the controller
+// hands it back to once the execution has folded it.
 func (t *HTTPTransport) QueryMany(ctx context.Context, hosts []types.HostID, q query.Query, parallel int) ([]controller.BatchReply, error) {
-	replies := make([]controller.BatchReply, len(hosts))
+	replies := controller.GetBatchReplies(len(hosts))
 	// Group the hosts by daemon in one pass. order lists host indices
 	// group by group, and the newest group's idx is its tail: hosts that
 	// arrive daemon by daemon (a tree's leaves, a fleet in ID order) only
