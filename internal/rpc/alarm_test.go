@@ -3,9 +3,11 @@ package rpc
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,5 +112,48 @@ func TestControllerAlarmContextStopsDispatch(t *testing.T) {
 	ctrl.RaiseAlarm(types.Alarm{Reason: types.ReasonPoorPerf})
 	if got := handled.Load(); got != 2 {
 		t.Fatalf("reset alarm context did not restore dispatch (%d)", got)
+	}
+}
+
+// TestAlarmClientRaisesShareOneConnection: alarms raised at once from
+// many goroutines, as a daemon forwards them, reach the controller over
+// one keep-alive connection rather than one per alarm in flight.
+func TestAlarmClientRaisesShareOneConnection(t *testing.T) {
+	var conns, received atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(time.Millisecond) // long enough for raises to overlap
+		received.Add(1)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	transport := &http.Transport{MaxIdleConnsPerHost: 64}
+	defer transport.CloseIdleConnections()
+	ac := &AlarmClient{URL: srv.URL, Client: &http.Client{Transport: transport}}
+
+	const raisers, each = 16, 5
+	var wg sync.WaitGroup
+	for g := 0; g < raisers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := ac.RaiseAlarmContext(context.Background(), types.Alarm{Flow: types.FlowID{SrcIP: types.IP(g), SrcPort: uint16(i)}, Reason: types.ReasonPoorPerf}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := received.Load(); got != raisers*each {
+		t.Fatalf("controller received %d alarms, want %d", got, raisers*each)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d alarms raised at once opened %d connections, want 1", raisers*each, got)
 	}
 }

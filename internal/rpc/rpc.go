@@ -361,6 +361,8 @@ type AlarmClient struct {
 	// be invisible, which made a misconfigured controller URL look like a
 	// healthy, quiet network.
 	dropped atomic.Uint64
+	// turn admits one POST at a time (see RaiseAlarmContext).
+	turn sync.Mutex
 }
 
 // Dropped reports how many alarms this client failed to deliver.
@@ -385,6 +387,13 @@ func (c *AlarmClient) RaiseAlarm(a types.Alarm) {
 // instead of leaking the goroutine against a wedged controller. Every
 // failure — including a non-2xx answer from the controller, previously
 // ignored — is returned and counted in Dropped.
+//
+// Raises through one client take turns, so they share one keep-alive
+// connection. Otherwise a burst of alarms raised at once, each from its
+// own goroutine, would open a connection per alarm in flight, and each
+// would sit idle at both ends, buffers and goroutines included, until
+// the transport's idle timeout. A raise whose context ends while it
+// waits behind a wedged POST fails as soon as its turn comes.
 func (c *AlarmClient) RaiseAlarmContext(ctx context.Context, a types.Alarm) error {
 	body, err := json.Marshal(AlarmRequest{Alarm: a})
 	if err != nil {
@@ -397,6 +406,8 @@ func (c *AlarmClient) RaiseAlarmContext(ctx context.Context, a types.Alarm) erro
 		return fmt.Errorf("rpc: building alarm request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	c.turn.Lock()
+	defer c.turn.Unlock()
 	resp, err := c.client().Do(req)
 	if err != nil {
 		c.dropped.Add(1)

@@ -95,11 +95,10 @@ func coldFileName(dir string, lo, hi uint64) string {
 // SpillBefore moves every sealed, resident segment whose newest record
 // ended strictly before cutoff out to the cold tier, returning how many
 // segments and records were spilled. No-op unless Config.ColdDir is
-// set. Like EvictBefore, repeated calls with slowly advancing cutoffs
-// are cheap: a cutoff that has not advanced a full SegmentSpan (or,
-// spanless, a quarter of the retention window) past the last effective
-// one returns without touching a lock, so the agent can call it per
-// exported record.
+// set. Repeated calls with slowly advancing cutoffs are cheap: a cutoff
+// that has not advanced a full SegmentSpan (or, spanless, a quarter of
+// the retention window) past the last effective one returns without
+// touching a lock, so the agent can call it per exported record.
 //
 // File writes happen outside the shard locks — a block is immutable, so
 // it is written from a reference captured under a momentary read lock,

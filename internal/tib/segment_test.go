@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"pathdump/internal/testutil"
@@ -107,6 +108,52 @@ func TestRetentionEviction(t *testing.T) {
 	if segs, recs := s.EvictBefore(cutoff); segs != 0 || recs != 0 {
 		t.Errorf("repeat eviction freed %d segments / %d records", segs, recs)
 	}
+}
+
+// TestEvictionFollowsExpiry: EvictBefore frees a sealed segment as soon
+// as the cutoff passes its newest record, however little the cutoff has
+// moved since the last sweep, and a segment sealed after a sweep that
+// kept nothing sealed is freed once it expires too.
+func TestEvictionFollowsExpiry(t *testing.T) {
+	s := NewStoreConfig(Config{Shards: 1, SegmentSpan: types.Second})
+	ms := types.Millisecond
+	if segs, recs := s.EvictBefore(ms); segs != 0 || recs != 0 {
+		t.Fatalf("an empty store freed %d segments / %d records", segs, recs)
+	}
+	// A record every 100 ms: segment A holds records 0-9 (newest ends
+	// at 901 ms), B 10-19 (1901 ms), and 20-24 stay active.
+	for i := 0; i < 25; i++ {
+		st := types.Time(i) * 100 * ms
+		s.Add(mkRecord(flowN(i), types.Path{1, 2}, st, st+ms, 1, 1))
+	}
+	for _, c := range []struct {
+		cutoff     types.Time
+		segs, recs int
+	}{
+		{901 * ms, 0, 0},          // A's newest record ends at the cutoff
+		{902 * ms, 1, 10},         // A expired, less than a span after the last sweep
+		{1901 * ms, 0, 0},         // B not yet
+		{1902 * ms, 1, 10},        // B expired
+		{60 * types.Second, 0, 0}, // the active segment stays
+	} {
+		if segs, recs := s.EvictBefore(c.cutoff); segs != c.segs || recs != c.recs {
+			t.Errorf("EvictBefore(%v) freed %d segments / %d records, want %d / %d", c.cutoff, segs, recs, c.segs, c.recs)
+		}
+	}
+	if s.Len() != 5 {
+		t.Errorf("Len = %d after eviction, want the 5 active records", s.Len())
+	}
+	// A cutoff nothing has expired under returns without a shard lock.
+	s.shards[0].mu.Lock()
+	done := make(chan struct{})
+	go func() { s.EvictBefore(60 * types.Second); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("EvictBefore waited for a shard lock with nothing expired")
+	}
+	s.shards[0].mu.Unlock()
+	<-done
 }
 
 // TestInsertionOrderAcrossSegments: segmentation must not disturb the

@@ -111,11 +111,15 @@ type Store struct {
 	// not stampede the oldest-segment search.
 	evictMu sync.Mutex
 
-	// evictFloor is the highest EvictBefore cutoff applied so far, so the
-	// agent can call EvictBefore per exported record and pay the shard
-	// sweep only when the cutoff has advanced far enough to possibly free
-	// a segment.
+	// evictFloor is at or below the newest record of every sealed
+	// segment, so a cutoff at or below it cannot free one: the agent calls
+	// EvictBefore per exported record and pays the shard sweep only once
+	// the oldest sealed segment has expired. A seal lowers it; a sweep
+	// raises it to the oldest segment it kept, unless a seal raced the
+	// sweep (floorGen counts seals; floorMu guards both).
 	evictFloor atomicTime
+	floorMu    sync.Mutex
+	floorGen   uint64
 
 	// Scan telemetry: cumulative counts of segments walked versus skipped
 	// by bound intersection, across all scans. The rpc servers and the
@@ -124,10 +128,10 @@ type Store struct {
 	segScanned atomic.Uint64
 	segPruned  atomic.Uint64
 
-	// Cold tier (cold.go): spillFloor throttles SpillBefore the way
-	// evictFloor throttles EvictBefore; coldBytesTotal tracks the
-	// estimated thawed footprint of everything currently spilled;
-	// coldLoads/coldFaults count demand-loads and their failures.
+	// Cold tier (cold.go): spillFloor throttles SpillBefore (advance);
+	// coldBytesTotal tracks the estimated thawed footprint of everything
+	// currently spilled; coldLoads/coldFaults count demand-loads and
+	// their failures.
 	coldDir        string
 	spillFloor     atomicTime
 	coldBytesTotal atomic.Int64
@@ -315,9 +319,11 @@ func (s *Store) Add(rec types.Record) {
 		seg = &segment{entries: new(pages[entry])}
 		sh.push(seg)
 	case s.shouldSeal(seg, &rec):
+		sealed := seg
 		seg = seg.seal(si)
 		sh.push(seg)
 		s.sealCount.Add(1)
+		s.lowerEvictFloor(sealed.maxTime)
 	}
 	// The sequence number is assigned under the shard lock so each
 	// shard's segment chain is sequence-monotonic, which the scan merge
@@ -396,14 +402,19 @@ func (s *Store) SegmentStats() (scanned, pruned uint64) {
 // retention mechanism reproducing the paper's fixed per-host storage
 // budget: whole expired segments go at once, indexes and all.
 //
-// Repeated calls with slowly advancing cutoffs are cheap: cutoffs that
-// cannot free anything new (not a full SegmentSpan — or, spanless, not a
-// quarter of Retention — past the last effective one) return without
-// touching a lock.
+// Repeated calls with slowly advancing cutoffs are cheap: a cutoff that
+// no sealed segment has expired under returns without touching a lock,
+// and one that has frees that segment at once, so what the store holds
+// past its retention is a segment's span, not one plus the time since a
+// previous eviction.
 func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
-	if !s.advance(&s.evictFloor, cutoff) {
+	if cutoff <= s.evictFloor.Load() {
 		return 0, 0
 	}
+	s.floorMu.Lock()
+	gen := s.floorGen
+	s.floorMu.Unlock()
+	oldest := types.Time(1<<63 - 1) // the oldest sealed segment kept
 	var freed, coldFreed int64
 	var coldFiles []string
 	for i := range s.shards {
@@ -427,6 +438,9 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 				}
 				continue
 			}
+			if seg.sealed() {
+				oldest = min(oldest, seg.maxTime)
+			}
 			keep = append(keep, seg)
 		}
 		// Clear the dropped tail so evicted segments are collectable.
@@ -434,6 +448,11 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 		sh.setSegs(keep)
 		sh.mu.Unlock()
 	}
+	s.floorMu.Lock()
+	if s.floorGen == gen { // else a segment sealed behind the sweep may be older
+		s.evictFloor.Store(oldest)
+	}
+	s.floorMu.Unlock()
 	if records > 0 {
 		s.count.Add(int64(-records))
 		s.bytesTotal.Add(-freed)
@@ -445,9 +464,20 @@ func (s *Store) EvictBefore(cutoff types.Time) (segments, records int) {
 	return segments, records
 }
 
+// lowerEvictFloor admits a segment just sealed with newest record t to
+// EvictBefore's floor. Caller holds the segment's shard lock.
+func (s *Store) lowerEvictFloor(t types.Time) {
+	s.floorMu.Lock()
+	s.floorGen++
+	if t < s.evictFloor.Load() {
+		s.evictFloor.Store(t)
+	}
+	s.floorMu.Unlock()
+}
+
 // advance reports whether cutoff has moved far enough past the last
 // effective one — a full SegmentSpan or, spanless, a quarter of Retention
-// — to possibly free (or spill) a new segment, and records it if so.
+// — to possibly spill a new segment, and records it if so.
 // Virtual time starts at 0: nothing can predate a non-positive cutoff,
 // so the whole first retention window is lock-free here.
 func (s *Store) advance(floor *atomicTime, cutoff types.Time) bool {
